@@ -1,4 +1,4 @@
-//! Bulk construction from sorted input.
+//! Bulk construction from sorted input, streamed in `P log² P` chunks.
 //!
 //! The model's algorithm-design section (§2.1) stipulates that "the input
 //! starts evenly divided among the PIM modules"; building the initial
@@ -6,14 +6,39 @@
 //! constructs the skip list from a sorted key sequence with **no searches
 //! at all**: towers are allocated exactly as in batched Upsert, but the
 //! horizontal pointers are degenerate Algorithm-1 segments — at every
-//! level the new nodes form one run whose predecessor is the −∞ sentinel
-//! and whose successor is null — so the CPU can emit every link directly.
+//! level the new nodes extend one run that starts at the −∞ sentinel —
+//! so the CPU can emit every link directly.
+//!
+//! The CPU side owns only `M = Θ(P log² P)` words of shared memory, so the
+//! input is consumed in chunks of [`Config::batch_large`] pairs, each
+//! chunk a complete mini-build: toss its tower coins, allocate and wire
+//! its towers, link them, fix its `next_leaf` shortcuts. Two things make
+//! the chunks compose into the structure a single pass would give:
+//!
+//! * **The tail carry.** Per level the build keeps the handle of the last
+//!   node linked so far (the level's −∞ sentinel until a tower reaches
+//!   it). A chunk's first node at that level is linked behind the tail
+//!   and its last node becomes the new tail. A fresh node's `right` is
+//!   already null with key +∞, so the tail is a valid list end after
+//!   every chunk and needs no terminating write.
+//! * **Allocation follows linking.** A module enters each new leaf into
+//!   its local leaf list on arrival, locating the position through the
+//!   replicated upper part. With every earlier chunk fully linked that is
+//!   an `O(log n)` descent plus a walk over this chunk's own arrivals;
+//!   allocating everything before any link exists (the former one-shot
+//!   build) made it a scan of the module's whole leaf list — quadratic PIM
+//!   time in `n`.
+//!
+//! Coins, per-module arrival order and shadow slots are drawn in input
+//! order whatever the chunking, so the handles do not depend on it.
 //!
 //! [`bulk_load`]: crate::PimSkipList::bulk_load
+//! [`Config::batch_large`]: crate::Config::batch_large
 
 use pim_runtime::Handle;
 
-use crate::config::{Key, Value, POS_INF};
+use crate::batch::upsert::Towers;
+use crate::config::{Key, Value};
 use crate::error::PimResult;
 use crate::list::PimSkipList;
 use crate::tasks::Task;
@@ -24,7 +49,7 @@ impl PimSkipList {
     ///
     /// Compared to [`PimSkipList::load`] (repeated batched upserts), this
     /// skips the batched-Predecessor stage entirely: `O(1)` messages per
-    /// node instead of `O(log P)`, and `O(1)` rounds per level instead of
+    /// node instead of `O(log P)`, and `O(1)` rounds per chunk instead of
     /// `O(log P)` per batch.
     pub fn bulk_load(&mut self, pairs: &[(Key, Value)]) {
         assert!(self.is_empty(), "bulk_load requires an empty structure");
@@ -39,97 +64,99 @@ impl PimSkipList {
     /// One fault-observable attempt of [`PimSkipList::bulk_load`]. Also the
     /// workhorse of crash recovery: `restore_all` resets the machine and
     /// replays the journal's contents through this path.
+    ///
+    /// All-or-nothing: the towers of finished chunks wait in host DRAM
+    /// (unmetered, like the journal they are headed for) and are committed
+    /// only once the last chunk is linked. A fault in any chunk therefore
+    /// leaves journal and `len` untouched, and `retry_structural`'s
+    /// `restore_all` reverts to the state before the attempt.
     pub(crate) fn bulk_load_attempt(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
         debug_assert!(self.is_empty(), "bulk_load_attempt on non-empty structure");
         if pairs.is_empty() {
             return Ok(());
         }
-        self.spanned("bulk_load", |s| {
-            let staged = pairs.len() as u64 * 2;
-            s.sys.shared_mem().alloc(staged);
-            let out = s.bulk_load_attempt_inner(pairs);
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged);
-            out
-        })
-    }
-
-    fn bulk_load_attempt_inner(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
         // Structural writes throughout: invalidate push-pull snapshots.
         self.bump_write_epoch();
-        // Heights + allocation + vertical wiring (shared with Upsert).
-        let tops: Vec<u8> = (0..pairs.len())
-            .map(|_| self.rng.skiplist_height(self.cfg.max_level - 1))
-            .collect();
-        let mut tower = crate::batch::upsert::Towers::default();
-        self.allocate_towers(pairs, &tops, &mut tower)?;
+        // tails[level]: the last node linked at `level` so far.
+        let mut tails: Vec<Handle> = Vec::new();
+        let mut tops: Vec<u8> = Vec::new();
+        let mut chunk_towers = Towers::default();
+        let mut built = Towers::default();
+        for chunk in pairs.chunks(self.cfg.batch_large().max(1)) {
+            self.spanned("bulk_load", |s| {
+                let staged = chunk.len() as u64 * 2;
+                s.sys.shared_mem().alloc(staged);
+                let out = s.bulk_load_chunk(chunk, &mut tops, &mut chunk_towers, &mut tails);
+                s.sys.sample_shared_mem();
+                s.sys.shared_mem().free(staged);
+                out
+            })?;
+            built.append(&chunk_towers);
+        }
 
-        // Horizontal links, level by level: the nodes at each level in key
-        // order form a single chain headed by the −∞ sentinel of that
-        // level (replicated slot = level by construction).
+        // Commit: every pair is now part of the logical contents.
+        for (j, &(key, value)) in pairs.iter().enumerate() {
+            self.journal.record_insert(key, value, built.get(j));
+        }
+        self.len = pairs.len() as u64;
+        Ok(())
+    }
+
+    /// Build one chunk behind `tails` and advance them.
+    fn bulk_load_chunk(
+        &mut self,
+        chunk: &[(Key, Value)],
+        tops: &mut Vec<u8>,
+        towers: &mut Towers,
+        tails: &mut Vec<Handle>,
+    ) -> PimResult<()> {
+        // Heights + allocation + vertical wiring (shared with Upsert).
+        tops.clear();
+        tops.extend((0..chunk.len()).map(|_| self.rng.skiplist_height(self.cfg.max_level - 1)));
+        self.allocate_towers(chunk, tops, towers)?;
+
+        // Horizontal links, level by level: the chunk's nodes at a level,
+        // in key order, extend the chain that ends at the level's tail.
         let max_top = tops.iter().copied().max().unwrap_or(0);
         self.spanned("link", |s| -> PimResult<()> {
             for level in 0..=max_top {
-                let at_level: Vec<usize> = (0..pairs.len()).filter(|&j| tops[j] >= level).collect();
-                if at_level.is_empty() {
-                    continue;
+                if tails.len() <= usize::from(level) {
+                    // Replicated slot = level by construction.
+                    tails.push(Handle::replicated(u32::from(level)));
                 }
-                let inf = Handle::replicated(u32::from(level));
-                // −∞ → first.
-                let first = tower.get(at_level[0])[level as usize];
-                s.send_write(
-                    inf,
-                    Task::WriteRight {
-                        node: inf,
-                        to: first,
-                        to_key: pairs[at_level[0]].0,
-                    },
-                );
-                s.send_write(
-                    first,
-                    Task::WriteLeft {
-                        node: first,
-                        to: inf,
-                    },
-                );
-                // node_j → node_{j+1}.
-                for w in at_level.windows(2) {
-                    let (a, b) = (w[0], w[1]);
-                    let (ha, hb) = (tower.get(a)[level as usize], tower.get(b)[level as usize]);
+                let mut prev = tails[usize::from(level)];
+                let mut linked = 0u64;
+                for (j, &(key, _)) in chunk.iter().enumerate() {
+                    if tops[j] < level {
+                        continue;
+                    }
+                    let cur = towers.get(j)[usize::from(level)];
                     s.send_write(
-                        ha,
+                        prev,
                         Task::WriteRight {
-                            node: ha,
-                            to: hb,
-                            to_key: pairs[b].0,
+                            node: prev,
+                            to: cur,
+                            to_key: key,
                         },
                     );
-                    s.send_write(hb, Task::WriteLeft { node: hb, to: ha });
+                    s.send_write(
+                        cur,
+                        Task::WriteLeft {
+                            node: cur,
+                            to: prev,
+                        },
+                    );
+                    prev = cur;
+                    linked += 1;
                 }
-                // last → null.
-                let last = tower.get(*at_level.last().expect("non-empty"))[level as usize];
-                s.send_write(
-                    last,
-                    Task::WriteRight {
-                        node: last,
-                        to: Handle::NULL,
-                        to_key: POS_INF,
-                    },
-                );
-                s.sys.metrics_mut().charge_cpu(at_level.len() as u64, 1);
+                tails[usize::from(level)] = prev;
+                s.sys.metrics_mut().charge_cpu(linked, 1);
             }
             s.quiesce_writes("bulk_load")
         })?;
 
         // next_leaf shortcuts of the new upper leaves.
-        self.fix_new_next_leaves(&tower, &tops)?;
-
-        // Commit: every pair is now part of the logical contents.
-        for (j, &(key, value)) in pairs.iter().enumerate() {
-            self.journal.record_insert(key, value, tower.get(j));
-        }
-        self.len = pairs.len() as u64;
-        Ok(())
+        self.fix_new_next_leaves(towers, tops)
     }
 }
 
@@ -179,6 +206,61 @@ mod tests {
             (bulk_io as f64) < incr_io as f64 * 0.8,
             "bulk load should save IO: {bulk_io} vs {incr_io}"
         );
+    }
+
+    fn evens(n: usize) -> Vec<(i64, u64)> {
+        (0..n as i64).map(|i| (i * 2, i as u64)).collect()
+    }
+
+    #[test]
+    fn shared_memory_is_bounded_by_one_chunk() {
+        let mut list = PimSkipList::new(Config::new(16, 1 << 12, 12));
+        let chunk = list.config().batch_large();
+        list.bulk_load(&evens(8 * chunk + 17));
+        assert!(
+            list.metrics().shared_mem_peak <= 2 * chunk as u64,
+            "M = {} words for chunks of {chunk} pairs",
+            list.metrics().shared_mem_peak
+        );
+    }
+
+    #[test]
+    fn build_pim_time_is_linear_in_n() {
+        let pim_time = |n: usize| {
+            let mut list = PimSkipList::new(Config::new(16, 1 << 14, 13));
+            list.bulk_load(&evens(n));
+            list.metrics().pim_time as f64
+        };
+        let ratio = pim_time(16_000) / pim_time(8_000);
+        assert!(ratio <= 2.5, "doubling n multiplied PIM time by {ratio:.2}");
+    }
+
+    #[test]
+    fn chunk_edge_sizes_build_valid_mutable_structures() {
+        let chunk = Config::new(8, 1 << 10, 14).batch_large();
+        for n in [chunk - 1, chunk, chunk + 1, 3 * chunk] {
+            let mut list = PimSkipList::new(Config::new(8, 1 << 10, 14));
+            let pairs = evens(n);
+            list.bulk_load(&pairs);
+            list.validate().unwrap();
+            assert_eq!(list.collect_items(), pairs, "n = {n}");
+
+            // Odd keys interleave with the whole key range, chunk seams
+            // included; then every fourth original key goes.
+            let odds: Vec<(i64, u64)> = (0..n as i64).map(|i| (i * 2 + 1, 7)).collect();
+            list.batch_upsert(&odds);
+            let gone: Vec<i64> = (0..n as i64).step_by(4).map(|i| i * 2).collect();
+            assert!(list.batch_delete(&gone).iter().all(|&found| found));
+            list.validate().unwrap();
+            assert_eq!(list.len() as usize, 2 * n - gone.len(), "n = {n}");
+            let succ = list.batch_successor(&[0, 2, 2 * n as i64 - 1, 2 * n as i64]);
+            let keys: Vec<Option<i64>> = succ.iter().map(|e| e.map(|(k, _)| k)).collect();
+            assert_eq!(
+                keys,
+                [Some(1), Some(2), Some(2 * n as i64 - 1), None],
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

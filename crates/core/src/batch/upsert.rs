@@ -66,6 +66,17 @@ impl Towers {
     fn get_mut(&mut self, j: usize) -> &mut [Handle] {
         &mut self.handles[self.offsets[j] as usize..self.offsets[j + 1] as usize]
     }
+
+    /// Append every tower of `other`, keeping their order.
+    pub(crate) fn append(&mut self, other: &Towers) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        let base = self.handles.len() as u32;
+        self.handles.extend_from_slice(&other.handles);
+        self.offsets
+            .extend(other.offsets.iter().skip(1).map(|&end| base + end));
+    }
 }
 
 impl PimSkipList {

@@ -927,11 +927,11 @@ impl PimModule for SkipModule {
             } => self.do_range_descend(op, at, lo, hi, func, ctx),
             Task::InstallUpper { slot, node } => {
                 ctx.work(1);
-                self.upper.install(slot, node);
+                self.upper.install(slot, *node);
             }
             Task::InstallLower { slot, node } => {
                 ctx.work(1);
-                self.lower.install(slot, node);
+                self.lower.install(slot, *node);
             }
             Task::RecoverLocal => {
                 let w = self.rebuild_local_views();

@@ -47,8 +47,12 @@ impl PimSkipList {
     /// Run queued write-style traffic to quiescence. Healthy write tasks
     /// reply nothing, so any reply at all is a fault signal: `Faulted`
     /// means a write addressed a damaged node, anything else is a protocol
-    /// violation.
+    /// violation. A write lost in these rounds is silent, so the machine's
+    /// loss counters end the attempt too: the phases that follow (the next
+    /// chunk of a streamed build, `FixNextLeaf`) descend through the nodes
+    /// just written and must never meet a half-wired one.
     pub(crate) fn quiesce_writes(&mut self, op: &'static str) -> PimResult<()> {
+        let before = self.sys.metrics();
         let replies = self.sys.run_to_quiescence();
         let mut faulted = 0usize;
         for r in replies {
@@ -57,8 +61,8 @@ impl PimSkipList {
                 other => return Err(PimError::protocol(op, other)),
             }
         }
-        if faulted > 0 {
-            return Err(PimError::incomplete(op, faulted));
+        if faulted > 0 || self.damage_since(&before) {
+            return Err(PimError::incomplete(op, faulted.max(1)));
         }
         Ok(())
     }
@@ -350,7 +354,7 @@ impl PimSkipList {
                 module,
                 Task::InstallUpper {
                     slot: level as u32,
-                    node: s,
+                    node: Box::new(s),
                 },
             );
 
@@ -384,15 +388,16 @@ impl PimSkipList {
                 if level == 0 {
                     n.chain = e.tower[1..].to_vec();
                 }
+                let node = Box::new(n);
                 let task = if h.is_replicated() {
                     Task::InstallUpper {
                         slot: h.slot(),
-                        node: n,
+                        node,
                     }
                 } else {
                     Task::InstallLower {
                         slot: h.slot(),
-                        node: n,
+                        node,
                     }
                 };
                 self.sys.send(module, task);

@@ -257,8 +257,8 @@ pub enum Task {
     InstallUpper {
         /// Replicated-arena slot to (re)populate.
         slot: u32,
-        /// Full node image.
-        node: Node,
+        /// Full node image (boxed: see the size pin below the enum).
+        node: Box<Node>,
     },
     /// Recovery: install a lower-part node image at the exact local slot it
     /// occupied before the crash (handles held by other modules keep
@@ -266,14 +266,19 @@ pub enum Task {
     InstallLower {
         /// Local-arena slot to (re)populate.
         slot: u32,
-        /// Full node image.
-        node: Node,
+        /// Full node image (boxed, as in [`Task::InstallUpper`]).
+        node: Box<Node>,
     },
     /// Recovery finaliser: rebuild the module's derived local views (hash
     /// index, local leaf list, `next_leaf` shortcuts) from the installed
     /// nodes, then acknowledge with [`Reply::Recovered`].
     RecoverLocal,
 }
+
+// Every message of every round moves a `Task` through the engine's inboxes
+// and outboxes; only the recovery-only node images are large, so they are
+// boxed and the common case stays within one cache line.
+const _: () = assert!(std::mem::size_of::<Task>() <= 64);
 
 /// Replies returned to CPU shared memory.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -387,6 +387,113 @@ fn pipelined_crash_at_route_commit_recovers_on_run_boundary() {
     assert_eq!(chaotic.op_log(), seq.op_log());
 }
 
+/// Contents, length and invariants after a recovered run.
+fn assert_holds(list: &PimSkipList, want: &[(i64, u64)], context: &str) {
+    assert_eq!(list.collect_items(), want, "{context}: contents");
+    assert_eq!(list.len(), want.len() as u64, "{context}: len");
+    list.validate()
+        .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+}
+
+#[test]
+fn fault_in_a_later_bulk_load_chunk_keeps_the_attempt_atomic() {
+    // P = 4 streams the build in chunks of 16 pairs: 100 pairs, 7 chunks.
+    let cfg = || Config::new(4, 1 << 8, 31).with_max_retries(4);
+    let pairs: Vec<(i64, u64)> = (0..100).map(|i| (i * 3, i as u64)).collect();
+
+    // Dry run: one `bulk_load` span per chunk says where chunk 2 starts.
+    let mut dry = PimSkipList::new(cfg());
+    dry.enable_probe();
+    dry.bulk_load(&pairs);
+    let report = dry.take_probe().expect("probe was enabled");
+    let chunks = report.spans_named("bulk_load");
+    assert_eq!(
+        chunks.len(),
+        pairs.len().div_ceil(dry.config().batch_large())
+    );
+    let second_chunk = report.spans[chunks[1] as usize].start_round;
+
+    // Strike every round from there to the end of the build. A chunk that
+    // had committed on its own would survive the whole-machine restore and
+    // the retry would load onto a non-empty structure.
+    let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 5 }];
+    for round in second_chunk..dry.metrics().rounds {
+        for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
+            let context = format!("{kind:?} on module {module} at round {round}");
+            let mut list = PimSkipList::new(cfg());
+            list.set_fault_plan(FaultPlan::new().at(round, module, kind));
+            list.try_bulk_load(&pairs)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let m = list.metrics();
+            assert_eq!(m.faults_injected, 1, "{context}: must strike");
+            if kind == FaultKind::Crash {
+                assert_eq!(m.module_crashes, 1, "{context}");
+                assert!(m.retries_issued >= 100, "{context}: must re-issue");
+            }
+            assert_holds(&list, &pairs, &context);
+        }
+    }
+}
+
+#[test]
+fn fault_inside_the_restore_all_rebuild_is_repaired() {
+    let cfg = || Config::new(4, 1 << 8, 37).with_max_retries(4);
+    let base: Vec<(i64, u64)> = (0..100).map(|i| (i * 4, i as u64)).collect();
+    let ups: Vec<(i64, u64)> = (0..20).map(|i| (i * 8 + 1, 7)).collect();
+    let mut want = base.clone();
+    want.extend(&ups);
+    want.sort_unstable();
+    // Load fault-free, then upsert under `plan`, probed.
+    let run = |plan: FaultPlan| {
+        let mut list = PimSkipList::new(cfg());
+        list.bulk_load(&base);
+        list.set_fault_plan(plan);
+        list.enable_probe();
+        list.try_batch_upsert(&ups).expect("upsert under faults");
+        list
+    };
+
+    // First fault: crash in the upsert's allocation round (its second),
+    // which sends the driver into `restore_all`. The probe says which
+    // rounds that rebuild occupies.
+    let loaded = {
+        let mut list = PimSkipList::new(cfg());
+        list.bulk_load(&base);
+        list.metrics().rounds
+    };
+    let first = FaultPlan::new().at(loaded + 1, 2, FaultKind::Crash);
+    let mut once = run(first.clone());
+    let report = once.take_probe().expect("probe was enabled");
+    let restore = report.spans_named("recover/restore")[0];
+    let chunks: Vec<u64> = report
+        .spans_named("bulk_load")
+        .into_iter()
+        .filter(|&id| report.has_ancestor_or_self(id, restore))
+        .map(|id| report.spans[id as usize].start_round)
+        .collect();
+    assert!(chunks.len() > 2, "the rebuild must stream in chunks");
+    assert_holds(&once, &want, "one fault");
+
+    // Second fault: every round of the rebuild from its second chunk on.
+    let rebuild_end = report.spans[restore as usize].end_round;
+    let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 3 }];
+    for round in chunks[1]..rebuild_end {
+        for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
+            let context = format!("{kind:?} on module {module} at rebuild round {round}");
+            let list = run(first.clone().at(round, module, kind));
+            let m = list.metrics();
+            assert_eq!(m.faults_injected, 2, "{context}: must strike");
+            if kind == FaultKind::Crash {
+                assert!(
+                    m.recovery_rounds > once.metrics().recovery_rounds,
+                    "{context}: the rebuild must have been re-run"
+                );
+            }
+            assert_holds(&list, &want, &context);
+        }
+    }
+}
+
 #[test]
 fn unrecoverable_schedule_surfaces_retries_exhausted() {
     // Crash module 0 at every round: no attempt can ever complete. With

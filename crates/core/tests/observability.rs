@@ -226,7 +226,10 @@ fn every_operation_family_gets_a_phase_in_the_export() {
 #[test]
 fn chaos_export_carries_fault_records_and_recovery_spans_balance() {
     let mut list = PimSkipList::new(Config::new(4, 1 << 10, 24).with_max_retries(50));
-    list.set_fault_plan(FaultPlan::random(0xFACE, 4, 400, 25));
+    // The storm must outlast the bulk load (19 chunks, ~75 rounds per
+    // attempt): a restore before the first commit rebuilds nothing and
+    // bills no recovery round.
+    list.set_fault_plan(FaultPlan::random(0xFACE, 4, 800, 25));
     list.enable_tracing();
     let before = list.metrics();
     list.enable_probe();

@@ -117,8 +117,7 @@ pub fn current() -> ExecConfig {
     *guard.get_or_insert_with(ExecConfig::from_env)
 }
 
-/// Number of worker threads parallel regions will use. This is what the
-/// vendored `rayon` facade's `current_num_threads()` reports.
+/// Number of worker threads parallel regions will use.
 pub fn current_num_threads() -> usize {
     current().threads
 }
