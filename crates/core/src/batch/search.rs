@@ -5,20 +5,46 @@
 //! become contention points. The paper's fix:
 //!
 //! * **Stage 1** — sort the batch, pick every `log P`-th key as a *pivot*
-//!   (plus both extremes), and resolve the pivots by divide and conquer:
-//!   phase 0 runs the two extremes from the root recording their lower-part
-//!   paths; each later phase runs the median of every open segment,
-//!   starting from the **LCA** of the segment endpoints' recorded paths
-//!   (start-node hints). Lemma 4.2: no node is accessed more than 3 times
-//!   per phase.
+//!   (plus both extremes), and resolve the pivots group by group:
+//!   * *Phase 0* (one round): every pivot goes from the root to a random
+//!     module, walks that module's replica of the upper part and reports
+//!     its **lower-part entry** — the first non-replicated node on its
+//!     path ([`Reply::LowerEntry`]). A search that ends inside the
+//!     replicated part (the −∞ sentinel tower: any key at or below the
+//!     smallest resident key; everything under `h_low = 0`) is answered
+//!     there and has an empty lower-part path.
+//!   * Search paths form a tree (§3.2), so a path below entry `e` stays in
+//!     `e`'s subtree and pivots with different entries are node-disjoint
+//!     in the lower part: they can all descend in the same phase. Pivots
+//!     are ascending and a subtree covers a key interval, so the pivots
+//!     sharing an entry are a run — a *group*.
+//!   * *Phase 1* runs the two ends of every group from its entry,
+//!     recording their lower-part paths; each later phase runs the median
+//!     of every open segment of a group, starting from the **LCA** of the
+//!     segment endpoints' recorded paths (start-node hints). Lemma 4.2
+//!     holds per group: no lower-part node is accessed more than 3 times
+//!     per phase.
+//!
+//!   That is `2 + ⌈log₂ g⌉` phases for a largest group of `g` pivots —
+//!   3 or 4 for spread-out keys, where groups hold one to three pivots. The
+//!   worst case, all `m` pivots in one group, is the one-segment recursion
+//!   of the paper (`1 + ⌈log₂ m⌉` phases) plus the one-round phase 0.
 //! * **Stage 2** — run all remaining queries with hints from their
 //!   bracketing pivots; contention is `O(log P)` per node (segment width),
 //!   PIM-balanced by Lemma 2.2.
 //!
-//! For insert support ([`SearchMode::PredLevels`]) a hinted search only
-//! descends below its hint; the per-level predecessors *above* the LCA are
-//! stitched from the segment's left endpoint — valid because search paths
-//! that share an LCA coincide above it (the search-path tree of §3.2).
+//! For insert support ([`SearchMode::PredLevels`]) every pivot reports its
+//! upper-part predecessors in phase 0, and a hinted search only descends
+//! below its hint; the per-level predecessors *above* the LCA are stitched
+//! from the segment's left endpoint — valid because search paths that
+//! share an LCA coincide above it (the search-path tree of §3.2).
+//!
+//! The tree-structure range operations (§5.2) start each subrange's descent
+//! at its left end's hint ([`SearchResults::hints`]), which must cover every
+//! key up to the next request's. A group's last pivot is followed by keys
+//! below other entries, so it publishes `Root`: from its entry a wide range
+//! would crawl the top lower-part level one hop per round instead of fanning
+//! out from the replicated part.
 
 use std::collections::HashMap;
 
@@ -69,8 +95,12 @@ pub(crate) struct SearchResults {
     /// heap `Vec` per op, so a search allocates O(1) containers however
     /// many towers it serves.
     pub preds: HashMap<(u32, u8), PredRec>,
-    /// The start hint each op was executed with (reused by the
-    /// tree-structure range operations as their descent start, §5.2).
+    /// Per op, a node from which every key from the op's up to the next
+    /// request's is a bounded walk away — the descent start of the
+    /// tree-structure range operations (§5.2). It is the hint the op was
+    /// searched with, except for the last pivot of a group: its lower-part
+    /// entry does not cover the keys that follow, so it is put back to
+    /// `Root`. (Between phases 0 and 1 of stage 1 this is the entry table.)
     pub hints: HashMap<u32, Hint>,
 }
 
@@ -120,6 +150,20 @@ pub(crate) struct WaveItem {
     /// Stitch per-level predecessors above the hint from this op; also the
     /// owner of the shared path prefix.
     stitch_from: Option<u32>,
+}
+
+/// What a wave does with the search paths of its items.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wave {
+    /// Stage 1, phase 0: walk the replicated part only. The first
+    /// non-replicated handle — the lower-part entry — becomes the op's
+    /// hint, `Start(entry)`; a search answered inside the replicated part
+    /// keeps `Root` and an empty recorded path.
+    Entry,
+    /// Stage 1 from phase 1 on: record lower-part paths.
+    Pivots,
+    /// Stage 2: nothing is recorded.
+    Rest,
 }
 
 impl PimSkipList {
@@ -208,31 +252,91 @@ impl PimSkipList {
 
         let mut paths: HashMap<u32, Vec<Handle>> = HashMap::new();
 
-        // ---- Stage 1, phase 0: the extremes, from the root. ----
-        items.push(WaveItem {
-            idx: pivots[0],
-            hint: Hint::Root,
-            prefix_len: 0,
-            stitch_from: None,
-        });
-        if m > 1 {
-            items.push(WaveItem {
-                idx: pivots[m - 1],
-                hint: Hint::Root,
+        self.spanned("search/stage1", |s| -> PimResult<()> {
+            // ---- Phase 0: every pivot walks the replicated part, from the
+            // root on a random module, up to its lower-part entry node. ----
+            for &idx in pivots.iter() {
+                items.push(WaveItem {
+                    idx,
+                    hint: Hint::Root,
+                    prefix_len: 0,
+                    stitch_from: None,
+                });
+                results.hints.insert(reqs[idx].op, Hint::Root);
+            }
+            // The entries come back as the pivots' hints; one word each is
+            // charged to shared memory for the wave that fills them in.
+            s.sys.shared_mem().alloc(m as u64);
+            let wave = s.run_wave(
+                items,
+                reqs,
+                Some(max_top),
+                Wave::Entry,
+                &mut results,
+                &mut paths,
+            );
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(m as u64);
+            *staged_words += wave?;
+            s.record_phase_contention(true);
+
+            // ---- Phase 1: pivots are ascending, so a group is a maximal
+            // run of equal entry. Its two ends descend from the entry; a
+            // group of three or more opens a segment for the medians. A
+            // pivot without an entry was answered inside the replicated
+            // part and keeps its empty path. ----
+            items.clear();
+            let entry_of =
+                |hints: &HashMap<u32, Hint>, j: usize| match hints.get(&reqs[pivots[j]].op) {
+                    Some(&Hint::Start(entry)) => Some(entry),
+                    _ => None,
+                };
+            let group_end = |j: usize, entry: Handle| WaveItem {
+                idx: pivots[j],
+                hint: Hint::Start(entry),
                 prefix_len: 0,
                 stitch_from: None,
-            });
-        }
-        // ---- Stage 1: extremes from the root, then medians of open
-        // segments (pivot divide and conquer). ----
-        self.spanned("search/stage1", |s| -> PimResult<()> {
-            *staged_words +=
-                s.run_wave(items, reqs, Some(max_top), true, &mut results, &mut paths)?;
-            s.record_phase_contention();
-
-            if m > 1 {
-                segments.push((0, m - 1));
+            };
+            let mut l = 0;
+            while l < m {
+                let Some(entry) = entry_of(&results.hints, l) else {
+                    if !results.done.contains_key(&reqs[pivots[l]].op) {
+                        return Err(PimError::incomplete("search", 1));
+                    }
+                    l += 1;
+                    continue;
+                };
+                let mut r = l;
+                while r + 1 < m && entry_of(&results.hints, r + 1) == Some(entry) {
+                    r += 1;
+                }
+                items.push(group_end(l, entry));
+                if r > l {
+                    items.push(group_end(r, entry));
+                }
+                // Range start (§5.2): every key up to pivot `r`'s hangs
+                // below the entry, so an earlier pivot may descend from it.
+                // The keys after `r` hang below later entries — one serial
+                // lower-part hop each from here — so a group's last pivot
+                // goes back to `Root` and fans out from the replicas.
+                results.hints.insert(reqs[pivots[r]].op, Hint::Root);
+                if r - l > 1 {
+                    segments.push((l, r));
+                }
+                l = r + 1;
             }
+            *staged_words += s.run_wave(
+                items,
+                reqs,
+                Some(max_top),
+                Wave::Pivots,
+                &mut results,
+                &mut paths,
+            )?;
+            s.record_phase_contention(false);
+
+            // ---- Later phases: the median of every open segment, from the
+            // LCA of the segment ends' recorded paths. ----
             while segments.iter().any(|&(l, r)| r - l > 1) {
                 items.clear();
                 next_segments.clear();
@@ -261,13 +365,20 @@ impl PimSkipList {
                         prefix_len,
                         stitch_from: Some(op_l),
                     });
+                    results.hints.insert(reqs[pivots[med]].op, hint);
                     next_segments.push((l, med));
                     next_segments.push((med, r));
                 }
                 hint_cost.charge(s.sys.metrics_mut());
-                *staged_words +=
-                    s.run_wave(items, reqs, Some(max_top), true, &mut results, &mut paths)?;
-                s.record_phase_contention();
+                *staged_words += s.run_wave(
+                    items,
+                    reqs,
+                    Some(max_top),
+                    Wave::Pivots,
+                    &mut results,
+                    &mut paths,
+                )?;
+                s.record_phase_contention(false);
                 std::mem::swap(&mut *segments, &mut *next_segments);
             }
             Ok(())
@@ -303,10 +414,11 @@ impl PimSkipList {
                     prefix_len,
                     stitch_from: Some(op_l),
                 });
+                results.hints.insert(reqs[i].op, hint);
             }
             hint_cost.charge(s.sys.metrics_mut());
-            *staged_words += s.run_wave(items, reqs, None, false, &mut results, &mut paths)?;
-            s.record_phase_contention();
+            *staged_words += s.run_wave(items, reqs, None, Wave::Rest, &mut results, &mut paths)?;
+            s.record_phase_contention(false);
             Ok(())
         })?;
 
@@ -329,7 +441,7 @@ impl PimSkipList {
         items: &[WaveItem],
         reqs: &[SearchRequest],
         forced_top: Option<u8>,
-        record: bool,
+        wave: Wave,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
     ) -> PimResult<u64> {
@@ -341,7 +453,7 @@ impl PimSkipList {
             items,
             reqs,
             forced_top,
-            record,
+            wave,
             results,
             paths,
             &mut copies,
@@ -358,12 +470,14 @@ impl PimSkipList {
         items: &[WaveItem],
         reqs: &[SearchRequest],
         forced_top: Option<u8>,
-        record: bool,
+        wave: Wave,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
         copies: &mut Vec<(u32, u32)>, // (dst op, src op)
         mut hot: Option<&mut crate::hotcache::HotNodeCache>,
     ) -> PimResult<u64> {
+        let record = wave != Wave::Rest;
+        let entry_only = wave == Wave::Entry;
         // With push-pull on, every search records its path (including the
         // replicated upper part, via `record_upper`) so the replies warm
         // the access counts (io only — rounds are unchanged).
@@ -376,7 +490,6 @@ impl PimSkipList {
             let req = reqs[item.idx];
             let top = forced_top.unwrap_or(req.top).min(self.cfg.max_level);
             let mode = mode_for(top);
-            results.hints.insert(req.op, item.hint);
             // `drawn` is the module a replicated start would be shipped to.
             // The draw is burned even when the walk resolves the item, so
             // the rng stream — and hence tower heights and contents — is
@@ -397,13 +510,16 @@ impl PimSkipList {
                     debug_assert!(!h.is_replicated(), "recorded paths hold lower-part nodes");
                     if record {
                         // Materialise the shared prefix from the source
-                        // op's recorded path (one allocation, pivots only).
-                        let src = item.stitch_from.expect("hinted search has a source");
-                        let prefix = paths.get(&src).ok_or(PimError::Incomplete {
-                            op: "search",
-                            missing: 1,
-                        })?[..item.prefix_len]
-                            .to_vec();
+                        // op's recorded path (one allocation, pivots only);
+                        // a group end starts at its entry with none.
+                        let prefix = match item.stitch_from {
+                            Some(src) => paths.get(&src).ok_or(PimError::Incomplete {
+                                op: "search",
+                                missing: 1,
+                            })?[..item.prefix_len]
+                                .to_vec(),
+                            None => Vec::new(),
+                        };
                         paths.insert(req.op, prefix);
                     }
                     (h, h.module())
@@ -420,6 +536,12 @@ impl PimSkipList {
                 let mut steps = 0u64;
                 let mut resolved = false;
                 loop {
+                    if entry_only && !at.is_replicated() {
+                        // The same boundary the module stops at.
+                        results.hints.insert(req.op, Hint::Start(at));
+                        resolved = true;
+                        break;
+                    }
                     let Some(rec) = hot.records.get(&at.to_bits()) else {
                         // Miss: count it so the next refresh pulls this
                         // node, then ship the residual.
@@ -485,6 +607,7 @@ impl PimSkipList {
                     mode,
                     record_path,
                     record_upper,
+                    entry_only,
                 },
             );
         }
@@ -541,6 +664,9 @@ impl PimSkipList {
                         path_words += 1;
                     }
                 }
+                Reply::LowerEntry { op, node } if entry_only => {
+                    results.hints.insert(op, Hint::Start(node));
+                }
                 Reply::Faulted { .. } => faulted += 1,
                 other => return Err(PimError::protocol("search", other)),
             }
@@ -591,10 +717,15 @@ impl PimSkipList {
         Ok(path_words)
     }
 
-    fn record_phase_contention(&mut self) {
+    /// Close one search wave of the Lemma 4.2 instrument. Phase 0 touches
+    /// replicas only, and the busiest replica is the root of the busiest
+    /// module — the number of pivots that module served (Lemma 2.2); every
+    /// later wave records its busiest lower-part node (Lemma 4.2).
+    fn record_phase_contention(&mut self, entry_phase: bool) {
         if self.cfg.track_contention {
-            let max = self.take_max_contention();
-            self.last_phase_contention.push(max);
+            let (replica, lower) = self.take_max_contention();
+            self.last_phase_contention
+                .push(if entry_phase { replica } else { lower });
         }
     }
 
@@ -705,5 +836,168 @@ fn mode_for(top: u8) -> SearchMode {
         SearchMode::Point
     } else {
         SearchMode::PredLevels { top }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pim_runtime::{ceil_log2, Rng};
+
+    use super::*;
+    use crate::config::{Config, Value};
+
+    /// Resident keys `4·i`, `i ∈ 0..n`, streamed in with `bulk_load`.
+    fn loaded(cfg: Config, n: usize) -> PimSkipList {
+        let mut list = PimSkipList::new(cfg.with_contention_tracking());
+        let pairs: Vec<(Key, Value)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+        list.bulk_load(&pairs);
+        list
+    }
+
+    fn uniform_keys(seed: u64, span: u64, count: usize) -> Vec<Key> {
+        let mut rng = Rng::new(seed);
+        let mut keys: Vec<Key> = (0..count).map(|_| rng.below(span) as Key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Size of the largest pivot group of `keys` (ascending, unique): the
+    /// first non-replicated node on each pivot's search path is found by
+    /// CPU inspection, independently of the machine.
+    fn largest_group(list: &PimSkipList, keys: &[Key]) -> usize {
+        let entry = |key: Key| {
+            let mut at = list.root();
+            while at.is_replicated() {
+                let n = list.inspect(at);
+                if n.right_key < key {
+                    at = n.right;
+                } else if n.level == 0 {
+                    return None;
+                } else {
+                    at = n.down;
+                }
+            }
+            Some(at)
+        };
+        let step = list.cfg.log_p() as usize;
+        let mut pivots: Vec<usize> = (0..keys.len()).step_by(step).collect();
+        if pivots.last() != Some(&(keys.len() - 1)) {
+            pivots.push(keys.len() - 1);
+        }
+        let entries: Vec<Option<Handle>> = pivots.iter().map(|&i| entry(keys[i])).collect();
+        entries
+            .chunk_by(|a, b| a.is_some() && a == b)
+            .map(|g| g.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Rounds of one Successor batch and its stage-1 wave count; replies
+    /// are checked against the `4·i` resident set.
+    fn successor_rounds_and_waves(list: &mut PimSkipList, keys: &[Key], n: usize) -> (u64, usize) {
+        let before = list.metrics().rounds;
+        let got = list.batch_successor(keys);
+        let rounds = list.metrics().rounds - before;
+        for (k, g) in keys.iter().zip(&got) {
+            let want = (k + 3).div_euclid(4) * 4;
+            let want = (want < 4 * n as Key).then_some(want);
+            assert_eq!(g.map(|(key, _)| key), want, "successor({k})");
+        }
+        // One entry per stage-1 wave, then stage 2.
+        (rounds, list.last_phase_contention.len() - 1)
+    }
+
+    #[test]
+    fn uniform_and_dense_batches_against_the_one_segment_recursion() {
+        // (P, log₂ n, rounds the one-global-segment recursion took on the
+        // uniform batch and on the dense batch — measured at the parent of
+        // the change that introduced phase 0 — and, where the uniform batch
+        // does NOT reach the "at most half the parent's rounds" it was
+        // meant to, the rounds it takes instead).
+        for (p, log_n, old_uniform, old_dense, over_half) in [
+            (16u32, 14u32, 124u64, 100u64, None),
+            (16, 15, 102, 100, None),
+            (16, 16, 92, 99, None),
+            (16, 17, 104, 100, None),
+            // Claim not met: n/P is below the pivot count, so the batch is
+            // dense against the upper part — groups of 6–9 pivots, five
+            // waves — and saves 47 %, not 50 % (halves: 111 and 116).
+            (64, 14, 222, 197, Some(117u64)),
+            (64, 15, 232, 197, Some(123)),
+            (64, 16, 223, 197, None),
+            (64, 17, 224, 197, None),
+        ] {
+            let n = 1usize << log_n;
+            let context = format!("P={p} n=2^{log_n}");
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let batch = list.cfg.batch_large();
+            let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
+
+            let keys = uniform_keys(7, 4 * n as u64, batch);
+            let group = largest_group(&list, &keys);
+            let (rounds, waves) = successor_rounds_and_waves(&mut list, &keys, n);
+            assert!(
+                waves <= 3 + ceil_log2(group as u64) as usize,
+                "{context}: {waves} stage-1 waves, largest group {group}"
+            );
+            match over_half {
+                None => assert!(
+                    rounds <= old_uniform / 2,
+                    "{context}: {rounds} rounds > half of {old_uniform}"
+                ),
+                Some(measured) => {
+                    assert!(group > 3, "{context}: largest group {group}");
+                    assert_eq!(rounds, measured, "{context}: pinned, not a bound");
+                }
+            }
+            if (p, log_n) == (64, 17) {
+                assert!(rounds <= 80, "{context}: {rounds} rounds");
+            }
+
+            // Consecutive resident keys: few, large groups.
+            let dense: Vec<Key> = (0..batch as i64).map(|i| 4 * (i + 5_000)).collect();
+            let (rounds, waves) = successor_rounds_and_waves(&mut list, &dense, n);
+            assert!(
+                waves <= 2 + ceil_log2(m as u64) as usize,
+                "{context}: {waves} waves"
+            );
+            assert!(
+                rounds <= old_dense + 1,
+                "{context}: dense batch took {rounds} rounds, {old_dense} before"
+            );
+        }
+    }
+
+    #[test]
+    fn one_group_costs_the_one_segment_recursion_plus_one_round() {
+        // With the whole structure below the replicated part every pivot
+        // enters at the same node: the worst case.
+        let (p, n) = (16u32, 1usize << 12);
+        let mut list = loaded(Config::new(p, n as u64, 42).with_h_low(12), n);
+        let batch = list.cfg.batch_large();
+        let keys: Vec<Key> = (0..batch as i64).map(|i| 4 * (i + 1_000)).collect();
+        let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
+        assert_eq!(largest_group(&list, &keys), m);
+        let (rounds, waves) = successor_rounds_and_waves(&mut list, &keys, n);
+        assert_eq!(waves, 2 + ceil_log2(m as u64 - 1) as usize);
+        // 161 with the one global segment.
+        assert!(rounds <= 162, "{rounds} rounds");
+    }
+
+    #[test]
+    fn fresh_upserts_on_top_of_a_grouped_search_stay_valid() {
+        let (p, n) = (16u32, 1usize << 14);
+        let mut list = loaded(Config::new(p, n as u64, 42), n);
+        let fresh: Vec<(Key, Value)> = uniform_keys(9, n as u64, list.cfg.batch_large())
+            .into_iter()
+            .map(|i| (4 * i + 1, 7))
+            .collect();
+        list.batch_upsert(&fresh);
+        list.validate().expect("valid after the upsert");
+        let mut want: Vec<(Key, Value)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+        want.extend(&fresh);
+        want.sort_unstable();
+        assert_eq!(list.collect_items(), want);
     }
 }

@@ -36,9 +36,11 @@ pub struct PimSkipList {
     /// Host-DRAM journal of committed contents (recovery source of truth;
     /// unmetered CPU bookkeeping, see [`crate::journal`]).
     pub(crate) journal: Journal,
-    /// Max per-node access count in each stage-1 phase of the last pivoted
-    /// batch (Lemma 4.2 instrumentation; populated only when
-    /// [`Config::track_contention`] is set).
+    /// Per-wave contention of the last pivoted batch (populated only when
+    /// [`Config::track_contention`] is set). Entry 0 is phase 0: the
+    /// number of pivots the busiest module served (Lemma 2.2). Every later
+    /// entry — the stage-1 phases from 1 on, then stage 2 last — is the
+    /// max per-node access count over lower-part nodes (Lemma 4.2).
     pub last_phase_contention: Vec<u32>,
     /// Reusable CPU-side staging buffers (capacity recycled across
     /// batches; see [`crate::scratch`]).
@@ -342,17 +344,22 @@ impl PimSkipList {
         self.sys.module(module).node(h)
     }
 
-    /// Drain module contention counters and return the max count (Lemma
-    /// 4.2 instrumentation).
-    pub(crate) fn take_max_contention(&mut self) -> u32 {
-        let mut max = 0;
+    /// Drain module contention counters and return the max count over
+    /// replicas and over lower-part nodes, in that order. A replica's count
+    /// is per module (a load, Lemma 2.2); only a lower-part node's count is
+    /// the per-node contention Lemma 4.2 bounds.
+    pub(crate) fn take_max_contention(&mut self) -> (u32, u32) {
+        let (mut replica, mut lower) = (0, 0);
         for id in 0..self.cfg.p {
-            let counts = self.sys.module_mut(id).take_contention();
-            for (_, c) in counts {
-                max = max.max(c);
+            for (bits, c) in self.sys.module_mut(id).take_contention() {
+                if Handle::from_bits(bits).is_replicated() {
+                    replica = replica.max(c);
+                } else {
+                    lower = lower.max(c);
+                }
             }
         }
-        max
+        (replica, lower)
     }
 
     /// All `(key, value)` pairs in key order, read via CPU inspection of

@@ -369,9 +369,14 @@ impl SkipModule {
         mode: SearchMode,
         record_path: bool,
         record_upper: bool,
+        entry_only: bool,
         ctx: &mut ModuleCtx<'_, Task, Reply>,
     ) {
         loop {
+            if entry_only && !at.is_replicated() {
+                ctx.reply(Reply::LowerEntry { op, node: at });
+                return;
+            }
             if !self.resolvable(at) {
                 ctx.send(
                     at.module(),
@@ -382,6 +387,7 @@ impl SkipModule {
                         mode,
                         record_path,
                         record_upper,
+                        entry_only,
                     },
                 );
                 return;
@@ -786,7 +792,17 @@ impl PimModule for SkipModule {
                 mode,
                 record_path,
                 record_upper,
-            } => self.do_search(op, key, at, mode, record_path, record_upper, ctx),
+                entry_only,
+            } => self.do_search(
+                op,
+                key,
+                at,
+                mode,
+                record_path,
+                record_upper,
+                entry_only,
+                ctx,
+            ),
             Task::PullNode { at } => {
                 ctx.work(1);
                 match self.try_node(at) {

@@ -10,8 +10,9 @@
 //!    subrange left ends; each subrange inherits a start-node hint (the
 //!    LCA of its bracketing pivots' recorded paths).
 //! 3. **Search-area descent** — from each hint a `RangeDescend` task fans
-//!    down the search area in parallel (a counting pass first, so subrange
-//!    sizes are known before any values move).
+//!    down the search area in parallel (a counting pass first where
+//!    subrange sizes must be known before any values move; `Sum`/`Min`/
+//!    `Max` skip it, their one descent reports the count too).
 //! 4. **Grouped execution** — subranges are packed into groups of
 //!    `Θ(P log² P)` covered pairs (splitting nothing: oversized subranges
 //!    form singleton groups, processed alone); each group's pairs are
@@ -149,27 +150,32 @@ impl PimSkipList {
             })
             .collect();
 
-        // ---- Step 3: counting descent ----
-        let counts = self.spanned("range_tree/count", |s| {
-            s.descend_counts(&subranges, &starts)
-        });
+        // ---- Step 3: counting descent, where sizes are needed before
+        // any value moves: `Count` (it is the result), `Read`/`FetchAdd`
+        // (group budgets) and `AddInPlace` (the reported count). The other
+        // reductions' own descent already carries the count. ----
+        let counts = if matches!(func, RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max) {
+            Vec::new()
+        } else {
+            self.spanned("range_tree/count", |s| {
+                s.descend_counts(&subranges, &starts)
+            })
+        };
+        let count_results = |counts: &[u64]| -> Vec<RangeResult> {
+            counts
+                .iter()
+                .map(|&c| RangeResult {
+                    count: c,
+                    ..RangeResult::empty()
+                })
+                .collect()
+        };
 
         // ---- Step 4: execute ----
         let results = self.spanned("range_tree/execute", |s| match func {
-            RangeFunc::Count | RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max => {
-                // The counting pass already carries the counts; rerun only
-                // when another reduction was requested.
-                if matches!(func, RangeFunc::Count) {
-                    counts
-                        .iter()
-                        .map(|&c| RangeResult {
-                            count: c,
-                            ..RangeResult::empty()
-                        })
-                        .collect()
-                } else {
-                    s.descend_aggregate(&subranges, &starts, func)
-                }
+            RangeFunc::Count => count_results(&counts),
+            RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max => {
+                s.descend_aggregate(&subranges, &starts, func)
             }
             RangeFunc::AddInPlace(d) => {
                 // One pass per subrange with the multiplicity folded in.
@@ -190,13 +196,7 @@ impl PimSkipList {
                     );
                 }
                 s.sys.run_to_quiescence();
-                counts
-                    .iter()
-                    .map(|&c| RangeResult {
-                        count: c,
-                        ..RangeResult::empty()
-                    })
-                    .collect()
+                count_results(&counts)
             }
             RangeFunc::Read | RangeFunc::FetchAdd(_) => {
                 s.grouped_fetch(&subranges, &starts, &counts, func)

@@ -110,6 +110,10 @@ pub enum Task {
         /// warming only — the driver counts them but never adds them to
         /// recorded paths). Always `false` with push-pull off.
         record_upper: bool,
+        /// Stage-1 phase 0: walk the replicated part only and answer
+        /// [`Reply::LowerEntry`] at the first non-replicated handle instead
+        /// of forwarding the search there.
+        entry_only: bool,
     },
 
     /// Push-pull cache refresh (PIM-tree variant of §4.2): read one
@@ -312,6 +316,15 @@ pub enum Reply {
         /// Operation id.
         op: u32,
         /// The visited node.
+        node: Handle,
+    },
+    /// The node at which an `entry_only` search leaves the replicated part
+    /// (§4.2 stage 1, phase 0): pivots with different entries have
+    /// node-disjoint lower-part paths.
+    LowerEntry {
+        /// Operation id.
+        op: u32,
+        /// First non-replicated node on the search path.
         node: Handle,
     },
     /// Snapshot of one lower-part node's search-relevant fields, answering

@@ -157,6 +157,53 @@ fn successor_and_predecessor_match_oracle() {
 }
 
 #[test]
+fn search_batches_at_the_edges_of_the_key_space() {
+    // A search for a key at or below the smallest resident key never leaves
+    // the replicated sentinel tower: stage 1 answers it in phase 0 and it
+    // has no lower-part path. `log P = 3`, so the batch sizes below cover
+    // one pivot, two, `log P` and `log P + 1`.
+    let (min, max) = (100i64, 5_000i64);
+    let resident: Vec<(i64, u64)> = (min..=max).step_by(10).map(|k| (k, k as u64)).collect();
+    let batches: Vec<Vec<i64>> = vec![
+        vec![min],
+        vec![min - 5],
+        vec![max],
+        vec![max + 5],
+        vec![min - 1, min],
+        vec![min, max + 1],
+        vec![min - 20, min - 10, min],
+        vec![min - 3, min, min + 1, max + 7],
+        (min - 12..min + 12).chain(max - 12..max + 12).collect(),
+        (min - 40..=max + 40).step_by(13).collect(),
+    ];
+    for config in [cfg(8), cfg(8).with_h_low(0), cfg(8).with_push_pull(true)] {
+        for oracle in [BTreeMap::new(), resident.iter().copied().collect()] {
+            let oracle: BTreeMap<i64, u64> = oracle;
+            let mut list = PimSkipList::new(config.clone());
+            list.batch_upsert(&oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+            // Twice: the second pass runs on a warm cache under push-pull.
+            for queries in batches.iter().chain(&batches) {
+                let context = format!(
+                    "h_low {} push-pull {} n {} queries {queries:?}",
+                    config.h_low,
+                    config.push_pull,
+                    oracle.len()
+                );
+                let succ = list.batch_successor(queries);
+                let pred = list.batch_predecessor(queries);
+                for (i, &q) in queries.iter().enumerate() {
+                    let want = oracle.range(q..).next().map(|(&k, _)| k);
+                    assert_eq!(succ[i].map(|(k, _)| k), want, "successor({q}): {context}");
+                    let want = oracle.range(..=q).next_back().map(|(&k, _)| k);
+                    assert_eq!(pred[i].map(|(k, _)| k), want, "predecessor({q}): {context}");
+                }
+            }
+            list.validate().unwrap();
+        }
+    }
+}
+
+#[test]
 fn successor_with_adversarial_same_successor_batch() {
     let mut list = PimSkipList::new(cfg(8));
     // Two resident keys with a huge gap.

@@ -137,3 +137,65 @@ fn every_ladder_step_matches_one_thread() {
         assert_eq!(other, base, "threads = {threads}");
     }
 }
+
+/// Full `P log² P` batches — hundreds of pivots in many groups, the shape
+/// stage 1 of the pivoted search is built for: Successor, Predecessor,
+/// then an Upsert of fresh keys searched in `PredLevels` mode.
+#[allow(clippy::type_complexity)]
+fn run_full_batches(
+    p: u32,
+    push_pull: bool,
+) -> (
+    Vec<Option<(i64, pim_runtime::Handle)>>,
+    Vec<Option<(i64, pim_runtime::Handle)>>,
+    Vec<(i64, u64)>,
+    pim_runtime::Metrics,
+) {
+    let n = 1usize << 13;
+    let mut list = PimSkipList::new(Config::new(p, n as u64, 5).with_push_pull(push_pull));
+    let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+    list.bulk_load(&pairs);
+    let batch = list.config().batch_large();
+    let mut gen = PointGen::new(0xBA7C, -64, 4 * n as i64 + 64);
+    let successors = list.batch_successor(&gen.uniform(batch));
+    let predecessors = list.batch_predecessor(&gen.uniform(batch));
+    let fresh: Vec<(i64, u64)> = gen
+        .distinct_uniform(batch)
+        .into_iter()
+        .map(|k| (k | 1, 7))
+        .collect();
+    list.batch_upsert(&fresh);
+    list.validate().expect("valid after the upsert");
+    (
+        successors,
+        predecessors,
+        list.collect_items(),
+        list.metrics(),
+    )
+}
+
+#[test]
+fn full_size_batches_match_across_threads_and_push_pull() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let at = |threads: usize, push_pull: bool| {
+        pool::configure(ExecConfig {
+            threads,
+            par_threshold: 0,
+            sort_threshold: 0,
+        });
+        let out = run_full_batches(16, push_pull);
+        pool::configure(ExecConfig::from_env());
+        out
+    };
+    let base = at(1, false);
+    for threads in [2usize, 8] {
+        assert_eq!(at(threads, false), base, "threads = {threads}");
+    }
+    // Push-pull changes the metrics, never a reply or the contents.
+    let on = at(1, true);
+    assert_eq!(
+        (&on.0, &on.1, &on.2),
+        (&base.0, &base.1, &base.2),
+        "push-pull on"
+    );
+}

@@ -4,7 +4,10 @@
 //! paper's *shape*: constants in front of the bound must stay within a
 //! generous factor as `P` (or `n`, or `K`) sweeps.
 
-use pim_bench::experiments::{adversarial_experiment, contention_experiment, table1_rows};
+use pim_bench::experiments::{
+    adversarial_experiment, contention_experiment, lower_part_phases, phase0_load_bound,
+    table1_rows,
+};
 use pim_bench::{build_loaded_list, BatchCosts};
 use pim_core::prelude::*;
 use pim_runtime::balls;
@@ -127,7 +130,14 @@ fn lemma22_capped_weights_stay_balanced() {
 fn lemma42_contention_is_at_most_three_per_phase() {
     for p in [8u32, 16, 64] {
         let phases = contention_experiment(p, 28);
-        let stage1 = &phases[..phases.len().saturating_sub(1)];
+        // Phase 0 touches replicas only; what it loads is a module.
+        assert!(
+            phases[0] <= phase0_load_bound(p),
+            "P={p}: phase 0 sent {} pivots to one module, Lemma 2.2 allows {}",
+            phases[0],
+            phase0_load_bound(p)
+        );
+        let stage1 = lower_part_phases(&phases);
         assert!(
             stage1.iter().all(|&c| c <= 3),
             "P={p}: stage-1 contention {stage1:?} exceeds Lemma 4.2's bound"
