@@ -174,6 +174,56 @@ impl ShadowAllocator {
     }
 }
 
+/// The CPU-side shadow of every replica's descent start (see
+/// [`crate::module::SkipModule::start`]): the highest replicated level
+/// that holds a linked tower, never below `h_low`.
+///
+/// The driver sees the links it sends but not what an `UnlinkUpper`
+/// leaves behind, so it counts the towers linked at each replicated level
+/// and reads the start off the counts. Unmetered bookkeeping, like
+/// [`ShadowAllocator`].
+#[derive(Debug, Clone)]
+pub struct ShadowStart {
+    /// Towers linked per level (index = level; kept for `≥ h_low` only).
+    linked: Vec<u32>,
+    h_low: u8,
+    level: u8,
+}
+
+impl ShadowStart {
+    /// The shadow of an empty structure: the start is the `h_low` sentinel.
+    pub fn new(h_low: u8, max_level: u8) -> Self {
+        ShadowStart {
+            linked: vec![0; usize::from(max_level) + 1],
+            h_low,
+            level: h_low,
+        }
+    }
+
+    /// Record `count` nodes linked into the list at `level`.
+    pub fn link(&mut self, level: u8, count: u32) {
+        if level >= self.h_low && count > 0 {
+            self.linked[usize::from(level)] += count;
+            self.level = self.level.max(level);
+        }
+    }
+
+    /// Record `count` nodes unlinked from the list at `level`.
+    pub fn unlink(&mut self, level: u8, count: u32) {
+        if level >= self.h_low {
+            self.linked[usize::from(level)] -= count;
+            while self.level > self.h_low && self.linked[usize::from(self.level)] == 0 {
+                self.level -= 1;
+            }
+        }
+    }
+
+    /// The start level.
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +293,29 @@ mod tests {
         arena.insert_at(s2, node(2));
         assert_eq!(s2, s0, "shadow must reuse the freed slot like the arena");
         assert_eq!(arena.get(s2).key, 2);
+    }
+
+    #[test]
+    fn shadow_start_follows_the_tallest_linked_tower() {
+        let mut start = ShadowStart::new(2, 9);
+        assert_eq!(start.level(), 2);
+        start.link(1, 5); // lower part: not tracked
+        assert_eq!(start.level(), 2);
+        for level in 2..=6 {
+            start.link(level, 1);
+        }
+        start.link(2, 3);
+        assert_eq!(start.level(), 6);
+        // Unlinking bottom-up, as `UnlinkUpper` does: the start only falls
+        // once its own level empties, and then past every empty level.
+        for level in 2..=5 {
+            start.unlink(level, 1);
+            assert_eq!(start.level(), 6);
+        }
+        start.unlink(6, 1);
+        assert_eq!(start.level(), 2);
+        start.unlink(2, 3);
+        assert_eq!(start.level(), 2, "never below h_low");
     }
 
     #[test]

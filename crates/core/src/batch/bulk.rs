@@ -150,6 +150,7 @@ impl PimSkipList {
                     linked += 1;
                 }
                 tails[usize::from(level)] = prev;
+                s.start.link(level, linked as u32);
                 s.sys.metrics_mut().charge_cpu(linked, 1);
             }
             s.quiesce_writes("bulk_load")

@@ -121,6 +121,10 @@ impl PimSkipList {
         let mut faulted = 0usize;
         let mut marked_by_level: HashMap<u8, Vec<MarkedRec>> = HashMap::new();
         let mut upper_slots = self.scratch.take_slots();
+        // Replicas to unlink per level: a tower's replicated nodes arrive
+        // bottom-up from `h_low`.
+        let h_low = usize::from(self.cfg.h_low);
+        let mut unlinked_at = vec![0u32; usize::from(self.cfg.max_level) + 1];
         let mut marked_words = 0u64;
         for r in replies {
             match r {
@@ -138,6 +142,9 @@ impl PimSkipList {
                     if level == 0 {
                         found[op as usize] = true;
                         answered[op as usize] = true;
+                    }
+                    for count in &mut unlinked_at[h_low..h_low + ups.len()] {
+                        *count += 1;
                     }
                     upper_slots.extend(ups);
                     if !node.is_replicated() {
@@ -201,6 +208,9 @@ impl PimSkipList {
                 });
                 for &slot in &upper_slots {
                     s.shadow.free(slot);
+                }
+                for (level, &count) in unlinked_at.iter().enumerate().skip(h_low) {
+                    s.start.unlink(level as u8, count);
                 }
             }
             s.quiesce_writes("batch_delete")

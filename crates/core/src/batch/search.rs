@@ -6,8 +6,9 @@
 //!
 //! * **Stage 1** — sort the batch, pick every `log P`-th key as a *pivot*
 //!   (plus both extremes), and resolve the pivots group by group:
-//!   * *Phase 0* (one round): every pivot goes from the root to a random
-//!     module, walks that module's replica of the upper part and reports
+//!   * *Phase 0* (one round): every pivot goes to a random module, walks
+//!     that module's replica of the upper part from the descent start (the
+//!     highest linked −∞ sentinel, [`PimSkipList::descent_start`]) and reports
 //!     its **lower-part entry** — the first non-replicated node on its
 //!     path ([`Reply::LowerEntry`]). A search that ends inside the
 //!     replicated part (the −∞ sentinel tower: any key at or below the
@@ -254,7 +255,8 @@ impl PimSkipList {
 
         self.spanned("search/stage1", |s| -> PimResult<()> {
             // ---- Phase 0: every pivot walks the replicated part, from the
-            // root on a random module, up to its lower-part entry node. ----
+            // descent start on a random module, up to its lower-part entry
+            // node. ----
             for &idx in pivots.iter() {
                 items.push(WaveItem {
                     idx,
@@ -504,7 +506,7 @@ impl PimSkipList {
                     if record {
                         paths.insert(req.op, Vec::new());
                     }
-                    (self.root(), target)
+                    (self.descent_start(top), target)
                 }
                 Hint::Start(h) => {
                     debug_assert!(!h.is_replicated(), "recorded paths hold lower-part nodes");
@@ -718,7 +720,7 @@ impl PimSkipList {
     }
 
     /// Close one search wave of the Lemma 4.2 instrument. Phase 0 touches
-    /// replicas only, and the busiest replica is the root of the busiest
+    /// replicas only, and the busiest replica is the start of the busiest
     /// module — the number of pivots that module served (Lemma 2.2); every
     /// later wave records its busiest lower-part node (Lemma 4.2).
     fn record_phase_contention(&mut self, entry_phase: bool) {
@@ -867,7 +869,7 @@ mod tests {
     /// CPU inspection, independently of the machine.
     fn largest_group(list: &PimSkipList, keys: &[Key]) -> usize {
         let entry = |key: Key| {
-            let mut at = list.root();
+            let mut at = list.descent_start(0);
             while at.is_replicated() {
                 let n = list.inspect(at);
                 if n.right_key < key {
@@ -966,6 +968,28 @@ mod tests {
                 rounds <= old_dense + 1,
                 "{context}: dense batch took {rounds} rounds, {old_dense} before"
             );
+        }
+    }
+
+    #[test]
+    fn one_successor_costs_pim_time_logarithmic_in_n() {
+        // One replica walk over the linked levels, then `h_low` hops below
+        // the entry. Measured worst of 32 keys: 38, 41, 42, 43 units at
+        // n = 2^14 … 2^17; a descent from the top of the −∞ tower, two
+        // levels taller per doubling of `expected_n` whatever is linked,
+        // took 66, 71, 74, 76.
+        for log_n in 14u32..=17 {
+            let n = 1usize << log_n;
+            let mut list = loaded(Config::new(64, n as u64, 42), n);
+            for key in uniform_keys(3, 4 * n as u64, 32) {
+                let before = list.metrics().pim_time;
+                list.batch_successor(&[key]);
+                let pim = list.metrics().pim_time - before;
+                assert!(
+                    pim <= 3 * u64::from(log_n),
+                    "n=2^{log_n}: Successor({key}) took PIM time {pim}"
+                );
+            }
         }
     }
 

@@ -489,6 +489,7 @@ impl PimSkipList {
                     );
                 }
             }
+            self.start.link(level, a.len() as u32);
             self.sys.metrics_mut().charge_cpu(
                 a.len() as u64,
                 pim_runtime::ceil_log2(a.len().max(1) as u64).into(),

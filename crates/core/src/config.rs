@@ -27,7 +27,8 @@ pub struct Config {
     pub h_low: u8,
     /// Total number of levels (`0..=max_level`); towers are capped here.
     /// Sized `h_low + 2·log2(expected_n) + 8` by default so the cap is
-    /// irrelevant whp.
+    /// irrelevant whp; descents start at the highest *linked* level, so
+    /// the levels nothing reaches cost no PIM time.
     pub max_level: u8,
     /// Record per-node access counts during searches (Lemma 4.2
     /// instrumentation; off by default — it is test/experiment machinery,

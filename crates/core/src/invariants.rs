@@ -20,7 +20,9 @@
 //!    first local leaf with key `≥` the replica's key;
 //! 7. each module's index maps exactly its owned leaf keys to their
 //!    handles;
-//! 8. every leaf's recorded chain matches its actual tower.
+//! 8. every leaf's recorded chain matches its actual tower;
+//! 9. every module's descent start, and the driver's shadow of it, is the
+//!    highest −∞ sentinel with a linked `right` (at least `h_low`).
 
 use pim_runtime::Handle;
 
@@ -41,6 +43,7 @@ impl PimSkipList {
         self.check_horizontal()?;
         self.check_vertical()?;
         self.check_replicas()?;
+        self.check_start()?;
         self.check_placement()?;
         if self.cfg.h_low > 0 {
             self.check_local_lists()?;
@@ -229,6 +232,27 @@ impl PimSkipList {
                 count == reference.len(),
                 "module {m} holds {count} replicas, module 0 holds {}",
                 reference.len()
+            );
+        }
+        Ok(())
+    }
+
+    fn check_start(&self) -> Result<(), String> {
+        let shadow = self.descent_start(0);
+        for m in 0..self.p() {
+            let expect = (self.cfg.h_low + 1..=self.cfg.max_level)
+                .rev()
+                .map(|level| Handle::replicated(u32::from(level)))
+                .find(|&sentinel| self.inspect_at(m, sentinel).right.is_some())
+                .unwrap_or(Handle::replicated(u32::from(self.cfg.h_low)));
+            let start = self.sys.module(m).start();
+            ensure!(
+                start == expect,
+                "module {m}: descent start {start:?}, highest linked sentinel {expect:?}"
+            );
+            ensure!(
+                shadow == expect,
+                "shadow descent start {shadow:?}, module {m} starts at {expect:?}"
             );
         }
         Ok(())
@@ -449,9 +473,9 @@ mod tests {
     #[test]
     fn detects_replica_divergence() {
         let mut list = build();
-        // Corrupt module 2's copy of the root.
-        let root = list.root();
-        list.sys.module_mut(2).node_mut(root).right_key = 12345;
+        // Corrupt module 2's copy of the descent start.
+        let start = list.descent_start(0);
+        list.sys.module_mut(2).node_mut(start).right_key = 12345;
         let err = list.validate().unwrap_err();
         assert!(
             err.contains("divergence") || err.contains("right_key"),

@@ -10,7 +10,7 @@
 use pim_runtime::hashfn;
 use pim_runtime::{FaultPlan, Handle, Metrics, ModuleId, PimSystem, Rng};
 
-use crate::arena::ShadowAllocator;
+use crate::arena::{ShadowAllocator, ShadowStart};
 use crate::config::{Config, Key, Value};
 use crate::journal::Journal;
 use crate::module::{ModuleParams, SkipModule};
@@ -31,6 +31,10 @@ pub struct PimSkipList {
     pub(crate) sys: PimSystem<SkipModule>,
     pub(crate) cfg: Config,
     pub(crate) shadow: ShadowAllocator,
+    /// Where descents sent from the CPU side begin: every link and unlink
+    /// of the replicated part is recorded here as it is broadcast, so this
+    /// equals each healthy module's own [`SkipModule::start`].
+    pub(crate) start: ShadowStart,
     pub(crate) rng: Rng,
     pub(crate) len: u64,
     /// Host-DRAM journal of committed contents (recovery source of truth;
@@ -85,6 +89,7 @@ impl PimSkipList {
         for _ in 0..=cfg.max_level {
             shadow.alloc(); // −∞ tower occupies slots 0..=max_level
         }
+        let start = ShadowStart::new(cfg.h_low, cfg.max_level);
         let rng = Rng::new(cfg.seed ^ 0x5EED_5EED);
         let hot = cfg
             .push_pull
@@ -93,6 +98,7 @@ impl PimSkipList {
             sys,
             cfg,
             shadow,
+            start,
             rng,
             len: 0,
             journal: Journal::new(),
@@ -297,9 +303,12 @@ impl PimSkipList {
         self.journal.op_log()
     }
 
-    /// The replicated root handle.
-    pub(crate) fn root(&self) -> Handle {
-        Handle::replicated(u32::from(self.cfg.max_level))
+    /// The replicated −∞ sentinel a descent begins at: the highest one
+    /// with a linked `right` (the levels above it are empty), or level
+    /// `top` if that is higher — an insert taller than every linked tower
+    /// needs a predecessor report from each of its levels.
+    pub(crate) fn descent_start(&self, top: u8) -> Handle {
+        Handle::replicated(u32::from(self.start.level().max(top)))
     }
 
     /// The replicated −∞ leaf handle.
@@ -447,15 +456,19 @@ mod tests {
         let list = PimSkipList::new(Config::new(4, 64, 1));
         assert_eq!(list.len(), 0);
         assert!(list.collect_items().is_empty());
-        let root = list.inspect(list.root());
-        assert_eq!(root.key, crate::config::NEG_INF);
-        assert!(root.right.is_null());
+        assert_eq!(
+            list.descent_start(0),
+            Handle::replicated(u32::from(list.cfg.h_low))
+        );
+        let start = list.inspect(list.descent_start(0));
+        assert_eq!(start.key, crate::config::NEG_INF);
+        assert!(start.right.is_null());
     }
 
     #[test]
     fn sentinel_tower_is_wired_vertically() {
         let list = PimSkipList::new(Config::new(4, 64, 1));
-        let mut cur = list.root();
+        let mut cur = Handle::replicated(u32::from(list.cfg.max_level));
         let mut levels = 0;
         loop {
             let n = list.inspect(cur);
@@ -467,6 +480,88 @@ mod tests {
             cur = n.down;
         }
         assert_eq!(levels, u32::from(list.cfg.max_level) + 1);
+    }
+
+    /// Level of the start the driver and (validated) every module agree on.
+    fn start_level(list: &PimSkipList) -> u8 {
+        list.validate().expect("valid, starts agree");
+        list.descent_start(0).slot() as u8
+    }
+
+    /// Keys of the towers linked at the start level.
+    fn tallest_keys(list: &PimSkipList) -> Vec<Key> {
+        let mut keys = Vec::new();
+        let mut cur = list.inspect(list.descent_start(0)).right;
+        while cur.is_some() {
+            let n = list.inspect(cur);
+            keys.push(n.key);
+            cur = n.right;
+        }
+        keys
+    }
+
+    #[test]
+    fn start_falls_with_the_tallest_tower_and_rises_again() {
+        for cfg in [
+            Config::new(4, 1 << 10, 11),
+            Config::new(4, 1 << 10, 11).with_h_low(0),
+            // The fine-grained baseline: one replicated level of towers.
+            Config::new(4, 1 << 10, 11).with_h_low(Config::new(4, 1 << 10, 11).max_level - 1),
+        ] {
+            let h_low = cfg.h_low;
+            // No tower reaches the fine-grained baseline's replicated level.
+            let reached = h_low < cfg.max_level - 1;
+            let mut list = PimSkipList::new(cfg);
+            assert_eq!(start_level(&list), h_low);
+            let pairs: Vec<(Key, Value)> = (0..600).map(|i| (i * 3, i as u64)).collect();
+            list.bulk_load(&pairs);
+            assert_eq!(start_level(&list) > h_low, reached, "h_low = {h_low}");
+
+            // Peel the top levels off, one level's towers at a time.
+            let mut removed = Vec::new();
+            while start_level(&list) > h_low {
+                let before = start_level(&list);
+                let tallest = tallest_keys(&list);
+                assert!(list.batch_delete(&tallest).iter().all(|&found| found));
+                assert!(start_level(&list) < before, "h_low = {h_low}");
+                removed.extend(tallest);
+            }
+            assert_eq!(list.len() + removed.len() as u64, 600);
+
+            // Fresh coins; at least as many towers as before come back.
+            let back: Vec<(Key, Value)> = removed.iter().map(|&k| (k, 1)).collect();
+            list.batch_upsert(&back);
+            assert_eq!(start_level(&list) > h_low, reached, "h_low = {h_low}");
+            assert_eq!(list.len(), 600);
+            assert_eq!(
+                list.batch_successor(&[-5]).pop().flatten().map(|e| e.0),
+                Some(0)
+            );
+        }
+    }
+
+    #[test]
+    fn insert_taller_than_every_linked_tower_links_at_each_level() {
+        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 5));
+        let h_low = list.cfg.h_low;
+        let mut jumps = 0;
+        for key in 0..400 {
+            let before = start_level(&list);
+            list.upsert(key, 7);
+            let top = start_level(&list);
+            assert!(top >= before, "inserts never lower the start");
+            // The search began above every linked tower, so the new one is
+            // alone behind the sentinel at each level it added.
+            for level in before + 1..=top {
+                let sentinel = list.inspect(Handle::replicated(u32::from(level)));
+                assert_eq!(sentinel.right_key, key);
+                assert!(list.inspect(sentinel.right).right.is_null());
+            }
+            if before > h_low && top > before + 1 {
+                jumps += 1;
+            }
+        }
+        assert!(jumps > 0, "no insert jumped two levels over a linked top");
     }
 
     #[test]

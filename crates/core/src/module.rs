@@ -6,7 +6,10 @@
 //!   tower (identical slots on every module; the paper replicates the −∞
 //!   tower's upper nodes and we extend the replication to the whole
 //!   sentinel tower — O(log n) nodes — so every module has a local list
-//!   head, see Fig. 2 where −∞ is drawn white/replicated at every level);
+//!   head, see Fig. 2 where −∞ is drawn white/replicated at every level).
+//!   The tower is built to the level cap, far above any linked level, so
+//!   each replica caches its **descent start** — the highest sentinel with
+//!   a linked `right` — and walks begin there;
 //! * a **local arena** holding the lower-part nodes hashed to this module
 //!   by `(key, level)`;
 //! * the **local index** (de-amortized cuckoo map, §4.1) mapping keys of
@@ -63,7 +66,7 @@ pub struct ModuleParams {
     pub p: u32,
     /// Lower-part height: levels `0..h_low` are distributed.
     pub h_low: u8,
-    /// Topmost level (root level).
+    /// Topmost level (the tower cap).
     pub max_level: u8,
     /// Index hash seed (same derivation per module is fine: each module
     /// indexes a disjoint key set).
@@ -82,8 +85,11 @@ pub struct SkipModule {
     pub lower: Arena,
     /// Local key → leaf-handle index.
     pub index: DeamortizedMap,
-    /// Root of the structure (topmost −∞ node, replicated).
-    pub root: Handle,
+    /// Level of the descent start: the highest −∞ sentinel whose `right`
+    /// is linked, never below `h_low`. Every level above it is empty, so a
+    /// walk that starts here visits what a walk from the tower's top would,
+    /// minus one hop per empty level. Kept by [`Self::retarget_start`].
+    start_level: u8,
     /// The −∞ leaf (replicated) heading this module's local leaf list.
     pub inf_leaf: Handle,
     /// Tail of this module's local leaf list (the −∞ leaf when empty).
@@ -112,15 +118,45 @@ impl SkipModule {
         let inf_leaf = Handle::replicated(0);
         SkipModule {
             id,
+            start_level: params.h_low,
             params,
             upper,
             lower: Arena::new(),
             index: DeamortizedMap::new(64, pim_runtime::hashfn::hash2(0x1d, 0, u64::from(id))),
-            root: Handle::replicated(u32::from(max)),
             inf_leaf,
             leaf_tail: inf_leaf,
             contention: HashMap::new(),
         }
+    }
+
+    /// Where this replica's descents start (see `start_level`).
+    pub fn start(&self) -> Handle {
+        Handle::replicated(u32::from(self.start_level))
+    }
+
+    /// Re-aim the descent start after the `right` pointer of the replica
+    /// at `slot` was written (a no-op unless `slot` is a −∞ sentinel —
+    /// slot = level for those). Raising is one comparison; lowering walks
+    /// down while the levels are empty, and that walk is the returned work.
+    fn retarget_start(&mut self, slot: u32) -> u64 {
+        if slot > u32::from(self.params.max_level) {
+            return 0;
+        }
+        let level = slot as u8;
+        if level > self.start_level {
+            if self.upper.get(slot).right.is_some() {
+                self.start_level = level;
+            }
+            return 0;
+        }
+        let mut work = 0;
+        while self.start_level > self.params.h_low
+            && self.upper.get(u32::from(self.start_level)).right.is_null()
+        {
+            self.start_level -= 1;
+            work += 1;
+        }
+        work
     }
 
     /// Can this module resolve `h` in its own memory?
@@ -207,8 +243,8 @@ impl SkipModule {
     // Local upper-part navigation (all replicated, zero messages)
     // ------------------------------------------------------------------
 
-    /// Descend the local replica from the root to the rightmost node at
-    /// `target_level` with key `< k` (strict). Returns its handle; counts
+    /// Descend the local replica from its start to the rightmost node at
+    /// `target_level` (`≤` the start's level) with key `< k` (strict). Returns its handle; counts
     /// the visited nodes as work via the returned counter.
     fn upper_descend(&self, k: Key, target_level: u8) -> (Handle, u64) {
         self.upper_descend_by(k, target_level, false)
@@ -221,7 +257,7 @@ impl SkipModule {
     }
 
     fn upper_descend_by(&self, k: Key, target_level: u8, inclusive: bool) -> (Handle, u64) {
-        let mut cur = self.root;
+        let mut cur = self.start();
         let mut work = 0u64;
         loop {
             work += 1;
@@ -249,8 +285,9 @@ impl SkipModule {
 
     /// First leaf of this module's local list with key `≥ k`, via the
     /// upper-part `next_leaf` shortcut (§5.1 steps 1–3). Returns
-    /// `(leaf_or_null, predecessor_in_local_list, work)`.
-    fn local_successor(&self, k: Key) -> (Handle, Handle, u64) {
+    /// `(anchor, leaf_or_null, predecessor_in_local_list, work)`, the
+    /// anchor being the rightmost upper leaf with key `< k`.
+    fn local_successor(&self, k: Key) -> (Handle, Handle, Handle, u64) {
         let (anchor, mut work) = self.upper_descend(k, self.params.h_low);
         let mut prev = Handle::NULL;
         let mut cur = self.upper.get(anchor.slot()).next_leaf;
@@ -273,14 +310,14 @@ impl SkipModule {
                 self.leaf_tail
             };
         }
-        (cur, prev, work)
+        (anchor, cur, prev, work)
     }
 
     /// Insert a freshly allocated local leaf into the local leaf list and
     /// maintain the `next_leaf` shortcuts (returns work done).
     fn local_leaf_insert(&mut self, leaf: Handle) -> u64 {
         let k = self.node(leaf).key;
-        let (succ, prev, mut work) = self.local_successor(k);
+        let (anchor, succ, prev, mut work) = self.local_successor(k);
         // Splice between prev and succ.
         self.node_mut(prev).local_right = leaf;
         {
@@ -294,11 +331,10 @@ impl SkipModule {
             self.leaf_tail = leaf;
         }
         // next_leaf fixups: upper leaves U with key ≤ k whose shortcut was
-        // `succ` now shortcut to the new leaf. Walk left from the
-        // rightmost upper leaf with key < k... including one with key == k
-        // cannot exist yet (the key is new), so strict descent suffices.
-        let (mut u, w2) = self.upper_descend(k, self.params.h_low);
-        work += w2;
+        // `succ` now shortcut to the new leaf. Walk left from the anchor,
+        // the rightmost upper leaf with key < k: one with key == k cannot
+        // exist yet (the key is new).
+        let mut u = anchor;
         loop {
             work += 1;
             let un = self.upper.get_mut(u.slot());
@@ -351,7 +387,7 @@ impl SkipModule {
     /// (post-linking round of batched Upsert).
     fn fix_next_leaf(&mut self, slot: u32) -> u64 {
         let k = self.upper.get(slot).key;
-        let (succ, _prev, work) = self.local_successor(k);
+        let (_anchor, succ, _prev, work) = self.local_successor(k);
         self.upper.get_mut(slot).next_leaf = succ;
         work + 1
     }
@@ -557,7 +593,7 @@ impl SkipModule {
             self.params.h_low > 0,
             "broadcast ranges need a distributed lower part (h_low > 0)"
         );
-        let (mut cur, _prev, work) = self.local_successor(lo);
+        let (_anchor, mut cur, _prev, work) = self.local_successor(lo);
         ctx.work(work);
         let mut agg = Agg::new();
         while cur.is_some() {
@@ -687,6 +723,7 @@ impl SkipModule {
                 self.upper.get_mut(right.slot()).left = left;
             }
             self.upper.free(slot);
+            ctx.work(self.retarget_start(left.slot()));
         }
     }
 
@@ -897,6 +934,9 @@ impl PimModule for SkipModule {
                     Some(n) => {
                         n.right = to;
                         n.right_key = to_key;
+                        if node.is_replicated() {
+                            ctx.work(self.retarget_start(node.slot()));
+                        }
                     }
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
                 }
@@ -944,6 +984,7 @@ impl PimModule for SkipModule {
             Task::InstallUpper { slot, node } => {
                 ctx.work(1);
                 self.upper.install(slot, *node);
+                ctx.work(self.retarget_start(slot));
             }
             Task::InstallLower { slot, node } => {
                 ctx.work(1);

@@ -146,7 +146,7 @@ impl PimSkipList {
         let starts: Vec<(Handle, Option<u32>)> = (0..subranges.len())
             .map(|i| match search.hints.get(&(i as u32)) {
                 Some(Hint::Start(h)) | Some(Hint::SharedLeaf(h)) => (*h, None),
-                _ => (self.root(), Some(self.random_module())),
+                _ => (self.descent_start(0), Some(self.random_module())),
             })
             .collect();
 

@@ -25,7 +25,7 @@
 
 use pim_runtime::{Handle, Metrics, ModuleId};
 
-use crate::arena::ShadowAllocator;
+use crate::arena::{ShadowAllocator, ShadowStart};
 use crate::batch::UpsertOutcome;
 use crate::config::{Key, Value, NEG_INF};
 use crate::error::{PimError, PimResult};
@@ -436,7 +436,8 @@ impl PimSkipList {
 
     /// Cold-reset the machine to its just-constructed state: fresh modules
     /// (sentinel towers re-materialised), no in-flight tasks, a fresh
-    /// shadow allocator holding only the sentinel slots, zero length. The
+    /// shadow allocator holding only the sentinel slots, the descent start
+    /// back at `h_low`, zero length. The
     /// journal and the driver RNG are *not* reset: the journal is the
     /// recovery source, and the RNG stream continuing keeps the whole
     /// execution a deterministic function of (seed, fault plan).
@@ -452,6 +453,7 @@ impl PimSkipList {
             shadow.alloc();
         }
         self.shadow = shadow;
+        self.start = ShadowStart::new(self.cfg.h_low, self.cfg.max_level);
         self.len = 0;
     }
 }

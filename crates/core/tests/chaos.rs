@@ -77,13 +77,35 @@ fn crash_at_fixed_round_recovers_and_matches_oracle() {
         "per-key delete results must survive the crash"
     );
     assert_eq!(got, dry_got, "query results must survive the crash");
+    // `validate` compares every module's descent start, and the driver's
+    // shadow of it, with the linked levels: `restore_all` re-grew them.
     chaotic.validate().expect("recovered structure valid");
     let oracle = adversarial_oracle();
     assert_eq!(
         chaotic.collect_items(),
-        oracle.into_iter().collect::<Vec<_>>(),
+        oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
         "recovered contents must equal the fault-free oracle"
     );
+
+    // A crash under a read takes the other repair path: `recover_module`
+    // re-installs one replica, whose start must come back with it — the
+    // retried Successor descends from it on the rebuilt module too.
+    let crash_round = chaotic.metrics().rounds + 1;
+    chaotic.set_fault_plan(FaultPlan::new().at(crash_round, 2, FaultKind::Crash));
+    let queries: Vec<i64> = (0..64).map(|i| i * 19 - 3).collect();
+    let got = chaotic
+        .try_batch_successor(&queries)
+        .expect("successor across the crash");
+    for (q, g) in queries.iter().zip(&got) {
+        let want = oracle.range(q..).next().map(|(&k, _)| k);
+        assert_eq!(g.map(|(k, _)| k), want, "successor({q})");
+    }
+    assert_eq!(
+        chaotic.metrics().module_crashes,
+        2,
+        "the second crash struck"
+    );
+    chaotic.validate().expect("valid after recover_module");
 }
 
 #[test]
@@ -490,6 +512,12 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
                 );
             }
             assert_holds(&list, &want, &context);
+            // The twice-rebuilt replicas and the driver's shadow must still
+            // agree on the descent start once towers leave again.
+            let mut list = list;
+            let gone: Vec<i64> = ups.iter().map(|&(k, _)| k).collect();
+            assert!(list.batch_delete(&gone).iter().all(|&found| found));
+            assert_holds(&list, &base, &context);
         }
     }
 }
