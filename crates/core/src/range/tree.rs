@@ -132,19 +132,24 @@ impl PimSkipList {
             split
         });
 
-        // ---- Step 2: pivoted search over subrange left ends → hints ----
-        let mut reqs = self.scratch.take_reqs();
-        reqs.extend(subranges.iter().enumerate().map(|(i, s)| SearchRequest {
-            op: i as u32,
-            key: s.lo,
-            top: 0,
-        }));
-        let search = self.pivoted_search(&reqs);
-        self.scratch.give_reqs(reqs);
-        let search = search?;
+        // ---- Step 2: pivoted search over subrange left ends → hints. A
+        // lone subrange is its group's last pivot, whose hint is always
+        // `Root`: it skips the search and descends from the replicas. ----
+        let mut hints = HashMap::new();
+        if subranges.len() > 1 {
+            let mut reqs = self.scratch.take_reqs();
+            reqs.extend(subranges.iter().enumerate().map(|(i, s)| SearchRequest {
+                op: i as u32,
+                key: s.lo,
+                top: 0,
+            }));
+            let search = self.pivoted_search(&reqs);
+            self.scratch.give_reqs(reqs);
+            hints = search?.hints;
+        }
 
         let starts: Vec<(Handle, Option<u32>)> = (0..subranges.len())
-            .map(|i| match search.hints.get(&(i as u32)) {
+            .map(|i| match hints.get(&(i as u32)) {
                 Some(Hint::Start(h)) | Some(Hint::SharedLeaf(h)) => (*h, None),
                 _ => (self.descent_start(0), Some(self.random_module())),
             })
@@ -524,6 +529,27 @@ mod tests {
         let (subs, spans) = split_ranges_t(&[(0, 4), (5, 9)]);
         assert_eq!(subs.len(), 2);
         assert_eq!(spans, vec![(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn a_lone_subrange_descends_without_a_search() {
+        let mut list = PimSkipList::new(crate::Config::new(8, 1 << 10, 3));
+        let pairs: Vec<(Key, Value)> = (0..500).map(|i| (i * 2, i as u64)).collect();
+        list.bulk_load(&pairs);
+        list.enable_probe();
+        let one = list.batch_range(&[(100, 131)], RangeFunc::Sum);
+        let two = list.batch_range(&[(100, 131), (600, 607)], RangeFunc::Sum);
+        let report = list.take_probe().expect("probe was enabled");
+        assert_eq!(one[0].count, 16);
+        assert_eq!(one[0].sum, (50..66).sum::<u64>());
+        assert_eq!((two[0].count, two[0].sum), (one[0].count, one[0].sum));
+        assert_eq!(two[1].count, 4);
+        assert_eq!(report.spans_named("range_tree").len(), 2);
+        assert_eq!(
+            report.spans_named("search").len(),
+            1,
+            "only the pair searches"
+        );
     }
 
     #[test]
