@@ -28,10 +28,12 @@
 //! [`Histogram`], so the Prometheus exposition's `le` boundaries are the
 //! same log2 buckets every other exporter in the workspace uses.
 //!
-//! The event log is bounded ([`Telemetry::with_max_events`]); overflow
-//! keeps the earliest events and counts the rest in `dropped_events`,
-//! which every exporter stamps (the same truncation-honesty rule as the
+//! The event log is bounded ([`Telemetry::with_max_events`]): at the cap
+//! it is a ring that keeps the newest events and counts each eviction in
+//! `dropped_events`, which every exporter stamps (the same rule as the
 //! round trace's `dropped_rounds`).
+
+use std::collections::VecDeque;
 
 use crate::export::{num, str as jstr, Json};
 use crate::histogram::Histogram;
@@ -90,7 +92,7 @@ pub struct Telemetry {
     counters: Vec<Series<u64>>,
     gauges: Vec<Series<u64>>,
     hists: Vec<Series<Histogram>>,
-    events: Vec<TelemetryEvent>,
+    events: VecDeque<TelemetryEvent>,
     max_events: usize,
     dropped_events: u64,
     /// Labels prepended to every series registered in this registry (the
@@ -106,7 +108,7 @@ impl Default for Telemetry {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
-            events: Vec::new(),
+            events: VecDeque::new(),
             max_events: DEFAULT_MAX_EVENTS,
             dropped_events: 0,
             base_labels: Vec::new(),
@@ -120,7 +122,8 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Override the event-log bound (overflow is counted, not kept).
+    /// Override the event-log bound (the newest `cap` events are kept,
+    /// evictions counted).
     pub fn with_max_events(mut self, cap: usize) -> Self {
         self.max_events = cap;
         self
@@ -243,7 +246,8 @@ impl Telemetry {
         &self.hists[id.0].value
     }
 
-    /// Append one lifecycle event (dropped and counted past the cap).
+    /// Append one lifecycle event; at the cap the oldest one is evicted
+    /// and counted.
     pub fn emit(
         &mut self,
         kind: &'static str,
@@ -253,9 +257,11 @@ impl Telemetry {
     ) {
         if self.events.len() >= self.max_events {
             self.dropped_events += 1;
-            return;
+            if self.events.pop_front().is_none() {
+                return; // a cap of zero keeps nothing
+            }
         }
-        self.events.push(TelemetryEvent {
+        self.events.push_back(TelemetryEvent {
             kind,
             tick,
             round,
@@ -264,11 +270,11 @@ impl Telemetry {
     }
 
     /// The retained events, in emission order.
-    pub fn events(&self) -> &[TelemetryEvent] {
+    pub fn events(&self) -> &VecDeque<TelemetryEvent> {
         &self.events
     }
 
-    /// Events lost to the cap.
+    /// Events evicted by the cap.
     pub fn dropped_events(&self) -> u64 {
         self.dropped_events
     }
@@ -530,18 +536,21 @@ mod tests {
 
     #[test]
     fn event_log_caps_and_counts_drops() {
-        let mut t = Telemetry::new().with_max_events(2);
-        t.emit("admit", 1, 0, &[("id", 0)]);
-        t.emit("admit", 1, 0, &[("id", 1)]);
-        t.emit("admit", 2, 0, &[("id", 2)]);
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped_events(), 1);
+        let (cap, extra) = (5usize, 3u64);
+        let mut t = Telemetry::new().with_max_events(cap);
+        for id in 0..cap as u64 + extra {
+            t.emit("admit", id / 2, 0, &[("id", id)]);
+        }
+        assert_eq!(t.dropped_events(), extra);
+        let kept: Vec<Option<u64>> = t.events().iter().map(|e| e.field("id")).collect();
+        let want: Vec<Option<u64>> = (extra..cap as u64 + extra).map(Some).collect();
+        assert_eq!(kept, want, "the last `cap` events, oldest first");
         let log = t.events_jsonl();
-        let header: Vec<&str> = log.lines().collect();
-        assert_eq!(header.len(), 3);
-        assert!(header[0].contains("\"dropped_events\":1"));
-        assert!(header[1].contains("\"kind\":\"admit\""));
-        assert_eq!(t.events()[1].field("id"), Some(1));
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1 + cap);
+        assert!(lines[0].contains("\"events\":5,\"dropped_events\":3"));
+        assert!(lines[1].contains("\"kind\":\"admit\"") && lines[1].contains("\"id\":3"));
+        assert!(lines[cap].contains("\"id\":7"));
     }
 
     #[test]
