@@ -124,7 +124,7 @@ impl PimSkipList {
         // Replicas to unlink per level: a tower's replicated nodes arrive
         // bottom-up from `h_low`.
         let h_low = usize::from(self.cfg.h_low);
-        let mut unlinked_at = vec![0u32; usize::from(self.cfg.max_level) + 1];
+        let mut unlinked_at = [0u32; u8::MAX as usize + 1];
         let mut marked_words = 0u64;
         for r in replies {
             match r {
@@ -209,8 +209,8 @@ impl PimSkipList {
                 for &slot in &upper_slots {
                     s.shadow.free(slot);
                 }
-                for (level, &count) in unlinked_at.iter().enumerate().skip(h_low) {
-                    s.start.unlink(level as u8, count);
+                for level in s.cfg.h_low..=s.cfg.max_level {
+                    s.start.unlink(level, unlinked_at[usize::from(level)]);
                 }
             }
             s.quiesce_writes("batch_delete")

@@ -244,8 +244,9 @@ impl SkipModule {
     // ------------------------------------------------------------------
 
     /// Descend the local replica from its start to the rightmost node at
-    /// `target_level` (`≤` the start's level) with key `< k` (strict). Returns its handle; counts
-    /// the visited nodes as work via the returned counter.
+    /// `target_level` (at most the start's level) with key `< k` (strict).
+    /// Returns its handle; counts the visited nodes as work via the
+    /// returned counter.
     fn upper_descend(&self, k: Key, target_level: u8) -> (Handle, u64) {
         self.upper_descend_by(k, target_level, false)
     }

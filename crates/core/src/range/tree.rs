@@ -135,8 +135,7 @@ impl PimSkipList {
         // ---- Step 2: pivoted search over subrange left ends → hints. A
         // lone subrange is its group's last pivot, whose hint is always
         // `Root`: it skips the search and descends from the replicas. ----
-        let mut hints = HashMap::new();
-        if subranges.len() > 1 {
+        let hints = if subranges.len() > 1 {
             let mut reqs = self.scratch.take_reqs();
             reqs.extend(subranges.iter().enumerate().map(|(i, s)| SearchRequest {
                 op: i as u32,
@@ -145,8 +144,10 @@ impl PimSkipList {
             }));
             let search = self.pivoted_search(&reqs);
             self.scratch.give_reqs(reqs);
-            hints = search?.hints;
-        }
+            search?.hints
+        } else {
+            HashMap::new()
+        };
 
         let starts: Vec<(Handle, Option<u32>)> = (0..subranges.len())
             .map(|i| match hints.get(&(i as u32)) {

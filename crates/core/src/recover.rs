@@ -437,10 +437,10 @@ impl PimSkipList {
     /// Cold-reset the machine to its just-constructed state: fresh modules
     /// (sentinel towers re-materialised), no in-flight tasks, a fresh
     /// shadow allocator holding only the sentinel slots, the descent start
-    /// back at `h_low`, zero length. The
-    /// journal and the driver RNG are *not* reset: the journal is the
-    /// recovery source, and the RNG stream continuing keeps the whole
-    /// execution a deterministic function of (seed, fault plan).
+    /// back at `h_low`, zero length. The journal and the driver RNG are
+    /// *not* reset: the journal is the recovery source, and the RNG stream
+    /// continuing keeps the whole execution a deterministic function of
+    /// (seed, fault plan).
     fn reset_machine(&mut self) {
         self.bump_write_epoch();
         let params = self.module_params();

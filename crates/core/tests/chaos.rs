@@ -502,7 +502,7 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
     for round in chunks[1]..rebuild_end {
         for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
             let context = format!("{kind:?} on module {module} at rebuild round {round}");
-            let list = run(first.clone().at(round, module, kind));
+            let mut list = run(first.clone().at(round, module, kind));
             let m = list.metrics();
             assert_eq!(m.faults_injected, 2, "{context}: must strike");
             if kind == FaultKind::Crash {
@@ -514,7 +514,6 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
             assert_holds(&list, &want, &context);
             // The twice-rebuilt replicas and the driver's shadow must still
             // agree on the descent start once towers leave again.
-            let mut list = list;
             let gone: Vec<i64> = ups.iter().map(|&(k, _)| k).collect();
             assert!(list.batch_delete(&gone).iter().all(|&found| found));
             assert_holds(&list, &base, &context);
