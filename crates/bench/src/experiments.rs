@@ -269,14 +269,12 @@ pub fn dense_contention_experiment(p: u32, seed: u64) -> Vec<u32> {
     list.last_phase_contention.clone()
 }
 
-/// Lemma 2.2's bound on phase 0 of a `P log² P` batch: its
-/// `m = P log P + 1` pivots (every `log P`-th key and the last) go to
-/// uniformly random modules, so the busiest serves at most
-/// `2·⌈m/P⌉ + 2·log P` of them whp.
+/// Phase 0's load on a `P log² P` batch: its `m = P log P + 1` pivots
+/// (every `log P`-th key and the last) are dealt round-robin from one
+/// random module, so the busiest serves exactly `⌈m/P⌉` of them.
 pub fn phase0_load_bound(p: u32) -> u32 {
-    let lg = logp(p) as u32;
-    let m = p * lg + 1;
-    2 * m.div_ceil(p) + 2 * lg
+    let m = p * logp(p) as u32 + 1;
+    m.div_ceil(p)
 }
 
 /// The stage-1 phases from 1 on (phase 0 and stage 2 cut off).

@@ -222,10 +222,11 @@ impl PimSkipList {
         handles: &[pim_runtime::Handle],
     ) -> PimResult<Vec<(Key, Value)>> {
         self.spanned("read", |s| {
+            let mut deal = s.deal();
             for (op, &h) in handles.iter().enumerate() {
                 assert!(h.is_some(), "batch_read: null handle at position {op}");
                 let target = if h.is_replicated() {
-                    s.random_module()
+                    deal.next()
                 } else {
                     h.module()
                 };

@@ -488,25 +488,25 @@ impl PimSkipList {
         let mut path_words = 0u64;
         let mut walk_work = 0u64;
         let mut walk_depth = 0u64;
+        // One draw per wave, whatever its items and however many of them
+        // the pull pre-pass resolves: the rng stream — and hence tower
+        // heights and contents — is identical to push-pull off.
+        let mut deal = self.deal();
         for item in items {
             let req = reqs[item.idx];
             let top = forced_top.unwrap_or(req.top).min(self.cfg.max_level);
             let mode = mode_for(top);
-            // `drawn` is the module a replicated start would be shipped to.
-            // The draw is burned even when the walk resolves the item, so
-            // the rng stream — and hence tower heights and contents — is
-            // identical to push-pull off.
-            let (start, drawn) = match item.hint {
+            // `dealt` is the module a replicated start is shipped to.
+            let (start, dealt) = match item.hint {
                 Hint::SharedLeaf(_) => {
                     copies.push((req.op, item.stitch_from.expect("shared leaf has a source")));
                     continue;
                 }
                 Hint::Root => {
-                    let target = self.random_module();
                     if record {
                         paths.insert(req.op, Vec::new());
                     }
-                    (self.descent_start(top), target)
+                    (self.descent_start(top), deal.next())
                 }
                 Hint::Start(h) => {
                     debug_assert!(!h.is_replicated(), "recorded paths hold lower-part nodes");
@@ -596,7 +596,7 @@ impl PimSkipList {
                 }
             }
             let target = if at.is_replicated() {
-                drawn
+                dealt
             } else {
                 at.module()
             };

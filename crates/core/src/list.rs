@@ -74,6 +74,21 @@ pub struct PimSkipList {
     pub(crate) hot: Option<Box<crate::hotcache::HotNodeCache>>,
 }
 
+/// Round-robin module dealer of one wave (see [`PimSkipList::deal`]).
+pub(crate) struct Deal {
+    next: ModuleId,
+    p: u32,
+}
+
+impl Deal {
+    /// The module the wave's next replicated-start task goes to.
+    pub(crate) fn next(&mut self) -> ModuleId {
+        let module = self.next;
+        self.next = (module + 1) % self.p;
+        module
+    }
+}
+
 impl PimSkipList {
     /// Build an empty structure on `cfg.p` PIM modules.
     pub fn new(cfg: Config) -> Self {
@@ -321,9 +336,16 @@ impl PimSkipList {
         hashfn::module_of(self.cfg.seed, key, level, self.cfg.p)
     }
 
-    /// A uniformly random module (search entry points).
-    pub(crate) fn random_module(&mut self) -> ModuleId {
-        self.rng.below(u64::from(self.cfg.p)) as ModuleId
+    /// Start dealing one wave's replicated-start tasks: a uniformly random
+    /// first module, then round-robin. Replicas are identical and the
+    /// adversary never sees the offset, so any module serves as well as any
+    /// other — and `k` dealt tasks load no module with more than `⌈k/P⌉`,
+    /// where `k` independent draws are balls in bins.
+    pub(crate) fn deal(&mut self) -> Deal {
+        Deal {
+            next: self.rng.below(u64::from(self.cfg.p)) as ModuleId,
+            p: self.cfg.p,
+        }
     }
 
     /// Route a write-style task to the module(s) owning `target`:

@@ -149,10 +149,11 @@ impl PimSkipList {
             HashMap::new()
         };
 
+        let mut deal = self.deal();
         let starts: Vec<(Handle, Option<u32>)> = (0..subranges.len())
             .map(|i| match hints.get(&(i as u32)) {
                 Some(Hint::Start(h)) | Some(Hint::SharedLeaf(h)) => (*h, None),
-                _ => (self.descent_start(0), Some(self.random_module())),
+                _ => (self.descent_start(0), Some(deal.next())),
             })
             .collect();
 

@@ -131,11 +131,10 @@ fn lemma42_contention_is_at_most_three_per_phase() {
     for p in [8u32, 16, 64] {
         let phases = contention_experiment(p, 28);
         // Phase 0 touches replicas only; what it loads is a module.
-        assert!(
-            phases[0] <= phase0_load_bound(p),
-            "P={p}: phase 0 sent {} pivots to one module, Lemma 2.2 allows {}",
+        assert_eq!(
             phases[0],
-            phase0_load_bound(p)
+            phase0_load_bound(p),
+            "P={p}: pivots phase 0 dealt to its busiest module"
         );
         let stage1 = lower_part_phases(&phases);
         assert!(
