@@ -6,7 +6,8 @@
 //!
 //! * **Stage 1** — sort the batch, pick every `log P`-th key as a *pivot*
 //!   (plus both extremes), and resolve the pivots group by group:
-//!   * *Phase 0* (one round): every pivot goes to a random module, walks
+//!   * *Phase 0* (one round): the pivots are dealt round-robin over the
+//!     modules from one random offset ([`PimSkipList::deal`]); each walks
 //!     that module's replica of the upper part from the descent start (the
 //!     highest linked −∞ sentinel, [`PimSkipList::descent_start`]) and reports
 //!     its **lower-part entry** — the first non-replicated node on its
@@ -19,26 +20,43 @@
 //!     in the lower part: they can all descend in the same phase. Pivots
 //!     are ascending and a subtree covers a key interval, so the pivots
 //!     sharing an entry are a run — a *group*.
-//!   * *Phase 1* runs the two ends of every group from its entry,
+//!   * **Small groups skip the rest of stage 1.** The recursion exists to
+//!     keep a lower-part node at `O(log P)` accesses when many searches
+//!     share a subtree. A group of `g` pivots puts at most
+//!     `(g + 1)·⌈log P⌉ − 1` searches under its entry — its pivots, the
+//!     `⌈log P⌉ − 1` requests of each bracket between them, and the two
+//!     brackets it shares with its neighbours — so a group of one or two
+//!     (`SMALL_GROUP`) is inside stage 2's allowance as it stands: at
+//!     most `3⌈log P⌉ − 1` per node, groups being node-disjoint. Its
+//!     pivots are *deferred*: they descend from the entry in the stage-2
+//!     wave, record no path, and nobody waits for them.
+//!   * *Phase 1* runs the two ends of every other group from its entry,
 //!     recording their lower-part paths; each later phase runs the median
 //!     of every open segment of a group, starting from the **LCA** of the
 //!     segment endpoints' recorded paths (start-node hints). Lemma 4.2
 //!     holds per group: no lower-part node is accessed more than 3 times
 //!     per phase.
 //!
-//!   That is `2 + ⌈log₂ g⌉` phases for a largest group of `g` pivots —
-//!   3 or 4 for spread-out keys, where groups hold one to three pivots. The
-//!   worst case, all `m` pivots in one group, is the one-segment recursion
-//!   of the paper (`1 + ⌈log₂ m⌉` phases) plus the one-round phase 0.
-//! * **Stage 2** — run all remaining queries with hints from their
-//!   bracketing pivots; contention is `O(log P)` per node (segment width),
-//!   PIM-balanced by Lemma 2.2.
+//!   That is `2 + ⌈log₂ g⌉` phases for a largest group of `g ≥ 3` pivots
+//!   and phase 0 alone for spread-out keys, where groups hold one or two.
+//!   The worst case, all `m` pivots in one group, is the one-segment
+//!   recursion of the paper (`1 + ⌈log₂ m⌉` phases) plus the one-round
+//!   phase 0.
+//! * **Stage 2** — run the deferred pivots and all remaining queries. A
+//!   query's hint comes from its two bracketing pivots: both in one small
+//!   group → that group's entry; both with recorded paths → the LCA of the
+//!   paths; anything else (two groups, one of them small) → the root.
+//!   Contention is `O(log P)` per node (segment width; `3⌈log P⌉ − 1` under
+//!   a small group's entry), PIM-balanced by Lemma 2.2.
 //!
 //! For insert support ([`SearchMode::PredLevels`]) every pivot reports its
 //! upper-part predecessors in phase 0, and a hinted search only descends
 //! below its hint; the per-level predecessors *above* the LCA are stitched
 //! from the segment's left endpoint — valid because search paths that
-//! share an LCA coincide above it (the search-path tree of §3.2).
+//! share an LCA coincide above it (the search-path tree of §3.2). Below a
+//! small group's entry the same holds one level up: the bracket shares its
+//! left pivot's upper-part leaf, so that pivot's phase-0 reports are the
+//! bracket's path above the entry.
 //!
 //! The tree-structure range operations (§5.2) start each subrange's descent
 //! at its left end's hint ([`SearchResults::hints`]), which must cover every
@@ -137,6 +155,11 @@ fn hint_and_prefix(a: &[Handle], b: &[Handle]) -> (Hint, usize, CpuCost) {
     }
 }
 
+/// Largest pivot group that skips stage 1: it puts at most
+/// `(SMALL_GROUP + 1)·⌈log P⌉ − 1` searches under its entry, inside the
+/// `O(log P)` per-node contention stage 2 is allowed anyway.
+const SMALL_GROUP: usize = 2;
+
 /// A wave item: request index, its start hint, and the length of the path
 /// prefix (shared with `stitch_from`'s recorded path) to prepend when
 /// reconstructing its full lower-part path.
@@ -201,6 +224,7 @@ impl PimSkipList {
         let mut items = self.scratch.take_wave_items();
         let mut segments = self.scratch.take_segments();
         let mut next_segments = self.scratch.take_segments2();
+        let mut deferred = self.scratch.take_deferred();
         let out = self.pivoted_search_core(
             reqs,
             staged_words,
@@ -208,7 +232,9 @@ impl PimSkipList {
             &mut items,
             &mut segments,
             &mut next_segments,
+            &mut deferred,
         );
+        self.scratch.give_deferred(deferred);
         self.scratch.give_segments2(next_segments);
         self.scratch.give_segments(segments);
         self.scratch.give_wave_items(items);
@@ -216,6 +242,7 @@ impl PimSkipList {
         out
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn pivoted_search_core(
         &mut self,
         reqs: &[SearchRequest],
@@ -224,6 +251,9 @@ impl PimSkipList {
         items: &mut Vec<WaveItem>,
         segments: &mut Vec<(usize, usize)>,
         next_segments: &mut Vec<(usize, usize)>,
+        // Per pivot: the entry of its small group, `None` for a pivot that
+        // stage 1 resolves (or phase 0 answered).
+        deferred: &mut Vec<Option<Handle>>,
     ) -> PimResult<SearchResults> {
         let mut results = SearchResults::default();
         let b = reqs.len();
@@ -250,6 +280,7 @@ impl PimSkipList {
             pivots.push(b - 1);
         }
         let m = pivots.len();
+        deferred.resize(m, None);
 
         let mut paths: HashMap<u32, Vec<Handle>> = HashMap::new();
 
@@ -283,10 +314,11 @@ impl PimSkipList {
             s.record_phase_contention(true);
 
             // ---- Phase 1: pivots are ascending, so a group is a maximal
-            // run of equal entry. Its two ends descend from the entry; a
-            // group of three or more opens a segment for the medians. A
-            // pivot without an entry was answered inside the replicated
-            // part and keeps its empty path. ----
+            // run of equal entry. A small group is deferred to stage 2; of
+            // any other the two ends descend from the entry and the rest
+            // opens a segment for the medians. A pivot without an entry
+            // was answered inside the replicated part and keeps its empty
+            // path. ----
             items.clear();
             let entry_of =
                 |hints: &HashMap<u32, Hint>, j: usize| match hints.get(&reqs[pivots[j]].op) {
@@ -312,20 +344,26 @@ impl PimSkipList {
                 while r + 1 < m && entry_of(&results.hints, r + 1) == Some(entry) {
                     r += 1;
                 }
-                items.push(group_end(l, entry));
-                if r > l {
-                    items.push(group_end(r, entry));
-                }
                 // Range start (§5.2): every key up to pivot `r`'s hangs
                 // below the entry, so an earlier pivot may descend from it.
                 // The keys after `r` hang below later entries — one serial
                 // lower-part hop each from here — so a group's last pivot
                 // goes back to `Root` and fans out from the replicas.
                 results.hints.insert(reqs[pivots[r]].op, Hint::Root);
-                if r - l > 1 {
-                    segments.push((l, r));
+                if r - l < SMALL_GROUP {
+                    deferred[l..=r].fill(Some(entry));
+                } else {
+                    items.push(group_end(l, entry));
+                    items.push(group_end(r, entry));
+                    if r - l > 1 {
+                        segments.push((l, r));
+                    }
                 }
                 l = r + 1;
+            }
+            if items.is_empty() {
+                // Every group is small: stage 1 was phase 0.
+                return Ok(());
             }
             *staged_words += s.run_wave(
                 items,
@@ -386,37 +424,45 @@ impl PimSkipList {
             Ok(())
         })?;
 
-        // ---- Stage 2: everything else, hinted by bracketing pivots. ----
+        // ---- Stage 2: the deferred pivots from their entries, everything
+        // else hinted by its bracketing pivots. ----
         self.spanned("search/stage2", |s| -> PimResult<()> {
             items.clear();
             let mut hint_cost = CpuCost::ZERO;
-            for i in 0..b {
-                // `pivots` is ascending by construction.
-                if pivots.binary_search(&i).is_ok() {
-                    continue;
+            for pos in 0..m {
+                if let Some(entry) = deferred[pos] {
+                    items.push(WaveItem {
+                        idx: pivots[pos],
+                        hint: Hint::Start(entry),
+                        prefix_len: 0,
+                        stitch_from: None,
+                    });
                 }
-                let pos = pivots.partition_point(|&p| p < i);
-                debug_assert!(pos > 0 && pos < pivots.len());
-                let (op_l, op_r) = (reqs[pivots[pos - 1]].op, reqs[pivots[pos]].op);
-                let (path_l, path_r) = (
-                    paths.get(&op_l).ok_or(PimError::Incomplete {
-                        op: "search",
-                        missing: 1,
-                    })?,
-                    paths.get(&op_r).ok_or(PimError::Incomplete {
-                        op: "search",
-                        missing: 1,
-                    })?,
-                );
-                let (hint, prefix_len, cost) = hint_and_prefix(path_l, path_r);
-                hint_cost = hint_cost.beside(cost);
-                items.push(WaveItem {
-                    idx: i,
-                    hint,
-                    prefix_len,
-                    stitch_from: Some(op_l),
-                });
-                results.hints.insert(reqs[i].op, hint);
+                let Some(&next) = pivots.get(pos + 1) else {
+                    break;
+                };
+                let (op_l, op_r) = (reqs[pivots[pos]].op, reqs[next].op);
+                let recorded = paths.get(&op_l).zip(paths.get(&op_r));
+                let (hint, prefix_len, cost) = match (deferred[pos], deferred[pos + 1], recorded) {
+                    // One small group: the bracket hangs below its entry,
+                    // and above it `op_l`'s phase-0 reports are the path.
+                    (Some(entry), Some(other), _) if entry == other => {
+                        (Hint::Start(entry), 0, CpuCost::new(1, 1))
+                    }
+                    (None, None, Some((path_l, path_r))) => hint_and_prefix(path_l, path_r),
+                    // Two groups, at least one of them without paths.
+                    _ => (Hint::Root, 0, CpuCost::new(1, 1)),
+                };
+                for i in pivots[pos] + 1..next {
+                    hint_cost = hint_cost.beside(cost);
+                    items.push(WaveItem {
+                        idx: i,
+                        hint,
+                        prefix_len,
+                        stitch_from: Some(op_l),
+                    });
+                    results.hints.insert(reqs[i].op, hint);
+                }
             }
             hint_cost.charge(s.sys.metrics_mut());
             *staged_words += s.run_wave(items, reqs, None, Wave::Rest, &mut results, &mut paths)?;
@@ -475,7 +521,7 @@ impl PimSkipList {
         wave: Wave,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
-        copies: &mut Vec<(u32, u32)>, // (dst op, src op)
+        copies: &mut Vec<(u32, u32, u8)>, // (dst op, src op, dst's top level)
         mut hot: Option<&mut crate::hotcache::HotNodeCache>,
     ) -> PimResult<u64> {
         let record = wave != Wave::Rest;
@@ -499,7 +545,8 @@ impl PimSkipList {
             // `dealt` is the module a replicated start is shipped to.
             let (start, dealt) = match item.hint {
                 Hint::SharedLeaf(_) => {
-                    copies.push((req.op, item.stitch_from.expect("shared leaf has a source")));
+                    let src = item.stitch_from.expect("shared leaf has a source");
+                    copies.push((req.op, src, top));
                     continue;
                 }
                 Hint::Root => {
@@ -679,13 +726,13 @@ impl PimSkipList {
 
         // Resolve SharedLeaf copies (results and paths identical to src).
         let max_level = self.cfg.max_level;
-        for &(dst, src) in copies.iter() {
+        for &(dst, src, top) in copies.iter() {
             let d = *results.done.get(&src).ok_or(PimError::Incomplete {
                 op: "search",
                 missing: 1,
             })?;
             results.done.insert(dst, d);
-            for level in 1..=max_level {
+            for level in 1..=top {
                 if let Some(&p) = results.preds.get(&(src, level)) {
                     results.preds.insert((dst, level), p);
                 }

@@ -88,8 +88,10 @@ pub(crate) struct Scratch {
     segments: Vec<(usize, usize)>,
     /// Second segment buffer (next wavefront generation).
     segments2: Vec<(usize, usize)>,
-    /// `(path index, request index)` copy list for wave stitching.
-    copies: Vec<(u32, u32)>,
+    /// Per-pivot entry of a group deferred to stage 2 (see `batch::search`).
+    deferred: Vec<Option<Handle>>,
+    /// `(dst op, src op, dst's top level)` copy list for wave stitching.
+    copies: Vec<(u32, u32, u8)>,
     /// Range-split coverage sweep deltas.
     range_delta: Vec<i64>,
     /// Range-split cut-cell → subrange index map.
@@ -132,7 +134,8 @@ impl Scratch {
     lease!(take_pivots, give_pivots, pivots, usize);
     lease!(take_segments, give_segments, segments, (usize, usize));
     lease!(take_segments2, give_segments2, segments2, (usize, usize));
-    lease!(take_copies, give_copies, copies, (u32, u32));
+    lease!(take_deferred, give_deferred, deferred, Option<Handle>);
+    lease!(take_copies, give_copies, copies, (u32, u32, u8));
     lease!(take_range_delta, give_range_delta, range_delta, i64);
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
     lease!(take_count_rank, give_count_rank, count_rank, (u32, u64));

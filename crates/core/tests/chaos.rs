@@ -524,9 +524,12 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
 #[test]
 fn fault_in_any_stage1_round_of_a_search_is_retried() {
     // Stage 1 opens with the one-round entry phase (every pivot walks a
-    // replica), then descends group by group. Strike every round of it,
-    // for a read (Successor) and for the search inside an Upsert.
-    let cfg = || Config::new(4, 1 << 10, 41).with_max_retries(4);
+    // replica). Spread-out keys leave every pivot group small, so that
+    // round is all of stage 1 and the pivots descend in stage 2; with
+    // `h_low` raised the upper part has a handful of leaves, the pivots
+    // crowd into a few groups and the recursion runs. Strike every round of
+    // both searches, stage 2 included, for a read (Successor) and for the
+    // search inside an Upsert.
     let base: Vec<(i64, u64)> = (0..400).map(|i| (i * 5, i as u64)).collect();
     let queries: Vec<i64> = (0..64).map(|i| i * 31 - 7).collect();
     let fresh: Vec<(i64, u64)> = (0..64).map(|i| (i * 35 + 2, 9)).collect();
@@ -539,45 +542,66 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
     want_items.extend(&fresh);
     want_items.sort_unstable();
 
-    // Dry run: the probe says which rounds each stage 1 occupies.
-    let mut dry = PimSkipList::new(cfg());
-    dry.bulk_load(&base);
-    dry.enable_probe();
-    dry.batch_successor(&queries);
-    dry.batch_upsert(&fresh);
-    let report = dry.take_probe().expect("probe was enabled");
-    let stage1: Vec<(u64, u64)> = report
-        .spans_named("search/stage1")
-        .into_iter()
-        .map(|id| {
-            let span = &report.spans[id as usize];
-            (span.start_round, span.end_round)
-        })
-        .collect();
-    assert_eq!(stage1.len(), 2, "one search per batch");
-    assert!(
-        stage1.iter().all(|&(start, end)| end - start >= 3),
-        "an entry round and descent rounds: {stage1:?}"
-    );
-
-    let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 0 }];
-    for round in stage1.iter().flat_map(|&(start, end)| start..end) {
-        for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
-            let context = format!("{kind:?} on module {module} at round {round}");
-            let mut list = PimSkipList::new(cfg());
-            list.bulk_load(&base);
-            list.set_fault_plan(FaultPlan::new().at(round, module, kind));
-            let succ = list
-                .try_batch_successor(&queries)
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            let succ: Vec<Option<i64>> = succ.iter().map(|s| s.map(|(k, _)| k)).collect();
-            assert_eq!(succ, want_succ, "{context}");
-            list.try_batch_upsert(&fresh)
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            if kind == FaultKind::Crash {
-                assert_eq!(list.metrics().module_crashes, 1, "{context}");
+    for recursion in [false, true] {
+        let cfg = || {
+            let cfg = Config::new(4, 1 << 10, 41).with_max_retries(4);
+            if recursion {
+                cfg.with_h_low(7)
+            } else {
+                cfg
             }
-            assert_holds(&list, &want_items, &context);
+        };
+
+        // Dry run: the probe says which rounds each search occupies.
+        let mut dry = PimSkipList::new(cfg());
+        dry.bulk_load(&base);
+        dry.enable_probe();
+        dry.batch_successor(&queries);
+        dry.batch_upsert(&fresh);
+        let report = dry.take_probe().expect("probe was enabled");
+        let rounds_of = |name| -> Vec<(u64, u64)> {
+            report
+                .spans_named(name)
+                .into_iter()
+                .map(|id| {
+                    let span = &report.spans[id as usize];
+                    (span.start_round, span.end_round)
+                })
+                .collect()
+        };
+        let stage1 = rounds_of("search/stage1");
+        assert_eq!(stage1.len(), 2, "one search per batch");
+        // The fresh keys past the last resident key share a successor: the
+        // Upsert's search recurses over that one group either way.
+        let entry_round_only = stage1.iter().filter(|&&(start, end)| end - start == 1);
+        assert_eq!(
+            entry_round_only.count(),
+            if recursion { 0 } else { 1 },
+            "recursion = {recursion}: stage 1 took {stage1:?}"
+        );
+
+        let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 0 }];
+        let searches = rounds_of("search");
+        for round in searches.iter().flat_map(|&(start, end)| start..end) {
+            for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
+                let context = format!(
+                    "recursion = {recursion}: {kind:?} on module {module} at round {round}"
+                );
+                let mut list = PimSkipList::new(cfg());
+                list.bulk_load(&base);
+                list.set_fault_plan(FaultPlan::new().at(round, module, kind));
+                let succ = list
+                    .try_batch_successor(&queries)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                let succ: Vec<Option<i64>> = succ.iter().map(|s| s.map(|(k, _)| k)).collect();
+                assert_eq!(succ, want_succ, "{context}");
+                list.try_batch_upsert(&fresh)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                if kind == FaultKind::Crash {
+                    assert_eq!(list.metrics().module_crashes, 1, "{context}");
+                }
+                assert_holds(&list, &want_items, &context);
+            }
         }
     }
 }
