@@ -58,10 +58,27 @@ struct Series<T> {
     value: T,
 }
 
+/// Most extra fields one event carries.
+const MAX_FIELDS: usize = 4;
+
+/// One event as the log stores it: fixed-size and heap-free, so a full
+/// ring costs `max_events` × 72 bytes and no allocation per event. Field
+/// names are indices into the owning registry's `field_names`.
+#[derive(Debug, Clone, Copy)]
+struct EventRecord {
+    kind: &'static str,
+    tick: u64,
+    round: u64,
+    values: [u64; MAX_FIELDS],
+    names: [u8; MAX_FIELDS],
+    len: u8,
+}
+
 /// One structured lifecycle event, stamped in the deterministic clocks
-/// (service tick + machine round — never wall time).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryEvent {
+/// (service tick + machine round — never wall time). A view into the
+/// registry's log, handed out by [`Telemetry::events`].
+#[derive(Debug, Clone, Copy)]
+pub struct TelemetryEvent<'a> {
     /// Event kind (`"admit"`, `"coalesce"`, `"execute"`, `"reply"`,
     /// `"ack"`, …).
     pub kind: &'static str,
@@ -69,17 +86,21 @@ pub struct TelemetryEvent {
     pub tick: u64,
     /// Machine round counter at the event.
     pub round: u64,
-    /// Extra integer fields, e.g. `("id", request_id)`.
-    pub fields: Vec<(&'static str, u64)>,
+    record: &'a EventRecord,
+    field_names: &'a [&'static str],
 }
 
-impl TelemetryEvent {
+impl<'a> TelemetryEvent<'a> {
+    /// The extra integer fields in emission order, e.g. `("id", request_id)`.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + 'a {
+        let (record, field_names) = (self.record, self.field_names);
+        (0..usize::from(record.len))
+            .map(move |i| (field_names[usize::from(record.names[i])], record.values[i]))
+    }
+
     /// Look up one extra field by name.
     pub fn field(&self, name: &str) -> Option<u64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
+        self.fields().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 }
 
@@ -92,7 +113,9 @@ pub struct Telemetry {
     counters: Vec<Series<u64>>,
     gauges: Vec<Series<u64>>,
     hists: Vec<Series<Histogram>>,
-    events: VecDeque<TelemetryEvent>,
+    events: VecDeque<EventRecord>,
+    /// Every field name an event has carried, in order of first use.
+    field_names: Vec<&'static str>,
     max_events: usize,
     dropped_events: u64,
     /// Labels prepended to every series registered in this registry (the
@@ -109,6 +132,7 @@ impl Default for Telemetry {
             gauges: Vec::new(),
             hists: Vec::new(),
             events: VecDeque::new(),
+            field_names: Vec::new(),
             max_events: DEFAULT_MAX_EVENTS,
             dropped_events: 0,
             base_labels: Vec::new(),
@@ -246,8 +270,8 @@ impl Telemetry {
         &self.hists[id.0].value
     }
 
-    /// Append one lifecycle event; at the cap the oldest one is evicted
-    /// and counted.
+    /// Append one lifecycle event of at most four `fields`; at the cap the
+    /// oldest one is evicted and counted.
     pub fn emit(
         &mut self,
         kind: &'static str,
@@ -255,23 +279,46 @@ impl Telemetry {
         round: u64,
         fields: &[(&'static str, u64)],
     ) {
+        debug_assert!(fields.len() <= MAX_FIELDS, "{kind}: {fields:?}");
         if self.events.len() >= self.max_events {
             self.dropped_events += 1;
             if self.events.pop_front().is_none() {
                 return; // a cap of zero keeps nothing
             }
         }
-        self.events.push_back(TelemetryEvent {
+        let mut record = EventRecord {
             kind,
             tick,
             round,
-            fields: fields.to_vec(),
-        });
+            values: [0; MAX_FIELDS],
+            names: [0; MAX_FIELDS],
+            len: 0,
+        };
+        for &(name, value) in fields.iter().take(MAX_FIELDS) {
+            let known = self.field_names.iter().position(|&n| n == name);
+            let index = known.unwrap_or_else(|| {
+                self.field_names.push(name);
+                self.field_names.len() - 1
+            });
+            let at = usize::from(record.len);
+            record.names[at] = u8::try_from(index).expect("at most 256 event field names");
+            record.values[at] = value;
+            record.len += 1;
+        }
+        self.events.push_back(record);
     }
 
     /// The retained events, in emission order.
-    pub fn events(&self) -> &VecDeque<TelemetryEvent> {
-        &self.events
+    pub fn events(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = TelemetryEvent<'_>> + ExactSizeIterator {
+        self.events.iter().map(|record| TelemetryEvent {
+            kind: record.kind,
+            tick: record.tick,
+            round: record.round,
+            record,
+            field_names: &self.field_names,
+        })
     }
 
     /// Events evicted by the cap.
@@ -292,14 +339,14 @@ impl Telemetry {
         ]);
         let mut out = header.to_json();
         out.push('\n');
-        for e in &self.events {
+        for e in self.events() {
             let mut fields = vec![
                 ("type".to_string(), jstr("event")),
                 ("kind".to_string(), jstr(e.kind)),
                 ("tick".to_string(), num(e.tick)),
                 ("round".to_string(), num(e.round)),
             ];
-            fields.extend(e.fields.iter().map(|&(k, v)| (k.to_string(), num(v))));
+            fields.extend(e.fields().map(|(k, v)| (k.to_string(), num(v))));
             out.push_str(&Json::Obj(fields).to_json());
             out.push('\n');
         }
@@ -542,7 +589,7 @@ mod tests {
             t.emit("admit", id / 2, 0, &[("id", id)]);
         }
         assert_eq!(t.dropped_events(), extra);
-        let kept: Vec<Option<u64>> = t.events().iter().map(|e| e.field("id")).collect();
+        let kept: Vec<Option<u64>> = t.events().map(|e| e.field("id")).collect();
         let want: Vec<Option<u64>> = (extra..cap as u64 + extra).map(Some).collect();
         assert_eq!(kept, want, "the last `cap` events, oldest first");
         let log = t.events_jsonl();
@@ -551,6 +598,43 @@ mod tests {
         assert!(lines[0].contains("\"events\":5,\"dropped_events\":3"));
         assert!(lines[1].contains("\"kind\":\"admit\"") && lines[1].contains("\"id\":3"));
         assert!(lines[cap].contains("\"id\":7"));
+    }
+
+    #[test]
+    fn events_are_fixed_size_and_render_their_fields_in_order() {
+        assert!(std::mem::size_of::<EventRecord>() <= 72);
+        let mut t = Telemetry::new();
+        t.emit("admit", 1, 2, &[("id", 7)]);
+        t.emit(
+            "ack",
+            3,
+            4,
+            &[
+                ("latency_ticks", 5),
+                ("id", 7),
+                ("held_ticks", 0),
+                ("latency_rounds", 1 << 40),
+            ],
+        );
+        t.emit("tick", 5, 6, &[]);
+        let ack = t.events().nth(1).unwrap();
+        assert_eq!((ack.kind, ack.tick, ack.round), ("ack", 3, 4));
+        assert_eq!(ack.field("id"), Some(7));
+        assert_eq!(ack.field("latency_rounds"), Some(1 << 40));
+        assert_eq!(ack.field("synced_seq"), None);
+        let log = t.events_jsonl();
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(
+            lines[1],
+            r#"{"type":"event","kind":"admit","tick":1,"round":2,"id":7}"#
+        );
+        assert!(lines[2].ends_with(
+            r#""round":4,"latency_ticks":5,"id":7,"held_ticks":0,"latency_rounds":1099511627776}"#
+        ));
+        assert_eq!(
+            lines[3],
+            r#"{"type":"event","kind":"tick","tick":5,"round":6}"#
+        );
     }
 
     #[test]

@@ -975,7 +975,7 @@ mod tests {
         let done = svc.tick();
         assert_eq!(done.len(), 2);
         let reg = svc.list_mut().take_telemetry().unwrap();
-        let kinds: Vec<&str> = reg.events().iter().map(|e| e.kind).collect();
+        let kinds: Vec<&str> = reg.events().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec!["admit", "admit", "coalesce", "coalesce", "execute", "reply", "reply"]
@@ -983,12 +983,11 @@ mod tests {
         // Request 0 is traceable end to end by id.
         let for_id0: Vec<&str> = reg
             .events()
-            .iter()
             .filter(|e| e.field("id") == Some(0))
             .map(|e| e.kind)
             .collect();
         assert_eq!(for_id0, vec!["admit", "coalesce", "reply"]);
-        let exec = &reg.events()[4];
+        let exec = reg.events().nth(4).unwrap();
         assert_eq!(exec.field("n"), Some(2));
         assert!(exec.field("rounds").unwrap() > 0);
         // The registry aggregates match the streaming stats.
@@ -1028,7 +1027,7 @@ mod tests {
         );
         assert!(snap.contains("pim_wal_frames_total 1"));
         let reg = list.take_telemetry().unwrap();
-        let ack = reg.events().iter().find(|e| e.kind == "ack").unwrap();
+        let ack = reg.events().find(|e| e.kind == "ack").unwrap();
         assert_eq!(ack.field("id"), Some(0));
         assert_eq!(
             ack.field("held_ticks"),
@@ -1036,7 +1035,7 @@ mod tests {
             "dispatched at 1, acked at 4"
         );
         assert_eq!(ack.field("latency_ticks"), Some(4));
-        assert!(reg.events().iter().any(|e| e.kind == "fsync"));
+        assert!(reg.events().any(|e| e.kind == "fsync"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1092,7 +1091,7 @@ mod tests {
             let mut done = svc.tick();
             done.extend(svc.flush());
             let mut list = svc.into_list();
-            let events = format!("{:?}", list.take_telemetry().unwrap().events());
+            let events = list.take_telemetry().unwrap().events_jsonl();
             (done, list.metrics(), events)
         };
         let (done_off, metrics_off, events_off) = run(false);
