@@ -5,6 +5,7 @@
 use pim_baseline::{FineGrainedSkipList, RangePartitionedList};
 use pim_core::{Config, PimSkipList, RangeFunc};
 use pim_runtime::balls;
+use pim_workloads::adversary::two_pivot_groups;
 use pim_workloads::{same_successor_flood, single_range_flood, PointGen};
 
 use crate::measure::{build_loaded_list, build_loaded_list_with, measure_batch, BatchCosts};
@@ -269,6 +270,28 @@ pub fn dense_contention_experiment(p: u32, seed: u64) -> Vec<u32> {
     list.last_phase_contention.clone()
 }
 
+/// LEM42 on the batches whose small pivot groups skip stage 1: stage-2
+/// contention (the last entry of
+/// [`PimSkipList::last_phase_contention`]) of a uniform `P log² P` batch
+/// and of a batch whose every group holds exactly two pivots — the most
+/// that descends unrecursed below one entry, at most `3⌈log P⌉ − 1`
+/// searches. Same layout as [`dense_contention_experiment`].
+pub fn small_group_contention_experiment(p: u32, seed: u64) -> (u32, u32) {
+    let n = 1usize << 14;
+    let cfg = Config::new(p, n as u64, seed).with_contention_tracking();
+    let mut list = PimSkipList::new(cfg);
+    let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+    list.bulk_load(&pairs);
+    let batch = list.config().batch_large();
+    let uniform = PointGen::new(seed ^ 5, 0, 4 * n as i64).distinct_uniform(batch);
+    let paired = two_pivot_groups(&list.upper_leaf_keys(), logp(p) as usize);
+    let mut stage2 = |queries: &[i64]| {
+        list.batch_successor(queries);
+        list.last_phase_contention.last().copied().unwrap_or(0)
+    };
+    (stage2(&uniform), stage2(&paired))
+}
+
 /// Phase 0's load on a `P log² P` batch: its `m = P log P + 1` pivots
 /// (every `log P`-th key and the last) are dealt round-robin from one
 /// random module, so the busiest serves exactly `⌈m/P⌉` of them.
@@ -286,25 +309,37 @@ pub fn lower_part_phases(phases: &[u32]) -> &[u32] {
 pub fn print_contention(ps: &[u32], seed: u64) {
     println!("== Lemma 4.2: ≤3 accesses per lower-part node per stage-1 phase ==");
     println!(
-        "{:>6} {:>16} {:>10} {:>14} {:>10} {:>16}",
-        "P", "phase-0 load", "bound", "flood stage-1", "stage-2", "dense stage-1"
+        "{:>6} {:>13} {:>14} {:>8} {:>14} {:>16} {:>15} {:>10}",
+        "P",
+        "phase-0 load",
+        "flood stage-1",
+        "stage-2",
+        "dense stage-1",
+        "uniform stage-2",
+        "paired stage-2",
+        "3logP-1"
     );
     for &p in ps {
         let flood = contention_experiment(p, seed);
         let dense = dense_contention_experiment(p, seed);
+        let (uniform, paired) = small_group_contention_experiment(p, seed);
         let max = |phases: &[u32]| lower_part_phases(phases).iter().copied().max().unwrap_or(0);
         println!(
-            "{:>6} {:>16} {:>10} {:>14} {:>10} {:>16}",
+            "{:>6} {:>13} {:>14} {:>8} {:>14} {:>16} {:>15} {:>10}",
             p,
             flood[0],
-            phase0_load_bound(p),
             max(&flood),
             flood.last().copied().unwrap_or(0),
-            max(&dense)
+            max(&dense),
+            uniform,
+            paired,
+            3 * logp(p) - 1
         );
     }
-    println!("(flood: one shared successor, the lemma's adversary; dense: consecutive");
-    println!(" resident keys, reported, not bounded — shared prefixes exceed 3 in late phases)");
+    println!("(phase-0 load is ⌈m/P⌉ exactly: the pivots are dealt round-robin. flood: one");
+    println!(" shared successor, the lemma's adversary; dense: consecutive resident keys,");
+    println!(" reported, not bounded — shared prefixes exceed 3 in late phases; uniform and");
+    println!(" paired (two pivots per group): stage 2 with the small groups' pivots in it)");
 }
 
 /// Warm-up batches run before measuring a push-pull structure, so the

@@ -890,7 +890,8 @@ fn mode_for(top: u8) -> SearchMode {
 
 #[cfg(test)]
 mod tests {
-    use pim_runtime::{ceil_log2, Rng};
+    use pim_runtime::{ceil_log2, Metrics, Rng};
+    use pim_workloads::adversary::two_pivot_groups;
 
     use super::*;
     use crate::config::{Config, Value};
@@ -911,10 +912,10 @@ mod tests {
         keys
     }
 
-    /// Size of the largest pivot group of `keys` (ascending, unique): the
-    /// first non-replicated node on each pivot's search path is found by
-    /// CPU inspection, independently of the machine.
-    fn largest_group(list: &PimSkipList, keys: &[Key]) -> usize {
+    /// Sizes of the pivot groups of `keys` (ascending, unique), left to
+    /// right: the first non-replicated node on each pivot's search path is
+    /// found by CPU inspection, independently of the machine.
+    fn group_sizes(list: &PimSkipList, keys: &[Key]) -> Vec<usize> {
         let entry = |key: Key| {
             let mut at = list.descent_start(0);
             while at.is_replicated() {
@@ -938,8 +939,11 @@ mod tests {
         entries
             .chunk_by(|a, b| a.is_some() && a == b)
             .map(|g| g.len())
-            .max()
-            .unwrap_or(0)
+            .collect()
+    }
+
+    fn largest_group(list: &PimSkipList, keys: &[Key]) -> usize {
+        group_sizes(list, keys).into_iter().max().unwrap_or(0)
     }
 
     /// Rounds of one Successor batch and its stage-1 wave count; replies
@@ -1018,6 +1022,86 @@ mod tests {
         }
     }
 
+    /// Exclusive cost of the `search/stage1` span of one probed Successor
+    /// batch (replies checked), and the batch's rounds and stage-1 waves.
+    fn probed_stage1(list: &mut PimSkipList, keys: &[Key], n: usize) -> (Metrics, u64, usize) {
+        list.enable_probe();
+        let (rounds, waves) = successor_rounds_and_waves(list, keys, n);
+        let report = list.take_probe().expect("probe was enabled");
+        let stage1 = report.spans_named("search/stage1");
+        assert_eq!(stage1.len(), 1, "one search per batch");
+        (report.spans[stage1[0] as usize].stats, rounds, waves)
+    }
+
+    #[test]
+    fn uniform_batches_run_the_recursion_only_for_groups_that_need_it() {
+        let (p, n) = (64u32, 1usize << 17);
+        let mut list = loaded(Config::new(p, n as u64, 42), n);
+        let batch = list.cfg.batch_large();
+        let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
+        // Fresh structure: the streamed build peaked below one batch.
+        assert!(list.metrics().shared_mem_peak <= 2 * batch as u64);
+        let (mut all_small, mut recursed) = (0, 0);
+        for seed in 1..=8u64 {
+            let keys = uniform_keys(seed, 4 * n as u64, batch);
+            let groups = group_sizes(&list, &keys);
+            let largest = groups.iter().copied().max().unwrap_or(0);
+            let (stage1, rounds, waves) = probed_stage1(&mut list, &keys, n);
+            let context = format!("seed {seed}, largest group {largest}");
+            if largest <= SMALL_GROUP {
+                all_small += 1;
+                assert_eq!((stage1.rounds, waves), (1, 1), "{context}");
+                // 58 with every pivot recursing, 34–39 measured.
+                assert!(rounds <= 45, "{context}: {rounds} rounds");
+            } else {
+                recursed += 1;
+                assert!(
+                    waves <= 3 + ceil_log2(largest as u64) as usize,
+                    "{context}: {waves} stage-1 waves"
+                );
+            }
+            // `M`: the staged batch, the entry table, and lower-part paths
+            // (well under 32 nodes) of the pivots that recursed only.
+            let recursing: usize = groups.iter().filter(|&&g| g > SMALL_GROUP).sum();
+            let bound = (2 * batch + m + 32 * recursing) as u64;
+            let peak = list.metrics().shared_mem_peak;
+            assert!(peak <= bound, "{context}: M = {peak} > {bound}");
+        }
+        assert!(
+            all_small > 0 && recursed > 0,
+            "{all_small} seeds with small groups only, {recursed} with a larger one"
+        );
+    }
+
+    #[test]
+    fn groups_of_two_pivots_descend_in_stage_two_alone() {
+        for (p, log_n) in [(8u32, 12u32), (16, 13), (64, 14)] {
+            let n = 1usize << log_n;
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let lg = list.cfg.log_p() as usize;
+            let keys = two_pivot_groups(&list.upper_leaf_keys(), lg);
+            let groups = group_sizes(&list, &keys);
+            assert!(
+                groups.len() >= 8 && groups.iter().all(|&g| g == 2),
+                "P={p}: {groups:?}"
+            );
+            let m = 2 * groups.len() as u64;
+
+            let (stage1, _, waves) = probed_stage1(&mut list, &keys, n);
+            // Phase 0 and nothing else: a task out and an entry back per
+            // pivot, no `PathNode`.
+            assert_eq!(waves, 1, "P={p}");
+            assert_eq!((stage1.rounds, stage1.total_messages), (1, 2 * m), "P={p}");
+            // Under one entry: its two pivots, the bracket between them and
+            // the brackets on either side.
+            let stage2 = *list.last_phase_contention.last().expect("stage 2");
+            assert!(
+                stage2 as usize <= 3 * lg - 1,
+                "P={p}: stage-2 contention {stage2} > 3·{lg} − 1"
+            );
+        }
+    }
+
     #[test]
     fn one_successor_costs_pim_time_logarithmic_in_n() {
         // One replica walk over the linked levels, then `h_low` hops below
@@ -1054,6 +1138,32 @@ mod tests {
         assert_eq!(waves, 2 + ceil_log2(m as u64 - 1) as usize);
         // 161 with the one global segment.
         assert!(rounds <= 162, "{rounds} rounds");
+    }
+
+    #[test]
+    fn fresh_upserts_below_deferred_pivots_stitch_from_phase_zero() {
+        // Every group is small, so no pivot records a path: a new tower
+        // taller than `h_low` gets its upper-part predecessors from its
+        // left pivot's phase-0 reports (or its own, if it is a pivot).
+        let (p, n) = (16u32, 1usize << 14);
+        let mut list = loaded(Config::new(p, n as u64, 42), n);
+        let fresh: Vec<(Key, Value)> = uniform_keys(5, n as u64, list.cfg.batch_large())
+            .into_iter()
+            .map(|i| (4 * i + 1, 7))
+            .collect();
+        let keys: Vec<Key> = fresh.iter().map(|&(k, _)| k).collect();
+        assert!(largest_group(&list, &keys) <= SMALL_GROUP);
+        let before = list.upper_leaf_keys().len();
+        list.batch_upsert(&fresh);
+        assert!(
+            list.upper_leaf_keys().len() > before,
+            "no fresh tower reached the upper part"
+        );
+        list.validate().expect("valid after the upsert");
+        let mut want: Vec<(Key, Value)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+        want.extend(&fresh);
+        want.sort_unstable();
+        assert_eq!(list.collect_items(), want);
     }
 
     #[test]

@@ -457,6 +457,22 @@ impl PimSkipList {
         self.sys.module_mut(module).take_contention()
     }
 
+    /// Keys of the upper-part leaves, left to right, by CPU inspection
+    /// (test and experiment instrumentation: the searches whose keys lie
+    /// between two consecutive leaves enter the lower part at one node).
+    pub fn upper_leaf_keys(&self) -> Vec<Key> {
+        let mut keys = Vec::new();
+        let mut at = self
+            .inspect(Handle::replicated(u32::from(self.cfg.h_low)))
+            .right;
+        while at.is_some() {
+            let leaf = self.inspect(at);
+            keys.push(leaf.key);
+            at = leaf.right;
+        }
+        keys
+    }
+
     /// Toggle module-side access counting without touching the driver's
     /// per-phase draining (which stays keyed on the construction-time
     /// [`Config::track_contention`]). With the driver drain off, counts

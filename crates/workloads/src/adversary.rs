@@ -55,6 +55,23 @@ pub fn contiguous_run(start: Key, count: usize) -> Vec<Key> {
     (0..count as i64).map(|i| start + i).collect()
 }
 
+/// A batch whose every pivot group (§4.2, grouped by lower-part entry) holds
+/// exactly two pivots. `leaf_keys` are the keys of the structure's
+/// upper-part leaves in order: a key `k` enters the lower part below leaf
+/// `a` iff `a < k ≤ next`, so `2·log P` consecutive keys go below every leaf
+/// that has room for them and the pivots — every `log P`-th key of the
+/// batch — pair up leaf by leaf. The last leaf used gets `log P + 1` keys:
+/// the batch's last key is a pivot as well.
+pub fn two_pivot_groups(leaf_keys: &[Key], log_p: usize) -> Vec<Key> {
+    let mut keys: Vec<Key> = leaf_keys
+        .windows(2)
+        .filter(|w| w[1] - w[0] >= 2 * log_p as Key)
+        .flat_map(|w| (w[0] + 1..).take(2 * log_p))
+        .collect();
+    keys.truncate(keys.len().saturating_sub(log_p - 1));
+    keys
+}
+
 /// `batches` query batches whose hot set *moves*: every `period` batches
 /// the window of `hot` consecutive resident keys jumps to a new spot in
 /// the key order (golden-ratio stride, so successive windows are far
