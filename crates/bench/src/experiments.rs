@@ -255,15 +255,25 @@ pub fn contention_experiment(p: u32, seed: u64) -> Vec<u32> {
     list.last_phase_contention.clone()
 }
 
+/// Resident keys of the dense LEM42 layouts.
+const CONTENTION_N: usize = 1 << 14;
+
+/// Resident keys `4·i`, `i ∈ 0..2^14`, bulk-loaded, contention counted.
+fn contention_tracked_list(p: u32, seed: u64) -> PimSkipList {
+    let cfg = Config::new(p, CONTENTION_N as u64, seed).with_contention_tracking();
+    let mut list = PimSkipList::new(cfg);
+    let pairs: Vec<(i64, u64)> = (0..CONTENTION_N as i64)
+        .map(|i| (4 * i, i as u64))
+        .collect();
+    list.bulk_load(&pairs);
+    list
+}
+
 /// LEM42 on a batch the lemma's argument does not cover: `P log² P`
 /// consecutive resident keys, whose pivots fall into few large groups with
 /// long shared path prefixes. Same layout as [`contention_experiment`].
 pub fn dense_contention_experiment(p: u32, seed: u64) -> Vec<u32> {
-    let n = 1usize << 14;
-    let cfg = Config::new(p, n as u64, seed).with_contention_tracking();
-    let mut list = PimSkipList::new(cfg);
-    let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
-    list.bulk_load(&pairs);
+    let mut list = contention_tracked_list(p, seed);
     let batch = list.config().batch_large() as i64;
     let queries: Vec<i64> = (0..batch).map(|i| 4 * (i + 1_000)).collect();
     list.batch_successor(&queries);
@@ -277,13 +287,9 @@ pub fn dense_contention_experiment(p: u32, seed: u64) -> Vec<u32> {
 /// that descends unrecursed below one entry, at most `3⌈log P⌉ − 1`
 /// searches. Same layout as [`dense_contention_experiment`].
 pub fn small_group_contention_experiment(p: u32, seed: u64) -> (u32, u32) {
-    let n = 1usize << 14;
-    let cfg = Config::new(p, n as u64, seed).with_contention_tracking();
-    let mut list = PimSkipList::new(cfg);
-    let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
-    list.bulk_load(&pairs);
+    let mut list = contention_tracked_list(p, seed);
     let batch = list.config().batch_large();
-    let uniform = PointGen::new(seed ^ 5, 0, 4 * n as i64).distinct_uniform(batch);
+    let uniform = PointGen::new(seed ^ 5, 0, 4 * CONTENTION_N as i64).distinct_uniform(batch);
     let paired = two_pivot_groups(&list.upper_leaf_keys(), logp(p) as usize);
     let mut stage2 = |queries: &[i64]| {
         list.batch_successor(queries);
