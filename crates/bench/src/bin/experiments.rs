@@ -5,44 +5,33 @@
 //!
 //! which ∈ { table1, space, balls, contention, adversarial, range,
 //!           baselines, ablation, hprofile, paths, trace-export,
-//!           service, wallclock, skew, skew-gate, pipeline, recovery,
-//!           cluster, perf-gate, alloc-gate, all }
+//!           service, skew, skew-gate, pipeline, speedup-gate, recovery,
+//!           cluster, all }
 //!
 //! `trace-export [--quick] [--out DIR]` runs an instrumented session and
 //! writes `DIR/trace.json` (Chrome trace-event, Perfetto-loadable) and
 //! `DIR/rounds.jsonl` (the `pim-trace` CLI's input); DIR defaults to
 //! `target/trace-export`.
 //!
-//! `service [--quick] [--out DIR] [--json PATH]` sweeps the `pim-service`
-//! coalescing policy (max batch × max linger) over a deterministic
-//! open-loop mixed stream and prints sustained throughput (ops/round,
-//! ops/sec) and p50/p95/p99 request latency. With `--out DIR` it
-//! additionally runs one instrumented telemetry-enabled service session
-//! and writes `DIR/trace.json` / `DIR/rounds.jsonl` plus the telemetry
-//! artifacts `DIR/events.jsonl` / `DIR/metrics.prom` (all byte-identical
-//! at every `PIM_THREADS`; the CI determinism job diffs them). With
-//! `--json PATH` the sweep itself is written as a `pim-service-bench/1`
-//! report with a provenance header.
+//! `service [--quick] [--out DIR]` sweeps the `pim-service` coalescing
+//! policy (max batch × max linger) over a deterministic open-loop mixed
+//! stream and prints sustained throughput (ops/round, ops/sec) and
+//! p50/p95/p99 request latency. With `--out DIR` it additionally runs one
+//! instrumented telemetry-enabled service session and writes
+//! `DIR/trace.json` / `DIR/rounds.jsonl` plus the telemetry artifacts
+//! `DIR/events.jsonl` / `DIR/metrics.prom` (all byte-identical at every
+//! `PIM_THREADS`; the CI determinism job diffs them).
 //!
-//! `wallclock [--quick] [--out PATH]` sweeps every Table-1 op over
-//! PIM_THREADS ∈ {1, 2, 4, 8} and writes a `pim-wallclock/1` JSON report
-//! (default `target/BENCH_PR5.json`). Unlike every other subcommand this
-//! one measures *elapsed time*, the only observable the executor's thread
-//! count is allowed to change.
+//! `recovery [--quick]` persists one mixed op stream under several
+//! snapshot cadences and times `PimSkipList::recover_from_dir` on each
+//! resulting directory — the snapshot-interval / recovery-time trade-off.
+//! This measures elapsed time, not a model metric.
 //!
-//! `recovery [--quick] [--json PATH]` persists one mixed op stream under
-//! several snapshot cadences and times `PimSkipList::recover_from_dir` on
-//! each resulting directory — the snapshot-interval / recovery-time
-//! trade-off. Like `wallclock`, this measures elapsed time. With `--json
-//! PATH` the episodes are written as a `pim-recovery-bench/1` report with
-//! a provenance header.
-//!
-//! `cluster [--quick] [--json PATH] [--out DIR]` sweeps the sharded
-//! `pim-cluster` router over `S ∈ {1, 2, 4, 8}`, byte-comparing every
-//! configuration's wire-encoded replies against the single-machine
-//! oracle (the run FAILS on drift), and reports rounds, wall-clock
-//! throughput, and shard load spread. With `--json PATH` the sweep is a
-//! `pim-cluster-bench/1` report; with `--out DIR` telemetry-enabled
+//! `cluster [--quick] [--out DIR]` sweeps the sharded `pim-cluster`
+//! router over `S ∈ {1, 2, 4, 8}`, byte-comparing every configuration's
+//! wire-encoded replies against the single-machine oracle (the run FAILS
+//! on drift), and reports rounds, wall-clock throughput, and shard load
+//! spread. With `--out DIR` telemetry-enabled
 //! sessions at S ∈ {1, 4} (or the single `PIM_SHARDS` value when set)
 //! write `metrics-sN.prom` / `events-sN.jsonl` / `replies-sN.bin` for
 //! the CI cluster-determinism byte-diff.
@@ -63,20 +52,12 @@
 //! `target/BENCH_PR8.json`). Every configuration's replies are
 //! byte-compared against the unpipelined 1-thread reference in-process.
 //!
-//! `perf-gate CURRENT BASELINE [TOLERANCE] [--raw]` compares two reports
-//! (calibration-normalised unless `--raw`) and exits 1 when any (op,
-//! threads) point regressed beyond TOLERANCE (default 0.25). With
-//! `--require-speedup` both reports must be `pim-pipeline-bench/1`
-//! documents and the gate instead *fails* unless the pipelined engine at
-//! ≥ 2 threads beats the unpipelined 1-thread throughput on Get and
-//! Upsert; speedup evidence comes from whichever report was produced on
-//! a multi-core host (current preferred, else the recorded baseline),
-//! and the gate errors out rather than passing when neither was.
-//!
-//! `alloc-gate CURRENT BASELINE [TOLERANCE]` compares steady-state
-//! allocations per round (1-thread, deterministic; present only in
-//! reports produced with `--features alloc-stats`) and exits 1 when any
-//! op allocates beyond TOLERANCE (default 0.10) more than the baseline.
+//! `speedup-gate CURRENT BASELINE` takes two `pim-pipeline-bench/1`
+//! reports and *fails* unless the pipelined engine at ≥ 2 threads beats
+//! the unpipelined 1-thread throughput on Get and Upsert; speedup
+//! evidence comes from whichever report was produced on a multi-core host
+//! (current preferred, else the recorded baseline), and the gate errors
+//! out rather than passing when neither was.
 //! ```
 //!
 //! Every table prints *model metrics* (IO time, PIM time, CPU work/depth,
@@ -84,6 +65,33 @@
 //! algorithms running on the simulated machine.
 
 use pim_bench::experiments as exp;
+
+/// The two report paths after a gate subcommand; exits 2 on a usage error.
+fn gate_paths<'a>(args: &'a [String], gate: &str) -> (&'a str, &'a str) {
+    let mut pos = args[1..].iter().filter(|a| !a.starts_with("--"));
+    match (pos.next(), pos.next()) {
+        (Some(c), Some(b)) => (c, b),
+        _ => {
+            eprintln!("usage: experiments -- {gate} CURRENT BASELINE");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Print a gate's verdict; exits 1 on FAIL (with `why`) or ERROR.
+fn finish_gate(name: &str, verdict: Result<bool, String>, why: &str) {
+    match verdict {
+        Ok(true) => println!("{name} gate: PASS"),
+        Ok(false) => {
+            eprintln!("{name} gate: FAIL{why}");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("{name} gate: ERROR: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,15 +127,6 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
-    let run_wallclock = || {
-        let out = flag("--out")
-            .map(String::as_str)
-            .unwrap_or("target/BENCH_PR5.json");
-        if let Err(e) = pim_bench::wallclock::run_wallclock(quick, out, seed) {
-            eprintln!("wallclock: {e}");
-            std::process::exit(1);
-        }
-    };
     let run_skew = || {
         let out = flag("--out")
             .map(String::as_str)
@@ -138,25 +137,8 @@ fn main() {
         }
     };
     let run_skew_gate = || {
-        let pos: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-        let (current, baseline) = match (pos.first(), pos.get(1)) {
-            (Some(c), Some(b)) => (c.as_str(), b.as_str()),
-            _ => {
-                eprintln!("usage: experiments -- skew-gate CURRENT BASELINE");
-                std::process::exit(2);
-            }
-        };
-        match pim_bench::skew::skew_gate(current, baseline) {
-            Ok(true) => println!("skew gate: PASS"),
-            Ok(false) => {
-                eprintln!("skew gate: FAIL");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("skew gate: ERROR: {e}");
-                std::process::exit(1);
-            }
-        }
+        let (current, baseline) = gate_paths(&args, "skew-gate");
+        finish_gate("skew", pim_bench::skew::skew_gate(current, baseline), "");
     };
     let run_pipeline = || {
         let out = flag("--out")
@@ -167,78 +149,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let run_perf_gate = || {
-        // Positional args after the subcommand: CURRENT BASELINE [TOL].
-        let pos: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-        let (current, baseline) = match (pos.first(), pos.get(1)) {
-            (Some(c), Some(b)) => (c.as_str(), b.as_str()),
-            _ => {
-                eprintln!(
-                    "usage: experiments -- perf-gate CURRENT BASELINE [TOLERANCE] [--raw] \
-                     [--require-speedup]"
-                );
-                std::process::exit(2);
-            }
-        };
-        if args.iter().any(|a| a == "--require-speedup") {
-            match pim_bench::pipeline::speedup_gate(current, baseline) {
-                Ok(true) => println!("speedup gate: PASS"),
-                Ok(false) => {
-                    eprintln!(
-                        "speedup gate: FAIL (pipelined ≥2-thread throughput does not beat \
-                         the unpipelined 1-thread baseline)"
-                    );
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("speedup gate: ERROR: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        let tolerance: f64 = pos.get(2).and_then(|t| t.parse().ok()).unwrap_or(0.25);
-        let raw = args.iter().any(|a| a == "--raw");
-        match pim_bench::wallclock::perf_gate(current, baseline, tolerance, raw) {
-            Ok(true) => println!("perf gate: PASS"),
-            Ok(false) => {
-                eprintln!("perf gate: FAIL (regression beyond {tolerance:.2} tolerance)");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("perf gate: ERROR: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    let run_alloc_gate = || {
-        let pos: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-        let (current, baseline) = match (pos.first(), pos.get(1)) {
-            (Some(c), Some(b)) => (c.as_str(), b.as_str()),
-            _ => {
-                eprintln!("usage: experiments -- alloc-gate CURRENT BASELINE [TOLERANCE]");
-                std::process::exit(2);
-            }
-        };
-        let tolerance: f64 = pos.get(2).and_then(|t| t.parse().ok()).unwrap_or(0.10);
-        match pim_bench::wallclock::alloc_gate(current, baseline, tolerance) {
-            Ok(true) => println!("alloc gate: PASS"),
-            Ok(false) => {
-                eprintln!("alloc gate: FAIL (allocation growth beyond {tolerance:.2} tolerance)");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("alloc gate: ERROR: {e}");
-                std::process::exit(1);
-            }
-        }
+    let run_speedup_gate = || {
+        let (current, baseline) = gate_paths(&args, "speedup-gate");
+        finish_gate(
+            "speedup",
+            pim_bench::pipeline::speedup_gate(current, baseline),
+            " (pipelined ≥2-thread throughput does not beat the unpipelined 1-thread baseline)",
+        );
     };
     let run_service = || {
-        let json = flag("--json").map(String::as_str);
-        if let Err(e) = pim_bench::service::run_service(quick, seed, json) {
-            eprintln!("service: {e}");
-            std::process::exit(1);
-        }
+        pim_bench::service::run_service(quick, seed);
         if let Some(out_dir) = flag("--out") {
             let (sp, sn) = if quick { (16, 4_000) } else { (32, 16_000) };
             if let Err(e) = pim_bench::service::service_trace_export(out_dir, sp, sn, seed) {
@@ -248,8 +168,7 @@ fn main() {
         }
     };
     let run_cluster = || {
-        let json = flag("--json").map(String::as_str);
-        if let Err(e) = pim_bench::cluster::run_cluster(quick, seed, json) {
+        if let Err(e) = pim_bench::cluster::run_cluster(quick, seed) {
             eprintln!("cluster: {e}");
             std::process::exit(1);
         }
@@ -269,13 +188,7 @@ fn main() {
             }
         }
     };
-    let run_recovery = || {
-        let json = flag("--json").map(String::as_str);
-        if let Err(e) = pim_bench::recovery::run_recovery(quick, seed, json) {
-            eprintln!("recovery: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run_recovery = || pim_bench::recovery::run_recovery(quick, seed);
     let run_trace_export = || {
         let out_dir = flag("--out")
             .map(String::as_str)
@@ -302,14 +215,12 @@ fn main() {
         "paths" => run_paths(),
         "trace-export" => run_trace_export(),
         "service" => run_service(),
-        "wallclock" => run_wallclock(),
         "skew" => run_skew(),
         "skew-gate" => run_skew_gate(),
         "pipeline" => run_pipeline(),
+        "speedup-gate" => run_speedup_gate(),
         "recovery" => run_recovery(),
         "cluster" => run_cluster(),
-        "perf-gate" => run_perf_gate(),
-        "alloc-gate" => run_alloc_gate(),
         "all" => {
             run_table1();
             println!();
@@ -333,7 +244,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service wallclock skew skew-gate pipeline recovery cluster perf-gate alloc-gate all");
+            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service skew skew-gate pipeline speedup-gate recovery cluster all");
             std::process::exit(2);
         }
     }

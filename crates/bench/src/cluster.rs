@@ -12,19 +12,16 @@
 //! spread (max/min resident keys — how well the uniform cuts balanced
 //! the workload).
 //!
-//! With `--json PATH` the sweep is written as a `pim-cluster-bench/1`
-//! report ([`crate::report`] header). With `--out DIR` one
-//! telemetry-enabled session per `S ∈ {1, 4}` additionally writes
-//! `DIR/metrics-sN.prom`, `DIR/events-sN.jsonl` and `DIR/replies-sN.bin`:
-//! the `.bin` files must be byte-identical across `S` (router
-//! transparency), and all three must be byte-identical across
+//! With `--out DIR` one telemetry-enabled session per `S ∈ {1, 4}`
+//! additionally writes `DIR/metrics-sN.prom`, `DIR/events-sN.jsonl` and
+//! `DIR/replies-sN.bin`: the `.bin` files must be byte-identical across
+//! `S` (router transparency), and all three must be byte-identical across
 //! `PIM_THREADS` (determinism) — the CI `cluster` job diffs both axes.
 
 use std::time::Instant;
 
 use pim_cluster::{wire, ClusterConfig, PimCluster};
 use pim_core::{Op, PimSkipList, Reply};
-use pim_runtime::export::{num, Json};
 use pim_workloads::{domain_spread_keys, value_for, ArrivalGen, OpMix};
 
 use crate::service::to_op;
@@ -142,22 +139,9 @@ pub fn sweep(quick: bool, seed: u64) -> Vec<ClusterPoint> {
         .collect()
 }
 
-fn point_json(pt: &ClusterPoint) -> Json {
-    Json::Obj(vec![
-        ("shards".into(), num(u64::from(pt.shards))),
-        ("oracle_equal".into(), Json::Bool(pt.oracle_equal)),
-        ("ops".into(), num(pt.ops)),
-        ("rounds".into(), num(pt.rounds)),
-        ("ops_per_sec".into(), Json::Num(pt.ops_per_sec)),
-        ("max_shard_len".into(), num(pt.max_shard_len)),
-        ("min_shard_len".into(), num(pt.min_shard_len)),
-    ])
-}
-
-/// Run the experiment, print the table, optionally write the
-/// `pim-cluster-bench/1` report. Fails (exit-worthy error) if any shard
-/// count's replies drift from the oracle.
-pub fn run_cluster(quick: bool, seed: u64, json_out: Option<&str>) -> Result<(), String> {
+/// Run the experiment and print the table. Fails (exit-worthy error) if
+/// any shard count's replies drift from the oracle.
+pub fn run_cluster(quick: bool, seed: u64) -> Result<(), String> {
     println!("CLUSTER: sharded router vs single-machine oracle (reply byte-compare)");
     let points = sweep(quick, seed);
     println!(
@@ -178,21 +162,6 @@ pub fn run_cluster(quick: bool, seed: u64, json_out: Option<&str>) -> Result<(),
         ok &= pt.oracle_equal;
     }
     println!("(oracle column byte-compares wire-encoded replies; rounds sum over shards)");
-    if let Some(path) = json_out {
-        let report = crate::report::document(
-            "pim-cluster-bench/1",
-            vec![
-                ("quick".into(), Json::Bool(quick)),
-                ("seed".into(), num(seed)),
-                (
-                    "points".into(),
-                    Json::Arr(points.iter().map(point_json).collect()),
-                ),
-            ],
-        );
-        std::fs::write(path, report.to_json() + "\n").map_err(|e| e.to_string())?;
-        println!("cluster report -> {path}");
-    }
     if ok {
         Ok(())
     } else {

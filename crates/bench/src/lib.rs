@@ -4,19 +4,18 @@
 //! point operation in five metrics) plus a theorem/lemma per claim. This
 //! crate provides:
 //!
-//! * shared experiment runners ([`experiments`]) used by both the
-//!   `experiments` binary (model-metric tables, the paper-shape artifacts)
-//!   and the Criterion benches (wall-clock trends of the simulator);
+//! * shared experiment runners ([`experiments`]) used by the
+//!   `experiments` binary (model-metric tables, the paper-shape artifacts);
 //! * measurement plumbing ([`measure`]) that diffs [`pim_runtime::Metrics`]
 //!   snapshots around one batch.
 //!
 //! Run `cargo run --release -p pim-bench --bin experiments -- all` to
 //! regenerate every table and figure; see `EXPERIMENTS.md` for the
-//! recorded paper-vs-measured comparison.
+//! recorded paper-vs-measured comparison. Whether a change is *faster* is
+//! judged by the repo benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 
-pub mod allocs;
 pub mod cluster;
 pub mod experiments;
 pub mod measure;
@@ -26,6 +25,5 @@ pub mod recovery;
 pub mod report;
 pub mod service;
 pub mod skew;
-pub mod wallclock;
 
 pub use measure::{build_loaded_list, BatchCosts};

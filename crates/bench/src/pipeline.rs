@@ -2,11 +2,11 @@
 //!
 //! The pipelined op driver (`PIM_PIPELINE`, see `docs/MODEL.md`) overlaps
 //! the CPU-side preprocessing of run *k+1* with the module rounds of run
-//! *k*. Like [`crate::wallclock`], this module measures the one observable
-//! that overlap is allowed to change — elapsed time — and it measures it
-//! on streams built to *have* overlap: alternating same-kind chunks, so
-//! each `execute` call crosses many coalescible-run boundaries (a
-//! homogeneous batch is a single run and pipelines nothing).
+//! *k*. This module measures the one observable that overlap is allowed
+//! to change — elapsed time — and it measures it on streams built to
+//! *have* overlap: alternating same-kind chunks, so each `execute` call
+//! crosses many coalescible-run boundaries (a homogeneous batch is a
+//! single run and pipelines nothing).
 //!
 //! The sweep times every episode at `pipelined ∈ {off, on}` ×
 //! `PIM_THREADS ∈ {1, 2, 4, 8}` and emits a deterministic-schema JSON
@@ -36,8 +36,8 @@ use crate::measure::build_loaded_list;
 /// Schema tag written into every report.
 pub const SCHEMA: &str = "pim-pipeline-bench/1";
 
-/// Thread ladder every run sweeps (fixed, host-independent — same
-/// rationale as [`crate::wallclock::THREAD_LADDER`]).
+/// Thread ladder every run sweeps. Fixed (not host-derived) so the report
+/// schema is identical on every machine.
 pub const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
 /// Episodes the speedup gate requires multi-core evidence for.
@@ -175,6 +175,23 @@ fn build_episodes(params: &PipelineParams, keys: &[Key]) -> Vec<Episode> {
         .collect()
 }
 
+/// Calibration busy-loop: a fixed amount of scalar integer work, timed.
+/// Returns its throughput in Mop/s, recorded as `calibration_mops` so a
+/// reader can tell a slow host from a slow run. It must not depend on the
+/// thread ladder or on any simulator state — it is a pure single-core
+/// speed probe.
+fn calibrate() -> f64 {
+    const ITERS: u64 = 40_000_000;
+    let start = Instant::now();
+    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 0..ITERS {
+        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+    }
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(acc);
+    ITERS as f64 / secs / 1e6
+}
+
 /// Run the full sweep: every episode at `pipelined ∈ {off, on}` × every
 /// thread count. Panics if any configuration's replies diverge from the
 /// 1-thread-unpipelined reference (the in-episode byte-identity check).
@@ -294,7 +311,7 @@ pub fn run_pipeline(quick: bool, out_path: &str, seed: u64) -> std::io::Result<(
         "== Pipeline sweep: mixed-run episodes × pipelined ∈ {{off, on}} × PIM_THREADS ∈ {:?} (P = {}, n = {}) ==",
         THREAD_LADDER, params.p, params.n
     );
-    let calibration_mops = crate::wallclock::calibrate();
+    let calibration_mops = calibrate();
     let (shapes, points) = run_sweep(&params);
     pool::configure(ExecConfig::from_env());
 
@@ -471,7 +488,7 @@ pub fn speedup_gate_compare(
     Ok((rows, which))
 }
 
-/// CLI entry for `perf-gate --require-speedup`: load both reports, judge
+/// CLI entry for `speedup-gate`: load both reports, judge
 /// the speedup evidence, print the table, and return whether the gate
 /// passed. Errors (including the no-multi-core-evidence case) are gate
 /// failures.
@@ -630,6 +647,9 @@ mod tests {
         };
         let (shapes, points) = run_sweep(&params);
         pool::configure(ExecConfig::from_env());
+        let report = report_json(&params, true, 1, calibrate(), &shapes, &points);
+        let mops = report.get("calibration_mops").and_then(Json::as_f64);
+        assert!(mops.is_some_and(|m| m > 0.0), "calibration_mops: {mops:?}");
         assert_eq!(points.len(), OPS.len() * 2 * THREAD_LADDER.len());
         assert!(points.iter().all(|pt| pt.episodes_per_sec > 0.0));
         // Alternating chunks really do split into many runs.

@@ -1,14 +1,14 @@
 //! Self-describing bench reports: the shared provenance header.
 //!
 //! A `BENCH_*.json` file divorced from the machine and tree that produced
-//! it is an archaeology problem — was that run with 8 threads? with
-//! alloc-stats skewing the timings? which commit? Every bench report
-//! (`wallclock`, `service`, `recovery`) embeds [`provenance_json`] under a
-//! `"provenance"` key so the answer travels with the numbers. Gates read
-//! reports by key, so the extra field is invisible to them — and bench
-//! reports are wall-clock artefacts, *not* determinism-gated ones, so the
-//! timestamp is allowed here (it must never leak into telemetry or trace
-//! exports, which are byte-diffed across thread counts).
+//! it is an archaeology problem — was that run with 8 threads? on how
+//! many cores? which commit? Every bench report (`pipeline`, `skew`)
+//! embeds [`provenance_json`] under a `"provenance"` key so the answer
+//! travels with the numbers. Gates read reports by key, so the extra field
+//! is invisible to them — and bench reports are wall-clock artefacts,
+//! *not* determinism-gated ones, so the timestamp is allowed here (it must
+//! never leak into telemetry or trace exports, which are byte-diffed
+//! across thread counts).
 
 use pim_runtime::export::{num, str as jstr, Json};
 use pim_runtime::ExecConfig;
@@ -29,9 +29,8 @@ pub fn git_describe() -> String {
 }
 
 /// The common provenance header: host CPU count, the executor's resolved
-/// thread count plus the raw `PIM_THREADS` setting, the tree version,
-/// whether alloc-stats instrumentation is compiled in, and a unix
-/// timestamp.
+/// thread count plus the raw `PIM_THREADS` setting, the tree version, and
+/// a unix timestamp.
 pub fn provenance_json() -> Json {
     Json::Obj(vec![
         (
@@ -50,10 +49,6 @@ pub fn provenance_json() -> Json {
             },
         ),
         ("git".into(), jstr(&git_describe())),
-        (
-            "alloc_stats".into(),
-            Json::Bool(cfg!(feature = "alloc-stats")),
-        ),
         (
             "timestamp".into(),
             num(std::time::SystemTime::now()
@@ -75,7 +70,6 @@ mod tests {
             "pim_threads",
             "pim_threads_env",
             "git",
-            "alloc_stats",
             "timestamp",
         ] {
             assert!(p.get(key).is_some(), "missing {key}");

@@ -12,7 +12,6 @@
 use std::time::Instant;
 
 use pim_core::{Config, DurabilityPolicy, FsyncPolicy, Op, PimSkipList, RangeFunc};
-use pim_runtime::export::{num, Json};
 
 /// Deterministic mixed op stream (splitmix64 of the op index).
 fn op_at(i: u64) -> Op {
@@ -127,26 +126,9 @@ fn episode(total: u64, snapshot_every: Option<u64>, seed: u64, iters: usize) -> 
     }
 }
 
-/// Serialise one episode for the `pim-recovery-bench/1` report.
-fn point_json(pt: &RecoveryPoint) -> Json {
-    Json::Obj(vec![
-        (
-            "snapshot_every".into(),
-            pt.snapshot_every.map_or(Json::Null, num),
-        ),
-        ("base_seq".into(), pt.base_seq.map_or(Json::Null, num)),
-        ("ops_replayed".into(), num(pt.ops_replayed)),
-        ("wal_bytes".into(), num(pt.wal_bytes)),
-        ("wal_segments".into(), num(pt.wal_segments as u64)),
-        ("recover_ms".into(), Json::Num(pt.recover_ms)),
-    ])
-}
-
 /// Print the recovery-time table: snapshot cadence vs WAL left to replay
-/// vs wall-clock recovery time, over one fixed op stream. With
-/// `json_out`, the episodes are also written as a `pim-recovery-bench/1`
-/// report (provenance header + one object per episode).
-pub fn run_recovery(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::Result<()> {
+/// vs wall-clock recovery time, over one fixed op stream.
+pub fn run_recovery(quick: bool, seed: u64) {
     let total: u64 = if quick { 20_000 } else { 200_000 };
     let iters = if quick { 2 } else { 3 };
     let intervals = [None, Some(total / 4), Some(total / 16), Some(total / 64)];
@@ -155,7 +137,6 @@ pub fn run_recovery(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::
         "{:>14} {:>12} {:>12} {:>10} {:>9} {:>11}",
         "snapshot_every", "base_seq", "ops_replayed", "wal_KiB", "segments", "recover_ms"
     );
-    let mut points = Vec::new();
     for every in intervals {
         let pt = episode(total, every, seed, iters);
         let every = pt.snapshot_every.map_or("none".into(), |e| e.to_string());
@@ -167,25 +148,7 @@ pub fn run_recovery(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::
             pt.wal_segments,
             pt.recover_ms,
         );
-        points.push(pt);
     }
     println!("(base_seq \"empty\": full-WAL replay, bit-identical tier; otherwise");
     println!(" newest-snapshot bulk load + suffix replay, logical-identity tier)");
-    if let Some(path) = json_out {
-        let report = crate::report::document(
-            "pim-recovery-bench/1",
-            vec![
-                ("quick".into(), Json::Bool(quick)),
-                ("total_ops".into(), num(total)),
-                ("seed".into(), num(seed)),
-                (
-                    "points".into(),
-                    Json::Arr(points.iter().map(point_json).collect()),
-                ),
-            ],
-        );
-        std::fs::write(path, report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
 }

@@ -1,12 +1,11 @@
 //! Shared scaffolding for versioned bench reports.
 //!
-//! Every report this crate writes (`wallclock`, `service`, `recovery`,
-//! `pipeline`, `cluster`) is a JSON object whose first two keys are the
-//! same versioned header: a `schema` tag (`pim-<name>-bench/<version>`)
-//! and the [`crate::provenance`] block. Builders go through [`document`]
-//! so a report cannot forget its header, and gates go through
-//! [`expect_schema`] so a schema drift fails loudly instead of being
-//! silently misread as zeros.
+//! Every report this crate writes (`pipeline`, `skew`) is a JSON object
+//! whose first two keys are the same versioned header: a `schema` tag
+//! (`pim-<name>-bench/<version>`) and the [`crate::provenance`] block.
+//! Builders go through [`document`] so a report cannot forget its header,
+//! and gates go through [`expect_schema`] so a schema drift fails loudly
+//! instead of being silently misread as zeros.
 
 use pim_runtime::export::{str as jstr, Json};
 

@@ -19,7 +19,6 @@
 use std::time::Instant;
 
 use pim_core::{Op, RangeFunc};
-use pim_runtime::export::{num, Json};
 use pim_service::{PimService, ServiceConfig};
 use pim_workloads::{ArrivalEvent, ArrivalGen, ArrivalOp, OpMix};
 
@@ -146,30 +145,9 @@ pub fn service_schedule(n: usize, seed: u64, rate: f64, ticks: u64) -> Vec<Arriv
         .schedule(ticks)
 }
 
-/// Serialise one sweep point for the `pim-service-bench/1` report.
-fn point_json(pt: &ServicePoint) -> Json {
-    let quants = |q: &[u64; 4]| Json::Arr(q.iter().map(|&v| num(v)).collect());
-    Json::Obj(vec![
-        ("max_batch".into(), num(pt.max_batch as u64)),
-        ("max_linger".into(), num(pt.max_linger)),
-        ("completed".into(), num(pt.completed)),
-        ("rejected".into(), num(pt.rejected)),
-        ("batches".into(), num(pt.batches)),
-        ("rounds".into(), num(pt.rounds)),
-        ("ops_per_round".into(), Json::Num(pt.ops_per_round)),
-        ("ops_per_sec".into(), Json::Num(pt.ops_per_sec)),
-        ("latency_ticks".into(), quants(&pt.latency_ticks)),
-        ("latency_rounds".into(), quants(&pt.latency_rounds)),
-        ("max_queue_depth".into(), num(pt.max_queue_depth)),
-        ("mean_occupancy".into(), Json::Num(pt.mean_occupancy)),
-    ])
-}
-
 /// SVC: run the policy sweep and print the table. `quick` shrinks sizes to
-/// CI scale. With `json_out`, the sweep is also written as a
-/// `pim-service-bench/1` report (provenance header + one object per
-/// point).
-pub fn run_service(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::Result<()> {
+/// CI scale.
+pub fn run_service(quick: bool, seed: u64) {
     let (p, n, ticks) = if quick {
         (16, 4_000, 24)
     } else {
@@ -200,7 +178,6 @@ pub fn run_service(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::R
         "maxQ",
         "occ"
     );
-    let mut points = Vec::new();
     for &max_batch in &[small, large, 2 * large] {
         for &max_linger in &[1u64, 4, 16] {
             let pt = run_service_point(p, n, seed, &schedule, max_batch, max_linger);
@@ -225,30 +202,9 @@ pub fn run_service(quick: bool, seed: u64, json_out: Option<&str>) -> std::io::R
                 pt.max_queue_depth,
                 pt.mean_occupancy,
             );
-            points.push(pt);
         }
     }
     println!("(ops/round and both latency columns are deterministic; ops/sec is the wall clock)");
-    if let Some(path) = json_out {
-        let report = crate::report::document(
-            "pim-service-bench/1",
-            vec![
-                ("quick".into(), Json::Bool(quick)),
-                ("p".into(), num(u64::from(p))),
-                ("n".into(), num(n as u64)),
-                ("seed".into(), num(seed)),
-                ("ticks".into(), num(ticks)),
-                ("arrivals".into(), num(schedule.len() as u64)),
-                (
-                    "points".into(),
-                    Json::Arr(points.iter().map(point_json).collect()),
-                ),
-            ],
-        );
-        std::fs::write(path, report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
 }
 
 /// SVC-TRACE: one instrumented service session — probe + round trace +
