@@ -280,13 +280,21 @@ pub fn dense_contention_experiment(p: u32, seed: u64) -> Vec<u32> {
     list.last_phase_contention.clone()
 }
 
-/// LEM42 on the batches whose small pivot groups skip stage 1: stage-2
+/// The pivoted search's per-wave allowance `A` for a `P log² P` batch of
+/// unique keys ([`Config::search_allowance`]): what a pivot group that
+/// skips the recursion may put on one lower-part node.
+pub fn full_batch_allowance(p: u32) -> u32 {
+    let cfg = Config::new(p, CONTENTION_N as u64, 0);
+    cfg.search_allowance(cfg.batch_large()) as u32
+}
+
+/// LEM42 on the batches whose pivot groups skip the recursion: stage-2
 /// contention (the last entry of
 /// [`PimSkipList::last_phase_contention`]) of a uniform `P log² P` batch
-/// and of a batch whose every group holds exactly two pivots — the most
-/// that descends unrecursed below one entry, at most `3⌈log P⌉ − 1`
-/// searches. Same layout as [`dense_contention_experiment`].
-pub fn small_group_contention_experiment(p: u32, seed: u64) -> (u32, u32) {
+/// and of a batch whose every group holds exactly two pivots — always
+/// deferred, at most `3⌈log P⌉ − 1` searches below one entry. Same layout
+/// as [`dense_contention_experiment`].
+pub fn stage2_contention_experiment(p: u32, seed: u64) -> (u32, u32) {
     let mut list = contention_tracked_list(p, seed);
     let batch = list.config().batch_large();
     let uniform = PointGen::new(seed ^ 5, 0, 4 * CONTENTION_N as i64).distinct_uniform(batch);
@@ -323,12 +331,12 @@ pub fn print_contention(ps: &[u32], seed: u64) {
         "dense stage-1",
         "uniform stage-2",
         "paired stage-2",
-        "3logP-1"
+        "A"
     );
     for &p in ps {
         let flood = contention_experiment(p, seed);
         let dense = dense_contention_experiment(p, seed);
-        let (uniform, paired) = small_group_contention_experiment(p, seed);
+        let (uniform, paired) = stage2_contention_experiment(p, seed);
         let max = |phases: &[u32]| lower_part_phases(phases).iter().copied().max().unwrap_or(0);
         println!(
             "{:>6} {:>13} {:>14} {:>8} {:>14} {:>16} {:>15} {:>10}",
@@ -339,13 +347,14 @@ pub fn print_contention(ps: &[u32], seed: u64) {
             max(&dense),
             uniform,
             paired,
-            3 * logp(p) - 1
+            full_batch_allowance(p)
         );
     }
     println!("(phase-0 load is ⌈m/P⌉ exactly: the pivots are dealt round-robin. flood: one");
     println!(" shared successor, the lemma's adversary; dense: consecutive resident keys,");
-    println!(" reported, not bounded — shared prefixes exceed 3 in late phases; uniform and");
-    println!(" paired (two pivots per group): stage 2 with the small groups' pivots in it)");
+    println!(" beyond the lemma's ≤ 3 — groups of at most A descend in one wave; uniform and");
+    println!(" paired (two pivots per group): stage 2 with the deferred groups' pivots in it.");
+    println!(" A = max(3⌈log P⌉ − 1, ⌈b/P⌉) for a batch of b unique keys, log² P when full)");
 }
 
 /// Warm-up batches run before measuring a push-pull structure, so the

@@ -20,41 +20,48 @@
 //!     in the lower part: they can all descend in the same phase. Pivots
 //!     are ascending and a subtree covers a key interval, so the pivots
 //!     sharing an entry are a run — a *group*.
-//!   * **Small groups skip the rest of stage 1.** The recursion exists to
-//!     keep a lower-part node at `O(log P)` accesses when many searches
-//!     share a subtree. A group of `g` pivots puts at most
-//!     `(g + 1)·⌈log P⌉ − 1` searches under its entry — its pivots, the
-//!     `⌈log P⌉ − 1` requests of each bracket between them, and the two
-//!     brackets it shares with its neighbours — so a group of one or two
-//!     (`SMALL_GROUP`) is inside stage 2's allowance as it stands: at
-//!     most `3⌈log P⌉ − 1` per node, groups being node-disjoint. Its
-//!     pivots are *deferred*: they descend from the entry in the stage-2
-//!     wave, record no path, and nobody waits for them.
-//!   * *Phase 1* runs the two ends of every other group from its entry,
-//!     recording their lower-part paths; each later phase runs the median
-//!     of every open segment of a group, starting from the **LCA** of the
-//!     segment endpoints' recorded paths (start-node hints). Lemma 4.2
-//!     holds per group: no lower-part node is accessed more than 3 times
-//!     per phase.
+//!   * **A group recurses only when it exceeds one wave's allowance.** The
+//!     recursion exists to keep a lower-part node at `O(log P)` accesses
+//!     when many searches share a subtree. The allowance of a batch of `b`
+//!     unique requests is `A = max(3⌈log P⌉ − 1, ⌈b/P⌉)`
+//!     ([`crate::Config::search_allowance`]): the floor is stage 2's bound
+//!     under a group of two pivots, and `⌈b/P⌉` is the share every module
+//!     serves per wave anyway (`A = log² P` for a full batch). Groups are
+//!     node-disjoint below their entries, so a group `[l..=r]` of
+//!     `g = r − l + 1` pivots takes the first of three tiers that keeps
+//!     every node of every wave within `A`:
+//!     * *Deferred* — at most `A` searches can reach its entry (its pivots
+//!       and every request strictly between its neighbour pivots,
+//!       `pivots[r+1] − pivots[l−1] − 1`; one or two pivots always fit).
+//!       Its pivots descend from the entry in the stage-2 wave, record no
+//!       path, and nobody waits for them.
+//!     * *One wave* — `g ≤ A`: all `g` pivots descend from the entry in
+//!       phase 1 and record their paths; there are no median phases.
+//!     * *Recursion* — the rest (in practice the adversarial floods):
+//!       phase 1 runs the group's two ends from its entry, recording their
+//!       lower-part paths; each later phase runs the median of every open
+//!       segment, starting from the **LCA** of the segment endpoints'
+//!       recorded paths (start-node hints). Lemma 4.2 holds per group: no
+//!       lower-part node is accessed more than 3 times per phase.
 //!
-//!   That is `2 + ⌈log₂ g⌉` phases for a largest group of `g ≥ 3` pivots
-//!   and phase 0 alone for spread-out keys, where groups hold one or two.
-//!   The worst case, all `m` pivots in one group, is the one-segment
-//!   recursion of the paper (`1 + ⌈log₂ m⌉` phases) plus the one-round
-//!   phase 0.
+//!   That is phase 0 alone when every group is deferred, one more phase
+//!   when the largest group fits one wave, and `2 + ⌈log₂ g⌉` phases for
+//!   a largest group of `g > A` pivots. The worst case, all `m` pivots in
+//!   one group, is the one-segment recursion of the paper
+//!   (`1 + ⌈log₂ m⌉` phases) plus the one-round phase 0.
 //! * **Stage 2** — run the deferred pivots and all remaining queries. A
-//!   query's hint comes from its two bracketing pivots: both in one small
-//!   group → that group's entry; both with recorded paths → the LCA of the
-//!   paths; anything else (two groups, one of them small) → the root.
-//!   Contention is `O(log P)` per node (segment width; `3⌈log P⌉ − 1` under
-//!   a small group's entry), PIM-balanced by Lemma 2.2.
+//!   query's hint comes from its two bracketing pivots: both in one
+//!   deferred group → that group's entry; both with recorded paths → the
+//!   LCA of the paths; anything else (two groups, one of them deferred) →
+//!   the root. Contention is `O(log P)` per node (segment width; at most
+//!   `A` under a deferred group's entry), PIM-balanced by Lemma 2.2.
 //!
 //! For insert support ([`SearchMode::PredLevels`]) every pivot reports its
 //! upper-part predecessors in phase 0, and a hinted search only descends
 //! below its hint; the per-level predecessors *above* the LCA are stitched
 //! from the segment's left endpoint — valid because search paths that
 //! share an LCA coincide above it (the search-path tree of §3.2). Below a
-//! small group's entry the same holds one level up: the bracket shares its
+//! deferred group's entry the same holds one level up: the bracket shares its
 //! left pivot's upper-part leaf, so that pivot's phase-0 reports are the
 //! bracket's path above the entry.
 //!
@@ -155,11 +162,6 @@ fn hint_and_prefix(a: &[Handle], b: &[Handle]) -> (Hint, usize, CpuCost) {
     }
 }
 
-/// Largest pivot group that skips stage 1: it puts at most
-/// `(SMALL_GROUP + 1)·⌈log P⌉ − 1` searches under its entry, inside the
-/// `O(log P)` per-node contention stage 2 is allowed anyway.
-const SMALL_GROUP: usize = 2;
-
 /// A wave item: request index, its start hint, and the length of the path
 /// prefix (shared with `stitch_from`'s recorded path) to prepend when
 /// reconstructing its full lower-part path.
@@ -251,8 +253,8 @@ impl PimSkipList {
         items: &mut Vec<WaveItem>,
         segments: &mut Vec<(usize, usize)>,
         next_segments: &mut Vec<(usize, usize)>,
-        // Per pivot: the entry of its small group, `None` for a pivot that
-        // stage 1 resolves (or phase 0 answered).
+        // Per pivot: the entry of its deferred group, `None` for a pivot
+        // that stage 1 resolves (or phase 0 answered).
         deferred: &mut Vec<Option<Handle>>,
     ) -> PimResult<SearchResults> {
         let mut results = SearchResults::default();
@@ -314,18 +316,22 @@ impl PimSkipList {
             s.record_phase_contention(true);
 
             // ---- Phase 1: pivots are ascending, so a group is a maximal
-            // run of equal entry. A small group is deferred to stage 2; of
-            // any other the two ends descend from the entry and the rest
-            // opens a segment for the medians. A pivot without an entry
-            // was answered inside the replicated part and keeps its empty
+            // run of equal entry, and it takes the first tier that keeps
+            // every lower-part node within the allowance `A`: deferred to
+            // stage 2 when at most `A` searches can reach its entry, all
+            // its pivots from the entry in this one wave when it holds at
+            // most `A`, else its two ends from the entry and the rest a
+            // segment for the medians. A pivot without an entry was
+            // answered inside the replicated part and keeps its empty
             // path. ----
             items.clear();
+            let allowance = s.cfg.search_allowance(b);
             let entry_of =
                 |hints: &HashMap<u32, Hint>, j: usize| match hints.get(&reqs[pivots[j]].op) {
                     Some(&Hint::Start(entry)) => Some(entry),
                     _ => None,
                 };
-            let group_end = |j: usize, entry: Handle| WaveItem {
+            let from_entry = |j: usize, entry: Handle| WaveItem {
                 idx: pivots[j],
                 hint: Hint::Start(entry),
                 prefix_len: 0,
@@ -350,19 +356,24 @@ impl PimSkipList {
                 // lower-part hop each from here — so a group's last pivot
                 // goes back to `Root` and fans out from the replicas.
                 results.hints.insert(reqs[pivots[r]].op, Hint::Root);
-                if r - l < SMALL_GROUP {
+                // The searches that can reach the entry: the group's pivots
+                // and every request strictly between its neighbour pivots.
+                let first = if l == 0 { 0 } else { pivots[l - 1] + 1 };
+                let end = pivots.get(r + 1).copied().unwrap_or(b);
+                if end - first <= allowance {
                     deferred[l..=r].fill(Some(entry));
+                } else if r - l < allowance {
+                    items.extend((l..=r).map(|j| from_entry(j, entry)));
                 } else {
-                    items.push(group_end(l, entry));
-                    items.push(group_end(r, entry));
-                    if r - l > 1 {
-                        segments.push((l, r));
-                    }
+                    // More than `A ≥ 2` pivots: the segment has a median.
+                    items.push(from_entry(l, entry));
+                    items.push(from_entry(r, entry));
+                    segments.push((l, r));
                 }
                 l = r + 1;
             }
             if items.is_empty() {
-                // Every group is small: stage 1 was phase 0.
+                // Every group is deferred: stage 1 was phase 0.
                 return Ok(());
             }
             *staged_words += s.run_wave(
@@ -444,7 +455,7 @@ impl PimSkipList {
                 let (op_l, op_r) = (reqs[pivots[pos]].op, reqs[next].op);
                 let recorded = paths.get(&op_l).zip(paths.get(&op_r));
                 let (hint, prefix_len, cost) = match (deferred[pos], deferred[pos + 1], recorded) {
-                    // One small group: the bracket hangs below its entry,
+                    // One deferred group: the bracket hangs below its entry,
                     // and above it `op_l`'s phase-0 reports are the path.
                     (Some(entry), Some(other), _) if entry == other => {
                         (Hint::Start(entry), 0, CpuCost::new(1, 1))
@@ -892,7 +903,7 @@ fn mode_for(top: u8) -> SearchMode {
 #[cfg(test)]
 mod tests {
     use pim_runtime::{ceil_log2, Metrics, Rng};
-    use pim_workloads::adversary::two_pivot_groups;
+    use pim_workloads::adversary::{pivot_groups, two_pivot_groups};
 
     use super::*;
     use crate::config::{Config, Value};
@@ -913,10 +924,20 @@ mod tests {
         keys
     }
 
-    /// Sizes of the pivot groups of `keys` (ascending, unique), left to
-    /// right: the first non-replicated node on each pivot's search path is
-    /// found by CPU inspection, independently of the machine.
-    fn group_sizes(list: &PimSkipList, keys: &[Key]) -> Vec<usize> {
+    /// The stage-1 tier of a pivot group (module doc).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Tier {
+        Deferred,
+        OneWave,
+        Recursion,
+    }
+
+    /// The pivot groups of `keys` (ascending, unique), left to right, as
+    /// `(pivots, tier)`: the first non-replicated node on each pivot's
+    /// search path is found by CPU inspection, independently of the
+    /// machine, and the tier follows from the allowance. A pivot answered
+    /// inside the replicated part is a deferred group of one.
+    fn groups(list: &PimSkipList, keys: &[Key]) -> Vec<(usize, Tier)> {
         let entry = |key: Key| {
             let mut at = list.descent_start(0);
             while at.is_replicated() {
@@ -937,14 +958,50 @@ mod tests {
             pivots.push(keys.len() - 1);
         }
         let entries: Vec<Option<Handle>> = pivots.iter().map(|&i| entry(keys[i])).collect();
+        let allowance = list.cfg.search_allowance(keys.len());
+        let mut l = 0;
         entries
             .chunk_by(|a, b| a.is_some() && a == b)
-            .map(|g| g.len())
+            .map(|group| {
+                let (g, r) = (group.len(), l + group.len() - 1);
+                let first = if l == 0 { 0 } else { pivots[l - 1] + 1 };
+                let end = pivots.get(r + 1).copied().unwrap_or(keys.len());
+                l = r + 1;
+                let tier = if group[0].is_none() || end - first <= allowance {
+                    Tier::Deferred
+                } else if g <= allowance {
+                    Tier::OneWave
+                } else {
+                    Tier::Recursion
+                };
+                (g, tier)
+            })
             .collect()
     }
 
-    fn largest_group(list: &PimSkipList, keys: &[Key]) -> usize {
-        group_sizes(list, keys).into_iter().max().unwrap_or(0)
+    fn largest_group(groups: &[(usize, Tier)]) -> usize {
+        groups.iter().map(|&(g, _)| g).max().unwrap_or(0)
+    }
+
+    /// The highest tier any of `groups` takes.
+    fn top_tier(groups: &[(usize, Tier)]) -> Tier {
+        groups
+            .iter()
+            .map(|&(_, tier)| tier)
+            .max()
+            .unwrap_or(Tier::Deferred)
+    }
+
+    /// The stage-1 waves the tiers of `groups` predict: phase 0, phase 1 if
+    /// any group descends in stage 1, and the median phases of the largest
+    /// recursing group.
+    fn predicted_waves(groups: &[(usize, Tier)]) -> usize {
+        let largest = |tier| groups.iter().filter(|g| g.1 == tier).map(|g| g.0).max();
+        match (largest(Tier::OneWave), largest(Tier::Recursion)) {
+            (_, Some(g)) => 2 + ceil_log2(g as u64 - 1) as usize,
+            (Some(_), None) => 2,
+            (None, None) => 1,
+        }
     }
 
     /// Rounds of one Successor batch and its stage-1 wave count; replies
@@ -966,56 +1023,48 @@ mod tests {
     fn uniform_and_dense_batches_against_the_one_segment_recursion() {
         // (P, log₂ n, rounds the one-global-segment recursion took on the
         // uniform batch and on the dense batch — measured at the parent of
-        // the change that introduced phase 0 — and, where the uniform batch
-        // does NOT reach the "at most half the parent's rounds" it was
-        // meant to, the rounds it takes instead).
-        for (p, log_n, old_uniform, old_dense, over_half) in [
-            (16u32, 14u32, 124u64, 100u64, None),
-            (16, 15, 102, 100, None),
-            (16, 16, 92, 99, None),
-            (16, 17, 104, 100, None),
-            // Claim not met: n/P is below the pivot count, so the batch is
-            // dense against the upper part — groups of 6–9 pivots, five
-            // waves — and saves 47 %, not 50 % (halves: 111 and 116).
-            (64, 14, 222, 197, Some(117u64)),
-            (64, 15, 232, 197, Some(123)),
-            (64, 16, 223, 197, None),
-            (64, 17, 224, 197, None),
+        // the change that introduced phase 0). The uniform batch takes at
+        // most half. At P = 64, n ≤ 2^15 it is dense against the upper
+        // part (n/P is below the pivot count): groups of 6–9 pivots, which
+        // took five waves and 117 / 123 rounds while every group of three
+        // or more recursed, and fit one wave now.
+        for (p, log_n, old_uniform, old_dense) in [
+            (16u32, 14u32, 124u64, 100u64),
+            (16, 15, 102, 100),
+            (16, 16, 92, 99),
+            (16, 17, 104, 100),
+            (64, 14, 222, 197),
+            (64, 15, 232, 197),
+            (64, 16, 223, 197),
+            (64, 17, 224, 197),
         ] {
             let n = 1usize << log_n;
             let context = format!("P={p} n=2^{log_n}");
             let mut list = loaded(Config::new(p, n as u64, 42), n);
             let batch = list.cfg.batch_large();
-            let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
 
             let keys = uniform_keys(7, 4 * n as u64, batch);
-            let group = largest_group(&list, &keys);
+            let uniform = groups(&list, &keys);
             let (rounds, waves) = successor_rounds_and_waves(&mut list, &keys, n);
-            assert!(
-                waves <= 3 + ceil_log2(group as u64) as usize,
-                "{context}: {waves} stage-1 waves, largest group {group}"
+            assert_eq!(
+                waves,
+                predicted_waves(&uniform),
+                "{context}: largest group {}",
+                largest_group(&uniform)
             );
-            match over_half {
-                None => assert!(
-                    rounds <= old_uniform / 2,
-                    "{context}: {rounds} rounds > half of {old_uniform}"
-                ),
-                Some(measured) => {
-                    assert!(group > 3, "{context}: largest group {group}");
-                    assert_eq!(rounds, measured, "{context}: pinned, not a bound");
-                }
-            }
+            assert!(
+                rounds <= old_uniform / 2,
+                "{context}: {rounds} rounds > half of {old_uniform}"
+            );
             if (p, log_n) == (64, 17) {
                 assert!(rounds <= 80, "{context}: {rounds} rounds");
             }
 
             // Consecutive resident keys: few, large groups.
             let dense: Vec<Key> = (0..batch as i64).map(|i| 4 * (i + 5_000)).collect();
+            let want = predicted_waves(&groups(&list, &dense));
             let (rounds, waves) = successor_rounds_and_waves(&mut list, &dense, n);
-            assert!(
-                waves <= 2 + ceil_log2(m as u64) as usize,
-                "{context}: {waves} waves"
-            );
+            assert_eq!(waves, want, "{context}: dense batch");
             assert!(
                 rounds <= old_dense + 1,
                 "{context}: dense batch took {rounds} rounds, {old_dense} before"
@@ -1042,36 +1091,37 @@ mod tests {
         let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
         // Fresh structure: the streamed build peaked below one batch.
         assert!(list.metrics().shared_mem_peak <= 2 * batch as u64);
-        let (mut all_small, mut recursed) = (0, 0);
+        let mut threes = 0;
         for seed in 1..=8u64 {
             let keys = uniform_keys(seed, 4 * n as u64, batch);
-            let groups = group_sizes(&list, &keys);
-            let largest = groups.iter().copied().max().unwrap_or(0);
+            let groups = groups(&list, &keys);
+            let (largest, tier) = (largest_group(&groups), top_tier(&groups));
             let (stage1, rounds, waves) = probed_stage1(&mut list, &keys, n);
-            let context = format!("seed {seed}, largest group {largest}");
-            if largest <= SMALL_GROUP {
-                all_small += 1;
-                assert_eq!((stage1.rounds, waves), (1, 1), "{context}");
-                // 58 with every pivot recursing, 30–32 measured.
+            let context = format!("seed {seed}, largest group {largest}, {tier:?}");
+            assert_eq!(waves, predicted_waves(&groups), "{context}");
+            if tier == Tier::Deferred {
+                assert_eq!(stage1.rounds, 1, "{context}");
+            }
+            if largest == 3 {
+                // A group of three puts at most 4⌈log P⌉ − 1 = 23 searches
+                // under its entry, inside `A = 36`. 58–73 rounds while it
+                // recursed, 30–32 for a batch of groups of one or two.
+                threes += 1;
+                assert_eq!(tier, Tier::Deferred, "{context}");
                 assert!(rounds <= 45, "{context}: {rounds} rounds");
-            } else {
-                recursed += 1;
-                assert!(
-                    waves <= 3 + ceil_log2(largest as u64) as usize,
-                    "{context}: {waves} stage-1 waves"
-                );
             }
             // `M`: the staged batch, the entry table, and lower-part paths
-            // (well under 32 nodes) of the pivots that recursed only.
-            let recursing: usize = groups.iter().filter(|&&g| g > SMALL_GROUP).sum();
-            let bound = (2 * batch + m + 32 * recursing) as u64;
+            // (well under 32 nodes) of the pivots that descend in stage 1.
+            let recording: usize = groups
+                .iter()
+                .filter(|g| g.1 != Tier::Deferred)
+                .map(|g| g.0)
+                .sum();
+            let bound = (2 * batch + m + 32 * recording) as u64;
             let peak = list.metrics().shared_mem_peak;
             assert!(peak <= bound, "{context}: M = {peak} > {bound}");
         }
-        assert!(
-            all_small > 0 && recursed > 0,
-            "{all_small} seeds with small groups only, {recursed} with a larger one"
-        );
+        assert!(threes > 0, "no seed's largest group holds three pivots");
     }
 
     #[test]
@@ -1081,9 +1131,9 @@ mod tests {
             let mut list = loaded(Config::new(p, n as u64, 42), n);
             let lg = list.cfg.log_p() as usize;
             let keys = two_pivot_groups(&list.upper_leaf_keys(), lg);
-            let groups = group_sizes(&list, &keys);
+            let groups = groups(&list, &keys);
             assert!(
-                groups.len() >= 8 && groups.iter().all(|&g| g == 2),
+                groups.len() >= 8 && groups.iter().all(|&g| g == (2, Tier::Deferred)),
                 "P={p}: {groups:?}"
             );
             let m = 2 * groups.len() as u64;
@@ -1099,6 +1149,37 @@ mod tests {
             assert!(
                 (stage2 as usize) < 3 * lg,
                 "P={p}: stage-2 contention {stage2} > 3·{lg} − 1"
+            );
+        }
+    }
+
+    #[test]
+    fn groups_past_the_deferral_allowance_descend_in_one_wave() {
+        for (p, log_n) in [(8u32, 12u32), (16, 13), (64, 14)] {
+            let n = 1usize << log_n;
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let lg = list.cfg.log_p() as usize;
+            // Groups of three below at most P/2 leaves: fewer than
+            // P·(3⌈log P⌉ − 1) keys, so `A` is its floor `3⌈log P⌉ − 1`,
+            // below the 3⌈log P⌉ to 4⌈log P⌉ − 1 searches that can reach
+            // each entry, and above the group's three pivots.
+            let leaves = list.upper_leaf_keys();
+            let keys = pivot_groups(&leaves[..=p as usize / 2], lg, 3);
+            let allowance = list.cfg.search_allowance(keys.len());
+            assert_eq!(allowance, 3 * lg - 1, "P={p}");
+            let groups = groups(&list, &keys);
+            assert!(
+                groups.len() >= 4 && groups.iter().all(|&g| g == (3, Tier::OneWave)),
+                "P={p}: {groups:?}"
+            );
+
+            let (_, waves) = successor_rounds_and_waves(&mut list, &keys, n);
+            // Phase 0, then every pivot from its entry: no median phase.
+            assert_eq!(waves, 2, "P={p}");
+            let phases = &list.last_phase_contention;
+            assert!(
+                phases[1..].iter().all(|&c| c as usize <= allowance),
+                "P={p}: contention {phases:?} past A = {allowance}"
             );
         }
     }
@@ -1134,7 +1215,7 @@ mod tests {
         let batch = list.cfg.batch_large();
         let keys: Vec<Key> = (0..batch as i64).map(|i| 4 * (i + 1_000)).collect();
         let m = batch.div_ceil(list.cfg.log_p() as usize) + 1;
-        assert_eq!(largest_group(&list, &keys), m);
+        assert_eq!(largest_group(&groups(&list, &keys)), m);
         let (rounds, waves) = successor_rounds_and_waves(&mut list, &keys, n);
         assert_eq!(waves, 2 + ceil_log2(m as u64 - 1) as usize);
         // 161 with the one global segment.
@@ -1143,7 +1224,7 @@ mod tests {
 
     #[test]
     fn fresh_upserts_below_deferred_pivots_stitch_from_phase_zero() {
-        // Every group is small, so no pivot records a path: a new tower
+        // Every group is deferred, so no pivot records a path: a new tower
         // taller than `h_low` gets its upper-part predecessors from its
         // left pivot's phase-0 reports (or its own, if it is a pivot).
         let (p, n) = (16u32, 1usize << 14);
@@ -1153,7 +1234,7 @@ mod tests {
             .map(|i| (4 * i + 1, 7))
             .collect();
         let keys: Vec<Key> = fresh.iter().map(|&(k, _)| k).collect();
-        assert!(largest_group(&list, &keys) <= SMALL_GROUP);
+        assert_eq!(top_tier(&groups(&list, &keys)), Tier::Deferred);
         let before = list.upper_leaf_keys().len();
         list.batch_upsert(&fresh);
         assert!(

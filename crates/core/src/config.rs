@@ -182,6 +182,18 @@ impl Config {
     pub fn batch_large(&self) -> usize {
         (self.p * self.log_p() * self.log_p()) as usize
     }
+
+    /// The pivoted search's allowance `A = max(3⌈log P⌉ − 1, ⌈b/P⌉)` for a
+    /// batch of `b` unique requests: the most searches one lower-part node
+    /// may see in one wave. The floor is stage 2's bound under a group of
+    /// two pivots; `⌈b/P⌉` is the share every module serves per wave
+    /// anyway. It decides which pivot groups skip the recursion
+    /// ([`crate::batch::search`]); a full batch gets `A = log² P` from
+    /// `P = 8` on.
+    pub fn search_allowance(&self, b: usize) -> usize {
+        let step = self.log_p().max(1) as usize;
+        (3 * step - 1).max(b.div_ceil(self.p as usize))
+    }
 }
 
 /// `PIM_PIPELINE=1` (or `true`) turns run pipelining on everywhere a

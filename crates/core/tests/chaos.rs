@@ -524,12 +524,16 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
 #[test]
 fn fault_in_any_stage1_round_of_a_search_is_retried() {
     // Stage 1 opens with the one-round entry phase (every pivot walks a
-    // replica). Spread-out keys leave every pivot group small, so that
-    // round is all of stage 1 and the pivots descend in stage 2; with
-    // `h_low` raised the upper part has a handful of leaves, the pivots
-    // crowd into a few groups and the recursion runs. Strike every round of
-    // both searches, stage 2 included, for a read (Successor) and for the
-    // search inside an Upsert.
+    // replica). Then each pivot group takes the first tier that keeps a
+    // lower-part node within the allowance `A` (16 for 64 keys at P = 4),
+    // one configuration per tier for the Successor batch: spread-out keys
+    // leave every group deferred, so that round is all of stage 1; with
+    // `h_low = 7` the upper part has a handful of leaves and the pivots
+    // crowd into groups of at most `A` that descend in one more wave; with
+    // `h_low = 10` there is no upper-part leaf, every pivot shares the one
+    // entry and the recursion runs. Strike every round of both searches,
+    // stage 2 included, for a read (Successor) and for the search inside an
+    // Upsert.
     let base: Vec<(i64, u64)> = (0..400).map(|i| (i * 5, i as u64)).collect();
     let queries: Vec<i64> = (0..64).map(|i| i * 31 - 7).collect();
     let fresh: Vec<(i64, u64)> = (0..64).map(|i| (i * 35 + 2, 9)).collect();
@@ -542,14 +546,26 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
     want_items.extend(&fresh);
     want_items.sort_unstable();
 
-    for recursion in [false, true] {
+    for (tier, h_low) in [
+        ("deferred", None),
+        ("one wave", Some(7)),
+        ("recursion", Some(10)),
+    ] {
         let cfg = || {
             let cfg = Config::new(4, 1 << 10, 41).with_max_retries(4);
-            if recursion {
-                cfg.with_h_low(7)
-            } else {
-                cfg
+            match h_low {
+                Some(h_low) => cfg.with_h_low(h_low),
+                None => cfg,
             }
+        };
+
+        // The Successor's stage-1 waves, counted on a twin that tracks
+        // contention (one entry per wave, then stage 2).
+        let waves = {
+            let mut twin = PimSkipList::new(cfg().with_contention_tracking());
+            twin.bulk_load(&base);
+            twin.batch_successor(&queries);
+            twin.last_phase_contention.len() - 1
         };
 
         // Dry run: the probe says which rounds each search occupies.
@@ -571,22 +587,21 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
         };
         let stage1 = rounds_of("search/stage1");
         assert_eq!(stage1.len(), 2, "one search per batch");
-        // The fresh keys past the last resident key share a successor: the
-        // Upsert's search recurses over that one group either way.
-        let entry_round_only = stage1.iter().filter(|&&(start, end)| end - start == 1);
-        assert_eq!(
-            entry_round_only.count(),
-            if recursion { 0 } else { 1 },
-            "recursion = {recursion}: stage 1 took {stage1:?}"
-        );
+        // The Successor's stage-1 span: one round, two waves, or more.
+        let (start, end) = stage1[0];
+        let shape = match waves {
+            1 if end - start == 1 => "deferred",
+            2 => "one wave",
+            w if w > 2 => "recursion",
+            _ => "malformed",
+        };
+        assert_eq!(shape, tier, "{waves} waves in rounds {start}..{end}");
 
         let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 0 }];
         let searches = rounds_of("search");
         for round in searches.iter().flat_map(|&(start, end)| start..end) {
             for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
-                let context = format!(
-                    "recursion = {recursion}: {kind:?} on module {module} at round {round}"
-                );
+                let context = format!("{tier}: {kind:?} on module {module} at round {round}");
                 let mut list = PimSkipList::new(cfg());
                 list.bulk_load(&base);
                 list.set_fault_plan(FaultPlan::new().at(round, module, kind));

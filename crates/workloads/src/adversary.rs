@@ -56,20 +56,27 @@ pub fn contiguous_run(start: Key, count: usize) -> Vec<Key> {
 }
 
 /// A batch whose every pivot group (§4.2, grouped by lower-part entry) holds
-/// exactly two pivots. `leaf_keys` are the keys of the structure's
+/// exactly `g` pivots. `leaf_keys` are the keys of the structure's
 /// upper-part leaves in order: a key `k` enters the lower part below leaf
-/// `a` iff `a < k ≤ next`, so `2·log P` consecutive keys go below every leaf
+/// `a` iff `a < k ≤ next`, so `g·log P` consecutive keys go below every leaf
 /// that has room for them and the pivots — every `log P`-th key of the
-/// batch — pair up leaf by leaf. The last leaf used gets `log P + 1` keys:
-/// the batch's last key is a pivot as well.
-pub fn two_pivot_groups(leaf_keys: &[Key], log_p: usize) -> Vec<Key> {
+/// batch — fall `g` to a leaf. The last leaf used gets `(g − 1)·log P + 1`
+/// keys: the batch's last key is a pivot as well.
+pub fn pivot_groups(leaf_keys: &[Key], log_p: usize, g: usize) -> Vec<Key> {
+    let per_leaf = g * log_p;
     let mut keys: Vec<Key> = leaf_keys
         .windows(2)
-        .filter(|w| w[1] - w[0] >= 2 * log_p as Key)
-        .flat_map(|w| (w[0] + 1..).take(2 * log_p))
+        .filter(|w| w[1] - w[0] >= per_leaf as Key)
+        .flat_map(|w| (w[0] + 1..).take(per_leaf))
         .collect();
     keys.truncate(keys.len().saturating_sub(log_p - 1));
     keys
+}
+
+/// [`pivot_groups`] with two pivots per group: the largest group whose
+/// searches always fit the stage-2 allowance `3⌈log P⌉ − 1`.
+pub fn two_pivot_groups(leaf_keys: &[Key], log_p: usize) -> Vec<Key> {
+    pivot_groups(leaf_keys, log_p, 2)
 }
 
 /// `batches` query batches whose hot set *moves*: every `period` batches
@@ -138,6 +145,21 @@ mod tests {
     fn single_range_flood_confined() {
         let b = single_range_flood(2, 50, 60, 1000);
         assert!(b.iter().all(|&k| (50..=60).contains(&k)));
+    }
+
+    #[test]
+    fn pivot_groups_put_g_pivots_below_every_roomy_leaf() {
+        // Leaves 0, 100, 105, 300: the gap 100..105 is too narrow for 3·4.
+        let keys = pivot_groups(&[0, 100, 105, 300], 4, 3);
+        assert_eq!(keys.len(), 2 * 12 - 3);
+        assert_eq!(&keys[..12], &(1..=12).collect::<Vec<_>>()[..]);
+        assert_eq!(&keys[12..], &(106..=114).collect::<Vec<_>>()[..]);
+        // Pivots (every 4th key and the last) fall three to a leaf.
+        assert_eq!((keys.len() - 1) % 4, 0);
+        assert_eq!(
+            two_pivot_groups(&[0, 100, 300], 4),
+            pivot_groups(&[0, 100, 300], 4, 2)
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! generous factor as `P` (or `n`, or `K`) sweeps.
 
 use pim_bench::experiments::{
-    adversarial_experiment, contention_experiment, lower_part_phases, phase0_load_bound,
+    adversarial_experiment, contention_experiment, dense_contention_experiment,
+    full_batch_allowance, lower_part_phases, phase0_load_bound, stage2_contention_experiment,
     table1_rows,
 };
 use pim_bench::{build_loaded_list, BatchCosts};
@@ -140,6 +141,27 @@ fn lemma42_contention_is_at_most_three_per_phase() {
         assert!(
             stage1.iter().all(|&c| c <= 3),
             "P={p}: stage-1 contention {stage1:?} exceeds Lemma 4.2's bound"
+        );
+    }
+}
+
+#[test]
+fn lemma42_groups_that_skip_the_recursion_stay_within_the_allowance() {
+    // A pivot group of at most `A` pivots descends in one wave, and a
+    // deferred one puts at most `A` searches below its entry in stage 2:
+    // no lower-part node sees more than `A` accesses in any wave.
+    for p in [8u32, 16, 64] {
+        let a = full_batch_allowance(p);
+        let dense = dense_contention_experiment(p, 28);
+        let stage1 = lower_part_phases(&dense);
+        assert!(
+            stage1.iter().all(|&c| c <= a),
+            "P={p}: dense stage-1 contention {stage1:?} past A = {a}"
+        );
+        let (uniform, paired) = stage2_contention_experiment(p, 28);
+        assert!(
+            uniform <= a && paired <= a,
+            "P={p}: stage-2 contention {uniform} (uniform) / {paired} (paired) past A = {a}"
         );
     }
 }
