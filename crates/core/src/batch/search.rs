@@ -53,8 +53,19 @@
 //!   query's hint comes from its two bracketing pivots: both in one
 //!   deferred group → that group's entry; both with recorded paths → the
 //!   LCA of the paths; anything else (two groups, one of them deferred) →
-//!   the root. Contention is `O(log P)` per node (segment width; at most
-//!   `A` under a deferred group's entry), PIM-balanced by Lemma 2.2.
+//!   the nearer pivot's **finger**, else the root. Contention is `O(log P)`
+//!   per node (segment width; at most `A` under a deferred group's entry),
+//!   PIM-balanced by Lemma 2.2.
+//!   * Fingers are the upper-part half of the paper's LCA. Each bracket is
+//!     split at its midpoint, and on its phase-0 walk a pivot marks
+//!     ([`Fingers`]) the lowest replicated node of its path, at most the
+//!     descent start, that every key of the half-bracket after it (*right
+//!     finger*: right key `≥` the half's last key) or before it (*left
+//!     finger*: key `<` the half's first key) also descends from. That
+//!     node is on each such key's own search path, so the walk from it is a
+//!     suffix of the root descent; it is still dealt like one, so rounds,
+//!     the deal and the replies are unchanged. A pivot answered inside the
+//!     replicated part marks none.
 //!
 //! For insert support ([`SearchMode::PredLevels`]) every pivot reports its
 //! upper-part predecessors in phase 0, and a hinted search only descends
@@ -63,7 +74,9 @@
 //! share an LCA coincide above it (the search-path tree of §3.2). Below a
 //! deferred group's entry the same holds one level up: the bracket shares its
 //! left pivot's upper-part leaf, so that pivot's phase-0 reports are the
-//! bracket's path above the entry.
+//! bracket's path above the entry. A half-bracket that starts at a finger
+//! takes the levels above it from the finger's pivot — the right one for a
+//! right half.
 //!
 //! The tree-structure range operations (§5.2) start each subrange's descent
 //! at its left end's hint ([`SearchResults::hints`]), which must cover every
@@ -73,6 +86,7 @@
 //! out from the replicated part.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use pim_primitives::accounting::{log2c, CpuCost};
 use pim_primitives::paths::Hint;
@@ -82,7 +96,7 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::tasks::{Reply, SearchMode, Task};
+use crate::tasks::{Fingers, Reply, SearchMode, Task};
 
 /// One deduplicated search request (`op` unique, keys ascending).
 #[derive(Debug, Clone, Copy)]
@@ -128,6 +142,10 @@ pub(crate) struct SearchResults {
     /// entry does not cover the keys that follow, so it is put back to
     /// `Root`. (Between phases 0 and 1 of stage 1 this is the entry table.)
     pub hints: HashMap<u32, Hint>,
+    /// Per pivot op, the [`Fingers`] its phase-0 walk marked: the stage-2
+    /// starts of the half-brackets beside it. A pivot answered inside the
+    /// replicated part has none.
+    pub fingers: HashMap<u32, Fingers>,
 }
 
 impl SearchResults {
@@ -176,6 +194,32 @@ pub(crate) struct WaveItem {
     /// Stitch per-level predecessors above the hint from this op; also the
     /// owner of the shared path prefix.
     stitch_from: Option<u32>,
+    /// Phase 0: the pivot's bracket `(lo, hi)` its fingers must cover.
+    bracket: (Key, Key),
+    /// Stage 2: the replicated node a `Root` item starts from instead of
+    /// the descent start — its nearer pivot's finger (`NULL`: none).
+    finger: Handle,
+}
+
+impl WaveItem {
+    fn new(idx: usize, hint: Hint) -> Self {
+        WaveItem {
+            idx,
+            hint,
+            prefix_len: 0,
+            stitch_from: None,
+            bracket: (NEG_INF, NEG_INF),
+            finger: Handle::NULL,
+        }
+    }
+}
+
+/// The requests strictly between the pivots at indices `l < r`, split at
+/// the midpoint: the left half starts from `l`'s right finger, the right
+/// half from `r`'s left finger.
+fn halves(l: usize, r: usize) -> (Range<usize>, Range<usize>) {
+    let mid = (l + r) / 2 + 1;
+    (l + 1..mid, mid..r)
 }
 
 /// What a wave does with the search paths of its items.
@@ -289,16 +333,22 @@ impl PimSkipList {
         self.spanned("search/stage1", |s| -> PimResult<()> {
             // ---- Phase 0: every pivot walks the replicated part, from the
             // descent start on a random module, up to its lower-part entry
-            // node. ----
-            for &idx in pivots.iter() {
+            // node, marking the fingers of the half-brackets beside it (an
+            // empty half's bound is the pivot's own key). ----
+            for (j, &idx) in pivots.iter().enumerate() {
+                let before = j
+                    .checked_sub(1)
+                    .map_or(idx..idx, |i| halves(pivots[i], idx).1);
+                let after = pivots
+                    .get(j + 1)
+                    .map_or(idx + 1..idx + 1, |&r| halves(idx, r).0);
                 items.push(WaveItem {
-                    idx,
-                    hint: Hint::Root,
-                    prefix_len: 0,
-                    stitch_from: None,
+                    bracket: (reqs[before.start].key, reqs[after.end - 1].key),
+                    ..WaveItem::new(idx, Hint::Root)
                 });
                 results.hints.insert(reqs[idx].op, Hint::Root);
             }
+            results.fingers.reserve(m);
             // The entries come back as the pivots' hints; one word each is
             // charged to shared memory for the wave that fills them in.
             s.sys.shared_mem().alloc(m as u64);
@@ -331,12 +381,7 @@ impl PimSkipList {
                     Some(&Hint::Start(entry)) => Some(entry),
                     _ => None,
                 };
-            let from_entry = |j: usize, entry: Handle| WaveItem {
-                idx: pivots[j],
-                hint: Hint::Start(entry),
-                prefix_len: 0,
-                stitch_from: None,
-            };
+            let from_entry = |j: usize, entry: Handle| WaveItem::new(pivots[j], Hint::Start(entry));
             let mut l = 0;
             while l < m {
                 let Some(entry) = entry_of(&results.hints, l) else {
@@ -411,10 +456,9 @@ impl PimSkipList {
                     let (hint, prefix_len, cost) = hint_and_prefix(path_l, path_r);
                     hint_cost = hint_cost.beside(cost);
                     items.push(WaveItem {
-                        idx: pivots[med],
-                        hint,
                         prefix_len,
                         stitch_from: Some(op_l),
+                        ..WaveItem::new(pivots[med], hint)
                     });
                     results.hints.insert(reqs[pivots[med]].op, hint);
                     next_segments.push((l, med));
@@ -442,12 +486,7 @@ impl PimSkipList {
             let mut hint_cost = CpuCost::ZERO;
             for pos in 0..m {
                 if let Some(entry) = deferred[pos] {
-                    items.push(WaveItem {
-                        idx: pivots[pos],
-                        hint: Hint::Start(entry),
-                        prefix_len: 0,
-                        stitch_from: None,
-                    });
+                    items.push(WaveItem::new(pivots[pos], Hint::Start(entry)));
                 }
                 let Some(&next) = pivots.get(pos + 1) else {
                     break;
@@ -464,16 +503,31 @@ impl PimSkipList {
                     // Two groups, at least one of them without paths.
                     _ => (Hint::Root, 0, CpuCost::new(1, 1)),
                 };
-                let bracket = pivots[pos] + 1..next;
-                for (idx, req) in bracket.clone().zip(&reqs[bracket]) {
-                    hint_cost = hint_cost.beside(cost);
-                    items.push(WaveItem {
-                        idx,
-                        hint,
-                        prefix_len,
-                        stitch_from: Some(op_l),
-                    });
-                    results.hints.insert(req.op, hint);
+                let (left, right) = halves(pivots[pos], next);
+                let fingers_of = |op| results.fingers.get(&op).copied().unwrap_or_default();
+                let sides = [
+                    (left, op_l, fingers_of(op_l).right),
+                    (right, op_r, fingers_of(op_r).left),
+                ];
+                for (half, pivot_op, finger) in sides {
+                    // Without a lower-part hint a half starts at its nearer
+                    // pivot's finger — on the path of every key of the half
+                    // — and takes the levels above it from that pivot.
+                    let (src, finger) = if hint == Hint::Root {
+                        (pivot_op, finger)
+                    } else {
+                        (op_l, Handle::NULL)
+                    };
+                    for (idx, req) in half.clone().zip(&reqs[half]) {
+                        hint_cost = hint_cost.beside(cost);
+                        items.push(WaveItem {
+                            prefix_len,
+                            stitch_from: Some(src),
+                            finger,
+                            ..WaveItem::new(idx, hint)
+                        });
+                        results.hints.insert(req.op, hint);
+                    }
                 }
             }
             hint_cost.charge(s.sys.metrics_mut());
@@ -550,6 +604,10 @@ impl PimSkipList {
         // the pull pre-pass resolves: the rng stream — and hence tower
         // heights and contents — is identical to push-pull off.
         let mut deal = self.deal();
+        // The pull pre-pass marks fingers by the module's rule, over the
+        // same levels; a walk a module finishes keeps the marks made above.
+        let finger_levels = self.cfg.h_low..=self.start.level();
+        let mut upper_fingers: HashMap<u32, Fingers> = HashMap::new();
         for item in items {
             let req = reqs[item.idx];
             let top = forced_top.unwrap_or(req.top).min(self.cfg.max_level);
@@ -565,7 +623,12 @@ impl PimSkipList {
                     if record {
                         paths.insert(req.op, Vec::new());
                     }
-                    (self.descent_start(top), deal.next())
+                    let start = if item.finger.is_some() {
+                        item.finger
+                    } else {
+                        self.descent_start(top)
+                    };
+                    (start, deal.next())
                 }
                 Hint::Start(h) => {
                     debug_assert!(!h.is_replicated(), "recorded paths hold lower-part nodes");
@@ -596,10 +659,12 @@ impl PimSkipList {
                 // quiesces in zero rounds.
                 let mut steps = 0u64;
                 let mut resolved = false;
+                let mut fingers = Fingers::default();
                 loop {
                     if entry_only && !at.is_replicated() {
                         // The same boundary the module stops at.
                         results.hints.insert(req.op, Hint::Start(at));
+                        results.fingers.insert(req.op, fingers);
                         resolved = true;
                         break;
                     }
@@ -619,6 +684,9 @@ impl PimSkipList {
                     if rec.right_key < req.key {
                         at = rec.right;
                         continue;
+                    }
+                    if entry_only && finger_levels.contains(&rec.level) {
+                        fingers.mark(at, rec.key, rec.right_key, item.bracket);
                     }
                     if let SearchMode::PredLevels { top } = mode {
                         if rec.level >= 1 && rec.level <= top {
@@ -653,6 +721,10 @@ impl PimSkipList {
                 if resolved {
                     continue;
                 }
+                if entry_only {
+                    // The module's marks, if it reaches the entry, are lower.
+                    upper_fingers.insert(req.op, fingers);
+                }
             }
             let target = if at.is_replicated() {
                 dealt
@@ -669,6 +741,7 @@ impl PimSkipList {
                     record_path,
                     record_upper,
                     entry_only,
+                    bracket: item.bracket,
                 },
             );
         }
@@ -725,8 +798,11 @@ impl PimSkipList {
                         path_words += 1;
                     }
                 }
-                Reply::LowerEntry { op, node } if entry_only => {
+                Reply::LowerEntry { op, node, fingers } if entry_only => {
                     results.hints.insert(op, Hint::Start(node));
+                    let mut marked = upper_fingers.remove(&op).unwrap_or_default();
+                    marked.below(fingers);
+                    results.fingers.insert(op, marked);
                 }
                 Reply::Faulted { .. } => faulted += 1,
                 other => return Err(PimError::protocol("search", other)),
@@ -902,6 +978,8 @@ fn mode_for(top: u8) -> SearchMode {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use pim_runtime::{ceil_log2, Metrics, Rng};
     use pim_workloads::adversary::{pivot_groups, two_pivot_groups};
 
@@ -932,6 +1010,15 @@ mod tests {
         Recursion,
     }
 
+    /// The request indices a batch of `b` picks as pivots.
+    fn pivot_indices(list: &PimSkipList, b: usize) -> Vec<usize> {
+        let mut pivots: Vec<usize> = (0..b).step_by(list.cfg.log_p() as usize).collect();
+        if pivots.last() != Some(&(b - 1)) {
+            pivots.push(b - 1);
+        }
+        pivots
+    }
+
     /// The pivot groups of `keys` (ascending, unique), left to right, as
     /// `(pivots, tier)`: the first non-replicated node on each pivot's
     /// search path is found by CPU inspection, independently of the
@@ -952,11 +1039,7 @@ mod tests {
             }
             Some(at)
         };
-        let step = list.cfg.log_p() as usize;
-        let mut pivots: Vec<usize> = (0..keys.len()).step_by(step).collect();
-        if pivots.last() != Some(&(keys.len() - 1)) {
-            pivots.push(keys.len() - 1);
-        }
+        let pivots = pivot_indices(list, keys.len());
         let entries: Vec<Option<Handle>> = pivots.iter().map(|&i| entry(keys[i])).collect();
         let allowance = list.cfg.search_allowance(keys.len());
         let mut l = 0;
@@ -1072,15 +1155,23 @@ mod tests {
         }
     }
 
-    /// Exclusive cost of the `search/stage1` span of one probed Successor
-    /// batch (replies checked), and the batch's rounds and stage-1 waves.
-    fn probed_stage1(list: &mut PimSkipList, keys: &[Key], n: usize) -> (Metrics, u64, usize) {
+    /// Exclusive costs of the `search/stage1` and `search/stage2` spans of
+    /// one probed Successor batch (replies checked), and the batch's rounds
+    /// and stage-1 waves.
+    fn probed_stages(list: &mut PimSkipList, keys: &[Key], n: usize) -> ([Metrics; 2], u64, usize) {
         list.enable_probe();
         let (rounds, waves) = successor_rounds_and_waves(list, keys, n);
         let report = list.take_probe().expect("probe was enabled");
-        let stage1 = report.spans_named("search/stage1");
-        assert_eq!(stage1.len(), 1, "one search per batch");
-        (report.spans[stage1[0] as usize].stats, rounds, waves)
+        let stage = |name| {
+            let spans = report.spans_named(name);
+            assert_eq!(spans.len(), 1, "one search per batch");
+            report.spans[spans[0] as usize].stats
+        };
+        (
+            [stage("search/stage1"), stage("search/stage2")],
+            rounds,
+            waves,
+        )
     }
 
     #[test]
@@ -1096,12 +1187,20 @@ mod tests {
             let keys = uniform_keys(seed, 4 * n as u64, batch);
             let groups = groups(&list, &keys);
             let (largest, tier) = (largest_group(&groups), top_tier(&groups));
-            let (stage1, rounds, waves) = probed_stage1(&mut list, &keys, n);
+            let ([stage1, stage2], rounds, waves) = probed_stages(&mut list, &keys, n);
             let context = format!("seed {seed}, largest group {largest}, {tier:?}");
             assert_eq!(waves, predicted_waves(&groups), "{context}");
             if tier == Tier::Deferred {
                 assert_eq!(stage1.rounds, 1, "{context}");
             }
+            // Stage 2 starts every request without a lower-part hint at its
+            // nearer pivot's finger: 886–943 PIM time on these seeds, 1324
+            // on seed 1 while those requests descended from the top sentinel.
+            assert!(
+                stage2.pim_time <= 1000,
+                "{context}: stage-2 PIM {}",
+                stage2.pim_time
+            );
             if largest == 3 {
                 // A group of three puts at most 4⌈log P⌉ − 1 = 23 searches
                 // under its entry, inside `A = 36`. 58–73 rounds while it
@@ -1138,7 +1237,7 @@ mod tests {
             );
             let m = 2 * groups.len() as u64;
 
-            let (stage1, _, waves) = probed_stage1(&mut list, &keys, n);
+            let ([stage1, _], _, waves) = probed_stages(&mut list, &keys, n);
             // Phase 0 and nothing else: a task out and an entry back per
             // pivot, no `PathNode`.
             assert_eq!(waves, 1, "P={p}");
@@ -1262,5 +1361,249 @@ mod tests {
         want.extend(&fresh);
         want.sort_unstable();
         assert_eq!(list.collect_items(), want);
+    }
+
+    /// Search requests for `keys` (ascending, unique), op = index.
+    fn requests(keys: &[Key], top: u8) -> Vec<SearchRequest> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, &key)| SearchRequest {
+                op: i as u32,
+                key,
+                top,
+            })
+            .collect()
+    }
+
+    /// The node a search for `key` descends from at each level `0..=top`
+    /// (index = level), by CPU inspection from the descent start.
+    fn descents(list: &PimSkipList, key: Key, top: u8) -> Vec<Handle> {
+        let mut out = vec![Handle::NULL; usize::from(top) + 1];
+        let mut at = list.descent_start(top);
+        loop {
+            let n = list.inspect(at);
+            if n.right_key < key {
+                at = n.right;
+                continue;
+            }
+            if n.level <= top {
+                out[usize::from(n.level)] = at;
+            }
+            if n.level == 0 {
+                return out;
+            }
+            at = n.down;
+        }
+    }
+
+    /// Resident keys `4·i`, `i ∈ 0..n`, as [`loaded`] stores them.
+    fn oracle(n: usize) -> BTreeMap<Key, Value> {
+        (0..n as i64).map(|i| (4 * i, i as u64)).collect()
+    }
+
+    /// Stage-2 PIM time of one probed Successor and one Predecessor batch
+    /// of `keys`, every reply checked against `oracle`.
+    fn checked_stage2_pim(
+        list: &mut PimSkipList,
+        keys: &[Key],
+        oracle: &BTreeMap<Key, Value>,
+    ) -> u64 {
+        list.enable_probe();
+        let succ = list.batch_successor(keys);
+        let pred = list.batch_predecessor(keys);
+        let report = list.take_probe().expect("probe was enabled");
+        for (k, (s, p)) in keys.iter().zip(succ.iter().zip(&pred)) {
+            let want_s = oracle.range(k..).next().map(|(&key, _)| key);
+            let want_p = oracle.range(..=k).next_back().map(|(&key, _)| key);
+            assert_eq!(s.map(|(key, _)| key), want_s, "successor({k})");
+            assert_eq!(p.map(|(key, _)| key), want_p, "predecessor({k})");
+            for &(key, h) in s.iter().chain(p) {
+                assert_eq!(list.inspect(h).key, key, "handle of {key}");
+            }
+        }
+        report
+            .spans_named("search/stage2")
+            .iter()
+            .map(|&id| report.spans[id as usize].stats.pim_time)
+            .sum()
+    }
+
+    #[test]
+    fn every_finger_lies_on_the_search_path_of_every_key_of_its_half() {
+        let (p, n) = (16u32, 1usize << 14);
+        let mut list = loaded(Config::new(p, n as u64, 42), n);
+        let keys = uniform_keys(3, 4 * n as u64, list.cfg.batch_large());
+        let results = list
+            .pivoted_search(&requests(&keys, 0))
+            .expect("fault-free");
+        let h_low = list.cfg.h_low;
+        let mut checked = 0;
+        for w in pivot_indices(&list, keys.len()).windows(2) {
+            let (left, right) = halves(w[0], w[1]);
+            let fingers = |j: usize| results.fingers[&(j as u32)];
+            for (half, finger) in [(left, fingers(w[0]).right), (right, fingers(w[1]).left)] {
+                if finger.is_null() {
+                    // A tower at the start level splits the half: the root.
+                    continue;
+                }
+                let level = list.inspect(finger).level;
+                assert!(finger.is_replicated() && level >= h_low, "{finger:?}");
+                for idx in half {
+                    assert_eq!(
+                        descents(&list, keys[idx], level)[usize::from(level)],
+                        finger
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > keys.len() / 2, "{checked} of {} keys", keys.len());
+    }
+
+    #[test]
+    fn sparse_batches_pay_no_more_stage_two_pim_than_root_descents() {
+        // (P, b, stage-2 PIM of a Successor and a Predecessor batch over
+        // seeds 1–4 while every request without a lower-part hint started
+        // at the top sentinel). Keys spread over the whole span put the
+        // pivots far apart, so the fingers sit high: a finger walk longer
+        // than the root's would show here first.
+        let n = 1usize << 15;
+        let oracle = oracle(n);
+        for (p, pinned) in [
+            (16u32, [(3usize, 254u64), (8, 365), (64, 1210)]),
+            (64, [(3, 254), (8, 345), (64, 715)]),
+        ] {
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            for (b, root) in pinned {
+                let pim: u64 = (1..=4)
+                    .map(|seed| {
+                        let keys = uniform_keys(seed, 4 * n as u64, b);
+                        checked_stage2_pim(&mut list, &keys, &oracle)
+                    })
+                    .sum();
+                assert!(pim <= root, "P={p}, b={b}: stage-2 PIM {pim} > {root}");
+            }
+        }
+    }
+
+    #[test]
+    fn pivots_on_the_minus_infinity_tower_and_lone_pivots_start_at_the_root() {
+        let (p, n) = (16u32, 1usize << 12);
+        let mut list = loaded(Config::new(p, n as u64, 42), n);
+        let oracle = oracle(n);
+        // A pivot at or below the smallest resident key (0) is answered on
+        // the −∞ tower in phase 0 and marks no fingers, so its half-brackets
+        // descend from the root; the pivots above it mark theirs.
+        let keys: Vec<Key> = (-40..=0)
+            .step_by(2)
+            .chain((1..24).map(|i| 97 * i))
+            .collect();
+        let results = list
+            .pivoted_search(&requests(&keys, 0))
+            .expect("fault-free");
+        for &j in &pivot_indices(&list, keys.len()) {
+            assert_eq!(
+                results.fingers.contains_key(&(j as u32)),
+                keys[j] > 0,
+                "pivot {}",
+                keys[j]
+            );
+        }
+        for (i, k) in keys.iter().enumerate() {
+            let d = results.done[&(i as u32)];
+            assert_eq!(
+                d.succ_key,
+                *oracle.range(k..).next().expect("resident").0,
+                "{k}"
+            );
+        }
+        // Batches of one or two requests have no bracket at all.
+        for keys in [vec![-5], vec![0], vec![17], vec![17, 4001], vec![-3, 9_000]] {
+            checked_stage2_pim(&mut list, &keys, &oracle);
+        }
+    }
+
+    #[test]
+    fn pivots_the_hot_cache_walks_mark_the_fingers_a_module_would() {
+        // Push-pull resolves warm phase-0 walks on the CPU, wholly or down
+        // to a residual a module finishes; either way a pivot's fingers
+        // must be the ones a module walk marks. A batch of the warm keys
+        // meets a fully cached path, a fresh batch a cached top.
+        let (p, n) = (16u32, 1usize << 12);
+        let warm = uniform_keys(4, 4 * n as u64, 256);
+        let fresh = uniform_keys(5, 4 * n as u64, 256);
+        for keys in [&warm, &fresh] {
+            let fingers: Vec<HashMap<u32, Fingers>> = [false, true]
+                .into_iter()
+                .map(|on| {
+                    let mut list = loaded(Config::new(p, n as u64, 42).with_push_pull(on), n);
+                    for _ in 0..4 {
+                        list.batch_successor(&warm);
+                    }
+                    let results = list.pivoted_search(&requests(keys, 0));
+                    results.expect("fault-free").fingers
+                })
+                .collect();
+            assert!(!fingers[0].is_empty());
+            assert_eq!(fingers[0], fingers[1]);
+        }
+    }
+
+    #[test]
+    fn upper_levels_above_a_finger_are_stitched_from_the_nearer_pivot() {
+        // Every request reports two levels above `h_low`, higher than most
+        // fingers of a full batch: the levels above each finger come from
+        // the pivot whose finger it is — the right one in a right half.
+        for p in [8u32, 64] {
+            let n = 1usize << 14;
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let top = list.cfg.h_low + 2;
+            let keys = uniform_keys(5, 4 * n as u64, list.cfg.batch_large());
+            let results = list
+                .pivoted_search(&requests(&keys, top))
+                .expect("fault-free");
+            for (i, &k) in keys.iter().enumerate() {
+                for (level, &want) in descents(&list, k, top).iter().enumerate() {
+                    let node = list.inspect(want);
+                    assert_eq!(
+                        results.pred_at(i as u32, level as u8),
+                        Some((want, node.right, node.right_key)),
+                        "P={p}: key {k}, level {level}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_upper_towers_in_right_half_brackets_stay_valid() {
+        for p in [8u32, 64] {
+            let n = 1usize << 14;
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let fresh: Vec<(Key, Value)> = uniform_keys(11, n as u64, list.cfg.batch_large())
+                .into_iter()
+                .map(|i| (4 * i + 1, 7))
+                .collect();
+            let before = list.upper_leaf_keys();
+            list.batch_upsert(&fresh);
+            list.validate().expect("valid after the upsert");
+            // The fresh towers past `h_low` that sat in a right half-bracket,
+            // whose upper levels were stitched from the right pivot.
+            let after = list.upper_leaf_keys();
+            let tall = |k: &Key| after.binary_search(k).is_ok() && before.binary_search(k).is_err();
+            let right_tall = pivot_indices(&list, fresh.len())
+                .windows(2)
+                .flat_map(|w| halves(w[0], w[1]).1)
+                .filter(|&i| tall(&fresh[i].0))
+                .count();
+            assert!(
+                right_tall > 0,
+                "P={p}: no fresh upper tower in a right half"
+            );
+            let mut want: Vec<(Key, Value)> = oracle(n).into_iter().collect();
+            want.extend(&fresh);
+            want.sort_unstable();
+            assert_eq!(list.collect_items(), want, "P={p}");
+        }
     }
 }

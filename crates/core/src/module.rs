@@ -26,7 +26,7 @@ use pim_hashtable::DeamortizedMap;
 use crate::arena::Arena;
 use crate::config::{Key, POS_INF};
 use crate::node::Node;
-use crate::tasks::{RangeFunc, Reply, SearchMode, Task, NO_OP};
+use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, NO_OP};
 
 /// Per-fragment aggregation state of the reduction range functions.
 #[derive(Debug, Clone, Copy)]
@@ -407,11 +407,17 @@ impl SkipModule {
         record_path: bool,
         record_upper: bool,
         entry_only: bool,
+        bracket: (Key, Key),
         ctx: &mut ModuleCtx<'_, Task, Reply>,
     ) {
+        let mut fingers = Fingers::default();
         loop {
             if entry_only && !at.is_replicated() {
-                ctx.reply(Reply::LowerEntry { op, node: at });
+                ctx.reply(Reply::LowerEntry {
+                    op,
+                    node: at,
+                    fingers,
+                });
                 return;
             }
             if !self.resolvable(at) {
@@ -425,6 +431,7 @@ impl SkipModule {
                         record_path,
                         record_upper,
                         entry_only,
+                        bracket,
                     },
                 );
                 return;
@@ -447,6 +454,9 @@ impl SkipModule {
                 continue;
             }
             // Descend (or finish): `at` is the predecessor at `level`.
+            if entry_only && (self.params.h_low..=self.start_level).contains(&level) {
+                fingers.mark(at, at_key, right_key, bracket);
+            }
             if let SearchMode::PredLevels { top } = mode {
                 if level >= 1 && level <= top {
                     ctx.reply(Reply::PredAt {
@@ -831,6 +841,7 @@ impl PimModule for SkipModule {
                 record_path,
                 record_upper,
                 entry_only,
+                bracket,
             } => self.do_search(
                 op,
                 key,
@@ -839,6 +850,7 @@ impl PimModule for SkipModule {
                 record_path,
                 record_upper,
                 entry_only,
+                bracket,
                 ctx,
             ),
             Task::PullNode { at } => {

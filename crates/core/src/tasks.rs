@@ -114,6 +114,10 @@ pub enum Task {
         /// [`Reply::LowerEntry`] at the first non-replicated handle instead
         /// of forwarding the search there.
         entry_only: bool,
+        /// Phase 0: the pivot's bracket `(lo, hi)` — the first key of the
+        /// half-bracket before it and the last of the one after it — that
+        /// its [`Fingers`] must cover. Ignored by every other search.
+        bracket: (Key, Key),
     },
 
     /// Push-pull cache refresh (PIM-tree variant of §4.2): read one
@@ -279,6 +283,52 @@ pub enum Task {
     RecoverLocal,
 }
 
+/// The two replicated nodes a phase-0 walk marks as stage-2 starts (§4.2):
+/// the lowest nodes of its path, at levels `h_low` up to the descent start,
+/// that also lie on the search path of every key of the half-bracket beside
+/// the pivot. `NULL` where no node qualifies; such keys start at the root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingers {
+    /// For the keys in `[lo, pivot)`: the lowest node with key `< lo`.
+    pub left: Handle,
+    /// For the keys in `(pivot, hi]`: the lowest node with right key `≥ hi`.
+    pub right: Handle,
+}
+
+impl Default for Fingers {
+    fn default() -> Self {
+        Fingers {
+            left: Handle::NULL,
+            right: Handle::NULL,
+        }
+    }
+}
+
+impl Fingers {
+    /// Mark the walk's descend step at `at` (`key < pivot ≤ right_key`)
+    /// against the bracket `(lo, hi)`: a key in `[lo, pivot)` or
+    /// `(pivot, hi]` that the node's interval also holds descends here too.
+    /// Walks run top-down, so the last node marked is the lowest.
+    pub(crate) fn mark(&mut self, at: Handle, key: Key, right_key: Key, (lo, hi): (Key, Key)) {
+        if key < lo {
+            self.left = at;
+        }
+        if right_key >= hi {
+            self.right = at;
+        }
+    }
+
+    /// Overlay the marks of a walk that continued below this one's.
+    pub(crate) fn below(&mut self, lower: Fingers) {
+        if lower.left.is_some() {
+            self.left = lower.left;
+        }
+        if lower.right.is_some() {
+            self.right = lower.right;
+        }
+    }
+}
+
 // Every message of every round moves a `Task` through the engine's inboxes
 // and outboxes; only the recovery-only node images are large, so they are
 // boxed and the common case stays within one cache line.
@@ -326,6 +376,8 @@ pub enum Reply {
         op: u32,
         /// First non-replicated node on the search path.
         node: Handle,
+        /// Stage-2 starts for the half-brackets beside the pivot.
+        fingers: Fingers,
     },
     /// Snapshot of one lower-part node's search-relevant fields, answering
     /// [`Task::PullNode`]. No op id: the handle itself identifies the

@@ -531,9 +531,12 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
     // `h_low = 7` the upper part has a handful of leaves and the pivots
     // crowd into groups of at most `A` that descend in one more wave; with
     // `h_low = 10` there is no upper-part leaf, every pivot shares the one
-    // entry and the recursion runs. Strike every round of both searches,
-    // stage 2 included, for a read (Successor) and for the search inside an
-    // Upsert.
+    // entry and the recursion runs. A fourth configuration, at P = 8, puts
+    // two requests in every bracket: the second starts stage 2 at its right
+    // pivot's finger, and an Upsert tower there taller than `h_low` takes
+    // its upper-level predecessors from that pivot. Strike every round of
+    // both searches, stage 2 included, for a read (Successor) and for the
+    // search inside an Upsert.
     let base: Vec<(i64, u64)> = (0..400).map(|i| (i * 5, i as u64)).collect();
     let queries: Vec<i64> = (0..64).map(|i| i * 31 - 7).collect();
     let fresh: Vec<(i64, u64)> = (0..64).map(|i| (i * 35 + 2, 9)).collect();
@@ -546,13 +549,14 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
     want_items.extend(&fresh);
     want_items.sort_unstable();
 
-    for (tier, h_low) in [
-        ("deferred", None),
-        ("one wave", Some(7)),
-        ("recursion", Some(10)),
+    for (tier, p, h_low) in [
+        ("deferred", 4, None),
+        ("one wave", 4, Some(7)),
+        ("recursion", 4, Some(10)),
+        ("deferred", 8, None),
     ] {
         let cfg = || {
-            let cfg = Config::new(4, 1 << 10, 41).with_max_retries(4);
+            let cfg = Config::new(p, 1 << 10, 41).with_max_retries(4);
             match h_low {
                 Some(h_low) => cfg.with_h_low(h_low),
                 None => cfg,
@@ -573,8 +577,19 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
         dry.bulk_load(&base);
         dry.enable_probe();
         dry.batch_successor(&queries);
+        let upper = dry.upper_leaf_keys();
         dry.batch_upsert(&fresh);
         let report = dry.take_probe().expect("probe was enabled");
+        if p == 8 {
+            // Pivots every third request: the right half of each bracket.
+            let grown = dry.upper_leaf_keys();
+            let tall_right = (2..fresh.len())
+                .step_by(3)
+                .map(|i| fresh[i].0)
+                .filter(|k| grown.contains(k) && !upper.contains(k))
+                .count();
+            assert!(tall_right > 0, "no fresh upper tower in a right half");
+        }
         let rounds_of = |name| -> Vec<(u64, u64)> {
             report
                 .spans_named(name)
@@ -595,13 +610,14 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
             w if w > 2 => "recursion",
             _ => "malformed",
         };
-        assert_eq!(shape, tier, "{waves} waves in rounds {start}..{end}");
+        assert_eq!(shape, tier, "P={p}: {waves} waves in rounds {start}..{end}");
 
         let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 0 }];
         let searches = rounds_of("search");
         for round in searches.iter().flat_map(|&(start, end)| start..end) {
-            for (module, kind) in (0..4).flat_map(|m| kinds.map(|k| (m, k))) {
-                let context = format!("{tier}: {kind:?} on module {module} at round {round}");
+            for (module, kind) in (0..p).flat_map(|m| kinds.map(|k| (m, k))) {
+                let context =
+                    format!("{tier}, P={p}: {kind:?} on module {module} at round {round}");
                 let mut list = PimSkipList::new(cfg());
                 list.bulk_load(&base);
                 list.set_fault_plan(FaultPlan::new().at(round, module, kind));
