@@ -113,7 +113,12 @@ impl PimSkipList {
         // Heights + allocation + vertical wiring (shared with Upsert).
         tops.clear();
         tops.extend((0..chunk.len()).map(|_| self.rng.skiplist_height(self.cfg.max_level - 1)));
-        self.allocate_towers(chunk, tops, towers)?;
+        self.allocate_towers(chunk, tops, &[], towers)?;
+        let h_low = usize::from(self.cfg.h_low);
+        let upper_tail = tails
+            .get(h_low)
+            .copied()
+            .unwrap_or(Handle::replicated(h_low as u32));
 
         // Horizontal links, level by level: the chunk's nodes at a level,
         // in key order, extend the chain that ends at the level's tail.
@@ -156,8 +161,9 @@ impl PimSkipList {
             s.quiesce_writes("bulk_load")
         })?;
 
-        // next_leaf shortcuts of the new upper leaves.
-        self.fix_new_next_leaves(towers, tops)
+        // next_leaf shortcuts of the new upper leaves: every one of them
+        // follows the level-h_low tail of the chunks before.
+        self.fix_new_next_leaves(towers, tops, |_| upper_tail)
     }
 }
 

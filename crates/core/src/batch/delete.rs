@@ -355,3 +355,75 @@ impl PimSkipList {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use pim_runtime::Rng;
+
+    use crate::config::{Config, Key, Value};
+    use crate::list::PimSkipList;
+
+    /// Mean PIM time of four full uniform Delete batches on `n` bulk-loaded
+    /// keys `4·i`, and of the Upsert batches that put each batch's keys
+    /// back; the structure is validated after every batch.
+    fn full_batch_pim(p: u32, n: usize) -> (u64, u64) {
+        let mut list = PimSkipList::new(Config::new(p, n as u64, 42));
+        let pairs: Vec<(Key, Value)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
+        list.bulk_load(&pairs);
+        let batch = list.cfg.batch_large();
+        let mut rng = Rng::new(7);
+        let (mut delete, mut upsert) = (0, 0);
+        for _ in 0..4 {
+            let mut picked: Vec<usize> = Vec::new();
+            while picked.len() < batch {
+                picked.extend((picked.len()..batch).map(|_| rng.below(n as u64) as usize));
+                picked.sort_unstable();
+                picked.dedup();
+            }
+            let back: Vec<(Key, Value)> = picked.iter().map(|&i| pairs[i]).collect();
+            let keys: Vec<Key> = back.iter().map(|&(k, _)| k).collect();
+
+            let before = list.metrics().pim_time;
+            assert!(list.batch_delete(&keys).iter().all(|&found| found));
+            delete += list.metrics().pim_time - before;
+            list.validate().expect("valid after the delete");
+
+            let before = list.metrics().pim_time;
+            list.batch_upsert(&back);
+            upsert += list.metrics().pim_time - before;
+            list.validate().expect("valid after the upsert");
+        }
+        assert_eq!(list.len(), n as u64);
+        (delete / 4, upsert / 4)
+    }
+
+    #[test]
+    fn delete_pim_time_does_not_grow_with_n() {
+        // Table 1 prices a full Delete batch at O(log² P) PIM time. Each
+        // removed leaf redirects the shortcuts naming it from its inverse,
+        // with no replica descent, so nothing grows with n: Delete 300 /
+        // 319 / 313 / 292 at P = 16 and 654 / 693 / 684 / 688 at P = 64 for
+        // n = 2^14 … 2^17, Upsert 2808–3016 at P = 64. While every leaf
+        // insert and removal descended from the descent start: 783 / 804 /
+        // 786 / 822 and 1379 / 1513 / 1531 / 1560, Upsert 3951–4326.
+        for p in [16u32, 64] {
+            let costs: Vec<(u64, u64)> = (14..=17)
+                .map(|log_n| full_batch_pim(p, 1 << log_n))
+                .collect();
+            let (first, last) = (costs[0].0 as f64, costs[3].0 as f64);
+            assert!(
+                last <= 1.10 * first,
+                "P={p}: Delete PIM time grew with n: {costs:?}"
+            );
+            if p == 64 {
+                // Delete: half of what the descents cost at n = 2^17.
+                assert!(
+                    costs
+                        .iter()
+                        .all(|&(delete, upsert)| delete <= 780 && upsert <= 3300),
+                    "P={p}: (Delete, Upsert) PIM time per batch {costs:?}"
+                );
+            }
+        }
+    }
+}

@@ -76,7 +76,10 @@
 //! left pivot's upper-part leaf, so that pivot's phase-0 reports are the
 //! bracket's path above the entry. A half-bracket that starts at a finger
 //! takes the levels above it from the finger's pivot — the right one for a
-//! right half.
+//! right half. The same sources give an insert search each key's *anchor*,
+//! where its new leaf starts the local-list descent: its level-`h_low`
+//! predecessor, reported or taken from the bracket's left pivot below a
+//! lower-part hint, else its half-bracket's finger.
 //!
 //! The tree-structure range operations (§5.2) start each subrange's descent
 //! at its left end's hint ([`SearchResults::hints`]), which must cover every
@@ -238,16 +241,27 @@ enum Wave {
 
 impl PimSkipList {
     /// Run the full pivoted batch search. `reqs` must be ascending in key
-    /// and unique; `pivot_top` forces pivots to record predecessors up to
-    /// this level so later stitching is always possible.
+    /// and unique; pivots record predecessors up to the batch's highest
+    /// `top` so later stitching is always possible.
+    ///
+    /// With `anchors` (insert searches), it is refilled with one handle per
+    /// request, in request order: the lowest replicated node of the
+    /// request's search path that the CPU holds, where a new leaf for the
+    /// key starts its local-list descent (`NULL`: the descent start). That
+    /// is the request's level-`h_low` predecessor if it or its stitch
+    /// source reported one, else its half-bracket's finger.
     ///
     /// Fails with [`PimError::Incomplete`] when injected faults lose search
     /// traffic (missing terminal records, missing pivot paths, `Faulted`
     /// replies); on a fault-free machine the result is always `Ok`.
-    pub(crate) fn pivoted_search(&mut self, reqs: &[SearchRequest]) -> PimResult<SearchResults> {
+    pub(crate) fn pivoted_search(
+        &mut self,
+        reqs: &[SearchRequest],
+        anchors: Option<&mut Vec<Handle>>,
+    ) -> PimResult<SearchResults> {
         self.spanned("search", |s| {
             let mut staged_words = 0u64;
-            let out = s.pivoted_search_inner(reqs, &mut staged_words);
+            let out = s.pivoted_search_inner(reqs, anchors, &mut staged_words);
             if staged_words > 0 {
                 s.sys.sample_shared_mem();
                 s.sys.shared_mem().free(staged_words);
@@ -264,6 +278,7 @@ impl PimSkipList {
     fn pivoted_search_inner(
         &mut self,
         reqs: &[SearchRequest],
+        anchors: Option<&mut Vec<Handle>>,
         staged_words: &mut u64,
     ) -> PimResult<SearchResults> {
         let mut pivots = self.scratch.take_pivots();
@@ -273,6 +288,7 @@ impl PimSkipList {
         let mut deferred = self.scratch.take_deferred();
         let out = self.pivoted_search_core(
             reqs,
+            anchors,
             staged_words,
             &mut pivots,
             &mut items,
@@ -292,6 +308,7 @@ impl PimSkipList {
     fn pivoted_search_core(
         &mut self,
         reqs: &[SearchRequest],
+        anchors: Option<&mut Vec<Handle>>,
         staged_words: &mut u64,
         pivots: &mut Vec<usize>,
         items: &mut Vec<WaveItem>,
@@ -304,6 +321,13 @@ impl PimSkipList {
         let mut results = SearchResults::default();
         let b = reqs.len();
         self.last_phase_contention.clear();
+        // Anchors exist only where there is a local leaf list (h_low > 0).
+        let h_low = self.cfg.h_low;
+        let mut anchors = anchors.filter(|_| h_low > 0);
+        if let Some(anchors) = anchors.as_deref_mut() {
+            anchors.clear();
+            anchors.resize(b, Handle::NULL);
+        }
         if b == 0 {
             return Ok(results);
         }
@@ -510,6 +534,16 @@ impl PimSkipList {
                     (right, op_r, fingers_of(op_r).left),
                 ];
                 for (half, pivot_op, finger) in sides {
+                    if let Some(anchors) = anchors.as_deref_mut() {
+                        // Below a lower-part hint the bracket shares `op_l`'s
+                        // level-h_low predecessor; else the finger, which is
+                        // on the path of every key of the half too.
+                        let shared = match hint {
+                            Hint::Root => None,
+                            _ => results.pred_at(op_l, h_low).map(|(pred, _, _)| pred),
+                        };
+                        anchors[half.clone()].fill(shared.unwrap_or(finger));
+                    }
                     // Without a lower-part hint a half starts at its nearer
                     // pivot's finger — on the path of every key of the half
                     // — and takes the levels above it from that pivot.
@@ -543,6 +577,15 @@ impl PimSkipList {
             .count();
         if missing > 0 {
             return Err(PimError::incomplete("search", missing));
+        }
+        // A request's own level-h_low predecessor, reported or stitched,
+        // is the exact anchor.
+        if let Some(anchors) = anchors {
+            for (anchor, req) in anchors.iter_mut().zip(reqs) {
+                if let Some((pred, _, _)) = results.pred_at(req.op, h_low) {
+                    *anchor = pred;
+                }
+            }
         }
         Ok(results)
     }
@@ -948,7 +991,7 @@ impl PimSkipList {
             key,
             top: 0,
         }));
-        let results = self.pivoted_search(&reqs);
+        let results = self.pivoted_search(&reqs, None);
         self.scratch.give_reqs(reqs);
         let results = match results {
             Ok(r) => r,
@@ -1434,7 +1477,7 @@ mod tests {
         let mut list = loaded(Config::new(p, n as u64, 42), n);
         let keys = uniform_keys(3, 4 * n as u64, list.cfg.batch_large());
         let results = list
-            .pivoted_search(&requests(&keys, 0))
+            .pivoted_search(&requests(&keys, 0), None)
             .expect("fault-free");
         let h_low = list.cfg.h_low;
         let mut checked = 0;
@@ -1458,6 +1501,50 @@ mod tests {
             }
         }
         assert!(checked > keys.len() / 2, "{checked} of {} keys", keys.len());
+    }
+
+    #[test]
+    fn insert_anchors_lie_on_their_keys_search_paths() {
+        // A new leaf descends to its local-list position from its key's
+        // anchor, so an anchor must be a replicated node the key's search
+        // descends from. Every seventh request's tower reaches `h_low`, so
+        // every pivot reports that level and many anchors are the exact
+        // level-h_low predecessor.
+        for p in [8u32, 64] {
+            let n = 1usize << 14;
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let h_low = list.cfg.h_low;
+            let keys = uniform_keys(5, 4 * n as u64, list.cfg.batch_large());
+            let mut reqs = requests(&keys, 0);
+            for req in reqs.iter_mut().step_by(7) {
+                req.top = h_low;
+            }
+            let mut anchors = Vec::new();
+            list.pivoted_search(&reqs, Some(&mut anchors))
+                .expect("fault-free");
+            assert_eq!(anchors.len(), keys.len(), "P={p}");
+            let mut exact = 0;
+            for (&key, &anchor) in keys.iter().zip(&anchors) {
+                if anchor.is_null() {
+                    continue;
+                }
+                let level = list.inspect(anchor).level;
+                assert!(anchor.is_replicated() && level >= h_low, "{anchor:?}");
+                assert_eq!(
+                    descents(&list, key, level)[usize::from(level)],
+                    anchor,
+                    "P={p}: key {key}"
+                );
+                exact += usize::from(level == h_low);
+            }
+            // 36 of 72 at P = 8, where most brackets start at a finger;
+            // 1871 of 2261 at P = 64.
+            assert!(
+                2 * exact >= keys.len(),
+                "P={p}: {exact} of {} exact",
+                keys.len()
+            );
+        }
     }
 
     #[test]
@@ -1499,7 +1586,7 @@ mod tests {
             .chain((1..24).map(|i| 97 * i))
             .collect();
         let results = list
-            .pivoted_search(&requests(&keys, 0))
+            .pivoted_search(&requests(&keys, 0), None)
             .expect("fault-free");
         for &j in &pivot_indices(&list, keys.len()) {
             assert_eq!(
@@ -1540,7 +1627,7 @@ mod tests {
                     for _ in 0..4 {
                         list.batch_successor(&warm);
                     }
-                    let results = list.pivoted_search(&requests(keys, 0));
+                    let results = list.pivoted_search(&requests(keys, 0), None);
                     results.expect("fault-free").fingers
                 })
                 .collect();
@@ -1560,7 +1647,7 @@ mod tests {
             let top = list.cfg.h_low + 2;
             let keys = uniform_keys(5, 4 * n as u64, list.cfg.batch_large());
             let results = list
-                .pivoted_search(&requests(&keys, top))
+                .pivoted_search(&requests(&keys, top), None)
                 .expect("fault-free");
             for (i, &k) in keys.iter().enumerate() {
                 for (level, &want) in descents(&list, k, top).iter().enumerate() {

@@ -1,20 +1,28 @@
 //! Batched Upsert (§4.3).
 //!
 //! Upsert = Update where the key exists, Insert otherwise. The insert
-//! pipeline follows the paper's stages exactly:
+//! pipeline follows the paper's stages, with the search moved ahead of the
+//! allocation (nothing is linked before Algorithm 1, so the search sees the
+//! same structure either way, and the rounds are the same):
 //!
 //! 1. run the batched Update shortcut; survivors form the insert set;
 //! 2. toss tower heights on the CPU side (secret coins);
-//! 3. **allocation round** — lower-part nodes go to `hash(key, level)`
+//! 3. batched Predecessor with per-level reports (§4.2 machinery), which
+//!    also yields each key's **anchor**: the lowest replicated node of its
+//!    search path that the CPU holds;
+//! 4. **allocation round** — lower-part nodes go to `hash(key, level)`
 //!    modules (which also enter them into the local index and local leaf
-//!    list), upper-part nodes are broadcast into the replicated arena at
+//!    list, descending the replica from the anchor rather than from the
+//!    top), upper-part nodes are broadcast into the replicated arena at
 //!    CPU-shadow-chosen slots;
-//! 4. **wiring round** — vertical pointers and the leaf's up-chain
+//! 5. **wiring round** — vertical pointers and the leaf's up-chain
 //!    (Insert steps 4–5);
-//! 5. batched Predecessor with per-level reports (§4.2 machinery);
 //! 6. **Algorithm 1** — construct the horizontal pointers, chaining runs
 //!    of new nodes that share a `(pred, succ)` segment (Fig. 4);
-//! 7. recompute `next_leaf` shortcuts of any new upper-part leaves.
+//! 7. compute the `next_leaf` shortcuts of any new upper-part leaves, each
+//!    module walking its local list from the shortcut of the new leaf's
+//!    level-`h_low` predecessor (known from the search, or the previous
+//!    new upper leaf).
 
 use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use pim_primitives::sort::par_sort_by_key;
@@ -218,22 +226,27 @@ impl PimSkipList {
 
     /// Allocate and vertically wire the towers for a sorted batch of new
     /// keys (Insert steps 1–5): lower-part nodes go to their hashed
-    /// modules (entering local index + local leaf list on arrival),
-    /// upper-part nodes are broadcast into shadow-chosen replicated slots.
-    /// Fills `towers` with the `tower[j][level]` handles.
+    /// modules (entering local index + local leaf list on arrival, leaf `j`
+    /// descending from `anchors[j]`, or from the descent start past the
+    /// end of `anchors`), upper-part nodes are broadcast into shadow-chosen
+    /// replicated slots. Fills `towers` with the `tower[j][level]` handles.
     pub(crate) fn allocate_towers(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
+        anchors: &[Handle],
         towers: &mut Towers,
     ) -> PimResult<()> {
-        self.spanned("alloc", |s| s.allocate_towers_inner(inserts, tops, towers))
+        self.spanned("alloc", |s| {
+            s.allocate_towers_inner(inserts, tops, anchors, towers)
+        })
     }
 
     fn allocate_towers_inner(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
+        anchors: &[Handle],
         towers: &mut Towers,
     ) -> PimResult<()> {
         let h_low = self.cfg.h_low;
@@ -243,6 +256,10 @@ impl PimSkipList {
             if h_low > 0 {
                 for level in 0..=top.min(h_low - 1) {
                     let m = self.module_of(key, level);
+                    let from = match anchors.get(j) {
+                        Some(&anchor) if level == 0 => anchor,
+                        _ => Handle::NULL,
+                    };
                     self.sys.send(
                         m,
                         Task::AllocLower {
@@ -250,6 +267,7 @@ impl PimSkipList {
                             key,
                             value,
                             level,
+                            from,
                         },
                     );
                 }
@@ -303,19 +321,34 @@ impl PimSkipList {
         self.quiesce_writes("wire")
     }
 
-    /// Recompute the `next_leaf` shortcut of every new upper-part leaf
-    /// (broadcast; must run after horizontal linking).
-    pub(crate) fn fix_new_next_leaves(&mut self, towers: &Towers, tops: &[u8]) -> PimResult<()> {
+    /// Compute the `next_leaf` shortcut of every new upper-part leaf
+    /// (broadcast; must run after horizontal linking). `pred(j)` is tower
+    /// `j`'s level-`h_low` predecessor before the batch. Each module walks
+    /// its local list from the shortcut of the new leaf's predecessor after
+    /// linking: `pred(j)`, or the previous new upper leaf if that one shares
+    /// `pred(j)` — its `FixNextLeaf` sits just before in every inbox.
+    pub(crate) fn fix_new_next_leaves(
+        &mut self,
+        towers: &Towers,
+        tops: &[u8],
+        pred: impl Fn(usize) -> Handle,
+    ) -> PimResult<()> {
         let h_low = self.cfg.h_low;
         if h_low == 0 {
             return Ok(());
         }
         self.spanned("next_leaf", |s| {
             let mut fixed_any = false;
+            // (pred, handle) of the previous new upper leaf.
+            let mut last = (Handle::NULL, Handle::NULL);
             for (j, &top) in tops.iter().enumerate() {
                 if top >= h_low {
-                    let slot = towers.get(j)[h_low as usize].slot();
-                    s.sys.broadcast(|_| Task::FixNextLeaf { slot });
+                    let leaf = towers.get(j)[h_low as usize];
+                    let pred = pred(j);
+                    let from = if pred == last.0 { last.1 } else { pred };
+                    last = (pred, leaf);
+                    let slot = leaf.slot();
+                    s.sys.broadcast(|_| Task::FixNextLeaf { slot, from });
                     fixed_any = true;
                 }
             }
@@ -337,7 +370,9 @@ impl PimSkipList {
             handles: self.scratch.take_tower_handles(),
             offsets: self.scratch.take_tower_offsets(),
         };
-        let out = self.insert_towers(inserts, &tops, &mut towers);
+        let mut anchors = self.scratch.take_anchors();
+        let out = self.insert_towers(inserts, &tops, &mut anchors, &mut towers);
+        self.scratch.give_anchors(anchors);
         self.scratch.give_tower_handles(towers.handles);
         self.scratch.give_tower_offsets(towers.offsets);
         self.scratch.give_tops(tops);
@@ -348,11 +383,9 @@ impl PimSkipList {
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
+        anchors: &mut Vec<Handle>,
         towers: &mut Towers,
     ) -> PimResult<()> {
-        // ---- Allocation + vertical wiring rounds (Insert steps 1–5) ----
-        self.allocate_towers(inserts, tops, towers)?;
-
         // ---- Batched Predecessor with per-level reports (§4.2) ----
         let mut reqs = self.scratch.take_reqs();
         reqs.extend(
@@ -365,22 +398,31 @@ impl PimSkipList {
                     top: tops[j],
                 }),
         );
-        let results = self.pivoted_search(&reqs);
+        let results = self.pivoted_search(&reqs, Some(anchors));
         self.scratch.give_reqs(reqs);
         let results = results?;
 
         // Structural writes begin here: invalidate push-pull snapshots
-        // before the first link lands, so even a faulted half-applied
+        // before the first node lands, so even a faulted half-applied
         // batch can never be searched through the cache.
         self.bump_write_epoch();
+
+        // ---- Allocation + vertical wiring rounds (Insert steps 1–5) ----
+        self.allocate_towers(inserts, tops, anchors, towers)?;
 
         // ---- Algorithm 1: horizontal pointer construction ----
         self.spanned("link", |s| {
             s.link_horizontal(inserts, tops, towers, &results)
         })?;
 
-        // ---- Recompute next_leaf for new upper-part leaves ----
-        self.fix_new_next_leaves(towers, tops)?;
+        // ---- next_leaf of new upper-part leaves (their towers reach h_low,
+        // so the search reported their level-h_low predecessors) ----
+        let h_low = self.cfg.h_low;
+        self.fix_new_next_leaves(towers, tops, |j| {
+            results
+                .pred_at(j as u32, h_low)
+                .map_or(Handle::NULL, |(pred, _, _)| pred)
+        })?;
 
         // Commit: the batch is structurally complete — journal each new
         // tower so recovery can re-materialise it handle for handle.

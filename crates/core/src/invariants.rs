@@ -17,7 +17,9 @@
 //!    ascending order, with consistent `local_left` mirrors and a correct
 //!    tail;
 //! 6. every `next_leaf` shortcut of every upper-leaf replica equals the
-//!    first local leaf with key `≥` the replica's key;
+//!    first local leaf with key `≥` the replica's key, and every local
+//!    leaf's own `next_leaf` — the inverse — names the rightmost upper leaf
+//!    whose shortcut it is (`NULL` when there is none);
 //! 7. each module's index maps exactly its owned leaf keys to their
 //!    handles;
 //! 8. every leaf's recorded chain matches its actual tower;
@@ -198,19 +200,13 @@ impl PimSkipList {
     }
 
     fn check_replicas(&self) -> Result<(), String> {
-        let reference: Vec<(u32, _)> = self
-            .sys
-            .module(0)
-            .upper
-            .iter()
-            .map(|(s, n)| (s, n.clone()))
-            .collect();
+        let reference = &self.sys.module(0).upper;
         for m in 1..self.p() {
             let module = self.sys.module(m);
             let mut count = 0usize;
             for (slot, n) in module.upper.iter() {
                 count += 1;
-                let Some((_, r)) = reference.iter().find(|(s, _)| *s == slot) else {
+                let Some(r) = reference.get_opt(slot) else {
                     return Err(format!("module {m} has extra replica at slot {slot}"));
                 };
                 let structural_equal = r.key == n.key
@@ -363,20 +359,32 @@ impl PimSkipList {
                 v.sort_unstable();
                 v
             };
+            // Per owned leaf, the rightmost upper leaf shortcutting to it.
+            let mut inverse: Vec<Option<(i64, Handle)>> = vec![None; owned.len()];
             for (slot, n) in module.upper.iter() {
                 if n.level != self.cfg.h_low {
                     continue;
                 }
-                let expect = owned
-                    .iter()
-                    .find(|&&(k, _)| k >= n.key)
-                    .map(|&(_, h)| h)
-                    .unwrap_or(Handle::NULL);
+                let i = owned.partition_point(|&(k, _)| k < n.key);
+                let expect = owned.get(i).map_or(Handle::NULL, |&(_, h)| h);
                 ensure!(
                     n.next_leaf == expect,
                     "module {m}: next_leaf of upper leaf {} (slot {slot}) is {:?}, expected {expect:?}",
                     n.key,
                     n.next_leaf
+                );
+                if let Some(inv) = inverse.get_mut(i) {
+                    if inv.is_none_or(|(k, _)| k < n.key) {
+                        *inv = Some((n.key, Handle::replicated(slot)));
+                    }
+                }
+            }
+            for (&(key, leaf), inv) in owned.iter().zip(&inverse) {
+                let expect = inv.map_or(Handle::NULL, |(_, h)| h);
+                let got = self.inspect_at(m, leaf).next_leaf;
+                ensure!(
+                    got == expect,
+                    "module {m}: inverse shortcut of leaf {key} is {got:?}, expected {expect:?}"
                 );
             }
         }

@@ -16,6 +16,12 @@
 //!   locally-owned leaves to their handles;
 //! * the **local leaf list** (`local_left`/`local_right` + per-replica
 //!   `next_leaf` shortcuts), maintained on every leaf allocation/removal.
+//!   Each local leaf's own `next_leaf` is the shortcut's inverse: the
+//!   rightmost upper leaf whose shortcut names it (`NULL`: none). Upkeep
+//!   never descends from the descent start: an insert descends from the
+//!   lowest replicated node of its key's search path that the CPU found, a
+//!   remove walks left from the inverse, and a new upper leaf walks the
+//!   local list from its predecessor's shortcut. Each is `O(1)` expected.
 
 use std::collections::HashMap;
 
@@ -165,6 +171,13 @@ impl SkipModule {
         h.is_replicated() || h.module() == self.id
     }
 
+    /// Does this replica hold the replicated node `h`? A module restarted
+    /// cold holds only the −∞ tower, so a handle the CPU found before the
+    /// crash may name nothing here.
+    fn holds_replica(&self, h: Handle) -> bool {
+        h.is_replicated() && self.upper.contains(h.slot())
+    }
+
     /// Read a node (must be resolvable).
     pub fn node(&self, h: Handle) -> &Node {
         debug_assert!(
@@ -243,37 +256,19 @@ impl SkipModule {
     // Local upper-part navigation (all replicated, zero messages)
     // ------------------------------------------------------------------
 
-    /// Descend the local replica from its start to the rightmost node at
-    /// `target_level` (at most the start's level) with key `< k` (strict).
-    /// Returns its handle; counts the visited nodes as work via the
-    /// returned counter.
-    fn upper_descend(&self, k: Key, target_level: u8) -> (Handle, u64) {
-        self.upper_descend_by(k, target_level, false)
-    }
-
-    /// As [`Self::upper_descend`] but with an inclusive comparison:
-    /// rightmost node with key `≤ k`.
-    fn upper_descend_inclusive(&self, k: Key, target_level: u8) -> (Handle, u64) {
-        self.upper_descend_by(k, target_level, true)
-    }
-
-    fn upper_descend_by(&self, k: Key, target_level: u8, inclusive: bool) -> (Handle, u64) {
-        let mut cur = self.start();
+    /// Descend the local replica from `from` to the rightmost node at
+    /// `target_level` with key `< k`. `from` is a replicated node on the
+    /// search path of `k` at or above `target_level`, or `NULL` for the
+    /// descent start. Returns the node and the nodes visited (the work).
+    fn upper_descend_from(&self, from: Handle, k: Key, target_level: u8) -> (Handle, u64) {
+        let mut cur = if from.is_some() { from } else { self.start() };
         let mut work = 0u64;
         loop {
             work += 1;
             let n = self.upper.get(cur.slot());
-            // The strict form can rely on `right_key < k` implying a right
-            // neighbour exists (the null sentinel is `POS_INF`); the
-            // inclusive form must check explicitly, since `k` itself can
-            // be `i64::MAX`.
-            let go_right = n.right.is_some()
-                && if inclusive {
-                    n.right_key <= k
-                } else {
-                    n.right_key < k
-                };
-            if go_right {
+            // `right_key < k` implies a right neighbour exists: the null
+            // sentinel is `POS_INF`.
+            if n.right_key < k {
                 cur = n.right;
                 debug_assert!(cur.is_replicated(), "upper walk left the replica");
             } else if n.level > target_level {
@@ -284,14 +279,13 @@ impl SkipModule {
         }
     }
 
-    /// First leaf of this module's local list with key `≥ k`, via the
-    /// upper-part `next_leaf` shortcut (§5.1 steps 1–3). Returns
-    /// `(anchor, leaf_or_null, predecessor_in_local_list, work)`, the
-    /// anchor being the rightmost upper leaf with key `< k`.
-    fn local_successor(&self, k: Key) -> (Handle, Handle, Handle, u64) {
-        let (anchor, mut work) = self.upper_descend(k, self.params.h_low);
+    /// First leaf of this module's local list with key `≥ k`, walking the
+    /// list from the shortcut of `upper_leaf` (key `< k`). Returns
+    /// `(leaf_or_null, predecessor_in_local_list, work)`.
+    fn local_walk(&self, upper_leaf: Handle, k: Key) -> (Handle, Handle, u64) {
+        let mut work = 0u64;
         let mut prev = Handle::NULL;
-        let mut cur = self.upper.get(anchor.slot()).next_leaf;
+        let mut cur = self.upper.get(upper_leaf.slot()).next_leaf;
         while cur.is_some() {
             work += 1;
             let n = self.node(cur);
@@ -302,23 +296,36 @@ impl SkipModule {
             cur = n.local_right;
         }
         if prev.is_null() {
-            // No local leaf in (anchor.key, k): the local predecessor is
-            // whatever precedes `cur` (or the tail when the walk exhausted
-            // the list).
+            // No local leaf in (upper_leaf.key, k): the local predecessor
+            // is whatever precedes `cur` (or the tail when the walk
+            // exhausted the list).
             prev = if cur.is_some() {
                 self.node(cur).local_left
             } else {
                 self.leaf_tail
             };
         }
-        (anchor, cur, prev, work)
+        (cur, prev, work)
     }
 
-    /// Insert a freshly allocated local leaf into the local leaf list and
-    /// maintain the `next_leaf` shortcuts (returns work done).
-    fn local_leaf_insert(&mut self, leaf: Handle) -> u64 {
+    /// First leaf of this module's local list with key `≥ k`, via the
+    /// upper-part `next_leaf` shortcut (§5.1 steps 1–3), descending from
+    /// `from` (see [`Self::upper_descend_from`]). Returns
+    /// `(anchor, leaf_or_null, predecessor_in_local_list, work)`, the
+    /// anchor being the rightmost upper leaf with key `< k`.
+    fn local_successor(&self, from: Handle, k: Key) -> (Handle, Handle, Handle, u64) {
+        let (anchor, descent) = self.upper_descend_from(from, k, self.params.h_low);
+        let (succ, prev, walk) = self.local_walk(anchor, k);
+        (anchor, succ, prev, descent + walk)
+    }
+
+    /// Insert a freshly allocated local leaf into the local leaf list,
+    /// descending from `from` (see [`Self::upper_descend_from`]), and
+    /// maintain the `next_leaf` shortcuts and their inverses (returns work
+    /// done).
+    fn local_leaf_insert(&mut self, leaf: Handle, from: Handle) -> u64 {
         let k = self.node(leaf).key;
-        let (anchor, succ, prev, mut work) = self.local_successor(k);
+        let (anchor, succ, prev, mut work) = self.local_successor(from, k);
         // Splice between prev and succ.
         self.node_mut(prev).local_right = leaf;
         {
@@ -349,15 +356,24 @@ impl SkipModule {
             }
             u = left;
         }
+        // A redirected run ends at the anchor, so the anchor is the new
+        // leaf's inverse; `succ` keeps its own only if its run reached past
+        // `k`.
+        if self.upper.get(anchor.slot()).next_leaf == leaf {
+            self.node_mut(leaf).next_leaf = anchor;
+            if succ.is_some() && self.node(succ).next_leaf == anchor {
+                self.node_mut(succ).next_leaf = Handle::NULL;
+            }
+        }
         work
     }
 
     /// Remove a (marked) local leaf from the local leaf list, fixing
-    /// `next_leaf` shortcuts; returns work done.
+    /// `next_leaf` shortcuts and inverses; returns work done.
     fn local_leaf_remove(&mut self, leaf: Handle) -> u64 {
-        let (k, prev, next) = {
+        let (prev, next, inverse) = {
             let n = self.node(leaf);
-            (n.key, n.local_left, n.local_right)
+            (n.local_left, n.local_right, n.next_leaf)
         };
         debug_assert!(prev.is_some(), "the −∞ head is never removed");
         self.node_mut(prev).local_right = next;
@@ -366,31 +382,48 @@ impl SkipModule {
         } else {
             self.leaf_tail = prev;
         }
-        // Upper leaves shortcutting to this leaf now shortcut to `next`.
-        let (mut u, mut work) = self.upper_descend_inclusive(k, self.params.h_low);
-        loop {
+        // Upper leaves shortcutting to this leaf — a run ending at its
+        // inverse — now shortcut to `next`, which inherits the inverse if
+        // it had none (its own run lies further right).
+        let mut work = 0u64;
+        let mut u = inverse;
+        while u.is_some() {
             work += 1;
             let un = self.upper.get_mut(u.slot());
             if un.next_leaf != leaf {
                 break;
             }
             un.next_leaf = next;
-            let left = un.left;
-            if left.is_null() {
-                break;
-            }
-            u = left;
+            u = un.left;
+        }
+        if inverse.is_some() && next.is_some() && self.node(next).next_leaf.is_null() {
+            self.node_mut(next).next_leaf = inverse;
         }
         work
     }
 
-    /// Recompute `next_leaf` of a (new) upper leaf replica in this module
-    /// (post-linking round of batched Upsert).
-    fn fix_next_leaf(&mut self, slot: u32) -> u64 {
+    /// Compute `next_leaf` of a (new) upper leaf replica in this module
+    /// (post-linking round of batched Upsert), walking the local list from
+    /// the shortcut of `from`: an upper leaf left of it whose shortcut is
+    /// already current. The new leaf becomes its target's inverse if it
+    /// lies right of the current one.
+    fn fix_next_leaf(&mut self, slot: u32, from: Handle) -> u64 {
         let k = self.upper.get(slot).key;
-        let (_anchor, succ, _prev, work) = self.local_successor(k);
+        let (succ, _prev, work) = self.local_walk(from, k);
         self.upper.get_mut(slot).next_leaf = succ;
+        if succ.is_some() {
+            self.claim_inverse(succ, slot, k);
+        }
         work + 1
+    }
+
+    /// Make the upper leaf at `slot`, key `k`, the inverse of `leaf` (whose
+    /// shortcut it now is) if it lies right of the current inverse.
+    fn claim_inverse(&mut self, leaf: Handle, slot: u32, k: Key) {
+        let inverse = self.node(leaf).next_leaf;
+        if inverse.is_null() || self.upper.get(inverse.slot()).key < k {
+            self.node_mut(leaf).next_leaf = Handle::replicated(slot);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -604,7 +637,7 @@ impl SkipModule {
             self.params.h_low > 0,
             "broadcast ranges need a distributed lower part (h_low > 0)"
         );
-        let (_anchor, mut cur, _prev, work) = self.local_successor(lo);
+        let (_anchor, mut cur, _prev, work) = self.local_successor(Handle::NULL, lo);
         ctx.work(work);
         let mut agg = Agg::new();
         while cur.is_some() {
@@ -715,7 +748,7 @@ impl SkipModule {
                 ctx.reply(Reply::Faulted { op: NO_OP });
                 continue;
             };
-            let (left, right, right_key) = (n.left, n.right, n.right_key);
+            let (left, right, right_key, target) = (n.left, n.right, n.right_key, n.next_leaf);
             debug_assert!(left.is_replicated(), "upper node with non-replicated left");
             // Check both neighbours before mutating anything so a damaged
             // replica never applies half a splice.
@@ -724,6 +757,21 @@ impl SkipModule {
             {
                 ctx.reply(Reply::Faulted { op: NO_OP });
                 continue;
+            }
+            // An upper leaf that is its target's inverse hands that role to
+            // `left` if `left` shortcuts to the same leaf, else drops it.
+            if target.is_some() {
+                ctx.work(1);
+                let heir = if self.upper.get(left.slot()).next_leaf == target {
+                    left
+                } else {
+                    Handle::NULL
+                };
+                if let Some(t) = self.try_node_mut(target) {
+                    if t.next_leaf == Handle::replicated(slot) {
+                        t.next_leaf = heir;
+                    }
+                }
             }
             {
                 let l = self.upper.get_mut(left.slot());
@@ -738,9 +786,10 @@ impl SkipModule {
         }
     }
 
-    /// Rebuild the derived local views — hash index, local leaf list and
-    /// `next_leaf` shortcuts — from the (re)installed arenas; the recovery
-    /// finaliser after a crash. Returns the local work done.
+    /// Rebuild the derived local views — hash index, local leaf list,
+    /// `next_leaf` shortcuts and their inverses — from the (re)installed
+    /// arenas; the recovery finaliser after a crash. Returns the local
+    /// work done.
     fn rebuild_local_views(&mut self) -> u64 {
         let mut work = 1u64;
         self.index =
@@ -764,11 +813,13 @@ impl SkipModule {
             let n = self.node_mut(h);
             n.local_left = prev;
             n.local_right = Handle::NULL;
+            n.next_leaf = Handle::NULL;
             prev = h;
         }
         self.leaf_tail = prev;
         // Every replica at level h_low (the sentinel included) shortcuts to
-        // the first local leaf with key ≥ its own key.
+        // the first local leaf with key ≥ its own key, and the rightmost
+        // such replica is that leaf's inverse.
         let h_low = self.params.h_low;
         let uppers: Vec<(u32, Key)> = self
             .upper
@@ -784,6 +835,9 @@ impl SkipModule {
                 .unwrap_or(Handle::NULL);
             self.upper.get_mut(slot).next_leaf = succ;
             work += 1;
+            if succ.is_some() {
+                self.claim_inverse(succ, slot, key);
+            }
         }
         work
     }
@@ -872,14 +926,19 @@ impl PimModule for SkipModule {
                 key,
                 value,
                 level,
+                from,
             } => {
                 ctx.work(1);
+                if from.is_some() && !self.holds_replica(from) {
+                    ctx.reply(Reply::Faulted { op });
+                    return;
+                }
                 let slot = self.lower.alloc(Node::new(key, value, level));
                 let handle = Handle::local(self.id, slot);
                 if level == 0 {
                     self.index.insert(key, handle.to_bits());
                     ctx.work(self.index.last_op_work);
-                    ctx.work(self.local_leaf_insert(handle));
+                    ctx.work(self.local_leaf_insert(handle, from));
                 }
                 ctx.reply(Reply::Alloced {
                     op,
@@ -925,9 +984,9 @@ impl PimModule for SkipModule {
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
                 }
             }
-            Task::FixNextLeaf { slot } => {
-                if self.upper.contains(slot) {
-                    let w = self.fix_next_leaf(slot);
+            Task::FixNextLeaf { slot, from } => {
+                if self.upper.contains(slot) && self.holds_replica(from) {
+                    let w = self.fix_next_leaf(slot, from);
                     ctx.work(w);
                 } else {
                     ctx.work(1);

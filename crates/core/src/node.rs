@@ -4,7 +4,8 @@
 //! `down`) plus the paper's three range-query pointers: `local_left` /
 //! `local_right` chaining the leaves *within one module* into the local
 //! leaf list, and `next_leaf` pointing from an upper-part leaf into the
-//! local leaf list (dashed pointers of Fig. 2).
+//! local leaf list (dashed pointers of Fig. 2). A lower-part leaf reuses its
+//! own `next_leaf` for the inverse of those shortcuts.
 //!
 //! Two implementation-level fields:
 //!
@@ -46,9 +47,13 @@ pub struct Node {
     pub local_left: Handle,
     /// Next leaf in this module's local leaf list (leaves only).
     pub local_right: Handle,
-    /// Upper-part leaves only: successor of this key in the *owning
-    /// module's* local leaf list. This is the one per-module field of a
-    /// replicated node (each replica indexes its own module's list).
+    /// Two per-module roles. On an upper-part leaf: the first leaf with key
+    /// `≥` this key in the *owning module's* local leaf list — the one
+    /// per-module field of a replicated node (each replica indexes its own
+    /// module's list). On a lower-part leaf, which never needs that
+    /// shortcut: its inverse, the rightmost upper leaf whose shortcut in
+    /// this module is this leaf (`NULL`: none), so a removal redirects the
+    /// shortcuts without searching for them.
     pub next_leaf: Handle,
     /// Leaves only: handles of the tower nodes above this leaf, bottom-up
     /// (levels `1..=tower_top`).

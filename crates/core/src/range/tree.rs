@@ -142,7 +142,7 @@ impl PimSkipList {
                 key: s.lo,
                 top: 0,
             }));
-            let search = self.pivoted_search(&reqs);
+            let search = self.pivoted_search(&reqs, None);
             self.scratch.give_reqs(reqs);
             search?.hints
         } else {

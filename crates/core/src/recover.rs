@@ -49,7 +49,7 @@ impl PimSkipList {
     /// means a write addressed a damaged node, anything else is a protocol
     /// violation. A write lost in these rounds is silent, so the machine's
     /// loss counters end the attempt too: the phases that follow (the next
-    /// chunk of a streamed build, `FixNextLeaf`) descend through the nodes
+    /// chunk of a streamed build, `FixNextLeaf`) walk through the nodes
     /// just written and must never meet a half-wired one.
     pub(crate) fn quiesce_writes(&mut self, op: &'static str) -> PimResult<()> {
         let before = self.sys.metrics();

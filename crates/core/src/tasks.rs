@@ -131,7 +131,9 @@ pub enum Task {
     },
 
     // ----- §4.3: batched Upsert -----
-    /// Allocate a lower-part node for `key` at `level` in this module.
+    /// Allocate a lower-part node for `key` at `level` in this module. A
+    /// leaf also enters the local index and the local leaf list; the module
+    /// finds its place by descending the replica from `from`.
     AllocLower {
         /// Batch-local operation id.
         op: u32,
@@ -141,6 +143,11 @@ pub enum Task {
         value: Value,
         /// Node level.
         level: u8,
+        /// Leaves only: the lowest replicated node of the key's search path
+        /// that the CPU holds (its level-`h_low` predecessor, else a
+        /// finger), or `NULL` for the descent start. A module that does not
+        /// hold it answers [`Reply::Faulted`].
+        from: Handle,
     },
     /// Broadcast: materialise an upper-part replica at `slot`.
     AllocUpper {
@@ -163,11 +170,18 @@ pub enum Task {
         /// Downward pointer value.
         down: Handle,
     },
-    /// Broadcast: recompute the per-module `next_leaf` shortcut of a newly
-    /// linked upper-part leaf (post-Algorithm-1 round of batched Upsert).
+    /// Broadcast: compute the per-module `next_leaf` shortcut of a newly
+    /// linked upper-part leaf (post-Algorithm-1 round of batched Upsert) by
+    /// walking the local leaf list from the shortcut of `from`.
     FixNextLeaf {
         /// Replicated slot of the new upper leaf.
         slot: u32,
+        /// The new leaf's level-`h_low` predecessor after linking, whose
+        /// shortcut is current when this task runs: an older upper leaf, or
+        /// a new one whose `FixNextLeaf` came just before in the same
+        /// inbox. A module that does not hold it answers
+        /// [`Reply::Faulted`].
+        from: Handle,
     },
     /// Record a leaf's tower chain (Insert step 5).
     SetLeafChain {
@@ -278,8 +292,8 @@ pub enum Task {
         node: Box<Node>,
     },
     /// Recovery finaliser: rebuild the module's derived local views (hash
-    /// index, local leaf list, `next_leaf` shortcuts) from the installed
-    /// nodes, then acknowledge with [`Reply::Recovered`].
+    /// index, local leaf list, `next_leaf` shortcuts and their inverses)
+    /// from the installed nodes, then acknowledge with [`Reply::Recovered`].
     RecoverLocal,
 }
 
