@@ -205,8 +205,7 @@ impl PimSkipList {
     /// Fault-tolerant handle dereference; see [`PimSkipList::batch_read`].
     /// Idempotent, so lost messages or module crashes are retried through
     /// the read-side recovery loop like every other read.
-    #[doc(hidden)]
-    pub fn try_batch_read(
+    pub(crate) fn try_batch_read(
         &mut self,
         handles: &[pim_runtime::Handle],
     ) -> PimResult<Vec<(Key, Value)>> {

@@ -40,13 +40,6 @@ pub struct Config {
     /// [`crate::error::PimError::RetriesExhausted`]. Irrelevant on a
     /// fault-free machine. Default 3.
     pub max_retries: u32,
-    /// Record every committed [`crate::Op`] run of
-    /// [`crate::list::PimSkipList::try_execute`] in the journal's op log
-    /// (host-DRAM bookkeeping, unmetered). Off by default: the log grows
-    /// with the op stream, which long soaks don't want. With it on, a
-    /// recovered structure provably equals a fresh one replaying the log
-    /// through `execute` (see the chaos suite).
-    pub record_op_log: bool,
     /// Pipeline consecutive coalescible runs through
     /// [`crate::list::PimSkipList::try_execute`]: while run `k` executes
     /// its rounds on the machine, a side thread stages run `k+1`'s
@@ -86,7 +79,6 @@ impl Config {
             max_level,
             track_contention: false,
             max_retries: 3,
-            record_op_log: false,
             pipeline: pipeline_from_env(),
             push_pull: push_pull_from_env(),
         }
@@ -133,12 +125,6 @@ impl Config {
     /// Enable Lemma 4.2 contention instrumentation.
     pub fn with_contention_tracking(mut self) -> Self {
         self.track_contention = true;
-        self
-    }
-
-    /// Enable the journal op log (see [`Config::record_op_log`]).
-    pub fn with_op_log(mut self) -> Self {
-        self.record_op_log = true;
         self
     }
 

@@ -55,6 +55,11 @@ impl<'a> Reader<'a> {
         self.pos >= self.buf.len()
     }
 
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
@@ -90,6 +95,9 @@ const TAG_DELETE: u8 = 3;
 const TAG_PREDECESSOR: u8 = 4;
 const TAG_SUCCESSOR: u8 = 5;
 const TAG_RANGE: u8 = 6;
+
+/// The smallest encoded op: a tag and one key.
+const MIN_OP_LEN: usize = 9;
 
 // RangeFunc tags.
 const FUNC_READ: u8 = 0;
@@ -258,7 +266,8 @@ pub(crate) fn decode_frame(r: &mut Reader<'_>) -> FrameRead {
     let (Some(seq), Some(count)) = (pr.u64(), pr.u32()) else {
         return torn(claimed, found);
     };
-    let mut ops = Vec::with_capacity(count as usize);
+    // `count` is untrusted: the payload bounds how many ops can follow.
+    let mut ops = Vec::with_capacity((count as usize).min(pr.remaining() / MIN_OP_LEN));
     for _ in 0..count {
         match decode_op(&mut pr) {
             Some(op) => ops.push(op),
@@ -383,6 +392,24 @@ mod tests {
             );
             bytes[i] ^= 0x40;
         }
+    }
+
+    #[test]
+    fn hostile_op_count_is_torn_not_an_allocation() {
+        // A checksum-valid payload that claims `u32::MAX` ops and holds none.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 0);
+        put_u32(&mut payload, u32::MAX);
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(&payload));
+        frame.extend_from_slice(&payload);
+        assert_eq!(frame.len(), 20);
+        let mut r = Reader::new(&frame);
+        assert!(matches!(
+            decode_frame(&mut r),
+            FrameRead::Torn { offset: 0, .. }
+        ));
     }
 
     #[test]

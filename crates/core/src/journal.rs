@@ -28,7 +28,6 @@ use std::collections::HashMap;
 use pim_runtime::Handle;
 
 use crate::config::{Key, Value};
-use crate::op::Op;
 
 /// How many tower levels a [`Tower`] stores inline. Heights are geometric
 /// (`P(height > 4) = 2⁻⁴`), so ~94% of towers never touch the heap — which
@@ -90,12 +89,6 @@ pub(crate) struct JournalEntry {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Journal {
     entries: HashMap<Key, JournalEntry>,
-    /// The committed [`Op`] stream of `try_execute`, in commit order
-    /// (populated only under [`crate::Config::record_op_log`]). Recovery
-    /// rebuilds from the *snapshot* (`entries`), but the log pins the
-    /// semantics: a fresh structure replaying it through `execute` holds
-    /// exactly the snapshot's contents.
-    op_log: Vec<Op>,
 }
 
 impl Journal {
@@ -137,17 +130,6 @@ impl Journal {
                 e.value = e.value.wrapping_add(delta);
             }
         }
-    }
-
-    /// Append one committed run of the mixed-stream entry point to the op
-    /// log (no-op effect on recovery; audit/replay record only).
-    pub fn record_ops(&mut self, ops: &[Op]) {
-        self.op_log.extend_from_slice(ops);
-    }
-
-    /// The committed op stream recorded so far.
-    pub fn op_log(&self) -> &[Op] {
-        &self.op_log
     }
 
     /// Live keys recorded.

@@ -36,7 +36,6 @@
 pub mod arena;
 pub mod batch;
 pub mod config;
-pub mod dot;
 pub mod durable;
 pub mod error;
 mod hotcache;

@@ -311,13 +311,6 @@ impl PimSkipList {
         self.stage.front_mut().take_sorted_keys(dst)
     }
 
-    /// The committed [`crate::Op`] stream recorded by
-    /// [`PimSkipList::try_execute`] (empty unless
-    /// [`Config::record_op_log`] is set).
-    pub fn op_log(&self) -> &[crate::op::Op] {
-        self.journal.op_log()
-    }
-
     /// The replicated −∞ sentinel a descent begins at: the highest one
     /// with a linked `right` (the levels above it are empty), or level
     /// `top` if that is higher — an insert taller than every linked tower

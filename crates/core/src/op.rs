@@ -18,12 +18,11 @@
 //!
 //! Fault surface: [`PimSkipList::try_execute`] is where the bounded
 //! retry/recovery loops of [`crate::recover`] are invoked — the per-op
-//! `try_batch_*` wrappers are thin shims that build a homogeneous `&[Op]`
-//! and call `try_execute`, so the fault/retry behaviour is defined exactly
-//! once. With [`crate::Config::record_op_log`] set, every committed run is
-//! appended to the journal's op log, and a crash-recovered structure is
-//! guaranteed to equal a fresh structure replaying that log through
-//! `execute` (the chaos suite proves it).
+//! `batch_*` entry points go through crate-private shims that build a
+//! homogeneous `&[Op]` and call `try_execute`, so the fault/retry
+//! behaviour is defined exactly once. On a durable structure every
+//! committed run is one WAL frame, and a crash-recovered structure equals
+//! a fresh one replaying the WAL (the chaos suite proves it).
 
 use pim_runtime::Handle;
 
@@ -238,9 +237,6 @@ impl PimSkipList {
     /// retry/recovery loops of [`crate::recover`] are engaged. Runs retry
     /// independently; an error aborts the stream at the failing run (every
     /// earlier run is committed, nothing of the failing or later runs is).
-    ///
-    /// With [`crate::Config::record_op_log`] set, each run is appended to
-    /// the journal op log as it commits.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
         let mut replies = Vec::with_capacity(ops.len());
         // Lemma 4.2 instrumentation spans one *search* batch; a mixed
@@ -342,9 +338,9 @@ impl PimSkipList {
     }
 
     /// Commit one coalescible run: execute it with its family's retry
-    /// discipline, then append to the journal op log / WAL / telemetry in
-    /// that order. Shared verbatim by both drivers — byte-identical
-    /// side effects is the pipelining contract.
+    /// discipline, then append to the WAL and telemetry in that order.
+    /// Shared verbatim by both drivers — byte-identical side effects is
+    /// the pipelining contract.
     fn commit_run(
         &mut self,
         run: &[Op],
@@ -359,9 +355,6 @@ impl PimSkipList {
         };
         let out = self.execute_run(run)?;
         debug_assert_eq!(out.len(), run.len());
-        if self.cfg.record_op_log {
-            self.journal.record_ops(run);
-        }
         if self.durable.is_some() {
             // WAL frame = committed run: replay splits the stream into
             // the same runs, so frame-by-frame recovery is the original
@@ -640,20 +633,5 @@ mod tests {
         let before = list.metrics();
         assert!(list.execute(&[]).is_empty());
         assert_eq!(list.metrics(), before);
-    }
-
-    #[test]
-    fn op_log_records_committed_stream() {
-        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 10).with_op_log());
-        let ops = [
-            Op::Upsert { key: 1, value: 1 },
-            Op::Get { key: 1 },
-            Op::Delete { key: 1 },
-        ];
-        list.execute(&ops);
-        assert_eq!(list.op_log(), &ops);
-        // A second stream appends.
-        list.execute(&[Op::Upsert { key: 2, value: 2 }]);
-        assert_eq!(list.op_log().len(), 4);
     }
 }

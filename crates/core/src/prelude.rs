@@ -19,9 +19,10 @@
 //! ([`Telemetry`], [`TelemetrySnapshot`]).
 //!
 //! The per-op `batch_*` methods remain available on [`PimSkipList`] for
-//! paper-bound experiments (Table 1 measures each family in isolation),
-//! but the `try_batch_*` free-standing wrappers are `#[doc(hidden)]`
-//! shims over `execute` and new code should not import them.
+//! paper-bound experiments (Table 1 measures each family in isolation).
+//! Their fault-tolerant form is [`PimSkipList::try_execute`] over a
+//! homogeneous `&[Op]`; the one typed-error entry point outside it is
+//! [`PimSkipList::try_bulk_load`], because a bulk load is not an `Op`.
 
 pub use crate::config::{Config, Key, Value, NEG_INF, POS_INF};
 pub use crate::durable::{DurabilityPolicy, DurableStats, FsyncPolicy, RecoveryReport};

@@ -73,8 +73,7 @@ impl PimSkipList {
     /// discipline live): read-only functions retry with per-module
     /// recovery; mutating ones restore from the journal on any damaged
     /// attempt so a partial pass is never applied twice.
-    #[doc(hidden)]
-    pub fn try_batch_range(
+    pub(crate) fn try_batch_range(
         &mut self,
         ranges: &[(Key, Key)],
         func: RangeFunc,

@@ -156,8 +156,7 @@ impl PimSkipList {
     /// Fault-tolerant batched Get; see [`PimSkipList::batch_get`]. A thin
     /// shim over [`PimSkipList::try_execute`], where the retry/recovery
     /// surface of every batch family is defined once.
-    #[doc(hidden)]
-    pub fn try_batch_get(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
+    pub(crate) fn try_batch_get(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
         let ops: Vec<Op> = keys.iter().map(|&key| Op::Get { key }).collect();
         let replies = self.try_execute(&ops)?;
         Ok(replies
@@ -171,8 +170,7 @@ impl PimSkipList {
 
     /// Fault-tolerant batched Update; see [`PimSkipList::batch_update`].
     /// Shim over [`PimSkipList::try_execute`].
-    #[doc(hidden)]
-    pub fn try_batch_update(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
+    pub(crate) fn try_batch_update(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
         let ops: Vec<Op> = pairs
             .iter()
             .map(|&(key, value)| Op::Update { key, value })
@@ -190,8 +188,10 @@ impl PimSkipList {
     /// Fault-tolerant batched Successor; see
     /// [`PimSkipList::batch_successor`]. Shim over
     /// [`PimSkipList::try_execute`].
-    #[doc(hidden)]
-    pub fn try_batch_successor(&mut self, keys: &[Key]) -> PimResult<Vec<Option<(Key, Handle)>>> {
+    pub(crate) fn try_batch_successor(
+        &mut self,
+        keys: &[Key],
+    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
         let ops: Vec<Op> = keys.iter().map(|&key| Op::Successor { key }).collect();
         let replies = self.try_execute(&ops)?;
         Ok(replies
@@ -206,8 +206,10 @@ impl PimSkipList {
     /// Fault-tolerant batched Predecessor; see
     /// [`PimSkipList::batch_predecessor`]. Shim over
     /// [`PimSkipList::try_execute`].
-    #[doc(hidden)]
-    pub fn try_batch_predecessor(&mut self, keys: &[Key]) -> PimResult<Vec<Option<(Key, Handle)>>> {
+    pub(crate) fn try_batch_predecessor(
+        &mut self,
+        keys: &[Key],
+    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
         let ops: Vec<Op> = keys.iter().map(|&key| Op::Predecessor { key }).collect();
         let replies = self.try_execute(&ops)?;
         Ok(replies
@@ -221,8 +223,10 @@ impl PimSkipList {
 
     /// Fault-tolerant batched Upsert; see [`PimSkipList::batch_upsert`].
     /// Shim over [`PimSkipList::try_execute`].
-    #[doc(hidden)]
-    pub fn try_batch_upsert(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<UpsertOutcome>> {
+    pub(crate) fn try_batch_upsert(
+        &mut self,
+        pairs: &[(Key, Value)],
+    ) -> PimResult<Vec<UpsertOutcome>> {
         let ops: Vec<Op> = pairs
             .iter()
             .map(|&(key, value)| Op::Upsert { key, value })
@@ -239,8 +243,7 @@ impl PimSkipList {
 
     /// Fault-tolerant batched Delete; see [`PimSkipList::batch_delete`].
     /// Shim over [`PimSkipList::try_execute`].
-    #[doc(hidden)]
-    pub fn try_batch_delete(&mut self, keys: &[Key]) -> PimResult<Vec<bool>> {
+    pub(crate) fn try_batch_delete(&mut self, keys: &[Key]) -> PimResult<Vec<bool>> {
         let ops: Vec<Op> = keys.iter().map(|&key| Op::Delete { key }).collect();
         let replies = self.try_execute(&ops)?;
         Ok(replies
@@ -253,7 +256,8 @@ impl PimSkipList {
     }
 
     /// Fault-tolerant bulk construction; see [`PimSkipList::bulk_load`].
-    #[doc(hidden)]
+    /// Argument errors and exhausted retries come back as typed
+    /// [`PimError`]s instead of panics.
     pub fn try_bulk_load(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
         if !self.is_empty() {
             return Err(PimError::InvalidArgument {

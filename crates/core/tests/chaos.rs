@@ -11,9 +11,39 @@
 //!   instead of corrupting state.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
-use pim_core::{Config, FaultKind, FaultPlan, Op, PimError, PimSkipList, RangeFunc};
+use pim_core::prelude::*;
+use pim_core::{FaultKind, FaultPlan};
 use pim_workloads::adversary::{contiguous_run, same_successor_flood};
+
+/// A Get run, as `try_execute` takes it.
+fn gets(keys: &[i64]) -> Vec<Op> {
+    keys.iter().map(|&key| Op::Get { key }).collect()
+}
+
+/// An Upsert run.
+fn upserts(pairs: &[(i64, u64)]) -> Vec<Op> {
+    pairs
+        .iter()
+        .map(|&(key, value)| Op::Upsert { key, value })
+        .collect()
+}
+
+/// A Delete run.
+fn deletes(keys: &[i64]) -> Vec<Op> {
+    keys.iter().map(|&key| Op::Delete { key }).collect()
+}
+
+/// A Successor run.
+fn successors(keys: &[i64]) -> Vec<Op> {
+    keys.iter().map(|&key| Op::Successor { key }).collect()
+}
+
+/// The key of a Successor / Predecessor reply.
+fn entry_key(reply: &Reply) -> Option<i64> {
+    reply.as_entry().flatten().map(|(k, _)| k)
+}
 
 /// The adversarial upsert/delete workload shared by several tests:
 /// bulk-build, then a contiguous-run insert wave and a contiguous-run
@@ -94,11 +124,11 @@ fn crash_at_fixed_round_recovers_and_matches_oracle() {
     chaotic.set_fault_plan(FaultPlan::new().at(crash_round, 2, FaultKind::Crash));
     let queries: Vec<i64> = (0..64).map(|i| i * 19 - 3).collect();
     let got = chaotic
-        .try_batch_successor(&queries)
+        .try_execute(&successors(&queries))
         .expect("successor across the crash");
     for (q, g) in queries.iter().zip(&got) {
         let want = oracle.range(q..).next().map(|(&k, _)| k);
-        assert_eq!(g.map(|(k, _)| k), want, "successor({q})");
+        assert_eq!(entry_key(g), want, "successor({q})");
     }
     assert_eq!(
         chaotic.metrics().module_crashes,
@@ -125,19 +155,24 @@ fn random_fault_storm_matches_oracle() {
         let ups: Vec<(i64, u64)> = (0..40)
             .map(|i| (wave * 100 + i * 2 + 1, (wave * 1000 + i) as u64))
             .collect();
-        list.try_batch_upsert(&ups).expect("upsert under storm");
+        list.try_execute(&upserts(&ups))
+            .expect("upsert under storm");
         oracle.extend(ups.iter().copied());
 
         let dels: Vec<i64> = (0..25).map(|i| wave * 24 + i * 3).collect();
-        let res = list.try_batch_delete(&dels).expect("delete under storm");
+        let res = list
+            .try_execute(&deletes(&dels))
+            .expect("delete under storm");
         for (i, k) in dels.iter().enumerate() {
-            assert_eq!(res[i], oracle.remove(k).is_some(), "delete({k}) verdict");
+            let want = Reply::Deleted(oracle.remove(k).is_some());
+            assert_eq!(res[i], want, "delete({k}) verdict");
         }
 
-        let gets: Vec<i64> = (0..50).map(|i| wave * 7 + i * 5 - 20).collect();
-        let res = list.try_batch_get(&gets).expect("get under storm");
-        for (i, k) in gets.iter().enumerate() {
-            assert_eq!(res[i], oracle.get(k).copied(), "get({k}) under storm");
+        let keys: Vec<i64> = (0..50).map(|i| wave * 7 + i * 5 - 20).collect();
+        let res = list.try_execute(&gets(&keys)).expect("get under storm");
+        for (i, k) in keys.iter().enumerate() {
+            let want = Reply::Value(oracle.get(k).copied());
+            assert_eq!(res[i], want, "get({k}) under storm");
         }
     }
 
@@ -201,9 +236,16 @@ fn dropped_replies_are_retried_transparently() {
     list.set_fault_plan(plan);
 
     let keys: Vec<i64> = (0..200).map(|i| i * 2).collect();
-    let got = list.try_batch_get(&keys).expect("get with dropped replies");
+    let got = list
+        .try_execute(&gets(&keys))
+        .expect("get with dropped replies");
     for (i, v) in got.iter().enumerate() {
-        assert_eq!(*v, Some(i as u64 + 100), "value of key {}", i * 2);
+        assert_eq!(
+            *v,
+            Reply::Value(Some(i as u64 + 100)),
+            "value of key {}",
+            i * 2
+        );
     }
     let m = list.metrics();
     assert!(m.messages_dropped > 0, "the drops must have struck");
@@ -298,11 +340,11 @@ fn mixed_stream() -> Vec<Op> {
 /// Reply equality up to node handles: recovery rebuilds crashed modules,
 /// so `Entry` handles are physically relocated — the *keys* are the
 /// logical answer and must match exactly.
-fn assert_logically_eq(got: &[pim_core::Reply], want: &[pim_core::Reply]) {
+fn assert_logically_eq(got: &[Reply], want: &[Reply]) {
     assert_eq!(got.len(), want.len(), "reply counts diverge");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         match (g, w) {
-            (pim_core::Reply::Entry(ge), pim_core::Reply::Entry(we)) => assert_eq!(
+            (Reply::Entry(ge), Reply::Entry(we)) => assert_eq!(
                 ge.map(|e| e.0),
                 we.map(|e| e.0),
                 "entry key diverges at op {i}"
@@ -312,22 +354,59 @@ fn assert_logically_eq(got: &[pim_core::Reply], want: &[pim_core::Reply]) {
     }
 }
 
+/// A fresh directory for one test's WAL.
+fn wal_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pim-chaos-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Exactly-once commit, proven through the WAL: a frame is one committed
+/// run, so recovering `dir` from the WAL alone replays every op of `ops`
+/// once, and the recovered list is the fault-free run of `ops` on `cfg` —
+/// same contents, same metrics, same replies to the stream run again. A
+/// run appended twice, or a half-committed one, breaks all three.
+fn assert_wal_replays_dry_run(dir: &Path, cfg: Config, ops: &[Op]) {
+    let (mut rec, report) =
+        PimSkipList::recover_from_dir(cfg.clone(), dir, DurabilityPolicy::default())
+            .expect("recover from the WAL");
+    assert_eq!(report.snapshot_seq, None, "full-WAL replay");
+    assert_eq!(
+        report.ops_replayed,
+        ops.len() as u64,
+        "every op committed exactly once"
+    );
+    let mut dry = PimSkipList::new(cfg);
+    dry.execute(ops);
+    assert_eq!(
+        rec.collect_items(),
+        dry.collect_items(),
+        "replayed contents"
+    );
+    assert_eq!(rec.metrics(), dry.metrics(), "replayed work");
+    assert_eq!(rec.execute(ops), dry.execute(ops), "replies after replay");
+    assert_eq!(rec.metrics(), dry.metrics());
+    rec.validate().expect("replayed structure valid");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn crash_mid_mixed_stream_recovers_and_op_log_replays_identically() {
     // Dry run: fault-free replies and the round budget of the stream.
-    let cfg = || {
-        Config::new(4, 1 << 10, 91)
-            .with_op_log()
-            .with_max_retries(50)
-    };
+    let cfg = || Config::new(4, 1 << 10, 91).with_max_retries(50);
     let ops = mixed_stream();
     let mut dry = PimSkipList::new(cfg());
     let dry_replies = dry.try_execute(&ops).expect("fault-free stream");
 
-    // Chaos run: crash module 1 halfway through the stream. Execution is
-    // deterministic, so the crash lands inside some mid-stream run.
+    // Chaos run, durable: crash module 1 halfway through the stream.
+    // Execution is deterministic, so the crash lands inside some
+    // mid-stream run.
     let crash_round = dry.metrics().rounds / 2;
+    let dir = wal_dir("mixed");
     let mut chaotic = PimSkipList::new(cfg());
+    chaotic
+        .enable_durability(&dir, DurabilityPolicy::default())
+        .expect("fresh wal dir");
     chaotic.set_fault_plan(FaultPlan::new().at(crash_round, 1, FaultKind::Crash));
     let replies = chaotic.try_execute(&ops).expect("recovers mid-stream");
 
@@ -338,22 +417,10 @@ fn crash_mid_mixed_stream_recovers_and_op_log_replays_identically() {
     chaotic.validate().expect("recovered structure valid");
     assert_eq!(chaotic.collect_items(), dry.collect_items());
 
-    // Exactly-once journalling: despite the retried run, every op is
-    // logged once, in arrival order.
-    assert_eq!(chaotic.op_log(), &ops[..], "op log = committed stream");
-
-    // The journal is a complete recipe: replaying it through `execute` on
-    // a fresh list reproduces both the answers and the final contents.
-    let logged = chaotic.op_log().to_vec();
-    let mut replay = PimSkipList::new(Config::new(4, 1 << 10, 91));
-    let replay_replies = replay.execute(&logged);
-    assert_eq!(replay_replies, dry_replies, "replayed answers match");
-    assert_eq!(
-        replay.collect_items(),
-        chaotic.collect_items(),
-        "replaying the op log rebuilds the recovered state"
-    );
-    replay.validate().expect("replayed structure valid");
+    // Despite the retried run, the WAL is a complete recipe: replaying it
+    // on a fresh list is the fault-free execution.
+    drop(chaotic);
+    assert_wal_replays_dry_run(&dir, cfg(), &ops);
 }
 
 #[test]
@@ -363,11 +430,10 @@ fn pipelined_crash_at_route_commit_recovers_on_run_boundary() {
     // where the pipelined driver may already have staged the next run's
     // preprocessing on the side thread. Recovery must land on a run
     // boundary: the retried run re-commits wholesale, the staged next run
-    // is discarded and recomputed, and the op log ends up with every op
+    // is discarded and recomputed, and the WAL ends up with every op
     // exactly once in arrival order — no half-committed or duplicated run.
     let cfg = |pipeline: bool| {
         Config::new(4, 1 << 10, 91)
-            .with_op_log()
             .with_max_retries(50)
             .with_pipeline(pipeline)
     };
@@ -377,12 +443,15 @@ fn pipelined_crash_at_route_commit_recovers_on_run_boundary() {
     let crash_round = dry.metrics().rounds / 2;
 
     let run = |pipeline: bool| {
+        let dir = wal_dir(if pipeline { "pipelined" } else { "sequential" });
         let mut list = PimSkipList::new(cfg(pipeline));
+        list.enable_durability(&dir, DurabilityPolicy::default())
+            .expect("fresh wal dir");
         list.set_fault_plan(FaultPlan::new().at(crash_round, 1, FaultKind::Crash));
         let replies = list.try_execute(&ops).expect("recovers mid-stream");
-        (replies, list)
+        (replies, list, dir)
     };
-    let (replies, chaotic) = run(true);
+    let (replies, chaotic, dir) = run(true);
 
     let m = chaotic.metrics();
     assert_eq!(m.module_crashes, 1, "the scheduled crash must have struck");
@@ -391,22 +460,19 @@ fn pipelined_crash_at_route_commit_recovers_on_run_boundary() {
     chaotic.validate().expect("recovered structure valid");
     assert_eq!(chaotic.collect_items(), dry.collect_items());
 
-    // Run-boundary proof: the journal logs whole runs at commit points,
-    // so op log == input stream ⟺ every run committed exactly once.
-    assert_eq!(
-        chaotic.op_log(),
-        &ops[..],
-        "recovery must re-commit the damaged run wholesale, exactly once"
-    );
-
     // The crash/recovery schedule itself is round-keyed and rounds are
     // pipeline-invariant, so the sequential engine under the *same* plan
     // is byte-identical — faults included.
-    let (seq_replies, seq) = run(false);
+    let (seq_replies, seq, seq_dir) = run(false);
     assert_eq!(replies, seq_replies, "same faults, same replies");
     assert_eq!(chaotic.metrics(), seq.metrics(), "same faults, same work");
     assert_eq!(chaotic.collect_items(), seq.collect_items());
-    assert_eq!(chaotic.op_log(), seq.op_log());
+
+    // Run-boundary proof: the WAL appends whole runs at commit points, so
+    // both engines' logs replay to the fault-free run.
+    drop((chaotic, seq));
+    assert_wal_replays_dry_run(&dir, cfg(true), &ops);
+    assert_wal_replays_dry_run(&seq_dir, cfg(false), &ops);
 }
 
 /// Contents, length and invariants after a recovered run.
@@ -471,7 +537,8 @@ fn fault_inside_the_restore_all_rebuild_is_repaired() {
         list.bulk_load(&base);
         list.set_fault_plan(plan);
         list.enable_probe();
-        list.try_batch_upsert(&ups).expect("upsert under faults");
+        list.try_execute(&upserts(&ups))
+            .expect("upsert under faults");
         list
     };
 
@@ -622,11 +689,11 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
                 list.bulk_load(&base);
                 list.set_fault_plan(FaultPlan::new().at(round, module, kind));
                 let succ = list
-                    .try_batch_successor(&queries)
+                    .try_execute(&successors(&queries))
                     .unwrap_or_else(|e| panic!("{context}: {e}"));
-                let succ: Vec<Option<i64>> = succ.iter().map(|s| s.map(|(k, _)| k)).collect();
+                let succ: Vec<Option<i64>> = succ.iter().map(entry_key).collect();
                 assert_eq!(succ, want_succ, "{context}");
-                list.try_batch_upsert(&fresh)
+                list.try_execute(&upserts(&fresh))
                     .unwrap_or_else(|e| panic!("{context}: {e}"));
                 if kind == FaultKind::Crash {
                     assert_eq!(list.metrics().module_crashes, 1, "{context}");
@@ -650,7 +717,7 @@ fn unrecoverable_schedule_surfaces_retries_exhausted() {
 
     let pairs: Vec<(i64, u64)> = (0..50).map(|i| (i, i as u64)).collect();
     let err = list
-        .try_batch_upsert(&pairs)
+        .try_execute(&upserts(&pairs))
         .expect_err("must exhaust retries");
     assert!(
         matches!(err, PimError::RetriesExhausted { .. }),

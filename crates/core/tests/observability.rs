@@ -11,7 +11,8 @@
 //!   recovery spans own exactly the rounds billed to
 //!   `Metrics::recovery_rounds`.
 
-use pim_core::{Config, FaultPlan, PimSkipList, RangeFunc};
+use pim_core::prelude::*;
+use pim_core::FaultPlan;
 use pim_runtime::export::parse;
 use pim_runtime::{chrome_trace, rounds_jsonl, ExportBundle, Metrics};
 
@@ -237,14 +238,25 @@ fn chaos_export_carries_fault_records_and_recovery_spans_balance() {
     let base: Vec<(i64, u64)> = (0..300).map(|i| (i * 4, i as u64)).collect();
     list.try_bulk_load(&base).expect("bulk load under storm");
     for wave in 0..4i64 {
-        let ups: Vec<(i64, u64)> = (0..40)
-            .map(|i| (wave * 100 + i * 2 + 1, (wave * 1000 + i) as u64))
+        let ups: Vec<Op> = (0..40)
+            .map(|i| Op::Upsert {
+                key: wave * 100 + i * 2 + 1,
+                value: (wave * 1000 + i) as u64,
+            })
             .collect();
-        list.try_batch_upsert(&ups).expect("upsert under storm");
-        let dels: Vec<i64> = (0..25).map(|i| wave * 24 + i * 4).collect();
-        list.try_batch_delete(&dels).expect("delete under storm");
-        let gets: Vec<i64> = (0..50).map(|i| wave * 7 + i * 5).collect();
-        list.try_batch_get(&gets).expect("get under storm");
+        list.try_execute(&ups).expect("upsert under storm");
+        let dels: Vec<Op> = (0..25)
+            .map(|i| Op::Delete {
+                key: wave * 24 + i * 4,
+            })
+            .collect();
+        list.try_execute(&dels).expect("delete under storm");
+        let gets: Vec<Op> = (0..50)
+            .map(|i| Op::Get {
+                key: wave * 7 + i * 5,
+            })
+            .collect();
+        list.try_execute(&gets).expect("get under storm");
     }
 
     let after = list.metrics();

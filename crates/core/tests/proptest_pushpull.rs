@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use pim_core::{Config, FaultPlan, Op, PimSkipList, RangeFunc};
+use pim_core::prelude::*;
+use pim_core::FaultPlan;
 
 fn key_strategy() -> impl Strategy<Value = i64> {
     // Small domain: collisions, duplicate keys, overlapping ranges.
@@ -120,7 +121,7 @@ proptest! {
     /// a stale snapshot — every reply still matches a fault-free
     /// `BTreeMap` oracle and the final structure validates. The retry
     /// budget (8) strictly exceeds the scheduled events (≤6), so any
-    /// error a `try_*` call returns is a real bug.
+    /// error `try_execute` returns is a real bug.
     #[test]
     fn push_pull_survives_mid_batch_crashes(
         seed in 0u64..1_000_000,
@@ -145,7 +146,8 @@ proptest! {
         let mut oracle: BTreeMap<i64, u64> = BTreeMap::new();
 
         for (pairs, dels, succs) in &rounds {
-            list.try_batch_upsert(pairs).expect("upsert under faults");
+            let upserts: Vec<Op> = pairs.iter().map(|&(key, value)| Op::Upsert { key, value }).collect();
+            list.try_execute(&upserts).expect("upsert under faults");
             let mut seen = std::collections::HashSet::new();
             for &(k, v) in pairs {
                 if seen.insert(k) {
@@ -154,18 +156,20 @@ proptest! {
             }
 
             // Successor batches both exercise and re-warm the cache.
-            let res = list.try_batch_successor(succs).expect("successor under faults");
+            let queries: Vec<Op> = succs.iter().map(|&key| Op::Successor { key }).collect();
+            let res = list.try_execute(&queries).expect("successor under faults");
             for (i, k) in succs.iter().enumerate() {
                 let want = oracle.range(*k..).next().map(|(&sk, _)| sk);
                 prop_assert_eq!(
-                    res[i].map(|(sk, _)| sk),
+                    res[i].as_entry().flatten().map(|(sk, _)| sk),
                     want,
                     "successor({}) drifted under faults",
                     k
                 );
             }
 
-            list.try_batch_delete(dels).expect("delete under faults");
+            let deletes: Vec<Op> = dels.iter().map(|&key| Op::Delete { key }).collect();
+            list.try_execute(&deletes).expect("delete under faults");
             for k in dels {
                 oracle.remove(k);
             }

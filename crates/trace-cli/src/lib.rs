@@ -727,16 +727,14 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// The `pim-top` dashboard over a telemetry event log: request counts,
-/// throughput, queue-depth sparkline, exact latency quantiles, and (when
-/// a round log is supplied) per-module heat. `up_to` limits the view to
-/// events at or before that tick — the replay knob `pim-top` animates.
-pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>, up_to: Option<u64>) -> String {
+/// The `pim-trace top` dashboard over a telemetry event log: request
+/// counts, throughput, queue-depth sparkline, exact latency quantiles, and
+/// (when a round log is supplied) per-module heat, as of the last event.
+pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>) -> String {
     const SHADES: &[u8] = b" .:-=+*#%@";
     const COLS: usize = 48;
-    let last_tick = doc.events.iter().map(|e| e.tick).max().unwrap_or(0);
-    let now = up_to.unwrap_or(last_tick).min(last_tick);
-    let view: Vec<&EventRow> = doc.events.iter().filter(|e| e.tick <= now).collect();
+    let now = doc.events.iter().map(|e| e.tick).max().unwrap_or(0);
+    let view = &doc.events;
 
     let admitted = view.iter().filter(|e| e.kind == "admit").count() as u64;
     let dispatched = view.iter().filter(|e| e.kind == "coalesce").count() as u64;
@@ -765,7 +763,7 @@ pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>, up_to: Option<u64>
 
     // Queue depth at each tick = admissions so far − dispatches so far.
     let mut depth_at = vec![0i64; now as usize + 1];
-    for e in &view {
+    for e in view {
         let d = match e.kind.as_str() {
             "admit" => 1,
             "coalesce" => -1,
@@ -796,7 +794,7 @@ pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>, up_to: Option<u64>
 
     let mut out = String::new();
     out.push_str(&format!(
-        "pim-top — tick {now}/{last_tick}  ({} events{}{})\n",
+        "pim-trace top — tick {now}  ({} events{}{})\n",
         view.len(),
         if doc.dropped_events > 0 {
             ", DROPPED "
@@ -1037,21 +1035,16 @@ mod tests {
     #[test]
     fn top_renders_the_dashboard() {
         let doc = parse_events_jsonl(&sample_events()).unwrap();
-        let out = render_top(&doc, None, None);
+        let out = render_top(&doc, None);
         assert!(out.contains("admitted 2"));
         assert!(out.contains("completed 1"));
         assert!(out.contains("in-flight 1"));
         assert!(out.contains("batches 1"));
         assert!(out.contains("p50 1"));
         assert!(out.contains("machine rounds 9"));
-        // Replay knob: before the dispatch tick both requests are queued.
-        let early = render_top(&doc, None, Some(1));
-        assert!(early.contains("admitted 2"));
-        assert!(early.contains("completed 0"));
-        assert!(early.contains("now 2"), "queue depth 2 at tick 1: {early}");
         // Module heat appears when a round log is supplied.
         let rounds = parse_jsonl(&sample_jsonl()).unwrap();
-        let with_heat = render_top(&doc, Some(&rounds), None);
+        let with_heat = render_top(&doc, Some(&rounds));
         assert!(with_heat.contains("module heat"));
         assert!(with_heat.contains("m1"));
     }

@@ -5,7 +5,7 @@
 //! pim-trace hprofile <rounds.jsonl>    distribution of per-round h
 //! pim-trace heatmap <rounds.jsonl>     module-imbalance heatmap
 //! pim-trace all     <rounds.jsonl>     all of the above
-//! pim-trace top     <events.jsonl> [rounds.jsonl]   telemetry dashboard (final frame)
+//! pim-trace top     <events.jsonl> [rounds.jsonl]   telemetry dashboard
 //! pim-trace validate [--strict] <file>...   schema-check exports
 //! ```
 //!
@@ -70,7 +70,7 @@ fn run() -> Result<ExitCode, String> {
                 Some(path) => Some(parse_jsonl(&load(path)?).map_err(|e| format!("{path}: {e}"))?),
                 None => None,
             };
-            print!("{}", render_top(&events, rounds.as_ref(), None));
+            print!("{}", render_top(&events, rounds.as_ref()));
             Ok(ExitCode::SUCCESS)
         }
         "validate" => {

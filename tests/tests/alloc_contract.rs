@@ -16,13 +16,19 @@
 //! change that halves rounds cannot fail this test for it. (The retired
 //! per-round CI gate got both wrong — it counted Upsert + restoring Delete
 //! as "Upsert" and divided by rounds.)
+//!
+//! The `Service` row counts one whole dispatch of a [`PimService`] fronting
+//! the same list — the submits of a Get + Update batch and the tick that
+//! executes it — so its pending ring, dispatch order and op / slot scratch
+//! must be recycled, not rebuilt per dispatch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pim_bench::measure::build_loaded_list_with;
-use pim_core::{Config, Key, PimSkipList, Value};
+use pim_core::{Config, Key, Op, Value};
 use pim_runtime::pool::{self, ExecConfig};
+use pim_service::{PimService, ServiceConfig};
 use pim_workloads::PointGen;
 
 thread_local! {
@@ -73,13 +79,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> u64 {
     ALLOCS.get() - before
 }
 
-const FAMILIES: [&str; 6] = [
+const FAMILIES: [&str; 7] = [
     "Get",
     "Update",
     "Successor",
     "Predecessor",
     "Upsert",
     "Delete",
+    "Service",
 ];
 
 /// One batch per family, Table 1's sizes: `P log P` for the hash-shortcut
@@ -91,13 +98,16 @@ struct Batches {
     pred: Vec<Key>,
     fresh: Vec<(Key, Value)>,
     fresh_keys: Vec<Key>,
+    /// One service dispatch: the Get batch, then the Update batch.
+    requests: Vec<Op>,
 }
 
 impl Batches {
     /// Allocations of each family's batch, in [`FAMILIES`] order. Delete
     /// removes exactly what Upsert inserted, so every cycle starts from the
     /// same resident set.
-    fn cycle(&self, list: &mut PimSkipList) -> [u64; 6] {
+    fn cycle(&self, svc: &mut PimService) -> [u64; 7] {
+        let list = svc.list_mut();
         [
             counted(|| list.batch_get(&self.get)),
             counted(|| list.batch_update(&self.update)),
@@ -105,6 +115,14 @@ impl Batches {
             counted(|| list.batch_predecessor(&self.pred)),
             counted(|| list.batch_upsert(&self.fresh)),
             counted(|| list.batch_delete(&self.fresh_keys)),
+            counted(|| {
+                for &op in &self.requests {
+                    svc.submit(op).expect("the queue holds one batch");
+                }
+                let done = svc.tick();
+                assert_eq!(done.len(), self.requests.len(), "one full dispatch");
+                done
+            }),
         ]
     }
 }
@@ -117,7 +135,7 @@ fn steady_state_allocations_stay_within_the_contract() {
         let cfg = Config::new(p, n as u64, SEED)
             .with_pipeline(false)
             .with_push_pull(false);
-        let (mut list, keys) = build_loaded_list_with(cfg, n, SEED);
+        let (list, keys) = build_loaded_list_with(cfg, n, SEED);
 
         let lg = pim_runtime::ceil_log2(u64::from(p)) as usize;
         let small = p as usize * lg;
@@ -133,6 +151,12 @@ fn steady_state_allocations_stay_within_the_contract() {
             .into_iter()
             .map(|k| k + (n as i64) * 128)
             .collect();
+        let requests: Vec<Op> = get
+            .iter()
+            .map(|&key| Op::Get { key })
+            .chain(update.iter().map(|&(key, value)| Op::Update { key, value }))
+            .collect();
+        let mut svc = PimService::new(list, ServiceConfig::new(requests.len()));
         let batches = Batches {
             get,
             update,
@@ -140,21 +164,24 @@ fn steady_state_allocations_stay_within_the_contract() {
             pred,
             fresh: PointGen::with_values(fresh_keys.clone()),
             fresh_keys,
+            requests,
         };
 
         for _ in 0..2 {
-            batches.cycle(&mut list);
+            batches.cycle(&mut svc);
         }
-        let cycles: Vec<[u64; 6]> = (0..3).map(|_| batches.cycle(&mut list)).collect();
+        let cycles: Vec<[u64; 7]> = (0..3).map(|_| batches.cycle(&mut svc)).collect();
 
         // Get / Update: O(1) per batch, whatever the batch size — pinned at
         // today's exact counts, so one lost `Scratch` lease (one more
         // allocation) fails. Searches: at most one allocation per two keys.
         // Writes: reply, journal and tower records scale with the batch,
         // never with batch × rounds; their counts move a few percent from
-        // cycle to cycle with the tower coins, hence the 1.1× below.
+        // cycle to cycle with the tower coins, hence the 1.1× below. A
+        // service dispatch of a Get + Update batch: O(1), pinned at today's
+        // exact count like the two families it runs.
         let large = large as u64;
-        let ceilings = [7, 8, large / 2, large / 2, large * 5 / 4, large * 5 / 4];
+        let ceilings = [7, 8, large / 2, large / 2, large * 5 / 4, large * 5 / 4, 13];
         for (i, family) in FAMILIES.iter().enumerate() {
             let per_cycle: Vec<u64> = cycles.iter().map(|c| c[i]).collect();
             assert!(
