@@ -7,13 +7,16 @@
 //! at all**: towers are allocated exactly as in batched Upsert, but the
 //! horizontal pointers are degenerate Algorithm-1 segments — at every
 //! level the new nodes extend one run that starts at the −∞ sentinel —
-//! so the CPU can emit every link directly.
+//! so the CPU can emit every link directly: a pair of remote writes per
+//! lower-part node, and per upper-part node the same `LinkUpper` broadcast
+//! Upsert sends, each spliced in behind its predecessor in the run.
 //!
 //! The CPU side owns only `M = Θ(P log² P)` words of shared memory, so the
 //! input is consumed in chunks of [`Config::batch_large`] pairs, each
 //! chunk a complete mini-build: toss its tower coins, allocate and wire
-//! its towers, link them, fix its `next_leaf` shortcuts. Two things make
-//! the chunks compose into the structure a single pass would give:
+//! its towers, link them (a new upper leaf's `next_leaf` shortcut comes
+//! with its `LinkUpper`). Two things make the chunks compose into the
+//! structure a single pass would give:
 //!
 //! * **The tail carry.** Per level the build keeps the handle of the last
 //!   node linked so far (the level's −∞ sentinel until a tower reaches
@@ -22,12 +25,13 @@
 //!   already null with key +∞, so the tail is a valid list end after
 //!   every chunk and needs no terminating write.
 //! * **Allocation follows linking.** A module enters each new leaf into
-//!   its local leaf list on arrival, locating the position through the
-//!   replicated upper part. With every earlier chunk fully linked that is
-//!   an `O(log n)` descent plus a walk over this chunk's own arrivals;
-//!   allocating everything before any link exists (the former one-shot
-//!   build) made it a scan of the module's whole leaf list — quadratic PIM
-//!   time in `n`.
+//!   its local leaf list on arrival, starting from the level-`h_low` tail:
+//!   with every earlier chunk fully linked and none of this one, the tail
+//!   is the exact level-`h_low` predecessor — the anchor — of every key of
+//!   the chunk. That is one descent step plus a walk over this chunk's own
+//!   arrivals; allocating everything before any link exists (the former
+//!   one-shot build) made it a scan of the module's whole leaf list —
+//!   quadratic PIM time in `n`.
 //!
 //! Coins, per-module arrival order and shadow slots are drawn in input
 //! order whatever the chunking, so the handles do not depend on it.
@@ -110,15 +114,17 @@ impl PimSkipList {
         towers: &mut Towers,
         tails: &mut Vec<Handle>,
     ) -> PimResult<()> {
-        // Heights + allocation + vertical wiring (shared with Upsert).
+        // Heights + allocation + vertical wiring (shared with Upsert). Every
+        // key of the chunk follows the level-h_low tail, so the tail is
+        // their anchor.
         tops.clear();
         tops.extend((0..chunk.len()).map(|_| self.rng.skiplist_height(self.cfg.max_level - 1)));
-        self.allocate_towers(chunk, tops, &[], towers)?;
-        let h_low = usize::from(self.cfg.h_low);
+        let h_low = self.cfg.h_low;
         let upper_tail = tails
-            .get(h_low)
+            .get(usize::from(h_low))
             .copied()
-            .unwrap_or(Handle::replicated(h_low as u32));
+            .unwrap_or(Handle::replicated(u32::from(h_low)));
+        self.allocate_towers(chunk, tops, |_| upper_tail, towers)?;
 
         // Horizontal links, level by level: the chunk's nodes at a level,
         // in key order, extend the chain that ends at the level's tail.
@@ -131,26 +137,30 @@ impl PimSkipList {
                 }
                 let mut prev = tails[usize::from(level)];
                 let mut linked = 0u64;
-                for (j, &(key, _)) in chunk.iter().enumerate() {
+                for (j, &pair) in chunk.iter().enumerate() {
                     if tops[j] < level {
                         continue;
                     }
                     let cur = towers.get(j)[usize::from(level)];
-                    s.send_write(
-                        prev,
-                        Task::WriteRight {
-                            node: prev,
-                            to: cur,
-                            to_key: key,
-                        },
-                    );
-                    s.send_write(
-                        cur,
-                        Task::WriteLeft {
-                            node: cur,
-                            to: prev,
-                        },
-                    );
+                    if level >= h_low {
+                        s.send_link_upper(towers.get(j), pair, level, prev);
+                    } else {
+                        s.send_write(
+                            prev,
+                            Task::WriteRight {
+                                node: prev,
+                                to: cur,
+                                to_key: pair.0,
+                            },
+                        );
+                        s.send_write(
+                            cur,
+                            Task::WriteLeft {
+                                node: cur,
+                                to: prev,
+                            },
+                        );
+                    }
                     prev = cur;
                     linked += 1;
                 }
@@ -158,12 +168,9 @@ impl PimSkipList {
                 s.start.link(level, linked as u32);
                 s.sys.metrics_mut().charge_cpu(linked, 1);
             }
+            s.send_leaf_chains(towers, true);
             s.quiesce_writes("bulk_load")
-        })?;
-
-        // next_leaf shortcuts of the new upper leaves: every one of them
-        // follows the level-h_low tail of the chunks before.
-        self.fix_new_next_leaves(towers, tops, |_| upper_tail)
+        })
     }
 }
 

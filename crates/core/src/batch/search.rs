@@ -76,10 +76,14 @@
 //! left pivot's upper-part leaf, so that pivot's phase-0 reports are the
 //! bracket's path above the entry. A half-bracket that starts at a finger
 //! takes the levels above it from the finger's pivot — the right one for a
-//! right half. The same sources give an insert search each key's *anchor*,
-//! where its new leaf starts the local-list descent: its level-`h_low`
-//! predecessor, reported or taken from the bracket's left pivot below a
-//! lower-part hint, else its half-bracket's finger.
+//! right half.
+//!
+//! Every search also returns its *anchor*: the level-`h_low` node its walk
+//! descends from into the lower part, where a new leaf for the key starts
+//! its local-list descent (`DoneRec::anchor`). A walk from a replicated
+//! start records it in passing ([`Walk::Descend`]); phase 0 returns each
+//! pivot's in [`Reply::LowerEntry`]; a walk from a lower-part hint carries
+//! the anchor of the pivot it stitches from, which shares its upper leaf.
 //!
 //! The tree-structure range operations (§5.2) start each subrange's descent
 //! at its left end's hint ([`SearchResults::hints`]), which must cover every
@@ -99,7 +103,7 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::tasks::{Fingers, Reply, SearchMode, Task};
+use crate::tasks::{Fingers, Record, Reply, SearchMode, Task, Walk};
 
 /// One deduplicated search request (`op` unique, keys ascending).
 #[derive(Debug, Clone, Copy)]
@@ -119,6 +123,8 @@ pub(crate) struct DoneRec {
     pub pred_key: Key,
     pub succ: Handle,
     pub succ_key: Key,
+    /// The key's level-`h_low` predecessor (see [`Walk::Descend`]).
+    pub anchor: Handle,
 }
 
 /// Per-level predecessor report (insert support); the level is the map key
@@ -146,8 +152,8 @@ pub(crate) struct SearchResults {
     /// `Root`. (Between phases 0 and 1 of stage 1 this is the entry table.)
     pub hints: HashMap<u32, Hint>,
     /// Per pivot op, the [`Fingers`] its phase-0 walk marked: the stage-2
-    /// starts of the half-brackets beside it. A pivot answered inside the
-    /// replicated part has none.
+    /// starts of the half-brackets beside it, and its anchor. A pivot
+    /// answered inside the replicated part has none.
     pub fingers: HashMap<u32, Fingers>,
 }
 
@@ -195,7 +201,8 @@ pub(crate) struct WaveItem {
     hint: Hint,
     prefix_len: usize,
     /// Stitch per-level predecessors above the hint from this op; also the
-    /// owner of the shared path prefix.
+    /// owner of the shared path prefix, and of the anchor below a
+    /// lower-part hint.
     stitch_from: Option<u32>,
     /// Phase 0: the pivot's bracket `(lo, hi)` its fingers must cover.
     bracket: (Key, Key),
@@ -242,26 +249,16 @@ enum Wave {
 impl PimSkipList {
     /// Run the full pivoted batch search. `reqs` must be ascending in key
     /// and unique; pivots record predecessors up to the batch's highest
-    /// `top` so later stitching is always possible.
-    ///
-    /// With `anchors` (insert searches), it is refilled with one handle per
-    /// request, in request order: the lowest replicated node of the
-    /// request's search path that the CPU holds, where a new leaf for the
-    /// key starts its local-list descent (`NULL`: the descent start). That
-    /// is the request's level-`h_low` predecessor if it or its stitch
-    /// source reported one, else its half-bracket's finger.
+    /// `top` so later stitching is always possible. Every terminal record
+    /// carries the request's exact anchor, its level-`h_low` predecessor.
     ///
     /// Fails with [`PimError::Incomplete`] when injected faults lose search
     /// traffic (missing terminal records, missing pivot paths, `Faulted`
     /// replies); on a fault-free machine the result is always `Ok`.
-    pub(crate) fn pivoted_search(
-        &mut self,
-        reqs: &[SearchRequest],
-        anchors: Option<&mut Vec<Handle>>,
-    ) -> PimResult<SearchResults> {
+    pub(crate) fn pivoted_search(&mut self, reqs: &[SearchRequest]) -> PimResult<SearchResults> {
         self.spanned("search", |s| {
             let mut staged_words = 0u64;
-            let out = s.pivoted_search_inner(reqs, anchors, &mut staged_words);
+            let out = s.pivoted_search_inner(reqs, &mut staged_words);
             if staged_words > 0 {
                 s.sys.sample_shared_mem();
                 s.sys.shared_mem().free(staged_words);
@@ -278,7 +275,6 @@ impl PimSkipList {
     fn pivoted_search_inner(
         &mut self,
         reqs: &[SearchRequest],
-        anchors: Option<&mut Vec<Handle>>,
         staged_words: &mut u64,
     ) -> PimResult<SearchResults> {
         let mut pivots = self.scratch.take_pivots();
@@ -288,7 +284,6 @@ impl PimSkipList {
         let mut deferred = self.scratch.take_deferred();
         let out = self.pivoted_search_core(
             reqs,
-            anchors,
             staged_words,
             &mut pivots,
             &mut items,
@@ -308,7 +303,6 @@ impl PimSkipList {
     fn pivoted_search_core(
         &mut self,
         reqs: &[SearchRequest],
-        anchors: Option<&mut Vec<Handle>>,
         staged_words: &mut u64,
         pivots: &mut Vec<usize>,
         items: &mut Vec<WaveItem>,
@@ -321,13 +315,6 @@ impl PimSkipList {
         let mut results = SearchResults::default();
         let b = reqs.len();
         self.last_phase_contention.clear();
-        // Anchors exist only where there is a local leaf list (h_low > 0).
-        let h_low = self.cfg.h_low;
-        let mut anchors = anchors.filter(|_| h_low > 0);
-        if let Some(anchors) = anchors.as_deref_mut() {
-            anchors.clear();
-            anchors.resize(b, Handle::NULL);
-        }
         if b == 0 {
             return Ok(results);
         }
@@ -534,19 +521,10 @@ impl PimSkipList {
                     (right, op_r, fingers_of(op_r).left),
                 ];
                 for (half, pivot_op, finger) in sides {
-                    if let Some(anchors) = anchors.as_deref_mut() {
-                        // Below a lower-part hint the bracket shares `op_l`'s
-                        // level-h_low predecessor; else the finger, which is
-                        // on the path of every key of the half too.
-                        let shared = match hint {
-                            Hint::Root => None,
-                            _ => results.pred_at(op_l, h_low).map(|(pred, _, _)| pred),
-                        };
-                        anchors[half.clone()].fill(shared.unwrap_or(finger));
-                    }
                     // Without a lower-part hint a half starts at its nearer
                     // pivot's finger — on the path of every key of the half
-                    // — and takes the levels above it from that pivot.
+                    // — and takes the levels above it from that pivot. Below
+                    // one, it takes them (and its anchor) from `op_l`.
                     let (src, finger) = if hint == Hint::Root {
                         (pivot_op, finger)
                     } else {
@@ -577,15 +555,6 @@ impl PimSkipList {
             .count();
         if missing > 0 {
             return Err(PimError::incomplete("search", missing));
-        }
-        // A request's own level-h_low predecessor, reported or stitched,
-        // is the exact anchor.
-        if let Some(anchors) = anchors {
-            for (anchor, req) in anchors.iter_mut().zip(reqs) {
-                if let Some((pred, _, _)) = results.pred_at(req.op, h_low) {
-                    *anchor = pred;
-                }
-            }
         }
         Ok(results)
     }
@@ -636,10 +605,15 @@ impl PimSkipList {
         let record = wave != Wave::Rest;
         let entry_only = wave == Wave::Entry;
         // With push-pull on, every search records its path (including the
-        // replicated upper part, via `record_upper`) so the replies warm
-        // the access counts (io only — rounds are unchanged).
-        let record_upper = hot.is_some();
-        let record_path = record || record_upper;
+        // replicated upper part, `Record::All`) so the replies warm the
+        // access counts (io only — rounds are unchanged).
+        let record_mode = if hot.is_some() {
+            Record::All
+        } else if record {
+            Record::Lower
+        } else {
+            Record::Off
+        };
         let mut path_words = 0u64;
         let mut walk_work = 0u64;
         let mut walk_depth = 0u64;
@@ -647,14 +621,20 @@ impl PimSkipList {
         // the pull pre-pass resolves: the rng stream — and hence tower
         // heights and contents — is identical to push-pull off.
         let mut deal = self.deal();
-        // The pull pre-pass marks fingers by the module's rule, over the
-        // same levels; a walk a module finishes keeps the marks made above.
-        let finger_levels = self.cfg.h_low..=self.start.level();
+        // The pull pre-pass marks fingers and anchors by the module's rule,
+        // over the same levels; a walk a module finishes keeps the marks
+        // made above.
+        let h_low = self.cfg.h_low;
+        let finger_levels = h_low..=self.start.level();
         let mut upper_fingers: HashMap<u32, Fingers> = HashMap::new();
         for item in items {
             let req = reqs[item.idx];
             let top = forced_top.unwrap_or(req.top).min(self.cfg.max_level);
             let mode = mode_for(top);
+            // A walk from a replicated start finds its own anchor; one from
+            // a lower-part hint shares its source's (or its own phase-0
+            // one): the hint hangs below a single upper leaf.
+            let mut anchor = Handle::NULL;
             // `dealt` is the module a replicated start is shipped to.
             let (start, dealt) = match item.hint {
                 Hint::SharedLeaf(_) => {
@@ -689,6 +669,8 @@ impl PimSkipList {
                         };
                         paths.insert(req.op, prefix);
                     }
+                    let src = item.stitch_from.unwrap_or(req.op);
+                    anchor = results.fingers.get(&src).map_or(Handle::NULL, |f| f.anchor);
                     (h, h.module())
                 }
             };
@@ -707,7 +689,9 @@ impl PimSkipList {
                     if entry_only && !at.is_replicated() {
                         // The same boundary the module stops at.
                         results.hints.insert(req.op, Hint::Start(at));
-                        results.fingers.insert(req.op, fingers);
+                        results
+                            .fingers
+                            .insert(req.op, Fingers { anchor, ..fingers });
                         resolved = true;
                         break;
                     }
@@ -727,6 +711,9 @@ impl PimSkipList {
                     if rec.right_key < req.key {
                         at = rec.right;
                         continue;
+                    }
+                    if rec.level == h_low {
+                        anchor = at;
                     }
                     if entry_only && finger_levels.contains(&rec.level) {
                         fingers.mark(at, rec.key, rec.right_key, item.bracket);
@@ -751,6 +738,7 @@ impl PimSkipList {
                                 pred_key: rec.key,
                                 succ: rec.right,
                                 succ_key: rec.right_key,
+                                anchor,
                             },
                         );
                         resolved = true;
@@ -766,13 +754,20 @@ impl PimSkipList {
                 }
                 if entry_only {
                     // The module's marks, if it reaches the entry, are lower.
-                    upper_fingers.insert(req.op, fingers);
+                    upper_fingers.insert(req.op, Fingers { anchor, ..fingers });
                 }
             }
             let target = if at.is_replicated() {
                 dealt
             } else {
                 at.module()
+            };
+            let walk = if entry_only {
+                Walk::Entry {
+                    bracket: item.bracket,
+                }
+            } else {
+                Walk::Descend { anchor }
             };
             self.sys.send(
                 target,
@@ -781,10 +776,8 @@ impl PimSkipList {
                     key: req.key,
                     at,
                     mode,
-                    record_path,
-                    record_upper,
-                    entry_only,
-                    bracket: item.bracket,
+                    record: record_mode,
+                    walk,
                 },
             );
         }
@@ -803,6 +796,7 @@ impl PimSkipList {
                     pred_key,
                     succ,
                     succ_key,
+                    anchor,
                 } => {
                     results.done.insert(
                         op,
@@ -811,6 +805,7 @@ impl PimSkipList {
                             pred_key,
                             succ,
                             succ_key,
+                            anchor,
                         },
                     );
                 }
@@ -991,7 +986,7 @@ impl PimSkipList {
             key,
             top: 0,
         }));
-        let results = self.pivoted_search(&reqs, None);
+        let results = self.pivoted_search(&reqs);
         self.scratch.give_reqs(reqs);
         let results = match results {
             Ok(r) => r,
@@ -1477,7 +1472,7 @@ mod tests {
         let mut list = loaded(Config::new(p, n as u64, 42), n);
         let keys = uniform_keys(3, 4 * n as u64, list.cfg.batch_large());
         let results = list
-            .pivoted_search(&requests(&keys, 0), None)
+            .pivoted_search(&requests(&keys, 0))
             .expect("fault-free");
         let h_low = list.cfg.h_low;
         let mut checked = 0;
@@ -1503,47 +1498,70 @@ mod tests {
         assert!(checked > keys.len() / 2, "{checked} of {} keys", keys.len());
     }
 
-    #[test]
-    fn insert_anchors_lie_on_their_keys_search_paths() {
-        // A new leaf descends to its local-list position from its key's
-        // anchor, so an anchor must be a replicated node the key's search
-        // descends from. Every seventh request's tower reaches `h_low`, so
-        // every pivot reports that level and many anchors are the exact
-        // level-h_low predecessor.
-        for p in [8u32, 64] {
-            let n = 1usize << 14;
-            let mut list = loaded(Config::new(p, n as u64, 42), n);
-            let h_low = list.cfg.h_low;
-            let keys = uniform_keys(5, 4 * n as u64, list.cfg.batch_large());
-            let mut reqs = requests(&keys, 0);
-            for req in reqs.iter_mut().step_by(7) {
-                req.top = h_low;
-            }
-            let mut anchors = Vec::new();
-            list.pivoted_search(&reqs, Some(&mut anchors))
-                .expect("fault-free");
-            assert_eq!(anchors.len(), keys.len(), "P={p}");
-            let mut exact = 0;
-            for (&key, &anchor) in keys.iter().zip(&anchors) {
-                if anchor.is_null() {
-                    continue;
-                }
-                let level = list.inspect(anchor).level;
-                assert!(anchor.is_replicated() && level >= h_low, "{anchor:?}");
-                assert_eq!(
-                    descents(&list, key, level)[usize::from(level)],
-                    anchor,
-                    "P={p}: key {key}"
-                );
-                exact += usize::from(level == h_low);
-            }
-            // 36 of 72 at P = 8, where most brackets start at a finger;
-            // 1871 of 2261 at P = 64.
-            assert!(
-                2 * exact >= keys.len(),
-                "P={p}: {exact} of {} exact",
-                keys.len()
+    /// Search `keys` (ascending, unique) and check that every request's
+    /// anchor is its key's level-`h_low` predecessor, found by a CPU walk.
+    /// Every seventh request reports its levels up to `h_low`, as an insert
+    /// of a tower that tall would. Returns the structure's group tiers.
+    fn assert_exact_anchors(list: &mut PimSkipList, keys: &[Key], context: &str) -> Tier {
+        let h_low = list.cfg.h_low;
+        let mut reqs = requests(keys, 0);
+        for req in reqs.iter_mut().step_by(7) {
+            req.top = h_low;
+        }
+        let tier = top_tier(&groups(list, keys));
+        let results = list.pivoted_search(&reqs).expect("fault-free");
+        for (i, &key) in keys.iter().enumerate() {
+            let want = descents(list, key, h_low)[usize::from(h_low)];
+            assert_eq!(
+                results.done[&(i as u32)].anchor,
+                want,
+                "{context}: anchor of key {key}"
             );
+        }
+        tier
+    }
+
+    #[test]
+    fn every_anchor_is_its_keys_level_h_low_predecessor() {
+        // A new leaf enters its local leaf list one descent step from its
+        // key's anchor, so the anchor must be exact whatever start the
+        // search took: a replicated one (the walk records it), a phase-0
+        // entry (the pivot's own) or a lower-part hint (its pivot's).
+        let n = 1usize << 14;
+        for p in [16u32, 64] {
+            let mut list = loaded(Config::new(p, n as u64, 42), n);
+            let batch = list.cfg.batch_large();
+            let uniform = uniform_keys(5, 4 * n as u64, batch);
+            assert_exact_anchors(&mut list, &uniform, &format!("P={p} uniform"));
+            for b in [3, 8, 64] {
+                let sparse = uniform_keys(b as u64, 4 * n as u64, b);
+                assert_exact_anchors(&mut list, &sparse, &format!("P={p} sparse b={b}"));
+            }
+            // Below the smallest resident key: answered on the −∞ tower.
+            let low: Vec<Key> = (-40..=0)
+                .step_by(2)
+                .chain((1..24).map(|i| 97 * i))
+                .collect();
+            assert_exact_anchors(&mut list, &low, &format!("P={p} below"));
+
+            // Every pivot enters the lower part at one node: a flood that
+            // runs the recursion, every hint a lower-part one.
+            let mut flood = loaded(Config::new(p, 4096, 42).with_h_low(12), 4096);
+            let keys: Vec<Key> = (0..batch as i64).map(|i| 4 * i + 1).collect();
+            let tier = assert_exact_anchors(&mut flood, &keys, &format!("P={p} flood"));
+            assert_eq!(tier, Tier::Recursion, "P={p}");
+
+            let mut empty = PimSkipList::new(Config::new(p, n as u64, 42));
+            assert_exact_anchors(&mut empty, &uniform, &format!("P={p} empty"));
+
+            // Push-pull resolves warm walks, wholly or in part, on the CPU.
+            let mut warm = loaded(Config::new(p, n as u64, 42).with_push_pull(true), n);
+            for _ in 0..4 {
+                warm.batch_successor(&uniform);
+            }
+            assert_exact_anchors(&mut warm, &uniform, &format!("P={p} push-pull warm"));
+            let fresh = uniform_keys(6, 4 * n as u64, batch);
+            assert_exact_anchors(&mut warm, &fresh, &format!("P={p} push-pull fresh"));
         }
     }
 
@@ -1586,7 +1604,7 @@ mod tests {
             .chain((1..24).map(|i| 97 * i))
             .collect();
         let results = list
-            .pivoted_search(&requests(&keys, 0), None)
+            .pivoted_search(&requests(&keys, 0))
             .expect("fault-free");
         for &j in &pivot_indices(&list, keys.len()) {
             assert_eq!(
@@ -1627,7 +1645,7 @@ mod tests {
                     for _ in 0..4 {
                         list.batch_successor(&warm);
                     }
-                    let results = list.pivoted_search(&requests(keys, 0), None);
+                    let results = list.pivoted_search(&requests(keys, 0));
                     results.expect("fault-free").fingers
                 })
                 .collect();
@@ -1647,7 +1665,7 @@ mod tests {
             let top = list.cfg.h_low + 2;
             let keys = uniform_keys(5, 4 * n as u64, list.cfg.batch_large());
             let results = list
-                .pivoted_search(&requests(&keys, top), None)
+                .pivoted_search(&requests(&keys, top))
                 .expect("fault-free");
             for (i, &k) in keys.iter().enumerate() {
                 for (level, &want) in descents(&list, k, top).iter().enumerate() {

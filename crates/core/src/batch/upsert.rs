@@ -8,21 +8,24 @@
 //! 1. run the batched Update shortcut; survivors form the insert set;
 //! 2. toss tower heights on the CPU side (secret coins);
 //! 3. batched Predecessor with per-level reports (§4.2 machinery), which
-//!    also yields each key's **anchor**: the lowest replicated node of its
-//!    search path that the CPU holds;
+//!    also returns each key's exact **anchor**: its level-`h_low`
+//!    predecessor, where its search stepped into the lower part;
 //! 4. **allocation round** — lower-part nodes go to `hash(key, level)`
-//!    modules (which also enter them into the local index and local leaf
-//!    list, descending the replica from the anchor rather than from the
-//!    top), upper-part nodes are broadcast into the replicated arena at
-//!    CPU-shadow-chosen slots;
-//! 5. **wiring round** — vertical pointers and the leaf's up-chain
-//!    (Insert steps 4–5);
-//! 6. **Algorithm 1** — construct the horizontal pointers, chaining runs
-//!    of new nodes that share a `(pred, succ)` segment (Fig. 4);
-//! 7. compute the `next_leaf` shortcuts of any new upper-part leaves, each
-//!    module walking its local list from the shortcut of the new leaf's
-//!    level-`h_low` predecessor (known from the search, or the previous
-//!    new upper leaf).
+//!    modules, which also enter a leaf into the local index and the local
+//!    leaf list one descent step from its anchor; upper-part nodes only
+//!    draw their replicated slots from the CPU shadow allocator;
+//! 5. **wiring round** — the lower-part nodes' vertical pointers and the
+//!    leaf's up-chain (Insert steps 4–5);
+//! 6. **link round** — Algorithm 1 constructs the lower levels' horizontal
+//!    pointers, chaining runs of new nodes that share a `(pred, succ)`
+//!    segment (Fig. 4). Each upper-part node is one `LinkUpper` broadcast
+//!    that every module applies locally, the mirror image of Delete's
+//!    `UnlinkUpper`: allocate the replica, splice it in after its
+//!    predecessor (the search's, or the previous new node at that level
+//!    when they share it — the same chaining), point the node below up at
+//!    it, and for an upper leaf compute its `next_leaf` shortcut from the
+//!    predecessor's. The broadcasts go out level by level in key order, so
+//!    each one finds its predecessor and the node below already in place.
 
 use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use pim_primitives::sort::par_sort_by_key;
@@ -64,6 +67,11 @@ impl Towers {
             self.handles.resize(end, Handle::NULL);
             self.offsets.push(end as u32);
         }
+    }
+
+    /// Number of towers.
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Tower `j`'s handles, indexed by level.
@@ -227,18 +235,18 @@ impl PimSkipList {
     /// Allocate and vertically wire the towers for a sorted batch of new
     /// keys (Insert steps 1–5): lower-part nodes go to their hashed
     /// modules (entering local index + local leaf list on arrival, leaf `j`
-    /// descending from `anchors[j]`, or from the descent start past the
-    /// end of `anchors`), upper-part nodes are broadcast into shadow-chosen
-    /// replicated slots. Fills `towers` with the `tower[j][level]` handles.
+    /// descending from `anchor(j)`), upper-part nodes draw shadow-chosen
+    /// replicated slots, which their `LinkUpper` fills in the link round.
+    /// Fills `towers` with the `tower[j][level]` handles.
     pub(crate) fn allocate_towers(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
-        anchors: &[Handle],
+        anchor: impl Fn(usize) -> Handle,
         towers: &mut Towers,
     ) -> PimResult<()> {
         self.spanned("alloc", |s| {
-            s.allocate_towers_inner(inserts, tops, anchors, towers)
+            s.allocate_towers_inner(inserts, tops, anchor, towers)
         })
     }
 
@@ -246,7 +254,7 @@ impl PimSkipList {
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
-        anchors: &[Handle],
+        anchor: impl Fn(usize) -> Handle,
         towers: &mut Towers,
     ) -> PimResult<()> {
         let h_low = self.cfg.h_low;
@@ -256,10 +264,7 @@ impl PimSkipList {
             if h_low > 0 {
                 for level in 0..=top.min(h_low - 1) {
                     let m = self.module_of(key, level);
-                    let from = match anchors.get(j) {
-                        Some(&anchor) if level == 0 => anchor,
-                        _ => Handle::NULL,
-                    };
+                    let from = if level == 0 { anchor(j) } else { Handle::NULL };
                     self.sys.send(
                         m,
                         Task::AllocLower {
@@ -274,14 +279,7 @@ impl PimSkipList {
             }
             if top >= h_low {
                 for level in h_low..=top {
-                    let slot = self.shadow.alloc();
-                    towers.get_mut(j)[level as usize] = Handle::replicated(slot);
-                    self.sys.broadcast(|_| Task::AllocUpper {
-                        slot,
-                        key,
-                        level,
-                        value,
-                    });
+                    towers.get_mut(j)[level as usize] = Handle::replicated(self.shadow.alloc());
                 }
             }
         }
@@ -301,62 +299,59 @@ impl PimSkipList {
             return Err(PimError::incomplete("alloc", faulted + missing));
         }
 
-        // ---- Vertical wiring + leaf chains (Insert steps 4–5) ----
+        // ---- Vertical wiring + leaf chains (Insert steps 4–5) of the
+        // lower-part nodes; `LinkUpper` wires the replicas ----
         for j in 0..inserts.len() {
             let t = towers.get(j);
             for (l, &h) in t.iter().enumerate() {
                 let up = t.get(l + 1).copied().unwrap_or(Handle::NULL);
                 let down = if l > 0 { t[l - 1] } else { Handle::NULL };
-                if up.is_some() || down.is_some() {
-                    self.send_write(h, Task::WireVertical { node: h, up, down });
+                if !h.is_replicated() && (up.is_some() || down.is_some()) {
+                    self.sys
+                        .send(h.module(), Task::WireVertical { node: h, up, down });
                 }
             }
-            if t.len() > 1 {
+        }
+        self.send_leaf_chains(towers, false);
+        self.quiesce_writes("wire")
+    }
+
+    /// Record each tower's chain in its leaf (Insert step 5), for the
+    /// leaves that are (`replicated`) or are not replicated. A replicated
+    /// leaf — the `h_low = 0` ablation — exists only once its `LinkUpper`
+    /// ran, so its chain rides behind it in the link round.
+    pub(crate) fn send_leaf_chains(&mut self, towers: &Towers, replicated: bool) {
+        for j in 0..towers.len() {
+            let t = towers.get(j);
+            if t.len() > 1 && t[0].is_replicated() == replicated {
                 // The chain is a real message payload, not staging — each
                 // receiving leaf owns its copy.
                 let (leaf, chain) = (t[0], t[1..].to_vec());
                 self.send_write(leaf, Task::SetLeafChain { leaf, chain });
             }
         }
-        self.quiesce_writes("wire")
     }
 
-    /// Compute the `next_leaf` shortcut of every new upper-part leaf
-    /// (broadcast; must run after horizontal linking). `pred(j)` is tower
-    /// `j`'s level-`h_low` predecessor before the batch. Each module walks
-    /// its local list from the shortcut of the new leaf's predecessor after
-    /// linking: `pred(j)`, or the previous new upper leaf if that one shares
-    /// `pred(j)` — its `FixNextLeaf` sits just before in every inbox.
-    pub(crate) fn fix_new_next_leaves(
+    /// Broadcast the `LinkUpper` of `tower`'s replicated node at `level`
+    /// for the pair `(key, value)`, to be spliced in after `pred`.
+    pub(crate) fn send_link_upper(
         &mut self,
-        towers: &Towers,
-        tops: &[u8],
-        pred: impl Fn(usize) -> Handle,
-    ) -> PimResult<()> {
-        let h_low = self.cfg.h_low;
-        if h_low == 0 {
-            return Ok(());
-        }
-        self.spanned("next_leaf", |s| {
-            let mut fixed_any = false;
-            // (pred, handle) of the previous new upper leaf.
-            let mut last = (Handle::NULL, Handle::NULL);
-            for (j, &top) in tops.iter().enumerate() {
-                if top >= h_low {
-                    let leaf = towers.get(j)[h_low as usize];
-                    let pred = pred(j);
-                    let from = if pred == last.0 { last.1 } else { pred };
-                    last = (pred, leaf);
-                    let slot = leaf.slot();
-                    s.sys.broadcast(|_| Task::FixNextLeaf { slot, from });
-                    fixed_any = true;
-                }
-            }
-            if fixed_any {
-                s.quiesce_writes("fix_next_leaf")?;
-            }
-            Ok(())
-        })
+        tower: &[Handle],
+        (key, value): (Key, Value),
+        level: u8,
+        pred: Handle,
+    ) {
+        let l = usize::from(level);
+        let slot = tower[l].slot();
+        let down = if l > 0 { tower[l - 1] } else { Handle::NULL };
+        self.sys.broadcast(|_| Task::LinkUpper {
+            slot,
+            key,
+            level,
+            value,
+            pred,
+            down,
+        });
     }
 
     /// Insert a sorted, deduplicated, non-resident batch of pairs.
@@ -370,9 +365,7 @@ impl PimSkipList {
             handles: self.scratch.take_tower_handles(),
             offsets: self.scratch.take_tower_offsets(),
         };
-        let mut anchors = self.scratch.take_anchors();
-        let out = self.insert_towers(inserts, &tops, &mut anchors, &mut towers);
-        self.scratch.give_anchors(anchors);
+        let out = self.insert_towers(inserts, &tops, &mut towers);
         self.scratch.give_tower_handles(towers.handles);
         self.scratch.give_tower_offsets(towers.offsets);
         self.scratch.give_tops(tops);
@@ -383,7 +376,6 @@ impl PimSkipList {
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
-        anchors: &mut Vec<Handle>,
         towers: &mut Towers,
     ) -> PimResult<()> {
         // ---- Batched Predecessor with per-level reports (§4.2) ----
@@ -398,7 +390,7 @@ impl PimSkipList {
                     top: tops[j],
                 }),
         );
-        let results = self.pivoted_search(&reqs, Some(anchors));
+        let results = self.pivoted_search(&reqs);
         self.scratch.give_reqs(reqs);
         let results = results?;
 
@@ -407,21 +399,20 @@ impl PimSkipList {
         // batch can never be searched through the cache.
         self.bump_write_epoch();
 
-        // ---- Allocation + vertical wiring rounds (Insert steps 1–5) ----
-        self.allocate_towers(inserts, tops, anchors, towers)?;
+        // ---- Allocation + vertical wiring rounds (Insert steps 1–5); each
+        // new leaf starts from its search's anchor ----
+        let anchor = |j: usize| {
+            results
+                .done
+                .get(&(j as u32))
+                .map_or(Handle::NULL, |d| d.anchor)
+        };
+        self.allocate_towers(inserts, tops, anchor, towers)?;
 
-        // ---- Algorithm 1: horizontal pointer construction ----
+        // ---- Horizontal pointers: Algorithm 1 below h_low, LinkUpper
+        // above ----
         self.spanned("link", |s| {
             s.link_horizontal(inserts, tops, towers, &results)
-        })?;
-
-        // ---- next_leaf of new upper-part leaves (their towers reach h_low,
-        // so the search reported their level-h_low predecessors) ----
-        let h_low = self.cfg.h_low;
-        self.fix_new_next_leaves(towers, tops, |j| {
-            results
-                .pred_at(j as u32, h_low)
-                .map_or(Handle::NULL, |(pred, _, _)| pred)
         })?;
 
         // Commit: the batch is structurally complete — journal each new
@@ -433,9 +424,11 @@ impl PimSkipList {
         Ok(())
     }
 
-    /// Algorithm 1 (Fig. 4): construct the horizontal pointers of every
-    /// new tower, chaining runs of new nodes that share a `(pred, succ)`
-    /// segment, then quiesce the writes.
+    /// Construct the horizontal pointers of every new tower, then quiesce
+    /// the writes. Lower levels run Algorithm 1 (Fig. 4), chaining runs of
+    /// new nodes that share a `(pred, succ)` segment; an upper-level node
+    /// is spliced in locally by its `LinkUpper`, behind the previous new
+    /// node when the two share a predecessor — the same chaining.
     fn link_horizontal(
         &mut self,
         inserts: &[(Key, Value)],
@@ -444,8 +437,8 @@ impl PimSkipList {
         results: &crate::batch::search::SearchResults,
     ) -> PimResult<()> {
         struct Entry {
+            j: usize,
             cur: Handle,
-            key: Key,
             pred: Handle,
             succ: Handle,
             succ_key: Key,
@@ -456,8 +449,8 @@ impl PimSkipList {
         for level in 0..=max_top {
             // A[level]: new nodes at this level in ascending key order.
             a.clear();
-            for (j, &(key, _)) in inserts.iter().enumerate() {
-                if tops[j] < level {
+            for (j, &top) in tops.iter().enumerate() {
+                if top < level {
                     continue;
                 }
                 let (pred, succ, succ_key) =
@@ -468,65 +461,72 @@ impl PimSkipList {
                             missing: 1,
                         })?;
                 a.push(Entry {
+                    j,
                     cur: towers.get(j)[level as usize],
-                    key,
                     pred,
                     succ,
                     succ_key,
                 });
             }
-            for j in 0..a.len() {
-                let right_end = j + 1 == a.len() || a[j].succ != a[j + 1].succ;
+            for i in 0..a.len() {
+                let left_end = i == 0 || a[i].pred != a[i - 1].pred;
+                if level >= self.cfg.h_low {
+                    let pred = if left_end { a[i].pred } else { a[i - 1].cur };
+                    self.send_link_upper(towers.get(a[i].j), inserts[a[i].j], level, pred);
+                    continue;
+                }
+                let (cur, key) = (a[i].cur, inserts[a[i].j].0);
+                let right_end = i + 1 == a.len() || a[i].succ != a[i + 1].succ;
                 if right_end {
                     self.send_write(
-                        a[j].cur,
+                        cur,
                         Task::WriteRight {
-                            node: a[j].cur,
-                            to: a[j].succ,
-                            to_key: a[j].succ_key,
+                            node: cur,
+                            to: a[i].succ,
+                            to_key: a[i].succ_key,
                         },
                     );
-                    if a[j].succ.is_some() {
+                    if a[i].succ.is_some() {
                         self.send_write(
-                            a[j].succ,
+                            a[i].succ,
                             Task::WriteLeft {
-                                node: a[j].succ,
-                                to: a[j].cur,
+                                node: a[i].succ,
+                                to: cur,
                             },
                         );
                     }
                 } else {
+                    let next = a[i + 1].cur;
                     self.send_write(
-                        a[j].cur,
+                        cur,
                         Task::WriteRight {
-                            node: a[j].cur,
-                            to: a[j + 1].cur,
-                            to_key: a[j + 1].key,
+                            node: cur,
+                            to: next,
+                            to_key: inserts[a[i + 1].j].0,
                         },
                     );
                     self.send_write(
-                        a[j + 1].cur,
+                        next,
                         Task::WriteLeft {
-                            node: a[j + 1].cur,
-                            to: a[j].cur,
+                            node: next,
+                            to: cur,
                         },
                     );
                 }
-                let left_end = j == 0 || a[j].pred != a[j - 1].pred;
                 if left_end {
                     self.send_write(
-                        a[j].pred,
+                        a[i].pred,
                         Task::WriteRight {
-                            node: a[j].pred,
-                            to: a[j].cur,
-                            to_key: a[j].key,
+                            node: a[i].pred,
+                            to: cur,
+                            to_key: key,
                         },
                     );
                     self.send_write(
-                        a[j].cur,
+                        cur,
                         Task::WriteLeft {
-                            node: a[j].cur,
-                            to: a[j].pred,
+                            node: cur,
+                            to: a[i].pred,
                         },
                     );
                 }
@@ -537,6 +537,7 @@ impl PimSkipList {
                 pim_runtime::ceil_log2(a.len().max(1) as u64).into(),
             );
         }
+        self.send_leaf_chains(towers, true);
         self.quiesce_writes("link")
     }
 }

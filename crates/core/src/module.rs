@@ -18,10 +18,16 @@
 //!   `next_leaf` shortcuts), maintained on every leaf allocation/removal.
 //!   Each local leaf's own `next_leaf` is the shortcut's inverse: the
 //!   rightmost upper leaf whose shortcut names it (`NULL`: none). Upkeep
-//!   never descends from the descent start: an insert descends from the
-//!   lowest replicated node of its key's search path that the CPU found, a
-//!   remove walks left from the inverse, and a new upper leaf walks the
-//!   local list from its predecessor's shortcut. Each is `O(1)` expected.
+//!   never descends from the descent start: an insert starts at its key's
+//!   anchor, the level-`h_low` predecessor its search found (one descent
+//!   step), a remove walks left from the inverse, and a new upper leaf
+//!   walks the local list from its predecessor's shortcut. Each is `O(1)`
+//!   expected.
+//!
+//! Upper-part nodes enter and leave the replicated arena by local splices
+//! that every module applies identically, one broadcast each way:
+//! [`Task::LinkUpper`] splices one new node in after its predecessor,
+//! [`Task::UnlinkUpper`] splices a batch out.
 
 use std::collections::HashMap;
 
@@ -32,7 +38,7 @@ use pim_hashtable::DeamortizedMap;
 use crate::arena::Arena;
 use crate::config::{Key, POS_INF};
 use crate::node::Node;
-use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, NO_OP};
+use crate::tasks::{Fingers, RangeFunc, Record, Reply, SearchMode, Task, Walk, NO_OP};
 
 /// Per-fragment aggregation state of the reduction range functions.
 #[derive(Debug, Clone, Copy)]
@@ -402,11 +408,11 @@ impl SkipModule {
         work
     }
 
-    /// Compute `next_leaf` of a (new) upper leaf replica in this module
-    /// (post-linking round of batched Upsert), walking the local list from
-    /// the shortcut of `from`: an upper leaf left of it whose shortcut is
-    /// already current. The new leaf becomes its target's inverse if it
-    /// lies right of the current one.
+    /// Compute `next_leaf` of a new upper leaf replica in this module,
+    /// walking the local list from the shortcut of `from`: an upper leaf
+    /// left of it whose shortcut is already current. The new leaf becomes
+    /// its target's inverse if it lies right of the current one. Returns
+    /// the work done.
     fn fix_next_leaf(&mut self, slot: u32, from: Handle) -> u64 {
         let k = self.upper.get(slot).key;
         let (succ, _prev, work) = self.local_walk(from, k);
@@ -437,23 +443,26 @@ impl SkipModule {
         key: Key,
         mut at: Handle,
         mode: SearchMode,
-        record_path: bool,
-        record_upper: bool,
-        entry_only: bool,
-        bracket: (Key, Key),
+        record: Record,
+        walk: Walk,
         ctx: &mut ModuleCtx<'_, Task, Reply>,
     ) {
         let mut fingers = Fingers::default();
+        let (bracket, mut anchor) = match walk {
+            Walk::Entry { bracket } => (Some(bracket), Handle::NULL),
+            Walk::Descend { anchor } => (None, anchor),
+        };
         loop {
-            if entry_only && !at.is_replicated() {
+            if bracket.is_some() && !at.is_replicated() {
                 ctx.reply(Reply::LowerEntry {
                     op,
                     node: at,
-                    fingers,
+                    fingers: Fingers { anchor, ..fingers },
                 });
                 return;
             }
             if !self.resolvable(at) {
+                // Only a descending walk leaves the replicated part.
                 ctx.send(
                     at.module(),
                     Task::Search {
@@ -461,17 +470,15 @@ impl SkipModule {
                         key,
                         at,
                         mode,
-                        record_path,
-                        record_upper,
-                        entry_only,
-                        bracket,
+                        record,
+                        walk: Walk::Descend { anchor },
                     },
                 );
                 return;
             }
             ctx.work(1);
             self.touch(at);
-            if record_path && (record_upper || !at.is_replicated()) {
+            if record.streams(at) {
                 ctx.reply(Reply::PathNode { op, node: at });
             }
             let Some(n) = self.try_node(at) else {
@@ -487,8 +494,13 @@ impl SkipModule {
                 continue;
             }
             // Descend (or finish): `at` is the predecessor at `level`.
-            if entry_only && (self.params.h_low..=self.start_level).contains(&level) {
-                fingers.mark(at, at_key, right_key, bracket);
+            if level == self.params.h_low {
+                anchor = at;
+            }
+            if let Some(bracket) = bracket {
+                if (self.params.h_low..=self.start_level).contains(&level) {
+                    fingers.mark(at, at_key, right_key, bracket);
+                }
             }
             if let SearchMode::PredLevels { top } = mode {
                 if level >= 1 && level <= top {
@@ -508,6 +520,7 @@ impl SkipModule {
                     pred_key: at_key,
                     succ: right,
                     succ_key: right_key,
+                    anchor,
                 });
                 return;
             }
@@ -786,6 +799,61 @@ impl SkipModule {
         }
     }
 
+    /// Materialise the replica `node` at `slot` and splice it in after
+    /// `pred` (see [`Task::LinkUpper`]). Every handle is checked before
+    /// anything is written, so a damaged replica never applies half a
+    /// splice.
+    fn do_link_upper(
+        &mut self,
+        slot: u32,
+        mut node: Node,
+        pred: Handle,
+        down: Handle,
+        ctx: &mut ModuleCtx<'_, Task, Reply>,
+    ) {
+        ctx.work(1);
+        let right = if self.holds_replica(pred) {
+            self.upper.get(pred.slot()).right
+        } else {
+            Handle::NULL
+        };
+        if self.upper.contains(slot)
+            || !self.holds_replica(pred)
+            || (right.is_some() && !self.holds_replica(right))
+            || (down.is_replicated() && !self.holds_replica(down))
+        {
+            // A crash or a dropped earlier broadcast left this replica
+            // behind: report rather than clobber or dangle.
+            ctx.reply(Reply::Faulted { op: NO_OP });
+            return;
+        }
+        let (key, level) = (node.key, node.level);
+        let me = Handle::replicated(slot);
+        let p = self.upper.get_mut(pred.slot());
+        (node.left, node.right, node.right_key, node.down) = (pred, right, p.right_key, down);
+        (p.right, p.right_key) = (me, key);
+        self.upper.insert_at(slot, node);
+        if right.is_some() {
+            self.upper.get_mut(right.slot()).left = me;
+        }
+        if down.is_replicated() {
+            self.upper.get_mut(down.slot()).up = me;
+        }
+        ctx.work(self.retarget_start(pred.slot()));
+        let h_low = self.params.h_low;
+        if level == h_low && h_low > 0 {
+            ctx.work(self.fix_next_leaf(slot, pred));
+        }
+        // h_low = 0 ablation: replicated leaves are indexed by the module
+        // the key hashes to (point ops only; documented).
+        if level == 0
+            && pim_runtime::hashfn::module_of(self.params.seed, key, 0, self.params.p) == self.id
+        {
+            self.index.insert(key, me.to_bits());
+            ctx.work(self.index.last_op_work);
+        }
+    }
+
     /// Rebuild the derived local views — hash index, local leaf list,
     /// `next_leaf` shortcuts and their inverses — from the (re)installed
     /// arenas; the recovery finaliser after a crash. Returns the local
@@ -892,21 +960,9 @@ impl PimModule for SkipModule {
                 key,
                 at,
                 mode,
-                record_path,
-                record_upper,
-                entry_only,
-                bracket,
-            } => self.do_search(
-                op,
-                key,
-                at,
-                mode,
-                record_path,
-                record_upper,
-                entry_only,
-                bracket,
-                ctx,
-            ),
+                record,
+                walk,
+            } => self.do_search(op, key, at, mode, record, walk, ctx),
             Task::PullNode { at } => {
                 ctx.work(1);
                 match self.try_node(at) {
@@ -946,30 +1002,14 @@ impl PimModule for SkipModule {
                     node: handle,
                 });
             }
-            Task::AllocUpper {
+            Task::LinkUpper {
                 slot,
                 key,
                 level,
                 value,
-            } => {
-                ctx.work(1);
-                if self.upper.contains(slot) {
-                    // Replica divergence (a crash missed an earlier unlink
-                    // broadcast): refuse and report rather than clobber.
-                    ctx.reply(Reply::Faulted { op: NO_OP });
-                    return;
-                }
-                self.upper.insert_at(slot, Node::new(key, value, level));
-                // h_low = 0 ablation: replicated leaves are indexed by the
-                // module the key hashes to (point ops only; documented).
-                if level == 0
-                    && pim_runtime::hashfn::module_of(self.params.seed, key, 0, self.params.p)
-                        == self.id
-                {
-                    self.index.insert(key, Handle::replicated(slot).to_bits());
-                    ctx.work(self.index.last_op_work);
-                }
-            }
+                pred,
+                down,
+            } => self.do_link_upper(slot, Node::new(key, value, level), pred, down, ctx),
             Task::WireVertical { node, up, down } => {
                 ctx.work(1);
                 match self.try_node_mut(node) {
@@ -982,15 +1022,6 @@ impl PimModule for SkipModule {
                         }
                     }
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
-                }
-            }
-            Task::FixNextLeaf { slot, from } => {
-                if self.upper.contains(slot) && self.holds_replica(from) {
-                    let w = self.fix_next_leaf(slot, from);
-                    ctx.work(w);
-                } else {
-                    ctx.work(1);
-                    ctx.reply(Reply::Faulted { op: NO_OP });
                 }
             }
             Task::SetLeafChain { leaf, chain } => {
@@ -1078,5 +1109,108 @@ impl PimModule for SkipModule {
         // Local memory is volatile: restart cold, exactly as constructed
         // (sentinel tower re-materialised, everything else gone).
         *self = SkipModule::new(self.id, self.params.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pim_runtime::PimSystem;
+
+    use super::*;
+
+    const H_LOW: u8 = 2;
+
+    fn machine() -> PimSystem<SkipModule> {
+        let params = ModuleParams {
+            p: 2,
+            h_low: H_LOW,
+            max_level: 8,
+            seed: 1,
+            track_contention: false,
+        };
+        PimSystem::new(2, |id| SkipModule::new(id, params.clone()))
+    }
+
+    /// Broadcast one `LinkUpper` and run it; the replies.
+    fn link(
+        sys: &mut PimSystem<SkipModule>,
+        slot: u32,
+        level: u8,
+        pred: Handle,
+        down: Handle,
+    ) -> Vec<Reply> {
+        let key = i64::from(slot);
+        sys.broadcast(|_| Task::LinkUpper {
+            slot,
+            key,
+            level,
+            value: 0,
+            pred,
+            down,
+        });
+        sys.run_to_quiescence()
+    }
+
+    #[test]
+    fn link_upper_reports_a_damaged_replica_instead_of_splicing() {
+        let mut sys = machine();
+        let sentinel = Handle::replicated(u32::from(H_LOW));
+        assert!(link(&mut sys, 20, H_LOW, sentinel, Handle::NULL).is_empty());
+        // A node whose right neighbour is gone.
+        let mut torn = Node::new(30, 0, H_LOW);
+        (torn.left, torn.right, torn.right_key) =
+            (Handle::replicated(20), Handle::replicated(98), 40);
+        sys.broadcast(|_| Task::InstallUpper {
+            slot: 22,
+            node: Box::new(torn.clone()),
+        });
+        assert!(sys.run_to_quiescence().is_empty());
+
+        let faulted = vec![Reply::Faulted { op: NO_OP }; 2];
+        for (what, slot, level, pred, down) in [
+            ("occupied slot", 20, H_LOW, sentinel, Handle::NULL),
+            (
+                "missing pred",
+                24,
+                H_LOW,
+                Handle::replicated(99),
+                Handle::NULL,
+            ),
+            (
+                "missing pred.right",
+                24,
+                H_LOW,
+                Handle::replicated(22),
+                Handle::NULL,
+            ),
+            (
+                "missing down",
+                24,
+                H_LOW + 1,
+                Handle::replicated(u32::from(H_LOW + 1)),
+                Handle::replicated(97),
+            ),
+        ] {
+            assert_eq!(link(&mut sys, slot, level, pred, down), faulted, "{what}");
+        }
+        for m in 0..2 {
+            let module = sys.module(m);
+            assert!(!module.upper.contains(24), "module {m}");
+            let n = module.node(sentinel);
+            assert_eq!(
+                (n.right, n.right_key),
+                (Handle::replicated(20), 20),
+                "module {m}"
+            );
+            assert_eq!(
+                module.node(Handle::replicated(22)).right,
+                Handle::replicated(98)
+            );
+            assert_eq!(
+                module.start(),
+                sentinel,
+                "module {m}: nothing linked above h_low"
+            );
+        }
     }
 }

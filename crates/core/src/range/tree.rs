@@ -141,7 +141,7 @@ impl PimSkipList {
                 key: s.lo,
                 top: 0,
             }));
-            let search = self.pivoted_search(&reqs, None);
+            let search = self.pivoted_search(&reqs);
             self.scratch.give_reqs(reqs);
             search?.hints
         } else {

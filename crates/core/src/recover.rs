@@ -8,7 +8,10 @@
 //!    *attempt* (`get_attempt`, `upsert_attempt`, …) that detects loss via
 //!    completeness counting and [`crate::tasks::Reply::Faulted`] replies,
 //!    commits to the [`crate::journal::Journal`] only on full success, and
-//!    reports [`PimError::Incomplete`] otherwise.
+//!    reports [`PimError::Incomplete`] otherwise. A module never applies
+//!    half a splice to a damaged replica: a `LinkUpper` or `UnlinkUpper`
+//!    splice whose slot or neighbours are not what the driver expects
+//!    answers `Faulted` instead.
 //! 2. **Retry wrappers** — the `try_*` entry points re-issue failed
 //!    attempts with bounded retries ([`crate::Config::max_retries`]),
 //!    repairing the machine between attempts: crashed modules get their
@@ -48,9 +51,10 @@ impl PimSkipList {
     /// reply nothing, so any reply at all is a fault signal: `Faulted`
     /// means a write addressed a damaged node, anything else is a protocol
     /// violation. A write lost in these rounds is silent, so the machine's
-    /// loss counters end the attempt too: the phases that follow (the next
-    /// chunk of a streamed build, `FixNextLeaf`) walk through the nodes
-    /// just written and must never meet a half-wired one.
+    /// loss counters end the attempt too: the phases that follow (the link
+    /// round's `LinkUpper` splices, the next chunk of a streamed build)
+    /// walk through the nodes just written and must never meet a
+    /// half-wired one.
     pub(crate) fn quiesce_writes(&mut self, op: &'static str) -> PimResult<()> {
         let before = self.sys.metrics();
         let replies = self.sys.run_to_quiescence();

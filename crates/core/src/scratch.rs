@@ -78,9 +78,6 @@ pub(crate) struct Scratch {
     tower_handles: Vec<Handle>,
     /// Per-insert offsets into `tower_handles`.
     tower_offsets: Vec<u32>,
-    /// Per-insert replicated node new leaves descend from (see
-    /// `batch::search`'s anchors).
-    anchors: Vec<Handle>,
     /// `(start, end)` run boundaries for the pipelined op driver.
     run_bounds: Vec<(usize, usize)>,
     /// Pivoted-search wavefront staging (see `batch::search`).
@@ -127,7 +124,6 @@ impl Scratch {
         Handle
     );
     lease!(take_tower_offsets, give_tower_offsets, tower_offsets, u32);
-    lease!(take_anchors, give_anchors, anchors, Handle);
     lease!(take_run_bounds, give_run_bounds, run_bounds, (usize, usize));
     lease!(
         take_wave_items,

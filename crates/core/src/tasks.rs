@@ -29,6 +29,55 @@ pub enum SearchMode {
     },
 }
 
+/// Which visited nodes a search streams back as [`Reply::PathNode`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Record {
+    /// None.
+    Off,
+    /// Lower-part nodes: pivot path recording (§4.2 stage 1).
+    Lower,
+    /// Replicated nodes too: push-pull cache warming only — the driver
+    /// counts them but never adds them to recorded paths.
+    All,
+}
+
+impl Record {
+    /// Does a walk recording this way stream the node `at`?
+    pub(crate) fn streams(self, at: Handle) -> bool {
+        match self {
+            Record::Off => false,
+            Record::Lower => !at.is_replicated(),
+            Record::All => true,
+        }
+    }
+}
+
+/// Where a search stops, and what it carries besides its key (§4.2). One
+/// field serves both kinds: a phase-0 walk never leaves the replicated
+/// part, so it is never forwarded with an anchor, and no other walk reads a
+/// bracket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Stage-1 phase 0: walk the replicated part only and answer
+    /// [`Reply::LowerEntry`] at the first non-replicated handle instead of
+    /// forwarding the search there.
+    Entry {
+        /// The pivot's bracket `(lo, hi)` — the first key of the
+        /// half-bracket before it and the last of the one after it — that
+        /// its [`Fingers`] must cover.
+        bracket: (Key, Key),
+    },
+    /// Every other search: descend to level 0 and answer
+    /// [`Reply::SearchDone`].
+    Descend {
+        /// The search's anchor so far: the level-`h_low` node its walk
+        /// descends from. The driver supplies it for a walk that starts
+        /// below that level (`NULL` otherwise); a walk that passes the
+        /// level records it there.
+        anchor: Handle,
+    },
+}
+
 /// The function applied by a `RangeOperation` (§5).
 ///
 /// `Read`/`FetchAdd` return one message per pair (the paper's "values can
@@ -103,21 +152,11 @@ pub enum Task {
         at: Handle,
         /// What to report.
         mode: SearchMode,
-        /// Stream the visited lower-part nodes back to shared memory
-        /// (pivot path recording).
-        record_path: bool,
-        /// Additionally stream visited *replicated* nodes (push-pull cache
-        /// warming only — the driver counts them but never adds them to
-        /// recorded paths). Always `false` with push-pull off.
-        record_upper: bool,
-        /// Stage-1 phase 0: walk the replicated part only and answer
-        /// [`Reply::LowerEntry`] at the first non-replicated handle instead
-        /// of forwarding the search there.
-        entry_only: bool,
-        /// Phase 0: the pivot's bracket `(lo, hi)` — the first key of the
-        /// half-bracket before it and the last of the one after it — that
-        /// its [`Fingers`] must cover. Ignored by every other search.
-        bracket: (Key, Key),
+        /// Which visited nodes to stream back to shared memory (never
+        /// [`Record::All`] with push-pull off).
+        record: Record,
+        /// Where the walk stops and what it carries.
+        walk: Walk,
     },
 
     /// Push-pull cache refresh (PIM-tree variant of §4.2): read one
@@ -143,45 +182,48 @@ pub enum Task {
         value: Value,
         /// Node level.
         level: u8,
-        /// Leaves only: the lowest replicated node of the key's search path
-        /// that the CPU holds (its level-`h_low` predecessor, else a
-        /// finger), or `NULL` for the descent start. A module that does not
-        /// hold it answers [`Reply::Faulted`].
+        /// Leaves only: the key's anchor, its level-`h_low` predecessor
+        /// (one descent step), or `NULL` for the descent start. Any
+        /// replicated node on the key's search path at or above `h_low`
+        /// serves. A module that does not hold it answers
+        /// [`Reply::Faulted`].
         from: Handle,
     },
-    /// Broadcast: materialise an upper-part replica at `slot`.
-    AllocUpper {
-        /// Replicated-arena slot chosen by the CPU shadow allocator.
-        slot: u32,
-        /// Key of the new tower.
-        key: Key,
-        /// Node level.
-        level: u8,
-        /// Stored value (meaningful only for the `h_low = 0` ablation,
-        /// where level-0 nodes are replicated).
-        value: Value,
-    },
-    /// Set a node's vertical pointers.
+    /// Set a lower-part node's vertical pointers.
     WireVertical {
-        /// Target node (local to receiver, or replica).
+        /// Target node (local to the receiver).
         node: Handle,
         /// Upward pointer value.
         up: Handle,
         /// Downward pointer value.
         down: Handle,
     },
-    /// Broadcast: compute the per-module `next_leaf` shortcut of a newly
-    /// linked upper-part leaf (post-Algorithm-1 round of batched Upsert) by
-    /// walking the local leaf list from the shortcut of `from`.
-    FixNextLeaf {
-        /// Replicated slot of the new upper leaf.
+    /// Broadcast: materialise an upper-part node at `slot` and splice it in
+    /// locally — the mirror image of [`Task::UnlinkUpper`]. Each module
+    /// links it after `pred` (`pred.right`, its cached key and
+    /// `right.left`), points `down.up` at it when `down` is replicated,
+    /// re-aims its descent start, and for an upper-part leaf computes the
+    /// per-module `next_leaf` by walking its local leaf list from `pred`'s
+    /// shortcut. A level-0 node (the `h_low = 0` ablation) also enters the
+    /// index of the module its key hashes to. A module whose slot is taken
+    /// or that lacks `pred`, `pred.right` or a replicated `down` answers
+    /// [`Reply::Faulted`] and changes nothing.
+    LinkUpper {
+        /// Replicated-arena slot chosen by the CPU shadow allocator.
         slot: u32,
-        /// The new leaf's level-`h_low` predecessor after linking, whose
-        /// shortcut is current when this task runs: an older upper leaf, or
-        /// a new one whose `FixNextLeaf` came just before in the same
-        /// inbox. A module that does not hold it answers
-        /// [`Reply::Faulted`].
-        from: Handle,
+        /// Key of the new tower.
+        key: Key,
+        /// Node level.
+        level: u8,
+        /// Stored value (the insert-time value, as recovery images carry).
+        value: Value,
+        /// The node's left neighbour after linking: its level predecessor
+        /// before the batch, or the previous new node at this level when
+        /// they share it (that node's `LinkUpper` came just before in the
+        /// same inbox).
+        pred: Handle,
+        /// The tower's node one level down (`NULL` at level 0).
+        down: Handle,
     },
     /// Record a leaf's tower chain (Insert step 5).
     SetLeafChain {
@@ -297,16 +339,21 @@ pub enum Task {
     RecoverLocal,
 }
 
-/// The two replicated nodes a phase-0 walk marks as stage-2 starts (§4.2):
-/// the lowest nodes of its path, at levels `h_low` up to the descent start,
-/// that also lie on the search path of every key of the half-bracket beside
-/// the pivot. `NULL` where no node qualifies; such keys start at the root.
+/// The replicated nodes a phase-0 walk marks (§4.2), at levels `h_low` up
+/// to the descent start. Two are stage-2 starts: the lowest nodes of the
+/// path that also lie on the search path of every key of the half-bracket
+/// beside the pivot (`NULL` where no node qualifies; such keys start at the
+/// root). The third is the pivot's anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingers {
     /// For the keys in `[lo, pivot)`: the lowest node with key `< lo`.
     pub left: Handle,
     /// For the keys in `(pivot, hi]`: the lowest node with right key `≥ hi`.
     pub right: Handle,
+    /// The lowest node of all, the level-`h_low` node the walk descends
+    /// from: the pivot's anchor, shared by every key that follows the pivot
+    /// below a lower-part hint.
+    pub anchor: Handle,
 }
 
 impl Default for Fingers {
@@ -314,6 +361,7 @@ impl Default for Fingers {
         Fingers {
             left: Handle::NULL,
             right: Handle::NULL,
+            anchor: Handle::NULL,
         }
     }
 }
@@ -334,19 +382,22 @@ impl Fingers {
 
     /// Overlay the marks of a walk that continued below this one's.
     pub(crate) fn below(&mut self, lower: Fingers) {
-        if lower.left.is_some() {
-            self.left = lower.left;
-        }
-        if lower.right.is_some() {
-            self.right = lower.right;
+        for (mine, theirs) in [
+            (&mut self.left, lower.left),
+            (&mut self.right, lower.right),
+            (&mut self.anchor, lower.anchor),
+        ] {
+            if theirs.is_some() {
+                *mine = theirs;
+            }
         }
     }
 }
 
 // Every message of every round moves a `Task` through the engine's inboxes
 // and outboxes; only the recovery-only node images are large, so they are
-// boxed and the common case stays within one cache line.
-const _: () = assert!(std::mem::size_of::<Task>() <= 64);
+// boxed and the common case stays within 48 bytes.
+const _: () = assert!(std::mem::size_of::<Task>() <= 48);
 
 /// Replies returned to CPU shared memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -382,15 +433,16 @@ pub enum Reply {
         /// The visited node.
         node: Handle,
     },
-    /// The node at which an `entry_only` search leaves the replicated part
-    /// (§4.2 stage 1, phase 0): pivots with different entries have
+    /// The node at which a [`Walk::Entry`] search leaves the replicated
+    /// part (§4.2 stage 1, phase 0): pivots with different entries have
     /// node-disjoint lower-part paths.
     LowerEntry {
         /// Operation id.
         op: u32,
         /// First non-replicated node on the search path.
         node: Handle,
-        /// Stage-2 starts for the half-brackets beside the pivot.
+        /// Stage-2 starts for the half-brackets beside the pivot, and the
+        /// pivot's anchor.
         fingers: Fingers,
     },
     /// Snapshot of one lower-part node's search-relevant fields, answering
@@ -436,6 +488,10 @@ pub enum Reply {
         succ: Handle,
         /// Its key (`POS_INF` when null).
         succ_key: Key,
+        /// The search's anchor: the level-`h_low` node its walk descended
+        /// from, where a new leaf for the key starts its local-list
+        /// descent (see [`Walk::Descend`]).
+        anchor: Handle,
     },
     /// A lower-part node was allocated.
     Alloced {

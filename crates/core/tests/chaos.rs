@@ -705,6 +705,62 @@ fn fault_in_any_stage1_round_of_a_search_is_retried() {
 }
 
 #[test]
+fn fault_in_any_round_of_an_upsert_is_retried() {
+    // Strike every round of one Upsert batch — the update pass, the search,
+    // the allocation and wiring rounds and the link round, where each new
+    // upper-part node is one `LinkUpper` broadcast spliced in locally
+    // behind its predecessor — on four of sixteen modules. A crash wipes a
+    // module; a dropped task lets the last task of that inbox jump the
+    // queue, so a `LinkUpper` may run before the node it splices behind or
+    // stacks on. Either way the attempt fails without a panic, the restore
+    // reverts it and the retry applies the batch: every replica agrees and
+    // the contents are the oracle's.
+    let cfg = || Config::new(16, 1 << 10, 43).with_max_retries(4);
+    let base: Vec<(i64, u64)> = (0..400).map(|i| (i * 5, i as u64)).collect();
+    // Fresh keys in the gaps, and every fifth one an overwrite.
+    let ups: Vec<(i64, u64)> = (0..96).map(|i| (i * 21 + 2, 9)).collect();
+    let mut want: BTreeMap<i64, u64> = base.iter().copied().collect();
+    want.extend(ups.iter().copied());
+    let want: Vec<(i64, u64)> = want.into_iter().collect();
+
+    // Dry run: the probe says which rounds the Upsert occupies, and some
+    // fresh tower must reach the upper part.
+    let mut dry = PimSkipList::new(cfg());
+    dry.bulk_load(&base);
+    let upper = dry.upper_leaf_keys().len();
+    dry.enable_probe();
+    dry.batch_upsert(&ups);
+    assert!(dry.upper_leaf_keys().len() > upper, "no new upper leaf");
+    let report = dry.take_probe().expect("probe was enabled");
+    let span = |name| {
+        let ids = report.spans_named(name);
+        assert_eq!(ids.len(), 1, "one {name} span");
+        let span = &report.spans[ids[0] as usize];
+        (span.start_round, span.end_round)
+    };
+    let (start, end) = span("upsert");
+    assert_eq!(span("upsert/update_pass").0, start);
+    assert_eq!(span("link").1, end, "the link round closes the batch");
+
+    let kinds = [FaultKind::Crash, FaultKind::DropTask { nth: 0 }];
+    for round in start..end {
+        for (module, kind) in [0, 5, 10, 15]
+            .into_iter()
+            .flat_map(|m| kinds.map(|k| (m, k)))
+        {
+            let context = format!("{kind:?} on module {module} at round {round}");
+            let mut list = PimSkipList::new(cfg());
+            list.bulk_load(&base);
+            list.set_fault_plan(FaultPlan::new().at(round, module, kind));
+            list.try_execute(&upserts(&ups))
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(list.metrics().faults_injected, 1, "{context}: must strike");
+            assert_holds(&list, &want, &context);
+        }
+    }
+}
+
+#[test]
 fn unrecoverable_schedule_surfaces_retries_exhausted() {
     // Crash module 0 at every round: no attempt can ever complete. With
     // max_retries = 1 the wrapper gives up after two attempts.

@@ -46,6 +46,22 @@ fn table1_successor_io_scales_as_log3_p() {
 }
 
 #[test]
+fn table1_upsert_io_scales_as_log3_p() {
+    // IO time of a P log² P Upsert batch (all inserts) is O(log³ P) whp:
+    // the measured constant io/log³ P must not grow with P.
+    let mut constants = Vec::new();
+    for p in [8u32, 32, 128] {
+        let rows = table1_rows(p, 6000, 36);
+        let u = rows.iter().find(|r| r.op == "Upsert").unwrap();
+        constants.push(u.costs.io_time as f64 / lg(p).powi(3));
+    }
+    assert!(
+        constants[2] < constants[0] * 4.0,
+        "Upsert IO constant grew: {constants:?}"
+    );
+}
+
+#[test]
 fn table1_delete_io_scales_as_log2_p() {
     let mut constants = Vec::new();
     for p in [8u32, 32, 128] {
