@@ -5,8 +5,7 @@
 //!
 //! which ∈ { table1, space, balls, contention, adversarial, range,
 //!           baselines, ablation, hprofile, paths, trace-export,
-//!           service, skew, skew-gate, pipeline, speedup-gate, recovery,
-//!           cluster, all }
+//!           service, skew, skew-gate, recovery, cluster, all }
 //!
 //! `trace-export [--quick] [--out DIR]` runs an instrumented session and
 //! writes `DIR/trace.json` (Chrome trace-event, Perfetto-loadable) and
@@ -45,19 +44,6 @@
 //! halves rounds/batch on every workload, skewed/adversarial on-mode
 //! costs stay within 1.25× of uniform, and the (deterministic) model
 //! metrics exactly match the committed baseline (`ci/skew-baseline.json`).
-//!
-//! `pipeline [--quick] [--out PATH]` times mixed-run episodes with the
-//! inter-batch pipelined driver on and off across PIM_THREADS ∈
-//! {1, 2, 4, 8} and writes a `pim-pipeline-bench/1` JSON report (default
-//! `target/BENCH_PR8.json`). Every configuration's replies are
-//! byte-compared against the unpipelined 1-thread reference in-process.
-//!
-//! `speedup-gate CURRENT BASELINE` takes two `pim-pipeline-bench/1`
-//! reports and *fails* unless the pipelined engine at ≥ 2 threads beats
-//! the unpipelined 1-thread throughput on Get and Upsert; speedup
-//! evidence comes from whichever report was produced on a multi-core host
-//! (current preferred, else the recorded baseline), and the gate errors
-//! out rather than passing when neither was.
 //! ```
 //!
 //! Every table prints *model metrics* (IO time, PIM time, CPU work/depth,
@@ -140,23 +126,6 @@ fn main() {
         let (current, baseline) = gate_paths(&args, "skew-gate");
         finish_gate("skew", pim_bench::skew::skew_gate(current, baseline), "");
     };
-    let run_pipeline = || {
-        let out = flag("--out")
-            .map(String::as_str)
-            .unwrap_or("target/BENCH_PR8.json");
-        if let Err(e) = pim_bench::pipeline::run_pipeline(quick, out, seed) {
-            eprintln!("pipeline: {e}");
-            std::process::exit(1);
-        }
-    };
-    let run_speedup_gate = || {
-        let (current, baseline) = gate_paths(&args, "speedup-gate");
-        finish_gate(
-            "speedup",
-            pim_bench::pipeline::speedup_gate(current, baseline),
-            " (pipelined ≥2-thread throughput does not beat the unpipelined 1-thread baseline)",
-        );
-    };
     let run_service = || {
         pim_bench::service::run_service(quick, seed);
         if let Some(out_dir) = flag("--out") {
@@ -217,8 +186,6 @@ fn main() {
         "service" => run_service(),
         "skew" => run_skew(),
         "skew-gate" => run_skew_gate(),
-        "pipeline" => run_pipeline(),
-        "speedup-gate" => run_speedup_gate(),
         "recovery" => run_recovery(),
         "cluster" => run_cluster(),
         "all" => {
@@ -244,7 +211,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service skew skew-gate pipeline speedup-gate recovery cluster all");
+            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service skew skew-gate recovery cluster all");
             std::process::exit(2);
         }
     }

@@ -19,7 +19,6 @@
 pub mod cluster;
 pub mod experiments;
 pub mod measure;
-pub mod pipeline;
 pub mod provenance;
 pub mod recovery;
 pub mod report;

@@ -2,9 +2,9 @@
 //!
 //! A `BENCH_*.json` file divorced from the machine and tree that produced
 //! it is an archaeology problem — was that run with 8 threads? on how
-//! many cores? which commit? Every bench report (`pipeline`, `skew`)
-//! embeds [`provenance_json`] under a `"provenance"` key so the answer
-//! travels with the numbers. Gates read reports by key, so the extra field
+//! many cores? which commit? The bench report (`skew`) embeds
+//! [`provenance_json`] under a `"provenance"` key so the answer travels
+//! with the numbers. Gates read reports by key, so the extra field
 //! is invisible to them — and bench reports are wall-clock artefacts,
 //! *not* determinism-gated ones, so the timestamp is allowed here (it must
 //! never leak into telemetry or trace exports, which are byte-diffed

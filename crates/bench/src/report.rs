@@ -1,6 +1,6 @@
 //! Shared scaffolding for versioned bench reports.
 //!
-//! Every report this crate writes (`pipeline`, `skew`) is a JSON object
+//! Every report this crate writes (`skew`) is a JSON object
 //! whose first two keys are the same versioned header: a `schema` tag
 //! (`pim-<name>-bench/<version>`) and the [`crate::provenance`] block.
 //! Builders go through [`document`] so a report cannot forget its header,

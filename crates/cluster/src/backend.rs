@@ -26,10 +26,6 @@ impl Backend for PimCluster {
         PimCluster::span_exit(self);
     }
 
-    fn set_pipeline(&mut self, pipeline: bool) {
-        PimCluster::set_pipeline(self, pipeline);
-    }
-
     fn set_push_pull(&mut self, on: bool) {
         PimCluster::set_push_pull(self, on);
     }

@@ -177,15 +177,6 @@ impl PimCluster {
         }
     }
 
-    /// Flip run pipelining on every shard (see
-    /// [`pim_core::Config::pipeline`]).
-    pub fn set_pipeline(&mut self, pipeline: bool) {
-        self.cfg.core.pipeline = pipeline;
-        for s in &mut self.shards {
-            s.list.set_pipeline(pipeline);
-        }
-    }
-
     /// Flip push-pull batch search on every shard (see
     /// [`pim_core::Config::push_pull`]) — each shard keeps its own
     /// hot-node cache over its own key range. Replies and contents are

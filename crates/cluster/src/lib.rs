@@ -120,12 +120,10 @@ mod tests {
         assert_eq!(cfg.shards, 1, "shard count clamps to 1");
         let cfg = cfg.with_settings(&EnvSettings {
             shards: Some(8),
-            pipeline: Some(true),
             push_pull: Some(true),
             threads: None,
         });
         assert_eq!(cfg.shards, 8);
-        assert!(cfg.core.pipeline, "core overrides flow through the wrap");
-        assert!(cfg.core.push_pull, "push-pull flows through the wrap");
+        assert!(cfg.core.push_pull, "core overrides flow through the wrap");
     }
 }

@@ -76,13 +76,9 @@ impl PimSkipList {
         extra_staged: &mut u64,
     ) -> PimResult<Vec<bool>> {
         let mut uniq = self.scratch.take_uniq_keys();
-        // A pipelined-staged dedup (see `crate::pipeline`) is the same
-        // bytes as the inline one; the cost is charged either way.
-        if !self.staged_uniq_keys(crate::op::OpKind::Delete, &mut uniq) {
-            let mut tags = self.scratch.take_dedup_tags();
-            dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
-            self.scratch.give_dedup_tags(tags);
-        }
+        let mut tags = self.scratch.take_dedup_tags();
+        dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
+        self.scratch.give_dedup_tags(tags);
         dedup_cost(keys.len(), uniq.len()).charge(self.sys.metrics_mut());
         let mut found = self.scratch.take_flags();
         let mut answered = self.scratch.take_flags2();

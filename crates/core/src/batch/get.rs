@@ -43,14 +43,9 @@ impl PimSkipList {
     fn get_attempt_inner(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
         let mut uniq = self.scratch.take_uniq_keys();
         self.spanned("get/dedup", |s| {
-            // A pipelined-staged dedup (see `crate::pipeline`) is the same
-            // bytes as the inline one; the cost is charged either way, at
-            // this same span point.
-            if !s.staged_uniq_keys(crate::op::OpKind::Get, &mut uniq) {
-                let mut tags = s.scratch.take_dedup_tags();
-                dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
-                s.scratch.give_dedup_tags(tags);
-            }
+            let mut tags = s.scratch.take_dedup_tags();
+            dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
+            s.scratch.give_dedup_tags(tags);
             dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
         });
         let out = self.get_resolve(keys, &uniq);
@@ -120,11 +115,9 @@ impl PimSkipList {
     fn update_attempt_inner(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
         let mut uniq = self.scratch.take_uniq_pairs();
         self.spanned("update/dedup", |s| {
-            if !s.staged_uniq_pairs(crate::op::OpKind::Update, &mut uniq) {
-                let mut tags = s.scratch.take_dedup_tags();
-                dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
-                s.scratch.give_dedup_tags(tags);
-            }
+            let mut tags = s.scratch.take_dedup_tags();
+            dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
+            s.scratch.give_dedup_tags(tags);
             dedup_cost(pairs.len(), uniq.len()).charge(s.sys.metrics_mut());
         });
         let out = self.update_resolve(pairs, &uniq);

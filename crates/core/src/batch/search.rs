@@ -97,7 +97,7 @@ use std::ops::Range;
 
 use pim_primitives::accounting::{log2c, CpuCost};
 use pim_primitives::paths::Hint;
-use pim_primitives::sort::{par_sort, sort_cost};
+use pim_primitives::sort::par_sort;
 use pim_runtime::Handle;
 
 use crate::config::{Key, NEG_INF};
@@ -970,16 +970,9 @@ impl PimSkipList {
     /// return per-key terminal records.
     fn point_search_unique(&mut self, keys: &[Key]) -> PimResult<HashMap<Key, DoneRec>> {
         let mut uniq = self.scratch.take_sorted_keys();
-        // A pipelined-staged sort (see `crate::pipeline`) produces the same
-        // bytes (keys are `Copy + Ord`, equal elements indistinguishable);
-        // the sort cost is charged identically either way.
-        if self.staged_sorted_keys(&mut uniq) {
-            sort_cost(keys.len() as u64).charge(self.sys.metrics_mut());
-        } else {
-            uniq.extend_from_slice(keys);
-            par_sort(&mut uniq).charge(self.sys.metrics_mut());
-            uniq.dedup();
-        }
+        uniq.extend_from_slice(keys);
+        par_sort(&mut uniq).charge(self.sys.metrics_mut());
+        uniq.dedup();
         let mut reqs = self.scratch.take_reqs();
         reqs.extend(uniq.iter().enumerate().map(|(i, &key)| SearchRequest {
             op: i as u32,

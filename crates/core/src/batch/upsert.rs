@@ -123,13 +123,9 @@ impl PimSkipList {
 
     fn upsert_attempt_inner(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<UpsertOutcome>> {
         let mut uniq = self.scratch.take_uniq_pairs();
-        // A pipelined-staged dedup (see `crate::pipeline`) is the same
-        // bytes as the inline one; the cost is charged either way.
-        if !self.staged_uniq_pairs(crate::op::OpKind::Upsert, &mut uniq) {
-            let mut tags = self.scratch.take_dedup_tags();
-            dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
-            self.scratch.give_dedup_tags(tags);
-        }
+        let mut tags = self.scratch.take_dedup_tags();
+        dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
+        self.scratch.give_dedup_tags(tags);
         dedup_cost(pairs.len(), uniq.len()).charge(self.sys.metrics_mut());
         let out = self.upsert_resolve(pairs, &uniq);
         self.scratch.give_uniq_pairs(uniq);

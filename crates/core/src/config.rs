@@ -40,15 +40,6 @@ pub struct Config {
     /// [`crate::error::PimError::RetriesExhausted`]. Irrelevant on a
     /// fault-free machine. Default 3.
     pub max_retries: u32,
-    /// Pipeline consecutive coalescible runs through
-    /// [`crate::list::PimSkipList::try_execute`]: while run `k` executes
-    /// its rounds on the machine, a side thread stages run `k+1`'s
-    /// CPU-side preprocessing (extraction, dedup, sort). Dark by default;
-    /// seeded from the `PIM_PIPELINE` environment variable (`1`/`true`) by
-    /// [`Config::new`]. Changes wall-clock only — replies, contents,
-    /// metrics, traces and telemetry are byte-identical either way (the
-    /// CI `pipeline-determinism` step diffs them).
-    pub pipeline: bool,
     /// Push-pull batch search (PIM-tree, same authors): keep a bounded
     /// CPU-side **hot-node cache** of lower-part nodes, resolve the
     /// cached prefix of every hinted search descent locally in a
@@ -79,18 +70,17 @@ impl Config {
             max_level,
             track_contention: false,
             max_retries: 3,
-            pipeline: pipeline_from_env(),
             push_pull: push_pull_from_env(),
         }
     }
 
     /// [`Config::new`], then apply every `PIM_*` environment override in
-    /// one place: `PIM_PIPELINE` (run pipelining) today, with thread count
-    /// and shard count read by the executor and cluster tiers from the
-    /// same parsed [`pim_runtime::EnvSettings`]. This is the supported way
-    /// to build an environment-driven config; layered configs
-    /// (`ServiceConfig`, `ClusterConfig`) wrap the result rather than
-    /// re-parsing variables themselves.
+    /// one place: `PIM_PUSH_PULL` (push-pull batch search) here, with
+    /// `PIM_THREADS` and `PIM_SHARDS` read by the executor and cluster
+    /// tiers from the same parsed [`pim_runtime::EnvSettings`]. This is
+    /// the supported way to build an environment-driven config; layered
+    /// configs (`ServiceConfig`, `ClusterConfig`) wrap the result rather
+    /// than re-parsing variables themselves.
     pub fn from_env(p: u32, expected_n: u64, seed: u64) -> Self {
         Self::new(p, expected_n, seed).with_settings(&pim_runtime::EnvSettings::from_env())
     }
@@ -100,9 +90,6 @@ impl Config {
     /// the core config — threads, shards — are ignored here and consumed
     /// by their own tiers).
     pub fn with_settings(mut self, settings: &pim_runtime::EnvSettings) -> Self {
-        if let Some(pipeline) = settings.pipeline {
-            self.pipeline = pipeline;
-        }
         if let Some(push_pull) = settings.push_pull {
             self.push_pull = push_pull;
         }
@@ -128,10 +115,9 @@ impl Config {
         self
     }
 
-    /// Explicitly set run pipelining (see [`Config::pipeline`]),
-    /// overriding whatever `PIM_PIPELINE` seeded.
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
+    /// No effect; kept until ROADMAP item 0b removes the benchmark's
+    /// callers.
+    pub fn with_pipeline(self, _pipeline: bool) -> Self {
         self
     }
 
@@ -182,16 +168,6 @@ impl Config {
     }
 }
 
-/// `PIM_PIPELINE=1` (or `true`) turns run pipelining on everywhere a
-/// `Config` is built with [`Config::new`]; anything else — including the
-/// variable being absent — leaves it dark. Parsing itself lives in
-/// [`pim_runtime::EnvSettings`], the one `PIM_*` parser.
-fn pipeline_from_env() -> bool {
-    pim_runtime::EnvSettings::from_env()
-        .pipeline
-        .unwrap_or(false)
-}
-
 /// `PIM_PUSH_PULL=1` (or `true`) turns push-pull batch search on
 /// everywhere a `Config` is built with [`Config::new`]; anything else —
 /// including the variable being absent — leaves it dark. Parsing lives in
@@ -237,29 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn settings_override_pipeline_only_when_present() {
-        use pim_runtime::EnvSettings;
-        let base = Config::new(4, 64, 1).with_pipeline(false);
-        let on = base.clone().with_settings(&EnvSettings {
-            pipeline: Some(true),
-            ..EnvSettings::default()
-        });
-        assert!(on.pipeline);
-        let untouched = base.clone().with_settings(&EnvSettings::default());
-        assert!(!untouched.pipeline);
-        // Threads/shards are other tiers' business; the core config
-        // ignores them.
-        let other = base.with_settings(&EnvSettings {
-            threads: Some(8),
-            shards: Some(4),
-            pipeline: None,
-            push_pull: None,
-        });
-        assert!(!other.pipeline);
-        assert_eq!(other.p, 4);
-    }
-
-    #[test]
     fn settings_override_push_pull_only_when_present() {
         use pim_runtime::EnvSettings;
         let base = Config::new(4, 64, 1).with_push_pull(false);
@@ -268,8 +221,17 @@ mod tests {
             ..EnvSettings::default()
         });
         assert!(on.push_pull);
-        let untouched = base.with_settings(&EnvSettings::default());
+        let untouched = base.clone().with_settings(&EnvSettings::default());
         assert!(!untouched.push_pull);
+        // Threads/shards are other tiers' business; the core config
+        // ignores them.
+        let other = base.with_settings(&EnvSettings {
+            threads: Some(8),
+            shards: Some(4),
+            push_pull: None,
+        });
+        assert!(!other.push_pull);
+        assert_eq!(other.p, 4);
     }
 
     #[test]

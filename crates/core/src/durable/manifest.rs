@@ -112,7 +112,8 @@ pub(crate) fn read_manifest(dir: &Path, config_fp: u64) -> PimResult<Option<Mani
     }
     let read_list = |r: &mut Reader<'_>| -> Option<Vec<u64>> {
         let n = r.u32()?;
-        let mut v = Vec::with_capacity(n.min(1 << 20) as usize);
+        // `n` is untrusted: the body bounds how many 8-byte words follow.
+        let mut v = Vec::with_capacity((n as usize).min(r.remaining() / 8));
         for _ in 0..n {
             v.push(r.u64()?);
         }
@@ -197,6 +198,22 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read_manifest(&dir, 1).unwrap(), None);
+        // So is a CRC-valid manifest whose snapshot or segment list
+        // claims `u32::MAX` entries with one word behind it.
+        for (snap_count, seg_count) in [(u32::MAX, None), (0, Some(u32::MAX))] {
+            let mut bytes = MANIFEST_MAGIC.to_vec();
+            codec::put_u32(&mut bytes, MANIFEST_VERSION);
+            codec::put_u64(&mut bytes, 1);
+            codec::put_u32(&mut bytes, snap_count);
+            if let Some(n) = seg_count {
+                codec::put_u32(&mut bytes, n);
+            }
+            codec::put_u64(&mut bytes, 7);
+            let crc = crc32(&bytes);
+            codec::put_u32(&mut bytes, crc);
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_manifest(&dir, 1).unwrap(), None);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

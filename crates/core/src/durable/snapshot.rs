@@ -118,7 +118,8 @@ pub(crate) fn read_snapshot(path: &Path, config_fp: u64) -> PimResult<(u64, Item
             ),
         });
     }
-    let mut items = Vec::with_capacity(count.min(1 << 24) as usize);
+    // `count` is untrusted: the body bounds how many 16-byte items follow.
+    let mut items = Vec::with_capacity(count.min((r.remaining() / 16) as u64) as usize);
     for _ in 0..count {
         let (Some(k), Some(v)) = (r.i64(), r.u64()) else {
             return Err(codec::corrupt(path, 36, claimed, found, "snapshot items"));
@@ -191,6 +192,20 @@ mod tests {
             }
             bytes[i] ^= 0x10;
         }
+        // A CRC-valid header claiming `u64::MAX` items with none behind
+        // it is refused without reserving space for the claim.
+        let mut hostile = SNAP_MAGIC.to_vec();
+        codec::put_u32(&mut hostile, SNAP_VERSION);
+        codec::put_u64(&mut hostile, 3);
+        codec::put_u64(&mut hostile, 8);
+        codec::put_u64(&mut hostile, u64::MAX);
+        let crc = crc32(&hostile);
+        codec::put_u32(&mut hostile, crc);
+        std::fs::write(&p, &hostile).unwrap();
+        assert!(matches!(
+            read_snapshot(&p, 3),
+            Err(PimError::Corruption { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

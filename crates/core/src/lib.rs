@@ -45,7 +45,6 @@ pub mod list;
 pub mod module;
 pub mod node;
 pub mod op;
-mod pipeline;
 pub mod prelude;
 pub mod range;
 mod recover;

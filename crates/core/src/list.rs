@@ -57,11 +57,6 @@ pub struct PimSkipList {
     /// [`PimSkipList::enable_telemetry`] was called — same one-branch
     /// dark-mode contract as `durable`).
     pub(crate) telemetry: Option<Box<crate::telem::CoreTelemetry>>,
-    /// Double-buffered run staging for the pipelined driver (see
-    /// [`crate::pipeline`]): the front half holds the stage the current
-    /// run consumes, the back half is filled by the side thread. Empty
-    /// (and cost-free) unless [`crate::Config::pipeline`] is set.
-    pub(crate) stage: pim_runtime::DoubleBuffer<crate::pipeline::StagedRun>,
     /// Bumped at the start of every structural-mutation phase (upsert
     /// link, delete mark, bulk load, recovery); the push-pull hot-node
     /// cache invalidates its snapshots when it observes a new value (see
@@ -121,27 +116,9 @@ impl PimSkipList {
             scratch: crate::scratch::Scratch::default(),
             durable: None,
             telemetry: None,
-            stage: pim_runtime::DoubleBuffer::default(),
             write_epoch: 0,
             hot,
         }
-    }
-
-    /// Turn run pipelining on or off at runtime (see
-    /// [`crate::Config::pipeline`] — same contract: wall-clock only,
-    /// replies/metrics/traces byte-identical either way).
-    pub fn set_pipeline(&mut self, pipeline: bool) {
-        self.cfg.pipeline = pipeline;
-        if !pipeline {
-            let (front, back) = self.stage.split_mut();
-            front.clear();
-            back.clear();
-        }
-    }
-
-    /// Is run pipelining currently on?
-    pub fn pipeline_enabled(&self) -> bool {
-        self.cfg.pipeline
     }
 
     /// Turn push-pull batch search on or off at runtime (see
@@ -286,29 +263,6 @@ impl PimSkipList {
     /// Close the innermost span opened with [`PimSkipList::span_enter`].
     pub fn span_exit(&mut self) {
         self.sys.span_exit();
-    }
-
-    /// Take this run's staged dedup survivors (key batches), if the
-    /// pipelined driver staged them for `kind`. `dst` must be an empty
-    /// lease; on `true` the staged buffer is swapped in (consumed — a
-    /// retry recomputes inline).
-    pub(crate) fn staged_uniq_keys(&mut self, kind: crate::op::OpKind, dst: &mut Vec<Key>) -> bool {
-        self.stage.front_mut().take_uniq_keys(kind, dst)
-    }
-
-    /// Take this run's staged dedup survivors (pair batches), if staged.
-    pub(crate) fn staged_uniq_pairs(
-        &mut self,
-        kind: crate::op::OpKind,
-        dst: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        self.stage.front_mut().take_uniq_pairs(kind, dst)
-    }
-
-    /// Take this run's staged sorted unique keys (point searches), if
-    /// staged.
-    pub(crate) fn staged_sorted_keys(&mut self, dst: &mut Vec<Key>) -> bool {
-        self.stage.front_mut().take_sorted_keys(dst)
     }
 
     /// The replicated −∞ sentinel a descent begins at: the highest one

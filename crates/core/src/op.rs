@@ -243,104 +243,19 @@ impl PimSkipList {
         // stream may hold several, so phase records accumulate across the
         // runs instead of each search clobbering the last.
         let mut phases: Vec<u32> = Vec::new();
-        let result = if self.cfg.pipeline {
-            self.drive_pipelined(ops, &mut replies, &mut phases)
-        } else {
-            self.drive_sequential(ops, &mut replies, &mut phases)
-        };
+        let mut result = Ok(());
+        let mut start = 0;
+        while start < ops.len() && result.is_ok() {
+            let end = run_end(ops, start);
+            result = self.commit_run(&ops[start..end], &mut replies, &mut phases);
+            start = end;
+        }
         self.last_phase_contention = phases;
         result.map(|()| replies)
     }
 
-    /// The unpipelined run driver: split, then commit each run in turn.
-    fn drive_sequential(
-        &mut self,
-        ops: &[Op],
-        replies: &mut Vec<Reply>,
-        phases: &mut Vec<u32>,
-    ) -> PimResult<()> {
-        let mut start = 0;
-        while start < ops.len() {
-            let end = run_end(ops, start);
-            self.commit_run(&ops[start..end], replies, phases)?;
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// The pipelined run driver (see [`crate::pipeline`]): while run `k`
-    /// executes (all of its rounds), a side thread stages run `k+1`'s
-    /// CPU-side preprocessing into the back half of the double buffer;
-    /// the buffer swaps at each run boundary. Run boundaries, commit
-    /// order, costs and error semantics (earlier runs committed, the
-    /// failing run and everything after it not) are exactly those of
-    /// [`PimSkipList::drive_sequential`].
-    fn drive_pipelined(
-        &mut self,
-        ops: &[Op],
-        replies: &mut Vec<Reply>,
-        phases: &mut Vec<u32>,
-    ) -> PimResult<()> {
-        let mut bounds = self.scratch.take_run_bounds();
-        let mut start = 0;
-        while start < ops.len() {
-            let end = run_end(ops, start);
-            bounds.push((start, end));
-            start = end;
-        }
-        // The double buffer leaves the structure for the driver's duration
-        // so the side thread's `&mut` to its back half is disjoint from
-        // `&mut self`; the front half is lent back in per run.
-        let mut stage = std::mem::take(&mut self.stage);
-        let mut failed = None;
-        for (i, &(start, end)) in bounds.iter().enumerate() {
-            let run = &ops[start..end];
-            // Install the stage prepared during the previous run (empty
-            // for the first run and after non-stageable neighbours — the
-            // batch algorithms then compute inline, the unpipelined path).
-            std::mem::swap(self.stage.front_mut(), stage.front_mut());
-            let next = bounds.get(i + 1).and_then(|&(s, e)| {
-                let next_run = &ops[s..e];
-                crate::pipeline::StagedRun::stageable(next_run[0].kind()).then_some(next_run)
-            });
-            let committed = match next {
-                Some(next_run) => {
-                    let back = stage.back_mut();
-                    let (committed, ()) = pim_runtime::pool::run_overlapped(
-                        || self.commit_run(run, replies, phases),
-                        || back.stage(next_run),
-                    );
-                    committed
-                }
-                None => self.commit_run(run, replies, phases),
-            };
-            // Harvest the (partially consumed) front so its capacities
-            // keep circulating, then rotate: the freshly staged back
-            // becomes the next run's front.
-            std::mem::swap(self.stage.front_mut(), stage.front_mut());
-            stage.front_mut().clear();
-            if let Err(e) = committed {
-                failed = Some(e);
-                break;
-            }
-            stage.swap();
-        }
-        // A stage staged for a run that never executed must not leak into
-        // a later stream.
-        stage.front_mut().clear();
-        stage.back_mut().clear();
-        self.stage = stage;
-        self.scratch.give_run_bounds(bounds);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Commit one coalescible run: execute it with its family's retry
     /// discipline, then append to the WAL and telemetry in that order.
-    /// Shared verbatim by both drivers — byte-identical side effects is
-    /// the pipelining contract.
     fn commit_run(
         &mut self,
         run: &[Op],
@@ -380,22 +295,14 @@ impl PimSkipList {
         match run[0].kind() {
             OpKind::Get => {
                 let mut keys = self.scratch.take_keys();
-                if !self.stage.front_mut().take_keys(OpKind::Get, &mut keys) {
-                    keys.extend(run.iter().map(op_key));
-                }
+                keys.extend(run.iter().map(op_key));
                 let out = self.retry_read("batch_get", keys.len(), |s| s.get_attempt(&keys));
                 self.scratch.give_keys(keys);
                 Ok(out?.into_iter().map(Reply::Value).collect())
             }
             OpKind::Update => {
                 let mut pairs = self.scratch.take_pairs();
-                if !self
-                    .stage
-                    .front_mut()
-                    .take_pairs(OpKind::Update, &mut pairs)
-                {
-                    pairs.extend(run.iter().map(op_pair));
-                }
+                pairs.extend(run.iter().map(op_pair));
                 let out =
                     self.retry_read("batch_update", pairs.len(), |s| s.update_attempt(&pairs));
                 self.scratch.give_pairs(pairs);
@@ -403,13 +310,7 @@ impl PimSkipList {
             }
             OpKind::Upsert => {
                 let mut pairs = self.scratch.take_pairs();
-                if !self
-                    .stage
-                    .front_mut()
-                    .take_pairs(OpKind::Upsert, &mut pairs)
-                {
-                    pairs.extend(run.iter().map(op_pair));
-                }
+                pairs.extend(run.iter().map(op_pair));
                 let out = self
                     .retry_structural("batch_upsert", pairs.len(), |s| s.upsert_attempt(&pairs));
                 self.scratch.give_pairs(pairs);
@@ -417,9 +318,7 @@ impl PimSkipList {
             }
             OpKind::Delete => {
                 let mut keys = self.scratch.take_keys();
-                if !self.stage.front_mut().take_keys(OpKind::Delete, &mut keys) {
-                    keys.extend(run.iter().map(op_key));
-                }
+                keys.extend(run.iter().map(op_key));
                 let out =
                     self.retry_structural("batch_delete", keys.len(), |s| s.delete_attempt(&keys));
                 self.scratch.give_keys(keys);
@@ -427,13 +326,7 @@ impl PimSkipList {
             }
             OpKind::Predecessor => {
                 let mut keys = self.scratch.take_keys();
-                if !self
-                    .stage
-                    .front_mut()
-                    .take_keys(OpKind::Predecessor, &mut keys)
-                {
-                    keys.extend(run.iter().map(op_key));
-                }
+                keys.extend(run.iter().map(op_key));
                 let out = self.retry_read("batch_predecessor", keys.len(), |s| {
                     s.predecessor_attempt(&keys)
                 });
@@ -442,13 +335,7 @@ impl PimSkipList {
             }
             OpKind::Successor => {
                 let mut keys = self.scratch.take_keys();
-                if !self
-                    .stage
-                    .front_mut()
-                    .take_keys(OpKind::Successor, &mut keys)
-                {
-                    keys.extend(run.iter().map(op_key));
-                }
+                keys.extend(run.iter().map(op_key));
                 let out = self.retry_read("batch_successor", keys.len(), |s| {
                     s.successor_attempt(&keys)
                 });
@@ -512,7 +399,7 @@ pub fn run_end(ops: &[Op], start: usize) -> usize {
     end
 }
 
-pub(crate) fn op_key(op: &Op) -> Key {
+fn op_key(op: &Op) -> Key {
     match *op {
         Op::Get { key } | Op::Delete { key } | Op::Predecessor { key } | Op::Successor { key } => {
             key
@@ -521,7 +408,7 @@ pub(crate) fn op_key(op: &Op) -> Key {
     }
 }
 
-pub(crate) fn op_pair(op: &Op) -> (Key, Value) {
+fn op_pair(op: &Op) -> (Key, Value) {
     match *op {
         Op::Update { key, value } | Op::Upsert { key, value } => (key, value),
         _ => unreachable!("pair extraction on {op:?}"),

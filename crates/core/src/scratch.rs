@@ -78,8 +78,6 @@ pub(crate) struct Scratch {
     tower_handles: Vec<Handle>,
     /// Per-insert offsets into `tower_handles`.
     tower_offsets: Vec<u32>,
-    /// `(start, end)` run boundaries for the pipelined op driver.
-    run_bounds: Vec<(usize, usize)>,
     /// Pivoted-search wavefront staging (see `batch::search`).
     wave_items: Vec<crate::batch::search::WaveItem>,
     /// Upper-level pivot indices for pivoted searches.
@@ -124,7 +122,6 @@ impl Scratch {
         Handle
     );
     lease!(take_tower_offsets, give_tower_offsets, tower_offsets, u32);
-    lease!(take_run_bounds, give_run_bounds, run_bounds, (usize, usize));
     lease!(
         take_wave_items,
         give_wave_items,

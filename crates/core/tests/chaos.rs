@@ -423,58 +423,6 @@ fn crash_mid_mixed_stream_recovers_and_op_log_replays_identically() {
     assert_wal_replays_dry_run(&dir, cfg(), &ops);
 }
 
-#[test]
-fn pipelined_crash_at_route_commit_recovers_on_run_boundary() {
-    // A scheduled Crash strikes at the round's *route-commit* point (the
-    // pre-delivery fault application in the round engine), i.e. exactly
-    // where the pipelined driver may already have staged the next run's
-    // preprocessing on the side thread. Recovery must land on a run
-    // boundary: the retried run re-commits wholesale, the staged next run
-    // is discarded and recomputed, and the WAL ends up with every op
-    // exactly once in arrival order — no half-committed or duplicated run.
-    let cfg = |pipeline: bool| {
-        Config::new(4, 1 << 10, 91)
-            .with_max_retries(50)
-            .with_pipeline(pipeline)
-    };
-    let ops = mixed_stream();
-    let mut dry = PimSkipList::new(cfg(true));
-    let dry_replies = dry.try_execute(&ops).expect("fault-free stream");
-    let crash_round = dry.metrics().rounds / 2;
-
-    let run = |pipeline: bool| {
-        let dir = wal_dir(if pipeline { "pipelined" } else { "sequential" });
-        let mut list = PimSkipList::new(cfg(pipeline));
-        list.enable_durability(&dir, DurabilityPolicy::default())
-            .expect("fresh wal dir");
-        list.set_fault_plan(FaultPlan::new().at(crash_round, 1, FaultKind::Crash));
-        let replies = list.try_execute(&ops).expect("recovers mid-stream");
-        (replies, list, dir)
-    };
-    let (replies, chaotic, dir) = run(true);
-
-    let m = chaotic.metrics();
-    assert_eq!(m.module_crashes, 1, "the scheduled crash must have struck");
-    assert!(m.recovery_rounds > 0, "recovery must have spent rounds");
-    assert_logically_eq(&replies, &dry_replies);
-    chaotic.validate().expect("recovered structure valid");
-    assert_eq!(chaotic.collect_items(), dry.collect_items());
-
-    // The crash/recovery schedule itself is round-keyed and rounds are
-    // pipeline-invariant, so the sequential engine under the *same* plan
-    // is byte-identical — faults included.
-    let (seq_replies, seq, seq_dir) = run(false);
-    assert_eq!(replies, seq_replies, "same faults, same replies");
-    assert_eq!(chaotic.metrics(), seq.metrics(), "same faults, same work");
-    assert_eq!(chaotic.collect_items(), seq.collect_items());
-
-    // Run-boundary proof: the WAL appends whole runs at commit points, so
-    // both engines' logs replay to the fault-free run.
-    drop((chaotic, seq));
-    assert_wal_replays_dry_run(&dir, cfg(true), &ops);
-    assert_wal_replays_dry_run(&seq_dir, cfg(false), &ops);
-}
-
 /// Contents, length and invariants after a recovered run.
 fn assert_holds(list: &PimSkipList, want: &[(i64, u64)], context: &str) {
     assert_eq!(list.collect_items(), want, "{context}: contents");

@@ -173,44 +173,6 @@ proptest! {
     }
 
     #[test]
-    fn pipelined_execute_is_byte_identical_to_sequential(
-        seed in 0u64..1_000_000,
-        p in 1u32..9,
-        ops in prop::collection::vec(op_strategy(), 1..60),
-    ) {
-        // The inter-batch pipelining contract: staging run k+1 while run k
-        // executes changes wall-clock only. Replies, contents, machine
-        // metrics, and the serialised trace artifacts must match the
-        // sequential driver byte for byte on any mixed stream.
-        let mut seq = PimSkipList::new(Config::new(p, 1 << 10, seed).with_pipeline(false));
-        let mut pipe = PimSkipList::new(Config::new(p, 1 << 10, seed).with_pipeline(true));
-        seq.enable_tracing();
-        pipe.enable_tracing();
-
-        let seq_replies = seq.execute(&ops);
-        let pipe_replies = pipe.execute(&ops);
-
-        prop_assert_eq!(&seq_replies, &pipe_replies,
-            "pipelining must not change any reply");
-        prop_assert_eq!(seq.collect_items(), pipe.collect_items(),
-            "pipelining must not change the contents");
-        prop_assert_eq!(seq.metrics(), pipe.metrics(),
-            "pipelining must not change the machine work");
-
-        let (seq_trace, pipe_trace) = (seq.take_trace(), pipe.take_trace());
-        let seq_bundle = pim_runtime::ExportBundle { p, trace: &seq_trace, report: None };
-        let pipe_bundle = pim_runtime::ExportBundle { p, trace: &pipe_trace, report: None };
-        prop_assert_eq!(
-            pim_runtime::chrome_trace(&seq_bundle),
-            pim_runtime::chrome_trace(&pipe_bundle),
-            "serialised chrome traces must match byte for byte");
-        prop_assert_eq!(
-            pim_runtime::rounds_jsonl(&seq_bundle),
-            pim_runtime::rounds_jsonl(&pipe_bundle),
-            "serialised round logs must match byte for byte");
-    }
-
-    #[test]
     fn telemetry_never_perturbs_mixed_streams(
         seed in 0u64..1_000_000,
         p in 1u32..9,

@@ -129,48 +129,6 @@ impl RouteBuffer {
     }
 }
 
-/// Double-buffered staging state for pipelined execution: one *front*
-/// buffer being consumed by the in-flight stage and one *back* buffer
-/// being filled for the next stage, swapped at each stage boundary.
-///
-/// The two halves are handed out as disjoint `&mut`s by
-/// [`DoubleBuffer::split_mut`], so a [`crate::pool::run_overlapped`]
-/// bracket can consume the front on the main thread while the side thread
-/// fills the back — no locks, no aliasing, and (like every buffer in this
-/// module) the capacities of both halves are retained across stages.
-#[derive(Debug, Default)]
-pub struct DoubleBuffer<T> {
-    front: T,
-    back: T,
-}
-
-impl<T> DoubleBuffer<T> {
-    /// A double buffer from explicit halves.
-    pub fn new(front: T, back: T) -> Self {
-        DoubleBuffer { front, back }
-    }
-
-    /// The buffer the current stage consumes.
-    pub fn front_mut(&mut self) -> &mut T {
-        &mut self.front
-    }
-
-    /// The buffer the next stage is staged into.
-    pub fn back_mut(&mut self) -> &mut T {
-        &mut self.back
-    }
-
-    /// Both halves at once, disjointly borrowed: `(front, back)`.
-    pub fn split_mut(&mut self) -> (&mut T, &mut T) {
-        (&mut self.front, &mut self.back)
-    }
-
-    /// Stage boundary: the freshly staged back becomes the new front.
-    pub fn swap(&mut self) {
-        std::mem::swap(&mut self.front, &mut self.back);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,19 +174,6 @@ mod tests {
         let base = queues[2].as_ptr();
         queues[2].extend([1, 2, 3]);
         assert_eq!(queues[2].as_ptr(), base);
-    }
-
-    #[test]
-    fn double_buffer_swaps_and_splits_disjointly() {
-        let mut db: DoubleBuffer<Vec<u32>> = DoubleBuffer::new(vec![1], Vec::new());
-        {
-            let (front, back) = db.split_mut();
-            assert_eq!(front, &vec![1]);
-            back.extend([2, 3]);
-        }
-        db.swap();
-        assert_eq!(db.front_mut(), &vec![2, 3]);
-        assert_eq!(db.back_mut(), &vec![1]);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! One parser for every `PIM_*` environment knob.
 //!
-//! Before this module each layer scraped the environment on its own —
-//! the pool read `PIM_THREADS`, the core config read `PIM_PIPELINE`, and
-//! the cluster tier would have added a third copy for `PIM_SHARDS`. All
-//! of that now lives here: [`EnvSettings::from_env`] is the single place
-//! the process environment is consulted, and the layered configs
+//! Three variables remain: `PIM_THREADS` (executor workers),
+//! `PIM_SHARDS` (cluster shard count) and `PIM_PUSH_PULL` (push-pull
+//! batch search). [`EnvSettings::from_env`] is the single place the
+//! process environment is consulted, and the layered configs
 //! ([`crate::pool::ExecConfig::from_env`], `pim_core::Config::from_env`,
 //! `pim_cluster::ClusterConfig::from_env`) consume the parsed struct.
 //!
@@ -20,10 +19,6 @@ pub struct EnvSettings {
     /// "use every core", which is the absent default too — so those parse
     /// to `None` here.
     pub threads: Option<usize>,
-    /// `PIM_PIPELINE`: inter-batch round pipelining. `1`/`true` → on,
-    /// `0`/`false` → off, anything else (including absent) → `None`
-    /// (consumers default to off).
-    pub pipeline: Option<bool>,
     /// `PIM_SHARDS`: cluster shard count `S ≥ 1` (consumers default
     /// to 1 — a single-machine cluster).
     pub shards: Option<u32>,
@@ -45,11 +40,6 @@ impl EnvSettings {
         let threads = var("PIM_THREADS")
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1);
-        let pipeline = var("PIM_PIPELINE").and_then(|v| match v.trim() {
-            "1" | "true" => Some(true),
-            "0" | "false" => Some(false),
-            _ => None,
-        });
         let shards = var("PIM_SHARDS")
             .and_then(|v| v.trim().parse::<u32>().ok())
             .filter(|&n| n >= 1);
@@ -60,7 +50,6 @@ impl EnvSettings {
         });
         EnvSettings {
             threads,
-            pipeline,
             shards,
             push_pull,
         }
@@ -106,24 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_accepts_both_spellings_either_way() {
-        for (v, want) in [
-            ("1", Some(true)),
-            ("true", Some(true)),
-            ("0", Some(false)),
-            ("false", Some(false)),
-            ("yes", None),
-            ("", None),
-        ] {
-            assert_eq!(
-                EnvSettings::from_lookup(lookup(&[("PIM_PIPELINE", v)])).pipeline,
-                want,
-                "PIM_PIPELINE={v}"
-            );
-        }
-    }
-
-    #[test]
     fn shards_require_a_positive_count() {
         assert_eq!(
             EnvSettings::from_lookup(lookup(&[("PIM_SHARDS", "4")])).shards,
@@ -140,13 +111,14 @@ mod tests {
     }
 
     #[test]
-    fn push_pull_parses_like_pipeline() {
+    fn push_pull_accepts_both_spellings_either_way() {
         for (v, want) in [
             ("1", Some(true)),
             ("true", Some(true)),
             ("0", Some(false)),
             ("false", Some(false)),
             ("on", None),
+            ("yes", None),
             ("", None),
         ] {
             assert_eq!(
@@ -161,7 +133,6 @@ mod tests {
     fn all_knobs_parse_together() {
         let s = EnvSettings::from_lookup(lookup(&[
             ("PIM_THREADS", "2"),
-            ("PIM_PIPELINE", "1"),
             ("PIM_SHARDS", "8"),
             ("PIM_PUSH_PULL", "true"),
         ]));
@@ -169,7 +140,6 @@ mod tests {
             s,
             EnvSettings {
                 threads: Some(2),
-                pipeline: Some(true),
                 shards: Some(8),
                 push_pull: Some(true),
             }

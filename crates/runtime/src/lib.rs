@@ -69,7 +69,7 @@ pub mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use buffers::{BufferPool, DoubleBuffer, RouteBuffer};
+pub use buffers::{BufferPool, RouteBuffer};
 pub use crc::{crc32, Crc32};
 pub use envcfg::EnvSettings;
 pub use export::{chrome_trace, rounds_jsonl, ExportBundle, Json};

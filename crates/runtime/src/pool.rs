@@ -381,53 +381,6 @@ pub fn par_zip2_for_each_mut_with<T, A, B, F>(
     });
 }
 
-// ---------------------------------------------------------------------------
-// Two-stage overlap (the submit/overlap API).
-// ---------------------------------------------------------------------------
-
-/// Run `main` on the calling thread while `side` runs on one scoped spawn
-/// thread; returns both results after joining. This is the pipelining
-/// bracket: `main` is the committed work of the current stage (it may
-/// itself open parallel regions), `side` is the *staging* of the next
-/// stage, and the two must touch disjoint data.
-///
-/// Determinism contract: with `threads <= 1` the pair runs sequentially
-/// (`side` first, then `main` — staging lands before the stage that will
-/// consume it, exactly as in the overlapped schedule), and because the
-/// closures are data-disjoint the results are identical either way. A
-/// panic on either thread is re-raised in the caller after both have been
-/// joined.
-pub fn run_overlapped<RA, RB, A, B>(main: A, side: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    run_overlapped_with(&current(), main, side)
-}
-
-/// [`run_overlapped`] with an explicit config (benchmarks, tests).
-pub fn run_overlapped_with<RA, RB, A, B>(cfg: &ExecConfig, main: A, side: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    if cfg.threads <= 1 {
-        let rb = side();
-        (main(), rb)
-    } else {
-        std::thread::scope(|s| {
-            let hb = s.spawn(side);
-            let ra = main();
-            match hb.join() {
-                Ok(rb) => (ra, rb),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        })
-    }
-}
-
 /// Apply `f(i, &mut items[i])` to every element in parallel.
 pub fn par_for_each_mut<T, F>(items: &mut [T], weight: usize, f: F)
 where
@@ -735,38 +688,6 @@ mod tests {
         };
         let ids = par_map_indexed_with(&cfg, 64, 64, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    fn overlap_returns_both_results_at_every_thread_count() {
-        for threads in [1, 2, 8] {
-            let mut staged: Vec<u64> = Vec::new();
-            let (a, ()) = run_overlapped_with(
-                &cfg(threads),
-                || (0..100u64).sum::<u64>(),
-                || staged.extend(0..10u64),
-            );
-            assert_eq!(a, 4950, "threads = {threads}");
-            assert_eq!(staged, (0..10u64).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn overlap_side_panic_propagates() {
-        for threads in [1, 4] {
-            let result = std::panic::catch_unwind(|| {
-                run_overlapped_with(&cfg(threads), || 1u32, || panic!("side died"))
-            });
-            assert!(result.is_err(), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn overlap_main_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            run_overlapped_with(&cfg(4), || panic!("main died"), || 2u32)
-        });
-        assert!(result.is_err());
     }
 
     #[test]

@@ -257,33 +257,10 @@ impl<M: PimModule> PimSystem<M> {
     /// 3. **execute-commit** ([`Self::execute_commit`]) — the barrier:
     ///    outputs are merged, costs recorded, cross sends routed into the
     ///    next round's inboxes.
-    ///
-    /// The split exists so a pipelined driver can overlap CPU-side staging
-    /// of *future* traffic with phase 2 (see
-    /// [`PimSystem::run_round_overlapped`]) without ever racing a commit
-    /// point.
     pub fn run_round(&mut self) -> Vec<M::Reply> {
         let stage = self.route_commit();
         self.execute_modules(stage.round, stage.delivered_total);
         self.execute_commit(stage)
-    }
-
-    /// [`PimSystem::run_round`] with a data-disjoint `side` closure that
-    /// runs concurrently with the module execution phase (between the
-    /// route-commit and execute-commit points). `side` must not touch the
-    /// machine — it is the CPU-side staging lane of a pipelined driver —
-    /// so replies, metrics and traces are byte-identical to
-    /// [`PimSystem::run_round`] at every thread count (with one worker the
-    /// two simply run sequentially).
-    pub fn run_round_overlapped<R: Send>(
-        &mut self,
-        side: impl FnOnce() -> R + Send,
-    ) -> (Vec<M::Reply>, R) {
-        let stage = self.route_commit();
-        let (round, delivered) = (stage.round, stage.delivered_total);
-        let ((), side_out) =
-            crate::pool::run_overlapped(|| self.execute_modules(round, delivered), side);
-        (self.execute_commit(stage), side_out)
     }
 
     /// Phase 1 — the **route-commit point**: swap in the queued inboxes
@@ -360,8 +337,7 @@ impl<M: PimModule> PimSystem<M> {
     /// Phase 2 — the parallel module sweep. Reads only the frozen
     /// deliveries (in `spare_inboxes` since the route-commit swap) and
     /// writes only the per-module `RoundOut` slots; nothing CPU-visible
-    /// changes until the execute-commit barrier, which is what makes the
-    /// overlap in [`PimSystem::run_round_overlapped`] safe.
+    /// changes until the execute-commit barrier.
     ///
     /// The weight hint is the number of delivered tasks: control rounds
     /// (a handful of messages) stay on the calling thread, while
@@ -706,55 +682,6 @@ mod tests {
         let (r2, m2) = run();
         assert_eq!(r1, r2);
         assert_eq!(m1, m2);
-    }
-
-    #[test]
-    fn overlapped_round_is_byte_identical_and_returns_side_output() {
-        // The overlapped round must produce the same replies, metrics and
-        // trace as the plain one at every thread count, while the side
-        // closure's output comes back intact.
-        let stream = |sys: &mut PimSystem<Echo>, overlapped: bool| {
-            sys.enable_tracing();
-            for i in 0..48u64 {
-                sys.send(
-                    (i % 4) as ModuleId,
-                    EchoTask::Forward {
-                        hops: (i % 4) as u32,
-                        payload: i,
-                    },
-                );
-            }
-            let mut replies = Vec::new();
-            let mut staged = 0u64;
-            while sys.has_pending() {
-                if overlapped {
-                    let (r, s) = sys.run_round_overlapped(|| (0..100u64).sum::<u64>());
-                    assert_eq!(s, 4950);
-                    staged += 1;
-                    replies.extend(r);
-                } else {
-                    replies.extend(sys.run_round());
-                }
-            }
-            assert!(!overlapped || staged > 0);
-            (replies, sys.metrics(), sys.take_trace().rounds)
-        };
-        for threads in [1, 2, 8] {
-            let cfg = crate::pool::ExecConfig {
-                threads,
-                par_threshold: 0,
-                sort_threshold: 0,
-            };
-            crate::pool::configure(cfg);
-            let mut plain = machine();
-            let mut piped = machine();
-            let (r1, m1, t1) = stream(&mut plain, false);
-            let (r2, m2, t2) = stream(&mut piped, true);
-            assert_eq!(r1, r2, "replies diverged at {threads} threads");
-            assert_eq!(m1, m2, "metrics diverged at {threads} threads");
-            assert_eq!(t1, t2, "traces diverged at {threads} threads");
-        }
-        crate::pool::configure(crate::pool::ExecConfig::from_env());
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub trait Backend {
     /// Close the innermost open probe span.
     fn span_exit(&mut self);
 
-    /// Override inter-batch round pipelining (wall-clock only; replies
-    /// and metrics are byte-identical either way).
-    fn set_pipeline(&mut self, pipeline: bool);
+    /// No effect; kept until ROADMAP item 0b removes the benchmark's
+    /// callers.
+    fn set_pipeline(&mut self, _pipeline: bool) {}
 
     /// Override push-pull batch search (replies and contents identical
     /// either way; see `pim_core::Config::push_pull`). Default: no-op
@@ -101,10 +101,6 @@ impl Backend for PimSkipList {
 
     fn span_exit(&mut self) {
         PimSkipList::span_exit(self);
-    }
-
-    fn set_pipeline(&mut self, pipeline: bool) {
-        PimSkipList::set_pipeline(self, pipeline);
     }
 
     fn set_push_pull(&mut self, on: bool) {

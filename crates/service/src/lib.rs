@@ -96,16 +96,6 @@ pub struct ServiceConfig {
     /// ticks while acks are pending (the every-T-ticks group-commit
     /// cadence; clamped to at least 1). Ignored otherwise.
     pub sync_every: u64,
-    /// Inter-batch round pipelining override for the fronted backend
-    /// (`Some(x)` calls [`Backend::set_pipeline`]`(x)` at construction;
-    /// `None` leaves the backend's own configuration — usually seeded
-    /// from `PIM_PIPELINE` via [`pim_core::Config::from_env`] —
-    /// untouched). The service's dispatch plan orders each read epoch
-    /// into maximal same-kind runs precisely so the pipelined driver can
-    /// stage run *k+1* while run *k* executes; completions, stats,
-    /// metrics, and traces are byte-identical either way (wall-clock
-    /// only — see `docs/MODEL.md`).
-    pub pipeline: Option<bool>,
     /// Per-lane admission bound for multi-lane backends (a cluster: one
     /// lane per shard). A submit whose lane already holds this many
     /// queued requests is refused with [`Rejected::LaneFull`] even when
@@ -126,7 +116,6 @@ impl ServiceConfig {
             max_queue: 4 * max_batch,
             ack: AckPolicy::AfterExecute,
             sync_every: 1,
-            pipeline: None,
             max_lane_queue: None,
         }
     }
@@ -169,14 +158,6 @@ impl ServiceConfig {
     pub fn with_ack_after_fsync(mut self, sync_every: u64) -> Self {
         self.ack = AckPolicy::AfterFsync;
         self.sync_every = sync_every.max(1);
-        self
-    }
-
-    /// Force inter-batch round pipelining on (or off) for the fronted
-    /// backend, overriding its `PIM_PIPELINE`-seeded default (see
-    /// [`ServiceConfig::pipeline`]).
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = Some(pipeline);
         self
     }
 
@@ -326,10 +307,7 @@ pub struct PimService<B: Backend = PimSkipList> {
 
 impl<B: Backend> PimService<B> {
     /// Front `list` with the given coalescing policy.
-    pub fn new(mut list: B, cfg: ServiceConfig) -> Self {
-        if let Some(pipeline) = cfg.pipeline {
-            list.set_pipeline(pipeline);
-        }
+    pub fn new(list: B, cfg: ServiceConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(
             cfg.max_queue >= cfg.max_batch,
@@ -1064,43 +1042,6 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    #[test]
-    fn pipelined_service_is_byte_identical() {
-        // The hard contract of inter-batch round pipelining: same config,
-        // same arrival sequence → byte-identical completions, stats,
-        // metrics, and telemetry events, with or without the pipeline.
-        // Mixed read epochs (Get + Successor runs) exercise the staged
-        // hand-off; the write epochs exercise pair staging.
-        let run = |pipeline: bool| {
-            let mut list = small_list(33);
-            list.enable_telemetry();
-            let cfg = ServiceConfig::new(6)
-                .with_max_linger(1)
-                .with_max_queue(64)
-                .with_pipeline(pipeline);
-            let mut svc = PimService::new(list, cfg);
-            for k in 0..12i64 {
-                svc.submit(Op::Upsert {
-                    key: k,
-                    value: k as u64 * 10,
-                })
-                .unwrap();
-                svc.submit(Op::Get { key: k }).unwrap();
-                svc.submit(Op::Successor { key: k }).unwrap();
-            }
-            let mut done = svc.tick();
-            done.extend(svc.flush());
-            let mut list = svc.into_list();
-            let events = list.take_telemetry().unwrap().events_jsonl();
-            (done, list.metrics(), events)
-        };
-        let (done_off, metrics_off, events_off) = run(false);
-        let (done_on, metrics_on, events_on) = run(true);
-        assert_eq!(done_off, done_on, "completions identical");
-        assert_eq!(metrics_off, metrics_on, "metrics identical");
-        assert_eq!(events_off, events_on, "telemetry events identical");
-    }
-
     /// A two-lane backend (keys route by parity) for exercising per-lane
     /// backpressure without pulling the cluster crate into the dev-deps.
     struct TwoLane(PimSkipList);
@@ -1117,9 +1058,6 @@ mod tests {
         }
         fn span_exit(&mut self) {
             self.0.span_exit();
-        }
-        fn set_pipeline(&mut self, pipeline: bool) {
-            self.0.set_pipeline(pipeline);
         }
         fn is_durable(&self) -> bool {
             self.0.is_durable()

@@ -132,9 +132,7 @@ fn steady_state_allocations_stay_within_the_contract() {
     const SEED: u64 = 0x5EED_2021;
     pool::configure(ExecConfig::with_threads(1));
     for (p, n) in [(16u32, 4_000usize), (64, 16_000)] {
-        let cfg = Config::new(p, n as u64, SEED)
-            .with_pipeline(false)
-            .with_push_pull(false);
+        let cfg = Config::new(p, n as u64, SEED).with_push_pull(false);
         let (list, keys) = build_loaded_list_with(cfg, n, SEED);
 
         let lg = pim_runtime::ceil_log2(u64::from(p)) as usize;
