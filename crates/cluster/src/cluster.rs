@@ -3,9 +3,10 @@
 //!
 //! See the crate docs for the routing determinism contract and the shard
 //! identity rules; this module is their implementation. The shape of one
-//! [`PimCluster::try_execute`] call is the oracle's, lifted one level:
-//! split the stream into maximal coalescible runs with the *same*
-//! [`run_end`] the single machine uses, then commit each run by fanning
+//! [`PimCluster::try_execute`] call over several shards is the oracle's,
+//! lifted one level: split the stream into maximal coalescible runs with
+//! the *same* [`run_end`] the single machine uses, then commit each run by
+//! fanning
 //! its ops out to the owning shards (in parallel, through the
 //! deterministic pool — thread count changes wall-clock only) and merging
 //! the per-shard replies back into stream positions.
@@ -214,15 +215,25 @@ impl PimCluster {
             .unwrap_or_else(|e| panic!("execute: {e}"))
     }
 
-    /// Fault-tolerant [`PimCluster::execute`]. The stream splits into
-    /// maximal coalescible runs ([`run_end`]) and runs commit in stream
-    /// order; an error aborts the stream at the failing run's boundary —
+    /// Fault-tolerant [`PimCluster::execute`]. Over several shards the
+    /// stream splits into maximal coalescible runs ([`run_end`]) and runs
+    /// commit in stream order; an error aborts the stream at the failing run's boundary —
     /// earlier runs are committed on their shards — exactly the oracle's
     /// abort contract, with [`PimError::ShardDown`] as the one new
     /// failure: a run that routes an op to a crashed shard refuses
     /// *before* any shard commits it, and shards the run does not touch
     /// keep serving later streams.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
+        // One shard: hand the whole stream to the machine verbatim — the
+        // same spans, WAL frames and scratch reuse — which is what makes
+        // S = 1 byte-identical to a single machine, rounds included.
+        if let [s] = self.shards.as_mut_slice() {
+            return if s.alive || ops.is_empty() {
+                s.list.try_execute(ops)
+            } else {
+                Err(PimError::ShardDown { shard: s.id })
+            };
+        }
         let mut replies = Vec::with_capacity(ops.len());
         let mut start = 0;
         while start < ops.len() {
@@ -234,17 +245,6 @@ impl PimCluster {
     }
 
     fn commit_run(&mut self, run: &[Op], replies: &mut Vec<Reply>) -> PimResult<()> {
-        // One shard: hand the whole run to the machine verbatim — one
-        // `try_execute` call, one WAL frame, identical scratch reuse —
-        // this is what makes S = 1 byte-identical to a single machine.
-        if self.shards.len() == 1 {
-            let s = &mut self.shards[0];
-            if !s.alive {
-                return Err(PimError::ShardDown { shard: s.id });
-            }
-            replies.extend(s.list.try_execute(run)?);
-            return Ok(());
-        }
         match run[0].kind() {
             OpKind::Get | OpKind::Update | OpKind::Upsert | OpKind::Delete => {
                 self.commit_point(run, replies)

@@ -14,9 +14,10 @@
 //!
 //! # Routing determinism contract
 //!
-//! * The op stream is split into maximal coalescible runs with the very
-//!   same [`pim_core::op::run_end`] the single machine uses; runs commit
-//!   in stream order.
+//! * With more than one shard, the op stream is split into maximal
+//!   coalescible runs with the very same [`pim_core::op::run_end`] the
+//!   single machine uses; runs commit in stream order. A lone shard gets
+//!   the whole stream.
 //! * Within a run, each op routes by key: point ops to the shard owning
 //!   the key, `Range` ops split into per-shard subranges (merged back in
 //!   shard = key order), and `Successor`/`Predecessor` fall back to

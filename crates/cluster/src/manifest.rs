@@ -124,10 +124,41 @@ pub(crate) fn read(dir: &Path) -> PimResult<Vec<ShardRecord>> {
         .ok_or_else(|| malformed(format!("{}: bad record {line:?}", path.display())))?;
         shards.push(rec);
     }
-    if shards.is_empty() {
-        return Err(malformed(format!("{}: no shard records", path.display())));
-    }
+    check_tiling(&shards).map_err(|why| malformed(format!("{}: {why}", path.display())))?;
     Ok(shards)
+}
+
+/// The router looks a key up by `partition_point` over the records'
+/// lower bounds, so a manifest is usable only when its records tile the
+/// whole key space in order, under distinct ids.
+fn check_tiling(shards: &[ShardRecord]) -> Result<(), String> {
+    let (Some(first), Some(last)) = (shards.first(), shards.last()) else {
+        return Err("no shard records".into());
+    };
+    if first.lo != Key::MIN || last.hi != Key::MAX {
+        return Err(format!(
+            "shards cover [{}, {}], not the whole key space",
+            first.lo, last.hi
+        ));
+    }
+    if let Some(s) = shards.iter().find(|s| s.lo > s.hi) {
+        return Err(format!("shard {} has an inverted range", s.id));
+    }
+    if let Some(w) = shards
+        .windows(2)
+        .find(|w| w[0].hi.checked_add(1) != Some(w[1].lo))
+    {
+        return Err(format!(
+            "shard {} ends at {} but shard {} starts at {}",
+            w[0].id, w[0].hi, w[1].id, w[1].lo
+        ));
+    }
+    let mut ids: Vec<ShardId> = shards.iter().map(|s| s.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!("shard id {} appears twice", w[0]));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -184,5 +215,36 @@ mod tests {
             other => panic!("corruption not detected: {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crc_valid_manifests_that_do_not_tile_the_key_space_are_refused() {
+        use pim_core::{Config, DurabilityPolicy, Op};
+
+        use crate::{ClusterConfig, PimCluster};
+
+        let rec = |id, lo, hi| ShardRecord { id, lo, hi };
+        for (tag, hostile) in [
+            // The router would underflow looking up any key below 0.
+            ("low", vec![rec(0, 0, -1), rec(1, 0, i64::MAX)]),
+            ("gap", vec![rec(0, i64::MIN, -10), rec(1, 0, i64::MAX)]),
+            ("dup", vec![rec(1, i64::MIN, -1), rec(1, 0, i64::MAX)]),
+        ] {
+            let dir = tmpdir(tag);
+            let cfg = ClusterConfig::new(Config::new(4, 1 << 10, 7), 2);
+            let mut cluster = PimCluster::new(cfg.clone());
+            cluster
+                .enable_durability(&dir, DurabilityPolicy::default())
+                .unwrap();
+            cluster.execute(&[Op::Upsert { key: -5, value: 1 }, Op::Get { key: 5 }]);
+            drop(cluster);
+            write(&dir, &hostile).unwrap();
+            match PimCluster::recover_from_dir(cfg, &dir, DurabilityPolicy::default()) {
+                Err(PimError::InvalidArgument { .. }) => {}
+                Err(e) => panic!("{tag}: wrong error {e}"),
+                Ok(_) => panic!("{tag}: a manifest that does not tile the keys was accepted"),
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

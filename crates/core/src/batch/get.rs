@@ -18,6 +18,7 @@ use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
 impl PimSkipList {
@@ -28,40 +29,21 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("batch_get: {e}"))
     }
 
-    /// One fault-observable attempt of [`PimSkipList::batch_get`].
-    pub(crate) fn get_attempt(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
-        self.spanned("get", |s| {
-            let staged = keys.len() as u64 * 2;
-            s.sys.shared_mem().alloc(staged);
-            let out = s.get_attempt_inner(keys);
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged);
-            out
-        })
+    /// Batched Update: write each pair's value if the key is resident;
+    /// returns per-pair whether the key was found. Duplicate keys within
+    /// the batch are resolved first-wins (one canonical representative per
+    /// key, as the semisort-dedup of §4.1 prescribes).
+    pub fn batch_update(&mut self, pairs: &[(Key, Value)]) -> Vec<bool> {
+        self.try_batch_update(pairs)
+            .unwrap_or_else(|e| panic!("batch_update: {e}"))
     }
 
-    fn get_attempt_inner(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
-        let mut uniq = self.scratch.take_uniq_keys();
-        self.spanned("get/dedup", |s| {
-            let mut tags = s.scratch.take_dedup_tags();
-            dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
-            s.scratch.give_dedup_tags(tags);
-            dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
-        });
-        let out = self.get_resolve(keys, &uniq);
-        self.scratch.give_uniq_keys(uniq);
-        out
-    }
-
-    fn get_resolve(&mut self, keys: &[Key], uniq: &[Key]) -> PimResult<Vec<Option<Value>>> {
-        let replies = self.spanned("get/lookup", |s| {
-            for (op, &key) in uniq.iter().enumerate() {
-                let m = s.module_of(key, 0);
-                s.sys.send(m, Task::Get { op: op as u32, key });
-            }
-            s.sys.run_to_quiescence()
-        });
-
+    fn get_absorb(
+        &mut self,
+        keys: &[Key],
+        uniq: &[Key],
+        replies: Vec<Reply>,
+    ) -> PimResult<Vec<Option<Value>>> {
         let mut faulted = 0usize;
         let mut by_key: HashMap<Key, Option<Value>> = HashMap::with_capacity(uniq.len());
         for r in replies {
@@ -89,62 +71,12 @@ impl PimSkipList {
         Ok(keys.iter().map(|k| by_key[k]).collect())
     }
 
-    /// Batched Update: write each pair's value if the key is resident;
-    /// returns per-pair whether the key was found. Duplicate keys within
-    /// the batch are resolved first-wins (one canonical representative per
-    /// key, as the semisort-dedup of §4.1 prescribes).
-    pub fn batch_update(&mut self, pairs: &[(Key, Value)]) -> Vec<bool> {
-        self.try_batch_update(pairs)
-            .unwrap_or_else(|e| panic!("batch_update: {e}"))
-    }
-
-    /// One fault-observable attempt of [`PimSkipList::batch_update`].
-    /// Journals applied updates on success so a later crash recovery
-    /// replays them.
-    pub(crate) fn update_attempt(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
-        self.spanned("update", |s| {
-            let staged = pairs.len() as u64 * 2;
-            s.sys.shared_mem().alloc(staged);
-            let out = s.update_attempt_inner(pairs);
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged);
-            out
-        })
-    }
-
-    fn update_attempt_inner(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
-        let mut uniq = self.scratch.take_uniq_pairs();
-        self.spanned("update/dedup", |s| {
-            let mut tags = s.scratch.take_dedup_tags();
-            dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
-            s.scratch.give_dedup_tags(tags);
-            dedup_cost(pairs.len(), uniq.len()).charge(s.sys.metrics_mut());
-        });
-        let out = self.update_resolve(pairs, &uniq);
-        self.scratch.give_uniq_pairs(uniq);
-        out
-    }
-
-    fn update_resolve(
+    fn update_absorb(
         &mut self,
         pairs: &[(Key, Value)],
         uniq: &[(Key, Value)],
+        replies: Vec<Reply>,
     ) -> PimResult<Vec<bool>> {
-        let replies = self.spanned("update/lookup", |s| {
-            for (op, &(key, value)) in uniq.iter().enumerate() {
-                let m = s.module_of(key, 0);
-                s.sys.send(
-                    m,
-                    Task::Update {
-                        op: op as u32,
-                        key,
-                        value,
-                    },
-                );
-            }
-            s.sys.run_to_quiescence()
-        });
-
         let mut faulted = 0usize;
         let mut by_key: HashMap<Key, bool> = HashMap::with_capacity(uniq.len());
         for r in replies {
@@ -179,6 +111,89 @@ impl PimSkipList {
         }
         Ok(pairs.iter().map(|(k, _)| by_key[k]).collect())
     }
+}
+
+/// One fault-observable attempt of [`PimSkipList::batch_get`]: semisort
+/// dedup, one lookup wave to the keys' hash-owning modules.
+pub(crate) async fn get_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
+    lane.spanned("get", async {
+        let staged = keys.len() as u64 * 2;
+        let uniq = lane.with(|s| {
+            s.sys.shared_mem().alloc(staged);
+            let mut uniq = s.scratch.take_uniq_keys();
+            s.spanned("get/dedup", |s| {
+                let mut tags = s.scratch.take_dedup_tags();
+                dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
+                s.scratch.give_dedup_tags(tags);
+                dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
+            });
+            uniq
+        });
+        let replies = lane
+            .spanned("get/lookup", async {
+                lane.with(|s| {
+                    for (op, &key) in uniq.iter().enumerate() {
+                        let m = s.module_of(key, 0);
+                        s.sys.send(m, Task::Get { op: op as u32, key });
+                    }
+                });
+                lane.wave().await
+            })
+            .await;
+        lane.with(|s| {
+            let out = s.get_absorb(keys, &uniq, replies);
+            s.scratch.give_uniq_keys(uniq);
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(staged);
+            out
+        })
+    })
+    .await
+}
+
+/// One fault-observable attempt of [`PimSkipList::batch_update`]. Journals
+/// applied updates on success so a later crash recovery replays them.
+pub(crate) async fn update_attempt(lane: Lane<'_>, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
+    lane.spanned("update", async {
+        let staged = pairs.len() as u64 * 2;
+        let uniq = lane.with(|s| {
+            s.sys.shared_mem().alloc(staged);
+            let mut uniq = s.scratch.take_uniq_pairs();
+            s.spanned("update/dedup", |s| {
+                let mut tags = s.scratch.take_dedup_tags();
+                dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
+                s.scratch.give_dedup_tags(tags);
+                dedup_cost(pairs.len(), uniq.len()).charge(s.sys.metrics_mut());
+            });
+            uniq
+        });
+        let replies = lane
+            .spanned("update/lookup", async {
+                lane.with(|s| {
+                    for (op, &(key, value)) in uniq.iter().enumerate() {
+                        let m = s.module_of(key, 0);
+                        s.sys.send(
+                            m,
+                            Task::Update {
+                                op: op as u32,
+                                key,
+                                value,
+                            },
+                        );
+                    }
+                });
+                lane.wave().await
+            })
+            .await;
+        lane.with(|s| {
+            let out = s.update_absorb(pairs, &uniq, replies);
+            s.scratch.give_uniq_pairs(uniq);
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(staged);
+            out
+        })
+    })
+    .await
 }
 
 impl PimSkipList {

@@ -103,6 +103,7 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::sched::Lane;
 use crate::tasks::{Fingers, Record, Reply, SearchMode, Task, Walk};
 
 /// One deduplicated search request (`op` unique, keys ascending).
@@ -247,361 +248,430 @@ enum Wave {
 }
 
 impl PimSkipList {
-    /// Run the full pivoted batch search. `reqs` must be ascending in key
-    /// and unique; pivots record predecessors up to the batch's highest
-    /// `top` so later stitching is always possible. Every terminal record
-    /// carries the request's exact anchor, its level-`h_low` predecessor.
-    ///
-    /// Fails with [`PimError::Incomplete`] when injected faults lose search
-    /// traffic (missing terminal records, missing pivot paths, `Faulted`
-    /// replies); on a fault-free machine the result is always `Ok`.
+    /// [`pivoted_search`] run alone, as one job of its own: Upsert's
+    /// `PredLevels` search (and tests).
     pub(crate) fn pivoted_search(&mut self, reqs: &[SearchRequest]) -> PimResult<SearchResults> {
-        self.spanned("search", |s| {
-            let mut staged_words = 0u64;
-            let out = s.pivoted_search_inner(reqs, &mut staged_words);
+        self.run_one(async |lane| pivoted_search(lane, reqs).await)
+    }
+}
+
+/// Run the full pivoted batch search. `reqs` must be ascending in key and
+/// unique; pivots record predecessors up to the batch's highest `top` so
+/// later stitching is always possible. Every terminal record carries the
+/// request's exact anchor, its level-`h_low` predecessor.
+///
+/// Fails with [`PimError::Incomplete`] when injected faults lose search
+/// traffic (missing terminal records, missing pivot paths, `Faulted`
+/// replies); on a fault-free machine the result is always `Ok`.
+pub(crate) async fn pivoted_search(
+    lane: Lane<'_>,
+    reqs: &[SearchRequest],
+) -> PimResult<SearchResults> {
+    lane.spanned("search", async {
+        // The CPU-side staging vectors (pivot indices, wave items, segment
+        // lists) come from [`crate::scratch::Scratch`] and go back whether
+        // the search returns `Ok` or a fault-path `Err`, so a service
+        // front-end searching continuously allocates none of them in
+        // steady state.
+        let mut bufs = lane.with(|s| SearchBufs {
+            pivots: s.scratch.take_pivots(),
+            items: s.scratch.take_wave_items(),
+            segments: s.scratch.take_segments(),
+            next_segments: s.scratch.take_segments2(),
+            deferred: s.scratch.take_deferred(),
+        });
+        let mut staged_words = 0u64;
+        let out = pivoted_search_core(lane, reqs, &mut staged_words, &mut bufs).await;
+        lane.with(|s| {
+            s.scratch.give_deferred(bufs.deferred);
+            s.scratch.give_segments2(bufs.next_segments);
+            s.scratch.give_segments(bufs.segments);
+            s.scratch.give_wave_items(bufs.items);
+            s.scratch.give_pivots(bufs.pivots);
             if staged_words > 0 {
                 s.sys.sample_shared_mem();
                 s.sys.shared_mem().free(staged_words);
             }
-            out
-        })
-    }
-
-    /// Leasing shim around [`PimSkipList::pivoted_search_core`]: the
-    /// CPU-side staging vectors (pivot indices, wave items, segment lists)
-    /// come from [`crate::scratch::Scratch`] and go back whether the core
-    /// returns `Ok` or a fault-path `Err`, so a service front-end
-    /// searching continuously allocates none of them in steady state.
-    fn pivoted_search_inner(
-        &mut self,
-        reqs: &[SearchRequest],
-        staged_words: &mut u64,
-    ) -> PimResult<SearchResults> {
-        let mut pivots = self.scratch.take_pivots();
-        let mut items = self.scratch.take_wave_items();
-        let mut segments = self.scratch.take_segments();
-        let mut next_segments = self.scratch.take_segments2();
-        let mut deferred = self.scratch.take_deferred();
-        let out = self.pivoted_search_core(
-            reqs,
-            staged_words,
-            &mut pivots,
-            &mut items,
-            &mut segments,
-            &mut next_segments,
-            &mut deferred,
-        );
-        self.scratch.give_deferred(deferred);
-        self.scratch.give_segments2(next_segments);
-        self.scratch.give_segments(segments);
-        self.scratch.give_wave_items(items);
-        self.scratch.give_pivots(pivots);
+        });
         out
+    })
+    .await
+}
+
+/// The leased staging of one pivoted search.
+struct SearchBufs {
+    pivots: Vec<usize>,
+    items: Vec<WaveItem>,
+    segments: Vec<(usize, usize)>,
+    next_segments: Vec<(usize, usize)>,
+    /// Per pivot: the entry of its deferred group, `None` for a pivot that
+    /// stage 1 resolves (or phase 0 answered).
+    deferred: Vec<Option<Handle>>,
+}
+
+async fn pivoted_search_core(
+    lane: Lane<'_>,
+    reqs: &[SearchRequest],
+    staged_words: &mut u64,
+    bufs: &mut SearchBufs,
+) -> PimResult<SearchResults> {
+    let SearchBufs {
+        pivots,
+        items,
+        segments,
+        next_segments,
+        deferred,
+    } = bufs;
+    let mut results = SearchResults::default();
+    let b = reqs.len();
+    let (log_p, allowance, push_pull) = lane.with(|s| {
+        s.last_phase_contention.clear();
+        (s.cfg.log_p(), s.cfg.search_allowance(b), s.hot.is_some())
+    });
+    if b == 0 {
+        return Ok(results);
+    }
+    debug_assert!(reqs.windows(2).all(|w| w[0].key < w[1].key));
+    let max_top = reqs.iter().map(|r| r.top).max().unwrap_or(0);
+
+    *staged_words = 2 * b as u64;
+    let staged = *staged_words;
+    lane.with(|s| s.sys.shared_mem().alloc(staged));
+
+    // Push-pull pre-pass: refresh the hot-node cache (one branch when the
+    // feature is off — the dark-mode contract).
+    if push_pull {
+        crate::hotcache::hot_refresh(lane).await?;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn pivoted_search_core(
-        &mut self,
-        reqs: &[SearchRequest],
-        staged_words: &mut u64,
-        pivots: &mut Vec<usize>,
-        items: &mut Vec<WaveItem>,
-        segments: &mut Vec<(usize, usize)>,
-        next_segments: &mut Vec<(usize, usize)>,
-        // Per pivot: the entry of its deferred group, `None` for a pivot
-        // that stage 1 resolves (or phase 0 answered).
-        deferred: &mut Vec<Option<Handle>>,
-    ) -> PimResult<SearchResults> {
-        let mut results = SearchResults::default();
-        let b = reqs.len();
-        self.last_phase_contention.clear();
-        if b == 0 {
-            return Ok(results);
+    // Pivot selection: every log P-th element plus the extremes.
+    let step = log_p.max(1) as usize;
+    pivots.extend((0..b).step_by(step));
+    if *pivots.last().expect("non-empty") != b - 1 {
+        pivots.push(b - 1);
+    }
+    let m = pivots.len();
+    deferred.resize(m, None);
+
+    let mut paths: HashMap<u32, Vec<Handle>> = HashMap::new();
+
+    lane.spanned("search/stage1", async {
+        // ---- Phase 0: every pivot walks the replicated part, from the
+        // descent start on a random module, up to its lower-part entry
+        // node, marking the fingers of the half-brackets beside it (an
+        // empty half's bound is the pivot's own key). ----
+        for (j, &idx) in pivots.iter().enumerate() {
+            let before = j
+                .checked_sub(1)
+                .map_or(idx..idx, |i| halves(pivots[i], idx).1);
+            let after = pivots
+                .get(j + 1)
+                .map_or(idx + 1..idx + 1, |&r| halves(idx, r).0);
+            items.push(WaveItem {
+                bracket: (reqs[before.start].key, reqs[after.end - 1].key),
+                ..WaveItem::new(idx, Hint::Root)
+            });
+            results.hints.insert(reqs[idx].op, Hint::Root);
         }
-        debug_assert!(reqs.windows(2).all(|w| w[0].key < w[1].key));
-        let max_top = reqs.iter().map(|r| r.top).max().unwrap_or(0);
-
-        *staged_words = 2 * b as u64;
-        self.sys.shared_mem().alloc(*staged_words);
-
-        // Push-pull pre-pass: refresh the hot-node cache (one `is_some`
-        // branch when the feature is off — the dark-mode contract).
-        if self.hot.is_some() {
-            self.hot_refresh()?;
-        }
-
-        // Pivot selection: every log P-th element plus the extremes.
-        let step = self.cfg.log_p().max(1) as usize;
-        pivots.extend((0..b).step_by(step));
-        if *pivots.last().expect("non-empty") != b - 1 {
-            pivots.push(b - 1);
-        }
-        let m = pivots.len();
-        deferred.resize(m, None);
-
-        let mut paths: HashMap<u32, Vec<Handle>> = HashMap::new();
-
-        self.spanned("search/stage1", |s| -> PimResult<()> {
-            // ---- Phase 0: every pivot walks the replicated part, from the
-            // descent start on a random module, up to its lower-part entry
-            // node, marking the fingers of the half-brackets beside it (an
-            // empty half's bound is the pivot's own key). ----
-            for (j, &idx) in pivots.iter().enumerate() {
-                let before = j
-                    .checked_sub(1)
-                    .map_or(idx..idx, |i| halves(pivots[i], idx).1);
-                let after = pivots
-                    .get(j + 1)
-                    .map_or(idx + 1..idx + 1, |&r| halves(idx, r).0);
-                items.push(WaveItem {
-                    bracket: (reqs[before.start].key, reqs[after.end - 1].key),
-                    ..WaveItem::new(idx, Hint::Root)
-                });
-                results.hints.insert(reqs[idx].op, Hint::Root);
-            }
-            results.fingers.reserve(m);
-            // The entries come back as the pivots' hints; one word each is
-            // charged to shared memory for the wave that fills them in.
-            s.sys.shared_mem().alloc(m as u64);
-            let wave = s.run_wave(
-                items,
-                reqs,
-                Some(max_top),
-                Wave::Entry,
-                &mut results,
-                &mut paths,
-            );
+        results.fingers.reserve(m);
+        // The entries come back as the pivots' hints; one word each is
+        // charged to shared memory for the wave that fills them in.
+        lane.with(|s| s.sys.shared_mem().alloc(m as u64));
+        let wave = run_wave(
+            lane,
+            items,
+            reqs,
+            Some(max_top),
+            Wave::Entry,
+            &mut results,
+            &mut paths,
+        )
+        .await;
+        lane.with(|s| {
             s.sys.sample_shared_mem();
             s.sys.shared_mem().free(m as u64);
-            *staged_words += wave?;
-            s.record_phase_contention(true);
+        });
+        *staged_words += wave?;
+        lane.with(|s| s.record_phase_contention(true));
 
-            // ---- Phase 1: pivots are ascending, so a group is a maximal
-            // run of equal entry, and it takes the first tier that keeps
-            // every lower-part node within the allowance `A`: deferred to
-            // stage 2 when at most `A` searches can reach its entry, all
-            // its pivots from the entry in this one wave when it holds at
-            // most `A`, else its two ends from the entry and the rest a
-            // segment for the medians. A pivot without an entry was
-            // answered inside the replicated part and keeps its empty
-            // path. ----
+        // ---- Phase 1: pivots are ascending, so a group is a maximal run
+        // of equal entry, and it takes the first tier that keeps every
+        // lower-part node within the allowance `A`: deferred to stage 2
+        // when at most `A` searches can reach its entry, all its pivots
+        // from the entry in this one wave when it holds at most `A`, else
+        // its two ends from the entry and the rest a segment for the
+        // medians. A pivot without an entry was answered inside the
+        // replicated part and keeps its empty path. ----
+        items.clear();
+        let entry_of = |hints: &HashMap<u32, Hint>, j: usize| match hints.get(&reqs[pivots[j]].op) {
+            Some(&Hint::Start(entry)) => Some(entry),
+            _ => None,
+        };
+        let from_entry = |j: usize, entry: Handle| WaveItem::new(pivots[j], Hint::Start(entry));
+        let mut l = 0;
+        while l < m {
+            let Some(entry) = entry_of(&results.hints, l) else {
+                if !results.done.contains_key(&reqs[pivots[l]].op) {
+                    return Err(PimError::incomplete("search", 1));
+                }
+                l += 1;
+                continue;
+            };
+            let mut r = l;
+            while r + 1 < m && entry_of(&results.hints, r + 1) == Some(entry) {
+                r += 1;
+            }
+            // Range start (§5.2): every key up to pivot `r`'s hangs below
+            // the entry, so an earlier pivot may descend from it. The keys
+            // after `r` hang below later entries — one serial lower-part
+            // hop each from here — so a group's last pivot goes back to
+            // `Root` and fans out from the replicas.
+            results.hints.insert(reqs[pivots[r]].op, Hint::Root);
+            // The searches that can reach the entry: the group's pivots and
+            // every request strictly between its neighbour pivots.
+            let first = if l == 0 { 0 } else { pivots[l - 1] + 1 };
+            let end = pivots.get(r + 1).copied().unwrap_or(b);
+            if end - first <= allowance {
+                deferred[l..=r].fill(Some(entry));
+            } else if r - l < allowance {
+                items.extend((l..=r).map(|j| from_entry(j, entry)));
+            } else {
+                // More than `A ≥ 2` pivots: the segment has a median.
+                items.push(from_entry(l, entry));
+                items.push(from_entry(r, entry));
+                segments.push((l, r));
+            }
+            l = r + 1;
+        }
+        if items.is_empty() {
+            // Every group is deferred: stage 1 was phase 0.
+            return Ok(());
+        }
+        *staged_words += run_wave(
+            lane,
+            items,
+            reqs,
+            Some(max_top),
+            Wave::Pivots,
+            &mut results,
+            &mut paths,
+        )
+        .await?;
+        lane.with(|s| s.record_phase_contention(false));
+
+        // ---- Later phases: the median of every open segment, from the
+        // LCA of the segment ends' recorded paths. ----
+        while segments.iter().any(|&(l, r)| r - l > 1) {
             items.clear();
-            let allowance = s.cfg.search_allowance(b);
-            let entry_of =
-                |hints: &HashMap<u32, Hint>, j: usize| match hints.get(&reqs[pivots[j]].op) {
-                    Some(&Hint::Start(entry)) => Some(entry),
-                    _ => None,
-                };
-            let from_entry = |j: usize, entry: Handle| WaveItem::new(pivots[j], Hint::Start(entry));
-            let mut l = 0;
-            while l < m {
-                let Some(entry) = entry_of(&results.hints, l) else {
-                    if !results.done.contains_key(&reqs[pivots[l]].op) {
-                        return Err(PimError::incomplete("search", 1));
-                    }
-                    l += 1;
+            next_segments.clear();
+            let mut hint_cost = CpuCost::ZERO;
+            for &(l, r) in segments.iter() {
+                if r - l <= 1 {
                     continue;
-                };
-                let mut r = l;
-                while r + 1 < m && entry_of(&results.hints, r + 1) == Some(entry) {
-                    r += 1;
                 }
-                // Range start (§5.2): every key up to pivot `r`'s hangs
-                // below the entry, so an earlier pivot may descend from it.
-                // The keys after `r` hang below later entries — one serial
-                // lower-part hop each from here — so a group's last pivot
-                // goes back to `Root` and fans out from the replicas.
-                results.hints.insert(reqs[pivots[r]].op, Hint::Root);
-                // The searches that can reach the entry: the group's pivots
-                // and every request strictly between its neighbour pivots.
-                let first = if l == 0 { 0 } else { pivots[l - 1] + 1 };
-                let end = pivots.get(r + 1).copied().unwrap_or(b);
-                if end - first <= allowance {
-                    deferred[l..=r].fill(Some(entry));
-                } else if r - l < allowance {
-                    items.extend((l..=r).map(|j| from_entry(j, entry)));
-                } else {
-                    // More than `A ≥ 2` pivots: the segment has a median.
-                    items.push(from_entry(l, entry));
-                    items.push(from_entry(r, entry));
-                    segments.push((l, r));
-                }
-                l = r + 1;
+                let med = (l + r) / 2;
+                let (op_l, op_r) = (reqs[pivots[l]].op, reqs[pivots[r]].op);
+                let (path_l, path_r) = (
+                    paths.get(&op_l).ok_or(PimError::Incomplete {
+                        op: "search",
+                        missing: 1,
+                    })?,
+                    paths.get(&op_r).ok_or(PimError::Incomplete {
+                        op: "search",
+                        missing: 1,
+                    })?,
+                );
+                let (hint, prefix_len, cost) = hint_and_prefix(path_l, path_r);
+                hint_cost = hint_cost.beside(cost);
+                items.push(WaveItem {
+                    prefix_len,
+                    stitch_from: Some(op_l),
+                    ..WaveItem::new(pivots[med], hint)
+                });
+                results.hints.insert(reqs[pivots[med]].op, hint);
+                next_segments.push((l, med));
+                next_segments.push((med, r));
             }
-            if items.is_empty() {
-                // Every group is deferred: stage 1 was phase 0.
-                return Ok(());
-            }
-            *staged_words += s.run_wave(
+            lane.with(|s| hint_cost.charge(s.sys.metrics_mut()));
+            *staged_words += run_wave(
+                lane,
                 items,
                 reqs,
                 Some(max_top),
                 Wave::Pivots,
                 &mut results,
                 &mut paths,
-            )?;
-            s.record_phase_contention(false);
+            )
+            .await?;
+            lane.with(|s| s.record_phase_contention(false));
+            std::mem::swap(&mut *segments, &mut *next_segments);
+        }
+        Ok(())
+    })
+    .await?;
 
-            // ---- Later phases: the median of every open segment, from the
-            // LCA of the segment ends' recorded paths. ----
-            while segments.iter().any(|&(l, r)| r - l > 1) {
-                items.clear();
-                next_segments.clear();
-                let mut hint_cost = CpuCost::ZERO;
-                for &(l, r) in segments.iter() {
-                    if r - l <= 1 {
-                        continue;
-                    }
-                    let med = (l + r) / 2;
-                    let (op_l, op_r) = (reqs[pivots[l]].op, reqs[pivots[r]].op);
-                    let (path_l, path_r) = (
-                        paths.get(&op_l).ok_or(PimError::Incomplete {
-                            op: "search",
-                            missing: 1,
-                        })?,
-                        paths.get(&op_r).ok_or(PimError::Incomplete {
-                            op: "search",
-                            missing: 1,
-                        })?,
-                    );
-                    let (hint, prefix_len, cost) = hint_and_prefix(path_l, path_r);
+    // ---- Stage 2: the deferred pivots from their entries, everything
+    // else hinted by its bracketing pivots. ----
+    lane.spanned("search/stage2", async {
+        items.clear();
+        let mut hint_cost = CpuCost::ZERO;
+        for pos in 0..m {
+            if let Some(entry) = deferred[pos] {
+                items.push(WaveItem::new(pivots[pos], Hint::Start(entry)));
+            }
+            let Some(&next) = pivots.get(pos + 1) else {
+                break;
+            };
+            let (op_l, op_r) = (reqs[pivots[pos]].op, reqs[next].op);
+            let recorded = paths.get(&op_l).zip(paths.get(&op_r));
+            let (hint, prefix_len, cost) = match (deferred[pos], deferred[pos + 1], recorded) {
+                // One deferred group: the bracket hangs below its entry,
+                // and above it `op_l`'s phase-0 reports are the path.
+                (Some(entry), Some(other), _) if entry == other => {
+                    (Hint::Start(entry), 0, CpuCost::new(1, 1))
+                }
+                (None, None, Some((path_l, path_r))) => hint_and_prefix(path_l, path_r),
+                // Two groups, at least one of them without paths.
+                _ => (Hint::Root, 0, CpuCost::new(1, 1)),
+            };
+            let (left, right) = halves(pivots[pos], next);
+            let fingers_of = |op| results.fingers.get(&op).copied().unwrap_or_default();
+            let sides = [
+                (left, op_l, fingers_of(op_l).right),
+                (right, op_r, fingers_of(op_r).left),
+            ];
+            for (half, pivot_op, finger) in sides {
+                // Without a lower-part hint a half starts at its nearer
+                // pivot's finger — on the path of every key of the half —
+                // and takes the levels above it from that pivot. Below one,
+                // it takes them (and its anchor) from `op_l`.
+                let (src, finger) = if hint == Hint::Root {
+                    (pivot_op, finger)
+                } else {
+                    (op_l, Handle::NULL)
+                };
+                for (idx, req) in half.clone().zip(&reqs[half]) {
                     hint_cost = hint_cost.beside(cost);
                     items.push(WaveItem {
                         prefix_len,
-                        stitch_from: Some(op_l),
-                        ..WaveItem::new(pivots[med], hint)
+                        stitch_from: Some(src),
+                        finger,
+                        ..WaveItem::new(idx, hint)
                     });
-                    results.hints.insert(reqs[pivots[med]].op, hint);
-                    next_segments.push((l, med));
-                    next_segments.push((med, r));
-                }
-                hint_cost.charge(s.sys.metrics_mut());
-                *staged_words += s.run_wave(
-                    items,
-                    reqs,
-                    Some(max_top),
-                    Wave::Pivots,
-                    &mut results,
-                    &mut paths,
-                )?;
-                s.record_phase_contention(false);
-                std::mem::swap(&mut *segments, &mut *next_segments);
-            }
-            Ok(())
-        })?;
-
-        // ---- Stage 2: the deferred pivots from their entries, everything
-        // else hinted by its bracketing pivots. ----
-        self.spanned("search/stage2", |s| -> PimResult<()> {
-            items.clear();
-            let mut hint_cost = CpuCost::ZERO;
-            for pos in 0..m {
-                if let Some(entry) = deferred[pos] {
-                    items.push(WaveItem::new(pivots[pos], Hint::Start(entry)));
-                }
-                let Some(&next) = pivots.get(pos + 1) else {
-                    break;
-                };
-                let (op_l, op_r) = (reqs[pivots[pos]].op, reqs[next].op);
-                let recorded = paths.get(&op_l).zip(paths.get(&op_r));
-                let (hint, prefix_len, cost) = match (deferred[pos], deferred[pos + 1], recorded) {
-                    // One deferred group: the bracket hangs below its entry,
-                    // and above it `op_l`'s phase-0 reports are the path.
-                    (Some(entry), Some(other), _) if entry == other => {
-                        (Hint::Start(entry), 0, CpuCost::new(1, 1))
-                    }
-                    (None, None, Some((path_l, path_r))) => hint_and_prefix(path_l, path_r),
-                    // Two groups, at least one of them without paths.
-                    _ => (Hint::Root, 0, CpuCost::new(1, 1)),
-                };
-                let (left, right) = halves(pivots[pos], next);
-                let fingers_of = |op| results.fingers.get(&op).copied().unwrap_or_default();
-                let sides = [
-                    (left, op_l, fingers_of(op_l).right),
-                    (right, op_r, fingers_of(op_r).left),
-                ];
-                for (half, pivot_op, finger) in sides {
-                    // Without a lower-part hint a half starts at its nearer
-                    // pivot's finger — on the path of every key of the half
-                    // — and takes the levels above it from that pivot. Below
-                    // one, it takes them (and its anchor) from `op_l`.
-                    let (src, finger) = if hint == Hint::Root {
-                        (pivot_op, finger)
-                    } else {
-                        (op_l, Handle::NULL)
-                    };
-                    for (idx, req) in half.clone().zip(&reqs[half]) {
-                        hint_cost = hint_cost.beside(cost);
-                        items.push(WaveItem {
-                            prefix_len,
-                            stitch_from: Some(src),
-                            finger,
-                            ..WaveItem::new(idx, hint)
-                        });
-                        results.hints.insert(req.op, hint);
-                    }
+                    results.hints.insert(req.op, hint);
                 }
             }
-            hint_cost.charge(s.sys.metrics_mut());
-            *staged_words += s.run_wave(items, reqs, None, Wave::Rest, &mut results, &mut paths)?;
-            s.record_phase_contention(false);
-            Ok(())
-        })?;
-
-        // Completeness: every request must have reached level 0.
-        let missing = reqs
-            .iter()
-            .filter(|r| !results.done.contains_key(&r.op))
-            .count();
-        if missing > 0 {
-            return Err(PimError::incomplete("search", missing));
         }
-        Ok(results)
-    }
-
-    /// Issue one wave of searches, absorb replies, reconstruct paths, and
-    /// stitch missing per-level predecessors. Returns the staged words
-    /// added (path storage).
-    fn run_wave(
-        &mut self,
-        items: &[WaveItem],
-        reqs: &[SearchRequest],
-        forced_top: Option<u8>,
-        wave: Wave,
-        results: &mut SearchResults,
-        paths: &mut HashMap<u32, Vec<Handle>>,
-    ) -> PimResult<u64> {
-        let mut copies = self.scratch.take_copies();
-        // The hot cache is taken off the structure for the duration of the
-        // wave (the core needs `&mut self` for sends while walking it).
-        let mut hot = self.hot.take();
-        let out = self.run_wave_core(
+        lane.with(|s| hint_cost.charge(s.sys.metrics_mut()));
+        *staged_words += run_wave(
+            lane,
             items,
             reqs,
-            forced_top,
-            wave,
-            results,
-            paths,
-            &mut copies,
-            hot.as_deref_mut(),
-        );
-        self.hot = hot;
-        self.scratch.give_copies(copies);
-        out
-    }
+            None,
+            Wave::Rest,
+            &mut results,
+            &mut paths,
+        )
+        .await?;
+        lane.with(|s| s.record_phase_contention(false));
+        Ok(())
+    })
+    .await?;
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_wave_core(
+    // Completeness: every request must have reached level 0.
+    let missing = reqs
+        .iter()
+        .filter(|r| !results.done.contains_key(&r.op))
+        .count();
+    if missing > 0 {
+        return Err(PimError::incomplete("search", missing));
+    }
+    Ok(results)
+}
+
+/// Issue one wave of searches, absorb replies, reconstruct paths, and
+/// stitch missing per-level predecessors. Returns the staged words added
+/// (path storage).
+async fn run_wave(
+    lane: Lane<'_>,
+    items: &[WaveItem],
+    reqs: &[SearchRequest],
+    forced_top: Option<u8>,
+    wave: Wave,
+    results: &mut SearchResults,
+    paths: &mut HashMap<u32, Vec<Handle>>,
+) -> PimResult<u64> {
+    let mut copies = lane.with(|s| s.scratch.take_copies());
+    let w = WaveArgs {
+        items,
+        reqs,
+        forced_top,
+        wave,
+    };
+    // The hot cache is taken off the structure while each half runs (they
+    // need `&mut self` for sends while walking it).
+    let sent = lane.with(|s| {
+        let mut hot = s.hot.take();
+        let out = s.wave_send(&w, results, paths, &mut copies, hot.as_deref_mut());
+        s.hot = hot;
+        out
+    });
+    let out = match sent {
+        Ok(sent) => {
+            let replies = lane.wave().await;
+            lane.with(|s| {
+                let mut hot = s.hot.take();
+                let out = s.wave_absorb(
+                    &w,
+                    replies,
+                    sent,
+                    results,
+                    paths,
+                    &copies,
+                    hot.as_deref_mut(),
+                );
+                s.hot = hot;
+                out
+            })
+        }
+        Err(e) => Err(e),
+    };
+    lane.with(|s| s.scratch.give_copies(copies));
+    out
+}
+
+/// What one wave searches (see [`run_wave`]).
+struct WaveArgs<'w> {
+    items: &'w [WaveItem],
+    reqs: &'w [SearchRequest],
+    forced_top: Option<u8>,
+    wave: Wave,
+}
+
+/// What the send half of a wave hands to its absorb half.
+struct Sent {
+    path_words: u64,
+    /// Phase 0: the fingers the pull pre-pass marked above a residual walk.
+    upper_fingers: HashMap<u32, Fingers>,
+}
+
+impl PimSkipList {
+    /// The send half of [`run_wave`]: deal the wave, resolve cached
+    /// prefixes (push-pull), and issue one `Search` task per item.
+    fn wave_send(
         &mut self,
-        items: &[WaveItem],
-        reqs: &[SearchRequest],
-        forced_top: Option<u8>,
-        wave: Wave,
+        w: &WaveArgs<'_>,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
         copies: &mut Vec<(u32, u32, u8)>, // (dst op, src op, dst's top level)
         mut hot: Option<&mut crate::hotcache::HotNodeCache>,
-    ) -> PimResult<u64> {
+    ) -> PimResult<Sent> {
+        let &WaveArgs {
+            items,
+            reqs,
+            forced_top,
+            wave,
+        } = w;
         let record = wave != Wave::Rest;
         let entry_only = wave == Wave::Entry;
         // With push-pull on, every search records its path (including the
@@ -785,8 +855,38 @@ impl PimSkipList {
             // The pull pre-pass is CPU-side: §2.1 work/depth, not PIM time.
             CpuCost::new(walk_work, walk_depth).charge(self.sys.metrics_mut());
         }
+        Ok(Sent {
+            path_words,
+            upper_fingers,
+        })
+    }
 
-        let replies = self.sys.run_to_quiescence();
+    /// The absorb half of [`run_wave`]: fold the wave's replies into the
+    /// results, resolve shared-leaf copies and stitch per-level
+    /// predecessors above each hint.
+    #[allow(clippy::too_many_arguments)]
+    fn wave_absorb(
+        &mut self,
+        w: &WaveArgs<'_>,
+        replies: Vec<Reply>,
+        sent: Sent,
+        results: &mut SearchResults,
+        paths: &mut HashMap<u32, Vec<Handle>>,
+        copies: &[(u32, u32, u8)],
+        mut hot: Option<&mut crate::hotcache::HotNodeCache>,
+    ) -> PimResult<u64> {
+        let &WaveArgs {
+            items,
+            reqs,
+            forced_top,
+            wave,
+        } = w;
+        let record = wave != Wave::Rest;
+        let entry_only = wave == Wave::Entry;
+        let Sent {
+            mut path_words,
+            mut upper_fingers,
+        } = sent;
         let mut faulted = 0usize;
         for r in replies {
             match r {
@@ -913,90 +1013,92 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("batch_successor: {e}"))
     }
 
-    /// One fault-observable attempt of [`PimSkipList::batch_successor`]
-    /// (the retry loop lives in [`PimSkipList::try_batch_successor`]).
-    pub(crate) fn successor_attempt(
-        &mut self,
-        keys: &[Key],
-    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
-        let results = self.spanned("successor", |s| s.point_search_unique(keys))?;
-        Ok(keys
-            .iter()
-            .map(|k| {
-                let d = &results[k];
-                // Null-handle check, not sentinel-key check: a resident
-                // `i64::MAX` key is a legitimate successor.
-                if d.succ.is_null() {
-                    None
-                } else {
-                    Some((d.succ_key, d.succ))
-                }
-            })
-            .collect())
-    }
-
     /// Batched Predecessor: for each key, the largest resident key `≤` it,
     /// or `None` before the beginning.
     pub fn batch_predecessor(&mut self, keys: &[Key]) -> Vec<Option<(Key, Handle)>> {
         self.try_batch_predecessor(keys)
             .unwrap_or_else(|e| panic!("batch_predecessor: {e}"))
     }
+}
 
-    /// One fault-observable attempt of [`PimSkipList::batch_predecessor`].
-    pub(crate) fn predecessor_attempt(
-        &mut self,
-        keys: &[Key],
-    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
-        let results = self.spanned("predecessor", |s| s.point_search_unique(keys))?;
-        Ok(keys
-            .iter()
-            .map(|k| {
-                let d = &results[k];
-                // `succ_key == k` only counts when a successor node exists:
-                // a query at `POS_INF` must not mistake the null-successor
-                // sentinel key for a resident key.
-                if d.succ.is_some() && d.succ_key == *k {
-                    Some((d.succ_key, d.succ))
-                } else if d.pred_key == NEG_INF {
-                    None
-                } else {
-                    Some((d.pred_key, d.pred))
-                }
-            })
-            .collect())
-    }
+/// One fault-observable attempt of [`PimSkipList::batch_successor`].
+pub(crate) async fn successor_attempt(
+    lane: Lane<'_>,
+    keys: &[Key],
+) -> PimResult<Vec<Option<(Key, Handle)>>> {
+    let results = lane
+        .spanned("successor", point_search_unique(lane, keys))
+        .await?;
+    Ok(keys
+        .iter()
+        .map(|k| {
+            let d = &results[k];
+            // Null-handle check, not sentinel-key check: a resident
+            // `i64::MAX` key is a legitimate successor.
+            if d.succ.is_null() {
+                None
+            } else {
+                Some((d.succ_key, d.succ))
+            }
+        })
+        .collect())
+}
 
-    /// Sort + dedup the keys, run the pivoted search in point mode, and
-    /// return per-key terminal records.
-    fn point_search_unique(&mut self, keys: &[Key]) -> PimResult<HashMap<Key, DoneRec>> {
-        let mut uniq = self.scratch.take_sorted_keys();
+/// One fault-observable attempt of [`PimSkipList::batch_predecessor`].
+pub(crate) async fn predecessor_attempt(
+    lane: Lane<'_>,
+    keys: &[Key],
+) -> PimResult<Vec<Option<(Key, Handle)>>> {
+    let results = lane
+        .spanned("predecessor", point_search_unique(lane, keys))
+        .await?;
+    Ok(keys
+        .iter()
+        .map(|k| {
+            let d = &results[k];
+            // `succ_key == k` only counts when a successor node exists: a
+            // query at `POS_INF` must not mistake the null-successor
+            // sentinel key for a resident key.
+            if d.succ.is_some() && d.succ_key == *k {
+                Some((d.succ_key, d.succ))
+            } else if d.pred_key == NEG_INF {
+                None
+            } else {
+                Some((d.pred_key, d.pred))
+            }
+        })
+        .collect())
+}
+
+/// Sort + dedup the keys, run the pivoted search in point mode, and return
+/// per-key terminal records.
+async fn point_search_unique(lane: Lane<'_>, keys: &[Key]) -> PimResult<HashMap<Key, DoneRec>> {
+    let (uniq, reqs) = lane.with(|s| {
+        let mut uniq = s.scratch.take_sorted_keys();
         uniq.extend_from_slice(keys);
-        par_sort(&mut uniq).charge(self.sys.metrics_mut());
+        par_sort(&mut uniq).charge(s.sys.metrics_mut());
         uniq.dedup();
-        let mut reqs = self.scratch.take_reqs();
+        let mut reqs = s.scratch.take_reqs();
         reqs.extend(uniq.iter().enumerate().map(|(i, &key)| SearchRequest {
             op: i as u32,
             key,
             top: 0,
         }));
-        let results = self.pivoted_search(&reqs);
-        self.scratch.give_reqs(reqs);
-        let results = match results {
-            Ok(r) => r,
-            Err(e) => {
-                self.scratch.give_sorted_keys(uniq);
-                return Err(e);
-            }
-        };
+        (uniq, reqs)
+    });
+    let results = pivoted_search(lane, &reqs).await;
+    lane.with(|s| {
+        s.scratch.give_reqs(reqs);
         // `pivoted_search` checked completeness: indexing is safe.
-        let out = uniq
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, results.done[&(i as u32)]))
-            .collect();
-        self.scratch.give_sorted_keys(uniq);
-        Ok(out)
-    }
+        let out = results.map(|results| {
+            uniq.iter()
+                .enumerate()
+                .map(|(i, &k)| (k, results.done[&(i as u32)]))
+                .collect()
+        });
+        s.scratch.give_sorted_keys(uniq);
+        out
+    })
 }
 
 fn mode_for(top: u8) -> SearchMode {

@@ -193,7 +193,7 @@ pub(crate) fn decode_op(r: &mut Reader<'_>) -> Option<Op> {
     })
 }
 
-/// Encode a full WAL frame (`len`, `crc`, payload) for the run starting at
+/// Encode a full WAL frame (`len`, `crc`, payload) for the span starting at
 /// stream index `seq`.
 pub(crate) fn encode_frame(seq: u64, ops: &[Op]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(12 + ops.len() * 17);
@@ -214,7 +214,7 @@ pub(crate) fn encode_frame(seq: u64, ops: &[Op]) -> Vec<u8> {
 pub(crate) struct Frame {
     /// Stream index of the first op.
     pub seq: u64,
-    /// The frame's operations (one committed coalescible run).
+    /// The frame's operations (one committed span).
     pub ops: Vec<Op>,
 }
 

@@ -5,8 +5,9 @@
 //! is this module's on-disk state, in one directory:
 //!
 //! * `wal-<seq>.log` — append-only segments of checksummed frames, one
-//!   frame per *committed coalescible run* of [`crate::Op`]s (exactly the
-//!   unit [`PimSkipList::try_execute`] commits);
+//!   frame per *committed span* of [`crate::Op`]s (exactly the unit
+//!   [`PimSkipList::try_execute`] commits: a structural run, or the read
+//!   and value runs between two structural runs, which share rounds);
 //! * `snapshot-<seq>.snap` — the full key/value contents at stream
 //!   position `seq`, written atomically;
 //! * `MANIFEST` — which snapshot is live and which segments exist.
@@ -20,7 +21,8 @@
 //! to an uninterrupted process: same tower heights, same handles, same
 //! [`pim_runtime::Metrics`], same replies to any subsequent stream. This
 //! holds because the structure is a pure function of `(Config, committed
-//! op runs)` and frames are exactly the committed runs.
+//! spans)`, frames are exactly the committed spans, and replaying a frame
+//! cuts it into the same span again.
 //!
 //! **Tier 2 — snapshot-compacted recovery is logically identical and
 //! deterministic.** Recovery through a mid-stream snapshot rebuilds the
@@ -217,8 +219,8 @@ impl Durability {
         )
     }
 
-    /// Append one committed run and apply the fsync policy.
-    fn append_run(&mut self, ops: &[Op]) -> PimResult<()> {
+    /// Append one committed span and apply the fsync policy.
+    fn append_span(&mut self, ops: &[Op]) -> PimResult<()> {
         let bytes_before = self.writer.bytes;
         self.writer.append(self.seq, ops)?;
         self.stats.wal_frames += 1;
@@ -363,12 +365,12 @@ impl PimSkipList {
     }
 
     /// WAL hook called by [`PimSkipList::try_execute`] for each committed
-    /// run (no-op without durability).
-    pub(crate) fn durable_record_run(&mut self, run: &[Op]) -> PimResult<()> {
+    /// span (no-op without durability).
+    pub(crate) fn durable_record_span(&mut self, span: &[Op]) -> PimResult<()> {
         let Some(d) = self.durable.as_deref_mut() else {
             return Ok(());
         };
-        d.append_run(run)?;
+        d.append_span(span)?;
         if d.wants_snapshot() {
             let items = self.journal.items_sorted();
             d.snapshot(&items)?;

@@ -34,6 +34,7 @@ use pim_runtime::Handle;
 use crate::config::Key;
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
 /// Words charged to CPU shared memory per cached record (handle, key,
@@ -102,20 +103,77 @@ impl HotNodeCache {
     }
 }
 
-impl PimSkipList {
-    /// Refresh the hot-node cache for the batch about to search: decay,
-    /// invalidate, admit, evict, and pull missing admitted snapshots in
-    /// one unicast wave. No-op (one branch) when push-pull is off.
-    pub(crate) fn hot_refresh(&mut self) -> PimResult<()> {
-        let Some(mut hot) = self.hot.take() else {
-            return Ok(());
-        };
-        let out = self.spanned("search/pull", |s| s.hot_refresh_inner(&mut hot));
-        self.hot = Some(hot);
-        out
-    }
+/// Refresh the hot-node cache for the batch about to search: decay,
+/// invalidate, admit, evict, and pull missing admitted snapshots in one
+/// unicast wave. No-op (one branch) when push-pull is off.
+pub(crate) async fn hot_refresh(lane: Lane<'_>) -> PimResult<()> {
+    let Some(mut hot) = lane.with(|s| s.hot.take()) else {
+        return Ok(());
+    };
+    let out = lane
+        .spanned("search/pull", hot_refresh_inner(lane, &mut hot))
+        .await;
+    lane.with(|s| s.hot = Some(hot));
+    out
+}
 
-    fn hot_refresh_inner(&mut self, hot: &mut HotNodeCache) -> PimResult<()> {
+async fn hot_refresh_inner(lane: Lane<'_>, hot: &mut HotNodeCache) -> PimResult<()> {
+    let (admitted, rank, pulls) = lane.with(|s| s.hot_admit(hot));
+    let mut out = Ok(());
+    if pulls > 0 {
+        for r in lane.wave().await {
+            match r {
+                Reply::NodeRec {
+                    node,
+                    key,
+                    right,
+                    right_key,
+                    down,
+                    level,
+                } => {
+                    hot.records.insert(
+                        node.to_bits(),
+                        NodeRec {
+                            key,
+                            right,
+                            right_key,
+                            down,
+                            level,
+                        },
+                    );
+                }
+                // Best-effort: a dangling or deleted target simply stays
+                // uncached; its count decays away.
+                Reply::Faulted { .. } => {}
+                other => {
+                    out = Err(PimError::protocol("search/pull", other));
+                    break;
+                }
+            }
+        }
+    }
+    lane.with(|s| {
+        s.scratch.give_pull_list(admitted);
+        s.scratch.give_count_rank(rank);
+
+        // The cache lives in CPU shared memory: charge the delta.
+        let now = RECORD_WORDS * hot.records.len() as u64;
+        if now > hot.charged_words {
+            s.sys.shared_mem().alloc(now - hot.charged_words);
+        } else if now < hot.charged_words {
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(hot.charged_words - now);
+        }
+        hot.charged_words = now;
+    });
+    out
+}
+
+impl PimSkipList {
+    /// Decay, invalidate, rank and admit, then send one `PullNode` per
+    /// admitted node without a snapshot; returns the leased admission
+    /// buffers and the number of pulls sent.
+    fn hot_admit(&mut self, hot: &mut HotNodeCache) -> (Vec<u64>, Vec<(u32, u64)>, u64) {
         hot.refreshes = hot.refreshes.wrapping_add(1);
         if hot.refreshes.is_multiple_of(DECAY_PERIOD) {
             hot.counts.retain(|_, c| {
@@ -163,52 +221,7 @@ impl PimSkipList {
                 pulls += 1;
             }
         }
-        let mut out = Ok(());
-        if pulls > 0 {
-            for r in self.sys.run_to_quiescence() {
-                match r {
-                    Reply::NodeRec {
-                        node,
-                        key,
-                        right,
-                        right_key,
-                        down,
-                        level,
-                    } => {
-                        hot.records.insert(
-                            node.to_bits(),
-                            NodeRec {
-                                key,
-                                right,
-                                right_key,
-                                down,
-                                level,
-                            },
-                        );
-                    }
-                    // Best-effort: a dangling or deleted target simply
-                    // stays uncached; its count decays away.
-                    Reply::Faulted { .. } => {}
-                    other => {
-                        out = Err(PimError::protocol("search/pull", other));
-                        break;
-                    }
-                }
-            }
-        }
-        self.scratch.give_pull_list(admitted);
-        self.scratch.give_count_rank(rank);
-
-        // The cache lives in CPU shared memory: charge the delta.
-        let now = RECORD_WORDS * hot.records.len() as u64;
-        if now > hot.charged_words {
-            self.sys.shared_mem().alloc(now - hot.charged_words);
-        } else if now < hot.charged_words {
-            self.sys.sample_shared_mem();
-            self.sys.shared_mem().free(hot.charged_words - now);
-        }
-        hot.charged_words = now;
-        out
+        (admitted, rank, pulls)
     }
 }
 

@@ -48,6 +48,7 @@ pub mod op;
 pub mod prelude;
 pub mod range;
 mod recover;
+mod sched;
 mod scratch;
 pub mod tasks;
 mod telem;

@@ -34,11 +34,12 @@ use pim_primitives::prefix::group_by_budget;
 use pim_primitives::sort::{par_sort, par_sort_by_key};
 use pim_runtime::Handle;
 
-use crate::batch::search::SearchRequest;
+use crate::batch::search::{pivoted_search, SearchRequest};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::range::broadcast::RangeResult;
+use crate::sched::Lane;
 use crate::tasks::{RangeFunc, Reply, Task};
 
 /// One atomic subrange after the overlap split.
@@ -91,32 +92,36 @@ impl PimSkipList {
             })
             .collect())
     }
+}
 
-    /// One fault-observable attempt of [`PimSkipList::batch_range`].
-    pub(crate) fn batch_range_attempt(
-        &mut self,
-        ranges: &[(Key, Key)],
-        func: RangeFunc,
-    ) -> PimResult<Vec<RangeResult>> {
-        self.spanned("range_tree", |s| {
-            let staged = ranges.len() as u64 * 4;
-            s.sys.shared_mem().alloc(staged);
-            let out = s.batch_range_attempt_inner(ranges, func);
+/// One fault-observable attempt of [`PimSkipList::batch_range`].
+pub(crate) async fn batch_range_attempt(
+    lane: Lane<'_>,
+    ranges: &[(Key, Key)],
+    func: RangeFunc,
+) -> PimResult<Vec<RangeResult>> {
+    lane.spanned("range_tree", async {
+        let staged = ranges.len() as u64 * 4;
+        lane.with(|s| s.sys.shared_mem().alloc(staged));
+        let out = batch_range_attempt_inner(lane, ranges, func).await;
+        lane.with(|s| {
             s.sys.sample_shared_mem();
             s.sys.shared_mem().free(staged);
-            out
-        })
-    }
+        });
+        out
+    })
+    .await
+}
 
-    fn batch_range_attempt_inner(
-        &mut self,
-        ranges: &[(Key, Key)],
-        func: RangeFunc,
-    ) -> PimResult<Vec<RangeResult>> {
-        let before = self.sys.metrics();
-
-        // ---- Step 1: split into disjoint atomic subranges (CPU sweep) ----
-        let (subranges, op_spans) = self.spanned("range_tree/split", |s| {
+async fn batch_range_attempt_inner(
+    lane: Lane<'_>,
+    ranges: &[(Key, Key)],
+    func: RangeFunc,
+) -> PimResult<Vec<RangeResult>> {
+    // ---- Step 1: split into disjoint atomic subranges (CPU sweep) ----
+    let (before, (subranges, op_spans)) = lane.with(|s| {
+        let before = s.sys.metrics();
+        let split = s.spanned("range_tree/split", |s| {
             let mut cuts = s.scratch.take_cuts();
             let mut delta = s.scratch.take_range_delta();
             let mut cell_to_sub = s.scratch.take_cell_to_sub();
@@ -130,209 +135,215 @@ impl PimSkipList {
             );
             split
         });
+        (before, split)
+    });
 
-        // ---- Step 2: pivoted search over subrange left ends → hints. A
-        // lone subrange is its group's last pivot, whose hint is always
-        // `Root`: it skips the search and descends from the replicas. ----
-        let hints = if subranges.len() > 1 {
-            let mut reqs = self.scratch.take_reqs();
+    // ---- Step 2: pivoted search over subrange left ends → hints. A lone
+    // subrange is its group's last pivot, whose hint is always `Root`: it
+    // skips the search and descends from the replicas. ----
+    let hints = if subranges.len() > 1 {
+        let reqs = lane.with(|s| {
+            let mut reqs = s.scratch.take_reqs();
             reqs.extend(subranges.iter().enumerate().map(|(i, s)| SearchRequest {
                 op: i as u32,
                 key: s.lo,
                 top: 0,
             }));
-            let search = self.pivoted_search(&reqs);
-            self.scratch.give_reqs(reqs);
-            search?.hints
-        } else {
-            HashMap::new()
-        };
+            reqs
+        });
+        let search = pivoted_search(lane, &reqs).await;
+        lane.with(|s| s.scratch.give_reqs(reqs));
+        search?.hints
+    } else {
+        HashMap::new()
+    };
 
-        let mut deal = self.deal();
-        let starts: Vec<(Handle, Option<u32>)> = (0..subranges.len())
+    let starts: Vec<(Handle, Option<u32>)> = lane.with(|s| {
+        let mut deal = s.deal();
+        (0..subranges.len())
             .map(|i| match hints.get(&(i as u32)) {
                 Some(Hint::Start(h)) | Some(Hint::SharedLeaf(h)) => (*h, None),
-                _ => (self.descent_start(0), Some(deal.next())),
+                _ => (s.descent_start(0), Some(deal.next())),
             })
-            .collect();
+            .collect()
+    });
 
-        // ---- Step 3: counting descent, where sizes are needed before
-        // any value moves: `Count` (it is the result), `Read`/`FetchAdd`
-        // (group budgets) and `AddInPlace` (the reported count). The other
-        // reductions' own descent already carries the count. ----
-        let counts = if matches!(func, RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max) {
-            Vec::new()
-        } else {
-            self.spanned("range_tree/count", |s| {
-                s.descend_counts(&subranges, &starts)
+    // ---- Step 3: counting descent, where sizes are needed before any
+    // value moves: `Count` (it is the result), `Read`/`FetchAdd` (group
+    // budgets) and `AddInPlace` (the reported count). The other
+    // reductions' own descent already carries the count. ----
+    let counts: Vec<u64> = if matches!(func, RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max) {
+        Vec::new()
+    } else {
+        lane.spanned(
+            "range_tree/count",
+            descend_aggregate(lane, &subranges, &starts, RangeFunc::Count),
+        )
+        .await
+        .into_iter()
+        .map(|r| r.count)
+        .collect()
+    };
+    let count_results = |counts: &[u64]| -> Vec<RangeResult> {
+        counts
+            .iter()
+            .map(|&c| RangeResult {
+                count: c,
+                ..RangeResult::empty()
             })
-        };
-        let count_results = |counts: &[u64]| -> Vec<RangeResult> {
-            counts
-                .iter()
-                .map(|&c| RangeResult {
-                    count: c,
-                    ..RangeResult::empty()
-                })
-                .collect()
-        };
+            .collect()
+    };
 
-        // ---- Step 4: execute ----
-        let results = self.spanned("range_tree/execute", |s| match func {
-            RangeFunc::Count => count_results(&counts),
-            RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max => {
-                s.descend_aggregate(&subranges, &starts, func)
-            }
-            RangeFunc::AddInPlace(d) => {
-                // One pass per subrange with the multiplicity folded in.
-                for (i, sub) in subranges.iter().enumerate() {
-                    let (at, module) = starts[i];
-                    let target = module.unwrap_or_else(|| at.module());
-                    s.sys.send(
-                        target,
-                        Task::RangeDescend {
-                            op: i as u32,
-                            at,
-                            lo: sub.lo,
-                            hi: sub.hi,
-                            func: RangeFunc::AddInPlace(
-                                d.wrapping_mul(u64::from(sub.multiplicity)),
-                            ),
-                        },
-                    );
+    // ---- Step 4: execute ----
+    let results = lane
+        .spanned("range_tree/execute", async {
+            match func {
+                RangeFunc::Count => count_results(&counts),
+                RangeFunc::Sum | RangeFunc::Min | RangeFunc::Max => {
+                    descend_aggregate(lane, &subranges, &starts, func).await
                 }
-                s.sys.run_to_quiescence();
-                count_results(&counts)
+                RangeFunc::AddInPlace(d) => {
+                    // One pass per subrange with the multiplicity folded in.
+                    lane.with(|s| {
+                        for (i, sub) in subranges.iter().enumerate() {
+                            let (at, module) = starts[i];
+                            let target = module.unwrap_or_else(|| at.module());
+                            s.sys.send(
+                                target,
+                                Task::RangeDescend {
+                                    op: i as u32,
+                                    at,
+                                    lo: sub.lo,
+                                    hi: sub.hi,
+                                    func: RangeFunc::AddInPlace(
+                                        d.wrapping_mul(u64::from(sub.multiplicity)),
+                                    ),
+                                },
+                            );
+                        }
+                    });
+                    lane.wave().await;
+                    count_results(&counts)
+                }
+                RangeFunc::Read | RangeFunc::FetchAdd(_) => {
+                    grouped_fetch(lane, &subranges, &starts, &counts, func).await
+                }
             }
-            RangeFunc::Read | RangeFunc::FetchAdd(_) => {
-                s.grouped_fetch(&subranges, &starts, &counts, func)
-            }
-        });
+        })
+        .await;
 
+    lane.with(|s| {
         // A silently lost descent or write (no reply to count) shows up
         // only in the machine's loss counters: refuse to report results
         // from a damaged pass, and never journal one.
-        if self.damage_since(&before) {
+        if s.damage_since(&before) {
             return Err(PimError::incomplete("batch_range", 1));
         }
         // Commit mutations to the journal (per atomic subrange, with the
         // coverage multiplicity folded in, matching the module-side adds).
-        match func {
-            RangeFunc::FetchAdd(d) | RangeFunc::AddInPlace(d) => {
-                for s in &subranges {
-                    self.journal.add_in_range(
-                        s.lo,
-                        s.hi,
-                        d.wrapping_mul(u64::from(s.multiplicity)),
-                    );
-                }
+        if let RangeFunc::FetchAdd(d) | RangeFunc::AddInPlace(d) = func {
+            for sub in &subranges {
+                s.journal
+                    .add_in_range(sub.lo, sub.hi, d.wrapping_mul(u64::from(sub.multiplicity)));
             }
-            _ => {}
         }
+        Ok(())
+    })?;
 
-        // ---- Map atomic subranges back to the input operations ----
-        Ok(ranges
-            .iter()
-            .enumerate()
-            .map(|(op, _)| {
-                let (s_lo, s_hi) = op_spans[op];
-                let mut r = RangeResult::empty();
-                for sub in &results[s_lo..s_hi] {
-                    r.count += sub.count;
-                    r.sum = r.sum.wrapping_add(sub.sum);
-                    r.min = r.min.min(sub.min);
-                    r.max = r.max.max(sub.max);
-                    r.items.extend_from_slice(&sub.items);
-                }
-                r
-            })
-            .collect())
-    }
+    // ---- Map atomic subranges back to the input operations ----
+    Ok(op_spans
+        .iter()
+        .map(|&(s_lo, s_hi)| {
+            let mut r = RangeResult::empty();
+            for sub in &results[s_lo..s_hi] {
+                r.count += sub.count;
+                r.sum = r.sum.wrapping_add(sub.sum);
+                r.min = r.min.min(sub.min);
+                r.max = r.max.max(sub.max);
+                r.items.extend_from_slice(&sub.items);
+            }
+            r
+        })
+        .collect())
+}
 
-    /// Counting pass: one `RangeDescend(Count)` per subrange.
-    fn descend_counts(
-        &mut self,
-        subranges: &[Subrange],
-        starts: &[(Handle, Option<u32>)],
-    ) -> Vec<u64> {
-        self.descend_aggregate(subranges, starts, RangeFunc::Count)
-            .into_iter()
-            .map(|r| r.count)
-            .collect()
-    }
-
-    fn descend_aggregate(
-        &mut self,
-        subranges: &[Subrange],
-        starts: &[(Handle, Option<u32>)],
-        func: RangeFunc,
-    ) -> Vec<RangeResult> {
-        debug_assert!(!func.returns_items());
-        for (i, s) in subranges.iter().enumerate() {
+/// One `RangeDescend(func)` per subrange, aggregated per subrange (a
+/// `Faulted` reply means the descent hit crash-damaged state; the
+/// caller's damage check triggers the retry).
+async fn descend_aggregate(
+    lane: Lane<'_>,
+    subranges: &[Subrange],
+    starts: &[(Handle, Option<u32>)],
+    func: RangeFunc,
+) -> Vec<RangeResult> {
+    debug_assert!(!func.returns_items());
+    lane.with(|s| {
+        for (i, sub) in subranges.iter().enumerate() {
             let (at, module) = starts[i];
             let target = module.unwrap_or_else(|| at.module());
-            self.sys.send(
+            s.sys.send(
                 target,
                 Task::RangeDescend {
                     op: i as u32,
                     at,
-                    lo: s.lo,
-                    hi: s.hi,
+                    lo: sub.lo,
+                    hi: sub.hi,
                     func,
                 },
             );
         }
-        let replies = self.sys.run_to_quiescence();
-        let mut agg = vec![RangeResult::empty(); subranges.len()];
-        for r in replies {
-            match r {
-                Reply::RangeAgg {
-                    op,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    let a = &mut agg[op as usize];
-                    a.count += count;
-                    a.sum = a.sum.wrapping_add(sum);
-                    a.min = a.min.min(min);
-                    a.max = a.max.max(max);
-                }
-                // A Faulted reply means the descent hit crash-damaged
-                // state; the caller's damage check triggers the retry.
-                Reply::Faulted { .. } => {}
-                other => unreachable!("unexpected reply in counting descent: {other:?}"),
+    });
+    let mut agg = vec![RangeResult::empty(); subranges.len()];
+    for r in lane.wave().await {
+        match r {
+            Reply::RangeAgg {
+                op,
+                count,
+                sum,
+                min,
+                max,
+            } => {
+                let a = &mut agg[op as usize];
+                a.count += count;
+                a.sum = a.sum.wrapping_add(sum);
+                a.min = a.min.min(min);
+                a.max = a.max.max(max);
             }
+            Reply::Faulted { .. } => {}
+            other => unreachable!("unexpected reply in counting descent: {other:?}"),
         }
-        agg
     }
+    agg
+}
 
-    /// Item-returning execution in shared-memory-sized groups.
-    fn grouped_fetch(
-        &mut self,
-        subranges: &[Subrange],
-        starts: &[(Handle, Option<u32>)],
-        counts: &[u64],
-        func: RangeFunc,
-    ) -> Vec<RangeResult> {
+/// Item-returning execution in shared-memory-sized groups.
+async fn grouped_fetch(
+    lane: Lane<'_>,
+    subranges: &[Subrange],
+    starts: &[(Handle, Option<u32>)],
+    counts: &[u64],
+    func: RangeFunc,
+) -> Vec<RangeResult> {
+    let groups = lane.with(|s| {
         let budget =
-            (u64::from(self.cfg.p) * u64::from(self.cfg.log_p()) * u64::from(self.cfg.log_p()))
-                .max(1);
+            (u64::from(s.cfg.p) * u64::from(s.cfg.log_p()) * u64::from(s.cfg.log_p())).max(1);
         let (groups, gcost) = group_by_budget(counts, budget);
-        gcost.charge(self.sys.metrics_mut());
+        gcost.charge(s.sys.metrics_mut());
+        groups
+    });
 
-        let mut results: Vec<RangeResult> = vec![RangeResult::empty(); subranges.len()];
-        for group in groups {
-            let group_words: u64 = counts[group.clone()].iter().sum::<u64>() * 3;
-            self.sys.shared_mem().alloc(group_words);
+    let mut results: Vec<RangeResult> = vec![RangeResult::empty(); subranges.len()];
+    for group in groups {
+        let group_words: u64 = counts[group.clone()].iter().sum::<u64>() * 3;
+        lane.with(|s| {
+            s.sys.shared_mem().alloc(group_words);
             for i in group.clone() {
                 if counts[i] == 0 {
                     continue;
                 }
                 let (at, module) = starts[i];
                 let target = module.unwrap_or_else(|| at.module());
-                self.sys.send(
+                s.sys.send(
                     target,
                     Task::RangeDescend {
                         op: i as u32,
@@ -343,7 +354,9 @@ impl PimSkipList {
                     },
                 );
             }
-            let replies = self.sys.run_to_quiescence();
+        });
+        let replies = lane.wave().await;
+        lane.with(|s| {
             let mut fetched: HashMap<u32, Vec<(Key, Value, Handle)>> = HashMap::new();
             for r in replies {
                 match r {
@@ -358,14 +371,14 @@ impl PimSkipList {
                 }
             }
             for (op, mut items) in fetched {
-                par_sort_by_key(&mut items, |&(k, _, _)| k).charge(self.sys.metrics_mut());
-                let s = &subranges[op as usize];
+                par_sort_by_key(&mut items, |&(k, _, _)| k).charge(s.sys.metrics_mut());
+                let sub = &subranges[op as usize];
                 if let RangeFunc::FetchAdd(d) = func {
                     // Apply the function once per covering operation on
                     // the CPU side; returned values are pre-batch.
-                    let add = d.wrapping_mul(u64::from(s.multiplicity));
+                    let add = d.wrapping_mul(u64::from(sub.multiplicity));
                     for &(_, old, node) in &items {
-                        self.send_write(
+                        s.send_write(
                             node,
                             Task::WriteValue {
                                 node,
@@ -378,12 +391,14 @@ impl PimSkipList {
                 r.count = items.len() as u64;
                 r.items = items.into_iter().map(|(k, v, _)| (k, v)).collect();
             }
-            self.sys.run_to_quiescence();
-            self.sys.sample_shared_mem();
-            self.sys.shared_mem().free(group_words);
-        }
-        results
+        });
+        lane.wave().await;
+        lane.with(|s| {
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(group_words);
+        });
     }
+    results
 }
 
 /// Cut overlapping ranges into disjoint atomic subranges; returns the

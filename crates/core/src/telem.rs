@@ -3,9 +3,10 @@
 //! [`CoreTelemetry`] owns a [`pim_runtime::Telemetry`] registry plus the
 //! pre-registered handles the execute path publishes into, so the hot
 //! path never does a name lookup: [`PimSkipList::try_execute`] calls
-//! [`CoreTelemetry::after_run`] once per committed coalescible run with
-//! the machine-metrics *delta* of that run, and everything else is `O(1)`
-//! handle updates. Like every observer in this codebase it lives behind
+//! [`CoreTelemetry::after_run`] once per committed coalescible run and
+//! [`CoreTelemetry::after_span`] once per committed span with the
+//! machine-metrics *delta* of that span (its runs shared the rounds), and
+//! everything else is `O(1)` handle updates. Like every observer in this codebase it lives behind
 //! an `Option<Box<_>>` on the structure — dark runs pay one `is_some`
 //! branch per run, and the machine's own accounting (replies, `Metrics`,
 //! traces) is untouched either way.
@@ -24,6 +25,7 @@ pub(crate) struct CoreTelemetry {
     ops: [CounterId; 7],
     runs: CounterId,
     run_len: HistId,
+    span_runs: HistId,
     rounds: CounterId,
     io_time: CounterId,
     pim_time: CounterId,
@@ -73,6 +75,7 @@ impl CoreTelemetry {
         CoreTelemetry {
             runs: reg.counter("pim_runs_total", &[]),
             run_len: reg.histogram("pim_run_len", &[]),
+            span_runs: reg.histogram("pim_span_runs", &[]),
             rounds: reg.counter("pim_rounds_total", &[]),
             io_time: reg.counter("pim_io_time_total", &[]),
             pim_time: reg.counter("pim_time_total", &[]),
@@ -89,12 +92,18 @@ impl CoreTelemetry {
         }
     }
 
-    /// Publish one committed run: its family, length, and the machine
-    /// cost it accrued (`delta` = metrics after − metrics before).
-    pub(crate) fn after_run(&mut self, kind: OpKind, len: u64, delta: Metrics) {
+    /// Publish one committed run: its family and length.
+    pub(crate) fn after_run(&mut self, kind: OpKind, len: u64) {
         self.reg.add(self.ops[op_index(kind)], len);
         self.reg.add(self.runs, 1);
         self.reg.observe(self.run_len, len);
+    }
+
+    /// Publish one committed span: how many runs shared its rounds, and
+    /// the machine cost it accrued (`delta` = metrics after − metrics
+    /// before; co-scheduled runs share rounds, so cost is per span).
+    pub(crate) fn after_span(&mut self, runs: u64, delta: Metrics) {
+        self.reg.observe(self.span_runs, runs);
         self.reg.add(self.rounds, delta.rounds);
         self.reg.add(self.io_time, delta.io_time);
         self.reg.add(self.pim_time, delta.pim_time);

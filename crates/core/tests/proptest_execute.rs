@@ -1,17 +1,42 @@
 //! Property-based contract of the unified entry point: executing a mixed
-//! [`Op`] stream through [`PimSkipList::execute`] is *exactly* the same
-//! computation as splitting the stream into maximal coalescible runs and
-//! calling each run's typed `batch_*` — same replies, same contents, same
-//! machine metrics — and span attribution stays conservative over mixed
-//! streams.
+//! [`Op`] stream through [`PimSkipList::execute`] is the same computation
+//! as splitting the stream into maximal coalescible runs and calling each
+//! run's typed `batch_*` — same replies, same contents, same CPU work and
+//! depth, and the same random stream afterwards — while the read and value
+//! runs between two structural ones share rounds; and span attribution
+//! stays conservative over mixed streams.
 
 use proptest::prelude::*;
 
 use pim_core::{Config, Op, PimSkipList, RangeFunc, Reply};
+use pim_runtime::Metrics;
 
 fn key_strategy() -> impl Strategy<Value = i64> {
     // Small domain: collisions, duplicate keys, overlapping ranges.
     -40i64..200
+}
+
+fn hot_key_strategy() -> impl Strategy<Value = i64> {
+    // A handful of keys: Updates meet Gets, Updates and Ranges of theirs.
+    0i64..8
+}
+
+/// Reads and value writes on hot keys, a structural op now and then.
+fn hot_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        1 => (hot_key_strategy(), any::<u64>())
+            .prop_map(|(key, value)| Op::Upsert { key, value }),
+        1 => hot_key_strategy().prop_map(|key| Op::Delete { key }),
+        4 => hot_key_strategy().prop_map(|key| Op::Get { key }),
+        4 => (hot_key_strategy(), any::<u64>())
+            .prop_map(|(key, value)| Op::Update { key, value }),
+        2 => hot_key_strategy().prop_map(|key| Op::Successor { key }),
+        1 => hot_key_strategy().prop_map(|key| Op::Predecessor { key }),
+        2 => (hot_key_strategy(), hot_key_strategy())
+            .prop_map(|(a, b)| Op::Range { lo: a.min(b), hi: a.max(b), func: RangeFunc::Sum }),
+        1 => (hot_key_strategy(), hot_key_strategy())
+            .prop_map(|(a, b)| Op::Range { lo: a.min(b), hi: a.max(b), func: RangeFunc::Read }),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -150,26 +175,47 @@ proptest! {
     fn mixed_execute_equals_per_type_batch_sequence(
         seed in 0u64..1_000_000,
         p in 1u32..9,
-        ops in prop::collection::vec(op_strategy(), 1..60),
+        preload in prop::collection::vec((hot_key_strategy(), any::<u64>()), 0..8),
+        ops in prop::collection::vec(hot_op_strategy(), 1..60),
     ) {
         let mut mixed = PimSkipList::new(Config::new(p, 1 << 10, seed));
         let mut typed = PimSkipList::new(Config::new(p, 1 << 10, seed));
+        mixed.batch_upsert(&preload);
+        typed.batch_upsert(&preload);
 
+        let before = mixed.metrics();
         let mixed_replies = mixed.execute(&ops);
         let mut typed_replies = Vec::with_capacity(ops.len());
         for run in runs(&ops) {
             typed_replies.extend(run_via_typed_batch(&mut typed, run));
         }
 
+        // Replies carry node handles: equal handles mean equal towers.
         prop_assert_eq!(&mixed_replies, &typed_replies,
             "mixed execute and per-type batches must answer identically");
         prop_assert_eq!(mixed.collect_items(), typed.collect_items(),
             "final contents must match");
-        prop_assert_eq!(mixed.metrics(), typed.metrics(),
-            "the two paths must do bit-identical machine work");
         if let Err(e) = mixed.validate() {
             return Err(TestCaseError::fail(format!("invariant violated: {e}")));
         }
+        // Co-scheduled runs share rounds; each still does its own CPU work.
+        let (m, t) = (mixed.metrics() - before, typed.metrics() - before);
+        prop_assert_eq!((m.cpu_work, m.cpu_depth), (t.cpu_work, t.cpu_depth),
+            "co-scheduling must not change CPU work or depth");
+
+        // The random stream sits at the same position: fresh towers get the
+        // same coins, and the batch costs the same.
+        let fresh: Vec<(i64, u64)> = (0..64).map(|i| (1_000 + 3 * i, 1)).collect();
+        let (m0, t0) = (mixed.metrics(), typed.metrics());
+        mixed.batch_upsert(&fresh);
+        typed.batch_upsert(&fresh);
+        prop_assert_eq!(mixed.upper_leaf_keys(), typed.upper_leaf_keys(),
+            "tower coins must not move");
+        // (`M` is a high-water mark over the whole history, where
+        // co-scheduled runs staged side by side.)
+        let cost = |d: Metrics| Metrics { shared_mem_peak: 0, ..d };
+        prop_assert_eq!(cost(mixed.metrics() - m0), cost(typed.metrics() - t0),
+            "a structural batch after the stream must cost the same");
     }
 
     #[test]

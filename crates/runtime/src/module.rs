@@ -15,16 +15,22 @@
 
 use crate::handle::ModuleId;
 
+/// The lane a message travels on: the id of the CPU-side job that issued
+/// it (see [`crate::PimSystem::set_lane`]). Lane 0 is the default.
+pub type Lane = u32;
+
 /// Per-task execution context handed to [`PimModule::execute`].
 ///
 /// Collects the task's outputs (cross-module sends, replies to the CPU) and
 /// its local-work charge. The runtime aggregates these per round to compute
-/// the `h`-relation and PIM-time of the round.
+/// the `h`-relation and PIM-time of the round. Every output inherits the
+/// lane of the task that produced it.
 pub struct ModuleCtx<'a, T, R> {
     me: ModuleId,
     round: u64,
-    sends: &'a mut Vec<(ModuleId, T)>,
-    replies: &'a mut Vec<R>,
+    lane: Lane,
+    sends: &'a mut Vec<(ModuleId, Lane, T)>,
+    replies: &'a mut Vec<(Lane, R)>,
     work: &'a mut u64,
 }
 
@@ -32,13 +38,15 @@ impl<'a, T, R> ModuleCtx<'a, T, R> {
     pub(crate) fn new(
         me: ModuleId,
         round: u64,
-        sends: &'a mut Vec<(ModuleId, T)>,
-        replies: &'a mut Vec<R>,
+        lane: Lane,
+        sends: &'a mut Vec<(ModuleId, Lane, T)>,
+        replies: &'a mut Vec<(Lane, R)>,
         work: &'a mut u64,
     ) -> Self {
         ModuleCtx {
             me,
             round,
+            lane,
             sends,
             replies,
             work,
@@ -69,13 +77,13 @@ impl<'a, T, R> ModuleCtx<'a, T, R> {
     /// and still costs messages: the route goes through the CPU side.
     #[inline]
     pub fn send(&mut self, to: ModuleId, task: T) {
-        self.sends.push((to, task));
+        self.sends.push((to, self.lane, task));
     }
 
     /// Return a value to CPU shared memory (one message from this module).
     #[inline]
     pub fn reply(&mut self, r: R) {
-        self.replies.push(r);
+        self.replies.push((self.lane, r));
     }
 }
 

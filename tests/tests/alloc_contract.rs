@@ -177,9 +177,13 @@ fn steady_state_allocations_stay_within_the_contract() {
         // never with batch × rounds; their counts move a few percent from
         // cycle to cycle with the tower coins, hence the 1.1× below. A
         // service dispatch of a Get + Update batch: O(1), pinned at today's
-        // exact count like the two families it runs.
+        // exact count like the two families it runs. The two runs share
+        // their rounds as one co-scheduled span, which allocates its job
+        // table, its conflict edges and one boxed future per job (a wave's
+        // reply buffer is one allocation fewer than before spans), hence
+        // 15 where one run at a time took 13.
         let large = large as u64;
-        let ceilings = [7, 8, large / 2, large / 2, large * 5 / 4, large * 5 / 4, 13];
+        let ceilings = [7, 8, large / 2, large / 2, large * 5 / 4, large * 5 / 4, 15];
         for (i, family) in FAMILIES.iter().enumerate() {
             let per_cycle: Vec<u64> = cycles.iter().map(|c| c[i]).collect();
             assert!(

@@ -266,3 +266,73 @@ fn path_split_lower_is_n_independent_and_tracks_log_p() {
     let (up_big, _, _) = path_split_experiment(16, 64_000, 35);
     assert!(up_big > up_small, "upper path should track log n");
 }
+
+/// The `service` benchmark's request shape at `P = 16`: Zipf(0.99) keys,
+/// 50 % Get / 15 % Update / 15 % Upsert / 5 % Delete / 10 % Successor /
+/// 5 % Range Sum, dispatched `P log² P` at a time in the service's order
+/// (read/write epochs in arrival order, reads grouped by kind within an
+/// epoch). The read and value runs between two structural runs share
+/// rounds: ≥ 1.25× fewer than one `execute` call per run, at the same
+/// replies and exactly the same CPU work and depth.
+#[test]
+fn service_runs_between_structural_writes_share_rounds() {
+    use pim_core::op::run_end;
+    use pim_workloads::arrival::{ArrivalGen, OpMix};
+
+    let (p, n, seed) = (16u32, 4000usize, 33u64);
+    let (mut spans, keys) = build_loaded_list(p, n, seed);
+    let (mut alone, _) = build_loaded_list(p, n, seed);
+    let mix = OpMix {
+        get: 50,
+        update: 15,
+        upsert: 15,
+        delete: 5,
+        predecessor: 0,
+        successor: 10,
+        range: 5,
+    };
+    // Popularity rank decorrelated from key order.
+    let mut resident = keys;
+    resident.sort_by_key(|&k| (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let batch = spans.config().batch_large();
+    let ops: Vec<Op> = ArrivalGen::new(seed, resident, 0.99, 1.0, mix)
+        .schedule(30 * batch as u64)
+        .into_iter()
+        .map(|e| pim_bench::service::to_op(e.op))
+        .take(20 * batch)
+        .collect();
+
+    let (s0, a0) = (spans.metrics(), alone.metrics());
+    for chunk in ops.chunks(batch) {
+        let mut planned = Vec::with_capacity(chunk.len());
+        for epoch in chunk.chunk_by(|a, b| a.is_write() == b.is_write()) {
+            let start = planned.len();
+            planned.extend_from_slice(epoch);
+            if !epoch[0].is_write() {
+                planned[start..].sort_by_key(Op::kind);
+            }
+        }
+        let got = spans.execute(&planned);
+        let mut want = Vec::with_capacity(planned.len());
+        let mut start = 0;
+        while start < planned.len() {
+            let end = run_end(&planned, start);
+            want.extend(alone.execute(&planned[start..end]));
+            start = end;
+        }
+        assert_eq!(got, want);
+    }
+    let (s, a) = (spans.metrics() - s0, alone.metrics() - a0);
+    assert_eq!((s.cpu_work, s.cpu_depth), (a.cpu_work, a.cpu_depth));
+    assert!(
+        a.rounds * 4 >= s.rounds * 5,
+        "{} rounds co-scheduled against {} one run at a time",
+        s.rounds,
+        a.rounds
+    );
+    assert!(
+        s.io_time <= a.io_time && s.pim_time <= a.pim_time,
+        "{s:?} {a:?}"
+    );
+    spans.validate().expect("valid after the stream");
+}
