@@ -24,7 +24,9 @@
 //!    handles;
 //! 8. every leaf's recorded chain matches its actual tower;
 //! 9. every module's descent start, and the driver's shadow of it, is the
-//!    highest −∞ sentinel with a linked `right` (at least `h_low`).
+//!    highest −∞ sentinel with a linked `right` (at least `h_low`);
+//! 10. no operation's staging outlives it: between operations the only
+//!     shared memory in use is the hot-node cache's.
 
 use pim_runtime::Handle;
 
@@ -53,6 +55,20 @@ impl PimSkipList {
         }
         self.check_index()?;
         self.check_journal()?;
+        self.check_staging()?;
+        Ok(())
+    }
+
+    /// Every batch frees the shared-memory words it staged, on every path
+    /// (a co-scheduled job dropped mid-wave included), so `M` measured by
+    /// a later batch is that batch's own.
+    fn check_staging(&self) -> Result<(), String> {
+        let cached = self.hot.as_ref().map_or(0, |h| h.charged_words);
+        let in_use = self.sys.shared_mem_in_use();
+        ensure!(
+            in_use == cached,
+            "{in_use} shared-memory words in use between operations, {cached} cached"
+        );
         Ok(())
     }
 

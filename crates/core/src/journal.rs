@@ -117,6 +117,11 @@ impl Journal {
         }
     }
 
+    /// The current value of `key`, if it is live.
+    pub fn value(&self, key: Key) -> Option<Value> {
+        self.entries.get(&key).map(|e| e.value)
+    }
+
     /// Record a committed delete.
     pub fn remove(&mut self, key: Key) {
         self.entries.remove(&key);

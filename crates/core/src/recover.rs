@@ -85,33 +85,32 @@ impl PimSkipList {
         for _ in 0..=max_retries {
             let before = self.sys.metrics();
             let result = attempt(self);
-            let mut crashed = self.sys.drain_crashed();
-            crashed.sort_unstable();
-            crashed.dedup();
-            let damaged = !crashed.is_empty() || self.damage_since(&before);
+            // A crash can strike after every reply already reached shared
+            // memory: the answers are valid, but the machine must be
+            // repaired before control goes back.
+            let damaged = self.repair_crashed()? || self.damage_since(&before);
             match result {
-                Ok(out) => {
-                    // A crash can strike after every reply already reached
-                    // shared memory: the answers are valid, but the machine
-                    // must be repaired before control goes back.
-                    for m in crashed {
-                        self.recover_module(m)?;
-                    }
-                    return Ok(out);
-                }
+                Ok(out) => return Ok(out),
                 Err(e) if !damaged && !e.is_transient() => return Err(e),
-                Err(_) => {
-                    for m in crashed {
-                        self.recover_module(m)?;
-                    }
-                    self.sys.metrics_mut().retries_issued += batch_size as u64;
-                }
+                Err(_) => self.sys.metrics_mut().retries_issued += batch_size as u64,
             }
         }
         Err(PimError::RetriesExhausted {
             op,
             attempts: max_retries + 1,
         })
+    }
+
+    /// Rebuild every module that crashed since the last drain; returns
+    /// whether any did.
+    pub(crate) fn repair_crashed(&mut self) -> PimResult<bool> {
+        let mut crashed = self.sys.drain_crashed();
+        crashed.sort_unstable();
+        crashed.dedup();
+        for &m in &crashed {
+            self.recover_module(m)?;
+        }
+        Ok(!crashed.is_empty())
     }
 
     /// Retry loop for structural operations: Upsert, Delete, bulk load,

@@ -98,6 +98,8 @@ pub(crate) struct Scratch {
     count_rank: Vec<(u32, u64)>,
     /// Hot-cache admitted set / pull staging (handle bits, sorted).
     pull_list: Vec<u64>,
+    /// A span's Update undo records (see `op::execute_span`).
+    undo: Vec<(usize, Key, Value)>,
 }
 
 impl Scratch {
@@ -137,6 +139,7 @@ impl Scratch {
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
     lease!(take_count_rank, give_count_rank, count_rank, (u32, u64));
     lease!(take_pull_list, give_pull_list, pull_list, u64);
+    lease!(take_undo, give_undo, undo, (usize, Key, Value));
 }
 
 #[cfg(test)]
