@@ -8,9 +8,9 @@
 //! * [`fine_grained`] — every node hashed individually (Ziegler et al.
 //!   [34]): skew-proof but `O(log n)` messages per search (§3.1);
 //! * the **naïve batch search** (pivot-free, the §4.2 strawman) has been
-//!   retired from `pim-core`; the FIG3 comparison now contrasts the
-//!   pivot D&C with push-pull search off vs on (`pim-bench`,
-//!   `experiments adversarial`).
+//!   retired from `pim-core`; the FIG3 experiment (`pim-bench`,
+//!   `experiments adversarial`) measures the pivot D&C alone on the
+//!   same-successor flood.
 #![warn(missing_docs)]
 
 pub mod fine_grained;

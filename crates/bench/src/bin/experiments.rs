@@ -5,7 +5,7 @@
 //!
 //! which ∈ { table1, space, balls, contention, adversarial, range,
 //!           baselines, ablation, hprofile, paths, trace-export,
-//!           service, skew, skew-gate, recovery, cluster, all }
+//!           service, recovery, cluster, all }
 //!
 //! `trace-export [--quick] [--out DIR]` runs an instrumented session and
 //! writes `DIR/trace.json` (Chrome trace-event, Perfetto-loadable) and
@@ -34,16 +34,6 @@
 //! sessions at S ∈ {1, 4} (or the single `PIM_SHARDS` value when set)
 //! write `metrics-sN.prom` / `events-sN.jsonl` / `replies-sN.bin` for
 //! the CI cluster-determinism byte-diff.
-//!
-//! `skew [--quick] [--out PATH]` sweeps Zipf(θ) and adversarial query
-//! batches over push-pull ∈ {off, on} and writes a `pim-skew-bench/1`
-//! JSON report of model metrics (default `target/BENCH_PR10.json`);
-//! on-mode replies are byte-compared against off-mode in-process.
-//!
-//! `skew-gate CURRENT BASELINE` fails unless warm push-pull at least
-//! halves rounds/batch on every workload, skewed/adversarial on-mode
-//! costs stay within 1.25× of uniform, and the (deterministic) model
-//! metrics exactly match the committed baseline (`ci/skew-baseline.json`).
 //! ```
 //!
 //! Every table prints *model metrics* (IO time, PIM time, CPU work/depth,
@@ -51,33 +41,6 @@
 //! algorithms running on the simulated machine.
 
 use pim_bench::experiments as exp;
-
-/// The two report paths after a gate subcommand; exits 2 on a usage error.
-fn gate_paths<'a>(args: &'a [String], gate: &str) -> (&'a str, &'a str) {
-    let mut pos = args[1..].iter().filter(|a| !a.starts_with("--"));
-    match (pos.next(), pos.next()) {
-        (Some(c), Some(b)) => (c, b),
-        _ => {
-            eprintln!("usage: experiments -- {gate} CURRENT BASELINE");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Print a gate's verdict; exits 1 on FAIL (with `why`) or ERROR.
-fn finish_gate(name: &str, verdict: Result<bool, String>, why: &str) {
-    match verdict {
-        Ok(true) => println!("{name} gate: PASS"),
-        Ok(false) => {
-            eprintln!("{name} gate: FAIL{why}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{name} gate: ERROR: {e}");
-            std::process::exit(1);
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -112,19 +75,6 @@ fn main() {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
-    };
-    let run_skew = || {
-        let out = flag("--out")
-            .map(String::as_str)
-            .unwrap_or("target/BENCH_PR10.json");
-        if let Err(e) = pim_bench::skew::run_skew(quick, out, seed) {
-            eprintln!("skew: {e}");
-            std::process::exit(1);
-        }
-    };
-    let run_skew_gate = || {
-        let (current, baseline) = gate_paths(&args, "skew-gate");
-        finish_gate("skew", pim_bench::skew::skew_gate(current, baseline), "");
     };
     let run_service = || {
         pim_bench::service::run_service(quick, seed);
@@ -184,8 +134,6 @@ fn main() {
         "paths" => run_paths(),
         "trace-export" => run_trace_export(),
         "service" => run_service(),
-        "skew" => run_skew(),
-        "skew-gate" => run_skew_gate(),
         "recovery" => run_recovery(),
         "cluster" => run_cluster(),
         "all" => {
@@ -211,7 +159,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service skew skew-gate recovery cluster all");
+            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service recovery cluster all");
             std::process::exit(2);
         }
     }

@@ -357,56 +357,33 @@ pub fn print_contention(ps: &[u32], seed: u64) {
     println!(" A = max(3⌈log P⌉ − 1, ⌈b/P⌉) for a batch of b unique keys, log² P when full)");
 }
 
-/// Warm-up batches run before measuring a push-pull structure, so the
-/// admitted hot set reflects the workload (admission is count-driven).
-pub const PUSH_PULL_WARMUP: usize = 8;
-
-/// FIG3: pivot batch Successor with push-pull off vs on (warm) under the
-/// same-successor flood. Both sides run the identical warm-up batches so
-/// the comparison isolates the cache, not the measurement position.
-pub fn adversarial_experiment(p: u32, seed: u64) -> (BatchCosts, BatchCosts) {
-    let build = |push_pull| {
-        let mut list = PimSkipList::new(Config::new(p, 1 << 14, seed).with_push_pull(push_pull));
-        let pairs: Vec<(i64, u64)> = (0..64).map(|i| (i * 10_000_000, i as u64)).collect();
-        list.batch_upsert(&pairs);
-        list
-    };
+/// A structure of 64 keys spaced `10⁷` apart and a same-successor flood
+/// of `P log² P` distinct keys (drawn with `seed ^ salt`) in the gap
+/// above its second key (FIG3, HPROF).
+fn flood_setup(p: u32, seed: u64, salt: u64) -> (PimSkipList, Vec<i64>) {
+    let mut list = PimSkipList::new(Config::new(p, 1 << 14, seed));
+    let pairs: Vec<(i64, u64)> = (0..64).map(|i| (i * 10_000_000, i as u64)).collect();
+    list.batch_upsert(&pairs);
     let lg = logp(p);
     let batch = (u64::from(p) * lg * lg) as usize;
-    let queries = same_successor_flood(seed ^ 7, 10_000_001, 19_999_999, batch);
+    let queries = same_successor_flood(seed ^ salt, 10_000_001, 19_999_999, batch);
+    (list, queries)
+}
 
-    let measure_warm = |push_pull| {
-        let mut list = build(push_pull);
-        for _ in 0..PUSH_PULL_WARMUP {
-            list.batch_successor(&queries);
-        }
-        let (_, costs) = measure_batch(&mut list, batch, |l| l.batch_successor(&queries));
-        costs
-    };
-    (measure_warm(false), measure_warm(true))
+/// FIG3: pivot batch Successor under the same-successor flood.
+pub fn adversarial_experiment(p: u32, seed: u64) -> BatchCosts {
+    let (mut list, queries) = flood_setup(p, seed, 7);
+    let (_, costs) = measure_batch(&mut list, queries.len(), |l| l.batch_successor(&queries));
+    costs
 }
 
 /// Print FIG3.
 pub fn print_adversarial(ps: &[u32], seed: u64) {
-    println!(
-        "== Figure 3 / §4.2: pivot D&C, push-pull off vs on (same-successor adversary, warm) =="
-    );
-    println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "P", "batch", "off IO", "on IO", "off rounds", "on rounds", "round gain"
-    );
+    println!("== Figure 3 / §4.2: pivot D&C under the same-successor adversary ==");
+    println!("{:>6} {:>8} {:>12} {:>12}", "P", "batch", "IO", "rounds");
     for &p in ps {
-        let (off, on) = adversarial_experiment(p, seed);
-        println!(
-            "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10.1}",
-            p,
-            off.batch,
-            off.io_time,
-            on.io_time,
-            off.rounds,
-            on.rounds,
-            off.rounds as f64 / on.rounds.max(1) as f64
-        );
+        let c = adversarial_experiment(p, seed);
+        println!("{:>6} {:>8} {:>12} {:>12}", p, c.batch, c.io_time, c.rounds);
     }
 }
 
@@ -668,46 +645,22 @@ pub fn print_ablation(p: u32, n: usize, seed: u64) {
 }
 
 /// FIG3 companion: the round-by-round `h` profile of pivot batch
-/// Successor with push-pull off vs on (warm) under the same-successor
-/// adversary (uses runtime tracing).
+/// Successor under the same-successor adversary (uses runtime tracing).
 pub fn print_hprofile(p: u32, seed: u64) {
-    let build = |push_pull| {
-        let mut list = PimSkipList::new(Config::new(p, 1 << 14, seed).with_push_pull(push_pull));
-        let pairs: Vec<(i64, u64)> = (0..64).map(|i| (i * 10_000_000, i as u64)).collect();
-        list.batch_upsert(&pairs);
-        list
-    };
-    let lg = logp(p);
-    let batch = (u64::from(p) * lg * lg) as usize;
-    let queries = same_successor_flood(seed ^ 3, 10_000_001, 19_999_999, batch);
-
-    println!("== h-profile per round (P = {p}, batch = {batch}, same-successor adversary) ==");
-    let mut off = build(false);
-    off.enable_tracing();
-    off.batch_successor(&queries);
-    let tn = off.take_trace();
+    let (mut list, queries) = flood_setup(p, seed, 3);
     println!(
-        "-- pivot D&C (push-pull off): {} rounds, max h = {} --",
-        tn.rounds.len(),
-        tn.max_h()
+        "== h-profile per round (P = {p}, batch = {}, same-successor adversary) ==",
+        queries.len()
     );
-    print!("{}", tn.h_profile());
-
-    let mut on = build(true);
-    for _ in 0..PUSH_PULL_WARMUP {
-        on.batch_successor(&queries);
-    }
-    on.enable_tracing();
-    on.batch_successor(&queries);
-    let tp = on.take_trace();
+    list.enable_tracing();
+    list.batch_successor(&queries);
+    let t = list.take_trace();
     println!(
-        "-- push-pull on (warm): {} rounds, max h = {} --",
-        tp.rounds.len(),
-        tp.max_h()
+        "-- pivot D&C: {} rounds, max h = {} --",
+        t.rounds.len(),
+        t.max_h()
     );
-    print!("{}", tp.h_profile());
-    println!("(off: every descent pays the polylog round tail on the wire;");
-    println!(" on: the warm cache resolves the shared prefix on the CPU — few or no rounds)");
+    print!("{}", t.h_profile());
 }
 
 /// §3.1 path-split claim: "for a search path in this skip list, O(log n)
@@ -893,17 +846,6 @@ mod tests {
         assert!(
             stage1.iter().all(|&c| c <= 3),
             "Lemma 4.2 violated: stage-1 contention {stage1:?}"
-        );
-    }
-
-    #[test]
-    fn adversarial_pivot_beats_naive() {
-        let (naive, pivot) = adversarial_experiment(16, 9);
-        assert!(
-            naive.io_time > pivot.io_time * 2,
-            "pivot D&C should win big: naive {} vs pivot {}",
-            naive.io_time,
-            pivot.io_time
         );
     }
 

@@ -19,10 +19,7 @@
 pub mod cluster;
 pub mod experiments;
 pub mod measure;
-pub mod provenance;
 pub mod recovery;
-pub mod report;
 pub mod service;
-pub mod skew;
 
 pub use measure::{build_loaded_list, BatchCosts};

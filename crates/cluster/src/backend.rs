@@ -26,10 +26,6 @@ impl Backend for PimCluster {
         PimCluster::span_exit(self);
     }
 
-    fn set_push_pull(&mut self, on: bool) {
-        PimCluster::set_push_pull(self, on);
-    }
-
     fn is_durable(&self) -> bool {
         PimCluster::is_durable(self)
     }

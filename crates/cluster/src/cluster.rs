@@ -178,17 +178,6 @@ impl PimCluster {
         }
     }
 
-    /// Flip push-pull batch search on every shard (see
-    /// [`pim_core::Config::push_pull`]) — each shard keeps its own
-    /// hot-node cache over its own key range. Replies and contents are
-    /// identical either way.
-    pub fn set_push_pull(&mut self, on: bool) {
-        self.cfg.core.push_pull = on;
-        for s in &mut self.shards {
-            s.list.set_push_pull(on);
-        }
-    }
-
     /// Open a named span on every shard's metrics timeline (the service
     /// tier brackets its phases with these).
     pub fn span_enter(&mut self, name: &'static str) {

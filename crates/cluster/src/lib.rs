@@ -93,9 +93,8 @@ impl ClusterConfig {
         }
     }
 
-    /// [`pim_core::Config::from_env`] for the cluster tier: build the
-    /// core config with every `PIM_*` override applied, then read the
-    /// shard count from `PIM_SHARDS` (absent/invalid → 1).
+    /// A cluster of one-machine [`Config::new`] shards, with the shard
+    /// count read from `PIM_SHARDS` (absent/invalid → 1).
     pub fn from_env(p: u32, expected_n: u64, seed: u64) -> Self {
         Self::new(Config::new(p, expected_n, seed), 1).with_settings(&EnvSettings::from_env())
     }
@@ -103,7 +102,6 @@ impl ClusterConfig {
     /// Apply pre-parsed [`EnvSettings`] (the unit-testable counterpart
     /// of [`ClusterConfig::from_env`]).
     pub fn with_settings(mut self, settings: &EnvSettings) -> Self {
-        self.core = self.core.with_settings(settings);
         if let Some(shards) = settings.shards {
             self.shards = shards.max(1);
         }
@@ -121,10 +119,8 @@ mod tests {
         assert_eq!(cfg.shards, 1, "shard count clamps to 1");
         let cfg = cfg.with_settings(&EnvSettings {
             shards: Some(8),
-            push_pull: Some(true),
             threads: None,
         });
         assert_eq!(cfg.shards, 8);
-        assert!(cfg.core.push_pull, "core overrides flow through the wrap");
     }
 }

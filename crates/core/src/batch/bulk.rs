@@ -79,8 +79,6 @@ impl PimSkipList {
         if pairs.is_empty() {
             return Ok(());
         }
-        // Structural writes throughout: invalidate push-pull snapshots.
-        self.bump_write_epoch();
         // tails[level]: the last node linked at `level` so far.
         let mut tails: Vec<Handle> = Vec::new();
         let mut tops: Vec<u8> = Vec::new();

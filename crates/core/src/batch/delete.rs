@@ -99,10 +99,6 @@ impl PimSkipList {
     ) -> PimResult<Vec<bool>> {
         let before = self.sys.metrics();
 
-        // Structural writes begin with the marks: invalidate push-pull
-        // snapshots up front (coherence rule, see `crate::hotcache`).
-        self.bump_write_epoch();
-
         // ---- Stage 1: mark leaves + towers via the hash shortcut ----
         let replies = self.spanned("delete/mark", |s| {
             for (op, &key) in uniq.iter().enumerate() {

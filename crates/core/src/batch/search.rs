@@ -104,7 +104,7 @@ use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::sched::Lane;
-use crate::tasks::{Fingers, Record, Reply, SearchMode, Task, Walk};
+use crate::tasks::{Fingers, Reply, SearchMode, Task, Walk};
 
 /// One deduplicated search request (`op` unique, keys ascending).
 #[derive(Debug, Clone, Copy)]
@@ -324,9 +324,9 @@ async fn pivoted_search_core(
     } = bufs;
     let mut results = SearchResults::default();
     let b = reqs.len();
-    let (log_p, allowance, push_pull) = lane.with(|s| {
+    let (log_p, allowance) = lane.with(|s| {
         s.last_phase_contention.clear();
-        (s.cfg.log_p(), s.cfg.search_allowance(b), s.hot.is_some())
+        (s.cfg.log_p(), s.cfg.search_allowance(b))
     });
     if b == 0 {
         return Ok(results);
@@ -337,12 +337,6 @@ async fn pivoted_search_core(
     *staged_words = 2 * b as u64;
     let staged = *staged_words;
     lane.with(|s| s.sys.shared_mem().alloc(staged));
-
-    // Push-pull pre-pass: refresh the hot-node cache (one branch when the
-    // feature is off — the dark-mode contract).
-    if push_pull {
-        crate::hotcache::hot_refresh(lane).await?;
-    }
 
     // Pivot selection: every log P-th element plus the extremes.
     let step = log_p.max(1) as usize;
@@ -608,31 +602,10 @@ async fn run_wave(
         forced_top,
         wave,
     };
-    // The hot cache is taken off the structure while each half runs (they
-    // need `&mut self` for sends while walking it).
-    let sent = lane.with(|s| {
-        let mut hot = s.hot.take();
-        let out = s.wave_send(&w, results, paths, &mut copies, hot.as_deref_mut());
-        s.hot = hot;
-        out
-    });
-    let out = match sent {
-        Ok(sent) => {
+    let out = match lane.with(|s| s.wave_send(&w, results, paths, &mut copies)) {
+        Ok(()) => {
             let replies = lane.wave().await;
-            lane.with(|s| {
-                let mut hot = s.hot.take();
-                let out = s.wave_absorb(
-                    &w,
-                    replies,
-                    sent,
-                    results,
-                    paths,
-                    &copies,
-                    hot.as_deref_mut(),
-                );
-                s.hot = hot;
-                out
-            })
+            lane.with(|s| s.wave_absorb(&w, replies, results, paths, &copies))
         }
         Err(e) => Err(e),
     };
@@ -648,24 +621,16 @@ struct WaveArgs<'w> {
     wave: Wave,
 }
 
-/// What the send half of a wave hands to its absorb half.
-struct Sent {
-    path_words: u64,
-    /// Phase 0: the fingers the pull pre-pass marked above a residual walk.
-    upper_fingers: HashMap<u32, Fingers>,
-}
-
 impl PimSkipList {
-    /// The send half of [`run_wave`]: deal the wave, resolve cached
-    /// prefixes (push-pull), and issue one `Search` task per item.
+    /// The send half of [`run_wave`]: deal the wave and issue one `Search`
+    /// task per item.
     fn wave_send(
         &mut self,
         w: &WaveArgs<'_>,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
         copies: &mut Vec<(u32, u32, u8)>, // (dst op, src op, dst's top level)
-        mut hot: Option<&mut crate::hotcache::HotNodeCache>,
-    ) -> PimResult<Sent> {
+    ) -> PimResult<()> {
         let &WaveArgs {
             items,
             reqs,
@@ -674,29 +639,7 @@ impl PimSkipList {
         } = w;
         let record = wave != Wave::Rest;
         let entry_only = wave == Wave::Entry;
-        // With push-pull on, every search records its path (including the
-        // replicated upper part, `Record::All`) so the replies warm the
-        // access counts (io only — rounds are unchanged).
-        let record_mode = if hot.is_some() {
-            Record::All
-        } else if record {
-            Record::Lower
-        } else {
-            Record::Off
-        };
-        let mut path_words = 0u64;
-        let mut walk_work = 0u64;
-        let mut walk_depth = 0u64;
-        // One draw per wave, whatever its items and however many of them
-        // the pull pre-pass resolves: the rng stream — and hence tower
-        // heights and contents — is identical to push-pull off.
         let mut deal = self.deal();
-        // The pull pre-pass marks fingers and anchors by the module's rule,
-        // over the same levels; a walk a module finishes keeps the marks
-        // made above.
-        let h_low = self.cfg.h_low;
-        let finger_levels = h_low..=self.start.level();
-        let mut upper_fingers: HashMap<u32, Fingers> = HashMap::new();
         for item in items {
             let req = reqs[item.idx];
             let top = forced_top.unwrap_or(req.top).min(self.cfg.max_level);
@@ -706,7 +649,7 @@ impl PimSkipList {
             // one): the hint hangs below a single upper leaf.
             let mut anchor = Handle::NULL;
             // `dealt` is the module a replicated start is shipped to.
-            let (start, dealt) = match item.hint {
+            let (at, dealt) = match item.hint {
                 Hint::SharedLeaf(_) => {
                     let src = item.stitch_from.expect("shared leaf has a source");
                     copies.push((req.op, src, top));
@@ -744,94 +687,7 @@ impl PimSkipList {
                     (h, h.module())
                 }
             };
-            let mut at = start;
-            if let Some(hot) = hot.as_deref_mut() {
-                // Pull pre-pass: resolve the cached prefix of the descent
-                // on the CPU, mirroring the module walk step for step
-                // (snapshots are epoch-coherent, so results and recorded
-                // paths are exactly what the module would have produced).
-                // A fully resolved item sends nothing — a wave of them
-                // quiesces in zero rounds.
-                let mut steps = 0u64;
-                let mut resolved = false;
-                let mut fingers = Fingers::default();
-                loop {
-                    if entry_only && !at.is_replicated() {
-                        // The same boundary the module stops at.
-                        results.hints.insert(req.op, Hint::Start(at));
-                        results
-                            .fingers
-                            .insert(req.op, Fingers { anchor, ..fingers });
-                        resolved = true;
-                        break;
-                    }
-                    let Some(rec) = hot.records.get(&at.to_bits()) else {
-                        // Miss: count it so the next refresh pulls this
-                        // node, then ship the residual.
-                        hot.note(at);
-                        break;
-                    };
-                    let rec = *rec;
-                    steps += 1;
-                    hot.note(at);
-                    if record && !at.is_replicated() {
-                        paths.entry(req.op).or_default().push(at);
-                        path_words += 1;
-                    }
-                    if rec.right_key < req.key {
-                        at = rec.right;
-                        continue;
-                    }
-                    if rec.level == h_low {
-                        anchor = at;
-                    }
-                    if entry_only && finger_levels.contains(&rec.level) {
-                        fingers.mark(at, rec.key, rec.right_key, item.bracket);
-                    }
-                    if let SearchMode::PredLevels { top } = mode {
-                        if rec.level >= 1 && rec.level <= top {
-                            results.preds.insert(
-                                (req.op, rec.level),
-                                PredRec {
-                                    pred: at,
-                                    succ: rec.right,
-                                    succ_key: rec.right_key,
-                                },
-                            );
-                        }
-                    }
-                    if rec.level == 0 {
-                        results.done.insert(
-                            req.op,
-                            DoneRec {
-                                pred: at,
-                                pred_key: rec.key,
-                                succ: rec.right,
-                                succ_key: rec.right_key,
-                                anchor,
-                            },
-                        );
-                        resolved = true;
-                        break;
-                    }
-                    debug_assert!(rec.down.is_some(), "non-leaf without down pointer");
-                    at = rec.down;
-                }
-                walk_work += steps;
-                walk_depth = walk_depth.max(steps);
-                if resolved {
-                    continue;
-                }
-                if entry_only {
-                    // The module's marks, if it reaches the entry, are lower.
-                    upper_fingers.insert(req.op, Fingers { anchor, ..fingers });
-                }
-            }
-            let target = if at.is_replicated() {
-                dealt
-            } else {
-                at.module()
-            };
+            let target = at.resolver(dealt);
             let walk = if entry_only {
                 Walk::Entry {
                     bracket: item.bracket,
@@ -846,34 +702,24 @@ impl PimSkipList {
                     key: req.key,
                     at,
                     mode,
-                    record: record_mode,
+                    record,
                     walk,
                 },
             );
         }
-        if walk_work > 0 {
-            // The pull pre-pass is CPU-side: §2.1 work/depth, not PIM time.
-            CpuCost::new(walk_work, walk_depth).charge(self.sys.metrics_mut());
-        }
-        Ok(Sent {
-            path_words,
-            upper_fingers,
-        })
+        Ok(())
     }
 
     /// The absorb half of [`run_wave`]: fold the wave's replies into the
     /// results, resolve shared-leaf copies and stitch per-level
     /// predecessors above each hint.
-    #[allow(clippy::too_many_arguments)]
     fn wave_absorb(
         &mut self,
         w: &WaveArgs<'_>,
         replies: Vec<Reply>,
-        sent: Sent,
         results: &mut SearchResults,
         paths: &mut HashMap<u32, Vec<Handle>>,
         copies: &[(u32, u32, u8)],
-        mut hot: Option<&mut crate::hotcache::HotNodeCache>,
     ) -> PimResult<u64> {
         let &WaveArgs {
             items,
@@ -883,10 +729,7 @@ impl PimSkipList {
         } = w;
         let record = wave != Wave::Rest;
         let entry_only = wave == Wave::Entry;
-        let Sent {
-            mut path_words,
-            mut upper_fingers,
-        } = sent;
+        let mut path_words = 0u64;
         let mut faulted = 0usize;
         for r in replies {
             match r {
@@ -926,21 +769,14 @@ impl PimSkipList {
                     );
                 }
                 Reply::PathNode { op, node } => {
-                    if let Some(hot) = hot.as_deref_mut() {
-                        hot.note(node);
-                    }
-                    // Replicated nodes warm the cache but are never part of
-                    // a recorded path (hints must stay lower-part).
-                    if record && !node.is_replicated() {
+                    if record {
                         paths.entry(op).or_default().push(node);
                         path_words += 1;
                     }
                 }
                 Reply::LowerEntry { op, node, fingers } if entry_only => {
                     results.hints.insert(op, Hint::Start(node));
-                    let mut marked = upper_fingers.remove(&op).unwrap_or_default();
-                    marked.below(fingers);
-                    results.fingers.insert(op, marked);
+                    results.fingers.insert(op, fingers);
                 }
                 Reply::Faulted { .. } => faulted += 1,
                 other => return Err(PimError::protocol("search", other)),
@@ -1648,15 +1484,6 @@ mod tests {
 
             let mut empty = PimSkipList::new(Config::new(p, n as u64, 42));
             assert_exact_anchors(&mut empty, &uniform, &format!("P={p} empty"));
-
-            // Push-pull resolves warm walks, wholly or in part, on the CPU.
-            let mut warm = loaded(Config::new(p, n as u64, 42).with_push_pull(true), n);
-            for _ in 0..4 {
-                warm.batch_successor(&uniform);
-            }
-            assert_exact_anchors(&mut warm, &uniform, &format!("P={p} push-pull warm"));
-            let fresh = uniform_keys(6, 4 * n as u64, batch);
-            assert_exact_anchors(&mut warm, &fresh, &format!("P={p} push-pull fresh"));
         }
     }
 
@@ -1720,32 +1547,6 @@ mod tests {
         // Batches of one or two requests have no bracket at all.
         for keys in [vec![-5], vec![0], vec![17], vec![17, 4001], vec![-3, 9_000]] {
             checked_stage2_pim(&mut list, &keys, &oracle);
-        }
-    }
-
-    #[test]
-    fn pivots_the_hot_cache_walks_mark_the_fingers_a_module_would() {
-        // Push-pull resolves warm phase-0 walks on the CPU, wholly or down
-        // to a residual a module finishes; either way a pivot's fingers
-        // must be the ones a module walk marks. A batch of the warm keys
-        // meets a fully cached path, a fresh batch a cached top.
-        let (p, n) = (16u32, 1usize << 12);
-        let warm = uniform_keys(4, 4 * n as u64, 256);
-        let fresh = uniform_keys(5, 4 * n as u64, 256);
-        for keys in [&warm, &fresh] {
-            let fingers: Vec<HashMap<u32, Fingers>> = [false, true]
-                .into_iter()
-                .map(|on| {
-                    let mut list = loaded(Config::new(p, n as u64, 42).with_push_pull(on), n);
-                    for _ in 0..4 {
-                        list.batch_successor(&warm);
-                    }
-                    let results = list.pivoted_search(&requests(keys, 0));
-                    results.expect("fault-free").fingers
-                })
-                .collect();
-            assert!(!fingers[0].is_empty());
-            assert_eq!(fingers[0], fingers[1]);
         }
     }
 

@@ -390,11 +390,6 @@ impl PimSkipList {
         self.scratch.give_reqs(reqs);
         let results = results?;
 
-        // Structural writes begin here: invalidate push-pull snapshots
-        // before the first node lands, so even a faulted half-applied
-        // batch can never be searched through the cache.
-        self.bump_write_epoch();
-
         // ---- Allocation + vertical wiring rounds (Insert steps 1–5); each
         // new leaf starts from its search's anchor ----
         let anchor = |j: usize| {

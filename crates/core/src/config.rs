@@ -40,22 +40,6 @@ pub struct Config {
     /// [`crate::error::PimError::RetriesExhausted`]. Irrelevant on a
     /// fault-free machine. Default 3.
     pub max_retries: u32,
-    /// Push-pull batch search (PIM-tree, same authors): keep a bounded
-    /// CPU-side **hot-node cache** of lower-part nodes, resolve the
-    /// cached prefix of every hinted search descent locally in a
-    /// pre-pass, and ship only the residual waves to modules — a fully
-    /// cached wave sends nothing and costs **zero rounds**. Admission
-    /// and eviction are deterministic (per-batch access counts, halved
-    /// each batch; ties broken by handle bits), coherence is by
-    /// write-epoch invalidation (any Upsert/Delete/bulk-load/recovery
-    /// commit drops the cached snapshots; counts survive), and every
-    /// CPU-resolved step is charged as §2.1 CPU work. Dark by default;
-    /// seeded from `PIM_PUSH_PULL` by [`Config::new`]. **Off is
-    /// byte-identical to a build without the feature** (replies,
-    /// metrics, traces, WAL frames — the CI `skew` job diffs them); on
-    /// changes metrics/traces (fewer rounds) but never replies or
-    /// contents.
-    pub push_pull: bool,
 }
 
 impl Config {
@@ -70,30 +54,7 @@ impl Config {
             max_level,
             track_contention: false,
             max_retries: 3,
-            push_pull: push_pull_from_env(),
         }
-    }
-
-    /// [`Config::new`], then apply every `PIM_*` environment override in
-    /// one place: `PIM_PUSH_PULL` (push-pull batch search) here, with
-    /// `PIM_THREADS` and `PIM_SHARDS` read by the executor and cluster
-    /// tiers from the same parsed [`pim_runtime::EnvSettings`]. This is
-    /// the supported way to build an environment-driven config; layered
-    /// configs (`ServiceConfig`, `ClusterConfig`) wrap the result rather
-    /// than re-parsing variables themselves.
-    pub fn from_env(p: u32, expected_n: u64, seed: u64) -> Self {
-        Self::new(p, expected_n, seed).with_settings(&pim_runtime::EnvSettings::from_env())
-    }
-
-    /// Apply pre-parsed [`pim_runtime::EnvSettings`] (unit-testable
-    /// counterpart of [`Config::from_env`]; settings that do not concern
-    /// the core config — threads, shards — are ignored here and consumed
-    /// by their own tiers).
-    pub fn with_settings(mut self, settings: &pim_runtime::EnvSettings) -> Self {
-        if let Some(push_pull) = settings.push_pull {
-            self.push_pull = push_pull;
-        }
-        self
     }
 
     /// Override the recovery retry budget (chaos testing).
@@ -121,22 +82,10 @@ impl Config {
         self
     }
 
-    /// Explicitly set push-pull batch search (see [`Config::push_pull`]),
-    /// overriding whatever `PIM_PUSH_PULL` seeded.
-    pub fn with_push_pull(mut self, push_pull: bool) -> Self {
-        self.push_pull = push_pull;
+    /// No effect; kept until ROADMAP item 0b removes the benchmark's
+    /// callers.
+    pub fn with_push_pull(self, _push_pull: bool) -> Self {
         self
-    }
-
-    /// Hot-node cache capacity (records) used when [`Config::push_pull`]
-    /// is on: enough to hold every node — upper and lower part — that a
-    /// `P log² P` batch's search paths touch (≈ `batch · log n` before
-    /// sharing, far less after), so a repeated workload converges to
-    /// CPU-only descents instead of thrashing at the admission boundary.
-    /// Config-derived constant — no wall-clock, no feedback — so
-    /// admission stays a deterministic function of the op stream.
-    pub fn push_pull_capacity(&self) -> usize {
-        (16 * self.batch_large()).max(4096)
     }
 
     /// `ceil(log2 P)` as used in batch-size recommendations.
@@ -166,16 +115,6 @@ impl Config {
         let step = self.log_p().max(1) as usize;
         (3 * step - 1).max(b.div_ceil(self.p as usize))
     }
-}
-
-/// `PIM_PUSH_PULL=1` (or `true`) turns push-pull batch search on
-/// everywhere a `Config` is built with [`Config::new`]; anything else —
-/// including the variable being absent — leaves it dark. Parsing lives in
-/// [`pim_runtime::EnvSettings`], the one `PIM_*` parser.
-fn push_pull_from_env() -> bool {
-    pim_runtime::EnvSettings::from_env()
-        .push_pull
-        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -210,34 +149,5 @@ mod tests {
     fn h_low_must_leave_upper_levels() {
         let c = Config::new(4, 64, 1);
         let _ = c.clone().with_h_low(c.max_level);
-    }
-
-    #[test]
-    fn settings_override_push_pull_only_when_present() {
-        use pim_runtime::EnvSettings;
-        let base = Config::new(4, 64, 1).with_push_pull(false);
-        let on = base.clone().with_settings(&EnvSettings {
-            push_pull: Some(true),
-            ..EnvSettings::default()
-        });
-        assert!(on.push_pull);
-        let untouched = base.clone().with_settings(&EnvSettings::default());
-        assert!(!untouched.push_pull);
-        // Threads/shards are other tiers' business; the core config
-        // ignores them.
-        let other = base.with_settings(&EnvSettings {
-            threads: Some(8),
-            shards: Some(4),
-            push_pull: None,
-        });
-        assert!(!other.push_pull);
-        assert_eq!(other.p, 4);
-    }
-
-    #[test]
-    fn push_pull_capacity_covers_a_large_batch() {
-        let c = Config::new(16, 1 << 20, 42);
-        assert!(c.push_pull_capacity() >= 8 * c.batch_large());
-        assert!(Config::new(2, 64, 1).push_pull_capacity() >= 1024);
     }
 }

@@ -25,8 +25,8 @@
 //! 8. every leaf's recorded chain matches its actual tower;
 //! 9. every module's descent start, and the driver's shadow of it, is the
 //!    highest −∞ sentinel with a linked `right` (at least `h_low`);
-//! 10. no operation's staging outlives it: between operations the only
-//!     shared memory in use is the hot-node cache's.
+//! 10. no operation's staging outlives it: between operations no shared
+//!     memory is in use.
 
 use pim_runtime::Handle;
 
@@ -63,11 +63,10 @@ impl PimSkipList {
     /// (a co-scheduled job dropped mid-wave included), so `M` measured by
     /// a later batch is that batch's own.
     fn check_staging(&self) -> Result<(), String> {
-        let cached = self.hot.as_ref().map_or(0, |h| h.charged_words);
         let in_use = self.sys.shared_mem_in_use();
         ensure!(
-            in_use == cached,
-            "{in_use} shared-memory words in use between operations, {cached} cached"
+            in_use == 0,
+            "{in_use} shared-memory words in use between operations"
         );
         Ok(())
     }

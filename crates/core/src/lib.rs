@@ -38,7 +38,6 @@ pub mod batch;
 pub mod config;
 pub mod durable;
 pub mod error;
-mod hotcache;
 pub mod invariants;
 mod journal;
 pub mod list;

@@ -57,16 +57,6 @@ pub struct PimSkipList {
     /// [`PimSkipList::enable_telemetry`] was called — same one-branch
     /// dark-mode contract as `durable`).
     pub(crate) telemetry: Option<Box<crate::telem::CoreTelemetry>>,
-    /// Bumped at the start of every structural-mutation phase (upsert
-    /// link, delete mark, bulk load, recovery); the push-pull hot-node
-    /// cache invalidates its snapshots when it observes a new value (see
-    /// [`crate::hotcache`]). Plain bookkeeping — maintained whether or
-    /// not push-pull is on, so toggling the feature never changes it.
-    pub(crate) write_epoch: u64,
-    /// Push-pull hot-node cache (`None` unless [`Config::push_pull`] —
-    /// the search hot path then pays exactly one `is_some` branch, same
-    /// dark-mode contract as `durable`/`telemetry`).
-    pub(crate) hot: Option<Box<crate::hotcache::HotNodeCache>>,
 }
 
 /// Round-robin module dealer of one wave (see [`PimSkipList::deal`]).
@@ -101,9 +91,6 @@ impl PimSkipList {
         }
         let start = ShadowStart::new(cfg.h_low, cfg.max_level);
         let rng = Rng::new(cfg.seed ^ 0x5EED_5EED);
-        let hot = cfg
-            .push_pull
-            .then(|| Box::new(crate::hotcache::HotNodeCache::new(cfg.push_pull_capacity())));
         PimSkipList {
             sys,
             cfg,
@@ -116,48 +103,7 @@ impl PimSkipList {
             scratch: crate::scratch::Scratch::default(),
             durable: None,
             telemetry: None,
-            write_epoch: 0,
-            hot,
         }
-    }
-
-    /// Turn push-pull batch search on or off at runtime (see
-    /// [`crate::Config::push_pull`]). Turning it off releases the cache
-    /// and its charged shared memory; the structure is then byte-identical
-    /// in behaviour to one that never had the feature. Turning it on
-    /// starts from a cold (empty) cache.
-    pub fn set_push_pull(&mut self, on: bool) {
-        self.cfg.push_pull = on;
-        if on {
-            if self.hot.is_none() {
-                self.hot = Some(Box::new(crate::hotcache::HotNodeCache::new(
-                    self.cfg.push_pull_capacity(),
-                )));
-            }
-        } else if let Some(hot) = self.hot.take() {
-            if hot.charged_words > 0 {
-                self.sys.sample_shared_mem();
-                self.sys.shared_mem().free(hot.charged_words);
-            }
-        }
-    }
-
-    /// Is push-pull batch search currently on?
-    pub fn push_pull_enabled(&self) -> bool {
-        self.hot.is_some()
-    }
-
-    /// Resident hot-node cache records (bench/test instrumentation; 0
-    /// with push-pull off).
-    pub fn hot_cache_len(&self) -> usize {
-        self.hot.as_ref().map_or(0, |h| h.len())
-    }
-
-    /// Mark the start of a structural-mutation phase: the push-pull cache
-    /// must not trust its snapshots past this point (see
-    /// [`crate::hotcache`] for the coherence rule).
-    pub(crate) fn bump_write_epoch(&mut self) {
-        self.write_epoch = self.write_epoch.wrapping_add(1);
     }
 
     /// The [`ModuleParams`] every module of this structure was built with

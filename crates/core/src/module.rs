@@ -38,7 +38,7 @@ use pim_hashtable::DeamortizedMap;
 use crate::arena::Arena;
 use crate::config::{Key, POS_INF};
 use crate::node::Node;
-use crate::tasks::{Fingers, RangeFunc, Record, Reply, SearchMode, Task, Walk, NO_OP};
+use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, Walk, NO_OP};
 
 /// Per-fragment aggregation state of the reduction range functions.
 #[derive(Debug, Clone, Copy)]
@@ -443,7 +443,7 @@ impl SkipModule {
         key: Key,
         mut at: Handle,
         mode: SearchMode,
-        record: Record,
+        record: bool,
         walk: Walk,
         ctx: &mut ModuleCtx<'_, Task, Reply>,
     ) {
@@ -478,7 +478,7 @@ impl SkipModule {
             }
             ctx.work(1);
             self.touch(at);
-            if record.streams(at) {
+            if record && !at.is_replicated() {
                 ctx.reply(Reply::PathNode { op, node: at });
             }
             let Some(n) = self.try_node(at) else {
@@ -963,20 +963,6 @@ impl PimModule for SkipModule {
                 record,
                 walk,
             } => self.do_search(op, key, at, mode, record, walk, ctx),
-            Task::PullNode { at } => {
-                ctx.work(1);
-                match self.try_node(at) {
-                    Some(n) if !n.deleted => ctx.reply(Reply::NodeRec {
-                        node: at,
-                        key: n.key,
-                        right: n.right,
-                        right_key: n.right_key,
-                        down: n.down,
-                        level: n.level,
-                    }),
-                    _ => ctx.reply(Reply::Faulted { op: NO_OP }),
-                }
-            }
             Task::AllocLower {
                 op,
                 key,

@@ -279,12 +279,11 @@ impl PimSkipList {
 
     /// End (exclusive) of the span starting at `start`: one run if it is
     /// structural or invalid, else every following read or value run up to
-    /// the next structural or invalid one. With push-pull on or contention
-    /// tracking, whose CPU-side state every search shares, a span is one
-    /// run.
+    /// the next structural or invalid one. With contention tracking, whose
+    /// CPU-side state every search shares, a span is one run.
     fn span_end(&self, ops: &[Op], start: usize) -> usize {
         let mut end = run_end(ops, start);
-        if self.hot.is_some() || self.cfg.track_contention {
+        if self.cfg.track_contention {
             return end;
         }
         let joins = |run: &[Op]| !is_structural(&run[0]) && self.check_run(run).is_ok();

@@ -9,8 +9,7 @@
 //! ```
 //!
 //! Everything an application needs rides here: the construction
-//! [`Config`] (build it with [`Config::from_env`] to honour the `PIM_*`
-//! environment), the typed mixed-stream contract ([`Op`] / [`OpKind`] /
+//! [`Config`], the typed mixed-stream contract ([`Op`] / [`OpKind`] /
 //! [`Reply`] consumed by [`PimSkipList::execute`] and
 //! [`PimSkipList::try_execute`]), durability
 //! ([`DurabilityPolicy`] / [`FsyncPolicy`] and the
@@ -32,4 +31,4 @@ pub use crate::op::{Op, OpKind, Reply};
 pub use crate::range::RangeResult;
 pub use crate::tasks::RangeFunc;
 pub use crate::UpsertOutcome;
-pub use pim_runtime::{EnvSettings, Telemetry, TelemetrySnapshot};
+pub use pim_runtime::{Telemetry, TelemetrySnapshot};

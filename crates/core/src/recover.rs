@@ -298,7 +298,6 @@ impl PimSkipList {
             return self.restore_all();
         }
         self.spanned("recover/module", |s| {
-            s.bump_write_epoch();
             let before = s.sys.metrics();
             let acknowledged = s.recover_module_attempt(module);
             let rounds = s.sys.metrics().rounds - before.rounds;
@@ -449,7 +448,6 @@ impl PimSkipList {
     /// continuing keeps the whole execution a deterministic function of
     /// (seed, fault plan).
     fn reset_machine(&mut self) {
-        self.bump_write_epoch();
         let params = self.module_params();
         self.sys.purge_pending();
         for id in 0..self.cfg.p {

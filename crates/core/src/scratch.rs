@@ -94,10 +94,6 @@ pub(crate) struct Scratch {
     range_delta: Vec<i64>,
     /// Range-split cut-cell → subrange index map.
     cell_to_sub: Vec<usize>,
-    /// Hot-cache admission ranking `(count, handle bits)`.
-    count_rank: Vec<(u32, u64)>,
-    /// Hot-cache admitted set / pull staging (handle bits, sorted).
-    pull_list: Vec<u64>,
     /// A span's Update undo records (see `op::execute_span`).
     undo: Vec<(usize, Key, Value)>,
 }
@@ -137,8 +133,6 @@ impl Scratch {
     lease!(take_copies, give_copies, copies, (u32, u32, u8));
     lease!(take_range_delta, give_range_delta, range_delta, i64);
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
-    lease!(take_count_rank, give_count_rank, count_rank, (u32, u64));
-    lease!(take_pull_list, give_pull_list, pull_list, u64);
     lease!(take_undo, give_undo, undo, (usize, Key, Value));
 }
 

@@ -29,29 +29,6 @@ pub enum SearchMode {
     },
 }
 
-/// Which visited nodes a search streams back as [`Reply::PathNode`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Record {
-    /// None.
-    Off,
-    /// Lower-part nodes: pivot path recording (§4.2 stage 1).
-    Lower,
-    /// Replicated nodes too: push-pull cache warming only — the driver
-    /// counts them but never adds them to recorded paths.
-    All,
-}
-
-impl Record {
-    /// Does a walk recording this way stream the node `at`?
-    pub(crate) fn streams(self, at: Handle) -> bool {
-        match self {
-            Record::Off => false,
-            Record::Lower => !at.is_replicated(),
-            Record::All => true,
-        }
-    }
-}
-
 /// Where a search stops, and what it carries besides its key (§4.2). One
 /// field serves both kinds: a phase-0 walk never leaves the replicated
 /// part, so it is never forwarded with an anchor, and no other walk reads a
@@ -152,21 +129,12 @@ pub enum Task {
         at: Handle,
         /// What to report.
         mode: SearchMode,
-        /// Which visited nodes to stream back to shared memory (never
-        /// [`Record::All`] with push-pull off).
-        record: Record,
+        /// Stream every lower-part node the walk visits back to shared
+        /// memory as a [`Reply::PathNode`] (pivot path recording, §4.2
+        /// stage 1).
+        record: bool,
         /// Where the walk stops and what it carries.
         walk: Walk,
-    },
-
-    /// Push-pull cache refresh (PIM-tree variant of §4.2): read one
-    /// lower-part node's search-relevant fields into the CPU-side
-    /// hot-node cache. Sent unicast to the owning module; replies with
-    /// [`Reply::NodeRec`] (or [`Reply::Faulted`] for a dangling handle —
-    /// the pull is best-effort and the driver simply skips that record).
-    PullNode {
-        /// The node to snapshot (lower part, resolvable at the receiver).
-        at: Handle,
     },
 
     // ----- §4.3: batched Upsert -----
@@ -379,19 +347,6 @@ impl Fingers {
             self.right = at;
         }
     }
-
-    /// Overlay the marks of a walk that continued below this one's.
-    pub(crate) fn below(&mut self, lower: Fingers) {
-        for (mine, theirs) in [
-            (&mut self.left, lower.left),
-            (&mut self.right, lower.right),
-            (&mut self.anchor, lower.anchor),
-        ] {
-            if theirs.is_some() {
-                *mine = theirs;
-            }
-        }
-    }
 }
 
 // Every message of every round moves a `Task` through the engine's inboxes
@@ -444,24 +399,6 @@ pub enum Reply {
         /// Stage-2 starts for the half-brackets beside the pivot, and the
         /// pivot's anchor.
         fingers: Fingers,
-    },
-    /// Snapshot of one lower-part node's search-relevant fields, answering
-    /// [`Task::PullNode`]. No op id: the handle itself identifies the
-    /// record in the driver's pull wave. Values are deliberately absent —
-    /// `Update`/`FetchAdd` never invalidate the cache.
-    NodeRec {
-        /// The snapshotted node.
-        node: Handle,
-        /// Its key.
-        key: Key,
-        /// Right neighbour at snapshot time.
-        right: Handle,
-        /// Cached right key at snapshot time.
-        right_key: Key,
-        /// Downward pointer at snapshot time.
-        down: Handle,
-        /// Node level.
-        level: u8,
     },
     /// Per-level predecessor for an insert search.
     PredAt {

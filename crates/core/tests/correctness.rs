@@ -176,17 +176,15 @@ fn search_batches_at_the_edges_of_the_key_space() {
         (min - 12..min + 12).chain(max - 12..max + 12).collect(),
         (min - 40..=max + 40).step_by(13).collect(),
     ];
-    for config in [cfg(8), cfg(8).with_h_low(0), cfg(8).with_push_pull(true)] {
+    for config in [cfg(8), cfg(8).with_h_low(0)] {
         for oracle in [BTreeMap::new(), resident.iter().copied().collect()] {
             let oracle: BTreeMap<i64, u64> = oracle;
             let mut list = PimSkipList::new(config.clone());
             list.batch_upsert(&oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
-            // Twice: the second pass runs on a warm cache under push-pull.
-            for queries in batches.iter().chain(&batches) {
+            for queries in &batches {
                 let context = format!(
-                    "h_low {} push-pull {} n {} queries {queries:?}",
+                    "h_low {} n {} queries {queries:?}",
                     config.h_low,
-                    config.push_pull,
                     oracle.len()
                 );
                 let succ = list.batch_successor(queries);

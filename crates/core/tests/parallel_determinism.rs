@@ -144,7 +144,6 @@ fn every_ladder_step_matches_one_thread() {
 #[allow(clippy::type_complexity)]
 fn run_full_batches(
     p: u32,
-    push_pull: bool,
 ) -> (
     Vec<Option<(i64, pim_runtime::Handle)>>,
     Vec<Option<(i64, pim_runtime::Handle)>>,
@@ -152,7 +151,7 @@ fn run_full_batches(
     pim_runtime::Metrics,
 ) {
     let n = 1usize << 13;
-    let mut list = PimSkipList::new(Config::new(p, n as u64, 5).with_push_pull(push_pull));
+    let mut list = PimSkipList::new(Config::new(p, n as u64, 5));
     let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (4 * i, i as u64)).collect();
     list.bulk_load(&pairs);
     let batch = list.config().batch_large();
@@ -175,27 +174,20 @@ fn run_full_batches(
 }
 
 #[test]
-fn full_size_batches_match_across_threads_and_push_pull() {
+fn full_size_batches_match_across_threads() {
     let _guard = POOL_LOCK.lock().unwrap();
-    let at = |threads: usize, push_pull: bool| {
+    let at = |threads: usize| {
         pool::configure(ExecConfig {
             threads,
             par_threshold: 0,
             sort_threshold: 0,
         });
-        let out = run_full_batches(16, push_pull);
+        let out = run_full_batches(16);
         pool::configure(ExecConfig::from_env());
         out
     };
-    let base = at(1, false);
+    let base = at(1);
     for threads in [2usize, 8] {
-        assert_eq!(at(threads, false), base, "threads = {threads}");
+        assert_eq!(at(threads), base, "threads = {threads}");
     }
-    // Push-pull changes the metrics, never a reply or the contents.
-    let on = at(1, true);
-    assert_eq!(
-        (&on.0, &on.1, &on.2),
-        (&base.0, &base.1, &base.2),
-        "push-pull on"
-    );
 }

@@ -1,10 +1,9 @@
 //! One parser for every `PIM_*` environment knob.
 //!
-//! Three variables remain: `PIM_THREADS` (executor workers),
-//! `PIM_SHARDS` (cluster shard count) and `PIM_PUSH_PULL` (push-pull
-//! batch search). [`EnvSettings::from_env`] is the single place the
-//! process environment is consulted, and the layered configs
-//! ([`crate::pool::ExecConfig::from_env`], `pim_core::Config::from_env`,
+//! Two variables remain: `PIM_THREADS` (executor workers) and
+//! `PIM_SHARDS` (cluster shard count). [`EnvSettings::from_env`] is the
+//! single place the process environment is consulted, and the layered
+//! configs ([`crate::pool::ExecConfig::from_env`],
 //! `pim_cluster::ClusterConfig::from_env`) consume the parsed struct.
 //!
 //! Parsing is injectable ([`EnvSettings::from_lookup`]) so unit tests
@@ -22,10 +21,6 @@ pub struct EnvSettings {
     /// `PIM_SHARDS`: cluster shard count `S ≥ 1` (consumers default
     /// to 1 — a single-machine cluster).
     pub shards: Option<u32>,
-    /// `PIM_PUSH_PULL`: CPU-side hot-node cache for batch search.
-    /// `1`/`true` → on, `0`/`false` → off, anything else (including
-    /// absent) → `None` (consumers default to off).
-    pub push_pull: Option<bool>,
 }
 
 impl EnvSettings {
@@ -43,16 +38,7 @@ impl EnvSettings {
         let shards = var("PIM_SHARDS")
             .and_then(|v| v.trim().parse::<u32>().ok())
             .filter(|&n| n >= 1);
-        let push_pull = var("PIM_PUSH_PULL").and_then(|v| match v.trim() {
-            "1" | "true" => Some(true),
-            "0" | "false" => Some(false),
-            _ => None,
-        });
-        EnvSettings {
-            threads,
-            shards,
-            push_pull,
-        }
+        EnvSettings { threads, shards }
     }
 }
 
@@ -111,37 +97,13 @@ mod tests {
     }
 
     #[test]
-    fn push_pull_accepts_both_spellings_either_way() {
-        for (v, want) in [
-            ("1", Some(true)),
-            ("true", Some(true)),
-            ("0", Some(false)),
-            ("false", Some(false)),
-            ("on", None),
-            ("yes", None),
-            ("", None),
-        ] {
-            assert_eq!(
-                EnvSettings::from_lookup(lookup(&[("PIM_PUSH_PULL", v)])).push_pull,
-                want,
-                "PIM_PUSH_PULL={v}"
-            );
-        }
-    }
-
-    #[test]
     fn all_knobs_parse_together() {
-        let s = EnvSettings::from_lookup(lookup(&[
-            ("PIM_THREADS", "2"),
-            ("PIM_SHARDS", "8"),
-            ("PIM_PUSH_PULL", "true"),
-        ]));
+        let s = EnvSettings::from_lookup(lookup(&[("PIM_THREADS", "2"), ("PIM_SHARDS", "8")]));
         assert_eq!(
             s,
             EnvSettings {
                 threads: Some(2),
                 shards: Some(8),
-                push_pull: Some(true),
             }
         );
     }

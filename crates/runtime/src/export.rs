@@ -69,14 +69,6 @@ impl Json {
         }
     }
 
-    /// The number as `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The string slice if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

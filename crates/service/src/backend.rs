@@ -42,9 +42,8 @@ pub trait Backend {
     /// callers.
     fn set_pipeline(&mut self, _pipeline: bool) {}
 
-    /// Override push-pull batch search (replies and contents identical
-    /// either way; see `pim_core::Config::push_pull`). Default: no-op
-    /// for backends without the feature.
+    /// No effect; kept until ROADMAP item 0b removes the benchmark's
+    /// callers.
     fn set_push_pull(&mut self, _on: bool) {}
 
     /// Is a durable journal attached?
@@ -101,10 +100,6 @@ impl Backend for PimSkipList {
 
     fn span_exit(&mut self) {
         PimSkipList::span_exit(self);
-    }
-
-    fn set_push_pull(&mut self, on: bool) {
-        PimSkipList::set_push_pull(self, on);
     }
 
     fn is_durable(&self) -> bool {

@@ -127,8 +127,7 @@ impl ServiceConfig {
     /// The paper-recommended policy derived from a core [`pim_core::Config`]:
     /// batches of [`pim_core::Config::batch_large`] (`P log² P`). The
     /// service wraps the structure's own configuration rather than
-    /// duplicating its parameters; build the `Config` with
-    /// [`pim_core::Config::from_env`] to honour `PIM_*` overrides.
+    /// duplicating its parameters.
     pub fn for_config(core: &pim_core::Config) -> Self {
         ServiceConfig::new(core.batch_large())
     }

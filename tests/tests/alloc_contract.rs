@@ -6,8 +6,7 @@
 //! This binary installs a counting `#[global_allocator]` (its own test
 //! binary, so no other suite pays for it), pins the pool to one thread —
 //! the whole engine then runs on the test's thread and the counts are
-//! exact — and pins the two dark accelerators off so `PIM_*` cannot move
-//! the numbers.
+//! exact.
 //!
 //! Each family is counted **alone** and **per batch**. A write family's
 //! restore is the next family's counted batch (Upsert of fresh keys, then
@@ -132,7 +131,7 @@ fn steady_state_allocations_stay_within_the_contract() {
     const SEED: u64 = 0x5EED_2021;
     pool::configure(ExecConfig::with_threads(1));
     for (p, n) in [(16u32, 4_000usize), (64, 16_000)] {
-        let cfg = Config::new(p, n as u64, SEED).with_push_pull(false);
+        let cfg = Config::new(p, n as u64, SEED);
         let (list, keys) = build_loaded_list_with(cfg, n, SEED);
 
         let lg = pim_runtime::ceil_log2(u64::from(p)) as usize;

@@ -172,26 +172,18 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `S = 1` stays byte-identical to the single machine in BOTH
-    /// push-pull modes (full structural reply equality, contents, and
-    /// rounds), and the runtime `set_push_pull` mirror — the path the
-    /// service/backend tier uses — keeps that true across a mid-stream
-    /// flip on both sides.
+    /// `S = 1` stays byte-identical to the single machine across two
+    /// streams (full structural reply equality, contents, and rounds).
     #[test]
-    fn s1_is_byte_identical_in_both_push_pull_modes(
+    fn s1_is_byte_identical_to_one_machine(
         ops_a in prop::collection::vec(op_strategy(), 1..60),
         ops_b in prop::collection::vec(op_strategy(), 1..40),
-        start_on in any::<bool>(),
     ) {
-        let mut oracle = PimSkipList::new(cfg().with_push_pull(start_on));
-        let mut cluster =
-            PimCluster::new(ClusterConfig::new(cfg().with_push_pull(start_on), 1));
+        let mut oracle = PimSkipList::new(cfg());
+        let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 1));
         // Full structural equality — handles included, no wire encoding
         // (inverted ranges in the stream refuse identically on each side).
         prop_assert_eq!(oracle.try_execute(&ops_a), cluster.try_execute(&ops_a));
-
-        oracle.set_push_pull(!start_on);
-        cluster.set_push_pull(!start_on);
         prop_assert_eq!(oracle.try_execute(&ops_b), cluster.try_execute(&ops_b));
         prop_assert_eq!(cluster.collect_items(), oracle.collect_items());
         prop_assert_eq!(cluster.rounds(), oracle.metrics().rounds);

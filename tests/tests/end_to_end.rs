@@ -47,23 +47,12 @@ fn all_structures_agree_on_successors() {
         .into_iter()
         .map(|s| s.map(|(k, _)| k))
         .collect();
-    // Push-pull must agree with both the plain machine and the baseline.
-    let mut pp = PimSkipList::new(Config::new(p, n as u64, 4).with_push_pull(true));
-    pp.load(&pairs);
-    let warm: Vec<Option<i64>> = {
-        pp.batch_successor(&queries); // warm the cache, then re-ask
-        pp.batch_successor(&queries)
-            .into_iter()
-            .map(|s| s.map(|(k, _)| k))
-            .collect()
-    };
     let b: Vec<Option<i64>> = rp
         .batch_successor(&queries)
         .into_iter()
         .map(|s| s.map(|(k, _)| k))
         .collect();
     assert_eq!(a, b);
-    assert_eq!(a, warm);
 }
 
 #[test]

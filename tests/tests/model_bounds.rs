@@ -5,13 +5,14 @@
 //! generous factor as `P` (or `n`, or `K`) sweeps.
 
 use pim_bench::experiments::{
-    adversarial_experiment, contention_experiment, dense_contention_experiment,
-    full_batch_allowance, lower_part_phases, phase0_load_bound, stage2_contention_experiment,
-    table1_rows,
+    contention_experiment, dense_contention_experiment, full_batch_allowance, lower_part_phases,
+    phase0_load_bound, stage2_contention_experiment, table1_rows,
 };
+use pim_bench::measure::measure_batch;
 use pim_bench::{build_loaded_list, BatchCosts};
 use pim_core::prelude::*;
 use pim_runtime::balls;
+use pim_workloads::{rotating_hotspot, same_successor_flood, zipf_scatter_batches};
 
 fn lg(p: u32) -> f64 {
     f64::from(pim_runtime::ceil_log2(u64::from(p)))
@@ -183,17 +184,57 @@ fn lemma42_groups_that_skip_the_recursion_stay_within_the_allowance() {
 }
 
 #[test]
-fn fig3_push_pull_zeroes_the_adversarial_tail() {
-    // The same-successor flood funnels every query through one descent
-    // path; once the cache is warm, push-pull resolves the whole batch
-    // CPU-side — zero rounds, zero IO — at every machine size, while the
-    // off-mode pivot D&C still pays its (flat-in-P) round tail.
-    for p in [8u32, 64] {
-        let (off, on) = adversarial_experiment(p, 29);
-        assert!(off.io_time > 0, "P={p}: off-mode must pay IO");
-        assert!(off.rounds > 0, "P={p}: off-mode must pay rounds");
-        assert_eq!(on.rounds, 0, "P={p}: warm push-pull rounds");
-        assert_eq!(on.io_time, 0, "P={p}: warm push-pull IO");
+fn successor_cost_does_not_grow_with_skew() {
+    // §4.2's pivot divide-and-conquer keeps a Successor batch's cost
+    // independent of skew: popular keys dedup, a shared successor becomes
+    // shared-leaf copies, and a hot window is dealt like any other batch.
+    // Four batches of 256 per row at P = 16, n = 4000; every row's mean
+    // rounds and IO per batch stay within 1.25× of the uniform row's.
+    let (p, n, batch, reps, seed) = (16u32, 4_000usize, 256usize, 4usize, 0x5EED_2021u64);
+    let (_, keys) = build_loaded_list(p, n, seed);
+    let (gap_lo, gap_hi) = keys
+        .windows(2)
+        .map(|w| (w[0], w[1]))
+        .max_by_key(|&(lo, hi)| hi - lo)
+        .expect("resident keys");
+    let flood = (0..reps as u64)
+        .map(|i| same_successor_flood(seed ^ (0xF100D + i), gap_lo, gap_hi, batch))
+        .collect();
+    let rows: [(&str, Vec<Vec<Key>>); 5] = [
+        (
+            "uniform",
+            zipf_scatter_batches(seed ^ 0x51EF, &keys, 0.0, batch, reps),
+        ),
+        (
+            "zipf-0.99",
+            zipf_scatter_batches(seed ^ 0x51F1, &keys, 0.99, batch, reps),
+        ),
+        (
+            "zipf-1.50",
+            zipf_scatter_batches(seed ^ 0x51F3, &keys, 1.5, batch, reps),
+        ),
+        ("same-successor", flood),
+        (
+            "rotating-hotspot",
+            rotating_hotspot(seed ^ 0x407, &keys, batch, batch, reps, 2),
+        ),
+    ];
+    let means = rows.map(|(name, batches)| {
+        let (mut list, _) = build_loaded_list(p, n, seed);
+        let (mut rounds, mut io) = (0, 0);
+        for b in &batches {
+            let (_, c) = measure_batch(&mut list, b.len(), |l| l.batch_successor(b));
+            rounds += c.rounds;
+            io += c.io_time;
+        }
+        (name, rounds as f64 / reps as f64, io as f64 / reps as f64)
+    });
+    let (_, uniform_rounds, uniform_io) = means[0];
+    for (name, rounds, io) in means {
+        assert!(
+            rounds <= 1.25 * uniform_rounds && io <= 1.25 * uniform_io,
+            "{name}: {rounds} rounds / {io} IO per batch, uniform {uniform_rounds} / {uniform_io}"
+        );
     }
 }
 
