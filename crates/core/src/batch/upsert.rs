@@ -35,6 +35,7 @@ use crate::batch::search::SearchRequest;
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
 /// Outcome of one upsert, in input order.
@@ -104,54 +105,13 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("batch_upsert: {e}"))
     }
 
-    /// One fault-observable attempt of [`PimSkipList::batch_upsert`] (the
-    /// recovery loop lives in [`PimSkipList::try_batch_upsert`]). Commits
-    /// the batch to the journal only when every stage completed.
-    pub(crate) fn upsert_attempt(
+    /// Absorb the update pass's replies into one found-flag per unique
+    /// key, leased from scratch.
+    fn update_pass_absorb(
         &mut self,
-        pairs: &[(Key, Value)],
-    ) -> PimResult<Vec<UpsertOutcome>> {
-        self.spanned("upsert", |s| {
-            let staged = pairs.len() as u64 * 2;
-            s.sys.shared_mem().alloc(staged);
-            let out = s.upsert_attempt_inner(pairs);
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged);
-            out
-        })
-    }
-
-    fn upsert_attempt_inner(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<UpsertOutcome>> {
-        let mut uniq = self.scratch.take_uniq_pairs();
-        let mut tags = self.scratch.take_dedup_tags();
-        dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
-        self.scratch.give_dedup_tags(tags);
-        dedup_cost(pairs.len(), uniq.len()).charge(self.sys.metrics_mut());
-        let out = self.upsert_resolve(pairs, &uniq);
-        self.scratch.give_uniq_pairs(uniq);
-        out
-    }
-
-    fn upsert_resolve(
-        &mut self,
-        pairs: &[(Key, Value)],
         uniq: &[(Key, Value)],
-    ) -> PimResult<Vec<UpsertOutcome>> {
-        // ---- Update pass (§4.1 shortcut) ----
-        let replies = self.spanned("upsert/update_pass", |s| {
-            for (op, &(key, value)) in uniq.iter().enumerate() {
-                let m = s.module_of(key, 0);
-                s.sys.send(
-                    m,
-                    Task::Update {
-                        op: op as u32,
-                        key,
-                        value,
-                    },
-                );
-            }
-            s.sys.run_to_quiescence()
-        });
+        replies: Vec<Reply>,
+    ) -> PimResult<Vec<bool>> {
         let mut updated = self.scratch.take_flags();
         updated.resize(uniq.len(), false);
         let mut answered = 0usize;
@@ -180,36 +140,22 @@ impl PimSkipList {
                 faulted + (uniq.len() - answered),
             ));
         }
+        Ok(updated)
+    }
 
-        // ---- Insert set, sorted by key ----
-        let mut inserts = self.scratch.take_inserts();
-        inserts.extend(
-            uniq.iter()
-                .zip(&updated)
-                .filter(|(_, &u)| !u)
-                .map(|(&kv, _)| kv),
-        );
-        par_sort_by_key(&mut inserts, |&(k, _)| k).charge(self.sys.metrics_mut());
-
-        let inserted = if inserts.is_empty() {
-            Ok(())
-        } else {
-            self.insert_sorted(&inserts)
-        };
-        self.scratch.give_inserts(inserts);
-        if let Err(e) = inserted {
-            self.scratch.give_flags(updated);
-            return Err(e);
-        }
-
-        // The inserts are journaled by `insert_sorted`; commit the updates.
+    /// Commit the update pass's writes to the journal (the inserts are
+    /// journaled by `insert_sorted`) and map the outcomes back to `pairs`.
+    fn upsert_outcomes(
+        &mut self,
+        pairs: &[(Key, Value)],
+        uniq: &[(Key, Value)],
+        updated: Vec<bool>,
+    ) -> Vec<UpsertOutcome> {
         for (&(k, v), &u) in uniq.iter().zip(&updated) {
             if u {
                 self.journal.record_update(k, v);
             }
         }
-
-        // ---- Map outcomes back ----
         let outcome_by_key: std::collections::HashMap<Key, UpsertOutcome> = uniq
             .iter()
             .zip(&updated)
@@ -225,7 +171,7 @@ impl PimSkipList {
             })
             .collect();
         self.scratch.give_flags(updated);
-        Ok(pairs.iter().map(|(k, _)| outcome_by_key[k]).collect())
+        pairs.iter().map(|(k, _)| outcome_by_key[k]).collect()
     }
 
     /// Allocate and vertically wire the towers for a sorted batch of new
@@ -531,4 +477,91 @@ impl PimSkipList {
         self.send_leaf_chains(towers, true);
         self.quiesce_writes("link")
     }
+}
+
+/// One fault-observable attempt of [`PimSkipList::batch_upsert`], as a job.
+/// The update pass (§4.1 shortcut) is one wave that shares rounds with the
+/// span's other jobs. If it leaves keys that are not resident, the job
+/// waits until every earlier job finished without error and inserts them
+/// alone ([`Lane::alone`]), so the tower coins and the insert's deals are
+/// drawn where one-run-at-a-time execution draws them. Commits to the
+/// journal only when every stage completed.
+pub(crate) async fn upsert_attempt(
+    lane: Lane<'_>,
+    pairs: &[(Key, Value)],
+) -> PimResult<Vec<UpsertOutcome>> {
+    lane.spanned("upsert", async {
+        let staged = pairs.len() as u64 * 2;
+        let uniq = lane.with(|s| {
+            s.sys.shared_mem().alloc(staged);
+            let mut uniq = s.scratch.take_uniq_pairs();
+            let mut tags = s.scratch.take_dedup_tags();
+            dedup_by_key_into(pairs, |&(k, _)| k as u64, &mut tags, &mut uniq);
+            s.scratch.give_dedup_tags(tags);
+            dedup_cost(pairs.len(), uniq.len()).charge(s.sys.metrics_mut());
+            uniq
+        });
+        let out = upsert_resolve(lane, pairs, &uniq).await;
+        lane.with(|s| {
+            s.scratch.give_uniq_pairs(uniq);
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(staged);
+        });
+        out
+    })
+    .await
+}
+
+async fn upsert_resolve(
+    lane: Lane<'_>,
+    pairs: &[(Key, Value)],
+    uniq: &[(Key, Value)],
+) -> PimResult<Vec<UpsertOutcome>> {
+    let replies = lane
+        .spanned("upsert/update_pass", async {
+            lane.with(|s| {
+                for (op, &(key, value)) in uniq.iter().enumerate() {
+                    let m = s.module_of(key, 0);
+                    s.sys.send(
+                        m,
+                        Task::Update {
+                            op: op as u32,
+                            key,
+                            value,
+                        },
+                    );
+                }
+            });
+            lane.wave().await
+        })
+        .await;
+    let updated = lane.with(|s| s.update_pass_absorb(uniq, replies))?;
+
+    // ---- Insert set, sorted by key ----
+    let inserts = lane.with(|s| {
+        let mut inserts = s.scratch.take_inserts();
+        inserts.extend(
+            uniq.iter()
+                .zip(&updated)
+                .filter(|(_, &u)| !u)
+                .map(|(&kv, _)| kv),
+        );
+        par_sort_by_key(&mut inserts, |&(k, _)| k).charge(s.sys.metrics_mut());
+        inserts
+    });
+    let inserted = if inserts.is_empty() {
+        Ok(())
+    } else {
+        lane.alone(|s| s.insert_sorted(&inserts)).await
+    };
+    lane.with(|s| {
+        s.scratch.give_inserts(inserts);
+        match inserted {
+            Ok(()) => Ok(s.upsert_outcomes(pairs, uniq, updated)),
+            Err(e) => {
+                s.scratch.give_flags(updated);
+                Err(e)
+            }
+        }
+    })
 }

@@ -277,6 +277,11 @@ impl<M: PimModule> PimSystem<M> {
         self.lane = lane;
     }
 
+    /// The lane CPU sends are issued on.
+    pub fn lane(&self) -> Lane {
+        self.lane
+    }
+
     /// Tasks of `lane` queued for the next round: 0 once everything the
     /// lane sent (and everything that forwarded) has executed or was lost.
     pub fn pending(&self, lane: Lane) -> usize {

@@ -22,10 +22,11 @@
 //! can batch). A `Get` therefore never observes an `Upsert` that arrived
 //! after it, and always observes every earlier one. Write epochs run in
 //! strict arrival order — mutations on the same key do not commute.
-//! Below the service, the structure co-schedules the read and value runs
-//! between two structural ones (Upsert, Delete, mutating ranges) in
-//! shared rounds, each waiting for the earlier runs it conflicts with, so
-//! the replies are those of this order executed one run at a time.
+//! Below the service, the structure co-schedules the runs between two
+//! Deletes or mutating ranges in shared rounds, each waiting for the
+//! earlier runs it conflicts with and for every earlier Upsert; an Upsert
+//! that must insert does so alone, after every earlier run. The replies
+//! are those of this order executed one run at a time.
 //!
 //! # Determinism
 //!

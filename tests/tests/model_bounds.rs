@@ -312,9 +312,9 @@ fn path_split_lower_is_n_independent_and_tracks_log_p() {
 /// 50 % Get / 15 % Update / 15 % Upsert / 5 % Delete / 10 % Successor /
 /// 5 % Range Sum, dispatched `P log² P` at a time in the service's order
 /// (read/write epochs in arrival order, reads grouped by kind within an
-/// epoch). The read and value runs between two structural runs share
-/// rounds: ≥ 1.25× fewer than one `execute` call per run, at the same
-/// replies and exactly the same CPU work and depth.
+/// epoch). The runs between two Deletes or mutating Ranges share rounds:
+/// ≥ 1.25× fewer than one `execute` call per run, at the same replies and
+/// exactly the same CPU work and depth.
 #[test]
 fn service_runs_between_structural_writes_share_rounds() {
     use pim_core::op::run_end;
@@ -376,4 +376,82 @@ fn service_runs_between_structural_writes_share_rounds() {
         "{s:?} {a:?}"
     );
     spans.validate().expect("valid after the stream");
+}
+
+#[test]
+fn overwriting_upserts_share_rounds_and_inserting_ones_run_alone() {
+    // Sixteen 1-key Successor runs, each followed by a 1-key Upsert run, at
+    // P = 16. An Upsert whose key is resident is one update-pass round that
+    // rides beside the searches, so the stream costs one Successor batch
+    // plus one round per Upsert run. An Upsert of a fresh key inserts after
+    // every earlier run finished and before any later one starts: the
+    // stream is one run at a time, except that each update pass still
+    // shares the round the Successor before it starts in.
+    let (p, n, seed, runs) = (16u32, 4000usize, 0x000E_5E47_u64, 16usize);
+    let (_, keys) = build_loaded_list(p, n, seed);
+    let stream = |upsert_key: &dyn Fn(usize) -> Key| -> Vec<Op> {
+        (0..runs)
+            .flat_map(|i| {
+                [
+                    Op::Successor {
+                        key: keys[(i * 251) % n] + 1,
+                    },
+                    Op::Upsert {
+                        key: upsert_key(i),
+                        value: i as u64,
+                    },
+                ]
+            })
+            .collect()
+    };
+
+    let overwrite = stream(&|i| keys[(i * 397 + 11) % n]);
+    let (mut alone, _) = build_loaded_list(p, n, seed);
+    let successor = overwrite
+        .iter()
+        .step_by(2)
+        .map(|op| {
+            let before = alone.metrics().rounds;
+            alone.execute(std::slice::from_ref(op));
+            alone.metrics().rounds - before
+        })
+        .max()
+        .expect("successor runs");
+    let (mut list, _) = build_loaded_list(p, n, seed);
+    let before = list.metrics().rounds;
+    let replies = list.execute(&overwrite);
+    let rounds = list.metrics().rounds - before;
+    assert!(replies
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .all(|r| *r == Reply::Upserted(UpsertOutcome::Updated)));
+    assert!(
+        rounds <= successor + runs as u64 + 2,
+        "{rounds} rounds for {runs} overwrite pairs, one Successor batch takes {successor}"
+    );
+
+    let fresh = stream(&|i| {
+        let key = keys[(i * 397 + 11) % n] + 2;
+        assert!(keys.binary_search(&key).is_err(), "{key} is resident");
+        key
+    });
+    let (mut list, _) = build_loaded_list(p, n, seed);
+    let (mut one_by_one, _) = build_loaded_list(p, n, seed);
+    let (l0, o0) = (list.metrics(), one_by_one.metrics());
+    let replies = list.execute(&fresh);
+    let want: Vec<Reply> = fresh
+        .iter()
+        .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+        .collect();
+    assert_eq!(replies, want, "inserts draw the same coins");
+    let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
+    assert_eq!((l.cpu_work, l.cpu_depth), (o.cpu_work, o.cpu_depth));
+    assert_eq!(
+        l.rounds + runs as u64,
+        o.rounds,
+        "only the update passes overlap"
+    );
+    assert_eq!(list.upper_leaf_keys(), one_by_one.upper_leaf_keys());
+    list.validate().expect("valid after the stream");
 }
