@@ -18,11 +18,12 @@ use std::collections::HashMap;
 
 use pim_primitives::list_contraction::{contract_in, ContractScratch, LinkedLists, NONE};
 use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
-use pim_runtime::Handle;
+use pim_runtime::{Handle, Metrics};
 
 use crate::config::{Key, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
 /// A marked node's snapshot, as reported by the modules.
@@ -32,6 +33,18 @@ struct MarkedRec {
     left: Handle,
     right: Handle,
     right_key: Key,
+}
+
+/// What one Delete batch's mark wave found: per unique key whether it was
+/// resident, the marked lower-part nodes per level, and the replicated
+/// slots to unlink.
+struct Marks {
+    found: Vec<bool>,
+    by_level: HashMap<u8, Vec<MarkedRec>>,
+    upper_slots: Vec<u32>,
+    /// Replicas to unlink per level: a tower's replicated nodes arrive
+    /// bottom-up from `h_low`.
+    unlinked_at: [u32; u8::MAX as usize + 1],
 }
 
 /// Working storage for [`PimSkipList::splice_level`], reused (cleared)
@@ -56,175 +69,118 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("batch_delete: {e}"))
     }
 
-    /// One fault-observable attempt of [`PimSkipList::batch_delete`].
-    /// Commits removals to the journal only when every stage completed.
-    pub(crate) fn delete_attempt(&mut self, keys: &[Key]) -> PimResult<Vec<bool>> {
-        self.spanned("delete", |s| {
-            let staged = keys.len() as u64 * 2;
-            s.sys.shared_mem().alloc(staged);
-            let mut extra = 0u64;
-            let out = s.delete_attempt_inner(keys, &mut extra);
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged + extra);
-            out
-        })
-    }
-
-    fn delete_attempt_inner(
-        &mut self,
-        keys: &[Key],
-        extra_staged: &mut u64,
-    ) -> PimResult<Vec<bool>> {
-        let mut uniq = self.scratch.take_uniq_keys();
-        let mut tags = self.scratch.take_dedup_tags();
-        dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
-        self.scratch.give_dedup_tags(tags);
-        dedup_cost(keys.len(), uniq.len()).charge(self.sys.metrics_mut());
-        let mut found = self.scratch.take_flags();
-        let mut answered = self.scratch.take_flags2();
-        let out = self.delete_resolve(keys, &uniq, &mut found, &mut answered, extra_staged);
-        self.scratch.give_flags2(answered);
-        self.scratch.give_flags(found);
-        self.scratch.give_uniq_keys(uniq);
-        out
-    }
-
-    fn delete_resolve(
-        &mut self,
-        keys: &[Key],
-        uniq: &[Key],
-        found: &mut Vec<bool>,
-        answered: &mut Vec<bool>,
-        extra_staged: &mut u64,
-    ) -> PimResult<Vec<bool>> {
-        let before = self.sys.metrics();
-
-        // ---- Stage 1: mark leaves + towers via the hash shortcut ----
-        let replies = self.spanned("delete/mark", |s| {
-            for (op, &key) in uniq.iter().enumerate() {
-                let m = s.module_of(key, 0);
-                s.sys.send(m, Task::DeleteKey { op: op as u32, key });
-            }
-            s.sys.run_to_quiescence()
-        });
-
-        found.resize(uniq.len(), false);
-        answered.resize(uniq.len(), false);
-        let mut faulted = 0usize;
-        let mut marked_by_level: HashMap<u8, Vec<MarkedRec>> = HashMap::new();
-        let mut upper_slots = self.scratch.take_slots();
-        // Replicas to unlink per level: a tower's replicated nodes arrive
-        // bottom-up from `h_low`.
+    /// Absorb the mark wave's replies for `n` unique keys. The marked set
+    /// is only coherent if no message was lost and no module crashed since
+    /// `before`: a missing tower-node `Marked` is indistinguishable from a
+    /// short tower, so any fault signal ends the attempt before the splice
+    /// consumes the data.
+    fn mark_absorb(&mut self, n: usize, replies: Vec<Reply>, before: &Metrics) -> PimResult<Marks> {
+        let mut marks = Marks {
+            found: self.scratch.take_flags(),
+            by_level: HashMap::new(),
+            upper_slots: self.scratch.take_slots(),
+            unlinked_at: [0; u8::MAX as usize + 1],
+        };
+        marks.found.resize(n, false);
         let h_low = usize::from(self.cfg.h_low);
-        let mut unlinked_at = [0u32; u8::MAX as usize + 1];
-        let mut marked_words = 0u64;
+        let (mut answered, mut faulted) = (0usize, 0usize);
         for r in replies {
             match r {
                 Reply::Marked {
                     op,
                     node,
                     level,
-                    key: _,
                     left,
                     right,
                     right_key,
-                    upper_slots: ups,
-                    value: _,
+                    upper_slots,
+                    ..
                 } => {
                     if level == 0 {
-                        found[op as usize] = true;
-                        answered[op as usize] = true;
+                        marks.found[op as usize] = true;
+                        answered += 1;
                     }
-                    for count in &mut unlinked_at[h_low..h_low + ups.len()] {
+                    for count in &mut marks.unlinked_at[h_low..h_low + upper_slots.len()] {
                         *count += 1;
                     }
-                    upper_slots.extend(ups);
+                    marks.upper_slots.extend(upper_slots);
                     if !node.is_replicated() {
-                        marked_by_level.entry(level).or_default().push(MarkedRec {
+                        marks.by_level.entry(level).or_default().push(MarkedRec {
                             node,
                             left,
                             right,
                             right_key,
                         });
-                        marked_words += 4;
                     }
                 }
-                Reply::DeleteMissing { op } => {
-                    found[op as usize] = false;
-                    answered[op as usize] = true;
-                }
+                Reply::DeleteMissing { .. } => answered += 1,
                 Reply::Faulted { .. } => faulted += 1,
                 other => {
-                    self.scratch.give_slots(upper_slots);
+                    self.give_marks(marks);
                     return Err(PimError::protocol("batch_delete", other));
                 }
             }
         }
-        self.sys.shared_mem().alloc(marked_words);
-        *extra_staged = marked_words;
-        // The marked set is only coherent if no message was lost and no
-        // module crashed during the marking waves: a missing tower-node
-        // `Marked` is indistinguishable from a short tower, so any fault
-        // signal aborts the attempt before the splice consumes the data.
-        let missing = answered.iter().filter(|&&a| !a).count();
-        if faulted > 0 || missing > 0 || self.damage_since(&before) {
-            self.scratch.give_slots(upper_slots);
-            return Err(PimError::incomplete("batch_delete", faulted + missing));
+        // Each key answers once on a healthy machine.
+        if faulted > 0 || answered < n || self.damage_since(before) {
+            self.give_marks(marks);
+            return Err(PimError::incomplete("batch_delete", faulted + n - answered));
         }
+        Ok(marks)
+    }
 
-        // ---- Stage 2: CPU-side list contraction per level, then splice ----
-        let mut levels: Vec<u8> = marked_by_level.keys().copied().collect();
+    fn give_marks(&mut self, marks: Marks) {
+        self.scratch.give_flags(marks.found);
+        self.scratch.give_slots(marks.upper_slots);
+    }
+
+    /// Splice the marked nodes out (CPU-side list contraction per level),
+    /// free the lower ones, unlink the upper replicas and commit the
+    /// removals to the journal — the part of a Delete that runs alone.
+    fn unlink_marked(&mut self, uniq: &[Key], marks: &Marks) -> PimResult<()> {
+        let words = 4 * marks.by_level.values().map(Vec::len).sum::<usize>() as u64;
+        self.sys.shared_mem().alloc(words);
+        let mut levels: Vec<u8> = marks.by_level.keys().copied().collect();
         levels.sort_unstable();
         let mut bufs = SpliceBufs::default();
         self.spanned("delete/contract", |s| {
-            for &level in &levels {
-                let records = &marked_by_level[&level];
-                s.splice_level(records, &mut bufs);
+            for level in &levels {
+                s.splice_level(&marks.by_level[level], &mut bufs);
             }
         });
 
-        // ---- Free marked lower nodes; unlink upper replicas ----
-        // (level order: deterministic message order keeps `nth`-counted
-        // drop faults replayable)
+        // Level order: deterministic message order keeps `nth`-counted
+        // drop faults replayable.
         let unlinked = self.spanned("delete/unlink", |s| {
-            for &level in &levels {
-                for rec in &marked_by_level[&level] {
+            for level in &levels {
+                for rec in &marks.by_level[level] {
                     s.sys
                         .send(rec.node.module(), Task::FreeNode { node: rec.node });
                 }
             }
-            if !upper_slots.is_empty() {
-                let slots = upper_slots.clone();
+            if !marks.upper_slots.is_empty() {
+                let slots = marks.upper_slots.clone();
                 s.sys.broadcast(move |_| Task::UnlinkUpper {
                     slots: slots.clone(),
                 });
-                for &slot in &upper_slots {
+                for &slot in &marks.upper_slots {
                     s.shadow.free(slot);
                 }
                 for level in s.cfg.h_low..=s.cfg.max_level {
-                    s.start.unlink(level, unlinked_at[usize::from(level)]);
+                    s.start.unlink(level, marks.unlinked_at[usize::from(level)]);
                 }
             }
             s.quiesce_writes("batch_delete")
         });
-        self.scratch.give_slots(upper_slots);
+        self.sys.shared_mem().free(words);
         unlinked?;
-
-        self.len -= found.iter().filter(|&&f| f).count() as u64;
-        // Commit removals to the journal.
-        for (&k, &f) in uniq.iter().zip(found.iter()) {
+        self.len -= marks.found.iter().filter(|&&f| f).count() as u64;
+        for (&k, &f) in uniq.iter().zip(&marks.found) {
             if f {
                 self.journal.remove(k);
             }
         }
-
-        // ---- Map back to input order ----
-        let by_key: HashMap<Key, bool> = uniq
-            .iter()
-            .zip(found.iter())
-            .map(|(&k, &f)| (k, f))
-            .collect();
-        Ok(keys.iter().map(|k| by_key[k]).collect())
+        Ok(())
     }
 
     /// Contract one level's marked nodes in shared memory and write the
@@ -346,6 +302,73 @@ impl PimSkipList {
             );
         }
     }
+}
+
+/// One fault-observable attempt of [`PimSkipList::batch_delete`], as a job.
+/// The marks (§4.4's hash shortcut) are one wave that shares rounds with the
+/// span's other jobs. A batch that marked nothing is done there. Otherwise
+/// the job waits until every earlier job finished without error and
+/// contracts, unlinks and commits alone ([`Lane::alone`]), so the
+/// contraction priorities are drawn where one-run-at-a-time execution draws
+/// them. Commits to the journal only when every stage completed.
+pub(crate) async fn delete_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<bool>> {
+    lane.spanned("delete", async {
+        let staged = keys.len() as u64 * 2;
+        let uniq = lane.with(|s| {
+            s.sys.shared_mem().alloc(staged);
+            let mut uniq = s.scratch.take_uniq_keys();
+            let mut tags = s.scratch.take_dedup_tags();
+            dedup_by_key_into(keys, |&k| k as u64, &mut tags, &mut uniq);
+            s.scratch.give_dedup_tags(tags);
+            dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
+            uniq
+        });
+        let out = delete_resolve(lane, keys, &uniq).await;
+        lane.with(|s| {
+            s.scratch.give_uniq_keys(uniq);
+            s.sys.sample_shared_mem();
+            s.sys.shared_mem().free(staged);
+        });
+        out
+    })
+    .await
+}
+
+/// Mark `uniq`, then splice out what was marked.
+async fn delete_resolve(lane: Lane<'_>, keys: &[Key], uniq: &[Key]) -> PimResult<Vec<bool>> {
+    let before = lane.with(|s| s.sys.metrics());
+    let replies = lane
+        .spanned("delete/mark", async {
+            lane.with(|s| {
+                for (op, &key) in uniq.iter().enumerate() {
+                    let m = s.module_of(key, 0);
+                    s.sys.send(m, Task::DeleteKey { op: op as u32, key });
+                }
+            });
+            lane.wave().await
+        })
+        .await;
+    let marks = lane.with(|s| s.mark_absorb(uniq.len(), replies, &before))?;
+    // No key was resident: nothing changed, so nothing runs alone (and no
+    // write is quiesced, which would step the other jobs' traffic).
+    let unlinked = if marks.found.contains(&true) {
+        lane.alone("delete", |s| s.unlink_marked(uniq, &marks))
+            .await
+    } else {
+        Ok(())
+    };
+    lane.with(|s| {
+        let out = unlinked.map(|()| {
+            let by_key: HashMap<Key, bool> = uniq
+                .iter()
+                .copied()
+                .zip(marks.found.iter().copied())
+                .collect();
+            keys.iter().map(|k| by_key[k]).collect()
+        });
+        s.give_marks(marks);
+        out
+    })
 }
 
 #[cfg(test)]

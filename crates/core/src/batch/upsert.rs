@@ -552,7 +552,7 @@ async fn upsert_resolve(
     let inserted = if inserts.is_empty() {
         Ok(())
     } else {
-        lane.alone(|s| s.insert_sorted(&inserts)).await
+        lane.alone("upsert", |s| s.insert_sorted(&inserts)).await
     };
     lane.with(|s| {
         s.scratch.give_inserts(inserts);

@@ -6,8 +6,9 @@
 //!
 //! * `wal-<seq>.log` — append-only segments of checksummed frames, one
 //!   frame per *committed span* of [`crate::Op`]s (exactly the unit
-//!   [`PimSkipList::try_execute`] commits: a Delete or mutating Range
-//!   run, or the runs between two of them, which share rounds);
+//!   [`PimSkipList::try_execute`] commits: the runs of one `execute`
+//!   call, which share rounds; only an invalid run or contention tracking
+//!   cuts a call into several spans);
 //! * `snapshot-<seq>.snap` — the full key/value contents at stream
 //!   position `seq`, written atomically;
 //! * `MANIFEST` — which snapshot is live and which segments exist.

@@ -15,12 +15,13 @@
 //! at a time in input order, so an `Op::Get` never observes the effect of
 //! a *later* `Op::Upsert` in the same stream, and always observes every
 //! earlier one. Within a run the usual batch semantics apply (semisort
-//! dedup, first-wins for duplicate keys). The runs between two Delete or
-//! mutating Range runs (a *span*) share the machine's rounds as
-//! co-scheduled jobs (`crate::sched`); a job waits for every earlier job
-//! it conflicts with and for every earlier Upsert, and an Upsert inserts
-//! only once every earlier job has finished, so the replies and the tower
-//! coins are unchanged.
+//! dedup, first-wins for duplicate keys). The runs of one call share the
+//! machine's rounds as co-scheduled jobs (`crate::sched`), one *span*; only
+//! an invalid run, or contention tracking, cuts the stream into several. A
+//! job waits for every earlier job it conflicts with and for every earlier
+//! Upsert, Delete and mutating Range, and an insert, a Delete's splice and
+//! a mutating Range run only once every earlier job has finished, so the
+//! replies, the tower coins and the contraction priorities are unchanged.
 //!
 //! Fault surface: [`PimSkipList::try_execute`] is where the bounded
 //! retry/recovery loops of [`crate::recover`] are invoked — the per-op
@@ -28,12 +29,14 @@
 //! homogeneous `&[Op]` and call `try_execute`, so the fault/retry
 //! behaviour is defined exactly once. An error keeps every run before the
 //! failing one and nothing after it, even where a later co-scheduled
-//! Update or Upsert already wrote. On a durable structure every committed span is
-//! one WAL frame, and a crash-recovered structure equals a fresh one
-//! replaying the WAL (the chaos suite proves it).
+//! Update or Upsert already wrote. On a durable structure every committed
+//! span — one `execute` call, unless it was cut — is one WAL frame, and a
+//! crash-recovered structure equals a fresh one replaying the WAL (the
+//! chaos suite proves it).
 
 use pim_runtime::Handle;
 
+use crate::batch::delete::delete_attempt;
 use crate::batch::get::{get_attempt, update_attempt};
 use crate::batch::search::{predecessor_attempt, successor_attempt};
 use crate::batch::upsert::upsert_attempt;
@@ -252,15 +255,17 @@ impl PimSkipList {
     /// aborts the stream at the failing run (every earlier run is
     /// committed, nothing of the failing or later runs is).
     ///
-    /// The stream executes as *spans*: a Delete or mutating Range run is a
-    /// span of its own, and the maximal sequences of other runs between
-    /// them are co-scheduled — each run is one job of `crate::sched`, the
-    /// jobs share the machine's rounds, and a job waits for the earlier
-    /// jobs it conflicts with (an Update or an Upsert's update pass, and a
-    /// Get, Update or Upsert of its key, or a Range containing it) and for
-    /// every earlier Upsert. An Upsert that finds every key resident is
-    /// its one-round update pass; one that must insert waits until every
-    /// earlier job finished without error and inserts alone. Each job
+    /// The stream executes as one *span*, cut only before and after an
+    /// invalid run (which fails alone) and, with contention tracking, after
+    /// every run. Each run of a span is one job of `crate::sched`, the jobs
+    /// share the machine's rounds, and a job waits for the earlier jobs it
+    /// conflicts with (an Update, Upsert or Delete, and a Get, Update,
+    /// Upsert or Delete of its key, or a Range containing it) and for every
+    /// earlier Upsert, Delete and mutating Range. An Upsert that finds
+    /// every key resident is its one-round update pass, and a Delete that
+    /// finds none is its one mark wave; an Upsert that must insert, a
+    /// Delete that marked a key and a mutating Range wait until every
+    /// earlier job finished without error and then run alone. Each job
     /// charges exactly the CPU work, depth and staging it charges alone and
     /// draws its deals in the same number, so every insert, Delete and
     /// mutating Range starts from the same random stream as under
@@ -282,27 +287,28 @@ impl PimSkipList {
         result.map(|()| replies)
     }
 
-    /// End (exclusive) of the span starting at `start`: one run if it is a
-    /// Delete, a mutating Range or invalid, else every following run up to
-    /// the next such one. With contention tracking, whose CPU-side state
+    /// End (exclusive) of the span starting at `start`: the rest of the
+    /// stream, up to the run of its first invalid op; an invalid run is a
+    /// span of its own. With contention tracking, whose CPU-side state
     /// every search shares, a span is one run.
     fn span_end(&self, ops: &[Op], start: usize) -> usize {
-        let mut end = run_end(ops, start);
+        let first = run_end(ops, start);
         if self.cfg.track_contention {
-            return end;
+            return first;
         }
-        let joins = |run: &[Op]| !ends_span(&run[0]) && self.check_run(run).is_ok();
-        if !joins(&ops[start..end]) {
-            return end;
-        }
-        while end < ops.len() {
-            let next = run_end(ops, end);
-            if !joins(&ops[end..next]) {
-                break;
-            }
-            end = next;
-        }
-        end
+        let Some(bad) = ops[start..]
+            .iter()
+            .position(|op| self.check_op(op).is_err())
+        else {
+            return ops.len();
+        };
+        // Runs are maximal blocks of coalescing ops: the bad op's run starts
+        // after the last op before it that does not coalesce with it.
+        let bad = start + bad;
+        (start..bad)
+            .rev()
+            .find(|&i| !ops[i].coalesces_with(&ops[bad]))
+            .map_or(first, |i| i + 1)
     }
 
     /// Commit one span: execute it, then append its committed runs to the
@@ -353,24 +359,13 @@ impl PimSkipList {
         // The jobs borrow the structure through `list`, so they live (and
         // the span finishes) inside its scope.
         let list = Shared::new(self);
-        // One job per run; a job's edges name the earlier jobs it waits for
-        // (unmetered bookkeeping, like the service tier's planning).
+        // One job per run (unmetered bookkeeping, like the service tier's
+        // planning). Nothing overtakes a structural write: it may run alone.
         let mut jobs = Vec::new();
-        let mut edges: Vec<u32> = Vec::new();
         let mut start = 0;
         while start < span.len() {
             let end = run_end(span, start);
-            let from = edges.len();
-            for (i, job) in jobs.iter().enumerate() {
-                let job: &Job<_> = job;
-                let earlier = &span[job.run.clone()];
-                // Nothing overtakes an Upsert: it may insert.
-                if earlier[0].kind() == OpKind::Upsert || runs_conflict(earlier, &span[start..end])
-                {
-                    edges.push(i as u32);
-                }
-            }
-            jobs.push(Job::new(start..end, from..edges.len()));
+            jobs.push(Job::new(start..end, is_structural(&span[start])));
             start = end;
         }
         // The jobs' phases interleave, so the span is one probe span.
@@ -383,7 +378,7 @@ impl PimSkipList {
         let finished = sched::drive(
             &list,
             &mut jobs,
-            &edges,
+            |a, b| runs_conflict(&span[a.clone()], &span[b.clone()]),
             |lane, run| {
                 if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
                     lane.with(|s| {
@@ -416,11 +411,13 @@ impl PimSkipList {
     /// Collect a driven span's replies in run order. After damage or a
     /// failed job, the jobs that finished before it keep their replies,
     /// crashed modules are rebuilt, and every other job re-runs alone, in
-    /// run order, with its family's retries. A failed Upsert job may have
-    /// failed in its insert and left links half-spliced, and an insert that
-    /// succeeded despite `lone_damage` may have run beside a module that
-    /// crashed idle, so then the whole machine is restored from the journal
-    /// instead (it holds every finished job's writes). If a re-run fails,
+    /// run order, with its family's retries. The span is torn, and the
+    /// whole machine is restored from the journal instead (it holds every
+    /// finished job's writes), when a phase run alone saw damage (it may
+    /// have run beside a module that crashed idle), a dropped Delete job
+    /// already took index entries out, or a failed Upsert, Delete or
+    /// mutating Range job left links half-spliced or values half-added. If
+    /// a re-run fails,
     /// every Update and Upsert job from it on that started is undone (see
     /// `undo` in `execute_span`): one that finished, or was dropped, may
     /// already have written, which one-run-at-a-time execution never does.
@@ -434,9 +431,10 @@ impl PimSkipList {
     ) -> PimResult<()> {
         let first = out.len();
         let torn = lone_damage
-            || jobs.iter().any(|job| {
-                span[job.run.start].kind() == OpKind::Upsert
-                    && matches!(job.state, State::Done(Err(_)))
+            || jobs.iter().any(|job| match job.state {
+                State::Dropped => span[job.run.start].kind() == OpKind::Delete,
+                State::Done(Err(_)) => is_structural(&span[job.run.start]),
+                _ => false,
             });
         let repaired = if torn {
             self.sys.drain_crashed();
@@ -473,7 +471,7 @@ impl PimSkipList {
     /// the family's retry discipline (idempotent reads re-issue after
     /// per-module recovery; structural writes restore from the journal).
     fn execute_run(&mut self, run: &[Op]) -> PimResult<Vec<Reply>> {
-        self.check_run(run)?;
+        run.iter().try_for_each(|op| self.check_op(op))?;
         let op = match run[0].kind() {
             OpKind::Get => "batch_get",
             OpKind::Update => "batch_update",
@@ -491,27 +489,23 @@ impl PimSkipList {
         }
     }
 
-    /// Refuse a run its batch algorithm cannot take: an inverted range, or
+    /// Refuse an op its batch algorithm cannot take: an inverted range, or
     /// a mutating range without a distributed lower part.
-    fn check_run(&self, run: &[Op]) -> PimResult<()> {
-        for op in run {
-            if let Op::Range { lo, hi, .. } = *op {
-                if lo > hi {
-                    return Err(PimError::InvalidArgument {
-                        op: "batch_range",
-                        reason: format!("inverted range [{lo}, {hi}]"),
-                    });
-                }
-            }
-        }
-        if is_structural(&run[0]) && run[0].kind() == OpKind::Range && self.cfg.h_low == 0 {
-            return Err(PimError::InvalidArgument {
-                op: "batch_range",
-                reason: "mutating range functions require a distributed lower part (h_low > 0)"
-                    .into(),
-            });
-        }
-        Ok(())
+    fn check_op(&self, op: &Op) -> PimResult<()> {
+        let Op::Range { lo, hi, .. } = *op else {
+            return Ok(());
+        };
+        let reason = if lo > hi {
+            format!("inverted range [{lo}, {hi}]")
+        } else if op.is_write() && self.cfg.h_low == 0 {
+            "mutating range functions require a distributed lower part (h_low > 0)".into()
+        } else {
+            return Ok(());
+        };
+        Err(PimError::InvalidArgument {
+            op: "batch_range",
+            reason,
+        })
     }
 }
 
@@ -521,7 +515,7 @@ impl PimSkipList {
 /// staging capacity instead of allocating it per dispatch.
 async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
     match run[0].kind() {
-        OpKind::Get | OpKind::Successor | OpKind::Predecessor => {
+        OpKind::Get | OpKind::Successor | OpKind::Predecessor | OpKind::Delete => {
             let keys = lane.with(|s| {
                 let mut keys = s.scratch.take_keys();
                 keys.extend(run.iter().map(op_key));
@@ -534,6 +528,9 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
                 OpKind::Successor => successor_attempt(lane, &keys)
                     .await
                     .map(|v| v.into_iter().map(Reply::Entry).collect()),
+                OpKind::Delete => delete_attempt(lane, &keys)
+                    .await
+                    .map(|v| v.into_iter().map(Reply::Deleted).collect()),
                 _ => predecessor_attempt(lane, &keys)
                     .await
                     .map(|v| v.into_iter().map(Reply::Entry).collect()),
@@ -559,13 +556,6 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
             lane.with(|s| s.scratch.give_pairs(pairs));
             out
         }
-        OpKind::Delete => lane.with(|s| {
-            let mut keys = s.scratch.take_keys();
-            keys.extend(run.iter().map(op_key));
-            let out = s.delete_attempt(&keys);
-            s.scratch.give_keys(keys);
-            Ok(out?.into_iter().map(Reply::Deleted).collect())
-        }),
         OpKind::Range => {
             let Op::Range { func, .. } = run[0] else {
                 unreachable!("run starts with a Range");
@@ -575,7 +565,20 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
                 ranges.extend(run.iter().map(|op| op.bounds()));
                 ranges
             });
-            let out = batch_range_attempt(lane, &ranges, func).await;
+            let out = lane
+                .spanned("range_tree", async {
+                    if run[0].is_write() {
+                        // A mutating Range runs whole alone.
+                        let ranges = &ranges[..];
+                        lane.alone("range_tree", |s| {
+                            s.run_one(async |lane| batch_range_attempt(lane, ranges, func).await)
+                        })
+                        .await
+                    } else {
+                        batch_range_attempt(lane, &ranges, func).await
+                    }
+                })
+                .await;
             lane.with(|s| s.scratch.give_ranges(ranges));
             Ok(out?.into_iter().map(Reply::Range).collect())
         }
@@ -584,23 +587,19 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
 
 /// Structural runs can change the structure's shape (and draw tower coins
 /// or contraction priorities), so they retry through the whole-machine
-/// restore. An Upsert shares its span's rounds until it inserts, and then
-/// inserts alone (see [`PimSkipList::try_execute`]).
+/// restore, and no later job of their span overtakes them. Their shaping
+/// phases run alone: an Upsert's insert, a Delete's splice, a mutating
+/// Range whole (see [`PimSkipList::try_execute`]).
 fn is_structural(op: &Op) -> bool {
     op.is_write() && op.kind() != OpKind::Update
 }
 
-/// Does a run of `op`'s family end its span? Delete and the mutating
-/// Ranges change the shape from their first round on.
-fn ends_span(op: &Op) -> bool {
-    is_structural(op) && op.kind() != OpKind::Upsert
-}
-
-/// Must `later` wait for `earlier`? A value write (an Update, or an
-/// Upsert's update pass) conflicts with a Get, Update or Upsert of its key
-/// and with a Range containing it; reads never conflict with each other.
+/// Must `later` wait for `earlier`? A key write (an Update, an Upsert's
+/// update pass, a Delete's marks) conflicts with a Get, Update, Upsert or
+/// Delete of its key and with a Range containing it; reads never conflict
+/// with each other.
 fn runs_conflict(earlier: &[Op], later: &[Op]) -> bool {
-    if !writes_values(&earlier[0]) && !writes_values(&later[0]) {
+    if !writes_key(&earlier[0]) && !writes_key(&later[0]) {
         return false;
     }
     earlier
@@ -608,18 +607,23 @@ fn runs_conflict(earlier: &[Op], later: &[Op]) -> bool {
         .any(|a| later.iter().any(|b| ops_conflict(a, b)))
 }
 
-fn writes_values(op: &Op) -> bool {
-    matches!(op.kind(), OpKind::Update | OpKind::Upsert)
+fn writes_key(op: &Op) -> bool {
+    matches!(op.kind(), OpKind::Update | OpKind::Upsert | OpKind::Delete)
 }
 
 fn ops_conflict(a: &Op, b: &Op) -> bool {
     let (key, other) = match (a, b) {
-        (Op::Update { key, .. } | Op::Upsert { key, .. }, other)
-        | (other, Op::Update { key, .. } | Op::Upsert { key, .. }) => (*key, other),
+        (Op::Update { key, .. } | Op::Upsert { key, .. } | Op::Delete { key }, other)
+        | (other, Op::Update { key, .. } | Op::Upsert { key, .. } | Op::Delete { key }) => {
+            (*key, other)
+        }
         _ => return false,
     };
     match *other {
-        Op::Get { key: k } | Op::Update { key: k, .. } | Op::Upsert { key: k, .. } => k == key,
+        Op::Get { key: k }
+        | Op::Update { key: k, .. }
+        | Op::Upsert { key: k, .. }
+        | Op::Delete { key: k } => k == key,
         Op::Range { lo, hi, .. } => (lo..=hi).contains(&key),
         _ => false,
     }

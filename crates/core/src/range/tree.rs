@@ -94,23 +94,21 @@ impl PimSkipList {
     }
 }
 
-/// One fault-observable attempt of [`PimSkipList::batch_range`].
+/// One fault-observable attempt of [`PimSkipList::batch_range`] (its
+/// caller opens the `range_tree` probe span).
 pub(crate) async fn batch_range_attempt(
     lane: Lane<'_>,
     ranges: &[(Key, Key)],
     func: RangeFunc,
 ) -> PimResult<Vec<RangeResult>> {
-    lane.spanned("range_tree", async {
-        let staged = ranges.len() as u64 * 4;
-        lane.with(|s| s.sys.shared_mem().alloc(staged));
-        let out = batch_range_attempt_inner(lane, ranges, func).await;
-        lane.with(|s| {
-            s.sys.sample_shared_mem();
-            s.sys.shared_mem().free(staged);
-        });
-        out
-    })
-    .await
+    let staged = ranges.len() as u64 * 4;
+    lane.with(|s| s.sys.shared_mem().alloc(staged));
+    let out = batch_range_attempt_inner(lane, ranges, func).await;
+    lane.with(|s| {
+        s.sys.sample_shared_mem();
+        s.sys.shared_mem().free(staged);
+    });
+    out
 }
 
 async fn batch_range_attempt_inner(

@@ -1,23 +1,26 @@
 //! Co-scheduled jobs: several batch runs sharing the machine's rounds.
 //!
-//! A batch (Get, Update, Upsert, Successor, Predecessor, a non-mutating
-//! Range) is written once, as an `async fn` over a [`Lane`]. It suspends
-//! at its *waves* ([`Lane::wave`]): the batch issues its tasks, awaits the
-//! moment its lane has nothing in flight, and absorbs the replies. Between
-//! two awaits it borrows the structure ([`Lane::with`]) and charges exactly
-//! what it charges alone. A phase that must run alone (Upsert's insert)
-//! awaits [`Lane::alone`] instead: every earlier job of the span finished
-//! without error, and the phase runs on lane 0.
+//! Every batch family is written once, as an `async fn` over a [`Lane`],
+//! and every run of an `execute` call is one job; only an invalid run or
+//! contention tracking cuts a stream into several spans. A batch suspends
+//! at its *waves* ([`Lane::wave`]): it issues its tasks, awaits the moment
+//! its lane has nothing in flight, and absorbs the replies. Between two
+//! awaits it borrows the structure ([`Lane::with`]) and charges exactly
+//! what it charges alone. A phase that must run alone (Upsert's insert,
+//! Delete's contraction and unlink, a mutating Range) awaits
+//! [`Lane::alone`] instead: every earlier job of the span finished without
+//! error, and the phase runs on lane 0.
 //!
 //! [`drive`] is the executor: a std-only loop that polls the jobs in run
 //! order with a no-op waker and runs one machine round whenever every live
 //! job waits on its wave. All live jobs advance in the same rounds, but not
 //! in lockstep: a job issues its next wave as soon as its last one ended,
-//! and a job starts as soon as every earlier job it conflicts with has
-//! finished. A lone job is exactly the sequential batch: its waves end at
-//! quiescence, as `run_to_quiescence` did.
+//! and a job starts as soon as every earlier job it conflicts with, and
+//! every earlier barrier, has finished. A lone job is exactly the
+//! sequential batch: its waves end at quiescence, as `run_to_quiescence`
+//! did.
 //!
-//! The scheduler's bookkeeping (conflict edges, job states) is unmetered,
+//! The scheduler's bookkeeping (conflict tests, job states) is unmetered,
 //! like the service tier's planning.
 
 use std::cell::{Cell, RefCell, RefMut};
@@ -88,7 +91,13 @@ impl<'s> Lane<'s> {
     /// then run `f` on lane 0. No later job has started (it waits for this
     /// one), so `f` runs alone and may drive rounds itself. Damage in those
     /// rounds stops the span once this job's poll returns (see [`drive`]).
-    pub(crate) async fn alone<T>(self, f: impl FnOnce(&mut PimSkipList) -> T) -> T {
+    /// Inside a multi-job span, whose phase spans are muted, `f` runs in
+    /// the probe span `name`, the job family's, with its phases recorded.
+    pub(crate) async fn alone<T>(
+        self,
+        name: &'static str,
+        f: impl FnOnce(&mut PimSkipList) -> T,
+    ) -> T {
         let ours = self.id as usize;
         std::future::poll_fn(|_| {
             if self.list.settled.get() >= ours {
@@ -101,7 +110,10 @@ impl<'s> Lane<'s> {
         self.with(|s| {
             let before = s.sys.metrics();
             s.sys.set_lane(0);
-            let out = f(s);
+            let muted = s.sys.spans_muted();
+            s.sys.set_spans_muted(false);
+            let out = if muted { s.spanned(name, f) } else { f(s) };
+            s.sys.set_spans_muted(muted);
             s.sys.set_lane(self.id);
             if s.damage_since(&before) {
                 self.list.lone_damage.set(true);
@@ -148,10 +160,12 @@ impl Future for Wave<'_> {
 /// stack).
 pub(crate) enum State<J: Future> {
     /// Not started: an earlier conflicting job is still running (or the
-    /// span stopped before it finished).
+    /// span stopped before it started).
     Waiting,
     /// Started.
     Live(J),
+    /// Started, and dropped unfinished when the span stopped.
+    Dropped,
     /// Finished with this output.
     Done(J::Output),
 }
@@ -160,16 +174,19 @@ pub(crate) enum State<J: Future> {
 pub(crate) struct Job<J: Future> {
     /// The caller's payload range (the job's run within the span).
     pub run: Range<usize>,
-    /// Range into the edge list: the earlier jobs this one waits for.
-    pub deps: Range<usize>,
+    /// No later job starts before this one has finished.
+    barrier: bool,
+    /// Every earlier job below this one is done or does not conflict.
+    scan: usize,
     pub state: State<J>,
 }
 
 impl<J: Future> Job<J> {
-    pub(crate) fn new(run: Range<usize>, deps: Range<usize>) -> Self {
+    pub(crate) fn new(run: Range<usize>, barrier: bool) -> Self {
         Job {
             run,
-            deps,
+            barrier,
+            scan: 0,
             state: State::Waiting,
         }
     }
@@ -184,19 +201,22 @@ pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 
 /// Run `jobs` to completion, sharing rounds; returns whether every job
 /// finished. Job `j` starts (`make` builds its future on lane `j`) once
-/// every job in `edges[jobs[j].deps]` is done. With a `failed` predicate,
+/// every earlier barrier is done and every earlier job whose run
+/// `conflict`s with its own. A pass over the jobs begins at the settled
+/// prefix and ends at the first unfinished barrier, and a waiting job
+/// tests each earlier one once, so a pass costs the live window, not the
+/// span. With a `failed` predicate,
 /// the span stops at the first failed output, or right after the first
 /// round (its own, or one a job drove in [`Lane::alone`]) that lost
 /// messages or crashed a module: no further job starts, the jobs done by
-/// then keep their outputs, the others are dropped back to
-/// [`State::Waiting`], and their traffic is still queued for the caller to
-/// purge. The caller's lane
+/// then keep their outputs, the started ones are [`State::Dropped`], and
+/// their traffic is still queued for the caller to purge. The caller's lane
 /// is set again after every poll, so a drive nested inside a job leaves
 /// that job's lane in place.
 pub(crate) fn drive<'s, J: Future + Unpin>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<J>],
-    edges: &[u32],
+    conflict: impl Fn(&Range<usize>, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> J,
     failed: Option<Failed<'_, J::Output>>,
 ) -> bool {
@@ -205,25 +225,25 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
     let finished = loop {
         let mut all_done = true;
         let mut any_failed = false;
-        for j in 0..jobs.len() {
+        for j in list.settled.get()..jobs.len() {
             if matches!(jobs[j].state, State::Waiting) {
-                let deps = jobs[j].deps.clone();
-                if any_failed || !edges[deps].iter().all(|&i| jobs[i as usize].is_done()) {
-                    all_done = false;
-                    continue;
+                // A job stays done, and a conflict-free one stays so.
+                let mut at = jobs[j].scan.max(list.settled.get());
+                while at < j && (jobs[at].is_done() || !conflict(&jobs[at].run, &jobs[j].run)) {
+                    at += 1;
                 }
-                let run = jobs[j].run.clone();
-                jobs[j].state = State::Live(make(Lane::new(list, j), run));
+                jobs[j].scan = at;
+                if !any_failed && at == j {
+                    let run = jobs[j].run.clone();
+                    jobs[j].state = State::Live(make(Lane::new(list, j), run));
+                }
             }
-            let State::Live(fut) = &mut jobs[j].state else {
-                continue;
-            };
-            list.borrow_mut().sys.set_lane(j as LaneId);
-            let polled = Pin::new(fut).poll(&mut cx);
-            list.borrow_mut().sys.set_lane(outer);
-            any_failed |= failed.is_some() && list.lone_damage.get();
-            match polled {
-                Poll::Ready(out) => {
+            if let State::Live(fut) = &mut jobs[j].state {
+                list.borrow_mut().sys.set_lane(j as LaneId);
+                let polled = Pin::new(fut).poll(&mut cx);
+                list.borrow_mut().sys.set_lane(outer);
+                any_failed |= failed.is_some() && list.lone_damage.get();
+                if let Poll::Ready(out) = polled {
                     any_failed |= failed.is_some_and(|f| f(&out));
                     jobs[j].state = State::Done(out);
                     // A failed job settles nothing: the span stops after
@@ -232,7 +252,12 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
                         list.settled.set(list.settled.get() + 1);
                     }
                 }
-                Poll::Pending => all_done = false,
+            }
+            if !jobs[j].is_done() {
+                all_done = false;
+                if jobs[j].barrier {
+                    break;
+                }
             }
         }
         if all_done {
@@ -254,7 +279,7 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
     };
     for job in jobs.iter_mut() {
         if matches!(job.state, State::Live(_)) {
-            job.state = State::Waiting;
+            job.state = State::Dropped;
         }
     }
     finished
@@ -267,11 +292,11 @@ impl PimSkipList {
         let list = Shared::new(self);
         let fut = std::pin::pin!(job(Lane::new(&list, 0)));
         let mut fut = Some(fut);
-        let mut jobs = [Job::new(0..0, 0..0)];
+        let mut jobs = [Job::new(0..0, false)];
         drive(
             &list,
             &mut jobs,
-            &[],
+            |_, _| false,
             |_, _| fut.take().expect("one start"),
             None,
         );

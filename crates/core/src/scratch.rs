@@ -61,10 +61,8 @@ pub(crate) struct Scratch {
     /// Upsert insert set (distinct from `pairs`, which the op-splitter
     /// holds leased while the upsert runs).
     inserts: Vec<(Key, Value)>,
-    /// Upsert per-key update flags.
+    /// Per-key flags: Upsert's updated keys, Delete's found ones.
     flags: Vec<bool>,
-    /// Second flag set (delete tracks `found` and `answered` at once).
-    flags2: Vec<bool>,
     /// `(key, index)` staging for the in-place batch dedup.
     dedup_tags: Vec<(u64, u32)>,
     /// Dedup survivors, key batches (distinct from `keys`, which the
@@ -108,7 +106,6 @@ impl Scratch {
     lease!(take_cuts, give_cuts, cuts, Key);
     lease!(take_inserts, give_inserts, inserts, (Key, Value));
     lease!(take_flags, give_flags, flags, bool);
-    lease!(take_flags2, give_flags2, flags2, bool);
     lease!(take_dedup_tags, give_dedup_tags, dedup_tags, (u64, u32));
     lease!(take_uniq_keys, give_uniq_keys, uniq_keys, Key);
     lease!(take_uniq_pairs, give_uniq_pairs, uniq_pairs, (Key, Value));

@@ -554,6 +554,73 @@ fn crash_in_a_lone_insert_of_a_span_is_repaired_before_later_jobs() {
 }
 
 #[test]
+fn crash_in_any_round_of_a_span_with_deletes_matches_one_run_at_a_time() {
+    // One span holds a Successor, a Delete of resident keys (its marks
+    // share the Successor's rounds, its splice runs alone), a Delete of
+    // absent keys (one mark wave, never alone), a Get, an Update and an
+    // Upsert of the deleted keys, and a mutating Range. A crash on any
+    // module in any round must leave the replies, contents and invariants
+    // of one run at a time, and the span commits as one frame whose replay
+    // is the fault-free execution. A Delete dropped after its marks took
+    // index entries out tears the span: the whole machine is restored.
+    let cfg = || Config::new(8, 1 << 10, 29).with_max_retries(8);
+    let load: Vec<(i64, u64)> = (0..96).map(|i| (i * 3, i as u64)).collect();
+    let gone: Vec<i64> = (0..24).map(|i| i * 12).collect();
+    let ops: Vec<Op> = successors(&[40, 100, 200])
+        .into_iter()
+        .chain(deletes(&gone))
+        .chain(deletes(&gone.iter().map(|k| k + 1).collect::<Vec<_>>()))
+        .chain(gets(&gone))
+        .chain(gone.iter().map(|&key| Op::Update { key, value: 7 }))
+        .chain(upserts(&[(gone[5], 55), (gone[9], 99)]))
+        .chain([Op::Range {
+            lo: 30,
+            hi: 150,
+            func: RangeFunc::FetchAdd(3),
+        }])
+        .collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&upserts(&load));
+    let mut one_by_one = PimSkipList::new(cfg());
+    one_by_one.execute(&upserts(&load));
+    let start = dry.metrics().rounds;
+    let dry_replies = dry.execute(&ops);
+    let rounds = dry.metrics().rounds - start;
+    assert!(rounds > 8, "the span takes {rounds} rounds");
+    let mut want = Vec::new();
+    let mut at = 0;
+    while at < ops.len() {
+        let end = pim_core::op::run_end(&ops, at);
+        want.extend(one_by_one.execute(&ops[at..end]));
+        at = end;
+    }
+    assert_eq!(dry_replies, want, "co-scheduled = one run at a time");
+    assert_eq!(dry.collect_items(), one_by_one.collect_items());
+    let whole: Vec<Op> = upserts(&load).into_iter().chain(ops.clone()).collect();
+    for r in 0..rounds {
+        for m in 0..8 {
+            let context = format!("crash on module {m} at round {r}");
+            let dir = wal_dir(&format!("deletes-{r}-{m}"));
+            let mut list = PimSkipList::new(cfg());
+            list.enable_durability(&dir, DurabilityPolicy::default())
+                .expect("fresh wal dir");
+            list.execute(&upserts(&load));
+            list.set_fault_plan(FaultPlan::new().at(start + r, m, FaultKind::Crash));
+            let replies = list
+                .try_execute(&ops)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(list.metrics().module_crashes, 1, "{context}: must strike");
+            assert_logically_eq(&replies, &want);
+            list.validate()
+                .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+            assert_eq!(list.collect_items(), dry.collect_items(), "{context}");
+            drop(list);
+            assert_wal_replays_dry_run(&dir, cfg(), &whole);
+        }
+    }
+}
+
+#[test]
 fn a_failed_run_leaves_no_later_update_of_its_span_behind() {
     // No retries, and every module loses a task in two consecutive rounds:
     // the span's first run fails while co-scheduled and again alone. The

@@ -225,6 +225,51 @@ fn every_operation_family_gets_a_phase_in_the_export() {
 }
 
 #[test]
+fn lone_phases_inside_a_co_scheduled_span_keep_their_phase_spans() {
+    // One `execute` call is one probe span, and the phases its jobs run
+    // side by side are muted. The phases that run alone — an insert, a
+    // Delete's splice, a mutating range — are recorded under their
+    // family's name, so `pim-trace phases` still attributes them.
+    let mut list = PimSkipList::new(Config::new(8, 1 << 10, 27));
+    list.bulk_load(&(0..200).map(|i| (i * 3, i as u64)).collect::<Vec<_>>());
+    list.enable_probe();
+    let before = list.metrics();
+    list.execute(&[
+        Op::Get { key: 3 },
+        Op::Upsert { key: 4, value: 1 },
+        Op::Delete { key: 6 },
+        Op::Successor { key: 10 },
+        Op::Delete { key: 7 },
+        Op::Range {
+            lo: 0,
+            hi: 90,
+            func: RangeFunc::FetchAdd(1),
+        },
+        Op::Get { key: 9 },
+    ]);
+    let delta = list.metrics() - before;
+    let report = list.take_probe().expect("probe was enabled");
+    for name in [
+        "span",
+        "upsert",
+        "alloc",
+        "link",
+        "delete",
+        "delete/contract",
+        "delete/unlink",
+        "range_tree",
+    ] {
+        assert_eq!(report.spans_named(name).len(), 1, "spans named {name:?}");
+    }
+    // The shared waves, and the absent Delete (it never runs alone), stay
+    // in the span.
+    for name in ["get", "successor", "delete/mark"] {
+        assert!(report.spans_named(name).is_empty(), "a span named {name:?}");
+    }
+    assert_eq!(additive(&report.total()), additive(&delta));
+}
+
+#[test]
 fn chaos_export_carries_fault_records_and_recovery_spans_balance() {
     let mut list = PimSkipList::new(Config::new(4, 1 << 10, 24).with_max_retries(50));
     // The storm must outlast the bulk load (19 chunks, ~75 rounds per

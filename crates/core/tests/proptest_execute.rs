@@ -2,8 +2,8 @@
 //! [`Op`] stream through [`PimSkipList::execute`] is the same computation
 //! as splitting the stream into maximal coalescible runs and calling each
 //! run's typed `batch_*` — same replies, same contents, same CPU work and
-//! depth, and the same random stream afterwards — while the read and value
-//! runs between two structural ones share rounds; and span attribution
+//! depth, and the same random stream afterwards — while the runs share
+//! rounds, Deletes and mutating ranges included; and span attribution
 //! stays conservative over mixed streams.
 
 use proptest::prelude::*;
@@ -36,6 +36,26 @@ fn hot_op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(a, b)| Op::Range { lo: a.min(b), hi: a.max(b), func: RangeFunc::Sum }),
         1 => (hot_key_strategy(), hot_key_strategy())
             .prop_map(|(a, b)| Op::Range { lo: a.min(b), hi: a.max(b), func: RangeFunc::Read }),
+    ]
+}
+
+/// Deletes beside reads and value writes of their keys, and mutating
+/// ranges over them.
+fn delete_op_strategy() -> impl Strategy<Value = Op> {
+    let key = || 0i64..16;
+    let bounds = move || (key(), key()).prop_map(|(a, b)| (a.min(b), a.max(b)));
+    prop_oneof![
+        3 => key().prop_map(|key| Op::Delete { key }),
+        2 => (key(), any::<u64>()).prop_map(|(key, value)| Op::Upsert { key, value }),
+        2 => key().prop_map(|key| Op::Get { key }),
+        2 => (key(), any::<u64>()).prop_map(|(key, value)| Op::Update { key, value }),
+        2 => key().prop_map(|key| Op::Successor { key }),
+        1 => key().prop_map(|key| Op::Predecessor { key }),
+        1 => bounds().prop_map(|(lo, hi)| Op::Range { lo, hi, func: RangeFunc::Sum }),
+        1 => (bounds(), 1u64..4)
+            .prop_map(|((lo, hi), d)| Op::Range { lo, hi, func: RangeFunc::FetchAdd(d) }),
+        1 => (bounds(), 1u64..4)
+            .prop_map(|((lo, hi), d)| Op::Range { lo, hi, func: RangeFunc::AddInPlace(d) }),
     ]
 }
 
@@ -216,6 +236,42 @@ proptest! {
         let cost = |d: Metrics| Metrics { shared_mem_peak: 0, ..d };
         prop_assert_eq!(cost(mixed.metrics() - m0), cost(typed.metrics() - t0),
             "a structural batch after the stream must cost the same");
+    }
+
+    #[test]
+    fn deletes_and_mutating_ranges_in_a_span_equal_per_type_batches(
+        seed in 0u64..1_000_000,
+        p in 2u32..9,
+        preload in prop::collection::vec((0i64..16, any::<u64>()), 0..16),
+        ops in prop::collection::vec(delete_op_strategy(), 1..60),
+    ) {
+        let mut mixed = PimSkipList::new(Config::new(p, 1 << 10, seed));
+        let mut typed = PimSkipList::new(Config::new(p, 1 << 10, seed));
+        mixed.batch_upsert(&preload);
+        typed.batch_upsert(&preload);
+
+        let before = mixed.metrics();
+        let mixed_replies = mixed.execute(&ops);
+        let typed_replies: Vec<Reply> = runs(&ops)
+            .into_iter()
+            .flat_map(|run| run_via_typed_batch(&mut typed, run))
+            .collect();
+        prop_assert_eq!(&mixed_replies, &typed_replies);
+        prop_assert_eq!(mixed.collect_items(), typed.collect_items());
+        if let Err(e) = mixed.validate() {
+            return Err(TestCaseError::fail(format!("invariant violated: {e}")));
+        }
+        let (m, t) = (mixed.metrics() - before, typed.metrics() - before);
+        prop_assert_eq!((m.cpu_work, m.cpu_depth), (t.cpu_work, t.cpu_depth));
+
+        // Same random stream afterwards: same coins, same batch cost.
+        let fresh: Vec<(i64, u64)> = (0..64).map(|i| (1_000 + 3 * i, 1)).collect();
+        let (m0, t0) = (mixed.metrics(), typed.metrics());
+        mixed.batch_upsert(&fresh);
+        typed.batch_upsert(&fresh);
+        prop_assert_eq!(mixed.upper_leaf_keys(), typed.upper_leaf_keys());
+        let cost = |d: Metrics| Metrics { shared_mem_peak: 0, ..d };
+        prop_assert_eq!(cost(mixed.metrics() - m0), cost(typed.metrics() - t0));
     }
 
     #[test]

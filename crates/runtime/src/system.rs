@@ -233,6 +233,11 @@ impl<M: PimModule> PimSystem<M> {
         self.spans_muted = muted;
     }
 
+    /// Whether span enter/exit calls are ignored right now.
+    pub fn spans_muted(&self) -> bool {
+        self.spans_muted
+    }
+
     /// Open a span and return an RAII guard that closes it on drop; the
     /// guard derefs to the system so the bracketed code reads naturally:
     ///
@@ -350,6 +355,12 @@ impl<M: PimModule> PimSystem<M> {
         std::mem::swap(&mut self.inboxes, &mut self.spare_inboxes);
         debug_assert!(self.inboxes.iter().all(Vec::is_empty));
         let inboxes = &mut self.spare_inboxes;
+        // Everything queued is delivered now (a stalled module's inbox is
+        // counted again below). Only the lanes with queued tasks have a
+        // count, so a round costs its traffic, not the lanes ever used.
+        for &(lane, _) in inboxes.iter().flatten() {
+            self.in_flight[lane as usize] = 0;
+        }
 
         // Apply this round's scheduled faults. Pre-delivery kinds (crash,
         // stall, task drop) strike now; post-execution kinds (slow, reply
@@ -400,9 +411,7 @@ impl<M: PimModule> PimSystem<M> {
             }
         }
 
-        // Everything queued is delivered now, except a stalled module's
-        // inbox, which was carried over.
-        self.in_flight.fill(0);
+        // A stalled module's inbox was carried over.
         if round_faults
             .iter()
             .any(|&(_, kind)| kind == FaultKind::Stall)
@@ -548,14 +557,18 @@ impl<M: PimModule> PimSystem<M> {
         }
         self.route.reserve_into(&mut self.inboxes);
         // The replies leave the machine (their lane's job owns them), so
-        // each lane's buffer is reserved exactly once per round.
-        for (lane, count) in self.reply_counts.iter_mut().enumerate() {
-            if *count > 0 {
-                if self.lane_replies.len() <= lane {
-                    self.lane_replies.resize_with(lane + 1, Vec::new);
+        // each lane's buffer is reserved exactly once per round, visiting
+        // the replies rather than every lane ever used.
+        for out in &*outs {
+            for &(lane, _) in &out.replies {
+                let (lane, count) = (lane as usize, &mut self.reply_counts[lane as usize]);
+                if *count > 0 {
+                    if self.lane_replies.len() <= lane {
+                        self.lane_replies.resize_with(lane + 1, Vec::new);
+                    }
+                    self.lane_replies[lane].reserve(*count);
+                    *count = 0;
                 }
-                self.lane_replies[lane].reserve(*count);
-                *count = 0;
             }
         }
         for out in outs.iter_mut() {

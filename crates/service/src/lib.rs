@@ -22,11 +22,12 @@
 //! can batch). A `Get` therefore never observes an `Upsert` that arrived
 //! after it, and always observes every earlier one. Write epochs run in
 //! strict arrival order — mutations on the same key do not commute.
-//! Below the service, the structure co-schedules the runs between two
-//! Deletes or mutating ranges in shared rounds, each waiting for the
-//! earlier runs it conflicts with and for every earlier Upsert; an Upsert
-//! that must insert does so alone, after every earlier run. The replies
-//! are those of this order executed one run at a time.
+//! Below the service, the structure co-schedules every run of a dispatch
+//! in shared rounds, each waiting for the earlier runs it conflicts with
+//! and for every earlier Upsert, Delete and mutating range; an insert, a
+//! Delete that found a key and a mutating range run alone, after every
+//! earlier run. The replies are those of this order executed one run at
+//! a time.
 //!
 //! # Determinism
 //!

@@ -312,9 +312,10 @@ fn path_split_lower_is_n_independent_and_tracks_log_p() {
 /// 50 % Get / 15 % Update / 15 % Upsert / 5 % Delete / 10 % Successor /
 /// 5 % Range Sum, dispatched `P log² P` at a time in the service's order
 /// (read/write epochs in arrival order, reads grouped by kind within an
-/// epoch). The runs between two Deletes or mutating Ranges share rounds:
-/// ≥ 1.25× fewer than one `execute` call per run, at the same replies and
-/// exactly the same CPU work and depth.
+/// epoch). Each dispatch is one span whose runs, Deletes included, share
+/// rounds: ≥ 1.25× fewer than one `execute` call per run (5,019 rounds
+/// against 10,675), at the same replies and exactly the same CPU work and
+/// depth.
 #[test]
 fn service_runs_between_structural_writes_share_rounds() {
     use pim_core::op::run_end;
@@ -454,4 +455,86 @@ fn overwriting_upserts_share_rounds_and_inserting_ones_run_alone() {
     );
     assert_eq!(list.upper_leaf_keys(), one_by_one.upper_leaf_keys());
     list.validate().expect("valid after the stream");
+}
+
+#[test]
+fn deletes_share_their_span() {
+    // Sixteen 1-key Successor runs, each followed by a 1-key Delete run, at
+    // P = 16 on 8192 bulk-loaded keys. Every later job waits for every
+    // earlier Delete, so the Successors start one round apart. A Delete of
+    // an absent key is one mark wave beside them and never runs alone: the
+    // stream costs the longest Successor run plus one round per Delete run
+    // (29 rounds against 162 one run at a time). A Delete of a resident
+    // key splices alone, after every earlier run finished and before any
+    // later one starts; its mark wave still shares the rounds of the
+    // Successor before it, so the stream costs less than one run at a time
+    // (162 rounds against 184).
+    let (p, n, runs) = (16u32, 8192i64, 16i64);
+    let load = || {
+        let mut list = PimSkipList::new(Config::new(p, n as u64, 0x0DE1_E7E5));
+        let pairs: Vec<(Key, Value)> = (0..n).map(|i| (4 * i, i as u64)).collect();
+        list.bulk_load(&pairs);
+        list
+    };
+    let successors: Vec<Key> = (0..runs).map(|i| 4 * ((i * 509) % n) + 1).collect();
+    let mut alone = load();
+    let successor = successors
+        .iter()
+        .map(|&key| {
+            let before = alone.metrics().rounds;
+            alone.execute(&[Op::Successor { key }]);
+            alone.metrics().rounds - before
+        })
+        .max()
+        .expect("successor runs");
+
+    for (offset, resident) in [(2, false), (0, true)] {
+        let ops: Vec<Op> = (0..runs)
+            .flat_map(|i| {
+                [
+                    Op::Successor {
+                        key: successors[i as usize],
+                    },
+                    Op::Delete {
+                        key: 4 * ((i * 397 + 11) % n) + offset,
+                    },
+                ]
+            })
+            .collect();
+        let (mut list, mut one_by_one) = (load(), load());
+        let (l0, o0) = (list.metrics(), one_by_one.metrics());
+        let replies = list.execute(&ops);
+        let want: Vec<Reply> = ops
+            .iter()
+            .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+            .collect();
+        assert_eq!(replies, want, "contraction draws the same priorities");
+        assert!(replies
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .all(|r| *r == Reply::Deleted(resident)));
+        let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
+        assert_eq!((l.cpu_work, l.cpu_depth), (o.cpu_work, o.cpu_depth));
+        assert!(
+            l.io_time <= o.io_time && l.pim_time <= o.pim_time,
+            "{l:?} {o:?}"
+        );
+        assert_eq!(list.upper_leaf_keys(), one_by_one.upper_leaf_keys());
+        list.validate().expect("valid after the stream");
+        if resident {
+            assert!(
+                l.rounds < o.rounds,
+                "{} rounds co-scheduled against {} one run at a time",
+                l.rounds,
+                o.rounds
+            );
+        } else {
+            assert!(
+                l.rounds <= successor + runs as u64 + 2,
+                "{} rounds for {runs} absent pairs, one Successor run takes {successor}",
+                l.rounds
+            );
+        }
+    }
 }
