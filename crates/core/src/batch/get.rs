@@ -116,6 +116,7 @@ impl PimSkipList {
 /// One fault-observable attempt of [`PimSkipList::batch_get`]: semisort
 /// dedup, one lookup wave to the keys' hash-owning modules.
 pub(crate) async fn get_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
+    lane.drawn();
     lane.spanned("get", async {
         let staged = keys.len() as u64 * 2;
         let uniq = lane.with(|s| {
@@ -154,6 +155,7 @@ pub(crate) async fn get_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<O
 /// One fault-observable attempt of [`PimSkipList::batch_update`]. Journals
 /// applied updates on success so a later crash recovery replays them.
 pub(crate) async fn update_attempt(lane: Lane<'_>, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
+    lane.drawn();
     lane.spanned("update", async {
         let staged = pairs.len() as u64 * 2;
         let uniq = lane.with(|s| {

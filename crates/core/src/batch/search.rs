@@ -243,15 +243,15 @@ enum Wave {
     Entry,
     /// Stage 1 from phase 1 on: record lower-part paths.
     Pivots,
-    /// Stage 2: nothing is recorded.
-    Rest,
+    /// Stage 2: nothing is recorded; `last_draw` as in [`pivoted_search`].
+    Rest { last_draw: bool },
 }
 
+#[cfg(test)]
 impl PimSkipList {
-    /// [`pivoted_search`] run alone, as one job of its own: Upsert's
-    /// `PredLevels` search (and tests).
+    /// [`pivoted_search`] run alone, as one job of its own.
     pub(crate) fn pivoted_search(&mut self, reqs: &[SearchRequest]) -> PimResult<SearchResults> {
-        self.run_one(async |lane| pivoted_search(lane, reqs).await)
+        self.run_one(async |lane| pivoted_search(lane, reqs, false).await)
     }
 }
 
@@ -262,10 +262,12 @@ impl PimSkipList {
 ///
 /// Fails with [`PimError::Incomplete`] when injected faults lose search
 /// traffic (missing terminal records, missing pivot paths, `Faulted`
-/// replies); on a fault-free machine the result is always `Ok`.
+/// replies); on a fault-free machine the result is always `Ok`. With
+/// `last_draw`, the job's lane is [`Lane::drawn`] once stage 2 has dealt.
 pub(crate) async fn pivoted_search(
     lane: Lane<'_>,
     reqs: &[SearchRequest],
+    last_draw: bool,
 ) -> PimResult<SearchResults> {
     lane.spanned("search", async {
         // The CPU-side staging vectors (pivot indices, wave items, segment
@@ -281,7 +283,7 @@ pub(crate) async fn pivoted_search(
             deferred: s.scratch.take_deferred(),
         });
         let mut staged_words = 0u64;
-        let out = pivoted_search_core(lane, reqs, &mut staged_words, &mut bufs).await;
+        let out = pivoted_search_core(lane, reqs, last_draw, &mut staged_words, &mut bufs).await;
         lane.with(|s| {
             s.scratch.give_deferred(bufs.deferred);
             s.scratch.give_segments2(bufs.next_segments);
@@ -312,6 +314,7 @@ struct SearchBufs {
 async fn pivoted_search_core(
     lane: Lane<'_>,
     reqs: &[SearchRequest],
+    last_draw: bool,
     staged_words: &mut u64,
     bufs: &mut SearchBufs,
 ) -> PimResult<SearchResults> {
@@ -562,7 +565,7 @@ async fn pivoted_search_core(
             items,
             reqs,
             None,
-            Wave::Rest,
+            Wave::Rest { last_draw },
             &mut results,
             &mut paths,
         )
@@ -604,6 +607,9 @@ async fn run_wave(
     };
     let out = match lane.with(|s| s.wave_send(&w, results, paths, &mut copies)) {
         Ok(()) => {
+            if wave == (Wave::Rest { last_draw: true }) {
+                lane.drawn();
+            }
             let replies = lane.wave().await;
             lane.with(|s| s.wave_absorb(&w, replies, results, paths, &copies))
         }
@@ -637,7 +643,7 @@ impl PimSkipList {
             forced_top,
             wave,
         } = w;
-        let record = wave != Wave::Rest;
+        let record = !matches!(wave, Wave::Rest { .. });
         let entry_only = wave == Wave::Entry;
         let mut deal = self.deal();
         for item in items {
@@ -727,7 +733,7 @@ impl PimSkipList {
             forced_top,
             wave,
         } = w;
-        let record = wave != Wave::Rest;
+        let record = !matches!(wave, Wave::Rest { .. });
         let entry_only = wave == Wave::Entry;
         let mut path_words = 0u64;
         let mut faulted = 0usize;
@@ -922,7 +928,7 @@ async fn point_search_unique(lane: Lane<'_>, keys: &[Key]) -> PimResult<HashMap<
         }));
         (uniq, reqs)
     });
-    let results = pivoted_search(lane, &reqs).await;
+    let results = pivoted_search(lane, &reqs, true).await;
     lane.with(|s| {
         s.scratch.give_reqs(reqs);
         // `pivoted_search` checked completeness: indexing is safe.

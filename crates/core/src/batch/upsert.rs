@@ -9,7 +9,8 @@
 //! 2. toss tower heights on the CPU side (secret coins);
 //! 3. batched Predecessor with per-level reports (§4.2 machinery), which
 //!    also returns each key's exact **anchor**: its level-`h_low`
-//!    predecessor, where its search stepped into the lower part;
+//!    predecessor, where its search stepped into the lower part. In a span,
+//!    2–3 wait only for every earlier job's last draw; only 4–6 run alone;
 //! 4. **allocation round** — lower-part nodes go to `hash(key, level)`
 //!    modules, which also enter a leaf into the local index and the local
 //!    leaf list one descent step from its anchor; upper-part nodes only
@@ -31,7 +32,7 @@ use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use pim_primitives::sort::par_sort_by_key;
 use pim_runtime::Handle;
 
-use crate::batch::search::SearchRequest;
+use crate::batch::search::{pivoted_search, SearchRequest, SearchResults};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
@@ -144,7 +145,7 @@ impl PimSkipList {
     }
 
     /// Commit the update pass's writes to the journal (the inserts are
-    /// journaled by `insert_sorted`) and map the outcomes back to `pairs`.
+    /// journaled by `insert_towers`) and map the outcomes back to `pairs`.
     fn upsert_outcomes(
         &mut self,
         pairs: &[(Key, Value)],
@@ -296,46 +297,16 @@ impl PimSkipList {
         });
     }
 
-    /// Insert a sorted, deduplicated, non-resident batch of pairs.
-    /// Leasing shell around [`PimSkipList::insert_towers`]: heights and
-    /// tower storage come from scratch and go back on every exit path.
-    fn insert_sorted(&mut self, inserts: &[(Key, Value)]) -> PimResult<()> {
-        // ---- Heights (CPU-side secret coins, drawn in key order) ----
-        let mut tops = self.scratch.take_tops();
-        tops.extend((0..inserts.len()).map(|_| self.rng.skiplist_height(self.cfg.max_level - 1)));
-        let mut towers = Towers {
-            handles: self.scratch.take_tower_handles(),
-            offsets: self.scratch.take_tower_offsets(),
-        };
-        let out = self.insert_towers(inserts, &tops, &mut towers);
-        self.scratch.give_tower_handles(towers.handles);
-        self.scratch.give_tower_offsets(towers.offsets);
-        self.scratch.give_tops(tops);
-        out
-    }
-
+    /// Allocate, wire and link the towers of a sorted, deduplicated,
+    /// non-resident batch of pairs whose heights and search are done, then
+    /// commit them.
     fn insert_towers(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
+        results: &SearchResults,
         towers: &mut Towers,
     ) -> PimResult<()> {
-        // ---- Batched Predecessor with per-level reports (§4.2) ----
-        let mut reqs = self.scratch.take_reqs();
-        reqs.extend(
-            inserts
-                .iter()
-                .enumerate()
-                .map(|(j, &(key, _))| SearchRequest {
-                    op: j as u32,
-                    key,
-                    top: tops[j],
-                }),
-        );
-        let results = self.pivoted_search(&reqs);
-        self.scratch.give_reqs(reqs);
-        let results = results?;
-
         // ---- Allocation + vertical wiring rounds (Insert steps 1–5); each
         // new leaf starts from its search's anchor ----
         let anchor = |j: usize| {
@@ -349,7 +320,7 @@ impl PimSkipList {
         // ---- Horizontal pointers: Algorithm 1 below h_low, LinkUpper
         // above ----
         self.spanned("link", |s| {
-            s.link_horizontal(inserts, tops, towers, &results)
+            s.link_horizontal(inserts, tops, towers, results)
         })?;
 
         // Commit: the batch is structurally complete — journal each new
@@ -371,7 +342,7 @@ impl PimSkipList {
         inserts: &[(Key, Value)],
         tops: &[u8],
         towers: &Towers,
-        results: &crate::batch::search::SearchResults,
+        results: &SearchResults,
     ) -> PimResult<()> {
         struct Entry {
             j: usize,
@@ -481,11 +452,12 @@ impl PimSkipList {
 
 /// One fault-observable attempt of [`PimSkipList::batch_upsert`], as a job.
 /// The update pass (§4.1 shortcut) is one wave that shares rounds with the
-/// span's other jobs. If it leaves keys that are not resident, the job
-/// waits until every earlier job finished without error and inserts them
-/// alone ([`Lane::alone`]), so the tower coins and the insert's deals are
-/// drawn where one-run-at-a-time execution draws them. Commits to the
-/// journal only when every stage completed.
+/// span's other jobs. If it leaves keys that are not resident, the job's
+/// coins wait for every earlier job's last draw ([`Lane::draws_settled`]),
+/// and its search shares rounds with the earlier jobs as they drain; only
+/// allocation, wiring and link run alone ([`Lane::alone`]). The tower coins
+/// and the insert's deals are drawn where one-run-at-a-time execution
+/// draws them. Commits to the journal only when every stage completed.
 pub(crate) async fn upsert_attempt(
     lane: Lane<'_>,
     pairs: &[(Key, Value)],
@@ -552,7 +524,7 @@ async fn upsert_resolve(
     let inserted = if inserts.is_empty() {
         Ok(())
     } else {
-        lane.alone("upsert", |s| s.insert_sorted(&inserts)).await
+        insert(lane, &inserts).await
     };
     lane.with(|s| {
         s.scratch.give_inserts(inserts);
@@ -564,4 +536,47 @@ async fn upsert_resolve(
             }
         }
     })
+}
+
+/// Insert a sorted, deduplicated, non-resident batch of pairs (see
+/// [`upsert_attempt`]).
+async fn insert(lane: Lane<'_>, inserts: &[(Key, Value)]) -> PimResult<()> {
+    lane.draws_settled().await;
+    // ---- Heights (CPU-side secret coins, drawn in key order) ----
+    let (tops, reqs, mut towers) = lane.with(|s| {
+        let mut tops = s.scratch.take_tops();
+        tops.extend((0..inserts.len()).map(|_| s.rng.skiplist_height(s.cfg.max_level - 1)));
+        let mut reqs = s.scratch.take_reqs();
+        reqs.extend(
+            inserts
+                .iter()
+                .zip(&tops)
+                .enumerate()
+                .map(|(j, (&(key, _), &top))| SearchRequest {
+                    op: j as u32,
+                    key,
+                    top,
+                }),
+        );
+        let towers = Towers {
+            handles: s.scratch.take_tower_handles(),
+            offsets: s.scratch.take_tower_offsets(),
+        };
+        (tops, reqs, towers)
+    });
+    // ---- Batched Predecessor with per-level reports (§4.2) ----
+    let out = match pivoted_search(lane, &reqs, false).await {
+        Ok(found) => {
+            let link = |s: &mut PimSkipList| s.insert_towers(inserts, &tops, &found, &mut towers);
+            lane.alone("upsert", link).await
+        }
+        Err(e) => Err(e),
+    };
+    lane.with(|s| {
+        s.scratch.give_reqs(reqs);
+        s.scratch.give_tower_handles(towers.handles);
+        s.scratch.give_tower_offsets(towers.offsets);
+        s.scratch.give_tops(tops);
+    });
+    out
 }

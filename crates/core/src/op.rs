@@ -19,8 +19,10 @@
 //! machine's rounds as co-scheduled jobs (`crate::sched`), one *span*; only
 //! an invalid run, or contention tracking, cuts the stream into several. A
 //! job waits for every earlier job it conflicts with and for every earlier
-//! Upsert, Delete and mutating Range, and an insert, a Delete's splice and
-//! a mutating Range run only once every earlier job has finished, so the
+//! Upsert, Delete and mutating Range. Coins wait for every earlier job's
+//! last draw (an insert's search shares rounds with the earlier jobs);
+//! only an insert's allocation, wiring and link, a Delete's splice and a
+//! mutating Range run alone, once every earlier job has finished. So the
 //! replies, the tower coins and the contraction priorities are unchanged.
 //!
 //! Fault surface: [`PimSkipList::try_execute`] is where the bounded
@@ -263,9 +265,11 @@ impl PimSkipList {
     /// Upsert or Delete of its key, or a Range containing it) and for every
     /// earlier Upsert, Delete and mutating Range. An Upsert that finds
     /// every key resident is its one-round update pass, and a Delete that
-    /// finds none is its one mark wave; an Upsert that must insert, a
-    /// Delete that marked a key and a mutating Range wait until every
-    /// earlier job finished without error and then run alone. Each job
+    /// finds none is its one mark wave. An Upsert that must insert draws
+    /// its coins once every earlier job made its last draw and searches
+    /// beside the earlier jobs as they drain; only its allocation, wiring
+    /// and link, a marking Delete's splice and a mutating Range wait until
+    /// every earlier job finished without error and then run alone. Each job
     /// charges exactly the CPU work, depth and staging it charges alone and
     /// draws its deals in the same number, so every insert, Delete and
     /// mutating Range starts from the same random stream as under
@@ -588,8 +592,8 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
 /// Structural runs can change the structure's shape (and draw tower coins
 /// or contraction priorities), so they retry through the whole-machine
 /// restore, and no later job of their span overtakes them. Their shaping
-/// phases run alone: an Upsert's insert, a Delete's splice, a mutating
-/// Range whole (see [`PimSkipList::try_execute`]).
+/// phases run alone: an insert's allocation, wiring and link, a Delete's
+/// splice, a mutating Range whole (see [`PimSkipList::try_execute`]).
 fn is_structural(op: &Op) -> bool {
     op.is_write() && op.kind() != OpKind::Update
 }

@@ -149,7 +149,7 @@ async fn batch_range_attempt_inner(
             }));
             reqs
         });
-        let search = pivoted_search(lane, &reqs).await;
+        let search = pivoted_search(lane, &reqs, false).await;
         lane.with(|s| s.scratch.give_reqs(reqs));
         search?.hints
     } else {
@@ -165,6 +165,7 @@ async fn batch_range_attempt_inner(
             })
             .collect()
     });
+    lane.drawn();
 
     // ---- Step 3: counting descent, where sizes are needed before any
     // value moves: `Count` (it is the result), `Read`/`FetchAdd` (group

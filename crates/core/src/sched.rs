@@ -6,9 +6,10 @@
 //! at its *waves* ([`Lane::wave`]): it issues its tasks, awaits the moment
 //! its lane has nothing in flight, and absorbs the replies. Between two
 //! awaits it borrows the structure ([`Lane::with`]) and charges exactly
-//! what it charges alone. A phase that must run alone (Upsert's insert,
-//! Delete's contraction and unlink, a mutating Range) awaits
-//! [`Lane::alone`] instead: every earlier job of the span finished without
+//! what it charges alone. Coins wait for every earlier job's last draw
+//! ([`Lane::draws_settled`]); only an insert's allocation, wiring and link,
+//! Delete's contraction and unlink, and a mutating Range run alone
+//! ([`Lane::alone`]): every earlier job of the span finished without
 //! error, and the phase runs on lane 0.
 //!
 //! [`drive`] is the executor: a std-only loop that polls the jobs in run
@@ -40,6 +41,10 @@ pub(crate) struct Shared<'s> {
     list: RefCell<&'s mut PimSkipList>,
     /// How many of the span's leading jobs finished without error.
     settled: Cell<usize>,
+    /// How many of the span's leading jobs are drawn (see [`Lane::drawn`]).
+    drawn: Cell<usize>,
+    /// The job being polled called [`Lane::drawn`].
+    drew: Cell<bool>,
     /// A phase run by [`Lane::alone`] lost messages or crashed a module.
     lone_damage: Cell<bool>,
 }
@@ -49,6 +54,8 @@ impl<'s> Shared<'s> {
         Shared {
             list: RefCell::new(list),
             settled: Cell::new(0),
+            drawn: Cell::new(0),
+            drew: Cell::new(false),
             lone_damage: Cell::new(false),
         }
     }
@@ -87,10 +94,24 @@ impl<'s> Lane<'s> {
         f(&mut self.list.borrow_mut())
     }
 
+    /// Record that this job will draw no further random number. A job that
+    /// never says so counts as drawn once it finishes.
+    pub(crate) fn drawn(self) {
+        self.list.drew.set(true);
+    }
+
+    /// Wait until every earlier job of the span is drawn: a draw made then,
+    /// before any later job starts, is where one run at a time makes it.
+    pub(crate) async fn draws_settled(self) {
+        reached(&self.list.drawn, self.id).await;
+    }
+
     /// Wait until every earlier job of the span has finished without error,
-    /// then run `f` on lane 0. No later job has started (it waits for this
-    /// one), so `f` runs alone and may drive rounds itself. Damage in those
-    /// rounds stops the span once this job's poll returns (see [`drive`]).
+    /// then run `f` on lane 0. Coins wait only for every earlier job's last
+    /// draw ([`Lane::draws_settled`]); only an insert's allocation, wiring
+    /// and link run alone. No later job has started (it waits for this one),
+    /// so `f` runs alone and may drive rounds itself. Damage in those rounds
+    /// stops the span once this job's poll returns (see [`drive`]).
     /// Inside a multi-job span, whose phase spans are muted, `f` runs in
     /// the probe span `name`, the job family's, with its phases recorded.
     pub(crate) async fn alone<T>(
@@ -98,15 +119,7 @@ impl<'s> Lane<'s> {
         name: &'static str,
         f: impl FnOnce(&mut PimSkipList) -> T,
     ) -> T {
-        let ours = self.id as usize;
-        std::future::poll_fn(|_| {
-            if self.list.settled.get() >= ours {
-                Poll::Ready(())
-            } else {
-                Poll::Pending
-            }
-        })
-        .await;
+        reached(&self.list.settled, self.id).await;
         self.with(|s| {
             let before = s.sys.metrics();
             s.sys.set_lane(0);
@@ -136,6 +149,18 @@ impl<'s> Lane<'s> {
         self.with(|s| s.sys.span_exit());
         out
     }
+}
+
+/// Wait until `cursor`, a count of leading jobs, covers every job before `id`.
+async fn reached(cursor: &Cell<usize>, id: LaneId) {
+    std::future::poll_fn(|_| {
+        if cursor.get() >= id as usize {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+    .await;
 }
 
 /// The future of one wave (see [`Lane::wave`]).
@@ -176,6 +201,8 @@ pub(crate) struct Job<J: Future> {
     pub run: Range<usize>,
     /// No later job starts before this one has finished.
     barrier: bool,
+    /// This job will draw no further random number.
+    drawn: bool,
     /// Every earlier job below this one is done or does not conflict.
     scan: usize,
     pub state: State<J>,
@@ -186,6 +213,7 @@ impl<J: Future> Job<J> {
         Job {
             run,
             barrier,
+            drawn: false,
             scan: 0,
             state: State::Waiting,
         }
@@ -243,6 +271,10 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
                 let polled = Pin::new(fut).poll(&mut cx);
                 list.borrow_mut().sys.set_lane(outer);
                 any_failed |= failed.is_some() && list.lone_damage.get();
+                jobs[j].drawn |= list.drew.take() || polled.is_ready();
+                while jobs.get(list.drawn.get()).is_some_and(|job| job.drawn) {
+                    list.drawn.set(list.drawn.get() + 1);
+                }
                 if let Poll::Ready(out) = polled {
                     any_failed |= failed.is_some_and(|f| f(&out));
                     jobs[j].state = State::Done(out);
@@ -287,7 +319,7 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
 
 impl PimSkipList {
     /// Run one job alone through the executor (`job` gets lane 0) — the
-    /// typed batch APIs, single-run spans and the insert's search.
+    /// typed batch APIs, single-run spans and a mutating Range's body.
     pub(crate) fn run_one<T>(&mut self, job: impl AsyncFnOnce(Lane<'_>) -> T) -> T {
         let list = Shared::new(self);
         let fut = std::pin::pin!(job(Lane::new(&list, 0)));
@@ -318,8 +350,8 @@ mod tests {
 
     #[test]
     fn a_nested_drive_leaves_the_callers_lane_set() {
-        // A job on lane 2 that runs a batch through `run_one` (as the
-        // insert's search does) must keep sending on lane 2 afterwards.
+        // A job on lane 2 that runs a batch through `run_one` (as a
+        // mutating Range does) must keep sending on lane 2 afterwards.
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
         list.batch_upsert(&[(1, 10), (2, 20)]);
         list.sys.set_lane(2);

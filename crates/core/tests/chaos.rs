@@ -621,6 +621,82 @@ fn crash_in_any_round_of_a_span_with_deletes_matches_one_run_at_a_time() {
 }
 
 #[test]
+fn fault_in_any_round_of_an_insert_search_beside_earlier_jobs_matches_one_run_at_a_time() {
+    // One span: a Range Sum run wide enough to search before it deals, a
+    // Successor run long enough to deal its stage 2 after that, an
+    // inserting Upsert whose coins wait for both last deals and whose
+    // search shares rounds with both as they drain, then a Get and an
+    // Update behind it. A crash on every module, and separately a lost task on
+    // every module, in every round: replies, contents and invariants must
+    // be those of one run at a time. A job dropped mid-search has linked
+    // nothing; the span is repaired module by module and the job re-runs.
+    let cfg = || Config::new(8, 1 << 10, 53).with_max_retries(8);
+    let load: Vec<(i64, u64)> = (0..96).map(|i| (i * 3, i as u64)).collect();
+    let fresh: Vec<(i64, u64)> = (0..12).map(|i| (190 + i * 7 + 1, 600 + i as u64)).collect();
+    let ops: Vec<Op> = [(0, 60), (30, 90), (75, 140)]
+        .into_iter()
+        .map(|(lo, hi)| Op::Range {
+            lo,
+            hi,
+            func: RangeFunc::Sum,
+        })
+        .chain(successors(&(0..24).map(|i| i * 11 + 1).collect::<Vec<_>>()))
+        .chain(upserts(&fresh))
+        .chain(gets(&fresh.iter().map(|&(k, _)| k).collect::<Vec<_>>()))
+        .chain((0..32).map(|i| Op::Update {
+            key: i * 9,
+            value: 70 + i as u64,
+        }))
+        .collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&upserts(&load));
+    let mut one_by_one = PimSkipList::new(cfg());
+    one_by_one.execute(&upserts(&load));
+    let (start, alone_start) = (dry.metrics().rounds, one_by_one.metrics().rounds);
+    let dry_replies = dry.execute(&ops);
+    let rounds = dry.metrics().rounds - start;
+    let mut want = Vec::new();
+    let mut at = 0;
+    while at < ops.len() {
+        let end = pim_core::op::run_end(&ops, at);
+        want.extend(one_by_one.execute(&ops[at..end]));
+        at = end;
+    }
+    let alone_rounds = one_by_one.metrics().rounds - alone_start;
+    assert!(
+        rounds < alone_rounds,
+        "the span takes {rounds} rounds, one run at a time {alone_rounds}"
+    );
+    assert_eq!(dry_replies, want, "co-scheduled = one run at a time");
+    assert_eq!(dry.collect_items(), one_by_one.collect_items());
+    assert_eq!(dry.upper_leaf_keys(), one_by_one.upper_leaf_keys());
+    for r in 0..rounds {
+        let mut dropped = 0;
+        for m in 0..8 {
+            for kind in [FaultKind::Crash, FaultKind::DropTask { nth: r }] {
+                let context = format!("{kind:?} on module {m} at round {r}");
+                let mut list = PimSkipList::new(cfg());
+                list.execute(&upserts(&load));
+                list.set_fault_plan(FaultPlan::new().at(start + r, m, kind));
+                let replies = list
+                    .try_execute(&ops)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                if kind == FaultKind::Crash {
+                    assert_eq!(list.metrics().module_crashes, 1, "{context}: must strike");
+                } else {
+                    dropped += list.metrics().messages_dropped;
+                }
+                assert_logically_eq(&replies, &want);
+                list.validate()
+                    .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+                assert_eq!(list.collect_items(), dry.collect_items(), "{context}");
+            }
+        }
+        assert!(dropped > 0, "round {r} lost no task");
+    }
+}
+
+#[test]
 fn a_failed_run_leaves_no_later_update_of_its_span_behind() {
     // No retries, and every module loses a task in two consecutive rounds:
     // the span's first run fails while co-scheduled and again alone. The

@@ -227,9 +227,10 @@ fn every_operation_family_gets_a_phase_in_the_export() {
 #[test]
 fn lone_phases_inside_a_co_scheduled_span_keep_their_phase_spans() {
     // One `execute` call is one probe span, and the phases its jobs run
-    // side by side are muted. The phases that run alone — an insert, a
-    // Delete's splice, a mutating range — are recorded under their
-    // family's name, so `pim-trace phases` still attributes them.
+    // side by side are muted. The phases that run alone — an insert's
+    // allocation and link, a Delete's splice, a mutating range — are
+    // recorded under their family's name, so `pim-trace phases` still
+    // attributes them.
     let mut list = PimSkipList::new(Config::new(8, 1 << 10, 27));
     list.bulk_load(&(0..200).map(|i| (i * 3, i as u64)).collect::<Vec<_>>());
     list.enable_probe();

@@ -24,10 +24,11 @@
 //! strict arrival order — mutations on the same key do not commute.
 //! Below the service, the structure co-schedules every run of a dispatch
 //! in shared rounds, each waiting for the earlier runs it conflicts with
-//! and for every earlier Upsert, Delete and mutating range; an insert, a
-//! Delete that found a key and a mutating range run alone, after every
-//! earlier run. The replies are those of this order executed one run at
-//! a time.
+//! and for every earlier Upsert, Delete and mutating range. An insert's
+//! coins wait for every earlier run's last draw; only its allocation,
+//! wiring and link, a Delete that found a key and a mutating range run
+//! alone, after every earlier run. The replies are those of this order
+//! executed one run at a time.
 //!
 //! # Determinism
 //!
