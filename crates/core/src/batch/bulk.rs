@@ -72,7 +72,7 @@ impl PimSkipList {
     /// All-or-nothing: the towers of finished chunks wait in host DRAM
     /// (unmetered, like the journal they are headed for) and are committed
     /// only once the last chunk is linked. A fault in any chunk therefore
-    /// leaves journal and `len` untouched, and `retry_structural`'s
+    /// leaves journal and `len` untouched, and the retry loop's
     /// `restore_all` reverts to the state before the attempt.
     pub(crate) fn bulk_load_attempt(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
         debug_assert!(self.is_empty(), "bulk_load_attempt on non-empty structure");

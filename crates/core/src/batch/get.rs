@@ -213,8 +213,8 @@ impl PimSkipList {
     }
 
     /// Fault-tolerant handle dereference; see [`PimSkipList::batch_read`].
-    /// Idempotent, so lost messages or module crashes are retried through
-    /// the read-side recovery loop like every other read.
+    /// Idempotent, so it never tears the machine: a retry follows per-module
+    /// repair only.
     pub(crate) fn try_batch_read(
         &mut self,
         handles: &[pim_runtime::Handle],
@@ -222,7 +222,9 @@ impl PimSkipList {
         if handles.is_empty() {
             return Ok(Vec::new());
         }
-        self.retry_read("batch_read", handles.len(), |s| s.read_attempt(handles))
+        self.retry("batch_read", handles.len(), |s| {
+            (s.read_attempt(handles), false)
+        })
     }
 
     /// One fault-observable attempt of [`PimSkipList::batch_read`].

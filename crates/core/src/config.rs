@@ -34,11 +34,12 @@ pub struct Config {
     /// instrumentation; off by default — it is test/experiment machinery,
     /// not part of the data structure).
     pub track_contention: bool,
-    /// How many times a batch operation is re-issued (with recovery in
-    /// between) when an injected fault loses messages or crashes a module,
-    /// before the driver gives up with
-    /// [`crate::error::PimError::RetriesExhausted`]. Irrelevant on a
-    /// fault-free machine. Default 3.
+    /// Retry budget of a fault-tolerant call (an `execute` span,
+    /// `bulk_load`, `range_broadcast`, `batch_read`) that injected faults
+    /// fail. Its first attempt does not count: the call gives up with
+    /// [`crate::error::PimError::RetriesExhausted`] after `max_retries + 2`
+    /// attempts, and a whole-machine restore after `max_retries + 1`
+    /// rebuilds. Irrelevant on a fault-free machine. Default 3.
     pub max_retries: u32,
 }
 

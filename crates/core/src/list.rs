@@ -40,6 +40,9 @@ pub struct PimSkipList {
     /// Host-DRAM journal of committed contents (recovery source of truth;
     /// unmetered CPU bookkeeping, see [`crate::journal`]).
     pub(crate) journal: Journal,
+    /// A whole-machine restore failed and left the machine half-built;
+    /// the next fault-tolerant call restores it first.
+    pub(crate) torn: bool,
     /// Per-wave contention of the last pivoted batch (populated only when
     /// [`Config::track_contention`] is set). Entry 0 is phase 0: the
     /// number of pivots the busiest module served (Lemma 2.2). Every later
@@ -99,6 +102,7 @@ impl PimSkipList {
             rng,
             len: 0,
             journal: Journal::new(),
+            torn: false,
             last_phase_contention: Vec::new(),
             scratch: crate::scratch::Scratch::default(),
             durable: None,

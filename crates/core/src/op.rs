@@ -25,16 +25,16 @@
 //! mutating Range run alone, once every earlier job has finished. So the
 //! replies, the tower coins and the contraction priorities are unchanged.
 //!
-//! Fault surface: [`PimSkipList::try_execute`] is where the bounded
-//! retry/recovery loops of [`crate::recover`] are invoked — the per-op
-//! `batch_*` entry points go through crate-private shims that build a
-//! homogeneous `&[Op]` and call `try_execute`, so the fault/retry
-//! behaviour is defined exactly once. An error keeps every run before the
-//! failing one and nothing after it, even where a later co-scheduled
-//! Update or Upsert already wrote. On a durable structure every committed
-//! span — one `execute` call, unless it was cut — is one WAL frame, and a
-//! crash-recovered structure equals a fresh one replaying the WAL (the
-//! chaos suite proves it).
+//! Fault surface: [`PimSkipList::try_execute`] drives every span through
+//! the one retry loop of [`crate::recover`] — the per-op `batch_*` entry
+//! points go through crate-private shims that build a homogeneous `&[Op]`
+//! and call `try_execute`, so the fault/retry behaviour is defined exactly
+//! once. A retry drives again, co-scheduled, only the jobs not yet done.
+//! An error keeps every run before the failing one and nothing after it,
+//! even where a later co-scheduled Update or Upsert already wrote. On a
+//! durable structure every committed span — one `execute` call, unless it
+//! was cut — is one WAL frame, and a crash-recovered structure equals a
+//! fresh one replaying the WAL (the chaos suite proves it).
 
 use pim_runtime::Handle;
 
@@ -50,6 +50,9 @@ use crate::range::tree::batch_range_attempt;
 use crate::range::RangeResult;
 use crate::sched::{self, Job, Lane, Shared, State};
 use crate::tasks::RangeFunc;
+
+/// A span's job: its run, and the run's replies once done.
+pub(crate) type SpanJob = Job<PimResult<Vec<Reply>>>;
 
 /// One typed request against the structure — the service-layer currency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,8 +255,8 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("execute: {e}"))
     }
 
-    /// Fault-tolerant [`PimSkipList::execute`]: the one place the bounded
-    /// retry/recovery loops of [`crate::recover`] are engaged. An error
+    /// Fault-tolerant [`PimSkipList::execute`]: each span runs through the
+    /// bounded retry loop of [`crate::recover`]. An error
     /// aborts the stream at the failing run (every earlier run is
     /// committed, nothing of the failing or later runs is).
     ///
@@ -354,108 +357,35 @@ impl PimSkipList {
 
     /// Execute one span, pushing the replies of its runs in run order; on
     /// an error, `out` holds the replies of the runs before the failing
-    /// one.
+    /// one. If the span's retries fail, every Update and Upsert job from
+    /// the failing run on that started is undone: it may already have
+    /// written, which one-run-at-a-time execution never does.
     fn execute_span(&mut self, span: &[Op], out: &mut Vec<Reply>) -> PimResult<()> {
-        if run_end(span, 0) == span.len() {
-            out.extend(self.execute_run(span)?);
-            return Ok(());
-        }
-        // The jobs borrow the structure through `list`, so they live (and
-        // the span finishes) inside its scope.
-        let list = Shared::new(self);
+        span.iter().try_for_each(|op| self.check_op(op))?;
         // One job per run (unmetered bookkeeping, like the service tier's
         // planning). Nothing overtakes a structural write: it may run alone.
-        let mut jobs = Vec::new();
+        let mut jobs = self.scratch.take_jobs();
         let mut start = 0;
         while start < span.len() {
             let end = run_end(span, start);
             jobs.push(Job::new(start..end, is_structural(&span[start])));
             start = end;
         }
-        // The jobs' phases interleave, so the span is one probe span.
-        list.borrow_mut().sys.span_enter("span");
-        list.borrow_mut().sys.set_spans_muted(true);
-        let staged = list.borrow_mut().sys.shared_mem_in_use();
         // Each started Update or Upsert job's keys with the values the
         // journal held when it started (unmetered, like the journal itself).
-        let mut undo = list.borrow_mut().scratch.take_undo();
-        let finished = sched::drive(
-            &list,
-            &mut jobs,
-            |a, b| runs_conflict(&span[a.clone()], &span[b.clone()]),
-            |lane, run| {
-                if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
-                    lane.with(|s| {
-                        for (key, _) in span[run.clone()].iter().map(op_pair) {
-                            if let Some(value) = s.journal.value(key) {
-                                undo.push((run.start, key, value));
-                            }
-                        }
-                    });
-                }
-                Box::pin(run_job(lane, &span[run]))
-            },
-            Some(&|out: &PimResult<Vec<Reply>>| out.is_err()),
-        );
-        let lone_damage = list.lone_damage();
-        let mut s = list.borrow_mut();
-        s.sys.set_spans_muted(false);
-        if !finished {
-            // The dropped jobs never reach their own frees.
-            s.sys.purge_pending();
-            let leaked = s.sys.shared_mem_in_use() - staged;
-            s.sys.shared_mem().free(leaked);
-        }
-        let result = s.finish_span(span, &mut jobs, lone_damage, &undo, out);
-        s.scratch.give_undo(undo);
-        s.sys.span_exit();
-        result
-    }
-
-    /// Collect a driven span's replies in run order. After damage or a
-    /// failed job, the jobs that finished before it keep their replies,
-    /// crashed modules are rebuilt, and every other job re-runs alone, in
-    /// run order, with its family's retries. The span is torn, and the
-    /// whole machine is restored from the journal instead (it holds every
-    /// finished job's writes), when a phase run alone saw damage (it may
-    /// have run beside a module that crashed idle), a dropped Delete job
-    /// already took index entries out, or a failed Upsert, Delete or
-    /// mutating Range job left links half-spliced or values half-added. If
-    /// a re-run fails,
-    /// every Update and Upsert job from it on that started is undone (see
-    /// `undo` in `execute_span`): one that finished, or was dropped, may
-    /// already have written, which one-run-at-a-time execution never does.
-    fn finish_span<J: std::future::Future<Output = PimResult<Vec<Reply>>>>(
-        &mut self,
-        span: &[Op],
-        jobs: &mut [Job<J>],
-        lone_damage: bool,
-        undo: &[(usize, Key, Value)],
-        out: &mut Vec<Reply>,
-    ) -> PimResult<()> {
+        let mut undo = self.scratch.take_undo();
         let first = out.len();
-        let torn = lone_damage
-            || jobs.iter().any(|job| match job.state {
-                State::Dropped => span[job.run.start].kind() == OpKind::Delete,
-                State::Done(Err(_)) => is_structural(&span[job.run.start]),
-                _ => false,
-            });
-        let repaired = if torn {
-            self.sys.drain_crashed();
-            self.restore_all()
-        } else {
-            self.repair_crashed().map(|_| ())
-        };
-        let result = repaired.and_then(|()| {
-            for job in jobs.iter_mut() {
-                match std::mem::replace(&mut job.state, State::Waiting) {
-                    State::Done(Ok(replies)) => out.extend(replies),
-                    _ => out.extend(self.execute_run(&span[job.run.clone()])?),
-                }
-            }
-            Ok(())
+        let result = self.retry("execute", span.len(), |s| {
+            s.drive_span(span, &mut jobs, &mut undo)
         });
-        if result.is_err() {
+        // The runs before the first unfinished one commit.
+        for job in &mut jobs {
+            let State::Done(Ok(replies)) = &mut job.state else {
+                break;
+            };
+            out.append(replies);
+        }
+        let result = result.or_else(|e| {
             // Latest first, so each key gets back the value the earliest
             // undone job found; the rebuild then drops every undone write.
             let cut = out.len() - first;
@@ -467,30 +397,77 @@ impl PimSkipList {
             if undone {
                 self.restore_all()?;
             }
-        }
+            Err(e)
+        });
+        self.scratch.give_jobs(jobs);
+        self.scratch.give_undo(undo);
         result
     }
 
-    /// Execute one coalescible run alone, through its family's job, with
-    /// the family's retry discipline (idempotent reads re-issue after
-    /// per-module recovery; structural writes restore from the journal).
-    fn execute_run(&mut self, run: &[Op]) -> PimResult<Vec<Reply>> {
-        run.iter().try_for_each(|op| self.check_op(op))?;
-        let op = match run[0].kind() {
-            OpKind::Get => "batch_get",
-            OpKind::Update => "batch_update",
-            OpKind::Upsert => "batch_upsert",
-            OpKind::Delete => "batch_delete",
-            OpKind::Predecessor => "batch_predecessor",
-            OpKind::Successor => "batch_successor",
-            OpKind::Range => "batch_range",
-        };
-        let attempt = |s: &mut Self| s.run_one(async |lane| run_job(lane, run).await);
-        if is_structural(&run[0]) {
-            self.retry_structural(op, run.len(), attempt)
-        } else {
-            self.retry_read(op, run.len(), attempt)
+    /// One attempt of a span: drive its jobs that are not done, sharing
+    /// rounds. Returns whether every job finished `Ok`, and whether the
+    /// machine may be torn: a phase run alone saw damage (it may have run beside a module
+    /// that crashed idle), or a structural job started and did not finish
+    /// `Ok` (a Delete's marks took index entries out, an insert or a
+    /// mutating Range left links half-spliced or values half-added).
+    fn drive_span(
+        &mut self,
+        span: &[Op],
+        jobs: &mut [SpanJob],
+        undo: &mut Vec<(usize, Key, Value)>,
+    ) -> (PimResult<()>, bool) {
+        // The phases of several jobs interleave, so they are one probe span.
+        let several = jobs.len() > 1;
+        if several {
+            self.sys.span_enter("span");
         }
+        self.sys.set_spans_muted(several);
+        let staged = self.sys.shared_mem_in_use();
+        // The jobs borrow the structure through `list`.
+        let list = Shared::new(self);
+        let finished = sched::drive(
+            &list,
+            jobs,
+            |a, b| runs_conflict(&span[a.clone()], &span[b.clone()]),
+            |lane, run| {
+                if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
+                    lane.with(|s| {
+                        for (key, _) in span[run.clone()].iter().map(op_pair) {
+                            if let Some(value) = s.journal.value(key) {
+                                undo.push((run.start, key, value));
+                            }
+                        }
+                    });
+                }
+                run_job(lane, &span[run])
+            },
+            Some(&|out: &PimResult<Vec<Reply>>| out.is_err()),
+        );
+        let lone_damage = list.lone_damage.get();
+        self.sys.set_spans_muted(false);
+        if !finished {
+            // The dropped jobs never reach their own frees.
+            self.sys.purge_pending();
+            let leaked = self.sys.shared_mem_in_use() - staged;
+            self.sys.shared_mem().free(leaked);
+        }
+        if several {
+            self.sys.span_exit();
+        }
+        let torn = lone_damage
+            || jobs.iter().any(|job| {
+                is_structural(&span[job.run.start])
+                    && matches!(job.state, State::Started | State::Done(Err(_)))
+            });
+        // Job errors are all transient, so one stands for any unfinished job.
+        let result = match jobs
+            .iter()
+            .all(|job| matches!(job.state, State::Done(Ok(_))))
+        {
+            true => Ok(()),
+            false => Err(PimError::incomplete("execute", span.len())),
+        };
+        (result, torn)
     }
 
     /// Refuse an op its batch algorithm cannot take: an inverted range, or

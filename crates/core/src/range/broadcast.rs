@@ -58,10 +58,9 @@ impl PimSkipList {
     }
 
     /// Fault-tolerant broadcast range operation; see
-    /// [`PimSkipList::range_broadcast`]. Mutating functions (`FetchAdd`,
-    /// `AddInPlace`) are recovered like structural batches: any damaged
-    /// attempt restores the machine from the journal before retrying, so a
-    /// partial add is never applied twice.
+    /// [`PimSkipList::range_broadcast`]. Every attempt that failed or saw
+    /// damage restores the machine from the journal before the retry, so a
+    /// partial `FetchAdd` / `AddInPlace` is never applied twice.
     pub fn try_range_broadcast(
         &mut self,
         lo: Key,
@@ -75,8 +74,8 @@ impl PimSkipList {
             });
         }
         let p = self.cfg.p as usize;
-        self.retry_structural("range_broadcast", p, |s| {
-            s.range_broadcast_attempt(lo, hi, func)
+        self.retry("range_broadcast", p, |s| {
+            (s.range_broadcast_attempt(lo, hi, func), true)
         })
     }
 

@@ -12,11 +12,11 @@
 //!    half a splice to a damaged replica: a `LinkUpper` or `UnlinkUpper`
 //!    splice whose slot or neighbours are not what the driver expects
 //!    answers `Faulted` instead.
-//! 2. **Retry wrappers** — the `try_*` entry points re-issue failed
-//!    attempts with bounded retries ([`crate::Config::max_retries`]),
+//! 2. **One retry loop** — [`PimSkipList::retry`] re-issues the failed
+//!    attempts of every `try_*` entry point ([`crate::Config::max_retries`]),
 //!    repairing the machine between attempts: crashed modules get their
-//!    shard rebuilt ([`PimSkipList::recover_module`]); structurally torn
-//!    machines are rebuilt wholesale ([`PimSkipList::restore_all`]).
+//!    shard rebuilt ([`PimSkipList::recover_module`]); a possibly torn
+//!    machine is rebuilt wholesale ([`PimSkipList::restore_all`]).
 //! 3. **Plain wrappers** — the classic infallible API (`batch_get`, …)
 //!    simply unwraps the `try_*` result: on a fault-free machine no error
 //!    can occur, and the wrappers add *zero* metered cost, keeping
@@ -71,89 +71,49 @@ impl PimSkipList {
         Ok(())
     }
 
-    /// Retry loop for read-style (idempotent) operations: Get, Update,
-    /// Successor, Predecessor. On damage, crashed modules get their shard
-    /// rebuilt and the whole batch is re-issued; a clean failure is a
-    /// driver bug and is returned as-is.
-    pub(crate) fn retry_read<T>(
+    /// The one retry loop of every fault-tolerant entry point. `attempt`
+    /// returns its result and whether, had it failed or seen damage, it may
+    /// have torn the machine (links half-spliced, index entries taken out,
+    /// values half-added): then the whole machine is restored from the
+    /// journal; otherwise crashed modules are rebuilt one by one. A failure
+    /// with damage or a transient error is retried (see
+    /// [`crate::Config::max_retries`]); a machine a failed restore left
+    /// half-built is restored first.
+    pub(crate) fn retry<T>(
         &mut self,
         op: &'static str,
         batch_size: usize,
-        mut attempt: impl FnMut(&mut Self) -> PimResult<T>,
+        mut attempt: impl FnMut(&mut Self) -> (PimResult<T>, bool),
     ) -> PimResult<T> {
-        let max_retries = self.cfg.max_retries;
-        for _ in 0..=max_retries {
+        if self.torn {
+            self.restore_all()?;
+        }
+        let attempts = self.cfg.max_retries + 2;
+        for _ in 0..attempts {
             let before = self.sys.metrics();
-            let result = attempt(self);
-            // A crash can strike after every reply already reached shared
-            // memory: the answers are valid, but the machine must be
-            // repaired before control goes back.
-            let damaged = self.repair_crashed()? || self.damage_since(&before);
+            let (result, tears) = attempt(self);
+            let damaged = self.damage_since(&before);
+            if tears && (damaged || result.is_err()) {
+                self.sys.drain_crashed();
+                self.restore_all()?;
+            } else {
+                self.repair_crashed()?;
+            }
             match result {
                 Ok(out) => return Ok(out),
                 Err(e) if !damaged && !e.is_transient() => return Err(e),
                 Err(_) => self.sys.metrics_mut().retries_issued += batch_size as u64,
             }
         }
-        Err(PimError::RetriesExhausted {
-            op,
-            attempts: max_retries + 1,
-        })
+        Err(PimError::RetriesExhausted { op, attempts })
     }
 
-    /// Rebuild every module that crashed since the last drain; returns
-    /// whether any did.
-    pub(crate) fn repair_crashed(&mut self) -> PimResult<bool> {
+    /// Rebuild every module that crashed since the last drain.
+    fn repair_crashed(&mut self) -> PimResult<()> {
         let mut crashed = self.sys.drain_crashed();
         crashed.sort_unstable();
         crashed.dedup();
-        for &m in &crashed {
-            self.recover_module(m)?;
-        }
-        Ok(!crashed.is_empty())
-    }
-
-    /// Retry loop for structural operations: Upsert, Delete, bulk load,
-    /// mutating ranges. A damaged attempt may have torn links half-way, so
-    /// repair is always the whole-machine restore; whether the batch is
-    /// then re-applied follows from the journal commit protocol.
-    pub(crate) fn retry_structural<T>(
-        &mut self,
-        op: &'static str,
-        batch_size: usize,
-        mut attempt: impl FnMut(&mut Self) -> PimResult<T>,
-    ) -> PimResult<T> {
-        let max_retries = self.cfg.max_retries;
-        for _ in 0..=max_retries {
-            let before = self.sys.metrics();
-            let result = attempt(self);
-            let crashed = self.sys.drain_crashed();
-            let damaged = !crashed.is_empty() || self.damage_since(&before);
-            match result {
-                Ok(out) if !damaged => return Ok(out),
-                Ok(out) => {
-                    // The attempt committed to the journal before the
-                    // damage struck (or before it was observable): the
-                    // rebuilt machine *includes* the batch, so this is a
-                    // success — with the repair bill on the metrics.
-                    self.restore_all()?;
-                    return Ok(out);
-                }
-                Err(e) if !damaged && !e.is_transient() => return Err(e),
-                Err(_) => {
-                    // Failed attempts never commit: restoring from the
-                    // journal reverts every partial effect (half-spliced
-                    // levels, consumed index entries, advanced shadow
-                    // slots) and the retry re-applies the batch fresh.
-                    self.restore_all()?;
-                    self.sys.metrics_mut().retries_issued += batch_size as u64;
-                }
-            }
-        }
-        Err(PimError::RetriesExhausted {
-            op,
-            attempts: max_retries + 1,
-        })
+        crashed.iter().try_for_each(|&m| self.recover_module(m))
     }
 
     /// Fault-tolerant batched Get; see [`PimSkipList::batch_get`]. A thin
@@ -262,7 +222,8 @@ impl PimSkipList {
     /// Argument errors and exhausted retries come back as typed
     /// [`PimError`]s instead of panics.
     pub fn try_bulk_load(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
-        if !self.is_empty() {
+        // The journal holds the contents even while a torn machine holds none.
+        if self.journal.len() > 0 {
             return Err(PimError::InvalidArgument {
                 op: "bulk_load",
                 reason: "bulk_load requires an empty structure".into(),
@@ -274,7 +235,11 @@ impl PimSkipList {
                 reason: "bulk_load requires strictly ascending keys".into(),
             });
         }
-        self.retry_structural("bulk_load", pairs.len(), |s| s.bulk_load_attempt(pairs))?;
+        // Failed attempts never commit: restoring from the journal reverts
+        // every partial effect, and a committed attempt survives it.
+        self.retry("bulk_load", pairs.len(), |s| {
+            (s.bulk_load_attempt(pairs), true)
+        })?;
         // A bulk load is not an `Op` and cannot be WAL-replayed, so a
         // durable structure snapshots right at the boundary; recovery then
         // re-runs the identical bulk load, which also restores tier-1
@@ -416,8 +381,10 @@ impl PimSkipList {
     /// snapshot (which re-towers every key — handles change, and the
     /// journal is re-written accordingly by the bulk-load attempt). Bounded
     /// by [`crate::Config::max_retries`] against faults hitting the rebuild
-    /// itself.
+    /// itself; a machine it leaves half-built stays torn until the next
+    /// [`PimSkipList::retry`] restores it.
     pub(crate) fn restore_all(&mut self) -> PimResult<()> {
+        self.torn = true;
         self.spanned("recover/restore", |s| {
             let snapshot = s.journal.items_sorted();
             let max_retries = s.cfg.max_retries;
@@ -430,6 +397,7 @@ impl PimSkipList {
                 s.sys.metrics_mut().recovery_rounds += rounds;
                 let crashed = s.sys.drain_crashed();
                 if result.is_ok() && crashed.is_empty() && !s.damage_since(&before) {
+                    s.torn = false;
                     return Ok(());
                 }
             }

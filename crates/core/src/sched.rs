@@ -19,7 +19,9 @@
 //! and a job starts as soon as every earlier job it conflicts with, and
 //! every earlier barrier, has finished. A lone job is exactly the
 //! sequential batch: its waves end at quiescence, as `run_to_quiescence`
-//! did.
+//! did. A retry drives the same job table again: the jobs an earlier drive
+//! finished keep their outputs and count as settled and drawn, and the
+//! others start afresh, co-scheduled as before.
 //!
 //! The scheduler's bookkeeping (conflict tests, job states) is unmetered,
 //! like the service tier's planning.
@@ -27,7 +29,7 @@
 use std::cell::{Cell, RefCell, RefMut};
 use std::future::Future;
 use std::ops::Range;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
 
 use pim_runtime::module::Lane as LaneId;
@@ -46,7 +48,9 @@ pub(crate) struct Shared<'s> {
     /// The job being polled called [`Lane::drawn`].
     drew: Cell<bool>,
     /// A phase run by [`Lane::alone`] lost messages or crashed a module.
-    lone_damage: Cell<bool>,
+    /// Its own checks may miss it (a module that crashes idle drops
+    /// nothing), so the span's caller must restore the whole machine.
+    pub(crate) lone_damage: Cell<bool>,
 }
 
 impl<'s> Shared<'s> {
@@ -58,13 +62,6 @@ impl<'s> Shared<'s> {
             drew: Cell::new(false),
             lone_damage: Cell::new(false),
         }
-    }
-
-    /// Did a phase run by [`Lane::alone`] lose messages or crash a module?
-    /// Its own checks may miss it (a module that crashes idle drops
-    /// nothing), so the span's caller must restore the whole machine.
-    pub(crate) fn lone_damage(&self) -> bool {
-        self.lone_damage.get()
     }
 
     /// Borrow the structure (never across an await).
@@ -181,22 +178,20 @@ impl Future for Wave<'_> {
     }
 }
 
-/// Where a job stands. `J` is a pinned future (boxed, or on the caller's
-/// stack).
-pub(crate) enum State<J: Future> {
+/// Where a job stands.
+pub(crate) enum State<O> {
     /// Not started: an earlier conflicting job is still running (or the
     /// span stopped before it started).
     Waiting,
-    /// Started.
-    Live(J),
-    /// Started, and dropped unfinished when the span stopped.
-    Dropped,
+    /// Started and unfinished; after [`drive`] returns, dropped unfinished
+    /// when the span stopped.
+    Started,
     /// Finished with this output.
-    Done(J::Output),
+    Done(O),
 }
 
 /// One job of a span.
-pub(crate) struct Job<J: Future> {
+pub(crate) struct Job<O> {
     /// The caller's payload range (the job's run within the span).
     pub run: Range<usize>,
     /// No later job starts before this one has finished.
@@ -205,10 +200,10 @@ pub(crate) struct Job<J: Future> {
     drawn: bool,
     /// Every earlier job below this one is done or does not conflict.
     scan: usize,
-    pub state: State<J>,
+    pub state: State<O>,
 }
 
-impl<J: Future> Job<J> {
+impl<O> Job<O> {
     pub(crate) fn new(run: Range<usize>, barrier: bool) -> Self {
         Job {
             run,
@@ -228,29 +223,58 @@ impl<J: Future> Job<J> {
 pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 
 /// Run `jobs` to completion, sharing rounds; returns whether every job
-/// finished. Job `j` starts (`make` builds its future on lane `j`) once
-/// every earlier barrier is done and every earlier job whose run
-/// `conflict`s with its own. A pass over the jobs begins at the settled
-/// prefix and ends at the first unfinished barrier, and a waiting job
-/// tests each earlier one once, so a pass costs the live window, not the
-/// span. With a `failed` predicate,
-/// the span stops at the first failed output, or right after the first
-/// round (its own, or one a job drove in [`Lane::alone`]) that lost
+/// finished. Jobs done without a `failed` output (a retry re-drives a table
+/// an earlier drive stopped) count as settled and drawn; the others start
+/// afresh. Job `j` starts (`make` builds its future on lane `j`) once every
+/// earlier barrier is done and every earlier job whose run `conflict`s with
+/// its own. A pass over the jobs begins at the settled prefix and ends at
+/// the first unfinished barrier, and a waiting job tests each earlier one
+/// once, so a pass costs the live window, not the span. With a `failed`
+/// predicate, the span stops at the first failed output, or right after the
+/// first round (its own, or one a job drove in [`Lane::alone`]) that lost
 /// messages or crashed a module: no further job starts, the jobs done by
-/// then keep their outputs, the started ones are [`State::Dropped`], and
+/// then keep their outputs, the started ones stay [`State::Started`], and
 /// their traffic is still queued for the caller to purge. The caller's lane
 /// is set again after every poll, so a drive nested inside a job leaves
-/// that job's lane in place.
-pub(crate) fn drive<'s, J: Future + Unpin>(
+/// that job's lane in place. A lone job's future stays on the stack.
+pub(crate) fn drive<'s, F: Future>(
     list: &'s Shared<'s>,
-    jobs: &mut [Job<J>],
+    jobs: &mut [Job<F::Output>],
+    conflict: impl Fn(&Range<usize>, &Range<usize>) -> bool,
+    mut make: impl FnMut(Lane<'s>, Range<usize>) -> F,
+    failed: Option<Failed<'_, F::Output>>,
+) -> bool {
+    if let [job] = jobs {
+        let mut lone = Some(pin!(make(Lane::new(list, 0), job.run.clone())));
+        let start = |_, _| lone.take().expect("one start");
+        poll_jobs(list, jobs, &mut [None], conflict, start, failed)
+    } else {
+        let mut futs: Vec<_> = jobs.iter().map(|_| None).collect();
+        let start = |lane, run| Box::pin(make(lane, run));
+        poll_jobs(list, jobs, &mut futs, conflict, start, failed)
+    }
+}
+
+/// [`drive`] over the futures `futs` of the started jobs.
+fn poll_jobs<'s, J: Future + Unpin>(
+    list: &'s Shared<'s>,
+    jobs: &mut [Job<J::Output>],
+    futs: &mut [Option<J>],
     conflict: impl Fn(&Range<usize>, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> J,
     failed: Option<Failed<'_, J::Output>>,
 ) -> bool {
     let mut cx = Context::from_waker(Waker::noop());
     let outer = list.borrow_mut().sys.lane();
-    let finished = loop {
+    for job in jobs.iter_mut() {
+        if !matches!(&job.state, State::Done(out) if !failed.is_some_and(|f| f(out))) {
+            *job = Job::new(job.run.clone(), job.barrier);
+        }
+    }
+    let done = jobs.iter().take_while(|job| job.is_done()).count();
+    list.settled.set(done);
+    list.drawn.set(done);
+    loop {
         let mut all_done = true;
         let mut any_failed = false;
         for j in list.settled.get()..jobs.len() {
@@ -262,11 +286,11 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
                 }
                 jobs[j].scan = at;
                 if !any_failed && at == j {
-                    let run = jobs[j].run.clone();
-                    jobs[j].state = State::Live(make(Lane::new(list, j), run));
+                    futs[j] = Some(make(Lane::new(list, j), jobs[j].run.clone()));
+                    jobs[j].state = State::Started;
                 }
             }
-            if let State::Live(fut) = &mut jobs[j].state {
+            if let Some(fut) = &mut futs[j] {
                 list.borrow_mut().sys.set_lane(j as LaneId);
                 let polled = Pin::new(fut).poll(&mut cx);
                 list.borrow_mut().sys.set_lane(outer);
@@ -276,6 +300,7 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
                     list.drawn.set(list.drawn.get() + 1);
                 }
                 if let Poll::Ready(out) = polled {
+                    futs[j] = None;
                     any_failed |= failed.is_some_and(|f| f(&out));
                     jobs[j].state = State::Done(out);
                     // A failed job settles nothing: the span stops after
@@ -293,10 +318,10 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
             }
         }
         if all_done {
-            break true;
+            return true;
         }
         if any_failed {
-            break false;
+            return false;
         }
         let mut s = list.borrow_mut();
         // Every live job waits on a wave or on an earlier job, and the
@@ -306,32 +331,20 @@ pub(crate) fn drive<'s, J: Future + Unpin>(
         let before = s.sys.metrics();
         s.sys.step();
         if failed.is_some() && s.damage_since(&before) {
-            break false;
-        }
-    };
-    for job in jobs.iter_mut() {
-        if matches!(job.state, State::Live(_)) {
-            job.state = State::Dropped;
+            return false;
         }
     }
-    finished
 }
 
 impl PimSkipList {
-    /// Run one job alone through the executor (`job` gets lane 0) — the
-    /// typed batch APIs, single-run spans and a mutating Range's body.
+    /// Run one job alone through the executor (`job` gets lane 0) — a
+    /// mutating Range's body, and tests.
     pub(crate) fn run_one<T>(&mut self, job: impl AsyncFnOnce(Lane<'_>) -> T) -> T {
         let list = Shared::new(self);
-        let fut = std::pin::pin!(job(Lane::new(&list, 0)));
-        let mut fut = Some(fut);
         let mut jobs = [Job::new(0..0, false)];
-        drive(
-            &list,
-            &mut jobs,
-            |_, _| false,
-            |_, _| fut.take().expect("one start"),
-            None,
-        );
+        let mut job = Some(job);
+        let start = |lane, _| job.take().expect("one start")(lane);
+        drive(&list, &mut jobs, |_, _| false, start, None);
         let [Job {
             state: State::Done(out),
             ..
@@ -345,8 +358,37 @@ impl PimSkipList {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::batch::get::get_attempt;
-    use crate::{Config, PimSkipList};
+    use crate::Config;
+
+    #[test]
+    fn a_re_driven_table_counts_its_done_jobs_settled_and_drawn() {
+        // A retry re-drives a table whose leading jobs an earlier drive
+        // finished: the last job's wait for every earlier draw and its
+        // phase alone must still start, or it would wait on empty waves.
+        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
+        let list = Shared::new(&mut list);
+        let mut jobs = [
+            Job::new(0..1, false),
+            Job::new(1..2, true),
+            Job::new(2..3, true),
+        ];
+        jobs[0].state = State::Done(0);
+        jobs[1].state = State::Done(1);
+        let finished = drive(
+            &list,
+            &mut jobs,
+            |_, _| true,
+            |lane, run| async move {
+                lane.draws_settled().await;
+                lane.alone("test", |_| run.start).await
+            },
+            Some(&|_: &usize| false),
+        );
+        assert!(finished);
+        assert!(matches!(jobs[2].state, State::Done(2)));
+    }
 
     #[test]
     fn a_nested_drive_leaves_the_callers_lane_set() {

@@ -25,6 +25,7 @@ use pim_runtime::Handle;
 
 use crate::batch::search::SearchRequest;
 use crate::config::{Key, Value};
+use crate::op::SpanJob;
 
 macro_rules! lease {
     ($take:ident, $give:ident, $field:ident, $t:ty) => {
@@ -42,7 +43,7 @@ macro_rules! lease {
 }
 
 /// Reusable per-structure staging storage (see module docs).
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct Scratch {
     /// Key staging: op-run collection, sort-dedup inputs.
     keys: Vec<Key>,
@@ -94,6 +95,8 @@ pub(crate) struct Scratch {
     cell_to_sub: Vec<usize>,
     /// A span's Update undo records (see `op::execute_span`).
     undo: Vec<(usize, Key, Value)>,
+    /// A span's job table (see `op::execute_span`).
+    jobs: Vec<SpanJob>,
 }
 
 impl Scratch {
@@ -131,6 +134,7 @@ impl Scratch {
     lease!(take_range_delta, give_range_delta, range_delta, i64);
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
     lease!(take_undo, give_undo, undo, (usize, Key, Value));
+    lease!(take_jobs, give_jobs, jobs, SpanJob);
 }
 
 #[cfg(test)]

@@ -496,6 +496,43 @@ fn fault_in_any_round_of_a_co_scheduled_span_is_retried() {
 }
 
 #[test]
+fn a_retry_re_drives_the_unfinished_jobs_co_scheduled() {
+    // 32 alternating 1-key Successor and Get runs share their rounds, and
+    // every module loses a task in the span's first round, which stops it
+    // with every job unfinished. The retry drives them again together, so
+    // recovery costs about one fault-free span more, not one run after
+    // another.
+    let cfg = || Config::new(8, 1 << 10, 61).with_max_retries(2);
+    let load = upserts(&(0..96).map(|i| (i * 3, i as u64)).collect::<Vec<_>>());
+    let ops: Vec<Op> = (0..16i64)
+        .flat_map(|i| [Op::Successor { key: i * 17 + 1 }, Op::Get { key: i * 15 }])
+        .collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&load);
+    let start = dry.metrics().rounds;
+    let want = dry.execute(&ops);
+    let rounds = dry.metrics().rounds - start;
+    let mut list = PimSkipList::new(cfg());
+    list.execute(&load);
+    let plan = (0..8).fold(FaultPlan::new(), |plan, m| {
+        plan.at(start, m, FaultKind::DropTask { nth: 0 })
+    });
+    list.set_fault_plan(plan);
+    let replies = list.try_execute(&ops).expect("recovers inside the span");
+    assert_eq!(
+        list.metrics().messages_dropped,
+        8,
+        "every module lost a task"
+    );
+    assert_logically_eq(&replies, &want);
+    let took = list.metrics().rounds - start;
+    assert!(
+        took <= 2 * rounds,
+        "recovery took {took} rounds, the fault-free span {rounds}"
+    );
+}
+
+#[test]
 fn crash_in_a_lone_insert_of_a_span_is_repaired_before_later_jobs() {
     // A co-scheduled Upsert inserts alone, driving its own search,
     // allocation, wiring and link rounds. A module that crashes there while
@@ -1042,7 +1079,8 @@ fn fault_in_any_round_of_an_upsert_is_retried() {
 #[test]
 fn unrecoverable_schedule_surfaces_retries_exhausted() {
     // Crash module 0 at every round: no attempt can ever complete. With
-    // max_retries = 1 the wrapper gives up after two attempts.
+    // max_retries = 1 the retry loop gives up after three attempts: the
+    // first, then `max_retries + 1` retries.
     let mut list = PimSkipList::new(Config::new(4, 1 << 8, 19).with_max_retries(1));
     let mut plan = FaultPlan::new();
     for r in 0..300 {
@@ -1058,6 +1096,42 @@ fn unrecoverable_schedule_surfaces_retries_exhausted() {
         matches!(err, PimError::RetriesExhausted { .. }),
         "expected RetriesExhausted, got: {err}"
     );
+    assert!(matches!(
+        err,
+        PimError::RetriesExhausted { attempts: 3, .. }
+    ));
+}
+
+#[test]
+fn a_failed_restore_is_finished_before_the_next_call() {
+    // Crash module 0 at every round: the Get fails, rebuilding module 0
+    // falls back to the whole-machine restore, and every attempt of that
+    // restore fails too, so the machine is left half-built. Once the
+    // faults stop, the next call must restore it from the journal first.
+    let mut list = PimSkipList::new(Config::new(4, 1 << 8, 19).with_max_retries(1));
+    let pairs: Vec<(i64, u64)> = (0..50).map(|i| (i, i as u64)).collect();
+    list.bulk_load(&pairs);
+    let start = list.metrics().rounds;
+    let plan =
+        (start..start + 300).fold(FaultPlan::new(), |plan, r| plan.at(r, 0, FaultKind::Crash));
+    list.set_fault_plan(plan);
+    let err = list
+        .try_execute(&gets(&[1, 2, 3]))
+        .expect_err("restore fails");
+    assert!(
+        matches!(
+            err,
+            PimError::RetriesExhausted {
+                op: "restore_all",
+                ..
+            }
+        ),
+        "got: {err}"
+    );
+    list.set_fault_plan(FaultPlan::new());
+    let replies = list.try_execute(&gets(&[7, 70])).expect("faults stopped");
+    assert_eq!(replies, [Reply::Value(Some(7)), Reply::Value(None)]);
+    assert_holds(&list, &pairs, "after the failed restore");
 }
 
 #[test]
