@@ -13,6 +13,17 @@
 //! Upper-part (replicated) nodes never enter the contraction: their whole
 //! neighbourhood is replicated, so a single `UnlinkUpper` broadcast lets
 //! every module splice its own copies locally, in identical order.
+//!
+//! Among a span's co-scheduled jobs (`crate::sched`) the marks are one wave
+//! beside the others. The links then wait only for the earlier Successors
+//! and Predecessors the removal answers, found from each leaf's key, its
+//! right neighbour's and its module-local left leaf's (a lower bound on its
+//! left neighbour's), so the rule costs no message. An unlinked node keeps
+//! its own pointers until it is freed, so any other earlier search on it or
+//! past it ends where it would have ended. The later jobs start once the
+//! links are written and never reach a removed node; the frees and the
+//! journal commit wait until every earlier job has finished, so every later
+//! allocation comes after them.
 
 use std::collections::HashMap;
 
@@ -23,6 +34,7 @@ use pim_runtime::{Handle, Metrics};
 use crate::config::{Key, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::op::{removals_change, Op};
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
@@ -36,15 +48,27 @@ struct MarkedRec {
 }
 
 /// What one Delete batch's mark wave found: per unique key whether it was
-/// resident, the marked lower-part nodes per level, and the replicated
-/// slots to unlink.
+/// resident, the removed leaves, the marked lower-part nodes per level, and
+/// the replicated slots to unlink.
 struct Marks {
     found: Vec<bool>,
+    /// Per removed leaf: a lower bound on its left neighbour's key, its key
+    /// and its right neighbour's key (see [`removals_change`]).
+    removed: Vec<(Key, Key, Key)>,
     by_level: HashMap<u8, Vec<MarkedRec>>,
     upper_slots: Vec<u32>,
     /// Replicas to unlink per level: a tower's replicated nodes arrive
     /// bottom-up from `h_low`.
     unlinked_at: [u32; u8::MAX as usize + 1],
+}
+
+impl Marks {
+    /// The levels with marked lower-part nodes, bottom-up.
+    fn levels(&self) -> Vec<u8> {
+        let mut levels: Vec<u8> = self.by_level.keys().copied().collect();
+        levels.sort_unstable();
+        levels
+    }
 }
 
 /// Working storage for [`PimSkipList::splice_level`], reused (cleared)
@@ -77,6 +101,7 @@ impl PimSkipList {
     fn mark_absorb(&mut self, n: usize, replies: Vec<Reply>, before: &Metrics) -> PimResult<Marks> {
         let mut marks = Marks {
             found: self.scratch.take_flags(),
+            removed: Vec::new(),
             by_level: HashMap::new(),
             upper_slots: self.scratch.take_slots(),
             unlinked_at: [0; u8::MAX as usize + 1],
@@ -90,7 +115,9 @@ impl PimSkipList {
                     op,
                     node,
                     level,
+                    key,
                     left,
+                    left_bound,
                     right,
                     right_key,
                     upper_slots,
@@ -98,6 +125,7 @@ impl PimSkipList {
                 } => {
                     if level == 0 {
                         marks.found[op as usize] = true;
+                        marks.removed.push((left_bound, key, right_key));
                         answered += 1;
                     }
                     for count in &mut marks.unlinked_at[h_low..h_low + upper_slots.len()] {
@@ -134,53 +162,54 @@ impl PimSkipList {
         self.scratch.give_slots(marks.upper_slots);
     }
 
-    /// Splice the marked nodes out (CPU-side list contraction per level),
-    /// free the lower ones, unlink the upper replicas and commit the
-    /// removals to the journal — the part of a Delete that runs alone.
-    fn unlink_marked(&mut self, uniq: &[Key], marks: &Marks) -> PimResult<()> {
+    /// Contract the marked nodes per level in shared memory (CPU-side list
+    /// contraction) and send the surviving boundary links. Returns the
+    /// staged words, to free once the links are written.
+    fn contract_marked(&mut self, marks: &Marks) -> u64 {
         let words = 4 * marks.by_level.values().map(Vec::len).sum::<usize>() as u64;
         self.sys.shared_mem().alloc(words);
-        let mut levels: Vec<u8> = marks.by_level.keys().copied().collect();
-        levels.sort_unstable();
         let mut bufs = SpliceBufs::default();
         self.spanned("delete/contract", |s| {
-            for level in &levels {
+            for level in &marks.levels() {
                 s.splice_level(&marks.by_level[level], &mut bufs);
             }
         });
+        words
+    }
 
+    /// Free the marked lower nodes and unlink the upper replicas.
+    fn send_frees(&mut self, marks: &Marks) {
         // Level order: deterministic message order keeps `nth`-counted
         // drop faults replayable.
-        let unlinked = self.spanned("delete/unlink", |s| {
-            for level in &levels {
-                for rec in &marks.by_level[level] {
-                    s.sys
-                        .send(rec.node.module(), Task::FreeNode { node: rec.node });
-                }
+        for level in &marks.levels() {
+            for rec in &marks.by_level[level] {
+                self.sys
+                    .send(rec.node.module(), Task::FreeNode { node: rec.node });
             }
-            if !marks.upper_slots.is_empty() {
-                let slots = marks.upper_slots.clone();
-                s.sys.broadcast(move |_| Task::UnlinkUpper {
-                    slots: slots.clone(),
-                });
-                for &slot in &marks.upper_slots {
-                    s.shadow.free(slot);
-                }
-                for level in s.cfg.h_low..=s.cfg.max_level {
-                    s.start.unlink(level, marks.unlinked_at[usize::from(level)]);
-                }
+        }
+        if !marks.upper_slots.is_empty() {
+            let slots = marks.upper_slots.clone();
+            self.sys.broadcast(move |_| Task::UnlinkUpper {
+                slots: slots.clone(),
+            });
+            for &slot in &marks.upper_slots {
+                self.shadow.free(slot);
             }
-            s.quiesce_writes("batch_delete")
-        });
-        self.sys.shared_mem().free(words);
-        unlinked?;
+            for level in self.cfg.h_low..=self.cfg.max_level {
+                self.start
+                    .unlink(level, marks.unlinked_at[usize::from(level)]);
+            }
+        }
+    }
+
+    /// Commit the removals to the length and the journal.
+    fn commit_removals(&mut self, uniq: &[Key], marks: &Marks) {
         self.len -= marks.found.iter().filter(|&&f| f).count() as u64;
         for (&k, &f) in uniq.iter().zip(&marks.found) {
             if f {
                 self.journal.remove(k);
             }
         }
-        Ok(())
     }
 
     /// Contract one level's marked nodes in shared memory and write the
@@ -304,14 +333,17 @@ impl PimSkipList {
     }
 }
 
-/// One fault-observable attempt of [`PimSkipList::batch_delete`], as a job.
-/// The marks (§4.4's hash shortcut) are one wave that shares rounds with the
-/// span's other jobs. A batch that marked nothing is done there. Otherwise
-/// the job waits until every earlier job finished without error and
-/// contracts, unlinks and commits alone ([`Lane::alone`]), so the
-/// contraction priorities are drawn where one-run-at-a-time execution draws
-/// them. Commits to the journal only when every stage completed.
-pub(crate) async fn delete_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<bool>> {
+/// One fault-observable attempt of [`PimSkipList::batch_delete`], as the
+/// job of `span` (the ops its lane's job table indexes) whose run holds
+/// `keys`. The marks (§4.4's hash shortcut) are one wave that shares rounds
+/// with the span's other jobs. A batch that marked nothing is done there;
+/// one that marked splices (see [`splice`]). Commits to the journal only
+/// when every stage completed.
+pub(crate) async fn delete_attempt(
+    lane: Lane<'_>,
+    keys: &[Key],
+    span: &[Op],
+) -> PimResult<Vec<bool>> {
     lane.spanned("delete", async {
         let staged = keys.len() as u64 * 2;
         let uniq = lane.with(|s| {
@@ -323,7 +355,7 @@ pub(crate) async fn delete_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Ve
             dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
             uniq
         });
-        let out = delete_resolve(lane, keys, &uniq).await;
+        let out = delete_resolve(lane, keys, &uniq, span).await;
         lane.with(|s| {
             s.scratch.give_uniq_keys(uniq);
             s.sys.sample_shared_mem();
@@ -335,7 +367,12 @@ pub(crate) async fn delete_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Ve
 }
 
 /// Mark `uniq`, then splice out what was marked.
-async fn delete_resolve(lane: Lane<'_>, keys: &[Key], uniq: &[Key]) -> PimResult<Vec<bool>> {
+async fn delete_resolve(
+    lane: Lane<'_>,
+    keys: &[Key],
+    uniq: &[Key],
+    span: &[Op],
+) -> PimResult<Vec<bool>> {
     let before = lane.with(|s| s.sys.metrics());
     let replies = lane
         .spanned("delete/mark", async {
@@ -349,16 +386,14 @@ async fn delete_resolve(lane: Lane<'_>, keys: &[Key], uniq: &[Key]) -> PimResult
         })
         .await;
     let marks = lane.with(|s| s.mark_absorb(uniq.len(), replies, &before))?;
-    // No key was resident: nothing changed, so nothing runs alone (and no
-    // write is quiesced, which would step the other jobs' traffic).
-    let unlinked = if marks.found.contains(&true) {
-        lane.alone("delete", |s| s.unlink_marked(uniq, &marks))
-            .await
+    // No key was resident: nothing changed, so nothing is spliced.
+    let spliced = if marks.found.contains(&true) {
+        splice(lane, uniq, &marks, span).await
     } else {
         Ok(())
     };
     lane.with(|s| {
-        let out = unlinked.map(|()| {
+        let out = spliced.map(|()| {
             let by_key: HashMap<Key, bool> = uniq
                 .iter()
                 .copied()
@@ -369,6 +404,65 @@ async fn delete_resolve(lane: Lane<'_>, keys: &[Key], uniq: &[Key]) -> PimResult
         s.give_marks(marks);
         out
     })
+}
+
+/// Splice the marked nodes out and commit the removals. The links wait
+/// only for the earlier reads whose answer the removal changes
+/// ([`crate::op::removals_change`]): an unlinked node keeps its own
+/// pointers until it is freed, so an earlier search on it or past it ends
+/// where it would have ended. Then the contraction priorities wait for
+/// every earlier job's last draw and are drawn, the links go out as one
+/// wave, and the later jobs may start ([`Lane::release`]): none of them
+/// reaches a removed node. The frees and the commit wait until every
+/// earlier job has finished, so every later allocation comes after them. A
+/// tower reaching the replicated part waits for that before its links:
+/// `UnlinkUpper` frees replicated slots. When every earlier job has
+/// finished by the links, the frees ride in their wave, recorded as a lone
+/// phase ([`Lane::recorded`]): a one-job span sends what it always sent.
+async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> PimResult<()> {
+    if marks.upper_slots.is_empty() {
+        lane.after(|run| removals_change(&span[run], &marks.removed))
+            .await;
+    } else {
+        lane.settled().await;
+    }
+    lane.draws_settled().await;
+    let alone = lane.is_settled();
+    let unlink = async {
+        let words = lane.with(|s| s.contract_marked(marks));
+        lane.drawn();
+        let linked = lane
+            .spanned("delete/unlink", async {
+                if alone {
+                    lane.with(|s| s.send_frees(marks));
+                }
+                write_wave(lane).await
+            })
+            .await;
+        lane.with(|s| s.sys.shared_mem().free(words));
+        linked?;
+        if !alone {
+            lane.release();
+            lane.settled().await;
+            lane.with(|s| s.send_frees(marks));
+            write_wave(lane).await?;
+        }
+        lane.with(|s| s.commit_removals(uniq, marks));
+        Ok(())
+    };
+    if alone {
+        lane.recorded("delete", unlink).await
+    } else {
+        unlink.await
+    }
+}
+
+/// Wait for the writes this job sent, and check them as
+/// [`PimSkipList::quiesce_writes`] does.
+async fn write_wave(lane: Lane<'_>) -> PimResult<()> {
+    let before = lane.with(|s| s.sys.metrics());
+    let replies = lane.wave().await;
+    lane.with(|s| s.writes_landed("batch_delete", replies, &before))
 }
 
 #[cfg(test)]

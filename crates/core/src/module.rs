@@ -36,7 +36,7 @@ use pim_runtime::{Handle, ModuleCtx, ModuleId, PimModule};
 use pim_hashtable::DeamortizedMap;
 
 use crate::arena::Arena;
-use crate::config::{Key, POS_INF};
+use crate::config::{Key, NEG_INF, POS_INF};
 use crate::node::Node;
 use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, Walk, NO_OP};
 
@@ -375,8 +375,9 @@ impl SkipModule {
     }
 
     /// Remove a (marked) local leaf from the local leaf list, fixing
-    /// `next_leaf` shortcuts and inverses; returns work done.
-    fn local_leaf_remove(&mut self, leaf: Handle) -> u64 {
+    /// `next_leaf` shortcuts and inverses; returns work done and the key of
+    /// its local left leaf.
+    fn local_leaf_remove(&mut self, leaf: Handle) -> (u64, Key) {
         let (prev, next, inverse) = {
             let n = self.node(leaf);
             (n.local_left, n.local_right, n.next_leaf)
@@ -405,7 +406,7 @@ impl SkipModule {
         if inverse.is_some() && next.is_some() && self.node(next).next_leaf.is_null() {
             self.node_mut(next).next_leaf = inverse;
         }
-        work
+        (work, self.node(prev).key)
     }
 
     /// Compute `next_leaf` of a new upper leaf replica in this module,
@@ -701,13 +702,16 @@ impl SkipModule {
         n.deleted = true;
         let (chain, value) = (n.chain.clone(), n.value);
         let mut upper_slots = Vec::new();
-        if leaf.is_replicated() {
+        let left_bound = if leaf.is_replicated() {
             // h_low = 0 ablation: the leaf itself is a replica — no local
             // leaf list to maintain; all replicas unlink via UnlinkUpper.
             upper_slots.push(leaf.slot());
+            NEG_INF
         } else {
-            ctx.work(self.local_leaf_remove(leaf));
-        }
+            let (work, local_left) = self.local_leaf_remove(leaf);
+            ctx.work(work);
+            local_left
+        };
         for h in &chain {
             if h.is_replicated() {
                 upper_slots.push(h.slot());
@@ -722,6 +726,7 @@ impl SkipModule {
             level: 0,
             key,
             left: n.left,
+            left_bound,
             right: n.right,
             right_key: n.right_key,
             upper_slots,
@@ -745,6 +750,7 @@ impl SkipModule {
             level,
             key,
             left,
+            left_bound: NEG_INF,
             right,
             right_key,
             upper_slots: Vec::new(),

@@ -21,9 +21,12 @@
 //! job waits for every earlier job it conflicts with and for every earlier
 //! Upsert, Delete and mutating Range. Coins wait for every earlier job's
 //! last draw (an insert's search shares rounds with the earlier jobs);
-//! only an insert's allocation, wiring and link, a Delete's splice and a
-//! mutating Range run alone, once every earlier job has finished. So the
-//! replies, the tower coins and the contraction priorities are unchanged.
+//! only an insert's allocation, wiring and link and a mutating Range run
+//! alone, once every earlier job has finished. A Delete's links wait only
+//! for the earlier reads whose answer its removal changes
+//! (`removal_changes`); then the later jobs may start, and its frees wait
+//! for every earlier job. So the replies, the tower coins, the contraction
+//! priorities and the handles are unchanged.
 //!
 //! Fault surface: [`PimSkipList::try_execute`] drives every span through
 //! the one retry loop of [`crate::recover`] — the per-op `batch_*` entry
@@ -35,6 +38,8 @@
 //! durable structure every committed span — one `execute` call, unless it
 //! was cut — is one WAL frame, and a crash-recovered structure equals a
 //! fresh one replaying the WAL (the chaos suite proves it).
+
+use std::ops::Range;
 
 use pim_runtime::Handle;
 
@@ -266,17 +271,23 @@ impl PimSkipList {
     /// share the machine's rounds, and a job waits for the earlier jobs it
     /// conflicts with (an Update, Upsert or Delete, and a Get, Update,
     /// Upsert or Delete of its key, or a Range containing it) and for every
-    /// earlier Upsert, Delete and mutating Range. An Upsert that finds
-    /// every key resident is its one-round update pass, and a Delete that
-    /// finds none is its one mark wave. An Upsert that must insert draws
-    /// its coins once every earlier job made its last draw and searches
-    /// beside the earlier jobs as they drain; only its allocation, wiring
-    /// and link, a marking Delete's splice and a mutating Range wait until
-    /// every earlier job finished without error and then run alone. Each job
-    /// charges exactly the CPU work, depth and staging it charges alone and
-    /// draws its deals in the same number, so every insert, Delete and
-    /// mutating Range starts from the same random stream as under
-    /// one-run-at-a-time execution.
+    /// earlier Upsert and mutating Range, and until every earlier Delete
+    /// has written its links. An Upsert that finds every key resident is
+    /// its one-round update pass, and a Delete that finds none is its one
+    /// mark wave. An Upsert that must insert draws its coins once every
+    /// earlier job made its last draw and searches beside the earlier jobs
+    /// as they drain; only its allocation, wiring and link and a mutating
+    /// Range wait until every earlier job finished without error and then
+    /// run alone. A marking Delete waits until every earlier Successor or
+    /// Predecessor its removal answers has finished and every earlier job
+    /// made its last draw, then draws its contraction priorities, writes
+    /// its links beside the earlier jobs and lets the later ones start; it
+    /// frees its nodes once every earlier job has finished (a tower with
+    /// replicated nodes waits for that before its links). Each job charges
+    /// exactly the CPU work, depth and staging it charges alone and draws
+    /// its deals in the same number, so every insert, Delete and mutating
+    /// Range starts from the same random stream as under one-run-at-a-time
+    /// execution.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
         let mut replies = Vec::with_capacity(ops.len());
         // Lemma 4.2 instrumentation spans one *search* batch; a mixed
@@ -363,7 +374,8 @@ impl PimSkipList {
     fn execute_span(&mut self, span: &[Op], out: &mut Vec<Reply>) -> PimResult<()> {
         span.iter().try_for_each(|op| self.check_op(op))?;
         // One job per run (unmetered bookkeeping, like the service tier's
-        // planning). Nothing overtakes a structural write: it may run alone.
+        // planning). Nothing overtakes a structural write (see
+        // `is_structural`).
         let mut jobs = self.scratch.take_jobs();
         let mut start = 0;
         while start < span.len() {
@@ -439,7 +451,7 @@ impl PimSkipList {
                         }
                     });
                 }
-                run_job(lane, &span[run])
+                run_job(lane, span, run)
             },
             Some(&|out: &PimResult<Vec<Reply>>| out.is_err()),
         );
@@ -490,11 +502,12 @@ impl PimSkipList {
     }
 }
 
-/// One attempt of a coalescible run, as a job: its family's batch
-/// algorithm. The run's keys/pairs/ranges are staged in leased scratch
-/// buffers, so a service front-end executing batches continuously reuses
-/// staging capacity instead of allocating it per dispatch.
-async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
+/// One attempt of the coalescible run `span[run]`, as a job: its family's
+/// batch algorithm. The run's keys/pairs/ranges are staged in leased
+/// scratch buffers, so a service front-end executing batches continuously
+/// reuses staging capacity instead of allocating it per dispatch.
+async fn run_job(lane: Lane<'_>, span: &[Op], run: Range<usize>) -> PimResult<Vec<Reply>> {
+    let run = &span[run];
     match run[0].kind() {
         OpKind::Get | OpKind::Successor | OpKind::Predecessor | OpKind::Delete => {
             let keys = lane.with(|s| {
@@ -509,7 +522,7 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
                 OpKind::Successor => successor_attempt(lane, &keys)
                     .await
                     .map(|v| v.into_iter().map(Reply::Entry).collect()),
-                OpKind::Delete => delete_attempt(lane, &keys)
+                OpKind::Delete => delete_attempt(lane, &keys, span)
                     .await
                     .map(|v| v.into_iter().map(Reply::Deleted).collect()),
                 _ => predecessor_attempt(lane, &keys)
@@ -568,9 +581,10 @@ async fn run_job(lane: Lane<'_>, run: &[Op]) -> PimResult<Vec<Reply>> {
 
 /// Structural runs can change the structure's shape (and draw tower coins
 /// or contraction priorities), so they retry through the whole-machine
-/// restore, and no later job of their span overtakes them. Their shaping
-/// phases run alone: an insert's allocation, wiring and link, a Delete's
-/// splice, a mutating Range whole (see [`PimSkipList::try_execute`]).
+/// restore, and no later job of their span overtakes them until they
+/// finish, or, for a Delete, write their links. An insert's allocation,
+/// wiring and link and a mutating Range run alone (see
+/// [`PimSkipList::try_execute`]).
 fn is_structural(op: &Op) -> bool {
     op.is_write() && op.kind() != OpKind::Update
 }
@@ -586,6 +600,29 @@ fn runs_conflict(earlier: &[Op], later: &[Op]) -> bool {
     earlier
         .iter()
         .any(|a| later.iter().any(|b| ops_conflict(a, b)))
+}
+
+/// Does removing a leaf change the answer of `read`, run before it? The
+/// removal is `(lb, key, right)`: a lower bound on the key of the leaf's
+/// left neighbour, its key and its right neighbour's. A Successor of `k` is
+/// answered by `key` only if `lb < k ≤ key`, a Predecessor of `k` only if
+/// `key ≤ k < right`. The other ops that read `key` already conflict with
+/// the Delete ([`ops_conflict`]).
+fn removal_changes(read: &Op, (lb, key, right): (Key, Key, Key)) -> bool {
+    match *read {
+        Op::Successor { key: k } => lb < k && k <= key,
+        Op::Predecessor { key: k } => key <= k && k < right,
+        _ => false,
+    }
+}
+
+/// Does removing any of `removed` change the answer of a read of the run
+/// `earlier` (see [`removal_changes`])?
+pub(crate) fn removals_change(earlier: &[Op], removed: &[(Key, Key, Key)]) -> bool {
+    matches!(earlier[0].kind(), OpKind::Successor | OpKind::Predecessor)
+        && earlier
+            .iter()
+            .any(|op| removed.iter().any(|&r| removal_changes(op, r)))
 }
 
 fn writes_key(op: &Op) -> bool {

@@ -58,6 +58,17 @@ impl PimSkipList {
     pub(crate) fn quiesce_writes(&mut self, op: &'static str) -> PimResult<()> {
         let before = self.sys.metrics();
         let replies = self.sys.run_to_quiescence();
+        self.writes_landed(op, replies, &before)
+    }
+
+    /// Check the `replies` of write-style traffic that ran since `before`
+    /// (see [`PimSkipList::quiesce_writes`]).
+    pub(crate) fn writes_landed(
+        &self,
+        op: &'static str,
+        replies: Vec<ModuleReply>,
+        before: &Metrics,
+    ) -> PimResult<()> {
         let mut faulted = 0usize;
         for r in replies {
             match r {
@@ -65,7 +76,7 @@ impl PimSkipList {
                 other => return Err(PimError::protocol(op, other)),
             }
         }
-        if faulted > 0 || self.damage_since(&before) {
+        if faulted > 0 || self.damage_since(before) {
             return Err(PimError::incomplete(op, faulted.max(1)));
         }
         Ok(())

@@ -8,20 +8,23 @@
 //! awaits it borrows the structure ([`Lane::with`]) and charges exactly
 //! what it charges alone. Coins wait for every earlier job's last draw
 //! ([`Lane::draws_settled`]); only an insert's allocation, wiring and link,
-//! Delete's contraction and unlink, and a mutating Range run alone
-//! ([`Lane::alone`]): every earlier job of the span finished without
-//! error, and the phase runs on lane 0.
+//! and a mutating Range, run alone ([`Lane::alone`]): every earlier job of
+//! the span finished without error, and the phase runs on lane 0. A
+//! Delete's links wait only for the earlier jobs whose answer they change
+//! ([`Lane::after`]) and go out as a wave of its own; then it lets the later
+//! jobs start ([`Lane::release`]) and its frees wait for every earlier job
+//! ([`Lane::settled`]).
 //!
 //! [`drive`] is the executor: a std-only loop that polls the jobs in run
 //! order with a no-op waker and runs one machine round whenever every live
 //! job waits on its wave. All live jobs advance in the same rounds, but not
 //! in lockstep: a job issues its next wave as soon as its last one ended,
-//! and a job starts as soon as every earlier job it conflicts with, and
-//! every earlier barrier, has finished. A lone job is exactly the
-//! sequential batch: its waves end at quiescence, as `run_to_quiescence`
-//! did. A retry drives the same job table again: the jobs an earlier drive
-//! finished keep their outputs and count as settled and drawn, and the
-//! others start afresh, co-scheduled as before.
+//! and a job starts as soon as every earlier job it conflicts with has
+//! finished and every earlier barrier has finished or released it. A lone
+//! job is exactly the sequential batch: its waves end at quiescence, as
+//! `run_to_quiescence` did. A retry drives the same job table again: the
+//! jobs an earlier drive finished keep their outputs and count as settled
+//! and drawn, and the others start afresh, co-scheduled as before.
 //!
 //! The scheduler's bookkeeping (conflict tests, job states) is unmetered,
 //! like the service tier's planning.
@@ -47,6 +50,11 @@ pub(crate) struct Shared<'s> {
     drawn: Cell<usize>,
     /// The job being polled called [`Lane::drawn`].
     drew: Cell<bool>,
+    /// The job being polled called [`Lane::release`].
+    released: Cell<bool>,
+    /// Each job's run until it finishes (see [`Lane::after`]); a buffer
+    /// leased from the structure's scratch for the length of a drive.
+    open: RefCell<Vec<Option<Range<usize>>>>,
     /// A phase run by [`Lane::alone`] lost messages or crashed a module.
     /// Its own checks may miss it (a module that crashes idle drops
     /// nothing), so the span's caller must restore the whole machine.
@@ -60,6 +68,8 @@ impl<'s> Shared<'s> {
             settled: Cell::new(0),
             drawn: Cell::new(0),
             drew: Cell::new(false),
+            released: Cell::new(false),
+            open: RefCell::new(Vec::new()),
             lone_damage: Cell::new(false),
         }
     }
@@ -103,33 +113,77 @@ impl<'s> Lane<'s> {
         reached(&self.list.drawn, self.id).await;
     }
 
+    /// Wait until every earlier job of the span has finished without error.
+    pub(crate) async fn settled(self) {
+        reached(&self.list.settled, self.id).await;
+    }
+
+    /// Has every earlier job of the span finished without error?
+    pub(crate) fn is_settled(self) -> bool {
+        self.list.settled.get() >= self.id as usize
+    }
+
+    /// Wait until every earlier job whose run `blocks` has finished. Each
+    /// earlier job is tested in order until it has finished or does not
+    /// block, so a job that finished or did not block is never tested
+    /// again.
+    pub(crate) async fn after(self, blocks: impl Fn(Range<usize>) -> bool) {
+        let mut at = 0;
+        std::future::poll_fn(|_| {
+            let open = self.list.open.borrow();
+            at = at.max(self.list.settled.get());
+            while at < self.id as usize {
+                match &open[at] {
+                    Some(run) if blocks(run.clone()) => return Poll::Pending,
+                    _ => at += 1,
+                }
+            }
+            Poll::Ready(())
+        })
+        .await;
+    }
+
+    /// Let the later jobs start: this barrier job has done everything they
+    /// must not overtake, but has not finished. A later job that waits for
+    /// it to finish ([`Lane::settled`], [`Lane::alone`]) still does.
+    pub(crate) fn release(self) {
+        self.list.released.set(true);
+    }
+
     /// Wait until every earlier job of the span has finished without error,
     /// then run `f` on lane 0. Coins wait only for every earlier job's last
     /// draw ([`Lane::draws_settled`]); only an insert's allocation, wiring
-    /// and link run alone. No later job has started (it waits for this one),
-    /// so `f` runs alone and may drive rounds itself. Damage in those rounds
-    /// stops the span once this job's poll returns (see [`drive`]).
-    /// Inside a multi-job span, whose phase spans are muted, `f` runs in
-    /// the probe span `name`, the job family's, with its phases recorded.
+    /// and link, and a mutating Range, run alone. No later job has started
+    /// (it waits for this one), so `f` runs alone and may drive rounds
+    /// itself. Damage in those rounds stops the span once this job's poll
+    /// returns (see [`drive`]). Its phases are recorded under `name`, the
+    /// job family's (see [`Lane::recorded`]).
     pub(crate) async fn alone<T>(
         self,
         name: &'static str,
         f: impl FnOnce(&mut PimSkipList) -> T,
     ) -> T {
-        reached(&self.list.settled, self.id).await;
+        self.settled().await;
+        let _recorded = Recorded::enter(self, name);
         self.with(|s| {
             let before = s.sys.metrics();
             s.sys.set_lane(0);
-            let muted = s.sys.spans_muted();
-            s.sys.set_spans_muted(false);
-            let out = if muted { s.spanned(name, f) } else { f(s) };
-            s.sys.set_spans_muted(muted);
+            let out = f(s);
             s.sys.set_lane(self.id);
             if s.damage_since(&before) {
                 self.list.lone_damage.set(true);
             }
             out
         })
+    }
+
+    /// Run `fut` with its phase spans recorded: inside a multi-job span,
+    /// whose phase spans are muted, in the probe span `name`, the job
+    /// family's. Only for a phase whose rounds no other job shares: every
+    /// earlier job has finished, and no later one has started.
+    pub(crate) async fn recorded<T>(self, name: &'static str, fut: impl Future<Output = T>) -> T {
+        let _recorded = Recorded::enter(self, name);
+        fut.await
     }
 
     /// Wait until everything this job sent has executed, then take its
@@ -145,6 +199,41 @@ impl<'s> Lane<'s> {
         let out = fut.await;
         self.with(|s| s.sys.span_exit());
         out
+    }
+}
+
+/// Unmutes a muted span's phase spans inside the probe span it opened, and
+/// closes that span and mutes them again when dropped, also when a stopped
+/// span drops its job unfinished (see [`Lane::recorded`]).
+struct Recorded<'s> {
+    /// The lane that unmuted, if the spans were muted.
+    lane: Option<Lane<'s>>,
+}
+
+impl<'s> Recorded<'s> {
+    fn enter(lane: Lane<'s>, name: &'static str) -> Self {
+        let muted = lane.with(|s| {
+            let muted = s.sys.spans_muted();
+            if muted {
+                s.sys.set_spans_muted(false);
+                s.sys.span_enter(name);
+            }
+            muted
+        });
+        Recorded {
+            lane: muted.then_some(lane),
+        }
+    }
+}
+
+impl Drop for Recorded<'_> {
+    fn drop(&mut self) {
+        if let Some(lane) = self.lane {
+            lane.with(|s| {
+                s.sys.span_exit();
+                s.sys.set_spans_muted(true);
+            });
+        }
     }
 }
 
@@ -194,8 +283,11 @@ pub(crate) enum State<O> {
 pub(crate) struct Job<O> {
     /// The caller's payload range (the job's run within the span).
     pub run: Range<usize>,
-    /// No later job starts before this one has finished.
+    /// No later job starts before this one has finished or released them
+    /// ([`Lane::release`]).
     barrier: bool,
+    /// This job called [`Lane::release`].
+    released: bool,
     /// This job will draw no further random number.
     drawn: bool,
     /// Every earlier job below this one is done or does not conflict.
@@ -208,6 +300,7 @@ impl<O> Job<O> {
         Job {
             run,
             barrier,
+            released: false,
             drawn: false,
             scan: 0,
             state: State::Waiting,
@@ -226,17 +319,18 @@ pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 /// finished. Jobs done without a `failed` output (a retry re-drives a table
 /// an earlier drive stopped) count as settled and drawn; the others start
 /// afresh. Job `j` starts (`make` builds its future on lane `j`) once every
-/// earlier barrier is done and every earlier job whose run `conflict`s with
-/// its own. A pass over the jobs begins at the settled prefix and ends at
-/// the first unfinished barrier, and a waiting job tests each earlier one
-/// once, so a pass costs the live window, not the span. With a `failed`
-/// predicate, the span stops at the first failed output, or right after the
-/// first round (its own, or one a job drove in [`Lane::alone`]) that lost
-/// messages or crashed a module: no further job starts, the jobs done by
-/// then keep their outputs, the started ones stay [`State::Started`], and
-/// their traffic is still queued for the caller to purge. The caller's lane
-/// is set again after every poll, so a drive nested inside a job leaves
-/// that job's lane in place. A lone job's future stays on the stack.
+/// earlier barrier is done or released and every earlier job whose run
+/// `conflict`s with its own is done. A pass over the jobs begins at the
+/// settled prefix and ends at the first unfinished barrier that has not
+/// released, and a waiting job tests each earlier one once, so a pass costs
+/// the live window, not the span. With a `failed` predicate, the span stops
+/// at the first failed output, or right after the first round (its own, or
+/// one a job drove in [`Lane::alone`]) that lost messages or crashed a
+/// module: no further job starts, the jobs done by then keep their
+/// outputs, the started ones stay [`State::Started`], and their traffic is
+/// still queued for the caller to purge. The caller's lane is set again
+/// after every poll, so a drive nested inside a job leaves that job's lane
+/// in place. A lone job's future stays on the stack.
 pub(crate) fn drive<'s, F: Future>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<F::Output>],
@@ -244,7 +338,8 @@ pub(crate) fn drive<'s, F: Future>(
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> F,
     failed: Option<Failed<'_, F::Output>>,
 ) -> bool {
-    if let [job] = jobs {
+    list.open.replace(list.borrow_mut().scratch.take_runs());
+    let finished = if let [job] = jobs {
         let mut lone = Some(pin!(make(Lane::new(list, 0), job.run.clone())));
         let start = |_, _| lone.take().expect("one start");
         poll_jobs(list, jobs, &mut [None], conflict, start, failed)
@@ -252,7 +347,10 @@ pub(crate) fn drive<'s, F: Future>(
         let mut futs: Vec<_> = jobs.iter().map(|_| None).collect();
         let start = |lane, run| Box::pin(make(lane, run));
         poll_jobs(list, jobs, &mut futs, conflict, start, failed)
-    }
+    };
+    let open = list.open.take();
+    list.borrow_mut().scratch.give_runs(open);
+    finished
 }
 
 /// [`drive`] over the futures `futs` of the started jobs.
@@ -274,6 +372,10 @@ fn poll_jobs<'s, J: Future + Unpin>(
     let done = jobs.iter().take_while(|job| job.is_done()).count();
     list.settled.set(done);
     list.drawn.set(done);
+    list.open.borrow_mut().extend(
+        jobs.iter()
+            .map(|job| (!job.is_done()).then(|| job.run.clone())),
+    );
     loop {
         let mut all_done = true;
         let mut any_failed = false;
@@ -296,11 +398,13 @@ fn poll_jobs<'s, J: Future + Unpin>(
                 list.borrow_mut().sys.set_lane(outer);
                 any_failed |= failed.is_some() && list.lone_damage.get();
                 jobs[j].drawn |= list.drew.take() || polled.is_ready();
+                jobs[j].released |= list.released.take();
                 while jobs.get(list.drawn.get()).is_some_and(|job| job.drawn) {
                     list.drawn.set(list.drawn.get() + 1);
                 }
                 if let Poll::Ready(out) = polled {
                     futs[j] = None;
+                    list.open.borrow_mut()[j] = None;
                     any_failed |= failed.is_some_and(|f| f(&out));
                     jobs[j].state = State::Done(out);
                     // A failed job settles nothing: the span stops after
@@ -312,7 +416,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
             }
             if !jobs[j].is_done() {
                 all_done = false;
-                if jobs[j].barrier {
+                if jobs[j].barrier && !jobs[j].released {
                     break;
                 }
             }
@@ -388,6 +492,56 @@ mod tests {
         );
         assert!(finished);
         assert!(matches!(jobs[2].state, State::Done(2)));
+    }
+
+    #[test]
+    fn a_released_barrier_lets_later_jobs_start_but_not_run_alone() {
+        // Job 0, a barrier, releases after its first wave: job 1 starts
+        // beside its second one. Job 2's phase alone still waits until both
+        // have finished.
+        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
+        list.batch_upsert(&[(1, 10), (2, 20)]);
+        let list = Shared::new(&mut list);
+        let log = RefCell::new(Vec::new());
+        let mut jobs = [
+            Job::new(0..1, true),
+            Job::new(1..2, false),
+            Job::new(2..3, true),
+        ];
+        let finished = drive(
+            &list,
+            &mut jobs,
+            |_, _| false,
+            |lane, run| {
+                let log = &log;
+                async move {
+                    match run.start {
+                        0 => {
+                            get_attempt(lane, &[1]).await.expect("fault-free");
+                            lane.release();
+                            get_attempt(lane, &[2]).await.expect("fault-free");
+                            log.borrow_mut().push("0 done");
+                        }
+                        1 => {
+                            log.borrow_mut().push("1 started");
+                            get_attempt(lane, &[2]).await.expect("fault-free");
+                            log.borrow_mut().push("1 done");
+                        }
+                        _ => {
+                            lane.alone("test", |_| log.borrow_mut().push("2 alone"))
+                                .await
+                        }
+                    }
+                    run.start
+                }
+            },
+            Some(&|_: &usize| false),
+        );
+        assert!(finished);
+        assert_eq!(
+            log.into_inner(),
+            ["1 started", "0 done", "1 done", "2 alone"]
+        );
     }
 
     #[test]

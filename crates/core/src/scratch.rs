@@ -21,6 +21,8 @@
 //! observation-free: replies, metrics and traces are byte-identical to the
 //! allocate-per-batch engine.
 
+use std::ops::Range;
+
 use pim_runtime::Handle;
 
 use crate::batch::search::SearchRequest;
@@ -97,6 +99,8 @@ pub(crate) struct Scratch {
     undo: Vec<(usize, Key, Value)>,
     /// A span's job table (see `op::execute_span`).
     jobs: Vec<SpanJob>,
+    /// The runs of a drive's unfinished jobs (see `sched::drive`).
+    runs: Vec<Option<Range<usize>>>,
 }
 
 impl Scratch {
@@ -135,6 +139,7 @@ impl Scratch {
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
     lease!(take_undo, give_undo, undo, (usize, Key, Value));
     lease!(take_jobs, give_jobs, jobs, SpanJob);
+    lease!(take_runs, give_runs, runs, Option<Range<usize>>);
 }
 
 #[cfg(test)]

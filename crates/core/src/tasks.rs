@@ -456,6 +456,10 @@ pub enum Reply {
         key: Key,
         /// Left neighbour at marking time.
         left: Handle,
+        /// For lower-part leaves: the key of the leaf left of it in its
+        /// module's local leaf list, a lower bound on its left neighbour's
+        /// key (`NEG_INF` otherwise).
+        left_bound: Key,
         /// Right neighbour at marking time.
         right: Handle,
         /// Cached right key at marking time.

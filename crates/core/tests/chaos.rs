@@ -734,6 +734,97 @@ fn fault_in_any_round_of_an_insert_search_beside_earlier_jobs_matches_one_run_at
 }
 
 #[test]
+fn fault_in_any_round_of_a_delete_splicing_beside_earlier_reads_matches_one_run_at_a_time() {
+    // One span: 24 Successors and one answered by a key a later Delete
+    // removes, six 1-key Deletes of resident keys with no replicated
+    // node, each followed by a Get of its key and a Predecessor it
+    // answered, then Successors and an Update. A Delete's links wait only
+    // for the reads its removal answers, it then lets the later jobs
+    // start, and its frees wait for every earlier job. A crash, a lost
+    // task and a lost reply on every module in every round: replies,
+    // contents and invariants must be those of one run at a time.
+    let cfg = || Config::new(8, 1 << 10, 61).with_max_retries(8);
+    let load: Vec<(i64, u64)> = (0..96).map(|i| (i * 3, i as u64)).collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&upserts(&load));
+    let upper = dry.upper_leaf_keys();
+    let gone: Vec<i64> = (0..96)
+        .map(|i| (i * 37 + 5) % 96 * 3)
+        .filter(|k| !upper.contains(k))
+        .take(6)
+        .collect();
+    let ops: Vec<Op> = successors(&(0..24).map(|i| i * 11 + 1).collect::<Vec<_>>())
+        .into_iter()
+        .chain(successors(&[gone[5] - 1]))
+        .chain(gone.iter().flat_map(|&key| {
+            [
+                Op::Delete { key },
+                Op::Get { key },
+                Op::Predecessor { key: key + 1 },
+            ]
+        }))
+        .chain(successors(&[2, 100, 200]))
+        .chain([Op::Update { key: 30, value: 7 }])
+        .collect();
+    let mut one_by_one = PimSkipList::new(cfg());
+    one_by_one.execute(&upserts(&load));
+    let (start, alone_start) = (dry.metrics().rounds, one_by_one.metrics().rounds);
+    dry.enable_probe();
+    let dry_replies = dry.execute(&ops);
+    let report = dry.take_probe().expect("probe was enabled");
+    let rounds = dry.metrics().rounds - start;
+    let mut want = Vec::new();
+    let mut at = 0;
+    while at < ops.len() {
+        let end = pim_core::op::run_end(&ops, at);
+        want.extend(one_by_one.execute(&ops[at..end]));
+        at = end;
+    }
+    let alone_rounds = one_by_one.metrics().rounds - alone_start;
+    assert!(
+        rounds < alone_rounds,
+        "the span takes {rounds} rounds, one run at a time {alone_rounds}"
+    );
+    assert_eq!(entry_key(&want[24]), Some(gone[5]));
+    assert_eq!(dry_replies, want, "co-scheduled = one run at a time");
+    assert_eq!(dry.collect_items(), one_by_one.collect_items());
+    // A splice whose earlier jobs had all finished is recorded as a lone
+    // phase; the others freed their nodes after their release.
+    assert!(
+        report.spans_named("delete/unlink").len() < gone.len(),
+        "every Delete splice waited for every earlier job"
+    );
+    for r in 0..rounds {
+        let mut dropped = 0;
+        for m in 0..8 {
+            for kind in [
+                FaultKind::Crash,
+                FaultKind::DropTask { nth: r },
+                FaultKind::DropReply { nth: 0 },
+            ] {
+                let context = format!("{kind:?} on module {m} at round {r}");
+                let mut list = PimSkipList::new(cfg());
+                list.execute(&upserts(&load));
+                list.set_fault_plan(FaultPlan::new().at(start + r, m, kind));
+                let replies = list
+                    .try_execute(&ops)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                if kind == FaultKind::Crash {
+                    assert_eq!(list.metrics().module_crashes, 1, "{context}: must strike");
+                } else {
+                    dropped += list.metrics().messages_dropped;
+                }
+                assert_logically_eq(&replies, &want);
+                list.validate()
+                    .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+                assert_eq!(list.collect_items(), dry.collect_items(), "{context}");
+            }
+        }
+        assert!(dropped > 0, "round {r} lost nothing");
+    }
+}
+
+#[test]
 fn a_failed_run_leaves_no_later_update_of_its_span_behind() {
     // No retries, and every module loses a task in two consecutive rounds:
     // the span's first run fails while co-scheduled and again alone. The
