@@ -41,7 +41,7 @@
 
 use pim_runtime::Handle;
 
-use crate::batch::upsert::Towers;
+use crate::batch::upsert::{allocate_towers, Towers};
 use crate::config::{Key, Value};
 use crate::error::PimResult;
 use crate::list::PimSkipList;
@@ -122,7 +122,10 @@ impl PimSkipList {
             .get(usize::from(h_low))
             .copied()
             .unwrap_or(Handle::replicated(u32::from(h_low)));
-        self.allocate_towers(chunk, tops, |_| upper_tail, towers)?;
+        let tops = &tops[..];
+        self.run_one(async |lane| {
+            allocate_towers(lane, chunk, tops, |_| upper_tail, towers).await
+        })?;
 
         // Horizontal links, level by level: the chunk's nodes at a level,
         // in key order, extend the chain that ends at the level's tail.

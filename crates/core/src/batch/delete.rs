@@ -35,6 +35,7 @@ use crate::config::{Key, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::op::{removals_change, Op};
+use crate::recover::write_wave;
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
@@ -436,7 +437,7 @@ async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> Pim
                 if alone {
                     lane.with(|s| s.send_frees(marks));
                 }
-                write_wave(lane).await
+                write_wave(lane, "batch_delete").await
             })
             .await;
         lane.with(|s| s.sys.shared_mem().free(words));
@@ -445,7 +446,7 @@ async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> Pim
             lane.release();
             lane.settled().await;
             lane.with(|s| s.send_frees(marks));
-            write_wave(lane).await?;
+            write_wave(lane, "batch_delete").await?;
         }
         lane.with(|s| s.commit_removals(uniq, marks));
         Ok(())
@@ -455,14 +456,6 @@ async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> Pim
     } else {
         unlink.await
     }
-}
-
-/// Wait for the writes this job sent, and check them as
-/// [`PimSkipList::quiesce_writes`] does.
-async fn write_wave(lane: Lane<'_>) -> PimResult<()> {
-    let before = lane.with(|s| s.sys.metrics());
-    let replies = lane.wave().await;
-    lane.with(|s| s.writes_landed("batch_delete", replies, &before))
 }
 
 #[cfg(test)]

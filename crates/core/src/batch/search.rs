@@ -103,7 +103,7 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::sched::Lane;
+use crate::sched::{Gap, Lane};
 use crate::tasks::{Fingers, Reply, SearchMode, Task, Walk};
 
 /// One deduplicated search request (`op` unique, keys ascending).
@@ -159,6 +159,14 @@ pub(crate) struct SearchResults {
 }
 
 impl SearchResults {
+    /// The hull of the gaps of the first and last of `reqs`, both pivots,
+    /// from their phase-0 walks ([`Fingers::gap`]); unbounded on a side
+    /// whose pivot was answered inside the replicated part.
+    fn hull(&self, reqs: &[SearchRequest]) -> Gap {
+        let gap = |r: &SearchRequest| self.fingers.get(&r.op).copied().unwrap_or_default().gap;
+        (gap(&reqs[0]).0, gap(&reqs[reqs.len() - 1]).1)
+    }
+
     /// The predecessor record for `op` at `level` (level 0 via `done`).
     pub fn pred_at(&self, op: u32, level: u8) -> Option<(Handle, Handle, Key)> {
         if level == 0 {
@@ -244,14 +252,28 @@ enum Wave {
     /// Stage 1 from phase 1 on: record lower-part paths.
     Pivots,
     /// Stage 2: nothing is recorded; `last_draw` as in [`pivoted_search`].
-    Rest { last_draw: bool },
+    Rest { last_draw: LastDraw },
+}
+
+/// What a search tells its job's lane once stage 2 has dealt — the
+/// search's last draw (see [`pivoted_search`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LastDraw {
+    /// Nothing: the job draws again after the search.
+    Later,
+    /// The job is drawn ([`Lane::drawn`]).
+    Drawn,
+    /// The job is drawn and lets the later jobs start outside the hull of
+    /// its first and last keys' gaps ([`Lane::release_outside`]): an
+    /// insert whose towers all stay below `h_low`.
+    Release,
 }
 
 #[cfg(test)]
 impl PimSkipList {
     /// [`pivoted_search`] run alone, as one job of its own.
     pub(crate) fn pivoted_search(&mut self, reqs: &[SearchRequest]) -> PimResult<SearchResults> {
-        self.run_one(async |lane| pivoted_search(lane, reqs, false).await)
+        self.run_one(async |lane| pivoted_search(lane, reqs, LastDraw::Later).await)
     }
 }
 
@@ -262,12 +284,14 @@ impl PimSkipList {
 ///
 /// Fails with [`PimError::Incomplete`] when injected faults lose search
 /// traffic (missing terminal records, missing pivot paths, `Faulted`
-/// replies); on a fault-free machine the result is always `Ok`. With
-/// `last_draw`, the job's lane is [`Lane::drawn`] once stage 2 has dealt.
+/// replies); on a fault-free machine the result is always `Ok`. Once stage
+/// 2 has dealt, the job's lane hears `last_draw`. The gap of a key is that
+/// of the pivot whose phase-0 walk it follows ([`Fingers::gap`]); the first
+/// and last keys are pivots.
 pub(crate) async fn pivoted_search(
     lane: Lane<'_>,
     reqs: &[SearchRequest],
-    last_draw: bool,
+    last_draw: LastDraw,
 ) -> PimResult<SearchResults> {
     lane.spanned("search", async {
         // The CPU-side staging vectors (pivot indices, wave items, segment
@@ -314,7 +338,7 @@ struct SearchBufs {
 async fn pivoted_search_core(
     lane: Lane<'_>,
     reqs: &[SearchRequest],
-    last_draw: bool,
+    last_draw: LastDraw,
     staged_words: &mut u64,
     bufs: &mut SearchBufs,
 ) -> PimResult<SearchResults> {
@@ -607,8 +631,14 @@ async fn run_wave(
     };
     let out = match lane.with(|s| s.wave_send(&w, results, paths, &mut copies)) {
         Ok(()) => {
-            if wave == (Wave::Rest { last_draw: true }) {
-                lane.drawn();
+            match wave {
+                Wave::Rest {
+                    last_draw: LastDraw::Drawn,
+                } => lane.drawn(),
+                Wave::Rest {
+                    last_draw: LastDraw::Release,
+                } => lane.release_outside(results.hull(reqs)),
+                _ => {}
             }
             let replies = lane.wave().await;
             lane.with(|s| s.wave_absorb(&w, replies, results, paths, &copies))
@@ -928,7 +958,7 @@ async fn point_search_unique(lane: Lane<'_>, keys: &[Key]) -> PimResult<HashMap<
         }));
         (uniq, reqs)
     });
-    let results = pivoted_search(lane, &reqs, true).await;
+    let results = pivoted_search(lane, &reqs, LastDraw::Drawn).await;
     lane.with(|s| {
         s.scratch.give_reqs(reqs);
         // `pivoted_search` checked completeness: indexing is safe.

@@ -10,7 +10,16 @@
 //! 3. batched Predecessor with per-level reports (§4.2 machinery), which
 //!    also returns each key's exact **anchor**: its level-`h_low`
 //!    predecessor, where its search stepped into the lower part. In a span,
-//!    2–3 wait only for every earlier job's last draw; only 4–6 run alone;
+//!    2–3 wait only for every earlier job's last draw, and 4–6 for every
+//!    earlier job to finish ([`Lane::settled`]). When every tower stays
+//!    below `h_low`, the later jobs may start once the search has dealt its
+//!    stage-2 wave, the insert's last draw, except those that touch its
+//!    *gap* ([`Lane::release_outside`]): from its first key's anchor to its
+//!    last key's anchor's right key. Stages 4–6 create and rewire nodes
+//!    strictly inside the gap only, and write just the anchor's `right` and
+//!    the right key's `left`, so a later job outside it reads nothing they
+//!    change. They draw nothing, and allocate after every earlier Delete's
+//!    frees and before every later one's;
 //! 4. **allocation round** — lower-part nodes go to `hash(key, level)`
 //!    modules, which also enter a leaf into the local index and the local
 //!    leaf list one descent step from its anchor; upper-part nodes only
@@ -32,10 +41,11 @@ use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use pim_primitives::sort::par_sort_by_key;
 use pim_runtime::Handle;
 
-use crate::batch::search::{pivoted_search, SearchRequest, SearchResults};
+use crate::batch::search::{pivoted_search, LastDraw, SearchRequest, SearchResults};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::recover::write_wave;
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
@@ -175,31 +185,17 @@ impl PimSkipList {
         pairs.iter().map(|(k, _)| outcome_by_key[k]).collect()
     }
 
-    /// Allocate and vertically wire the towers for a sorted batch of new
-    /// keys (Insert steps 1–5): lower-part nodes go to their hashed
-    /// modules (entering local index + local leaf list on arrival, leaf `j`
-    /// descending from `anchor(j)`), upper-part nodes draw shadow-chosen
-    /// replicated slots, which their `LinkUpper` fills in the link round.
-    /// Fills `towers` with the `tower[j][level]` handles.
-    pub(crate) fn allocate_towers(
+    /// Send the allocation round of `allocate_towers`: lower-part nodes
+    /// to their hashed modules, leaf `j` descending from `anchor(j)`;
+    /// upper-part nodes draw their replicated slots from the shadow
+    /// allocator. Sizes `towers` and fills in the replicated handles.
+    fn send_allocs(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
         anchor: impl Fn(usize) -> Handle,
         towers: &mut Towers,
-    ) -> PimResult<()> {
-        self.spanned("alloc", |s| {
-            s.allocate_towers_inner(inserts, tops, anchor, towers)
-        })
-    }
-
-    fn allocate_towers_inner(
-        &mut self,
-        inserts: &[(Key, Value)],
-        tops: &[u8],
-        anchor: impl Fn(usize) -> Handle,
-        towers: &mut Towers,
-    ) -> PimResult<()> {
+    ) {
         let h_low = self.cfg.h_low;
         towers.reset(&tops[..inserts.len()]);
         for (j, &(key, value)) in inserts.iter().enumerate() {
@@ -226,7 +222,12 @@ impl PimSkipList {
                 }
             }
         }
-        let replies = self.sys.run_to_quiescence();
+    }
+
+    /// Absorb the allocation round's replies into `towers`, then send the
+    /// wiring round: the lower-part nodes' vertical pointers and the
+    /// leaves' chains (Insert steps 4–5); `LinkUpper` wires the replicas.
+    fn send_wiring(&mut self, replies: Vec<Reply>, towers: &mut Towers) -> PimResult<()> {
         let mut faulted = 0usize;
         for r in replies {
             match r {
@@ -241,10 +242,7 @@ impl PimSkipList {
         if faulted > 0 || missing > 0 {
             return Err(PimError::incomplete("alloc", faulted + missing));
         }
-
-        // ---- Vertical wiring + leaf chains (Insert steps 4–5) of the
-        // lower-part nodes; `LinkUpper` wires the replicas ----
-        for j in 0..inserts.len() {
+        for j in 0..towers.len() {
             let t = towers.get(j);
             for (l, &h) in t.iter().enumerate() {
                 let up = t.get(l + 1).copied().unwrap_or(Handle::NULL);
@@ -256,7 +254,7 @@ impl PimSkipList {
             }
         }
         self.send_leaf_chains(towers, false);
-        self.quiesce_writes("wire")
+        Ok(())
     }
 
     /// Record each tower's chain in its leaf (Insert step 5), for the
@@ -297,47 +295,12 @@ impl PimSkipList {
         });
     }
 
-    /// Allocate, wire and link the towers of a sorted, deduplicated,
-    /// non-resident batch of pairs whose heights and search are done, then
-    /// commit them.
-    fn insert_towers(
-        &mut self,
-        inserts: &[(Key, Value)],
-        tops: &[u8],
-        results: &SearchResults,
-        towers: &mut Towers,
-    ) -> PimResult<()> {
-        // ---- Allocation + vertical wiring rounds (Insert steps 1–5); each
-        // new leaf starts from its search's anchor ----
-        let anchor = |j: usize| {
-            results
-                .done
-                .get(&(j as u32))
-                .map_or(Handle::NULL, |d| d.anchor)
-        };
-        self.allocate_towers(inserts, tops, anchor, towers)?;
-
-        // ---- Horizontal pointers: Algorithm 1 below h_low, LinkUpper
-        // above ----
-        self.spanned("link", |s| {
-            s.link_horizontal(inserts, tops, towers, results)
-        })?;
-
-        // Commit: the batch is structurally complete — journal each new
-        // tower so recovery can re-materialise it handle for handle.
-        for (j, &(key, value)) in inserts.iter().enumerate() {
-            self.journal.record_insert(key, value, towers.get(j));
-        }
-        self.len += inserts.len() as u64;
-        Ok(())
-    }
-
-    /// Construct the horizontal pointers of every new tower, then quiesce
-    /// the writes. Lower levels run Algorithm 1 (Fig. 4), chaining runs of
-    /// new nodes that share a `(pred, succ)` segment; an upper-level node
-    /// is spliced in locally by its `LinkUpper`, behind the previous new
-    /// node when the two share a predecessor — the same chaining.
-    fn link_horizontal(
+    /// Send the horizontal pointers of every new tower (the link round).
+    /// Lower levels run Algorithm 1 (Fig. 4), chaining runs of new nodes
+    /// that share a `(pred, succ)` segment; an upper-level node is spliced
+    /// in locally by its `LinkUpper`, behind the previous new node when the
+    /// two share a predecessor — the same chaining.
+    fn send_links(
         &mut self,
         inserts: &[(Key, Value)],
         tops: &[u8],
@@ -446,18 +409,45 @@ impl PimSkipList {
             );
         }
         self.send_leaf_chains(towers, true);
-        self.quiesce_writes("link")
+        Ok(())
     }
+}
+
+/// Allocate and vertically wire the towers for a sorted batch of new keys
+/// (Insert steps 1–5), as two waves on `lane`: lower-part nodes go to
+/// their hashed modules (entering local index + local leaf list on
+/// arrival, leaf `j` descending from `anchor(j)`), upper-part nodes draw
+/// shadow-chosen replicated slots, which their `LinkUpper` fills in the
+/// link round. Fills `towers` with the `tower[j][level]` handles. A lone
+/// job's waves end at quiescence, so `bulk_load` drives this through
+/// [`PimSkipList::run_one`].
+pub(crate) async fn allocate_towers(
+    lane: Lane<'_>,
+    inserts: &[(Key, Value)],
+    tops: &[u8],
+    anchor: impl Fn(usize) -> Handle,
+    towers: &mut Towers,
+) -> PimResult<()> {
+    lane.spanned("alloc", async {
+        lane.with(|s| s.send_allocs(inserts, tops, anchor, towers));
+        let replies = lane.wave().await;
+        lane.with(|s| s.send_wiring(replies, towers))?;
+        write_wave(lane, "wire").await
+    })
+    .await
 }
 
 /// One fault-observable attempt of [`PimSkipList::batch_upsert`], as a job.
 /// The update pass (§4.1 shortcut) is one wave that shares rounds with the
 /// span's other jobs. If it leaves keys that are not resident, the job's
 /// coins wait for every earlier job's last draw ([`Lane::draws_settled`]),
-/// and its search shares rounds with the earlier jobs as they drain; only
-/// allocation, wiring and link run alone ([`Lane::alone`]). The tower coins
-/// and the insert's deals are drawn where one-run-at-a-time execution
-/// draws them. Commits to the journal only when every stage completed.
+/// and its search shares rounds with the earlier jobs as they drain; its
+/// allocation, wiring and link wait until every earlier job has finished
+/// ([`Lane::settled`]). The later jobs wait for it, or, when every tower
+/// stays below `h_low`, only those that touch its gap, from its stage-2
+/// deal on (see [`insert`]). The tower coins and the insert's deals are
+/// drawn where one-run-at-a-time execution draws them. Commits to the
+/// journal only when every stage completed.
 pub(crate) async fn upsert_attempt(
     lane: Lane<'_>,
     pairs: &[(Key, Value)],
@@ -539,11 +529,15 @@ async fn upsert_resolve(
 }
 
 /// Insert a sorted, deduplicated, non-resident batch of pairs (see
-/// [`upsert_attempt`]).
+/// [`upsert_attempt`]). When every tower stays below `h_low`, its search
+/// releases the later jobs outside its gap at its stage-2 deal
+/// ([`LastDraw::Release`]). Allocation, wiring and link then wait for every
+/// earlier job and go out as waves on this job's lane, recorded as a lone
+/// phase when no later job shares them ([`Lane::recorded`]).
 async fn insert(lane: Lane<'_>, inserts: &[(Key, Value)]) -> PimResult<()> {
     lane.draws_settled().await;
     // ---- Heights (CPU-side secret coins, drawn in key order) ----
-    let (tops, reqs, mut towers) = lane.with(|s| {
+    let (tops, reqs, mut towers, last_draw) = lane.with(|s| {
         let mut tops = s.scratch.take_tops();
         tops.extend((0..inserts.len()).map(|_| s.rng.skiplist_height(s.cfg.max_level - 1)));
         let mut reqs = s.scratch.take_reqs();
@@ -562,13 +556,23 @@ async fn insert(lane: Lane<'_>, inserts: &[(Key, Value)]) -> PimResult<()> {
             handles: s.scratch.take_tower_handles(),
             offsets: s.scratch.take_tower_offsets(),
         };
-        (tops, reqs, towers)
+        let last_draw = if tops.iter().all(|&top| top < s.cfg.h_low) {
+            LastDraw::Release
+        } else {
+            LastDraw::Drawn
+        };
+        (tops, reqs, towers, last_draw)
     });
     // ---- Batched Predecessor with per-level reports (§4.2) ----
-    let out = match pivoted_search(lane, &reqs, false).await {
+    let out = match pivoted_search(lane, &reqs, last_draw).await {
         Ok(found) => {
-            let link = |s: &mut PimSkipList| s.insert_towers(inserts, &tops, &found, &mut towers);
-            lane.alone("upsert", link).await
+            lane.settled().await;
+            let link = insert_towers(lane, inserts, &tops, &found, &mut towers);
+            if last_draw == LastDraw::Drawn || lane.is_alone() {
+                lane.recorded("upsert", link).await
+            } else {
+                link.await
+            }
         }
         Err(e) => Err(e),
     };
@@ -579,4 +583,166 @@ async fn insert(lane: Lane<'_>, inserts: &[(Key, Value)]) -> PimResult<()> {
         s.scratch.give_tops(tops);
     });
     out
+}
+
+/// Allocate, wire and link the towers of a sorted, deduplicated,
+/// non-resident batch of pairs whose heights and search are done, then
+/// commit them.
+async fn insert_towers(
+    lane: Lane<'_>,
+    inserts: &[(Key, Value)],
+    tops: &[u8],
+    results: &SearchResults,
+    towers: &mut Towers,
+) -> PimResult<()> {
+    // ---- Allocation + vertical wiring rounds (Insert steps 1–5); each
+    // new leaf starts from its search's anchor ----
+    let anchor = |j: usize| {
+        results
+            .done
+            .get(&(j as u32))
+            .map_or(Handle::NULL, |d| d.anchor)
+    };
+    allocate_towers(lane, inserts, tops, anchor, towers).await?;
+
+    // ---- Horizontal pointers: Algorithm 1 below h_low, LinkUpper
+    // above ----
+    lane.spanned("link", async {
+        lane.with(|s| s.send_links(inserts, tops, towers, results))?;
+        write_wave(lane, "link").await
+    })
+    .await?;
+
+    // Commit: the batch is structurally complete — journal each new tower
+    // so recovery can re-materialise it handle for handle.
+    lane.with(|s| {
+        for (j, &(key, value)) in inserts.iter().enumerate() {
+            s.journal.record_insert(key, value, towers.get(j));
+        }
+        s.len += inserts.len() as u64;
+    });
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{Config, Key, Value};
+    use crate::list::PimSkipList;
+    use crate::op::{Op, Reply};
+    use crate::UpsertOutcome;
+
+    #[test]
+    fn an_insert_releases_the_later_jobs_at_its_last_draw() {
+        // At P = 4 with h_low = 8, an insert of 24 fresh keys below one
+        // upper leaf: its pivots form one group too large for a wave, so
+        // its search deals several stage-1 waves after phase 0 before its
+        // stage-2 deal. The later jobs — a Successor and a 16-key insert in
+        // other gaps — start at that last deal: were the first insert
+        // released earlier, the second would toss its coins between the
+        // first one's deals, and its towers would differ from one run at a
+        // time.
+        let (p, n) = (4u32, 4096i64);
+        let cfg = Config::new(p, n as u64, 0xC01E).with_h_low(8);
+        let pairs: Vec<(Key, Value)> = (0..n).map(|i| (16 * i, i as u64)).collect();
+        let load = || {
+            let mut list = PimSkipList::new(cfg.clone());
+            list.bulk_load(&pairs);
+            list
+        };
+        let (mut list, mut one_by_one) = (load(), load());
+        let upper = list.upper_leaf_keys();
+        let fresh = |gap: usize, count: i64| -> Vec<Op> {
+            (0..count)
+                .map(|i| Op::Upsert {
+                    key: upper[gap] + 16 * i + 5,
+                    value: i as u64,
+                })
+                .collect()
+        };
+        assert!(upper[1] + 16 * 24 < upper[2] && upper[5] + 16 * 16 < upper[6]);
+        let ops: Vec<Op> = fresh(1, 24)
+            .into_iter()
+            .chain([Op::Successor { key: upper[3] + 1 }])
+            .chain(fresh(5, 16))
+            .collect();
+        let (l0, o0) = (list.metrics(), one_by_one.metrics());
+        let replies = list.execute(&ops);
+        let mut want = Vec::new();
+        for run in [&ops[..24], &ops[24..25], &ops[25..]] {
+            want.extend(one_by_one.execute(run));
+        }
+        assert_eq!(replies, want);
+        let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
+        assert_eq!((l.cpu_work, l.cpu_depth), (o.cpu_work, o.cpu_depth));
+        let upper_after = list.upper_leaf_keys();
+        assert!(
+            ops[..24]
+                .iter()
+                .all(|op| !upper_after.contains(&op.bounds().0)),
+            "the first insert's towers stay below h_low, so it releases"
+        );
+        assert_eq!(upper_after, one_by_one.upper_leaf_keys());
+        assert_eq!(list.collect_items(), one_by_one.collect_items());
+        list.validate().expect("valid after the span");
+    }
+
+    #[test]
+    fn a_delete_beside_an_insert_keeps_their_modules_leaf_list() {
+        // A fresh key x and a resident key d in the next gap, d the first
+        // key after x on x's module: d is x's right neighbour in that
+        // module's local leaf list. The insert releases the Delete at its
+        // stage-2 deal, so d's marks take d out of the list, and redirect
+        // the shortcuts naming it, before x's allocation enters x: the
+        // other order from one run at a time. Contents, shortcuts and their
+        // inverses must come out the same (`validate`, invariant 6).
+        let (p, n) = (8u32, 2048i64);
+        let pairs: Vec<(Key, Value)> = (0..n).map(|i| (4 * i, i as u64)).collect();
+        let load = || {
+            let mut list = PimSkipList::new(Config::new(p, n as u64, 0x1EAF));
+            list.bulk_load(&pairs);
+            list
+        };
+        let (mut list, mut one_by_one) = (load(), load());
+        let upper = list.upper_leaf_keys();
+        let (x, d) = upper
+            .windows(3)
+            .find_map(|w| {
+                let x = w[0] + 2;
+                let m = list.module_of(x, 0);
+                let d = (x + 2..4 * n)
+                    .step_by(4)
+                    .find(|&k| list.module_of(k, 0) == m)?;
+                (w[1] < d && d < w[2]).then_some((x, d))
+            })
+            .expect("a resident key in the next gap on x's module");
+        let ops = [Op::Upsert { key: x, value: 7 }, Op::Delete { key: d }];
+        let (l0, o0) = (list.metrics(), one_by_one.metrics());
+        let replies = list.execute(&ops);
+        let want: Vec<Reply> = ops
+            .iter()
+            .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+            .collect();
+        assert_eq!(
+            want,
+            [
+                Reply::Upserted(UpsertOutcome::Inserted),
+                Reply::Deleted(true)
+            ]
+        );
+        assert_eq!(replies, want);
+        assert!(
+            !list.upper_leaf_keys().contains(&x),
+            "x's tower stays below h_low, so the insert released the Delete"
+        );
+        let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
+        // The Delete alone is its mark round and its link round.
+        assert!(
+            l.rounds + 2 <= o.rounds,
+            "the Delete marked and linked beside the insert: {} rounds against {}",
+            l.rounds,
+            o.rounds
+        );
+        assert_eq!(list.collect_items(), one_by_one.collect_items());
+        list.validate().expect("valid after the span");
+    }
 }

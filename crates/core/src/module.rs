@@ -497,6 +497,7 @@ impl SkipModule {
             // Descend (or finish): `at` is the predecessor at `level`.
             if level == self.params.h_low {
                 anchor = at;
+                fingers.gap = (at_key, right_key);
             }
             if let Some(bracket) = bracket {
                 if (self.params.h_low..=self.start_level).contains(&level) {

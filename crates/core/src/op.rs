@@ -20,13 +20,15 @@
 //! an invalid run, or contention tracking, cuts the stream into several. A
 //! job waits for every earlier job it conflicts with and for every earlier
 //! Upsert, Delete and mutating Range. Coins wait for every earlier job's
-//! last draw (an insert's search shares rounds with the earlier jobs);
-//! only an insert's allocation, wiring and link and a mutating Range run
-//! alone, once every earlier job has finished. A Delete's links wait only
-//! for the earlier reads whose answer its removal changes
-//! (`removal_changes`); then the later jobs may start, and its frees wait
-//! for every earlier job. So the replies, the tower coins, the contraction
-//! priorities and the handles are unchanged.
+//! last draw (an insert's search shares rounds with the earlier jobs); an
+//! insert's allocation, wiring and link wait until every earlier job has
+//! finished, and only a mutating Range runs alone. An insert whose towers
+//! stay below `h_low` lets the later jobs start at its last draw, except
+//! those with an op whose bounds meet its key gap (`run_meets`). A
+//! Delete's links wait only for the earlier reads whose answer its removal
+//! changes (`removal_changes`); then the later jobs may start, and its
+//! frees wait for every earlier job. So the replies, the tower coins, the
+//! contraction priorities and the handles are unchanged.
 //!
 //! Fault surface: [`PimSkipList::try_execute`] drives every span through
 //! the one retry loop of [`crate::recover`] — the per-op `batch_*` entry
@@ -53,7 +55,7 @@ use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::range::tree::batch_range_attempt;
 use crate::range::RangeResult;
-use crate::sched::{self, Job, Lane, Shared, State};
+use crate::sched::{self, Gap, Job, Lane, Shared, State};
 use crate::tasks::RangeFunc;
 
 /// A span's job: its run, and the run's replies once done.
@@ -276,18 +278,22 @@ impl PimSkipList {
     /// its one-round update pass, and a Delete that finds none is its one
     /// mark wave. An Upsert that must insert draws its coins once every
     /// earlier job made its last draw and searches beside the earlier jobs
-    /// as they drain; only its allocation, wiring and link and a mutating
-    /// Range wait until every earlier job finished without error and then
-    /// run alone. A marking Delete waits until every earlier Successor or
-    /// Predecessor its removal answers has finished and every earlier job
-    /// made its last draw, then draws its contraction priorities, writes
-    /// its links beside the earlier jobs and lets the later ones start; it
-    /// frees its nodes once every earlier job has finished (a tower with
-    /// replicated nodes waits for that before its links). Each job charges
-    /// exactly the CPU work, depth and staging it charges alone and draws
-    /// its deals in the same number, so every insert, Delete and mutating
-    /// Range starts from the same random stream as under one-run-at-a-time
-    /// execution.
+    /// as they drain; its allocation, wiring and link wait until every
+    /// earlier job finished without error. When none of its towers reaches
+    /// `h_low`, a later job starts once the insert's search has dealt its
+    /// stage-2 wave, unless one of its ops' bounds meets the insert's gap:
+    /// from the key of its first key's level-`h_low` anchor to the right key
+    /// of its last key's. A mutating Range waits until every earlier job
+    /// finished without error and then runs alone. A marking Delete waits
+    /// until every earlier Successor or Predecessor its removal answers has
+    /// finished and every earlier job made its last draw, then draws its
+    /// contraction priorities, writes its links beside the earlier jobs and
+    /// lets the later ones start; it frees its nodes once every earlier job
+    /// has finished (a tower with replicated nodes waits for that before
+    /// its links). Each job charges exactly the CPU work, depth and staging
+    /// it charges alone and draws its deals in the same number, so every
+    /// insert, Delete and mutating Range starts from the same random stream
+    /// as under one-run-at-a-time execution.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
         let mut replies = Vec::with_capacity(ops.len());
         // Lemma 4.2 instrumentation spans one *search* batch; a mixed
@@ -440,7 +446,10 @@ impl PimSkipList {
         let finished = sched::drive(
             &list,
             jobs,
-            |a, b| runs_conflict(&span[a.clone()], &span[b.clone()]),
+            |a, gap, b| {
+                runs_conflict(&span[a.clone()], &span[b.clone()])
+                    || run_meets(&span[b.clone()], gap)
+            },
             |lane, run| {
                 if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
                     lane.with(|s| {
@@ -582,9 +591,10 @@ async fn run_job(lane: Lane<'_>, span: &[Op], run: Range<usize>) -> PimResult<Ve
 /// Structural runs can change the structure's shape (and draw tower coins
 /// or contraction priorities), so they retry through the whole-machine
 /// restore, and no later job of their span overtakes them until they
-/// finish, or, for a Delete, write their links. An insert's allocation,
-/// wiring and link and a mutating Range run alone (see
-/// [`PimSkipList::try_execute`]).
+/// finish, or, for a Delete, write their links, or, for an insert whose
+/// towers stay below `h_low`, deal their last search wave; a later job
+/// that meets the insert's gap still waits for it to finish. A mutating
+/// Range runs alone (see [`PimSkipList::try_execute`]).
 fn is_structural(op: &Op) -> bool {
     op.is_write() && op.kind() != OpKind::Update
 }
@@ -600,6 +610,18 @@ fn runs_conflict(earlier: &[Op], later: &[Op]) -> bool {
     earlier
         .iter()
         .any(|a| later.iter().any(|b| ops_conflict(a, b)))
+}
+
+/// Does an op of `run` touch `gap`, the keys an unfinished insert that
+/// released the later jobs still writes between (`Lane::release_outside`)?
+/// It does when the op's [`Op::bounds`] meet the gap; an empty gap meets
+/// nothing.
+fn run_meets(run: &[Op], (lo, hi): Gap) -> bool {
+    lo <= hi
+        && run.iter().any(|op| {
+            let (a, b) = op.bounds();
+            a <= hi && lo <= b
+        })
 }
 
 /// Does removing a leaf change the answer of `read`, run before it? The

@@ -34,7 +34,7 @@ use pim_primitives::prefix::group_by_budget;
 use pim_primitives::sort::{par_sort, par_sort_by_key};
 use pim_runtime::Handle;
 
-use crate::batch::search::{pivoted_search, SearchRequest};
+use crate::batch::search::{pivoted_search, LastDraw, SearchRequest};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
@@ -149,7 +149,7 @@ async fn batch_range_attempt_inner(
             }));
             reqs
         });
-        let search = pivoted_search(lane, &reqs, false).await;
+        let search = pivoted_search(lane, &reqs, LastDraw::Later).await;
         lane.with(|s| s.scratch.give_reqs(reqs));
         search?.hints
     } else {

@@ -36,7 +36,16 @@ use crate::list::PimSkipList;
 use crate::module::SkipModule;
 use crate::node::Node;
 use crate::op::{Op, Reply};
+use crate::sched::Lane;
 use crate::tasks::{Reply as ModuleReply, Task};
+
+/// Wait for the writes `lane` sent, and check them as
+/// [`PimSkipList::quiesce_writes`] does, as the phase `op`.
+pub(crate) async fn write_wave(lane: Lane<'_>, op: &'static str) -> PimResult<()> {
+    let before = lane.with(|s| s.sys.metrics());
+    let replies = lane.wave().await;
+    lane.with(|s| s.writes_landed(op, replies, &before))
+}
 
 impl PimSkipList {
     /// Did the machine record new message loss or module crashes since the

@@ -7,13 +7,16 @@
 //! its lane has nothing in flight, and absorbs the replies. Between two
 //! awaits it borrows the structure ([`Lane::with`]) and charges exactly
 //! what it charges alone. Coins wait for every earlier job's last draw
-//! ([`Lane::draws_settled`]); only an insert's allocation, wiring and link,
-//! and a mutating Range, run alone ([`Lane::alone`]): every earlier job of
-//! the span finished without error, and the phase runs on lane 0. A
-//! Delete's links wait only for the earlier jobs whose answer they change
-//! ([`Lane::after`]) and go out as a wave of its own; then it lets the later
-//! jobs start ([`Lane::release`]) and its frees wait for every earlier job
-//! ([`Lane::settled`]).
+//! ([`Lane::draws_settled`]); only a mutating Range runs alone
+//! ([`Lane::alone`]): every earlier job of the span finished without
+//! error, and the phase runs on lane 0. A Delete's links wait only for the
+//! earlier jobs whose answer they change ([`Lane::after`]) and go out as a
+//! wave of its own; then it lets the later jobs start ([`Lane::release`])
+//! and its frees wait for every earlier job ([`Lane::settled`]). An insert
+//! whose towers stay below `h_low` lets the later jobs start at its last
+//! draw, except those that touch its key gap ([`Lane::release_outside`]);
+//! its allocation, wiring and link wait for every earlier job and go out
+//! as waves on its own lane.
 //!
 //! [`drive`] is the executor: a std-only loop that polls the jobs in run
 //! order with a no-op waker and runs one machine round whenever every live
@@ -37,8 +40,15 @@ use std::task::{Context, Poll, Waker};
 
 use pim_runtime::module::Lane as LaneId;
 
+use crate::config::{Key, NEG_INF, POS_INF};
 use crate::list::PimSkipList;
 use crate::tasks::Reply;
+
+/// An inclusive key interval; empty when its start exceeds its end.
+pub(crate) type Gap = (Key, Key);
+
+/// The empty interval: what a job that released unconditionally holds.
+const NOWHERE: Gap = (POS_INF, NEG_INF);
 
 /// The structure shared by the jobs of one span, borrowed only between
 /// awaits.
@@ -50,8 +60,14 @@ pub(crate) struct Shared<'s> {
     drawn: Cell<usize>,
     /// The job being polled called [`Lane::drawn`].
     drew: Cell<bool>,
-    /// The job being polled called [`Lane::release`].
-    released: Cell<bool>,
+    /// One past the last job started in this drive.
+    started: Cell<usize>,
+    /// The job that was alone when the last pass ended (see
+    /// [`Lane::is_alone`]).
+    alone: Cell<Option<usize>>,
+    /// The job being polled released the later jobs outside this gap
+    /// ([`Lane::release_outside`]).
+    released: Cell<Option<Gap>>,
     /// Each job's run until it finishes (see [`Lane::after`]); a buffer
     /// leased from the structure's scratch for the length of a drive.
     open: RefCell<Vec<Option<Range<usize>>>>,
@@ -68,7 +84,9 @@ impl<'s> Shared<'s> {
             settled: Cell::new(0),
             drawn: Cell::new(0),
             drew: Cell::new(false),
-            released: Cell::new(false),
+            started: Cell::new(0),
+            alone: Cell::new(None),
+            released: Cell::new(None),
             open: RefCell::new(Vec::new()),
             lone_damage: Cell::new(false),
         }
@@ -143,21 +161,33 @@ impl<'s> Lane<'s> {
         .await;
     }
 
-    /// Let the later jobs start: this barrier job has done everything they
-    /// must not overtake, but has not finished. A later job that waits for
-    /// it to finish ([`Lane::settled`], [`Lane::alone`]) still does.
+    /// Let the later jobs start: this barrier job has made its last draw
+    /// and done everything they must not overtake, but has not finished. A
+    /// later job that waits for it to finish ([`Lane::settled`],
+    /// [`Lane::alone`]) still does.
     pub(crate) fn release(self) {
-        self.list.released.set(true);
+        self.release_outside(NOWHERE);
+    }
+
+    /// Let the later jobs start, except those whose run touches `gap`: while
+    /// this barrier job is unfinished, [`drive`]'s conflict test holds them
+    /// back with it. The job has made its last draw (it is [`Lane::drawn`]),
+    /// and what it still reads or writes lies in `gap`. A later job that
+    /// waits for it to finish ([`Lane::settled`], [`Lane::alone`]) still
+    /// does.
+    pub(crate) fn release_outside(self, gap: Gap) {
+        self.drawn();
+        self.list.released.set(Some(gap));
     }
 
     /// Wait until every earlier job of the span has finished without error,
-    /// then run `f` on lane 0. Coins wait only for every earlier job's last
-    /// draw ([`Lane::draws_settled`]); only an insert's allocation, wiring
-    /// and link, and a mutating Range, run alone. No later job has started
-    /// (it waits for this one), so `f` runs alone and may drive rounds
-    /// itself. Damage in those rounds stops the span once this job's poll
-    /// returns (see [`drive`]). Its phases are recorded under `name`, the
-    /// job family's (see [`Lane::recorded`]).
+    /// then run `f` on lane 0 — a mutating Range. Coins wait only for every
+    /// earlier job's last draw ([`Lane::draws_settled`]), and an insert's
+    /// allocation, wiring and link only for [`Lane::settled`]. No later job
+    /// has started (it waits for this one), so `f` runs alone and may drive
+    /// rounds itself. Damage in those rounds stops the span once this job's
+    /// poll returns (see [`drive`]). Its phases are recorded under `name`,
+    /// the job family's (see [`Lane::recorded`]).
     pub(crate) async fn alone<T>(
         self,
         name: &'static str,
@@ -180,10 +210,22 @@ impl<'s> Lane<'s> {
     /// Run `fut` with its phase spans recorded: inside a multi-job span,
     /// whose phase spans are muted, in the probe span `name`, the job
     /// family's. Only for a phase whose rounds no other job shares: every
-    /// earlier job has finished, and no later one has started.
+    /// earlier job has finished, and no later one has started or starts
+    /// before it ends — a barrier that has not released, or a job
+    /// [`Lane::is_alone`].
     pub(crate) async fn recorded<T>(self, name: &'static str, fut: impl Future<Output = T>) -> T {
         let _recorded = Recorded::enter(self, name);
         fut.await
+    }
+
+    /// Is this job alone until it finishes? When the last pass of [`drive`]
+    /// ended, it was the first unfinished job, it was no barrier that might
+    /// still release the later jobs, and no later job had started: that
+    /// pass visited every later job with every earlier one finished, so the
+    /// later jobs that did not start wait for this one (or for a later job
+    /// that waits for it).
+    pub(crate) fn is_alone(self) -> bool {
+        self.list.alone.get() == Some(self.id as usize)
     }
 
     /// Wait until everything this job sent has executed, then take its
@@ -284,10 +326,10 @@ pub(crate) struct Job<O> {
     /// The caller's payload range (the job's run within the span).
     pub run: Range<usize>,
     /// No later job starts before this one has finished or released them
-    /// ([`Lane::release`]).
+    /// ([`Lane::release_outside`]).
     barrier: bool,
-    /// This job called [`Lane::release`].
-    released: bool,
+    /// The gap this job released the later jobs outside of.
+    released: Option<Gap>,
     /// This job will draw no further random number.
     drawn: bool,
     /// Every earlier job below this one is done or does not conflict.
@@ -300,7 +342,7 @@ impl<O> Job<O> {
         Job {
             run,
             barrier,
-            released: false,
+            released: None,
             drawn: false,
             scan: 0,
             state: State::Waiting,
@@ -319,11 +361,13 @@ pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 /// finished. Jobs done without a `failed` output (a retry re-drives a table
 /// an earlier drive stopped) count as settled and drawn; the others start
 /// afresh. Job `j` starts (`make` builds its future on lane `j`) once every
-/// earlier barrier is done or released and every earlier job whose run
-/// `conflict`s with its own is done. A pass over the jobs begins at the
-/// settled prefix and ends at the first unfinished barrier that has not
-/// released, and a waiting job tests each earlier one once, so a pass costs
-/// the live window, not the span. With a `failed` predicate, the span stops
+/// earlier barrier is done or released and no earlier unfinished job's run
+/// `conflict`s with its own: `conflict(earlier, gap, later)`, where `gap`
+/// is what `earlier` released the later jobs outside of (empty for a job
+/// that never released, or released them all). A pass over the jobs begins
+/// at the settled prefix and ends at the first unfinished barrier that has
+/// not released, and a waiting job tests each earlier one once, so a pass
+/// costs the live window, not the span. With a `failed` predicate, the span stops
 /// at the first failed output, or right after the first round (its own, or
 /// one a job drove in [`Lane::alone`]) that lost messages or crashed a
 /// module: no further job starts, the jobs done by then keep their
@@ -334,7 +378,7 @@ pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 pub(crate) fn drive<'s, F: Future>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<F::Output>],
-    conflict: impl Fn(&Range<usize>, &Range<usize>) -> bool,
+    conflict: impl Fn(&Range<usize>, Gap, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> F,
     failed: Option<Failed<'_, F::Output>>,
 ) -> bool {
@@ -358,7 +402,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<J::Output>],
     futs: &mut [Option<J>],
-    conflict: impl Fn(&Range<usize>, &Range<usize>) -> bool,
+    conflict: impl Fn(&Range<usize>, Gap, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> J,
     failed: Option<Failed<'_, J::Output>>,
 ) -> bool {
@@ -370,6 +414,8 @@ fn poll_jobs<'s, J: Future + Unpin>(
         }
     }
     let done = jobs.iter().take_while(|job| job.is_done()).count();
+    list.started.set(0);
+    list.alone.set(None);
     list.settled.set(done);
     list.drawn.set(done);
     list.open.borrow_mut().extend(
@@ -381,13 +427,23 @@ fn poll_jobs<'s, J: Future + Unpin>(
         let mut any_failed = false;
         for j in list.settled.get()..jobs.len() {
             if matches!(jobs[j].state, State::Waiting) {
-                // A job stays done, and a conflict-free one stays so.
+                // A job stays done, and a conflict-free one stays so: every
+                // earlier barrier released (with its gap) before the pass
+                // reached `j`.
                 let mut at = jobs[j].scan.max(list.settled.get());
-                while at < j && (jobs[at].is_done() || !conflict(&jobs[at].run, &jobs[j].run)) {
+                while at < j
+                    && (jobs[at].is_done()
+                        || !conflict(
+                            &jobs[at].run,
+                            jobs[at].released.unwrap_or(NOWHERE),
+                            &jobs[j].run,
+                        ))
+                {
                     at += 1;
                 }
                 jobs[j].scan = at;
                 if !any_failed && at == j {
+                    list.started.set(list.started.get().max(j + 1));
                     futs[j] = Some(make(Lane::new(list, j), jobs[j].run.clone()));
                     jobs[j].state = State::Started;
                 }
@@ -398,7 +454,9 @@ fn poll_jobs<'s, J: Future + Unpin>(
                 list.borrow_mut().sys.set_lane(outer);
                 any_failed |= failed.is_some() && list.lone_damage.get();
                 jobs[j].drawn |= list.drew.take() || polled.is_ready();
-                jobs[j].released |= list.released.take();
+                if let Some(gap) = list.released.take() {
+                    jobs[j].released = Some(gap);
+                }
                 while jobs.get(list.drawn.get()).is_some_and(|job| job.drawn) {
                     list.drawn.set(list.drawn.get() + 1);
                 }
@@ -416,7 +474,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
             }
             if !jobs[j].is_done() {
                 all_done = false;
-                if jobs[j].barrier && !jobs[j].released {
+                if jobs[j].barrier && jobs[j].released.is_none() {
                     break;
                 }
             }
@@ -427,6 +485,12 @@ fn poll_jobs<'s, J: Future + Unpin>(
         if any_failed {
             return false;
         }
+        // The first unfinished job is alone if no later job started, unless
+        // it is a barrier that may still release them.
+        let first = list.settled.get();
+        let holds = jobs[first].barrier && jobs[first].released.is_none();
+        list.alone
+            .set((list.started.get() <= first + 1 && !holds).then_some(first));
         let mut s = list.borrow_mut();
         // Every live job waits on a wave or on an earlier job, and the
         // earliest unfinished job waits on a wave: a round with no traffic
@@ -448,7 +512,7 @@ impl PimSkipList {
         let mut jobs = [Job::new(0..0, false)];
         let mut job = Some(job);
         let start = |lane, _| job.take().expect("one start")(lane);
-        drive(&list, &mut jobs, |_, _| false, start, None);
+        drive(&list, &mut jobs, |_, _, _| false, start, None);
         let [Job {
             state: State::Done(out),
             ..
@@ -464,6 +528,7 @@ impl PimSkipList {
 mod tests {
     use super::*;
     use crate::batch::get::get_attempt;
+    use crate::config::Key;
     use crate::Config;
 
     #[test]
@@ -483,7 +548,7 @@ mod tests {
         let finished = drive(
             &list,
             &mut jobs,
-            |_, _| true,
+            |_, _, _| true,
             |lane, run| async move {
                 lane.draws_settled().await;
                 lane.alone("test", |_| run.start).await
@@ -511,7 +576,7 @@ mod tests {
         let finished = drive(
             &list,
             &mut jobs,
-            |_, _| false,
+            |_, _, _| false,
             |lane, run| {
                 let log = &log;
                 async move {
@@ -542,6 +607,56 @@ mod tests {
             log.into_inner(),
             ["1 started", "0 done", "1 done", "2 alone"]
         );
+    }
+
+    #[test]
+    fn a_barrier_released_outside_a_gap_holds_back_the_jobs_inside_it() {
+        // Job 0 releases the later jobs outside the keys 10..=20 after its
+        // first wave. Job 1 (key 5) starts beside its second one; job 2
+        // (key 15) waits until job 0 has finished, and job 3's phase alone
+        // until every earlier job has.
+        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
+        list.batch_upsert(&[(1, 10), (2, 20)]);
+        let list = Shared::new(&mut list);
+        let log = RefCell::new(Vec::new());
+        let keys: [Key; 4] = [0, 5, 15, 30];
+        let mut jobs = [
+            Job::new(0..1, true),
+            Job::new(1..2, false),
+            Job::new(2..3, false),
+            Job::new(3..4, true),
+        ];
+        let finished = drive(
+            &list,
+            &mut jobs,
+            |_, (lo, hi), later| (lo..=hi).contains(&keys[later.start]),
+            |lane, run| {
+                let log = &log;
+                async move {
+                    match run.start {
+                        0 => {
+                            get_attempt(lane, &[1]).await.expect("fault-free");
+                            lane.release_outside((10, 20));
+                            get_attempt(lane, &[2]).await.expect("fault-free");
+                            log.borrow_mut().push("0 done");
+                        }
+                        1 | 2 => {
+                            let name = if run.start == 1 { "1" } else { "2" };
+                            log.borrow_mut().push(name);
+                            get_attempt(lane, &[2]).await.expect("fault-free");
+                        }
+                        _ => {
+                            lane.alone("test", |_| log.borrow_mut().push("3 alone"))
+                                .await
+                        }
+                    }
+                    run.start
+                }
+            },
+            Some(&|_: &usize| false),
+        );
+        assert!(finished);
+        assert_eq!(log.into_inner(), ["1", "0 done", "2", "3 alone"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use pim_runtime::{Handle, ModuleId};
 
-use crate::config::{Key, Value};
+use crate::config::{Key, Value, NEG_INF, POS_INF};
 use crate::node::Node;
 
 /// Operation id used by [`Reply::Faulted`] when the failed task carried no
@@ -311,7 +311,8 @@ pub enum Task {
 /// to the descent start. Two are stage-2 starts: the lowest nodes of the
 /// path that also lie on the search path of every key of the half-bracket
 /// beside the pivot (`NULL` where no node qualifies; such keys start at the
-/// root). The third is the pivot's anchor.
+/// root). The third is the pivot's anchor, which also gives the pivot's
+/// *gap*: the key interval of the lower part below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingers {
     /// For the keys in `[lo, pivot)`: the lowest node with key `< lo`.
@@ -322,6 +323,11 @@ pub struct Fingers {
     /// from: the pivot's anchor, shared by every key that follows the pivot
     /// below a lower-part hint.
     pub anchor: Handle,
+    /// The anchor's key and its right key: a tower below `h_low` for a key
+    /// of this interval creates and rewires nodes strictly inside it, and
+    /// writes only the `right` of the anchor's tower and the `left` of the
+    /// right one. The whole key space where the walk marked no anchor.
+    pub gap: (Key, Key),
 }
 
 impl Default for Fingers {
@@ -330,6 +336,7 @@ impl Default for Fingers {
             left: Handle::NULL,
             right: Handle::NULL,
             anchor: Handle::NULL,
+            gap: (NEG_INF, POS_INF),
         }
     }
 }
@@ -397,7 +404,7 @@ pub enum Reply {
         /// First non-replicated node on the search path.
         node: Handle,
         /// Stage-2 starts for the half-brackets beside the pivot, and the
-        /// pivot's anchor.
+        /// pivot's anchor and gap.
         fingers: Fingers,
     },
     /// Per-level predecessor for an insert search.

@@ -825,6 +825,98 @@ fn fault_in_any_round_of_a_delete_splicing_beside_earlier_reads_matches_one_run_
 }
 
 #[test]
+fn fault_in_any_round_of_an_insert_released_beside_later_jobs_matches_one_run_at_a_time() {
+    // One span: two 1-key inserts whose towers stay below h_low, each
+    // followed by a Get, a Successor, an overwriting Upsert and a Delete in
+    // other gaps. Each insert lets those later jobs start once its search
+    // has dealt its last wave, and allocates, wires and links beside them
+    // once every earlier job has finished. A crash, a lost task and a lost
+    // reply on every module in every round: replies, contents and
+    // invariants must be those of one run at a time.
+    let cfg = || Config::new(8, 1 << 10, 67).with_max_retries(8);
+    let load: Vec<(i64, u64)> = (0..96).map(|i| (i * 3, i as u64)).collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&upserts(&load));
+    let upper = dry.upper_leaf_keys();
+    // The resident keys strictly between the upper leaves `i` and `j`.
+    let inside = |i: usize, j: usize| -> Vec<i64> {
+        (upper[i] + 3..upper[j])
+            .step_by(3)
+            .filter(|k| !upper.contains(k))
+            .collect()
+    };
+    let (a, b) = (upper[1] + 1, upper[6] + 1);
+    let (near_a, near_b) = (inside(10, 11), inside(2, 3));
+    assert!(near_a.len() >= 4 && near_b.len() >= 4, "{upper:?}");
+    let later = |keys: &[i64]| {
+        [
+            Op::Get { key: keys[0] },
+            Op::Successor { key: keys[1] + 1 },
+            Op::Upsert {
+                key: keys[2],
+                value: 800,
+            },
+            Op::Delete { key: keys[3] },
+        ]
+    };
+    let ops: Vec<Op> = [Op::Upsert { key: a, value: 1 }]
+        .into_iter()
+        .chain(later(&near_a))
+        .chain([Op::Upsert { key: b, value: 2 }])
+        .chain(later(&near_b))
+        .collect();
+    let mut one_by_one = PimSkipList::new(cfg());
+    one_by_one.execute(&upserts(&load));
+    let (start, alone_start) = (dry.metrics().rounds, one_by_one.metrics().rounds);
+    let dry_replies = dry.execute(&ops);
+    let rounds = dry.metrics().rounds - start;
+    let want: Vec<Reply> = ops
+        .iter()
+        .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+        .collect();
+    let alone_rounds = one_by_one.metrics().rounds - alone_start;
+    assert!(
+        rounds < alone_rounds,
+        "the span takes {rounds} rounds, one run at a time {alone_rounds}"
+    );
+    let upper_after = dry.upper_leaf_keys();
+    assert!(
+        !upper_after.contains(&a) && !upper_after.contains(&b),
+        "both towers stay below h_low"
+    );
+    assert_eq!(dry_replies, want, "co-scheduled = one run at a time");
+    assert_eq!(dry.collect_items(), one_by_one.collect_items());
+    for r in 0..rounds {
+        let mut dropped = 0;
+        for m in 0..8 {
+            for kind in [
+                FaultKind::Crash,
+                FaultKind::DropTask { nth: r },
+                FaultKind::DropReply { nth: 0 },
+            ] {
+                let context = format!("{kind:?} on module {m} at round {r}");
+                let mut list = PimSkipList::new(cfg());
+                list.execute(&upserts(&load));
+                list.set_fault_plan(FaultPlan::new().at(start + r, m, kind));
+                let replies = list
+                    .try_execute(&ops)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                if kind == FaultKind::Crash {
+                    assert_eq!(list.metrics().module_crashes, 1, "{context}: must strike");
+                } else {
+                    dropped += list.metrics().messages_dropped;
+                }
+                assert_logically_eq(&replies, &want);
+                list.validate()
+                    .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+                assert_eq!(list.collect_items(), dry.collect_items(), "{context}");
+            }
+        }
+        assert!(dropped > 0, "round {r} lost nothing");
+    }
+}
+
+#[test]
 fn a_failed_run_leaves_no_later_update_of_its_span_behind() {
     // No retries, and every module loses a task in two consecutive rounds:
     // the span's first run fails while co-scheduled and again alone. The

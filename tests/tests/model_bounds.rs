@@ -314,10 +314,11 @@ fn path_split_lower_is_n_independent_and_tracks_log_p() {
 /// (read/write epochs in arrival order, reads grouped by kind within an
 /// epoch). Each dispatch is one span whose runs, Deletes included, share
 /// rounds; coins wait for every earlier job's last draw, a Delete's links
-/// wait only for the earlier reads its removal answers, and only an
-/// insert's allocation, wiring and link run alone: ≥ 1.25× fewer than one
-/// `execute` call per run (3,592 rounds against 10,675), at the same
-/// replies and exactly the same CPU work and depth.
+/// wait only for the earlier reads its removal answers, and an insert whose
+/// towers stay below h_low holds back only the later runs inside its gap:
+/// ≥ 1.25× fewer than one `execute` call per run (2,844 rounds against
+/// 10,675; 3,592 while every insert held back every later run), at the
+/// same replies and exactly the same CPU work and depth.
 #[test]
 fn service_runs_between_structural_writes_share_rounds() {
     use pim_core::op::run_end;
@@ -388,11 +389,13 @@ fn overwriting_upserts_share_rounds_and_inserting_ones_run_alone() {
     // rides beside the searches, so the stream costs one Successor batch
     // plus one round per Upsert run. An Upsert of a fresh key draws its
     // coins once the Successor before it made its last draw, and its
-    // search shares rounds with that Successor as it drains; only its
-    // allocation, wiring and link wait until every earlier run finished,
-    // and no later run starts before it ends. So each pair saves more than
-    // the update-pass round it saved when the whole insert ran alone (185
-    // rounds against 288 one run at a time, where that took 272).
+    // search shares rounds with that Successor as it drains; its
+    // allocation, wiring and link wait until every earlier run finished.
+    // When its tower stays below h_low, the later runs outside its gap
+    // start once its search has dealt its last wave, so the next pair's
+    // Successor and update pass ride beside it too (50 rounds against 288
+    // one run at a time; 185 while no later run started before an insert
+    // ended, 272 while the whole insert ran alone).
     let (p, n, seed, runs) = (16u32, 4000usize, 0x000E_5E47_u64, 16usize);
     let (_, keys) = build_loaded_list(p, n, seed);
     let stream = |upsert_key: &dyn Fn(usize) -> Key| -> Vec<Op> {
@@ -454,12 +457,163 @@ fn overwriting_upserts_share_rounds_and_inserting_ones_run_alone() {
     let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
     assert_eq!((l.cpu_work, l.cpu_depth), (o.cpu_work, o.cpu_depth));
     assert!(
-        l.rounds + 4 * runs as u64 <= o.rounds,
-        "{} rounds co-scheduled against {} one run at a time: the searches overlap",
+        4 * l.rounds <= o.rounds,
+        "{} rounds co-scheduled against {} one run at a time: the inserts overlap",
         l.rounds,
         o.rounds
     );
     assert_eq!(list.upper_leaf_keys(), one_by_one.upper_leaf_keys());
+    list.validate().expect("valid after the stream");
+}
+
+/// `n` keys `4i` bulk-loaded at `P = p` with structure seed `seed`.
+fn bulk_loaded(p: u32, n: i64, seed: u64) -> PimSkipList {
+    let mut list = PimSkipList::new(Config::new(p, n as u64, seed));
+    let pairs: Vec<(Key, Value)> = (0..n).map(|i| (4 * i, i as u64)).collect();
+    list.bulk_load(&pairs);
+    list
+}
+
+#[test]
+fn later_runs_outside_an_inserts_gap_share_its_rounds() {
+    // At P = 16 on 8192 bulk-loaded keys 4i, sixteen groups: a 1-key
+    // Upsert of a fresh key 4i + 2, then 1-key Get, Update, overwrite-Upsert,
+    // resident-Delete and Successor runs on keys between upper leaves far
+    // from every insert's gap. An insert whose tower stays below h_low lets
+    // them start once its search has dealt its stage-2 wave, so they and
+    // the next group's update pass, coins and search share its search and
+    // link rounds: 104 rounds against 336 one run at a time, where it took
+    // 218 while every later run waited for the insert to finish.
+    let (p, n, groups, seed) = (16u32, 8192i64, 16usize, 0x6A95_u64);
+    let (mut list, mut one_by_one) = (bulk_loaded(p, n, seed), bulk_loaded(p, n, seed));
+    let upper = list.upper_leaf_keys();
+    let mut ops = Vec::new();
+    for g in 0..groups {
+        // Insert g goes into gap 8 + 25g; its later runs take every other
+        // key strictly inside gaps 18 + 25g … 22 + 25g.
+        let gap = 8 + 25 * g;
+        let x = upper[gap] + 2;
+        let (lo, hi) = (upper[gap + 10], upper[gap + 15]);
+        let inner: Vec<Key> = (lo + 4..hi)
+            .step_by(4)
+            .filter(|k| upper.binary_search(k).is_err())
+            .step_by(2)
+            .take(5)
+            .collect();
+        assert_eq!(
+            inner.len(),
+            5,
+            "five keys inside gaps {}..{}",
+            gap + 10,
+            gap + 15
+        );
+        let v = g as u64;
+        ops.extend([
+            Op::Upsert { key: x, value: v },
+            Op::Get { key: inner[0] },
+            Op::Update {
+                key: inner[1],
+                value: v,
+            },
+            Op::Upsert {
+                key: inner[2],
+                value: v,
+            },
+            Op::Delete { key: inner[3] },
+            Op::Successor { key: inner[4] + 1 },
+        ]);
+    }
+    let (l0, o0) = (list.metrics(), one_by_one.metrics());
+    let replies = list.execute(&ops);
+    let want: Vec<Reply> = ops
+        .iter()
+        .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+        .collect();
+    for group in want.chunks(6) {
+        assert_eq!(
+            group[..5],
+            [
+                Reply::Upserted(UpsertOutcome::Inserted),
+                group[1].clone(),
+                Reply::Updated(true),
+                Reply::Upserted(UpsertOutcome::Updated),
+                Reply::Deleted(true),
+            ]
+        );
+    }
+    assert_eq!(replies, want, "co-scheduled = one run at a time");
+    assert_eq!(list.collect_items(), one_by_one.collect_items());
+    assert_eq!(list.upper_leaf_keys(), one_by_one.upper_leaf_keys());
+    let (l, o) = (list.metrics() - l0, one_by_one.metrics() - o0);
+    assert_eq!((l.cpu_work, l.cpu_depth), (o.cpu_work, o.cpu_depth));
+    assert!(
+        l.io_time <= o.io_time && l.pim_time <= o.pim_time,
+        "{l:?} {o:?}"
+    );
+    assert!(
+        3 * l.rounds <= o.rounds,
+        "{} rounds co-scheduled against {} one run at a time",
+        l.rounds,
+        o.rounds
+    );
+    list.validate().expect("valid after the stream");
+}
+
+#[test]
+fn runs_inside_an_inserts_gap_see_it() {
+    // At P = 16 on 8192 bulk-loaded keys 4i, 64 groups: a 1-key Upsert of
+    // a fresh key x = 4i + 2, then runs that its gap holds: Successor(x − 1)
+    // and Predecessor(x + 1), both answered by x, Range Sum [x − 1, x + 1],
+    // Delete of x's right neighbour x + 2, a fresh Upsert(x + 1) and
+    // Get(x). Each must wait until the insert has finished, or it misses x
+    // (or, for the Delete and the Upsert, races its links).
+    let (p, n, seed) = (16u32, 8192i64, 0x1_75E1_u64);
+    let (mut list, mut one_by_one) = (bulk_loaded(p, n, seed), bulk_loaded(p, n, seed));
+    let xs: Vec<Key> = (0..64).map(|g| 4 * (64 * g + 17) + 2).collect();
+    let ops: Vec<Op> = xs
+        .iter()
+        .flat_map(|&x| {
+            [
+                Op::Upsert { key: x, value: 9 },
+                Op::Successor { key: x - 1 },
+                Op::Predecessor { key: x + 1 },
+                Op::Range {
+                    lo: x - 1,
+                    hi: x + 1,
+                    func: RangeFunc::Sum,
+                },
+                Op::Delete { key: x + 2 },
+                Op::Upsert {
+                    key: x + 1,
+                    value: 8,
+                },
+                Op::Get { key: x },
+            ]
+        })
+        .collect();
+    let replies = list.execute(&ops);
+    let want: Vec<Reply> = ops
+        .iter()
+        .flat_map(|op| one_by_one.execute(std::slice::from_ref(op)))
+        .collect();
+    for (group, &x) in want.chunks(7).zip(&xs) {
+        assert_eq!(group[1].as_entry().flatten().map(|e| e.0), Some(x));
+        assert_eq!(group[2].as_entry().flatten().map(|e| e.0), Some(x));
+        let Reply::Range(sum) = &group[3] else {
+            panic!("expected a range reply");
+        };
+        assert_eq!(sum.sum, 9);
+        assert_eq!(
+            group[4..],
+            [
+                Reply::Deleted(true),
+                Reply::Upserted(UpsertOutcome::Inserted),
+                Reply::Value(Some(9)),
+            ]
+        );
+    }
+    assert_eq!(replies, want, "co-scheduled = one run at a time");
+    assert_eq!(list.collect_items(), one_by_one.collect_items());
     list.validate().expect("valid after the stream");
 }
 
@@ -472,7 +626,7 @@ fn inserts_draw_their_coins_after_every_earlier_last_draw() {
     // the Range's last deal before it tosses its coins, then searches
     // beside them as they drain. The coins, hence the towers and the CPU
     // work of the links, are those of one run at a time; the rounds are
-    // fewer (294 against 456). Calling `Lane::drawn` at the start of every
+    // fewer (257 against 456). Calling `Lane::drawn` at the start of every
     // job, or before the Range's search, moves the coins and fails this.
     use pim_core::op::run_end;
 
