@@ -34,7 +34,7 @@ use pim_runtime::{Handle, Metrics};
 use crate::config::{Key, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::op::{removals_change, Op};
+use crate::op::{Hold, Probe};
 use crate::recover::write_wave;
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
@@ -54,7 +54,7 @@ struct MarkedRec {
 struct Marks {
     found: Vec<bool>,
     /// Per removed leaf: a lower bound on its left neighbour's key, its key
-    /// and its right neighbour's key (see [`removals_change`]).
+    /// and its right neighbour's key (see [`Probe::Removed`]).
     removed: Vec<(Key, Key, Key)>,
     by_level: HashMap<u8, Vec<MarkedRec>>,
     upper_slots: Vec<u32>,
@@ -335,16 +335,11 @@ impl PimSkipList {
 }
 
 /// One fault-observable attempt of [`PimSkipList::batch_delete`], as the
-/// job of `span` (the ops its lane's job table indexes) whose run holds
-/// `keys`. The marks (§4.4's hash shortcut) are one wave that shares rounds
-/// with the span's other jobs. A batch that marked nothing is done there;
-/// one that marked splices (see [`splice`]). Commits to the journal only
-/// when every stage completed.
-pub(crate) async fn delete_attempt(
-    lane: Lane<'_>,
-    keys: &[Key],
-    span: &[Op],
-) -> PimResult<Vec<bool>> {
+/// job whose run holds `keys`. The marks (§4.4's hash shortcut) are one
+/// wave that shares rounds with the span's other jobs. A batch that marked
+/// nothing is done there; one that marked splices (see [`splice`]).
+/// Commits to the journal only when every stage completed.
+pub(crate) async fn delete_attempt(lane: Lane<'_>, keys: &[Key]) -> PimResult<Vec<bool>> {
     lane.spanned("delete", async {
         let staged = keys.len() as u64 * 2;
         let uniq = lane.with(|s| {
@@ -356,7 +351,7 @@ pub(crate) async fn delete_attempt(
             dedup_cost(keys.len(), uniq.len()).charge(s.sys.metrics_mut());
             uniq
         });
-        let out = delete_resolve(lane, keys, &uniq, span).await;
+        let out = delete_resolve(lane, keys, &uniq).await;
         lane.with(|s| {
             s.scratch.give_uniq_keys(uniq);
             s.sys.sample_shared_mem();
@@ -368,12 +363,7 @@ pub(crate) async fn delete_attempt(
 }
 
 /// Mark `uniq`, then splice out what was marked.
-async fn delete_resolve(
-    lane: Lane<'_>,
-    keys: &[Key],
-    uniq: &[Key],
-    span: &[Op],
-) -> PimResult<Vec<bool>> {
+async fn delete_resolve(lane: Lane<'_>, keys: &[Key], uniq: &[Key]) -> PimResult<Vec<bool>> {
     let before = lane.with(|s| s.sys.metrics());
     let replies = lane
         .spanned("delete/mark", async {
@@ -389,7 +379,7 @@ async fn delete_resolve(
     let marks = lane.with(|s| s.mark_absorb(uniq.len(), replies, &before))?;
     // No key was resident: nothing changed, so nothing is spliced.
     let spliced = if marks.found.contains(&true) {
-        splice(lane, uniq, &marks, span).await
+        splice(lane, uniq, &marks).await
     } else {
         Ok(())
     };
@@ -409,21 +399,20 @@ async fn delete_resolve(
 
 /// Splice the marked nodes out and commit the removals. The links wait
 /// only for the earlier reads whose answer the removal changes
-/// ([`crate::op::removals_change`]): an unlinked node keeps its own
-/// pointers until it is freed, so an earlier search on it or past it ends
-/// where it would have ended. Then the contraction priorities wait for
+/// ([`Probe::Removed`]): an unlinked node keeps its own pointers until it
+/// is freed, so an earlier search on it or past it ends where it would have
+/// ended. Then the contraction priorities wait for
 /// every earlier job's last draw and are drawn, the links go out as one
-/// wave, and the later jobs may start ([`Lane::release`]): none of them
+/// wave, and the later jobs may start ([`Lane::publish`]): none of them
 /// reaches a removed node. The frees and the commit wait until every
 /// earlier job has finished, so every later allocation comes after them. A
 /// tower reaching the replicated part waits for that before its links:
 /// `UnlinkUpper` frees replicated slots. When every earlier job has
 /// finished by the links, the frees ride in their wave, recorded as a lone
 /// phase ([`Lane::recorded`]): a one-job span sends what it always sent.
-async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> PimResult<()> {
+async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks) -> PimResult<()> {
     if marks.upper_slots.is_empty() {
-        lane.after(|run| removals_change(&span[run], &marks.removed))
-            .await;
+        lane.after(Probe::Removed(&marks.removed)).await;
     } else {
         lane.settled().await;
     }
@@ -443,7 +432,7 @@ async fn splice(lane: Lane<'_>, uniq: &[Key], marks: &Marks, span: &[Op]) -> Pim
         lane.with(|s| s.sys.shared_mem().free(words));
         linked?;
         if !alone {
-            lane.release();
+            lane.publish(Hold::NONE);
             lane.settled().await;
             lane.with(|s| s.send_frees(marks));
             write_wave(lane, "batch_delete").await?;

@@ -103,7 +103,8 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::sched::{Gap, Lane};
+use crate::op::Hold;
+use crate::sched::Lane;
 use crate::tasks::{Fingers, Reply, SearchMode, Task, Walk};
 
 /// One deduplicated search request (`op` unique, keys ascending).
@@ -162,9 +163,9 @@ impl SearchResults {
     /// The hull of the gaps of the first and last of `reqs`, both pivots,
     /// from their phase-0 walks ([`Fingers::gap`]); unbounded on a side
     /// whose pivot was answered inside the replicated part.
-    fn hull(&self, reqs: &[SearchRequest]) -> Gap {
+    fn hull(&self, reqs: &[SearchRequest]) -> Hold {
         let gap = |r: &SearchRequest| self.fingers.get(&r.op).copied().unwrap_or_default().gap;
-        (gap(&reqs[0]).0, gap(&reqs[reqs.len() - 1]).1)
+        Hold::Keys(gap(&reqs[0]).0, gap(&reqs[reqs.len() - 1]).1)
     }
 
     /// The predecessor record for `op` at `level` (level 0 via `done`).
@@ -264,8 +265,8 @@ pub(crate) enum LastDraw {
     /// The job is drawn ([`Lane::drawn`]).
     Drawn,
     /// The job is drawn and lets the later jobs start outside the hull of
-    /// its first and last keys' gaps ([`Lane::release_outside`]): an
-    /// insert whose towers all stay below `h_low`.
+    /// its first and last keys' gaps ([`Lane::publish`]): an insert whose
+    /// towers all stay below `h_low`.
     Release,
 }
 
@@ -637,7 +638,7 @@ async fn run_wave(
                 } => lane.drawn(),
                 Wave::Rest {
                     last_draw: LastDraw::Release,
-                } => lane.release_outside(results.hull(reqs)),
+                } => lane.publish(results.hull(reqs)),
                 _ => {}
             }
             let replies = lane.wave().await;

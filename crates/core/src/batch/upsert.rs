@@ -14,7 +14,7 @@
 //!    earlier job to finish ([`Lane::settled`]). When every tower stays
 //!    below `h_low`, the later jobs may start once the search has dealt its
 //!    stage-2 wave, the insert's last draw, except those that touch its
-//!    *gap* ([`Lane::release_outside`]): from its first key's anchor to its
+//!    *gap* ([`Lane::publish`]): from its first key's anchor to its
 //!    last key's anchor's right key. Stages 4–6 create and rewire nodes
 //!    strictly inside the gap only, and write just the anchor's `right` and
 //!    the right key's `left`, so a later job outside it reads nothing they

@@ -17,18 +17,18 @@
 //! earlier one. Within a run the usual batch semantics apply (semisort
 //! dedup, first-wins for duplicate keys). The runs of one call share the
 //! machine's rounds as co-scheduled jobs (`crate::sched`), one *span*; only
-//! an invalid run, or contention tracking, cuts the stream into several. A
-//! job waits for every earlier job it conflicts with and for every earlier
-//! Upsert, Delete and mutating Range. Coins wait for every earlier job's
-//! last draw (an insert's search shares rounds with the earlier jobs); an
-//! insert's allocation, wiring and link wait until every earlier job has
-//! finished, and only a mutating Range runs alone. An insert whose towers
-//! stay below `h_low` lets the later jobs start at its last draw, except
-//! those with an op whose bounds meet its key gap (`run_meets`). A
-//! Delete's links wait only for the earlier reads whose answer its removal
-//! changes (`removal_changes`); then the later jobs may start, and its
-//! frees wait for every earlier job. So the replies, the tower coins, the
-//! contraction priorities and the handles are unchanged.
+//! an invalid run, or contention tracking, cuts the stream into several.
+//! Which job waits for which is one function, `conflicts`, over each
+//! unfinished job's footprint: its run, and the later jobs it holds back.
+//! An Upsert, a Delete and a mutating Range start out holding all of them.
+//! A Delete's links wait, on the same table, for the earlier reads its
+//! removal answers; it then publishes that it holds none. An insert whose
+//! towers stay below `h_low` publishes its key gap at its last draw.
+//! Besides, coins wait for every earlier job's last draw, and an
+//! insert's allocation, wiring and link, a Delete's frees and a mutating
+//! Range wait until every earlier job has finished. So the replies, the
+//! tower coins, the contraction priorities and the handles are unchanged.
+//! `docs/MODEL.md` ("Co-scheduled runs") tabulates the rules per family.
 //!
 //! Fault surface: [`PimSkipList::try_execute`] drives every span through
 //! the one retry loop of [`crate::recover`] — the per-op `batch_*` entry
@@ -50,12 +50,12 @@ use crate::batch::get::{get_attempt, update_attempt};
 use crate::batch::search::{predecessor_attempt, successor_attempt};
 use crate::batch::upsert::upsert_attempt;
 use crate::batch::UpsertOutcome;
-use crate::config::{Key, Value};
+use crate::config::{Key, Value, NEG_INF, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::range::tree::batch_range_attempt;
 use crate::range::RangeResult;
-use crate::sched::{self, Gap, Job, Lane, Shared, State};
+use crate::sched::{self, Job, Lane, Shared, State};
 use crate::tasks::RangeFunc;
 
 /// A span's job: its run, and the run's replies once done.
@@ -270,30 +270,13 @@ impl PimSkipList {
     /// The stream executes as one *span*, cut only before and after an
     /// invalid run (which fails alone) and, with contention tracking, after
     /// every run. Each run of a span is one job of `crate::sched`, the jobs
-    /// share the machine's rounds, and a job waits for the earlier jobs it
-    /// conflicts with (an Update, Upsert or Delete, and a Get, Update,
-    /// Upsert or Delete of its key, or a Range containing it) and for every
-    /// earlier Upsert and mutating Range, and until every earlier Delete
-    /// has written its links. An Upsert that finds every key resident is
-    /// its one-round update pass, and a Delete that finds none is its one
-    /// mark wave. An Upsert that must insert draws its coins once every
-    /// earlier job made its last draw and searches beside the earlier jobs
-    /// as they drain; its allocation, wiring and link wait until every
-    /// earlier job finished without error. When none of its towers reaches
-    /// `h_low`, a later job starts once the insert's search has dealt its
-    /// stage-2 wave, unless one of its ops' bounds meets the insert's gap:
-    /// from the key of its first key's level-`h_low` anchor to the right key
-    /// of its last key's. A mutating Range waits until every earlier job
-    /// finished without error and then runs alone. A marking Delete waits
-    /// until every earlier Successor or Predecessor its removal answers has
-    /// finished and every earlier job made its last draw, then draws its
-    /// contraction priorities, writes its links beside the earlier jobs and
-    /// lets the later ones start; it frees its nodes once every earlier job
-    /// has finished (a tower with replicated nodes waits for that before
-    /// its links). Each job charges exactly the CPU work, depth and staging
-    /// it charges alone and draws its deals in the same number, so every
-    /// insert, Delete and mutating Range starts from the same random stream
-    /// as under one-run-at-a-time execution.
+    /// share the machine's rounds, and each family waits for what the table
+    /// of `docs/MODEL.md` ("Co-scheduled runs") lists: a job starts once no
+    /// earlier unfinished job's footprint conflicts with its run (`conflicts`).
+    /// Each job charges exactly the CPU work, depth and staging it charges
+    /// alone and draws its deals in the same number, so every insert, Delete
+    /// and mutating Range starts from the same random stream as under
+    /// one-run-at-a-time execution.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
         let mut replies = Vec::with_capacity(ops.len());
         // Lemma 4.2 instrumentation spans one *search* batch; a mixed
@@ -380,13 +363,16 @@ impl PimSkipList {
     fn execute_span(&mut self, span: &[Op], out: &mut Vec<Reply>) -> PimResult<()> {
         span.iter().try_for_each(|op| self.check_op(op))?;
         // One job per run (unmetered bookkeeping, like the service tier's
-        // planning). Nothing overtakes a structural write (see
-        // `is_structural`).
+        // planning). A structural run starts holding every later job back
+        // (see `Hold::All`), and retries through the whole-machine restore.
         let mut jobs = self.scratch.take_jobs();
         let mut start = 0;
         while start < span.len() {
             let end = run_end(span, start);
-            jobs.push(Job::new(start..end, is_structural(&span[start])));
+            let op = &span[start];
+            let structural = op.is_write() && op.kind() != OpKind::Update;
+            let hold = if structural { Hold::All } else { Hold::NONE };
+            jobs.push(Job::new(start..end, hold));
             start = end;
         }
         // Each started Update or Upsert job's keys with the values the
@@ -424,8 +410,7 @@ impl PimSkipList {
 
     /// One attempt of a span: drive its jobs that are not done, sharing
     /// rounds. Returns whether every job finished `Ok`, and whether the
-    /// machine may be torn: a phase run alone saw damage (it may have run beside a module
-    /// that crashed idle), or a structural job started and did not finish
+    /// machine may be torn: a structural job started and did not finish
     /// `Ok` (a Delete's marks took index entries out, an insert or a
     /// mutating Range left links half-spliced or values half-added).
     fn drive_span(
@@ -442,14 +427,10 @@ impl PimSkipList {
         self.sys.set_spans_muted(several);
         let staged = self.sys.shared_mem_in_use();
         // The jobs borrow the structure through `list`.
-        let list = Shared::new(self);
+        let list = Shared::new(self, span);
         let finished = sched::drive(
             &list,
             jobs,
-            |a, gap, b| {
-                runs_conflict(&span[a.clone()], &span[b.clone()])
-                    || run_meets(&span[b.clone()], gap)
-            },
             |lane, run| {
                 if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
                     lane.with(|s| {
@@ -464,7 +445,6 @@ impl PimSkipList {
             },
             Some(&|out: &PimResult<Vec<Reply>>| out.is_err()),
         );
-        let lone_damage = list.lone_damage.get();
         self.sys.set_spans_muted(false);
         if !finished {
             // The dropped jobs never reach their own frees.
@@ -475,11 +455,9 @@ impl PimSkipList {
         if several {
             self.sys.span_exit();
         }
-        let torn = lone_damage
-            || jobs.iter().any(|job| {
-                is_structural(&span[job.run.start])
-                    && matches!(job.state, State::Started | State::Done(Err(_)))
-            });
+        let torn = jobs.iter().any(|job| {
+            job.hold == Hold::All && matches!(job.state, State::Started | State::Done(Err(_)))
+        });
         // Job errors are all transient, so one stands for any unfinished job.
         let result = match jobs
             .iter()
@@ -531,7 +509,7 @@ async fn run_job(lane: Lane<'_>, span: &[Op], run: Range<usize>) -> PimResult<Ve
                 OpKind::Successor => successor_attempt(lane, &keys)
                     .await
                     .map(|v| v.into_iter().map(Reply::Entry).collect()),
-                OpKind::Delete => delete_attempt(lane, &keys, span)
+                OpKind::Delete => delete_attempt(lane, &keys)
                     .await
                     .map(|v| v.into_iter().map(Reply::Deleted).collect()),
                 _ => predecessor_attempt(lane, &keys)
@@ -571,12 +549,11 @@ async fn run_job(lane: Lane<'_>, span: &[Op], run: Range<usize>) -> PimResult<Ve
             let out = lane
                 .spanned("range_tree", async {
                     if run[0].is_write() {
-                        // A mutating Range runs whole alone.
-                        let ranges = &ranges[..];
-                        lane.alone("range_tree", |s| {
-                            s.run_one(async |lane| batch_range_attempt(lane, ranges, func).await)
-                        })
-                        .await
+                        // Its rounds are its own: every earlier job has
+                        // finished, and it holds every later one back.
+                        lane.settled().await;
+                        let add = batch_range_attempt(lane, &ranges, func);
+                        lane.recorded("range_tree", add).await
                     } else {
                         batch_range_attempt(lane, &ranges, func).await
                     }
@@ -588,84 +565,94 @@ async fn run_job(lane: Lane<'_>, span: &[Op], run: Range<usize>) -> PimResult<Ve
     }
 }
 
-/// Structural runs can change the structure's shape (and draw tower coins
-/// or contraction priorities), so they retry through the whole-machine
-/// restore, and no later job of their span overtakes them until they
-/// finish, or, for a Delete, write their links, or, for an insert whose
-/// towers stay below `h_low`, deal their last search wave; a later job
-/// that meets the insert's gap still waits for it to finish. A mutating
-/// Range runs alone (see [`PimSkipList::try_execute`]).
-fn is_structural(op: &Op) -> bool {
-    op.is_write() && op.kind() != OpKind::Update
+/// The later jobs an unfinished job of a span holds back, whatever their
+/// runs' conflicts with its own (see [`conflicts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hold {
+    /// All of them. A structural job (an Upsert, a Delete, a mutating
+    /// Range: it can change the structure's shape or draw coins) starts so.
+    All,
+    /// Those with an op whose [`Op::bounds`] meet this inclusive key
+    /// interval; an empty one holds none.
+    Keys(Key, Key),
 }
 
-/// Must `later` wait for `earlier`? A key write (an Update, an Upsert's
-/// update pass, a Delete's marks) conflicts with a Get, Update, Upsert or
-/// Delete of its key and with a Range containing it; reads never conflict
-/// with each other.
-fn runs_conflict(earlier: &[Op], later: &[Op]) -> bool {
-    if !writes_key(&earlier[0]) && !writes_key(&later[0]) {
-        return false;
-    }
-    earlier
-        .iter()
-        .any(|a| later.iter().any(|b| ops_conflict(a, b)))
+impl Hold {
+    /// None: what a job that is not structural holds, and what a Delete
+    /// publishes once its links are written.
+    pub(crate) const NONE: Hold = Hold::Keys(POS_INF, NEG_INF);
 }
 
-/// Does an op of `run` touch `gap`, the keys an unfinished insert that
-/// released the later jobs still writes between (`Lane::release_outside`)?
-/// It does when the op's [`Op::bounds`] meet the gap; an empty gap meets
-/// nothing.
-fn run_meets(run: &[Op], (lo, hi): Gap) -> bool {
-    lo <= hi
-        && run.iter().any(|op| {
-            let (a, b) = op.bounds();
-            a <= hi && lo <= b
-        })
+/// An unfinished job's entry in its drive's table (see `crate::sched`):
+/// its run, and the later jobs it still holds back.
+#[derive(Debug, Clone)]
+pub(crate) struct Footprint {
+    pub run: Range<usize>,
+    pub hold: Hold,
 }
 
-/// Does removing a leaf change the answer of `read`, run before it? The
-/// removal is `(lb, key, right)`: a lower bound on the key of the leaf's
-/// left neighbour, its key and its right neighbour's. A Successor of `k` is
-/// answered by `key` only if `lb < k ≤ key`, a Predecessor of `k` only if
-/// `key ≤ k < right`. The other ops that read `key` already conflict with
-/// the Delete ([`ops_conflict`]).
-fn removal_changes(read: &Op, (lb, key, right): (Key, Key, Key)) -> bool {
-    match *read {
-        Op::Successor { key: k } => lb < k && k <= key,
-        Op::Predecessor { key: k } => key <= k && k < right,
-        _ => false,
-    }
+/// What [`conflicts`] tests against an earlier job's footprint.
+#[derive(Clone, Copy)]
+pub(crate) enum Probe<'a> {
+    /// A later job's run: may it start?
+    Run(&'a [Op]),
+    /// A Delete's removed leaves, each `(lb, key, right)`: a lower bound on
+    /// the key of the leaf's left neighbour, its key and its right
+    /// neighbour's. May it write its links?
+    Removed(&'a [(Key, Key, Key)]),
 }
 
-/// Does removing any of `removed` change the answer of a read of the run
-/// `earlier` (see [`removal_changes`])?
-pub(crate) fn removals_change(earlier: &[Op], removed: &[(Key, Key, Key)]) -> bool {
-    matches!(earlier[0].kind(), OpKind::Successor | OpKind::Predecessor)
-        && earlier
-            .iter()
-            .any(|op| removed.iter().any(|&r| removal_changes(op, r)))
-}
-
-fn writes_key(op: &Op) -> bool {
-    matches!(op.kind(), OpKind::Update | OpKind::Upsert | OpKind::Delete)
-}
-
-fn ops_conflict(a: &Op, b: &Op) -> bool {
-    let (key, other) = match (a, b) {
-        (Op::Update { key, .. } | Op::Upsert { key, .. } | Op::Delete { key }, other)
-        | (other, Op::Update { key, .. } | Op::Upsert { key, .. } | Op::Delete { key }) => {
-            (*key, other)
+/// Must `later` wait for `earlier`, an unfinished job of `span`? The one
+/// conflict rule of a span's schedule:
+/// - a job that holds every later job back blocks every probe;
+/// - a run waits when an op of it meets the keys `earlier` holds, or when
+///   either run writes a key (an Update, an Upsert's update pass, a
+///   Delete's marks) that an op of the other addresses: a Get, Update,
+///   Upsert or Delete of that key, or a Range containing it. Reads never
+///   conflict with each other;
+/// - a removal waits for an earlier Successor of `k` it answers
+///   (`lb < k ≤ key`) and an earlier Predecessor of `k` it answers
+///   (`key ≤ k < right`). The other ops that read `key` held the Delete
+///   back from starting.
+pub(crate) fn conflicts(span: &[Op], earlier: &Footprint, later: Probe<'_>) -> bool {
+    let ops = &span[earlier.run.clone()];
+    match (earlier.hold, later) {
+        (Hold::All, _) => true,
+        (Hold::Keys(lo, hi), Probe::Run(run)) => {
+            let written = |op: &Op| match *op {
+                Op::Update { key, .. } | Op::Upsert { key, .. } | Op::Delete { key } => Some(key),
+                _ => None,
+            };
+            let addresses = |op: &Op, key: Key| match *op {
+                Op::Get { key: k }
+                | Op::Update { key: k, .. }
+                | Op::Upsert { key: k, .. }
+                | Op::Delete { key: k } => k == key,
+                Op::Range { lo, hi, .. } => (lo..=hi).contains(&key),
+                Op::Predecessor { .. } | Op::Successor { .. } => false,
+            };
+            let key_conflict = |a: &Op, b: &Op| {
+                written(a).is_some_and(|key| addresses(b, key))
+                    || written(b).is_some_and(|key| addresses(a, key))
+            };
+            (lo <= hi
+                && run.iter().any(|op| {
+                    let (a, b) = op.bounds();
+                    a <= hi && lo <= b
+                }))
+                || ((written(&ops[0]).is_some() || written(&run[0]).is_some())
+                    && ops.iter().any(|a| run.iter().any(|b| key_conflict(a, b))))
         }
-        _ => return false,
-    };
-    match *other {
-        Op::Get { key: k }
-        | Op::Update { key: k, .. }
-        | Op::Upsert { key: k, .. }
-        | Op::Delete { key: k } => k == key,
-        Op::Range { lo, hi, .. } => (lo..=hi).contains(&key),
-        _ => false,
+        (_, Probe::Removed(removed)) => {
+            matches!(ops[0], Op::Successor { .. } | Op::Predecessor { .. })
+                && ops.iter().any(|op| {
+                    removed.iter().any(|&(lb, key, right)| match *op {
+                        Op::Successor { key: k } => lb < k && k <= key,
+                        Op::Predecessor { key: k } => key <= k && k < right,
+                        _ => false,
+                    })
+                })
+        }
     }
 }
 

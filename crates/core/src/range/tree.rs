@@ -95,7 +95,10 @@ impl PimSkipList {
 }
 
 /// One fault-observable attempt of [`PimSkipList::batch_range`] (its
-/// caller opens the `range_tree` probe span).
+/// caller opens the `range_tree` probe span). In a span, a mutating batch
+/// is a job whose rounds are its own: it starts once every earlier job has
+/// finished and holds every later one back until it finishes, so the
+/// span's per-round damage check covers its rounds.
 pub(crate) async fn batch_range_attempt(
     lane: Lane<'_>,
     ranges: &[(Key, Key)],

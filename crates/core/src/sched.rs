@@ -6,28 +6,27 @@
 //! at its *waves* ([`Lane::wave`]): it issues its tasks, awaits the moment
 //! its lane has nothing in flight, and absorbs the replies. Between two
 //! awaits it borrows the structure ([`Lane::with`]) and charges exactly
-//! what it charges alone. Coins wait for every earlier job's last draw
-//! ([`Lane::draws_settled`]); only a mutating Range runs alone
-//! ([`Lane::alone`]): every earlier job of the span finished without
-//! error, and the phase runs on lane 0. A Delete's links wait only for the
-//! earlier jobs whose answer they change ([`Lane::after`]) and go out as a
-//! wave of its own; then it lets the later jobs start ([`Lane::release`])
-//! and its frees wait for every earlier job ([`Lane::settled`]). An insert
-//! whose towers stay below `h_low` lets the later jobs start at its last
-//! draw, except those that touch its key gap ([`Lane::release_outside`]);
-//! its allocation, wiring and link wait for every earlier job and go out
-//! as waves on its own lane.
+//! what it charges alone.
+//!
+//! This module is mechanism only: which job waits for which is the one
+//! function [`conflicts`]. Each unfinished job of a drive has one
+//! [`Footprint`] in a table: its run, and the later jobs it holds back. A
+//! structural job starts out holding all of them and may publish less
+//! ([`Lane::publish`]). A job starts once no earlier footprint conflicts
+//! with its run, and may wait on the table again later ([`Lane::after`]).
+//! Besides the table, a job can wait for every earlier job's last draw
+//! ([`Lane::draws_settled`]) and for every earlier job to finish without
+//! error ([`Lane::settled`]).
 //!
 //! [`drive`] is the executor: a std-only loop that polls the jobs in run
 //! order with a no-op waker and runs one machine round whenever every live
 //! job waits on its wave. All live jobs advance in the same rounds, but not
 //! in lockstep: a job issues its next wave as soon as its last one ended,
-//! and a job starts as soon as every earlier job it conflicts with has
-//! finished and every earlier barrier has finished or released it. A lone
-//! job is exactly the sequential batch: its waves end at quiescence, as
-//! `run_to_quiescence` did. A retry drives the same job table again: the
-//! jobs an earlier drive finished keep their outputs and count as settled
-//! and drawn, and the others start afresh, co-scheduled as before.
+//! and starts as soon as the table lets it. A lone job is exactly the
+//! sequential batch: its waves end at quiescence, as `run_to_quiescence`
+//! did. A retry drives the same job table again: the jobs an earlier drive
+//! finished keep their outputs and count as settled and drawn, and the
+//! others start afresh, co-scheduled as before.
 //!
 //! The scheduler's bookkeeping (conflict tests, job states) is unmetered,
 //! like the service tier's planning.
@@ -40,20 +39,16 @@ use std::task::{Context, Poll, Waker};
 
 use pim_runtime::module::Lane as LaneId;
 
-use crate::config::{Key, NEG_INF, POS_INF};
 use crate::list::PimSkipList;
+use crate::op::{conflicts, Footprint, Hold, Op, Probe};
 use crate::tasks::Reply;
-
-/// An inclusive key interval; empty when its start exceeds its end.
-pub(crate) type Gap = (Key, Key);
-
-/// The empty interval: what a job that released unconditionally holds.
-const NOWHERE: Gap = (POS_INF, NEG_INF);
 
 /// The structure shared by the jobs of one span, borrowed only between
 /// awaits.
 pub(crate) struct Shared<'s> {
     list: RefCell<&'s mut PimSkipList>,
+    /// The ops whose runs the jobs execute.
+    span: &'s [Op],
     /// How many of the span's leading jobs finished without error.
     settled: Cell<usize>,
     /// How many of the span's leading jobs are drawn (see [`Lane::drawn`]).
@@ -65,36 +60,52 @@ pub(crate) struct Shared<'s> {
     /// The job that was alone when the last pass ended (see
     /// [`Lane::is_alone`]).
     alone: Cell<Option<usize>>,
-    /// The job being polled released the later jobs outside this gap
-    /// ([`Lane::release_outside`]).
-    released: Cell<Option<Gap>>,
-    /// Each job's run until it finishes (see [`Lane::after`]); a buffer
-    /// leased from the structure's scratch for the length of a drive.
-    open: RefCell<Vec<Option<Range<usize>>>>,
-    /// A phase run by [`Lane::alone`] lost messages or crashed a module.
-    /// Its own checks may miss it (a module that crashes idle drops
-    /// nothing), so the span's caller must restore the whole machine.
-    pub(crate) lone_damage: Cell<bool>,
+    /// Each job's footprint until it finishes; a buffer leased from the
+    /// structure's scratch for the length of a drive.
+    open: RefCell<Vec<Option<Footprint>>>,
 }
 
 impl<'s> Shared<'s> {
-    pub(crate) fn new(list: &'s mut PimSkipList) -> Self {
+    pub(crate) fn new(list: &'s mut PimSkipList, span: &'s [Op]) -> Self {
         Shared {
             list: RefCell::new(list),
+            span,
             settled: Cell::new(0),
             drawn: Cell::new(0),
             drew: Cell::new(false),
             started: Cell::new(0),
             alone: Cell::new(None),
-            released: Cell::new(None),
             open: RefCell::new(Vec::new()),
-            lone_damage: Cell::new(false),
         }
     }
 
     /// Borrow the structure (never across an await).
-    pub(crate) fn borrow_mut(&self) -> RefMut<'_, &'s mut PimSkipList> {
+    fn borrow_mut(&self) -> RefMut<'_, &'s mut PimSkipList> {
         self.list.borrow_mut()
+    }
+
+    /// The first unfinished job of `from..to` (from the settled prefix on)
+    /// whose footprint [`conflicts`] with `probe`, or `to`. A job that
+    /// finished, or whose footprint did not conflict, never does later
+    /// (holds only shrink), so a waiting job resumes its scan here.
+    fn first_conflict(&self, from: usize, to: usize, probe: Probe<'_>) -> usize {
+        let open = self.open.borrow();
+        let mut at = from.max(self.settled.get());
+        while at < to
+            && !open[at]
+                .as_ref()
+                .is_some_and(|earlier| conflicts(self.span, earlier, probe))
+        {
+            at += 1;
+        }
+        at
+    }
+
+    /// Is job `j` unfinished and holding every later job back?
+    fn holds_all(&self, j: usize) -> bool {
+        self.open.borrow()[j]
+            .as_ref()
+            .is_some_and(|f| f.hold == Hold::All)
     }
 }
 
@@ -107,7 +118,7 @@ pub(crate) struct Lane<'s> {
 
 impl<'s> Lane<'s> {
     /// The handle of job `id` (its lane is its index in the span).
-    pub(crate) fn new(list: &'s Shared<'s>, id: usize) -> Self {
+    fn new(list: &'s Shared<'s>, id: usize) -> Self {
         Lane {
             list,
             id: id as LaneId,
@@ -141,77 +152,40 @@ impl<'s> Lane<'s> {
         self.list.settled.get() >= self.id as usize
     }
 
-    /// Wait until every earlier job whose run `blocks` has finished. Each
-    /// earlier job is tested in order until it has finished or does not
-    /// block, so a job that finished or did not block is never tested
-    /// again.
-    pub(crate) async fn after(self, blocks: impl Fn(Range<usize>) -> bool) {
-        let mut at = 0;
+    /// Wait until no earlier unfinished job's footprint [`conflicts`] with
+    /// `probe`. Each earlier job is tested in order until it has finished
+    /// or does not conflict, and is never tested again.
+    pub(crate) async fn after(self, probe: Probe<'_>) {
+        let (mut at, id) = (0, self.id as usize);
         std::future::poll_fn(|_| {
-            let open = self.list.open.borrow();
-            at = at.max(self.list.settled.get());
-            while at < self.id as usize {
-                match &open[at] {
-                    Some(run) if blocks(run.clone()) => return Poll::Pending,
-                    _ => at += 1,
-                }
+            at = self.list.first_conflict(at, id, probe);
+            if at < id {
+                Poll::Pending
+            } else {
+                Poll::Ready(())
             }
-            Poll::Ready(())
         })
         .await;
     }
 
-    /// Let the later jobs start: this barrier job has made its last draw
-    /// and done everything they must not overtake, but has not finished. A
-    /// later job that waits for it to finish ([`Lane::settled`],
-    /// [`Lane::alone`]) still does.
-    pub(crate) fn release(self) {
-        self.release_outside(NOWHERE);
-    }
-
-    /// Let the later jobs start, except those whose run touches `gap`: while
-    /// this barrier job is unfinished, [`drive`]'s conflict test holds them
-    /// back with it. The job has made its last draw (it is [`Lane::drawn`]),
-    /// and what it still reads or writes lies in `gap`. A later job that
-    /// waits for it to finish ([`Lane::settled`], [`Lane::alone`]) still
-    /// does.
-    pub(crate) fn release_outside(self, gap: Gap) {
+    /// Publish what this job still holds back until it finishes: less than
+    /// it held. The job has made its last draw (it is [`Lane::drawn`]) and
+    /// done everything a later job outside `hold` must not overtake. A later
+    /// job that waits for it to finish ([`Lane::settled`]) still does.
+    pub(crate) fn publish(self, hold: Hold) {
         self.drawn();
-        self.list.released.set(Some(gap));
-    }
-
-    /// Wait until every earlier job of the span has finished without error,
-    /// then run `f` on lane 0 — a mutating Range. Coins wait only for every
-    /// earlier job's last draw ([`Lane::draws_settled`]), and an insert's
-    /// allocation, wiring and link only for [`Lane::settled`]. No later job
-    /// has started (it waits for this one), so `f` runs alone and may drive
-    /// rounds itself. Damage in those rounds stops the span once this job's
-    /// poll returns (see [`drive`]). Its phases are recorded under `name`,
-    /// the job family's (see [`Lane::recorded`]).
-    pub(crate) async fn alone<T>(
-        self,
-        name: &'static str,
-        f: impl FnOnce(&mut PimSkipList) -> T,
-    ) -> T {
-        self.settled().await;
-        let _recorded = Recorded::enter(self, name);
-        self.with(|s| {
-            let before = s.sys.metrics();
-            s.sys.set_lane(0);
-            let out = f(s);
-            s.sys.set_lane(self.id);
-            if s.damage_since(&before) {
-                self.list.lone_damage.set(true);
-            }
-            out
-        })
+        let mut open = self.list.open.borrow_mut();
+        open[self.id as usize]
+            .as_mut()
+            .expect("a polled job is unfinished")
+            .hold = hold;
     }
 
     /// Run `fut` with its phase spans recorded: inside a multi-job span,
     /// whose phase spans are muted, in the probe span `name`, the job
     /// family's. Only for a phase whose rounds no other job shares: every
     /// earlier job has finished, and no later one has started or starts
-    /// before it ends — a barrier that has not released, or a job
+    /// before it ends — a job that holds every later one back, or a job
     /// [`Lane::is_alone`].
     pub(crate) async fn recorded<T>(self, name: &'static str, fut: impl Future<Output = T>) -> T {
         let _recorded = Recorded::enter(self, name);
@@ -219,11 +193,11 @@ impl<'s> Lane<'s> {
     }
 
     /// Is this job alone until it finishes? When the last pass of [`drive`]
-    /// ended, it was the first unfinished job, it was no barrier that might
-    /// still release the later jobs, and no later job had started: that
-    /// pass visited every later job with every earlier one finished, so the
-    /// later jobs that did not start wait for this one (or for a later job
-    /// that waits for it).
+    /// ended, it was the first unfinished job, it did not hold every later
+    /// job back (it might still publish less), and no later job had
+    /// started: that pass visited every later job with every earlier one
+    /// finished, so the later jobs that did not start wait for this one (or
+    /// for a later job that waits for it).
     pub(crate) fn is_alone(self) -> bool {
         self.list.alone.get() == Some(self.id as usize)
     }
@@ -325,11 +299,8 @@ pub(crate) enum State<O> {
 pub(crate) struct Job<O> {
     /// The caller's payload range (the job's run within the span).
     pub run: Range<usize>,
-    /// No later job starts before this one has finished or released them
-    /// ([`Lane::release_outside`]).
-    barrier: bool,
-    /// The gap this job released the later jobs outside of.
-    released: Option<Gap>,
+    /// What the job holds back when it starts (see [`Lane::publish`]).
+    pub hold: Hold,
     /// This job will draw no further random number.
     drawn: bool,
     /// Every earlier job below this one is done or does not conflict.
@@ -338,11 +309,10 @@ pub(crate) struct Job<O> {
 }
 
 impl<O> Job<O> {
-    pub(crate) fn new(run: Range<usize>, barrier: bool) -> Self {
+    pub(crate) fn new(run: Range<usize>, hold: Hold) -> Self {
         Job {
             run,
-            barrier,
-            released: None,
+            hold,
             drawn: false,
             scan: 0,
             state: State::Waiting,
@@ -360,40 +330,35 @@ pub(crate) type Failed<'a, O> = &'a dyn Fn(&O) -> bool;
 /// Run `jobs` to completion, sharing rounds; returns whether every job
 /// finished. Jobs done without a `failed` output (a retry re-drives a table
 /// an earlier drive stopped) count as settled and drawn; the others start
-/// afresh. Job `j` starts (`make` builds its future on lane `j`) once every
-/// earlier barrier is done or released and no earlier unfinished job's run
-/// `conflict`s with its own: `conflict(earlier, gap, later)`, where `gap`
-/// is what `earlier` released the later jobs outside of (empty for a job
-/// that never released, or released them all). A pass over the jobs begins
-/// at the settled prefix and ends at the first unfinished barrier that has
-/// not released, and a waiting job tests each earlier one once, so a pass
-/// costs the live window, not the span. With a `failed` predicate, the span stops
-/// at the first failed output, or right after the first round (its own, or
-/// one a job drove in [`Lane::alone`]) that lost messages or crashed a
-/// module: no further job starts, the jobs done by then keep their
-/// outputs, the started ones stay [`State::Started`], and their traffic is
-/// still queued for the caller to purge. The caller's lane is set again
-/// after every poll, so a drive nested inside a job leaves that job's lane
-/// in place. A lone job's future stays on the stack.
+/// afresh, with the hold they start with. Job `j` starts (`make` builds its
+/// future on lane `j`) once no earlier unfinished job's footprint
+/// [`conflicts`] with its run. A pass over the jobs begins at the settled
+/// prefix and ends at the first unfinished job that holds every later one
+/// back, and a waiting job tests each earlier one once, so a pass costs the
+/// live window, not the span. With a `failed` predicate, the span stops at
+/// the first failed output, or right after the first round that lost
+/// messages or crashed a module: no further job starts, the jobs done by
+/// then keep their outputs, the started ones stay [`State::Started`], and
+/// their traffic is still queued for the caller to purge. The caller's lane
+/// is set again after every poll. A lone job's future stays on the stack.
 pub(crate) fn drive<'s, F: Future>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<F::Output>],
-    conflict: impl Fn(&Range<usize>, Gap, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> F,
     failed: Option<Failed<'_, F::Output>>,
 ) -> bool {
-    list.open.replace(list.borrow_mut().scratch.take_runs());
+    list.open.replace(list.borrow_mut().scratch.take_open());
     let finished = if let [job] = jobs {
         let mut lone = Some(pin!(make(Lane::new(list, 0), job.run.clone())));
         let start = |_, _| lone.take().expect("one start");
-        poll_jobs(list, jobs, &mut [None], conflict, start, failed)
+        poll_jobs(list, jobs, &mut [None], start, failed)
     } else {
         let mut futs: Vec<_> = jobs.iter().map(|_| None).collect();
         let start = |lane, run| Box::pin(make(lane, run));
-        poll_jobs(list, jobs, &mut futs, conflict, start, failed)
+        poll_jobs(list, jobs, &mut futs, start, failed)
     };
     let open = list.open.take();
-    list.borrow_mut().scratch.give_runs(open);
+    list.borrow_mut().scratch.give_open(open);
     finished
 }
 
@@ -402,7 +367,6 @@ fn poll_jobs<'s, J: Future + Unpin>(
     list: &'s Shared<'s>,
     jobs: &mut [Job<J::Output>],
     futs: &mut [Option<J>],
-    conflict: impl Fn(&Range<usize>, Gap, &Range<usize>) -> bool,
     mut make: impl FnMut(Lane<'s>, Range<usize>) -> J,
     failed: Option<Failed<'_, J::Output>>,
 ) -> bool {
@@ -410,7 +374,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
     let outer = list.borrow_mut().sys.lane();
     for job in jobs.iter_mut() {
         if !matches!(&job.state, State::Done(out) if !failed.is_some_and(|f| f(out))) {
-            *job = Job::new(job.run.clone(), job.barrier);
+            *job = Job::new(job.run.clone(), job.hold);
         }
     }
     let done = jobs.iter().take_while(|job| job.is_done()).count();
@@ -418,29 +382,19 @@ fn poll_jobs<'s, J: Future + Unpin>(
     list.alone.set(None);
     list.settled.set(done);
     list.drawn.set(done);
-    list.open.borrow_mut().extend(
-        jobs.iter()
-            .map(|job| (!job.is_done()).then(|| job.run.clone())),
-    );
+    list.open.borrow_mut().extend(jobs.iter().map(|job| {
+        (!job.is_done()).then(|| Footprint {
+            run: job.run.clone(),
+            hold: job.hold,
+        })
+    }));
     loop {
         let mut all_done = true;
         let mut any_failed = false;
         for j in list.settled.get()..jobs.len() {
             if matches!(jobs[j].state, State::Waiting) {
-                // A job stays done, and a conflict-free one stays so: every
-                // earlier barrier released (with its gap) before the pass
-                // reached `j`.
-                let mut at = jobs[j].scan.max(list.settled.get());
-                while at < j
-                    && (jobs[at].is_done()
-                        || !conflict(
-                            &jobs[at].run,
-                            jobs[at].released.unwrap_or(NOWHERE),
-                            &jobs[j].run,
-                        ))
-                {
-                    at += 1;
-                }
+                let probe = Probe::Run(&list.span[jobs[j].run.clone()]);
+                let at = list.first_conflict(jobs[j].scan, j, probe);
                 jobs[j].scan = at;
                 if !any_failed && at == j {
                     list.started.set(list.started.get().max(j + 1));
@@ -452,11 +406,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
                 list.borrow_mut().sys.set_lane(j as LaneId);
                 let polled = Pin::new(fut).poll(&mut cx);
                 list.borrow_mut().sys.set_lane(outer);
-                any_failed |= failed.is_some() && list.lone_damage.get();
                 jobs[j].drawn |= list.drew.take() || polled.is_ready();
-                if let Some(gap) = list.released.take() {
-                    jobs[j].released = Some(gap);
-                }
                 while jobs.get(list.drawn.get()).is_some_and(|job| job.drawn) {
                     list.drawn.set(list.drawn.get() + 1);
                 }
@@ -466,7 +416,8 @@ fn poll_jobs<'s, J: Future + Unpin>(
                     any_failed |= failed.is_some_and(|f| f(&out));
                     jobs[j].state = State::Done(out);
                     // A failed job settles nothing: the span stops after
-                    // this pass, so no later job may run alone first.
+                    // this pass, so no later job that waits for every
+                    // earlier one to finish may go first.
                     while !any_failed && jobs.get(list.settled.get()).is_some_and(Job::is_done) {
                         list.settled.set(list.settled.get() + 1);
                     }
@@ -474,7 +425,7 @@ fn poll_jobs<'s, J: Future + Unpin>(
             }
             if !jobs[j].is_done() {
                 all_done = false;
-                if jobs[j].barrier && jobs[j].released.is_none() {
+                if list.holds_all(j) {
                     break;
                 }
             }
@@ -486,11 +437,10 @@ fn poll_jobs<'s, J: Future + Unpin>(
             return false;
         }
         // The first unfinished job is alone if no later job started, unless
-        // it is a barrier that may still release them.
+        // it holds them all back and may still publish less.
         let first = list.settled.get();
-        let holds = jobs[first].barrier && jobs[first].released.is_none();
         list.alone
-            .set((list.started.get() <= first + 1 && !holds).then_some(first));
+            .set((list.started.get() <= first + 1 && !list.holds_all(first)).then_some(first));
         let mut s = list.borrow_mut();
         // Every live job waits on a wave or on an earlier job, and the
         // earliest unfinished job waits on a wave: a round with no traffic
@@ -505,14 +455,14 @@ fn poll_jobs<'s, J: Future + Unpin>(
 }
 
 impl PimSkipList {
-    /// Run one job alone through the executor (`job` gets lane 0) — a
-    /// mutating Range's body, and tests.
+    /// Run one job alone through the executor (`job` gets lane 0): a
+    /// `bulk_load` chunk's allocation, and tests.
     pub(crate) fn run_one<T>(&mut self, job: impl AsyncFnOnce(Lane<'_>) -> T) -> T {
-        let list = Shared::new(self);
-        let mut jobs = [Job::new(0..0, false)];
+        let list = Shared::new(self, &[]);
+        let mut jobs = [Job::new(0..0, Hold::NONE)];
         let mut job = Some(job);
         let start = |lane, _| job.take().expect("one start")(lane);
-        drive(&list, &mut jobs, |_, _, _| false, start, None);
+        drive(&list, &mut jobs, start, None);
         let [Job {
             state: State::Done(out),
             ..
@@ -528,30 +478,36 @@ impl PimSkipList {
 mod tests {
     use super::*;
     use crate::batch::get::get_attempt;
-    use crate::config::Key;
-    use crate::Config;
+    use crate::tasks::RangeFunc;
+    use crate::{Config, FaultKind, FaultPlan};
 
     #[test]
     fn a_re_driven_table_counts_its_done_jobs_settled_and_drawn() {
         // A retry re-drives a table whose leading jobs an earlier drive
-        // finished: the last job's wait for every earlier draw and its
-        // phase alone must still start, or it would wait on empty waves.
+        // finished: the last job's wait for every earlier draw and for every
+        // earlier job to finish must still end, or it would wait on empty
+        // waves.
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
-        let list = Shared::new(&mut list);
+        let span = [
+            Op::Get { key: 1 },
+            Op::Upsert { key: 2, value: 2 },
+            Op::Upsert { key: 3, value: 3 },
+        ];
+        let list = Shared::new(&mut list, &span);
         let mut jobs = [
-            Job::new(0..1, false),
-            Job::new(1..2, true),
-            Job::new(2..3, true),
+            Job::new(0..1, Hold::NONE),
+            Job::new(1..2, Hold::All),
+            Job::new(2..3, Hold::All),
         ];
         jobs[0].state = State::Done(0);
         jobs[1].state = State::Done(1);
         let finished = drive(
             &list,
             &mut jobs,
-            |_, _, _| true,
             |lane, run| async move {
                 lane.draws_settled().await;
-                lane.alone("test", |_| run.start).await
+                lane.settled().await;
+                lane.recorded("test", async { run.start }).await
             },
             Some(&|_: &usize| false),
         );
@@ -561,29 +517,34 @@ mod tests {
 
     #[test]
     fn a_released_barrier_lets_later_jobs_start_but_not_run_alone() {
-        // Job 0, a barrier, releases after its first wave: job 1 starts
-        // beside its second one. Job 2's phase alone still waits until both
-        // have finished.
+        // Job 0 holds every later job back until it publishes that it holds
+        // none, after its first wave: job 1 starts beside its second one.
+        // Job 2's wait for every earlier job to finish still ends only once
+        // both have.
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
         list.batch_upsert(&[(1, 10), (2, 20)]);
-        let list = Shared::new(&mut list);
+        let span = [
+            Op::Upsert { key: 100, value: 1 },
+            Op::Get { key: 200 },
+            Op::Upsert { key: 300, value: 3 },
+        ];
+        let list = Shared::new(&mut list, &span);
         let log = RefCell::new(Vec::new());
         let mut jobs = [
-            Job::new(0..1, true),
-            Job::new(1..2, false),
-            Job::new(2..3, true),
+            Job::new(0..1, Hold::All),
+            Job::new(1..2, Hold::NONE),
+            Job::new(2..3, Hold::All),
         ];
         let finished = drive(
             &list,
             &mut jobs,
-            |_, _, _| false,
             |lane, run| {
                 let log = &log;
                 async move {
                     match run.start {
                         0 => {
                             get_attempt(lane, &[1]).await.expect("fault-free");
-                            lane.release();
+                            lane.publish(Hold::NONE);
                             get_attempt(lane, &[2]).await.expect("fault-free");
                             log.borrow_mut().push("0 done");
                         }
@@ -593,8 +554,8 @@ mod tests {
                             log.borrow_mut().push("1 done");
                         }
                         _ => {
-                            lane.alone("test", |_| log.borrow_mut().push("2 alone"))
-                                .await
+                            lane.settled().await;
+                            log.borrow_mut().push("2 alone");
                         }
                     }
                     run.start
@@ -611,32 +572,37 @@ mod tests {
 
     #[test]
     fn a_barrier_released_outside_a_gap_holds_back_the_jobs_inside_it() {
-        // Job 0 releases the later jobs outside the keys 10..=20 after its
-        // first wave. Job 1 (key 5) starts beside its second one; job 2
-        // (key 15) waits until job 0 has finished, and job 3's phase alone
-        // until every earlier job has.
+        // Job 0 publishes that it holds back the later jobs in the keys
+        // 10..=20 after its first wave. Job 1 (key 5) starts beside its
+        // second one; job 2 (key 15) waits until job 0 has finished, and
+        // job 3's wait for every earlier job to finish until every earlier
+        // job has.
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
         list.batch_upsert(&[(1, 10), (2, 20)]);
-        let list = Shared::new(&mut list);
+        let span = [
+            Op::Upsert { key: 0, value: 0 },
+            Op::Get { key: 5 },
+            Op::Get { key: 15 },
+            Op::Upsert { key: 30, value: 3 },
+        ];
+        let list = Shared::new(&mut list, &span);
         let log = RefCell::new(Vec::new());
-        let keys: [Key; 4] = [0, 5, 15, 30];
         let mut jobs = [
-            Job::new(0..1, true),
-            Job::new(1..2, false),
-            Job::new(2..3, false),
-            Job::new(3..4, true),
+            Job::new(0..1, Hold::All),
+            Job::new(1..2, Hold::NONE),
+            Job::new(2..3, Hold::NONE),
+            Job::new(3..4, Hold::All),
         ];
         let finished = drive(
             &list,
             &mut jobs,
-            |_, (lo, hi), later| (lo..=hi).contains(&keys[later.start]),
             |lane, run| {
                 let log = &log;
                 async move {
                     match run.start {
                         0 => {
                             get_attempt(lane, &[1]).await.expect("fault-free");
-                            lane.release_outside((10, 20));
+                            lane.publish(Hold::Keys(10, 20));
                             get_attempt(lane, &[2]).await.expect("fault-free");
                             log.borrow_mut().push("0 done");
                         }
@@ -646,8 +612,8 @@ mod tests {
                             get_attempt(lane, &[2]).await.expect("fault-free");
                         }
                         _ => {
-                            lane.alone("test", |_| log.borrow_mut().push("3 alone"))
-                                .await
+                            lane.settled().await;
+                            log.borrow_mut().push("3 alone");
                         }
                     }
                     run.start
@@ -660,9 +626,47 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_on_an_idle_module_in_a_round_of_a_job_that_holds_everything_stops_the_drive() {
+        // Job 0 holds every later job back and reads key 1 twice. A module
+        // that gets none of its messages crashes in its first round: the
+        // job's own wave loses nothing, but the drive stops right after
+        // that round, with job 0 started and job 1 never started.
+        let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
+        list.batch_upsert(&[(1, 10), (2, 20)]);
+        let busy = list.module_of(1, 0);
+        let idle = (0..4).find(|&m| m != busy).expect("P = 4");
+        let round = list.metrics().rounds;
+        list.set_fault_plan(FaultPlan::new().at(round, idle, FaultKind::Crash));
+        let span = [
+            Op::Range {
+                lo: 0,
+                hi: 9,
+                func: RangeFunc::AddInPlace(1),
+            },
+            Op::Get { key: 2 },
+        ];
+        let list = Shared::new(&mut list, &span);
+        let mut jobs = [Job::new(0..1, Hold::All), Job::new(1..2, Hold::NONE)];
+        let finished = drive(
+            &list,
+            &mut jobs,
+            |lane, run| async move {
+                get_attempt(lane, &[1]).await.expect("fault-free");
+                get_attempt(lane, &[1]).await.expect("not reached");
+                run.start
+            },
+            Some(&|_: &usize| false),
+        );
+        assert!(!finished);
+        assert_eq!(list.borrow_mut().sys.metrics().module_crashes, 1);
+        assert!(matches!(jobs[0].state, State::Started));
+        assert!(matches!(jobs[1].state, State::Waiting));
+    }
+
+    #[test]
     fn a_nested_drive_leaves_the_callers_lane_set() {
-        // A job on lane 2 that runs a batch through `run_one` (as a
-        // mutating Range does) must keep sending on lane 2 afterwards.
+        // A drive sets the caller's lane again after every poll: a batch
+        // run through `run_one` while lane 2 is set leaves lane 2 set.
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 3));
         list.batch_upsert(&[(1, 10), (2, 20)]);
         list.sys.set_lane(2);

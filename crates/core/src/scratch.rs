@@ -21,13 +21,11 @@
 //! observation-free: replies, metrics and traces are byte-identical to the
 //! allocate-per-batch engine.
 
-use std::ops::Range;
-
 use pim_runtime::Handle;
 
 use crate::batch::search::SearchRequest;
 use crate::config::{Key, Value};
-use crate::op::SpanJob;
+use crate::op::{Footprint, SpanJob};
 
 macro_rules! lease {
     ($take:ident, $give:ident, $field:ident, $t:ty) => {
@@ -99,8 +97,8 @@ pub(crate) struct Scratch {
     undo: Vec<(usize, Key, Value)>,
     /// A span's job table (see `op::execute_span`).
     jobs: Vec<SpanJob>,
-    /// The runs of a drive's unfinished jobs (see `sched::drive`).
-    runs: Vec<Option<Range<usize>>>,
+    /// The footprints of a drive's unfinished jobs (see `sched::drive`).
+    open: Vec<Option<Footprint>>,
 }
 
 impl Scratch {
@@ -139,7 +137,7 @@ impl Scratch {
     lease!(take_cell_to_sub, give_cell_to_sub, cell_to_sub, usize);
     lease!(take_undo, give_undo, undo, (usize, Key, Value));
     lease!(take_jobs, give_jobs, jobs, SpanJob);
-    lease!(take_runs, give_runs, runs, Option<Range<usize>>);
+    lease!(take_open, give_open, open, Option<Footprint>);
 }
 
 #[cfg(test)]

@@ -917,6 +917,86 @@ fn fault_in_any_round_of_an_insert_released_beside_later_jobs_matches_one_run_at
 }
 
 #[test]
+fn fault_in_any_round_of_a_mutating_range_in_a_span_matches_one_run_at_a_time() {
+    // One span: Successors and Gets, a FetchAdd run that waits for them to
+    // finish and holds every later job back until it has, then Gets, an
+    // Update, an AddInPlace run of two ranges and Successors. Its rounds
+    // are stepped by the span's own loop, which stops the span at the
+    // first round that lost a message or crashed a module. A crash, a lost
+    // task and a lost reply on every module in every round: replies,
+    // contents and invariants must be those of one run at a time.
+    let cfg = || Config::new(8, 1 << 10, 71).with_max_retries(8);
+    let load: Vec<(i64, u64)> = (0..96).map(|i| (i * 3, i as u64)).collect();
+    let add = |lo, hi, d| Op::Range {
+        lo,
+        hi,
+        func: RangeFunc::AddInPlace(d),
+    };
+    let ops: Vec<Op> = successors(&(0..16).map(|i| i * 17 + 1).collect::<Vec<_>>())
+        .into_iter()
+        .chain(gets(&[21, 60, 141, 200]))
+        .chain([Op::Range {
+            lo: 20,
+            hi: 140,
+            func: RangeFunc::FetchAdd(3),
+        }])
+        .chain(gets(&[21, 60, 141, 200]))
+        .chain([Op::Update { key: 63, value: 9 }])
+        .chain([add(50, 80, 2), add(150, 210, 2)])
+        .chain(successors(&[2, 100, 200, 280]))
+        .collect();
+    let mut dry = PimSkipList::new(cfg());
+    dry.execute(&upserts(&load));
+    let mut one_by_one = PimSkipList::new(cfg());
+    one_by_one.execute(&upserts(&load));
+    let (start, alone_start) = (dry.metrics().rounds, one_by_one.metrics().rounds);
+    let dry_replies = dry.execute(&ops);
+    let rounds = dry.metrics().rounds - start;
+    let mut want = Vec::new();
+    let mut at = 0;
+    while at < ops.len() {
+        let end = pim_core::op::run_end(&ops, at);
+        want.extend(one_by_one.execute(&ops[at..end]));
+        at = end;
+    }
+    let alone_rounds = one_by_one.metrics().rounds - alone_start;
+    assert!(
+        rounds < alone_rounds,
+        "the span takes {rounds} rounds, one run at a time {alone_rounds}"
+    );
+    assert_eq!(dry_replies, want, "co-scheduled = one run at a time");
+    assert_eq!(dry.collect_items(), one_by_one.collect_items());
+    for r in 0..rounds {
+        let mut dropped = 0;
+        for m in 0..8 {
+            for kind in [
+                FaultKind::Crash,
+                FaultKind::DropTask { nth: r },
+                FaultKind::DropReply { nth: 0 },
+            ] {
+                let context = format!("{kind:?} on module {m} at round {r}");
+                let mut list = PimSkipList::new(cfg());
+                list.execute(&upserts(&load));
+                list.set_fault_plan(FaultPlan::new().at(start + r, m, kind));
+                let replies = list
+                    .try_execute(&ops)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                if kind == FaultKind::Crash {
+                    assert_eq!(list.metrics().module_crashes, 1, "{context}: must strike");
+                } else {
+                    dropped += list.metrics().messages_dropped;
+                }
+                assert_logically_eq(&replies, &want);
+                list.validate()
+                    .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+                assert_eq!(list.collect_items(), dry.collect_items(), "{context}");
+            }
+        }
+        assert!(dropped > 0, "round {r} lost nothing");
+    }
+}
+
+#[test]
 fn a_failed_run_leaves_no_later_update_of_its_span_behind() {
     // No retries, and every module loses a task in two consecutive rounds:
     // the span's first run fails while co-scheduled and again alone. The

@@ -3,8 +3,8 @@
 //! as splitting the stream into maximal coalescible runs and calling each
 //! run's typed `batch_*` — same replies, same contents, same CPU work and
 //! depth, and the same random stream afterwards — while the runs share
-//! rounds, Deletes and mutating ranges included; and span attribution
-//! stays conservative over mixed streams.
+//! rounds, Deletes and mutating ranges included, at no more rounds, IO or
+//! PIM time; and span attribution stays conservative over mixed streams.
 
 use proptest::prelude::*;
 
@@ -222,6 +222,10 @@ proptest! {
         let (m, t) = (mixed.metrics() - before, typed.metrics() - before);
         prop_assert_eq!((m.cpu_work, m.cpu_depth), (t.cpu_work, t.cpu_depth),
             "co-scheduling must not change CPU work or depth");
+        // And it is no worse on any other axis.
+        prop_assert!(m.rounds <= t.rounds && m.io_time <= t.io_time && m.pim_time <= t.pim_time,
+            "the span must dominate the per-type batches: {:?} against {:?}",
+            (m.rounds, m.io_time, m.pim_time), (t.rounds, t.io_time, t.pim_time));
 
         // The random stream sits at the same position: fresh towers get the
         // same coins, and the batch costs the same.
@@ -263,6 +267,9 @@ proptest! {
         }
         let (m, t) = (mixed.metrics() - before, typed.metrics() - before);
         prop_assert_eq!((m.cpu_work, m.cpu_depth), (t.cpu_work, t.cpu_depth));
+        prop_assert!(m.rounds <= t.rounds && m.io_time <= t.io_time && m.pim_time <= t.pim_time,
+            "the span must dominate the per-type batches: {:?} against {:?}",
+            (m.rounds, m.io_time, m.pim_time), (t.rounds, t.io_time, t.pim_time));
 
         // Same random stream afterwards: same coins, same batch cost.
         let fresh: Vec<(i64, u64)> = (0..64).map(|i| (1_000 + 3 * i, 1)).collect();
