@@ -5,7 +5,7 @@
 //!
 //! which ∈ { table1, space, balls, contention, adversarial, range,
 //!           baselines, ablation, hprofile, paths, trace-export,
-//!           service, recovery, cluster, all }
+//!           service, recovery, all }
 //!
 //! `trace-export [--quick] [--out DIR]` runs an instrumented session and
 //! writes `DIR/trace.json` (Chrome trace-event, Perfetto-loadable) and
@@ -25,15 +25,6 @@
 //! snapshot cadences and times `PimSkipList::recover_from_dir` on each
 //! resulting directory — the snapshot-interval / recovery-time trade-off.
 //! This measures elapsed time, not a model metric.
-//!
-//! `cluster [--quick] [--out DIR]` sweeps the sharded `pim-cluster`
-//! router over `S ∈ {1, 2, 4, 8}`, byte-comparing every configuration's
-//! wire-encoded replies against the single-machine oracle (the run FAILS
-//! on drift), and reports rounds, wall-clock throughput, and shard load
-//! spread. With `--out DIR` telemetry-enabled
-//! sessions at S ∈ {1, 4} (or the single `PIM_SHARDS` value when set)
-//! write `metrics-sN.prom` / `events-sN.jsonl` / `replies-sN.bin` for
-//! the CI cluster-determinism byte-diff.
 //! ```
 //!
 //! Every table prints *model metrics* (IO time, PIM time, CPU work/depth,
@@ -86,27 +77,6 @@ fn main() {
             }
         }
     };
-    let run_cluster = || {
-        if let Err(e) = pim_bench::cluster::run_cluster(quick, seed) {
-            eprintln!("cluster: {e}");
-            std::process::exit(1);
-        }
-        if let Some(out_dir) = flag("--out") {
-            // PIM_SHARDS pins the export to one shard count (the CI
-            // byte-diff crosses it with PIM_THREADS); absent, export the
-            // within-run comparison pair.
-            let shard_counts = match pim_runtime::EnvSettings::from_env().shards {
-                Some(s) => vec![s],
-                None => vec![1u32, 4],
-            };
-            for shards in shard_counts {
-                if let Err(e) = pim_bench::cluster::cluster_export(out_dir, quick, seed, shards) {
-                    eprintln!("cluster export: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
     let run_recovery = || pim_bench::recovery::run_recovery(quick, seed);
     let run_trace_export = || {
         let out_dir = flag("--out")
@@ -135,7 +105,6 @@ fn main() {
         "trace-export" => run_trace_export(),
         "service" => run_service(),
         "recovery" => run_recovery(),
-        "cluster" => run_cluster(),
         "all" => {
             run_table1();
             println!();
@@ -159,7 +128,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service recovery cluster all");
+            eprintln!("choose from: table1 space balls contention adversarial range baselines ablation hprofile paths trace-export service recovery all");
             std::process::exit(2);
         }
     }

@@ -16,7 +16,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod experiments;
 pub mod measure;
 pub mod recovery;

@@ -74,14 +74,6 @@ impl BatchCosts {
         }
         self.io_time as f64 / (self.total_messages as f64 / f64::from(p))
     }
-
-    /// Work-balance ratio `pim_time / (W/P)`.
-    pub fn work_balance(&self, p: u32) -> f64 {
-        if self.total_pim_work == 0 {
-            return 1.0;
-        }
-        self.pim_time as f64 / (self.total_pim_work as f64 / f64::from(p))
-    }
 }
 
 /// Measure one batch operation on a skip list: runs `op`, returns costs.

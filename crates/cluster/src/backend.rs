@@ -1,7 +1,6 @@
 //! [`pim_service::Backend`] for the cluster: `PimService<PimCluster>`
 //! gives the scheduling tier (admission, batching, dispatch, completion
-//! accounting) a sharded structure with per-shard backpressure lanes —
-//! no service code changes, the seam was designed for exactly this.
+//! accounting) a sharded structure with no service code changes.
 
 use pim_core::{Op, PimResult, Reply};
 use pim_runtime::Telemetry;
@@ -56,8 +55,8 @@ impl Backend for PimCluster {
         self.shard_count()
     }
 
-    /// Admission lane = owning shard (for a `Range`, the shard owning its
-    /// lower bound — where dispatch starts the clipping walk).
+    /// The owning shard (for a `Range`, the shard owning its lower
+    /// bound — where dispatch starts the clipping walk).
     fn lane(&self, op: &Op) -> usize {
         self.lane_of(op)
     }

@@ -1,17 +1,16 @@
 //! The cluster itself: `S` independent machines behind the
 //! single-machine execute contract.
 //!
-//! See the crate docs for the routing determinism contract and the shard
-//! identity rules; this module is their implementation. The shape of one
-//! [`PimCluster::try_execute`] call over several shards is the oracle's,
-//! lifted one level: split the stream into maximal coalescible runs with
-//! the *same* [`run_end`] the single machine uses, then commit each run by
-//! fanning
-//! its ops out to the owning shards (in parallel, through the
-//! deterministic pool — thread count changes wall-clock only) and merging
-//! the per-shard replies back into stream positions.
+//! See the crate docs for the routing determinism contract; this module
+//! is its implementation. The shape of one [`PimCluster::try_execute`]
+//! call over several shards is the oracle's, lifted one level: split the
+//! stream into maximal coalescible runs with the *same* [`run_end`] the
+//! single machine uses, then commit each run by fanning its ops out to
+//! the owning shards (in parallel, through the deterministic pool —
+//! thread count changes wall-clock only) and merging the per-shard
+//! replies back into stream positions.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use pim_core::op::run_end;
 use pim_core::{
@@ -20,20 +19,14 @@ use pim_core::{
 };
 use pim_runtime::{pool, Telemetry, TelemetrySnapshot};
 
-use crate::manifest::{self, ShardRecord};
-use crate::router::{self, ShardId};
+use crate::router;
 use crate::ClusterConfig;
 
 /// One shard: a full PIM machine serving the inclusive key range
 /// `[lo, hi]`.
 struct Shard {
-    id: ShardId,
     lo: Key,
     hi: Key,
-    /// A crashed-and-not-yet-rebuilt shard stays in the table (its range
-    /// still routes to it) but refuses ops with
-    /// [`PimError::ShardDown`] until [`PimCluster::rebuild_shard`].
-    alive: bool,
     list: PimSkipList,
 }
 
@@ -43,58 +36,31 @@ pub struct PimCluster {
     cfg: ClusterConfig,
     /// Sorted by `lo`; ranges are contiguous and cover all of `i64`.
     shards: Vec<Shard>,
-    /// Next shard id to mint (ids are never reused).
-    next_id: ShardId,
-    durable: Option<(PathBuf, DurabilityPolicy)>,
     /// Cluster-level registry for front-end series/events (the service
     /// tier writes here through [`PimCluster::telemetry_mut`]); shard
     /// machine series live in per-shard labeled registries and are folded
-    /// in by [`PimCluster::telemetry_snapshot`].
+    /// in by [`PimCluster::telemetry_snapshot`]. `Some` once telemetry
+    /// is lit.
     telem: Option<Telemetry>,
-    shard_telemetry: bool,
-}
-
-/// Per-shard view in [`ClusterStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// Stable shard id.
-    pub id: ShardId,
-    /// First key the shard owns.
-    pub lo: Key,
-    /// Last key the shard owns (inclusive).
-    pub hi: Key,
-    /// Serving, or crashed awaiting rebuild?
-    pub alive: bool,
-    /// Resident keys.
-    pub len: u64,
-    /// Machine rounds executed so far.
-    pub rounds: u64,
-}
-
-/// Point-in-time cluster shape, for operators and the bench reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// One entry per shard, in key order.
-    pub shards: Vec<ShardInfo>,
 }
 
 /// What [`PimCluster::recover_from_dir`] rebuilt: one
-/// [`RecoveryReport`] per shard, in manifest (= key) order.
+/// [`RecoveryReport`] per shard, in shard (= key) order.
 #[derive(Debug, Clone)]
 pub struct ClusterRecoveryReport {
-    /// `(shard id, that machine's recovery report)`.
-    pub shards: Vec<(ShardId, RecoveryReport)>,
+    /// Shard `i`'s machine recovery report at index `i`.
+    pub shards: Vec<RecoveryReport>,
 }
 
 impl ClusterRecoveryReport {
     /// Total WAL ops replayed across all shards.
     pub fn ops_replayed(&self) -> u64 {
-        self.shards.iter().map(|(_, r)| r.ops_replayed).sum()
+        self.shards.iter().map(|r| r.ops_replayed).sum()
     }
 }
 
-fn shard_dirname(id: ShardId) -> String {
-    format!("shard-{id}")
+fn shard_dirname(i: usize) -> String {
+    format!("shard-{i}")
 }
 
 impl PimCluster {
@@ -102,26 +68,29 @@ impl PimCluster {
     /// `cfg.core` verbatim, owning the uniform key-range cuts of the
     /// router (see the crate docs).
     pub fn new(cfg: ClusterConfig) -> Self {
+        let lists = (0..cfg.shards.max(1))
+            .map(|_| PimSkipList::new(cfg.core.clone()))
+            .collect();
+        Self::with_lists(cfg, lists)
+    }
+
+    /// Place `lists[i]` on the `i`-th uniform key range of `cfg.shards`.
+    fn with_lists(cfg: ClusterConfig, lists: Vec<PimSkipList>) -> Self {
         let los = router::uniform_lower_bounds(cfg.shards);
-        let shards = los
-            .iter()
+        debug_assert_eq!(los.len(), lists.len());
+        let shards = lists
+            .into_iter()
             .enumerate()
-            .map(|(k, &lo)| Shard {
-                id: k as ShardId,
-                lo,
+            .map(|(k, list)| Shard {
+                lo: los[k],
                 hi: los.get(k + 1).map_or(Key::MAX, |&next| next - 1),
-                alive: true,
-                list: PimSkipList::new(cfg.core.clone()),
+                list,
             })
-            .collect::<Vec<_>>();
-        let next_id = shards.len() as ShardId;
+            .collect();
         PimCluster {
             cfg,
             shards,
-            next_id,
-            durable: None,
             telem: None,
-            shard_telemetry: false,
         }
     }
 
@@ -160,24 +129,6 @@ impl PimCluster {
         out
     }
 
-    /// Per-shard shape for operators and reports.
-    pub fn stats(&self) -> ClusterStats {
-        ClusterStats {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardInfo {
-                    id: s.id,
-                    lo: s.lo,
-                    hi: s.hi,
-                    alive: s.alive,
-                    len: s.list.len(),
-                    rounds: s.list.metrics().rounds,
-                })
-                .collect(),
-        }
-    }
-
     /// Open a named span on every shard's metrics timeline (the service
     /// tier brackets its phases with these).
     pub fn span_enter(&mut self, name: &'static str) {
@@ -197,8 +148,7 @@ impl PimCluster {
 
     /// Execute an interleaved stream of typed operations — the
     /// single-machine [`PimSkipList::execute`] contract, served by the
-    /// cluster. Panics on the (routing-impossible) error; see
-    /// [`PimCluster::try_execute`].
+    /// cluster. Panics on the error; see [`PimCluster::try_execute`].
     pub fn execute(&mut self, ops: &[Op]) -> Vec<Reply> {
         self.try_execute(ops)
             .unwrap_or_else(|e| panic!("execute: {e}"))
@@ -206,22 +156,15 @@ impl PimCluster {
 
     /// Fault-tolerant [`PimCluster::execute`]. Over several shards the
     /// stream splits into maximal coalescible runs ([`run_end`]) and runs
-    /// commit in stream order; an error aborts the stream at the failing run's boundary —
-    /// earlier runs are committed on their shards — exactly the oracle's
-    /// abort contract, with [`PimError::ShardDown`] as the one new
-    /// failure: a run that routes an op to a crashed shard refuses
-    /// *before* any shard commits it, and shards the run does not touch
-    /// keep serving later streams.
+    /// commit in stream order; an error aborts the stream at the failing
+    /// run's boundary — earlier runs are committed on their shards —
+    /// exactly the oracle's abort contract.
     pub fn try_execute(&mut self, ops: &[Op]) -> PimResult<Vec<Reply>> {
         // One shard: hand the whole stream to the machine verbatim — the
         // same spans, WAL frames and scratch reuse — which is what makes
         // S = 1 byte-identical to a single machine, rounds included.
         if let [s] = self.shards.as_mut_slice() {
-            return if s.alive || ops.is_empty() {
-                s.list.try_execute(ops)
-            } else {
-                Err(PimError::ShardDown { shard: s.id })
-            };
+            return s.list.try_execute(ops);
         }
         let mut replies = Vec::with_capacity(ops.len());
         let mut start = 0;
@@ -251,20 +194,9 @@ impl PimCluster {
 
     /// The shard index `op` routes to first — the owning shard for a
     /// point op, the shard owning `lo` for a `Range` (where the clipping
-    /// walk starts). The service tier uses this as the admission lane.
+    /// walk starts). The cluster's [`pim_service::Backend::lane`].
     pub fn lane_of(&self, op: &Op) -> usize {
         self.owner(op.bounds().0)
-    }
-
-    /// Refuse the run if any shard it routes ops to is down; checked
-    /// before fan-out so a `ShardDown` run commits nowhere.
-    fn check_alive(&self, sub: &[Vec<Op>]) -> PimResult<()> {
-        for (s, ops) in self.shards.iter().zip(sub) {
-            if !ops.is_empty() && !s.alive {
-                return Err(PimError::ShardDown { shard: s.id });
-            }
-        }
-        Ok(())
     }
 
     /// Run every non-empty per-shard sub-batch through its machine in
@@ -294,7 +226,6 @@ impl PimCluster {
             sub[s].push(*op);
             route.push(s);
         }
-        self.check_alive(&sub)?;
         let outs = self.fan_out(sub, run.len())?;
         let mut cursors: Vec<std::vec::IntoIter<Reply>> =
             outs.into_iter().map(Vec::into_iter).collect();
@@ -332,7 +263,6 @@ impl PimCluster {
                 sub[s].push(run[pos]);
                 asked[s].push(pos);
             }
-            self.check_alive(&sub)?;
             let outs = self.fan_out(sub, pending.len())?;
             pending.clear();
             for (s, (positions, out)) in asked.into_iter().zip(outs).enumerate() {
@@ -404,7 +334,6 @@ impl PimCluster {
                 s += 1;
             }
         }
-        self.check_alive(&sub)?;
         let outs = self.fan_out(sub, run.len())?;
         let mut cursors: Vec<std::vec::IntoIter<Reply>> =
             outs.into_iter().map(Vec::into_iter).collect();
@@ -436,77 +365,40 @@ impl PimCluster {
 
     // ---- durability -------------------------------------------------
 
-    /// Turn on durable persistence: the cluster directory gets the
-    /// checksummed `CLUSTER` manifest (the authority on which shards
-    /// exist) and each shard persists independently into
-    /// `dir/shard-{id}` through its own WAL + snapshot machinery.
+    /// Turn on durable persistence: shard `i` persists independently
+    /// into `dir/shard-{i}` through its own WAL + snapshot machinery.
     pub fn enable_durability(
         &mut self,
         dir: impl AsRef<Path>,
         policy: DurabilityPolicy,
     ) -> PimResult<()> {
-        if self.durable.is_some() {
-            return Err(PimError::InvalidArgument {
-                op: "enable_durability",
-                reason: "durability is already enabled".into(),
-            });
-        }
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| PimError::Io {
-            op: "cluster_mkdir",
-            path: dir.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        self.write_manifest(dir)?;
-        for s in &mut self.shards {
+        for (i, s) in self.shards.iter_mut().enumerate() {
             s.list
-                .enable_durability(dir.join(shard_dirname(s.id)), policy)?;
+                .enable_durability(dir.join(shard_dirname(i)), policy)?;
         }
-        self.durable = Some((dir.to_path_buf(), policy));
         Ok(())
-    }
-
-    fn write_manifest(&self, dir: &Path) -> PimResult<()> {
-        let records: Vec<ShardRecord> = self
-            .shards
-            .iter()
-            .map(|s| ShardRecord {
-                id: s.id,
-                lo: s.lo,
-                hi: s.hi,
-            })
-            .collect();
-        manifest::write(dir, &records)
     }
 
     /// Is durable persistence enabled?
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
+        self.shards[0].list.is_durable()
     }
 
     /// Total next op-stream index across shards (`None` when not
     /// durable) — a cluster-level progress counter, not a single stream
     /// position.
     pub fn durable_seq(&self) -> Option<u64> {
-        self.durable.as_ref()?;
-        Some(
-            self.shards
-                .iter()
-                .filter_map(|s| s.list.durable_seq())
-                .sum(),
-        )
+        self.shards.iter().map(|s| s.list.durable_seq()).sum()
     }
 
     /// Total ops covered by the last fsync across shards (`None` when
     /// not durable).
     pub fn durable_synced_seq(&self) -> Option<u64> {
-        self.durable.as_ref()?;
-        Some(
-            self.shards
-                .iter()
-                .filter_map(|s| s.list.durable_synced_seq())
-                .sum(),
-        )
+        self.shards
+            .iter()
+            .map(|s| s.list.durable_synced_seq())
+            .sum()
     }
 
     /// Fsync pending WAL frames on every shard now (no-op without
@@ -518,210 +410,75 @@ impl PimCluster {
         Ok(())
     }
 
-    /// Rebuild a whole cluster from its durable directory: the manifest
-    /// names the live shards and their ranges (authoritative after any
-    /// sequence of splits), and each machine recovers from its own
-    /// `shard-{id}` directory.
+    /// Rebuild a whole cluster of `cfg.shards` shards from its durable
+    /// directory: shard `i` recovers from `dir/shard-{i}` and serves the
+    /// `i`-th uniform key range. A directory whose `shard-*` entries are
+    /// not exactly `shard-0 … shard-{S-1}` is refused with
+    /// [`PimError::InvalidArgument`] before any shard is read.
     pub fn recover_from_dir(
-        mut cfg: ClusterConfig,
+        cfg: ClusterConfig,
         dir: impl AsRef<Path>,
         policy: DurabilityPolicy,
     ) -> PimResult<(PimCluster, ClusterRecoveryReport)> {
         let dir = dir.as_ref();
-        let records = manifest::read(dir)?;
-        let mut shards = Vec::with_capacity(records.len());
-        let mut reports = Vec::with_capacity(records.len());
-        for r in &records {
+        let shards = cfg.shards.max(1) as usize;
+        let entries = std::fs::read_dir(dir).map_err(|e| PimError::Io {
+            op: "cluster_recover",
+            path: dir.display().to_string(),
+            detail: e.to_string(),
+        })?;
+        let mut found: Vec<String> = entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("shard-"))
+            .collect();
+        found.sort_unstable();
+        let mut want: Vec<String> = (0..shards).map(shard_dirname).collect();
+        want.sort_unstable();
+        if found != want {
+            return Err(PimError::InvalidArgument {
+                op: "cluster_recover",
+                reason: format!(
+                    "{} holds shard directories {found:?}, want shard-0 … shard-{}",
+                    dir.display(),
+                    shards - 1
+                ),
+            });
+        }
+        let mut lists = Vec::with_capacity(shards);
+        let mut reports = Vec::with_capacity(shards);
+        for i in 0..shards {
             let (list, report) = PimSkipList::recover_from_dir(
                 cfg.core.clone(),
-                dir.join(shard_dirname(r.id)),
+                dir.join(shard_dirname(i)),
                 policy,
             )?;
-            shards.push(Shard {
-                id: r.id,
-                lo: r.lo,
-                hi: r.hi,
-                alive: true,
-                list,
-            });
-            reports.push((r.id, report));
+            lists.push(list);
+            reports.push(report);
         }
-        let next_id = shards.iter().map(|s| s.id + 1).max().unwrap_or(0);
-        cfg.shards = shards.len() as u32;
         Ok((
-            PimCluster {
-                cfg,
-                shards,
-                next_id,
-                durable: Some((dir.to_path_buf(), policy)),
-                telem: None,
-                shard_telemetry: false,
-            },
+            Self::with_lists(cfg, lists),
             ClusterRecoveryReport { shards: reports },
         ))
     }
 
-    // ---- crash / rebuild / split -----------------------------------
-
-    /// Simulate shard `idx` (by table position, see
-    /// [`PimCluster::stats`]) crashing: its DRAM contents vanish, its
-    /// open WAL writer drops, its durable directory stays. The shard
-    /// refuses ops ([`PimError::ShardDown`]) until
-    /// [`PimCluster::rebuild_shard`]; other shards keep serving streams
-    /// that do not touch it. Refused on a non-durable cluster — the
-    /// shard's data would be unrecoverable.
-    pub fn kill_shard(&mut self, idx: usize) -> PimResult<()> {
-        self.shard_index(idx, "kill_shard")?;
-        if self.durable.is_none() {
-            return Err(PimError::InvalidArgument {
-                op: "kill_shard",
-                reason: "killing a shard of a non-durable cluster would lose data".into(),
-            });
-        }
-        let s = &mut self.shards[idx];
-        s.alive = false;
-        s.list = PimSkipList::new(self.cfg.core.clone());
-        Ok(())
-    }
-
-    /// Rebuild the crashed shard `idx` from its durable directory and
-    /// put it back in service; returns the machine's recovery report.
-    pub fn rebuild_shard(&mut self, idx: usize) -> PimResult<RecoveryReport> {
-        self.shard_index(idx, "rebuild_shard")?;
-        let Some((dir, policy)) = self.durable.clone() else {
-            return Err(PimError::InvalidArgument {
-                op: "rebuild_shard",
-                reason: "cluster is not durable".into(),
-            });
-        };
-        if self.shards[idx].alive {
-            return Err(PimError::InvalidArgument {
-                op: "rebuild_shard",
-                reason: format!("shard {} is alive", self.shards[idx].id),
-            });
-        }
-        let (mut list, report) = PimSkipList::recover_from_dir(
-            self.cfg.core.clone(),
-            dir.join(shard_dirname(self.shards[idx].id)),
-            policy,
-        )?;
-        if self.shard_telemetry {
-            let label = self.shards[idx].id.to_string();
-            list.enable_telemetry_with_labels(&[("shard", &label)]);
-        }
-        self.shards[idx].list = list;
-        self.shards[idx].alive = true;
-        Ok(report)
-    }
-
-    /// Offline shard split: cut shard `idx`'s range at its midpoint and
-    /// migrate its contents into two fresh machines. The parent id is
-    /// retired; the children get newly minted ids (and, when durable,
-    /// fresh `shard-{id}` directories seeded with an initial snapshot —
-    /// the parent's directory is deleted and the manifest rewritten, so
-    /// recovery sees exactly the post-split cluster). Returns the two
-    /// new ids.
-    pub fn split_shard(&mut self, idx: usize) -> PimResult<(ShardId, ShardId)> {
-        self.shard_index(idx, "split_shard")?;
-        let (old_id, lo, hi, alive) = {
-            let s = &self.shards[idx];
-            (s.id, s.lo, s.hi, s.alive)
-        };
-        if !alive {
-            return Err(PimError::ShardDown { shard: old_id });
-        }
-        if lo >= hi {
-            return Err(PimError::InvalidArgument {
-                op: "split_shard",
-                reason: format!("shard {old_id} range [{lo}, {hi}] is too narrow to split"),
-            });
-        }
-        let mid = (i128::from(lo) + (i128::from(hi) - i128::from(lo)) / 2) as Key;
-        let items = self.shards[idx].list.collect_items();
-        let cut = items.partition_point(|&(k, _)| k <= mid);
-        let (left_id, right_id) = (self.next_id, self.next_id + 1);
-        self.next_id += 2;
-
-        let mut left = PimSkipList::new(self.cfg.core.clone());
-        left.load(&items[..cut]);
-        let mut right = PimSkipList::new(self.cfg.core.clone());
-        right.load(&items[cut..]);
-        if self.shard_telemetry {
-            let label = left_id.to_string();
-            left.enable_telemetry_with_labels(&[("shard", &label)]);
-            let label = right_id.to_string();
-            right.enable_telemetry_with_labels(&[("shard", &label)]);
-        }
-
-        if let Some((dir, policy)) = self.durable.clone() {
-            // Children first (their initial snapshots land on disk), then
-            // retire the parent's directory and republish the manifest —
-            // a crash between the steps leaves either the old or the new
-            // cluster fully recoverable, never a half state.
-            left.enable_durability(dir.join(shard_dirname(left_id)), policy)?;
-            right.enable_durability(dir.join(shard_dirname(right_id)), policy)?;
-        }
-
-        self.shards[idx] = Shard {
-            id: left_id,
-            lo,
-            hi: mid,
-            alive: true,
-            list: left,
-        };
-        self.shards.insert(
-            idx + 1,
-            Shard {
-                id: right_id,
-                lo: mid + 1,
-                hi,
-                alive: true,
-                list: right,
-            },
-        );
-        self.cfg.shards = self.shards.len() as u32;
-
-        if let Some((dir, _)) = self.durable.clone() {
-            let old = dir.join(shard_dirname(old_id));
-            std::fs::remove_dir_all(&old).map_err(|e| PimError::Io {
-                op: "split_retire",
-                path: old.display().to_string(),
-                detail: e.to_string(),
-            })?;
-            self.write_manifest(&dir)?;
-        }
-        Ok((left_id, right_id))
-    }
-
-    fn shard_index(&self, idx: usize, op: &'static str) -> PimResult<()> {
-        if idx >= self.shards.len() {
-            return Err(PimError::InvalidArgument {
-                op,
-                reason: format!("shard index {idx} out of range ({})", self.shards.len()),
-            });
-        }
-        Ok(())
-    }
-
     // ---- telemetry --------------------------------------------------
 
-    /// Light telemetry on every shard (each machine's series carry a
-    /// `shard="{id}"` base label) plus a cluster-level registry for
+    /// Light telemetry on every shard (shard `i`'s series carry a
+    /// `shard="{i}"` base label) plus a cluster-level registry for
     /// front-end series. Idempotent.
     pub fn enable_telemetry(&mut self) {
-        self.shard_telemetry = true;
         if self.telem.is_none() {
             self.telem = Some(Telemetry::new());
         }
-        for s in &mut self.shards {
-            let label = s.id.to_string();
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            let label = i.to_string();
             s.list.enable_telemetry_with_labels(&[("shard", &label)]);
         }
     }
 
     /// Is telemetry enabled?
     pub fn telemetry_enabled(&self) -> bool {
-        self.shard_telemetry
+        self.telem.is_some()
     }
 
     /// The cluster-level registry, for layered front-ends (the service
@@ -730,21 +487,16 @@ impl PimCluster {
         self.telem.as_mut()
     }
 
-    /// One merged render-ready snapshot: every live shard's labeled
-    /// machine series plus the cluster-level registry (`None` when
-    /// dark). A crashed shard contributes nothing until rebuilt.
+    /// One merged render-ready snapshot: every shard's labeled machine
+    /// series plus the cluster-level registry (`None` when dark).
     pub fn telemetry_snapshot(&mut self) -> Option<TelemetrySnapshot> {
-        if !self.shard_telemetry {
-            return None;
-        }
+        let telem = self.telem.as_ref()?;
         let mut parts: Vec<TelemetrySnapshot> = self
             .shards
             .iter_mut()
             .filter_map(|s| s.list.telemetry_snapshot())
             .collect();
-        if let Some(t) = &self.telem {
-            parts.push(t.snapshot());
-        }
+        parts.push(telem.snapshot());
         Some(TelemetrySnapshot::merged(parts))
     }
 }

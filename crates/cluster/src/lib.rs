@@ -1,16 +1,16 @@
-//! `pim-cluster` — a sharded key-range cluster of PIM skip-list machines
-//! behind the single-machine execute contract.
+//! `pim-cluster` — a key-range cluster of PIM skip-list machines behind
+//! the single-machine execute contract.
 //!
-//! The paper's machine is a single box of `P` modules; the roadmap
-//! north-star is "millions of users". This crate is the system tier that
-//! closes the gap: `S` independent [`pim_core::PimSkipList`] shards, each
-//! a full PIM machine, behind a deterministic **key-range router**. The
-//! client-facing entry is *exactly* `pim_core::op`'s typed mixed-stream
-//! contract — [`PimCluster::execute`] takes the same [`pim_core::Op`]
-//! slice and answers positionally with the same [`pim_core::Reply`]s —
-//! so everything written against one machine runs unchanged against a
-//! cluster, including the `pim-service` scheduling tier
-//! (`PimService<PimCluster>` via the [`pim_service::Backend`] impl).
+//! The paper's machine is a single box of `P` modules. This crate puts
+//! `S` independent [`pim_core::PimSkipList`] shards, each a full PIM
+//! machine, behind a deterministic **key-range router**; the shards are
+//! fixed when the cluster is built. The client-facing entry is *exactly*
+//! `pim_core::op`'s typed mixed-stream contract — [`PimCluster::execute`]
+//! takes the same [`pim_core::Op`] slice and answers positionally with
+//! the same [`pim_core::Reply`]s — so everything written against one
+//! machine runs unchanged against a cluster, including the `pim-service`
+//! scheduling tier (`PimService<PimCluster>` via the
+//! [`pim_service::Backend`] impl).
 //!
 //! # Routing determinism contract
 //!
@@ -26,20 +26,13 @@
 //! * A cluster of `S = 1` is **byte-identical** to a single machine
 //!   (shard 0 runs the base [`pim_core::Config`] verbatim); for `S > 1`
 //!   replies are **identical up to machine-local entry handles** (a
-//!   [`pim_core::Reply::Entry`] handle names a node *inside one shard*;
-//!   the canonical client-visible encoding in [`wire`] therefore carries
-//!   the key, which is shard-independent). The proptest suite drives
+//!   [`pim_core::Reply::Entry`] handle names a node *inside one shard*,
+//!   so only its key is comparable across shard counts). The tests drive
 //!   both equivalences over random mixed streams.
 //!
-//! # Shard identity rules
-//!
-//! Shards have stable numeric ids ([`ShardId`]), minted once and never
-//! reused: an offline [`PimCluster::split_shard`] *retires* the parent id
-//! and mints two fresh children. Durable state lives under
-//! `dir/shard-{id}`, telemetry series carry a `shard="{id}"` label, and
-//! the cluster manifest (`CLUSTER`, checksummed) records the live
-//! id → key-range map, so recovery after any sequence of splits finds
-//! exactly the shards that exist.
+//! A shard is named by its position in the key order: durable state
+//! lives under `dir/shard-{i}` and telemetry series carry a
+//! `shard="{i}"` label.
 //!
 //! ```
 //! use pim_cluster::{ClusterConfig, PimCluster};
@@ -59,15 +52,11 @@
 
 mod backend;
 mod cluster;
-mod manifest;
 mod router;
-pub mod wire;
 
-pub use cluster::{ClusterRecoveryReport, ClusterStats, PimCluster, ShardInfo};
-pub use router::ShardId;
+pub use cluster::{ClusterRecoveryReport, PimCluster};
 
 use pim_core::Config;
-use pim_runtime::EnvSettings;
 
 /// Construction parameters of a [`PimCluster`]: the wrapped per-shard
 /// core [`Config`] plus the shard count. No `with_*` setters are
@@ -92,21 +81,6 @@ impl ClusterConfig {
             shards: shards.max(1),
         }
     }
-
-    /// A cluster of one-machine [`Config::new`] shards, with the shard
-    /// count read from `PIM_SHARDS` (absent/invalid → 1).
-    pub fn from_env(p: u32, expected_n: u64, seed: u64) -> Self {
-        Self::new(Config::new(p, expected_n, seed), 1).with_settings(&EnvSettings::from_env())
-    }
-
-    /// Apply pre-parsed [`EnvSettings`] (the unit-testable counterpart
-    /// of [`ClusterConfig::from_env`]).
-    pub fn with_settings(mut self, settings: &EnvSettings) -> Self {
-        if let Some(shards) = settings.shards {
-            self.shards = shards.max(1);
-        }
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,13 +88,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_wraps_core_and_reads_shards_from_settings() {
-        let cfg = ClusterConfig::new(Config::new(4, 1 << 10, 7), 0);
+    fn config_wraps_core_and_clamps_shards() {
+        let core = Config::new(4, 1 << 10, 7);
+        let cfg = ClusterConfig::new(core.clone(), 0);
         assert_eq!(cfg.shards, 1, "shard count clamps to 1");
-        let cfg = cfg.with_settings(&EnvSettings {
-            shards: Some(8),
-            threads: None,
-        });
-        assert_eq!(cfg.shards, 8);
+        assert_eq!(cfg.core.batch_large(), core.batch_large());
+        assert_eq!(ClusterConfig::new(core, 8).shards, 8);
     }
 }

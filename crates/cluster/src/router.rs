@@ -1,22 +1,14 @@
 //! Deterministic key-range routing.
 //!
-//! The key domain is the full `i64` line. A fresh cluster of `S` shards
-//! cuts it into `S` near-equal contiguous ranges: shard `k` starts at
+//! The key domain is the full `i64` line. A cluster of `S` shards cuts
+//! it into `S` near-equal contiguous ranges: shard `k` starts at
 //! `i64::MIN + floor(2^64 * k / S)` (exact in `i128`), and owns keys up
 //! to the next shard's start (the last shard runs to `i64::MAX`). The
 //! cuts depend only on `S`, never on the data, so two clusters built
 //! with the same `S` route identically — the determinism the oracle
-//! equivalence suite leans on. After a [`crate::PimCluster::split_shard`]
-//! the ranges are no longer uniform; routing then follows the manifest's
-//! recorded boundaries (still a sorted list of lower bounds, still
-//! deterministic).
+//! equivalence suite leans on.
 
 use pim_core::Key;
-
-/// Stable numeric shard identity. Minted once, never reused; survives
-/// crash/rebuild and names the shard's durable directory (`shard-{id}`)
-/// and telemetry label (`shard="{id}"`).
-pub type ShardId = u32;
 
 /// Lower bounds of the `S` uniform key ranges: element `k` is the first
 /// key shard `k` owns. `bounds[0]` is always `i64::MIN`.
@@ -29,9 +21,9 @@ pub(crate) fn uniform_lower_bounds(shards: u32) -> Vec<Key> {
 
 /// Index of the shard owning `key` among shards with the given sorted
 /// lower bounds (`los[0] == i64::MIN`, so every key has an owner).
-/// `PimCluster` inlines the same `partition_point` over its shard table
-/// (which also tracks post-split boundaries); this free-standing form
-/// pins the routing rule for the boundary tests below.
+/// `PimCluster` inlines the same `partition_point` over its shard table;
+/// this free-standing form pins the routing rule for the boundary tests
+/// below.
 #[cfg(test)]
 pub(crate) fn owner(los: &[Key], key: Key) -> usize {
     debug_assert!(!los.is_empty() && los[0] == i64::MIN);

@@ -3,12 +3,12 @@
 //! The property proptest sweeps over in `tests/` rides on the invariants
 //! pinned here with fixed seeds: `S = 1` is byte-identical to one
 //! machine, `S > 1` is reply-identical up to machine-local entry handles
-//! (compared through the canonical wire encoding), shard crash refuses
-//! only streams that touch the dead shard, and rebuild/split/recover all
-//! land back on oracle contents.
+//! (compared with the handles masked), and a durable cluster recovers
+//! to oracle contents.
 
-use pim_cluster::{wire, ClusterConfig, PimCluster};
+use pim_cluster::{ClusterConfig, PimCluster};
 use pim_core::prelude::*;
+use pim_runtime::Handle;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -57,6 +57,18 @@ fn random_ops(seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
+/// The replies with every entry handle set to [`Handle::NULL`]: a handle
+/// names a node inside one shard, so only its key compares across `S`.
+fn masked(replies: Vec<Reply>) -> Vec<Reply> {
+    replies
+        .into_iter()
+        .map(|r| match r {
+            Reply::Entry(Some((key, _))) => Reply::Entry(Some((key, Handle::NULL))),
+            other => other,
+        })
+        .collect()
+}
+
 fn cfg() -> Config {
     Config::new(4, 1 << 10, 42)
 }
@@ -81,13 +93,13 @@ fn s1_is_byte_identical_to_the_single_machine() {
 }
 
 #[test]
-fn sharded_replies_match_oracle_through_the_wire_encoding() {
+fn sharded_replies_match_oracle_with_handles_masked() {
     let ops = random_ops(0xBEEF, 800);
     let mut oracle = PimSkipList::new(cfg());
-    let want = wire::encode_replies(&oracle.execute(&ops));
+    let want = masked(oracle.execute(&ops));
     for s in [2u32, 4, 8] {
         let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), s));
-        let got = wire::encode_replies(&cluster.execute(&ops));
+        let got = masked(cluster.execute(&ops));
         assert_eq!(got, want, "S={s} reply stream drifted from the oracle");
         assert_eq!(
             cluster.collect_items(),
@@ -126,117 +138,75 @@ fn inverted_range_and_h_low_errors_are_oracle_byte_equal() {
 }
 
 #[test]
-fn dead_shard_refuses_only_streams_that_touch_it() {
-    let dir = tmpdir("dead-shard");
-    let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 4));
+fn durable_cluster_recovers_from_its_shard_dirs() {
+    let dir = tmpdir("recover");
+    let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 3));
     cluster
         .enable_durability(&dir, DurabilityPolicy::default())
         .unwrap();
-    let ops = random_ops(0xD00D, 400);
-    cluster.execute(&ops);
-    let before = cluster.collect_items();
-
-    // Kill the shard owning key 1 (the third quarter of the i64 line).
-    let victim = cluster.lane_of(&Op::Get { key: 1 });
-    cluster.kill_shard(victim).unwrap();
-    let victim_id = cluster.stats().shards[victim].id;
-
-    // A stream that routes into the dead shard refuses with ShardDown
-    // at the failing run's boundary: the earlier run IS committed.
-    let far = i64::MIN + 10; // shard 0 territory
-    let err = cluster
-        .try_execute(&[
-            Op::Upsert {
-                key: far,
-                value: 999,
-            },
-            Op::Get { key: 1 },
-        ])
-        .unwrap_err();
-    assert_eq!(err, PimError::ShardDown { shard: victim_id });
-
-    // Streams that avoid it keep serving (and see the committed run).
-    let ok = cluster.execute(&[Op::Get { key: far }]);
-    assert_eq!(ok, vec![Reply::Value(Some(999))]);
-
-    // Rebuild from the shard's own WAL/snapshots; contents are restored
-    // (plus the upsert the surviving shards committed meanwhile).
-    let report = cluster.rebuild_shard(victim).unwrap();
-    assert!(report.ops_replayed > 0 || report.snapshot_seq.is_some());
-    let mut want = before;
-    want.insert(0, (far, 999));
-    assert_eq!(cluster.collect_items(), want);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn split_migrates_contents_and_mints_fresh_ids() {
-    let mut oracle = PimSkipList::new(cfg());
-    let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 2));
-    let ops = random_ops(0x5EED, 500);
-    oracle.execute(&ops);
-    cluster.execute(&ops);
-
-    let (left, right) = cluster.split_shard(1).unwrap();
-    assert_eq!((left, right), (2, 3), "children get freshly minted ids");
-    assert_eq!(cluster.shard_count(), 3);
-    assert_eq!(cluster.collect_items(), oracle.collect_items());
-    let stats = cluster.stats();
-    assert_eq!(stats.shards[1].hi + 1, stats.shards[2].lo, "contiguous cut");
-
-    // Routing still matches the oracle after the split.
-    let more = random_ops(0xF00D, 300);
-    assert_eq!(
-        wire::encode_replies(&cluster.execute(&more)),
-        wire::encode_replies(&oracle.execute(&more))
-    );
-}
-
-#[test]
-fn durable_split_then_recover_sees_the_post_split_cluster() {
-    let dir = tmpdir("split-recover");
-    let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 2));
-    cluster
-        .enable_durability(&dir, DurabilityPolicy::default())
-        .unwrap();
-    let ops = random_ops(0xCAFE, 400);
-    cluster.execute(&ops);
-    cluster.split_shard(0).unwrap();
-    let more = random_ops(0x1234, 200);
-    cluster.execute(&more);
+    cluster.execute(&random_ops(0xCAFE, 400));
     let want_items = cluster.collect_items();
-    let want_shards: Vec<_> = cluster.stats().shards.iter().map(|s| s.id).collect();
     drop(cluster);
 
     let (mut recovered, report) = PimCluster::recover_from_dir(
-        ClusterConfig::new(cfg(), 2),
+        ClusterConfig::new(cfg(), 3),
         &dir,
         DurabilityPolicy::default(),
     )
     .unwrap();
-    assert_eq!(
-        recovered
-            .stats()
-            .shards
-            .iter()
-            .map(|s| s.id)
-            .collect::<Vec<_>>(),
-        want_shards,
-        "manifest is the authority on which shards exist"
-    );
     assert_eq!(recovered.collect_items(), want_items);
     assert_eq!(report.shards.len(), 3);
-    // The parent's retired directory is gone.
-    assert!(!dir.join("shard-0").exists());
+    assert!(report.ops_replayed() > 0);
 
-    // And the recovered cluster keeps serving correctly.
+    // The recovered cluster keeps serving correctly and stays durable.
+    assert!(recovered.is_durable());
     let probe = random_ops(0x777, 100);
     let mut oracle = PimSkipList::new(cfg());
     oracle.load(&want_items);
     assert_eq!(
-        wire::encode_replies(&recovered.execute(&probe)),
-        wire::encode_replies(&oracle.execute(&probe))
+        masked(recovered.execute(&probe)),
+        masked(oracle.execute(&probe))
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_refuses_a_directory_of_another_shard_count() {
+    let dir = tmpdir("shard-set");
+    let mut cluster = PimCluster::new(ClusterConfig::new(cfg(), 2));
+    cluster
+        .enable_durability(&dir, DurabilityPolicy::default())
+        .unwrap();
+    cluster.execute(&random_ops(0xF00D, 100));
+    drop(cluster);
+
+    for shards in [1u32, 3] {
+        let err = PimCluster::recover_from_dir(
+            ClusterConfig::new(cfg(), shards),
+            &dir,
+            DurabilityPolicy::default(),
+        )
+        .err()
+        .expect("a 2-shard directory is refused at another S");
+        assert!(
+            matches!(
+                err,
+                PimError::InvalidArgument {
+                    op: "cluster_recover",
+                    ..
+                }
+            ),
+            "S={shards}: {err}"
+        );
+    }
+    // A stray shard directory is refused too.
+    std::fs::create_dir_all(dir.join("shard-7")).unwrap();
+    assert!(PimCluster::recover_from_dir(
+        ClusterConfig::new(cfg(), 2),
+        &dir,
+        DurabilityPolicy::default()
+    )
+    .is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

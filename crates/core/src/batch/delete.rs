@@ -34,7 +34,7 @@ use pim_runtime::{Handle, Metrics};
 use crate::config::{Key, POS_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::op::{Hold, Probe};
+use crate::op::{Hold, Op, Probe, Reply as OpReply};
 use crate::recover::write_wave;
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
@@ -90,8 +90,16 @@ impl PimSkipList {
     /// Batched Delete: removes each key, returning per-key whether it was
     /// present. Duplicates within the batch are deduplicated.
     pub fn batch_delete(&mut self, keys: &[Key]) -> Vec<bool> {
-        self.try_batch_delete(keys)
-            .unwrap_or_else(|e| panic!("batch_delete: {e}"))
+        self.try_batch(
+            "Delete",
+            keys,
+            |key| Op::Delete { key },
+            |r| match r {
+                OpReply::Deleted(found) => Some(*found),
+                _ => None,
+            },
+        )
+        .unwrap_or_else(|e| panic!("batch_delete: {e}"))
     }
 
     /// Absorb the mark wave's replies for `n` unique keys. The marked set

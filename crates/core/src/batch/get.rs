@@ -18,6 +18,7 @@ use pim_primitives::semisort::{dedup_by_key_into, dedup_cost};
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::op::{Op, Reply as OpReply};
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
 
@@ -25,8 +26,16 @@ impl PimSkipList {
     /// Batched Get: the value of each key, in input order (`None` for
     /// absent keys, which are ignored structurally as the paper specifies).
     pub fn batch_get(&mut self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.try_batch_get(keys)
-            .unwrap_or_else(|e| panic!("batch_get: {e}"))
+        self.try_batch(
+            "Get",
+            keys,
+            |key| Op::Get { key },
+            |r| match r {
+                OpReply::Value(v) => Some(*v),
+                _ => None,
+            },
+        )
+        .unwrap_or_else(|e| panic!("batch_get: {e}"))
     }
 
     /// Batched Update: write each pair's value if the key is resident;
@@ -34,8 +43,12 @@ impl PimSkipList {
     /// the batch are resolved first-wins (one canonical representative per
     /// key, as the semisort-dedup of §4.1 prescribes).
     pub fn batch_update(&mut self, pairs: &[(Key, Value)]) -> Vec<bool> {
-        self.try_batch_update(pairs)
-            .unwrap_or_else(|e| panic!("batch_update: {e}"))
+        let op = |(key, value)| Op::Update { key, value };
+        self.try_batch("Update", pairs, op, |r| match r {
+            OpReply::Updated(found) => Some(*found),
+            _ => None,
+        })
+        .unwrap_or_else(|e| panic!("batch_update: {e}"))
     }
 
     fn get_absorb(

@@ -103,7 +103,7 @@ use pim_runtime::Handle;
 use crate::config::{Key, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
-use crate::op::Hold;
+use crate::op::{Hold, Op, Reply as OpReply};
 use crate::sched::Lane;
 use crate::tasks::{Fingers, Reply, SearchMode, Task, Walk};
 
@@ -882,14 +882,20 @@ impl PimSkipList {
     /// before searching (the adversary countermeasure of §4.1 applied to
     /// queries), results fanned back out.
     pub fn batch_successor(&mut self, keys: &[Key]) -> Vec<Option<(Key, Handle)>> {
-        self.try_batch_successor(keys)
-            .unwrap_or_else(|e| panic!("batch_successor: {e}"))
+        self.try_batch(
+            "Successor",
+            keys,
+            |key| Op::Successor { key },
+            OpReply::as_entry,
+        )
+        .unwrap_or_else(|e| panic!("batch_successor: {e}"))
     }
 
     /// Batched Predecessor: for each key, the largest resident key `≤` it,
     /// or `None` before the beginning.
     pub fn batch_predecessor(&mut self, keys: &[Key]) -> Vec<Option<(Key, Handle)>> {
-        self.try_batch_predecessor(keys)
+        let op = |key| Op::Predecessor { key };
+        self.try_batch("Predecessor", keys, op, OpReply::as_entry)
             .unwrap_or_else(|e| panic!("batch_predecessor: {e}"))
     }
 }

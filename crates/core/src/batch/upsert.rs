@@ -45,6 +45,7 @@ use crate::batch::search::{pivoted_search, LastDraw, SearchRequest, SearchResult
 use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
+use crate::op::{Op, Reply as OpReply};
 use crate::recover::write_wave;
 use crate::sched::Lane;
 use crate::tasks::{Reply, Task};
@@ -112,8 +113,12 @@ impl PimSkipList {
     /// first-wins; returns the per-pair outcome (duplicates report the
     /// outcome of their key's canonical occurrence).
     pub fn batch_upsert(&mut self, pairs: &[(Key, Value)]) -> Vec<UpsertOutcome> {
-        self.try_batch_upsert(pairs)
-            .unwrap_or_else(|e| panic!("batch_upsert: {e}"))
+        let op = |(key, value)| Op::Upsert { key, value };
+        self.try_batch("Upsert", pairs, op, |r| match r {
+            OpReply::Upserted(outcome) => Some(*outcome),
+            _ => None,
+        })
+        .unwrap_or_else(|e| panic!("batch_upsert: {e}"))
     }
 
     /// Absorb the update pass's replies into one found-flag per unique

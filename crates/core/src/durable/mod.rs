@@ -78,18 +78,18 @@ pub struct DurabilityPolicy {
     /// this many ops; `None` disables automatic snapshots
     /// ([`PimSkipList::snapshot_now`] still works).
     pub snapshot_every: Option<u64>,
-    /// How many snapshots to retain (the WAL is only compacted up to the
-    /// *oldest* retained one, so an older snapshot stays usable if the
-    /// newest is ever damaged). Clamped to at least 1.
-    pub keep_snapshots: usize,
 }
+
+/// How many snapshots are retained. The WAL is only compacted up to the
+/// *oldest* retained one, so an older snapshot stays usable if the newest
+/// is ever damaged.
+const KEEP_SNAPSHOTS: usize = 2;
 
 impl Default for DurabilityPolicy {
     fn default() -> Self {
         DurabilityPolicy {
             fsync: FsyncPolicy::EveryFrame,
             snapshot_every: None,
-            keep_snapshots: 2,
         }
     }
 }
@@ -104,12 +104,6 @@ impl DurabilityPolicy {
     /// Snapshot (and compact) every `ops` committed operations.
     pub fn with_snapshot_every(mut self, ops: u64) -> Self {
         self.snapshot_every = Some(ops);
-        self
-    }
-
-    /// Retain `n` snapshots (min 1).
-    pub fn with_keep_snapshots(mut self, n: usize) -> Self {
-        self.keep_snapshots = n;
         self
     }
 }
@@ -275,7 +269,7 @@ impl Durability {
         }
         self.snapshots.insert(0, self.seq);
         self.snapshots.dedup();
-        let keep = self.policy.keep_snapshots.max(1).min(self.snapshots.len());
+        let keep = KEEP_SNAPSHOTS.min(self.snapshots.len());
         let dropped_snaps = self.snapshots.split_off(keep);
         let min_keep = *self.snapshots.last().expect("at least the new snapshot");
         let (keep_segs, dropped_segs): (Vec<u64>, Vec<u64>) =
@@ -626,9 +620,7 @@ mod tests {
     #[test]
     fn snapshot_compaction_drops_covered_segments() {
         let dir = test_dir("mod-compact");
-        let policy = DurabilityPolicy::default()
-            .with_snapshot_every(8)
-            .with_keep_snapshots(2);
+        let policy = DurabilityPolicy::default().with_snapshot_every(8);
         let mut live = PimSkipList::new(cfg());
         live.enable_durability(&dir, policy).unwrap();
         for round in 0..6 {
@@ -638,7 +630,7 @@ mod tests {
         let m = manifest::read_manifest(&dir, codec::config_fingerprint(&cfg()))
             .unwrap()
             .expect("manifest present");
-        assert_eq!(m.snapshots.len(), 2, "keep_snapshots honoured");
+        assert_eq!(m.snapshots.len(), 2, "KEEP_SNAPSHOTS honoured");
         let oldest = *m.snapshots.last().unwrap();
         assert!(m.segments.iter().all(|&s| s >= oldest));
         // Dropped segments are really gone from disk.
@@ -745,9 +737,7 @@ mod tests {
     #[test]
     fn damaged_newest_snapshot_falls_back_to_older() {
         let dir = test_dir("mod-snapfallback");
-        let policy = DurabilityPolicy::default()
-            .with_snapshot_every(10)
-            .with_keep_snapshots(2);
+        let policy = DurabilityPolicy::default().with_snapshot_every(10);
         let mut live = PimSkipList::new(cfg());
         live.enable_durability(&dir, policy).unwrap();
         for round in 0..3 {

@@ -84,15 +84,6 @@ pub enum PimError {
         /// What was being decoded (`"wal frame"`, `"snapshot"`, …).
         detail: String,
     },
-    /// An operation routed to a cluster shard that is down (crashed and
-    /// not yet rebuilt). The op stream aborts at the failing run's
-    /// boundary — earlier runs are committed — and every other shard
-    /// keeps serving; rebuild the shard from its durable directory to
-    /// resume.
-    ShardDown {
-        /// Stable id of the down shard.
-        shard: u32,
-    },
 }
 
 /// Result alias used by the fault-tolerant driver paths.
@@ -155,9 +146,6 @@ impl fmt::Display for PimError {
                     "corrupt {detail} in {path} at offset {offset}: \
                      checksum expected {expected:#010x}, found {found:#010x}"
                 )
-            }
-            PimError::ShardDown { shard } => {
-                write!(f, "shard {shard} is down; rebuild it to resume")
             }
         }
     }

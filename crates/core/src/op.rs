@@ -213,14 +213,6 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// The value carried by a [`Reply::Value`] (`None` otherwise).
-    pub fn as_value(&self) -> Option<Option<Value>> {
-        match self {
-            Reply::Value(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The entry carried by a [`Reply::Entry`] (`None` otherwise).
     pub fn as_entry(&self) -> Option<Option<(Key, Handle)>> {
         match self {
@@ -292,6 +284,24 @@ impl PimSkipList {
         }
         self.last_phase_contention = phases;
         result.map(|()| replies)
+    }
+
+    /// One typed batch family through [`PimSkipList::try_execute`]: each
+    /// item becomes one `op`, and `unpack` takes its reply apart. A reply
+    /// of another kind is a driver bug, and panics naming `family`.
+    pub(crate) fn try_batch<I: Copy, T>(
+        &mut self,
+        family: &'static str,
+        items: &[I],
+        op: impl Fn(I) -> Op,
+        unpack: impl Fn(&Reply) -> Option<T>,
+    ) -> PimResult<Vec<T>> {
+        let ops: Vec<Op> = items.iter().map(|&item| op(item)).collect();
+        let replies = self.try_execute(&ops)?;
+        Ok(replies
+            .into_iter()
+            .map(|r| unpack(&r).unwrap_or_else(|| unreachable!("{family} run answered {r:?}")))
+            .collect())
     }
 
     /// End (exclusive) of the span starting at `start`: the rest of the

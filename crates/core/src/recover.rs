@@ -29,13 +29,11 @@
 use pim_runtime::{Handle, Metrics, ModuleId};
 
 use crate::arena::{ShadowAllocator, ShadowStart};
-use crate::batch::UpsertOutcome;
 use crate::config::{Key, Value, NEG_INF};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::module::SkipModule;
 use crate::node::Node;
-use crate::op::{Op, Reply};
 use crate::sched::Lane;
 use crate::tasks::{Reply as ModuleReply, Task};
 
@@ -134,108 +132,6 @@ impl PimSkipList {
         crashed.sort_unstable();
         crashed.dedup();
         crashed.iter().try_for_each(|&m| self.recover_module(m))
-    }
-
-    /// Fault-tolerant batched Get; see [`PimSkipList::batch_get`]. A thin
-    /// shim over [`PimSkipList::try_execute`], where the retry/recovery
-    /// surface of every batch family is defined once.
-    pub(crate) fn try_batch_get(&mut self, keys: &[Key]) -> PimResult<Vec<Option<Value>>> {
-        let ops: Vec<Op> = keys.iter().map(|&key| Op::Get { key }).collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Value(v) => v,
-                other => unreachable!("Get run answered {other:?}"),
-            })
-            .collect())
-    }
-
-    /// Fault-tolerant batched Update; see [`PimSkipList::batch_update`].
-    /// Shim over [`PimSkipList::try_execute`].
-    pub(crate) fn try_batch_update(&mut self, pairs: &[(Key, Value)]) -> PimResult<Vec<bool>> {
-        let ops: Vec<Op> = pairs
-            .iter()
-            .map(|&(key, value)| Op::Update { key, value })
-            .collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Updated(found) => found,
-                other => unreachable!("Update run answered {other:?}"),
-            })
-            .collect())
-    }
-
-    /// Fault-tolerant batched Successor; see
-    /// [`PimSkipList::batch_successor`]. Shim over
-    /// [`PimSkipList::try_execute`].
-    pub(crate) fn try_batch_successor(
-        &mut self,
-        keys: &[Key],
-    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
-        let ops: Vec<Op> = keys.iter().map(|&key| Op::Successor { key }).collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Entry(e) => e,
-                other => unreachable!("Successor run answered {other:?}"),
-            })
-            .collect())
-    }
-
-    /// Fault-tolerant batched Predecessor; see
-    /// [`PimSkipList::batch_predecessor`]. Shim over
-    /// [`PimSkipList::try_execute`].
-    pub(crate) fn try_batch_predecessor(
-        &mut self,
-        keys: &[Key],
-    ) -> PimResult<Vec<Option<(Key, Handle)>>> {
-        let ops: Vec<Op> = keys.iter().map(|&key| Op::Predecessor { key }).collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Entry(e) => e,
-                other => unreachable!("Predecessor run answered {other:?}"),
-            })
-            .collect())
-    }
-
-    /// Fault-tolerant batched Upsert; see [`PimSkipList::batch_upsert`].
-    /// Shim over [`PimSkipList::try_execute`].
-    pub(crate) fn try_batch_upsert(
-        &mut self,
-        pairs: &[(Key, Value)],
-    ) -> PimResult<Vec<UpsertOutcome>> {
-        let ops: Vec<Op> = pairs
-            .iter()
-            .map(|&(key, value)| Op::Upsert { key, value })
-            .collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Upserted(outcome) => outcome,
-                other => unreachable!("Upsert run answered {other:?}"),
-            })
-            .collect())
-    }
-
-    /// Fault-tolerant batched Delete; see [`PimSkipList::batch_delete`].
-    /// Shim over [`PimSkipList::try_execute`].
-    pub(crate) fn try_batch_delete(&mut self, keys: &[Key]) -> PimResult<Vec<bool>> {
-        let ops: Vec<Op> = keys.iter().map(|&key| Op::Delete { key }).collect();
-        let replies = self.try_execute(&ops)?;
-        Ok(replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Deleted(found) => found,
-                other => unreachable!("Delete run answered {other:?}"),
-            })
-            .collect())
     }
 
     /// Fault-tolerant bulk construction; see [`PimSkipList::bulk_load`].

@@ -1,10 +1,9 @@
 //! One parser for every `PIM_*` environment knob.
 //!
-//! Two variables remain: `PIM_THREADS` (executor workers) and
-//! `PIM_SHARDS` (cluster shard count). [`EnvSettings::from_env`] is the
-//! single place the process environment is consulted, and the layered
-//! configs ([`crate::pool::ExecConfig::from_env`],
-//! `pim_cluster::ClusterConfig::from_env`) consume the parsed struct.
+//! One variable remains: `PIM_THREADS` (executor workers).
+//! [`EnvSettings::from_env`] is the single place the process environment
+//! is consulted, and [`crate::pool::ExecConfig::from_env`] consumes the
+//! parsed struct.
 //!
 //! Parsing is injectable ([`EnvSettings::from_lookup`]) so unit tests
 //! never mutate the process environment (which is global and racy under
@@ -18,9 +17,6 @@ pub struct EnvSettings {
     /// "use every core", which is the absent default too — so those parse
     /// to `None` here.
     pub threads: Option<usize>,
-    /// `PIM_SHARDS`: cluster shard count `S ≥ 1` (consumers default
-    /// to 1 — a single-machine cluster).
-    pub shards: Option<u32>,
 }
 
 impl EnvSettings {
@@ -35,10 +31,7 @@ impl EnvSettings {
         let threads = var("PIM_THREADS")
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1);
-        let shards = var("PIM_SHARDS")
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n >= 1);
-        EnvSettings { threads, shards }
+        EnvSettings { threads }
     }
 }
 
@@ -81,30 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn shards_require_a_positive_count() {
-        assert_eq!(
-            EnvSettings::from_lookup(lookup(&[("PIM_SHARDS", "4")])).shards,
-            Some(4)
-        );
-        assert_eq!(
-            EnvSettings::from_lookup(lookup(&[("PIM_SHARDS", "0")])).shards,
-            None
-        );
-        assert_eq!(
-            EnvSettings::from_lookup(lookup(&[("PIM_SHARDS", "-2")])).shards,
-            None
-        );
-    }
-
-    #[test]
     fn all_knobs_parse_together() {
-        let s = EnvSettings::from_lookup(lookup(&[("PIM_THREADS", "2"), ("PIM_SHARDS", "8")]));
-        assert_eq!(
-            s,
-            EnvSettings {
-                threads: Some(2),
-                shards: Some(8),
-            }
-        );
+        let s = EnvSettings::from_lookup(lookup(&[("PIM_THREADS", "2"), ("PIM_OTHER", "8")]));
+        assert_eq!(s, EnvSettings { threads: Some(2) });
     }
 }

@@ -61,14 +61,6 @@ impl Json {
         }
     }
 
-    /// The boolean if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string slice if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -81,14 +73,6 @@ impl Json {
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The fields if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
             _ => None,
         }
     }

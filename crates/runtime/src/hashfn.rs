@@ -57,12 +57,6 @@ impl KeyedHash {
         hash1(self.seed, a)
     }
 
-    /// Hash a pair.
-    #[inline]
-    pub fn hash_pair(&self, a: u64, b: u64) -> u64 {
-        hash2(self.seed, a, b)
-    }
-
     /// Reduce a hash to a bucket in `0..buckets`.
     #[inline]
     pub fn bucket(&self, a: u64, buckets: usize) -> usize {

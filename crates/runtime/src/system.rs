@@ -197,11 +197,6 @@ impl<M: PimModule> PimSystem<M> {
         }
     }
 
-    /// Whether a probe is currently recording.
-    pub fn probe_enabled(&self) -> bool {
-        self.probe.is_some()
-    }
-
     /// Open a span; costs accrue to it until [`PimSystem::span_exit`].
     /// A no-op (one branch) when no probe is enabled.
     pub fn span_enter(&mut self, name: &'static str) {

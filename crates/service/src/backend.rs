@@ -4,10 +4,8 @@
 //! thing executing them is one PIM machine or a sharded cluster of them.
 //! [`Backend`] is that seam: everything the scheduler needs — the typed
 //! mixed-stream execute contract, the machine round clock, probe spans,
-//! durability hooks, a telemetry registry, and (for multi-shard backends)
-//! *lanes* for per-shard backpressure. `pim_core::PimSkipList` implements
-//! it as the trivial single-lane case; `pim-cluster` implements it with
-//! one lane per shard.
+//! durability hooks and a telemetry registry. `pim_core::PimSkipList`
+//! and `pim-cluster` implement it.
 
 use pim_core::{Op, PimResult, PimSkipList, Reply};
 use pim_runtime::Telemetry;
@@ -67,18 +65,14 @@ pub trait Backend {
     /// over shards for a cluster).
     fn recommended_batch(&self) -> usize;
 
-    /// Number of backpressure lanes. A single machine is one lane; a
-    /// cluster reports one lane per shard so
-    /// [`crate::ServiceConfig::max_lane_queue`] can refuse admission for
-    /// a hot shard while cold shards keep accepting.
+    /// Number of lanes (a cluster: one per shard). No caller; kept until
+    /// ROADMAP item 0d removes the benchmark's forwards.
     fn lanes(&self) -> usize {
         1
     }
 
-    /// The lane `op` routes to (`< lanes()`). Must be a pure function of
-    /// the op and the backend's routing table — admission control uses
-    /// it before dispatch, so it must agree with where `execute_ops`
-    /// will actually send the op.
+    /// The lane `op` routes to (`< lanes()`). No caller; kept until
+    /// ROADMAP item 0d removes the benchmark's forwards.
     fn lane(&self, op: &Op) -> usize {
         let _ = op;
         0

@@ -103,13 +103,6 @@ pub struct ServiceConfig {
     /// ticks while acks are pending (the every-T-ticks group-commit
     /// cadence; clamped to at least 1). Ignored otherwise.
     pub sync_every: u64,
-    /// Per-lane admission bound for multi-lane backends (a cluster: one
-    /// lane per shard). A submit whose lane already holds this many
-    /// queued requests is refused with [`Rejected::LaneFull`] even when
-    /// the global queue has room — backpressure lands on the hot shard
-    /// while cold shards keep accepting. `None` (default) disables lane
-    /// accounting; single-lane backends are never lane-refused.
-    pub max_lane_queue: Option<usize>,
 }
 
 impl ServiceConfig {
@@ -123,7 +116,6 @@ impl ServiceConfig {
             max_queue: 4 * max_batch,
             ack: AckPolicy::AfterExecute,
             sync_every: 1,
-            max_lane_queue: None,
         }
     }
 
@@ -133,12 +125,6 @@ impl ServiceConfig {
     /// duplicating its parameters.
     pub fn for_config(core: &pim_core::Config) -> Self {
         ServiceConfig::new(core.batch_large())
-    }
-
-    /// [`ServiceConfig::for_config`] for an already-built backend
-    /// (batches of [`Backend::recommended_batch`]).
-    pub fn for_backend<B: Backend>(backend: &B) -> Self {
-        ServiceConfig::new(backend.recommended_batch())
     }
 
     /// The paper-recommended policy for `list`: batches of
@@ -166,13 +152,6 @@ impl ServiceConfig {
         self.sync_every = sync_every.max(1);
         self
     }
-
-    /// Bound each backend lane's share of the queue (see
-    /// [`ServiceConfig::max_lane_queue`]; clamped to at least 1).
-    pub fn with_max_lane_queue(mut self, cap: usize) -> Self {
-        self.max_lane_queue = Some(cap.max(1));
-        self
-    }
 }
 
 /// Identifier assigned by [`PimService::submit`], echoed on the matching
@@ -185,22 +164,12 @@ pub enum Rejected {
     /// The queue is at [`ServiceConfig::max_queue`]; retry after a tick
     /// has drained a batch.
     QueueFull,
-    /// The request's backend lane (its shard) is at
-    /// [`ServiceConfig::max_lane_queue`]; other lanes may still have
-    /// room. Retry after a tick, or route load away from the hot shard.
-    LaneFull {
-        /// The saturated lane index ([`Backend::lane`] of the refused op).
-        lane: usize,
-    },
 }
 
 impl std::fmt::Display for Rejected {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Rejected::QueueFull => write!(f, "service queue full (backpressure)"),
-            Rejected::LaneFull { lane } => {
-                write!(f, "service lane {lane} full (per-shard backpressure)")
-            }
         }
     }
 }
@@ -276,8 +245,6 @@ struct Pending {
     op: Op,
     arrival: u64,
     rounds_at_arrival: u64,
-    /// Backend lane the op routes to (0 unless lane accounting is on).
-    lane: usize,
 }
 
 /// The batch-coalescing request scheduler, generic over the structure it
@@ -306,9 +273,6 @@ pub struct PimService<B: Backend = PimSkipList> {
     // Registry handles, resolved lazily once the list's telemetry is lit
     // (`None` while dark — the hot path then pays one `is_none` branch).
     telem: Option<ServiceTelem>,
-    // Queued requests per backend lane (sized `lanes()`; all zeros and
-    // untouched unless `max_lane_queue` is set).
-    lane_depth: Vec<usize>,
 }
 
 impl<B: Backend> PimService<B> {
@@ -319,7 +283,6 @@ impl<B: Backend> PimService<B> {
             cfg.max_queue >= cfg.max_batch,
             "max_queue must admit at least one full batch"
         );
-        let lane_depth = vec![0; list.lanes().max(1)];
         PimService {
             list,
             cfg,
@@ -333,7 +296,6 @@ impl<B: Backend> PimService<B> {
             slots: Vec::new(),
             held: std::collections::VecDeque::new(),
             telem: None,
-            lane_depth,
         }
     }
 
@@ -410,21 +372,6 @@ impl<B: Backend> PimService<B> {
             }
             return Err(Rejected::QueueFull);
         }
-        let lane = match self.cfg.max_lane_queue {
-            Some(cap) => {
-                let lane = self.list.lane(&op).min(self.lane_depth.len() - 1);
-                if self.lane_depth[lane] >= cap {
-                    self.stats.rejected += 1;
-                    if let (Some(th), Some(reg)) = (self.telem, self.list.telemetry_mut()) {
-                        reg.add(th.rejected, 1);
-                    }
-                    return Err(Rejected::LaneFull { lane });
-                }
-                self.lane_depth[lane] += 1;
-                lane
-            }
-            None => 0,
-        };
         let id = self.next_id;
         self.next_id += 1;
         self.stats.submitted += 1;
@@ -439,7 +386,6 @@ impl<B: Backend> PimService<B> {
             op,
             arrival: self.now,
             rounds_at_arrival,
-            lane,
         });
         Ok(id)
     }
@@ -572,11 +518,6 @@ impl<B: Backend> PimService<B> {
         let n = self.queue.len().min(self.cfg.max_batch);
         self.pend.clear();
         self.pend.extend(self.queue.drain(..n));
-        if self.cfg.max_lane_queue.is_some() {
-            for p in &self.pend {
-                self.lane_depth[p.lane] -= 1;
-            }
-        }
         let batch = self.stats.batches;
         self.stats.batches += 1;
         self.stats.batch_occupancy.record(n as u64);
@@ -1046,77 +987,6 @@ mod tests {
             (done, svc.into_list().metrics())
         };
         assert_eq!(run(false), run(true));
-    }
-
-    /// A two-lane backend (keys route by parity) for exercising per-lane
-    /// backpressure without pulling the cluster crate into the dev-deps.
-    struct TwoLane(PimSkipList);
-
-    impl Backend for TwoLane {
-        fn execute_ops(&mut self, ops: &[Op]) -> Vec<Reply> {
-            self.0.execute(ops)
-        }
-        fn rounds(&self) -> u64 {
-            self.0.metrics().rounds
-        }
-        fn span_enter(&mut self, name: &'static str) {
-            self.0.span_enter(name);
-        }
-        fn span_exit(&mut self) {
-            self.0.span_exit();
-        }
-        fn is_durable(&self) -> bool {
-            self.0.is_durable()
-        }
-        fn durable_seq(&self) -> Option<u64> {
-            self.0.durable_seq()
-        }
-        fn durable_synced_seq(&self) -> Option<u64> {
-            self.0.durable_synced_seq()
-        }
-        fn durable_sync(&mut self) -> pim_core::PimResult<()> {
-            self.0.durable_sync()
-        }
-        fn telemetry_mut(&mut self) -> Option<&mut pim_runtime::Telemetry> {
-            self.0.telemetry_mut()
-        }
-        fn recommended_batch(&self) -> usize {
-            self.0.config().batch_large()
-        }
-        fn lanes(&self) -> usize {
-            2
-        }
-        fn lane(&self, op: &Op) -> usize {
-            (op.key().unwrap_or(0).rem_euclid(2)) as usize
-        }
-    }
-
-    #[test]
-    fn lane_backpressure_refuses_only_the_hot_lane() {
-        let cfg = ServiceConfig::new(64)
-            .with_max_linger(100)
-            .with_max_queue(64)
-            .with_max_lane_queue(2);
-        let mut svc = PimService::new(TwoLane(small_list(40)), cfg);
-        // Saturate lane 0 (even keys); lane 1 must keep accepting.
-        svc.submit(Op::Get { key: 0 }).unwrap();
-        svc.submit(Op::Get { key: 2 }).unwrap();
-        assert_eq!(
-            svc.submit(Op::Get { key: 4 }),
-            Err(Rejected::LaneFull { lane: 0 })
-        );
-        svc.submit(Op::Get { key: 1 }).unwrap();
-        svc.submit(Op::Get { key: 3 }).unwrap();
-        assert_eq!(
-            svc.submit(Op::Get { key: 5 }),
-            Err(Rejected::LaneFull { lane: 1 })
-        );
-        assert_eq!(svc.stats().rejected, 2);
-        // Draining the queue frees both lanes.
-        let done = svc.flush();
-        assert_eq!(done.len(), 4);
-        assert!(svc.submit(Op::Get { key: 4 }).is_ok());
-        assert!(svc.submit(Op::Get { key: 5 }).is_ok());
     }
 
     #[test]
