@@ -212,8 +212,8 @@ pub fn run_service(quick: bool, seed: u64) {
 /// `DIR/trace.json` (Chrome trace-event), `DIR/rounds.jsonl`,
 /// `DIR/events.jsonl` (request-lifecycle telemetry) and `DIR/metrics.prom`
 /// (Prometheus text exposition). Every byte of all four files is
-/// thread-count invariant; the CI determinism job compares them at
-/// `PIM_THREADS=1` vs `8`.
+/// thread-count invariant; the tier-1 `tests/tests/determinism.rs`
+/// compares them at 1 and 8 pool threads.
 pub fn service_trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::io::Result<()> {
     let (mut list, _keys) = build_loaded_list(p, n, seed);
     list.enable_tracing_with_cap(1 << 16);

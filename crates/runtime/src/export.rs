@@ -34,8 +34,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (integers are exact up to 2^53).
+    /// A non-integer or negative number.
     Num(f64),
+    /// A non-negative integer, exact over the whole `u64` range.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -56,6 +58,7 @@ impl Json {
     /// The number as `u64` if this is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => Some(*n),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -95,6 +98,7 @@ impl Json {
                     out.push_str(&format!("{}", n));
                 }
             }
+            Json::Int(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -122,9 +126,9 @@ impl Json {
     }
 }
 
-/// Shorthand for an integral [`Json::Num`].
+/// Shorthand for a [`Json::Int`].
 pub fn num(v: u64) -> Json {
-    Json::Num(v as f64)
+    Json::Int(v)
 }
 
 /// Shorthand for a [`Json::Str`].
@@ -301,6 +305,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid utf-8")?;
+    if let Ok(n) = text.parse::<u64>() {
+        return Ok(Json::Int(n));
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number at byte {}", start))
@@ -626,6 +633,17 @@ mod tests {
         ]);
         let text = v.to_json();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn integers_render_and_parse_back_exactly() {
+        for v in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = num(v).to_json();
+            assert_eq!(text, v.to_string());
+            assert_eq!(parse(&text).unwrap().as_u64(), Some(v));
+        }
+        assert_eq!(parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(parse("2.5").unwrap(), Json::Num(2.5));
     }
 
     #[test]

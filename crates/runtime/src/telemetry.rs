@@ -31,7 +31,11 @@
 //! The event log is bounded ([`Telemetry::with_max_events`]): at the cap
 //! it is a ring that keeps the newest events and counts each eviction in
 //! `dropped_events`, which every exporter stamps (the same rule as the
-//! round trace's `dropped_rounds`).
+//! round trace's `dropped_rounds`). It stores each event as a handful of
+//! varints in 64 KiB byte chunks (about 8 bytes per event on the
+//! `service` stream, where a fixed record took 72), so a full
+//! default-capped ring holds about 8 MiB; [`Telemetry::events`] decodes
+//! them back in order.
 
 use std::collections::VecDeque;
 
@@ -61,24 +65,178 @@ struct Series<T> {
 /// Most extra fields one event carries.
 const MAX_FIELDS: usize = 4;
 
-/// One event as the log stores it: fixed-size and heap-free, so a full
-/// ring costs `max_events` × 72 bytes and no allocation per event. Field
-/// names are indices into the owning registry's `field_names`.
-#[derive(Debug, Clone, Copy)]
-struct EventRecord {
+/// Bytes per chunk of the event log.
+const CHUNK_BYTES: usize = 1 << 16;
+
+/// Longest encoding of one event: a schema index, two clock deltas and
+/// `MAX_FIELDS` values, each a varint of at most 10 bytes.
+const MAX_EVENT_BYTES: usize = 10 * (3 + MAX_FIELDS);
+
+/// One event shape: its kind and the names of its fields, in order.
+#[derive(Debug, Clone)]
+struct Schema {
     kind: &'static str,
+    names: Vec<&'static str>,
+}
+
+/// A read position in the log plus the `(tick, round)` of the event just
+/// before it, the base the next event's clock deltas decode against.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    chunk: usize,
+    at: usize,
     tick: u64,
     round: u64,
-    values: [u64; MAX_FIELDS],
-    names: [u8; MAX_FIELDS],
-    len: u8,
+}
+
+/// The event log: a ring of compactly encoded events in fixed-size byte
+/// chunks. An event is its schema index, then the zigzag deltas of `tick`
+/// and `round` from the previous event (clocks that go backwards still
+/// encode), then each field value, all LEB128 varints. The `service`
+/// stream averages about 8 bytes per event. An event never spans two
+/// chunks; a chunk emptied at the front is cleared and reused at the back.
+#[derive(Debug, Clone, Default)]
+struct EventLog {
+    /// Every event shape emitted so far, in order of first use.
+    schemas: Vec<Schema>,
+    /// The encoded events, oldest first. Only the last chunk has room.
+    chunks: VecDeque<Vec<u8>>,
+    /// Cleared chunks waiting to be reused at the back.
+    spare: Vec<Vec<u8>>,
+    /// The oldest event, always in `chunks[0]`.
+    head: Cursor,
+    /// `(tick, round)` of the newest event, the base of the next one.
+    tail: (u64, u64),
+    len: usize,
+}
+
+fn put_varint(buf: &mut [u8], at: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        buf[*at] = v as u8 | 0x80;
+        v >>= 7;
+        *at += 1;
+    }
+    buf[*at] = v as u8;
+    *at += 1;
+}
+
+fn get_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
+/// The wrapping difference `to - from` as a zigzag code: small steps
+/// either way take one byte.
+fn zigzag(from: u64, to: u64) -> u64 {
+    let d = to.wrapping_sub(from) as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(from: u64, z: u64) -> u64 {
+    from.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
+impl EventLog {
+    fn push(&mut self, kind: &'static str, tick: u64, round: u64, fields: &[(&'static str, u64)]) {
+        let same = |s: &Schema| {
+            s.kind == kind
+                && s.names.len() == fields.len()
+                && s.names.iter().zip(fields).all(|(a, (b, _))| a == b)
+        };
+        let schema = self.schemas.iter().position(same).unwrap_or_else(|| {
+            let names = fields.iter().map(|&(name, _)| name).collect();
+            self.schemas.push(Schema { kind, names });
+            self.schemas.len() - 1
+        });
+        let (mut buf, mut n) = ([0u8; MAX_EVENT_BYTES], 0);
+        put_varint(&mut buf, &mut n, schema as u64);
+        put_varint(&mut buf, &mut n, zigzag(self.tail.0, tick));
+        put_varint(&mut buf, &mut n, zigzag(self.tail.1, round));
+        for &(_, value) in fields {
+            put_varint(&mut buf, &mut n, value);
+        }
+        if self.chunks.back().is_none_or(|c| c.len() + n > CHUNK_BYTES) {
+            let chunk = self.spare.pop();
+            self.chunks
+                .push_back(chunk.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
+        }
+        self.chunks
+            .back_mut()
+            .expect("a chunk with room")
+            .extend_from_slice(&buf[..n]);
+        self.tail = (tick, round);
+        self.len += 1;
+    }
+
+    /// Decode the event at `cur` and step past it, making it the base.
+    fn decode(&self, cur: &mut Cursor) -> TelemetryEvent {
+        if cur.at == self.chunks[cur.chunk].len() {
+            (cur.chunk, cur.at) = (cur.chunk + 1, 0);
+        }
+        let bytes = &self.chunks[cur.chunk];
+        let schema = &self.schemas[get_varint(bytes, &mut cur.at) as usize];
+        cur.tick = unzigzag(cur.tick, get_varint(bytes, &mut cur.at));
+        cur.round = unzigzag(cur.round, get_varint(bytes, &mut cur.at));
+        let mut fields = [("", 0); MAX_FIELDS];
+        for (slot, &name) in fields.iter_mut().zip(&schema.names) {
+            *slot = (name, get_varint(bytes, &mut cur.at));
+        }
+        TelemetryEvent {
+            kind: schema.kind,
+            tick: cur.tick,
+            round: cur.round,
+            fields,
+            len: schema.names.len(),
+        }
+    }
+
+    /// Evict the oldest event; `false` when the log is empty.
+    fn pop_front(&mut self) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let mut head = self.head;
+        self.decode(&mut head);
+        self.head = head;
+        self.len -= 1;
+        if self.head.at == self.chunks[0].len() {
+            let mut drained = self.chunks.pop_front().expect("the oldest event's chunk");
+            drained.clear();
+            self.spare.push(drained);
+            self.head.at = 0;
+        }
+        true
+    }
+
+    /// Keep one cleared chunk in reserve. A full ring's bytes can straddle
+    /// one chunk more than filling it took, so with the reserve a steady
+    /// stream at the cap never allocates.
+    fn reserve_chunk(&mut self) {
+        if self.spare.is_empty() {
+            self.spare.push(Vec::with_capacity(CHUNK_BYTES));
+        }
+    }
+
+    /// The events oldest first, decoded.
+    fn iter(&self) -> impl ExactSizeIterator<Item = TelemetryEvent> + '_ {
+        let mut cur = self.head;
+        (0..self.len).map(move |_| self.decode(&mut cur))
+    }
 }
 
 /// One structured lifecycle event, stamped in the deterministic clocks
-/// (service tick + machine round — never wall time). A view into the
-/// registry's log, handed out by [`Telemetry::events`].
+/// (service tick + machine round — never wall time), as
+/// [`Telemetry::events`] decodes it from the log.
 #[derive(Debug, Clone, Copy)]
-pub struct TelemetryEvent<'a> {
+pub struct TelemetryEvent {
     /// Event kind (`"admit"`, `"coalesce"`, `"execute"`, `"reply"`,
     /// `"ack"`, …).
     pub kind: &'static str,
@@ -86,16 +244,14 @@ pub struct TelemetryEvent<'a> {
     pub tick: u64,
     /// Machine round counter at the event.
     pub round: u64,
-    record: &'a EventRecord,
-    field_names: &'a [&'static str],
+    fields: [(&'static str, u64); MAX_FIELDS],
+    len: usize,
 }
 
-impl<'a> TelemetryEvent<'a> {
+impl TelemetryEvent {
     /// The extra integer fields in emission order, e.g. `("id", request_id)`.
-    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + 'a {
-        let (record, field_names) = (self.record, self.field_names);
-        (0..usize::from(record.len))
-            .map(move |i| (field_names[usize::from(record.names[i])], record.values[i]))
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.fields[..self.len].iter().copied()
     }
 
     /// Look up one extra field by name.
@@ -113,9 +269,7 @@ pub struct Telemetry {
     counters: Vec<Series<u64>>,
     gauges: Vec<Series<u64>>,
     hists: Vec<Series<Histogram>>,
-    events: VecDeque<EventRecord>,
-    /// Every field name an event has carried, in order of first use.
-    field_names: Vec<&'static str>,
+    events: EventLog,
     max_events: usize,
     dropped_events: u64,
     /// Labels prepended to every series registered in this registry (the
@@ -131,8 +285,7 @@ impl Default for Telemetry {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
-            events: VecDeque::new(),
-            field_names: Vec::new(),
+            events: EventLog::default(),
             max_events: DEFAULT_MAX_EVENTS,
             dropped_events: 0,
             base_labels: Vec::new(),
@@ -280,45 +433,22 @@ impl Telemetry {
         fields: &[(&'static str, u64)],
     ) {
         debug_assert!(fields.len() <= MAX_FIELDS, "{kind}: {fields:?}");
-        if self.events.len() >= self.max_events {
+        if self.events.len >= self.max_events {
             self.dropped_events += 1;
-            if self.events.pop_front().is_none() {
+            if !self.events.pop_front() {
                 return; // a cap of zero keeps nothing
             }
         }
-        let mut record = EventRecord {
-            kind,
-            tick,
-            round,
-            values: [0; MAX_FIELDS],
-            names: [0; MAX_FIELDS],
-            len: 0,
-        };
-        for &(name, value) in fields.iter().take(MAX_FIELDS) {
-            let known = self.field_names.iter().position(|&n| n == name);
-            let index = known.unwrap_or_else(|| {
-                self.field_names.push(name);
-                self.field_names.len() - 1
-            });
-            let at = usize::from(record.len);
-            record.names[at] = u8::try_from(index).expect("at most 256 event field names");
-            record.values[at] = value;
-            record.len += 1;
+        let fields = &fields[..fields.len().min(MAX_FIELDS)];
+        self.events.push(kind, tick, round, fields);
+        if self.dropped_events == 0 && self.events.len == self.max_events {
+            self.events.reserve_chunk();
         }
-        self.events.push_back(record);
     }
 
     /// The retained events, in emission order.
-    pub fn events(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = TelemetryEvent<'_>> + ExactSizeIterator {
-        self.events.iter().map(|record| TelemetryEvent {
-            kind: record.kind,
-            tick: record.tick,
-            round: record.round,
-            record,
-            field_names: &self.field_names,
-        })
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TelemetryEvent> + '_ {
+        self.events.iter()
     }
 
     /// Events evicted by the cap.
@@ -334,7 +464,7 @@ impl Telemetry {
         let header = Json::Obj(vec![
             ("type".to_string(), jstr("telemetry-header")),
             ("version".to_string(), num(1)),
-            ("events".to_string(), num(self.events.len() as u64)),
+            ("events".to_string(), num(self.events.len as u64)),
             ("dropped_events".to_string(), num(self.dropped_events)),
         ]);
         let mut out = header.to_json();
@@ -363,7 +493,7 @@ impl Telemetry {
         counters.push(Series {
             name: "pim_telemetry_events".to_string(),
             labels: self.base_labels.clone(),
-            value: self.events.len() as u64,
+            value: self.events.len as u64,
         });
         counters.push(Series {
             name: "pim_telemetry_dropped_events".to_string(),
@@ -600,9 +730,49 @@ mod tests {
         assert!(lines[cap].contains("\"id\":7"));
     }
 
+    /// Bytes the log holds for its retained events.
+    fn retained_bytes(t: &Telemetry) -> usize {
+        let log = &t.events;
+        log.chunks.iter().map(Vec::len).sum::<usize>() - log.head.at
+    }
+
+    /// Request `i` of a coalescing service's lifecycle, eight per batch:
+    /// `admit`, `coalesce`, the batch's `execute` and `ack`.
+    fn emit_service_request(t: &mut Telemetry, i: u64) {
+        let (tick, round, batch) = (i / 8, 3 * i, i / 8);
+        t.emit("admit", tick, round, &[("id", i)]);
+        t.emit(
+            "coalesce",
+            tick + 1,
+            round,
+            &[("id", i), ("batch", batch), ("pos", i % 8)],
+        );
+        if i % 8 == 7 {
+            t.emit(
+                "execute",
+                tick + 1,
+                round + 40,
+                &[("batch", batch), ("n", 8), ("rounds", 40)],
+            );
+        }
+        let ack = [
+            ("id", i),
+            ("held_ticks", 0),
+            ("latency_ticks", 2),
+            ("latency_rounds", 40),
+        ];
+        t.emit("ack", tick + 2, round + 40, &ack);
+    }
+
     #[test]
-    fn events_are_fixed_size_and_render_their_fields_in_order() {
-        assert!(std::mem::size_of::<EventRecord>() <= 72);
+    fn events_are_compact_and_render_their_fields_in_order() {
+        let mut t = Telemetry::new();
+        for i in 0..100_000 {
+            emit_service_request(&mut t, i);
+        }
+        let per_event = retained_bytes(&t) as f64 / t.events().len() as f64;
+        assert!(per_event <= 12.0, "{per_event:.1} bytes per event");
+
         let mut t = Telemetry::new();
         t.emit("admit", 1, 2, &[("id", 7)]);
         t.emit(
@@ -724,5 +894,147 @@ mod tests {
         // Merge order does not matter: byte-identical either way.
         let swapped = TelemetrySnapshot::merged([b.snapshot(), a.snapshot()]);
         assert_eq!(text, swapped.render_prometheus());
+    }
+
+    /// One event of a [`Telemetry::emit`] call, as a reference keeps it.
+    type Plain = (&'static str, u64, u64, Vec<(&'static str, u64)>);
+
+    /// Event shapes with 0 to 4 fields; `admit` comes in two.
+    const SHAPES: [(&str, &[&str]); 6] = [
+        ("tick", &[]),
+        ("admit", &["id"]),
+        ("admit", &["id", "batch"]),
+        ("coalesce", &["id", "batch", "pos"]),
+        (
+            "ack",
+            &["id", "held_ticks", "latency_ticks", "latency_rounds"],
+        ),
+        ("fsync", &["synced_seq"]),
+    ];
+
+    /// Values at the varint byte boundaries and the `f64` exactness edge.
+    const EDGES: [u64; 8] = [
+        0,
+        127,
+        128,
+        1 << 14,
+        (1 << 53) + 1,
+        u64::MAX,
+        16_383,
+        1 << 63,
+    ];
+
+    /// A stream from `seed`: clocks mostly step forward but also go
+    /// backwards and jump to the ends of `u64`; values hit [`EDGES`].
+    fn stream(seed: u64, len: usize) -> Vec<Plain> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut tick, mut round) = (0u64, 0u64);
+        let step = |clock: u64, r: u64| match r % 16 {
+            0 => clock.wrapping_sub((r >> 8) & 0xff),
+            1 => [0, u64::MAX, 1 << 53][(r >> 8) as usize % 3],
+            _ => clock.wrapping_add((r >> 8) & 3),
+        };
+        (0..len)
+            .map(|_| {
+                let r = next();
+                let (kind, names) = SHAPES[r as usize % SHAPES.len()];
+                tick = step(tick, next());
+                round = step(round, next());
+                let fields = names
+                    .iter()
+                    .map(|&name| {
+                        let v = next();
+                        let value = if v % 2 == 0 {
+                            EDGES[(v >> 1) as usize % 8]
+                        } else {
+                            v >> (v % 64)
+                        };
+                        (name, value)
+                    })
+                    .collect();
+                (kind, tick, round, fields)
+            })
+            .collect()
+    }
+
+    /// `events_jsonl` of a reference ring, rendered field by field.
+    fn reference_jsonl(kept: &VecDeque<Plain>, dropped: u64) -> String {
+        let mut out = format!(
+            "{{\"type\":\"telemetry-header\",\"version\":1,\"events\":{},\"dropped_events\":{dropped}}}\n",
+            kept.len()
+        );
+        for (kind, tick, round, fields) in kept {
+            out += &format!(
+                "{{\"type\":\"event\",\"kind\":\"{kind}\",\"tick\":{tick},\"round\":{round}"
+            );
+            for (name, value) in fields {
+                out += &format!(",\"{name}\":{value}");
+            }
+            out += "}\n";
+        }
+        out
+    }
+
+    fn decoded(t: &Telemetry) -> Vec<Plain> {
+        t.events()
+            .map(|e| (e.kind, e.tick, e.round, e.fields().collect()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..Default::default()
+        })]
+
+        #[test]
+        fn event_log_matches_a_reference_ring(seed in proptest::prelude::any::<u64>()) {
+            let events = stream(seed, 12_000);
+            let mut unbounded = Telemetry::new();
+            for (kind, tick, round, fields) in &events {
+                unbounded.emit(kind, *tick, *round, fields);
+            }
+            // The stream crosses at least two chunk boundaries.
+            proptest::prop_assert!(unbounded.events.chunks.len() >= 3);
+            proptest::prop_assert_eq!(decoded(&unbounded), events.clone());
+            for cap in [0, 1, 2, 7, 1000] {
+                let mut t = Telemetry::new().with_max_events(cap);
+                let (mut kept, mut dropped) = (VecDeque::new(), 0u64);
+                for (i, (kind, tick, round, fields)) in events.iter().enumerate() {
+                    t.emit(kind, *tick, *round, fields);
+                    if kept.len() == cap {
+                        dropped += 1;
+                        kept.pop_front();
+                    }
+                    if cap > 0 {
+                        kept.push_back((*kind, *tick, *round, fields.clone()));
+                    }
+                    if i % 1009 == 0 {
+                        proptest::prop_assert_eq!(decoded(&t), Vec::from(kept.clone()));
+                    }
+                }
+                proptest::prop_assert_eq!(t.events().len(), kept.len());
+                proptest::prop_assert_eq!(decoded(&t), Vec::from(kept.clone()));
+                proptest::prop_assert_eq!(t.dropped_events(), dropped);
+                proptest::prop_assert_eq!(
+                    t.events_jsonl(),
+                    reference_jsonl(&kept, dropped)
+                );
+                let snap = t.snapshot();
+                let counter = |name| snap.counter(name, &[]);
+                proptest::prop_assert_eq!(
+                    counter("pim_telemetry_events"),
+                    Some(kept.len() as u64)
+                );
+                proptest::prop_assert_eq!(counter("pim_telemetry_dropped_events"), Some(dropped));
+            }
+        }
     }
 }

@@ -1,9 +1,11 @@
 //! Telemetry artifacts live in the tick/round domain, so the executor
 //! thread count must not move a single byte of them: the JSONL event log
 //! and the Prometheus snapshot rendered from the same service session are
-//! compared byte for byte across `PIM_THREADS` 1 and 8. CI enforces the
-//! same contract on the `experiments service --out` artifacts; this test
-//! enforces it in-process with forced forking (zero parallel thresholds).
+//! compared byte for byte across `PIM_THREADS` 1 and 8, in-process with
+//! forced forking (zero parallel thresholds). A second session caps the
+//! event log far below what it emits, so the ring wraps many times. Both
+//! sessions' logs are pinned by length and FNV-1a-64 digest: how the log
+//! stores its events must not move one byte of what it renders.
 
 use std::sync::Mutex;
 
@@ -39,13 +41,29 @@ fn op_at(i: u64) -> Op {
     }
 }
 
+/// `events.jsonl` of the uncapped and the 512-event session: length in
+/// bytes and FNV-1a-64 digest.
+const UNCAPPED_EVENTS: (usize, u64) = (168_655, 0xed1c_f2bd_0fa5_45fa);
+const CAPPED_EVENTS: (usize, u64) = (43_841, 0x152c_be50_760f_36f6);
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// One telemetry-lit service session: open-loop arrivals (0–3 per tick),
-/// coalescing with a short linger. Returns the two serialised artifacts.
-fn artifacts(seed: u64) -> (String, String) {
+/// coalescing with a short linger, the event log capped at `max_events`
+/// when given. Returns the two serialised artifacts.
+fn artifacts(seed: u64, max_events: Option<usize>) -> (String, String) {
     let pairs: Vec<(i64, u64)> = (0..800).map(|i| (i * 5, i as u64)).collect();
     let mut list = PimSkipList::new(Config::new(8, 1 << 12, seed));
     list.bulk_load(&pairs);
     list.enable_telemetry();
+    if let Some(cap) = max_events {
+        let reg = list.telemetry_mut().expect("telemetry was enabled");
+        *reg = std::mem::take(reg).with_max_events(cap);
+    }
     let cfg = ServiceConfig::for_list(&list)
         .with_max_linger(2)
         .with_max_queue(1 << 12);
@@ -73,14 +91,14 @@ fn artifacts(seed: u64) -> (String, String) {
     (events, prom)
 }
 
-fn artifacts_at(threads: usize, seed: u64) -> (String, String) {
+fn artifacts_at(threads: usize, seed: u64, max_events: Option<usize>) -> (String, String) {
     pool::configure(ExecConfig {
         threads,
         // Zero thresholds force real forking even on test-sized batches.
         par_threshold: 0,
         sort_threshold: 0,
     });
-    let out = artifacts(seed);
+    let out = artifacts(seed, max_events);
     pool::configure(ExecConfig::from_env());
     out
 }
@@ -88,8 +106,8 @@ fn artifacts_at(threads: usize, seed: u64) -> (String, String) {
 #[test]
 fn telemetry_artifacts_are_byte_identical_across_thread_counts() {
     let _guard = POOL_LOCK.lock().unwrap();
-    let (events_1, prom_1) = artifacts_at(1, 0xBEEF);
-    let (events_8, prom_8) = artifacts_at(8, 0xBEEF);
+    let (events_1, prom_1) = artifacts_at(1, 0xBEEF, None);
+    let (events_8, prom_8) = artifacts_at(8, 0xBEEF, None);
     assert_eq!(events_1, events_8, "event log must not see the executor");
     assert_eq!(prom_1, prom_8, "snapshot must not see the executor");
     // Sanity: the session actually produced a full lifecycle worth of
@@ -99,4 +117,23 @@ fn telemetry_artifacts_are_byte_identical_across_thread_counts() {
     }
     assert!(prom_1.contains("pim_service_latency_ticks_bucket"));
     assert!(prom_1.contains("pim_ops_total{op=\"get\"}"));
+    let pinned = (events_1.len(), fnv1a64(events_1.as_bytes()));
+    assert_eq!(pinned, UNCAPPED_EVENTS);
+}
+
+#[test]
+fn an_overflowing_event_ring_renders_the_same_bytes() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let (events_1, prom_1) = artifacts_at(1, 0xBEEF, Some(512));
+    let (events_8, prom_8) = artifacts_at(8, 0xBEEF, Some(512));
+    assert_eq!(events_1, events_8, "event log must not see the executor");
+    assert_eq!(prom_1, prom_8, "snapshot must not see the executor");
+    assert!(events_1.lines().next().unwrap().contains("\"events\":512,"));
+    assert!(
+        !events_1.contains("\"dropped_events\":0"),
+        "the ring wrapped"
+    );
+    assert!(prom_1.contains("pim_telemetry_events 512"));
+    let pinned = (events_1.len(), fnv1a64(events_1.as_bytes()));
+    assert_eq!(pinned, CAPPED_EVENTS);
 }

@@ -996,6 +996,24 @@ mod tests {
     }
 
     #[test]
+    fn event_fields_past_2_pow_53_read_back_exactly() {
+        let big = (1u64 << 53) + 1;
+        let mut t = pim_runtime::Telemetry::new();
+        t.emit(
+            "ack",
+            u64::MAX,
+            big,
+            &[("id", u64::MAX), ("latency_rounds", big)],
+        );
+        let log = t.events_jsonl();
+        assert!(log.contains(r#""id":18446744073709551615,"latency_rounds":9007199254740993"#));
+        let row = &parse_events_jsonl(&log).unwrap().events[0];
+        assert_eq!((row.tick, row.round), (u64::MAX, big));
+        assert_eq!(row.field("id"), Some(u64::MAX));
+        assert_eq!(row.field("latency_rounds"), Some(big));
+    }
+
+    #[test]
     fn rejects_bad_event_logs() {
         assert!(parse_events_jsonl("").is_err());
         // Count mismatch with the header.

@@ -20,6 +20,9 @@
 //! the same list — the submits of a Get + Update batch and the tick that
 //! executes it — so its pending ring, dispatch order and op / slot scratch
 //! must be recycled, not rebuilt per dispatch.
+//!
+//! A telemetry event log at its cap is a ring: each event evicts the
+//! oldest, and the chunks the evictions empty take the new events.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +30,7 @@ use std::cell::Cell;
 use pim_bench::measure::build_loaded_list_with;
 use pim_core::{Config, Key, Op, Value};
 use pim_runtime::pool::{self, ExecConfig};
+use pim_runtime::Telemetry;
 use pim_service::{PimService, ServiceConfig};
 use pim_workloads::PointGen;
 
@@ -198,4 +202,59 @@ fn steady_state_allocations_stay_within_the_contract() {
             );
         }
     }
+}
+
+/// The lifecycle events of service request `i`, eight requests per batch:
+/// `admit`, `coalesce`, the batch's `execute` and `ack`. Returns how many
+/// events it emitted.
+fn emit_request(t: &mut Telemetry, i: u64) -> usize {
+    let (tick, round, batch) = (i / 8, 3 * i, i / 8);
+    t.emit("admit", tick, round, &[("id", i)]);
+    t.emit(
+        "coalesce",
+        tick + 1,
+        round,
+        &[("id", i), ("batch", batch), ("pos", i % 8)],
+    );
+    let execute = i % 8 == 7;
+    if execute {
+        t.emit(
+            "execute",
+            tick + 1,
+            round + 40,
+            &[("batch", batch), ("n", 8), ("rounds", 40)],
+        );
+    }
+    t.emit(
+        "ack",
+        tick + 2,
+        round + 40,
+        &[
+            ("id", i),
+            ("held_ticks", 0),
+            ("latency_ticks", 2),
+            ("latency_rounds", 40),
+        ],
+    );
+    3 + usize::from(execute)
+}
+
+#[test]
+fn a_full_event_ring_allocates_nothing() {
+    const CAP: usize = 1 << 14;
+    let mut t = Telemetry::new().with_max_events(CAP);
+    let mut i = 0;
+    while t.events().len() < CAP {
+        emit_request(&mut t, i);
+        i += 1;
+    }
+    let allocs = counted(|| {
+        let mut emitted = 0;
+        while emitted < 100_000 {
+            emitted += emit_request(&mut t, i);
+            i += 1;
+        }
+    });
+    assert_eq!(allocs, 0, "allocations while 100k events cycle a full ring");
+    assert_eq!(t.events().len(), CAP);
 }
