@@ -14,10 +14,19 @@ use pim_runtime::Handle;
 
 use crate::node::Node;
 
-/// A slotted arena with free-list reuse.
-#[derive(Debug, Clone, Default)]
+/// Slots per arena segment.
+const SEGMENT: usize = 1024;
+
+/// A slotted arena with free-list reuse, stored in fixed segments of
+/// [`SEGMENT`] slots. A segment is allocated once at its full capacity and
+/// never moves, so growth never copies the nodes already placed and leaves
+/// no freed block behind; only the slots up to the highest one placed are
+/// ever written.
+#[derive(Debug, Default)]
 pub struct Arena {
-    slots: Vec<Option<Node>>,
+    segments: Vec<Vec<Option<Node>>>,
+    /// Materialized slots: every slot below this exists, vacant or not.
+    slots: usize,
     free: Vec<u32>,
     live: usize,
 }
@@ -28,32 +37,58 @@ impl Arena {
         Arena::default()
     }
 
+    fn slot(&self, slot: u32) -> Option<&Option<Node>> {
+        let i = slot as usize;
+        self.segments.get(i / SEGMENT)?.get(i % SEGMENT)
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> Option<&mut Option<Node>> {
+        let i = slot as usize;
+        self.segments.get_mut(i / SEGMENT)?.get_mut(i % SEGMENT)
+    }
+
+    /// The slot `slot`, materializing it (and every slot below it) vacant
+    /// if it does not exist yet.
+    fn materialize(&mut self, slot: u32) -> &mut Option<Node> {
+        let want = slot as usize + 1;
+        while self.slots < want {
+            if self.slots.is_multiple_of(SEGMENT) {
+                self.segments.push(Vec::with_capacity(SEGMENT));
+            }
+            let seg = self
+                .segments
+                .last_mut()
+                .expect("a segment was just ensured");
+            let add = (SEGMENT - seg.len()).min(want - self.slots);
+            seg.resize_with(seg.len() + add, || None);
+            self.slots += add;
+        }
+        self.slot_mut(slot).expect("materialized above")
+    }
+
     /// Allocate a slot for `node`, reusing freed slots first.
     pub fn alloc(&mut self, node: Node) -> u32 {
         self.live += 1;
-        if let Some(slot) = self.free.pop() {
-            debug_assert!(self.slots[slot as usize].is_none());
-            self.slots[slot as usize] = Some(node);
-            slot
-        } else {
-            self.slots.push(Some(node));
-            (self.slots.len() - 1) as u32
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => u32::try_from(self.slots).expect("arena holds < 2^32 slots"),
+        };
+        let s = self.materialize(slot);
+        debug_assert!(s.is_none());
+        *s = Some(node);
+        slot
     }
 
     /// Place `node` at an externally chosen `slot` (replicated arenas; the
     /// slot comes from the CPU-side shadow allocator). The slot must be
     /// vacant.
     pub fn insert_at(&mut self, slot: u32, node: Node) {
-        let idx = slot as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
+        let s = self.materialize(slot);
         assert!(
-            self.slots[idx].is_none(),
+            s.is_none(),
             "replicated slot {slot} already occupied — replica divergence"
         );
-        self.slots[idx] = Some(node);
+        *s = Some(node);
         self.live += 1;
     }
 
@@ -61,36 +96,44 @@ impl Arena {
     /// (crash recovery: a wiped module re-materialises its sentinel towers
     /// on restart, so installs must overwrite as well as insert).
     pub fn install(&mut self, slot: u32, node: Node) {
-        let idx = slot as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        if self.slots[idx].is_none() {
+        if self.materialize(slot).replace(node).is_none() {
             self.live += 1;
-            self.free.retain(|&s| s != slot);
+            self.free.retain(|&f| f != slot);
         }
-        self.slots[idx] = Some(node);
     }
 
-    /// Free a slot (panics if already vacant).
-    pub fn free(&mut self, slot: u32) {
-        let taken = self.slots[slot as usize].take();
+    /// Empty a slot without queuing it for reuse (panics if already
+    /// vacant). Replicated arenas free this way: their slots are chosen by
+    /// the CPU-side [`ShadowAllocator`], so a module-side free list would
+    /// only grow.
+    pub fn vacate(&mut self, slot: u32) {
+        let taken = self.slot_mut(slot).and_then(Option::take);
         assert!(taken.is_some(), "double free of slot {slot}");
         self.live -= 1;
+    }
+
+    /// Free a slot for reuse by [`Arena::alloc`] (panics if already
+    /// vacant).
+    pub fn free(&mut self, slot: u32) {
+        self.vacate(slot);
         self.free.push(slot);
+    }
+
+    /// Slots queued for reuse by [`Arena::alloc`].
+    #[cfg(test)]
+    pub(crate) fn free_len(&self) -> usize {
+        self.free.len()
     }
 
     /// Shared-slot read.
     pub fn get(&self, slot: u32) -> &Node {
-        self.slots[slot as usize]
-            .as_ref()
+        self.get_opt(slot)
             .unwrap_or_else(|| panic!("dangling handle: slot {slot}"))
     }
 
     /// Shared-slot write access.
     pub fn get_mut(&mut self, slot: u32) -> &mut Node {
-        self.slots[slot as usize]
-            .as_mut()
+        self.get_mut_opt(slot)
             .unwrap_or_else(|| panic!("dangling handle: slot {slot}"))
     }
 
@@ -98,17 +141,17 @@ impl Arena {
     /// (dangling handles are expected while a crashed module is being
     /// recovered; the module answers `Faulted` instead of aborting).
     pub fn get_opt(&self, slot: u32) -> Option<&Node> {
-        self.slots.get(slot as usize).and_then(|s| s.as_ref())
+        self.slot(slot)?.as_ref()
     }
 
     /// Fault-tolerant write access; see [`Arena::get_opt`].
     pub fn get_mut_opt(&mut self, slot: u32) -> Option<&mut Node> {
-        self.slots.get_mut(slot as usize).and_then(|s| s.as_mut())
+        self.slot_mut(slot)?.as_mut()
     }
 
     /// Does `slot` currently hold a node?
     pub fn contains(&self, slot: u32) -> bool {
-        (slot as usize) < self.slots.len() && self.slots[slot as usize].is_some()
+        self.get_opt(slot).is_some()
     }
 
     /// Number of live nodes.
@@ -123,16 +166,19 @@ impl Arena {
 
     /// Iterate `(slot, node)` over live nodes.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Node)> {
-        self.slots
+        self.segments
             .iter()
+            .flatten()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|n| (i as u32, n)))
     }
 
     /// Occupied local-memory words (live nodes + slot directory overhead).
+    /// The directory counts materialized slots, not segment capacity, so
+    /// the segmented layout moves no model word.
     pub fn words(&self) -> u64 {
         let node_words: u64 = self.iter().map(|(_, n)| n.words()).sum();
-        node_words + self.slots.len() as u64
+        node_words + self.slots as u64
     }
 }
 
@@ -288,7 +334,7 @@ mod tests {
         let s1 = shadow.alloc();
         arena.insert_at(s1, node(1));
         shadow.free(s0);
-        arena.free(s0);
+        arena.vacate(s0);
         let s2 = shadow.alloc();
         arena.insert_at(s2, node(2));
         assert_eq!(s2, s0, "shadow must reuse the freed slot like the arena");
@@ -326,7 +372,7 @@ mod tests {
         assert!(a.words() > w_empty);
         a.free(s);
         // Slot directory remains, nodes gone.
-        assert_eq!(a.words(), a.slots.len() as u64);
+        assert_eq!(a.words(), a.slots as u64);
     }
 
     #[test]
@@ -366,5 +412,54 @@ mod tests {
         a.free(s1);
         let keys: Vec<i64> = a.iter().map(|(_, n)| n.key).collect();
         assert_eq!(keys, vec![2]);
+    }
+
+    #[test]
+    fn segments_grow_without_moving_nodes() {
+        let mut a = Arena::new();
+        let n = 3 * SEGMENT + 5;
+        for k in 0..n {
+            assert_eq!(a.alloc(node(k as i64)), k as u32);
+        }
+        let first: *const Node = a.get(0);
+        a.insert_at((5 * SEGMENT) as u32, node(-1));
+        assert!(std::ptr::eq(first, a.get(0)), "growth moved a node");
+        assert_eq!(a.slots, 5 * SEGMENT + 1);
+        assert_eq!(a.segments.len(), 6);
+        assert!(a.segments.iter().all(|s| s.capacity() == SEGMENT));
+        assert!(!a.contains((5 * SEGMENT - 1) as u32));
+        assert!(a.get_opt((5 * SEGMENT + 1) as u32).is_none());
+        assert_eq!(a.len(), n + 1);
+        assert_eq!(a.iter().count(), n + 1);
+        assert_eq!(
+            a.iter().last().map(|(s, nd)| (s, nd.key)),
+            Some(((5 * SEGMENT) as u32, -1))
+        );
+    }
+
+    #[test]
+    fn insert_at_vacate_cycles_keep_the_free_list_empty() {
+        let mut shadow = ShadowAllocator::new();
+        let mut a = Arena::new();
+        let mut held = Vec::new();
+        for round in 0..200i64 {
+            for k in 0..8 {
+                let s = shadow.alloc();
+                a.insert_at(s, node(round * 8 + k));
+                held.push(s);
+            }
+            for s in held.drain(..6) {
+                shadow.free(s);
+                a.vacate(s);
+            }
+        }
+        assert_eq!(
+            a.free_len(),
+            0,
+            "a replicated arena queues no slot for reuse"
+        );
+        assert_eq!(a.len(), 400);
+        // The shadow reuses what was vacated, so the arena stays compact.
+        assert!(a.slots <= 408, "{} slots for 400 live nodes", a.slots);
     }
 }

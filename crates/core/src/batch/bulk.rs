@@ -96,7 +96,9 @@ impl PimSkipList {
             built.append(&chunk_towers);
         }
 
-        // Commit: every pair is now part of the logical contents.
+        // Commit: every pair is now part of the logical contents. Sized
+        // first, so the journal never rehashes with its old table live.
+        self.journal.reserve(pairs.len());
         for (j, &(key, value)) in pairs.iter().enumerate() {
             self.journal.record_insert(key, value, built.get(j));
         }

@@ -199,7 +199,7 @@ impl PimSkipList {
             }
             if leaf.key != NEG_INF {
                 ensure!(
-                    leaf.chain == chain_seen,
+                    *leaf.chain == *chain_seen,
                     "leaf {} chain record {:?} != actual tower {:?}",
                     leaf.key,
                     leaf.chain,

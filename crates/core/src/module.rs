@@ -801,7 +801,7 @@ impl SkipModule {
             if right.is_some() {
                 self.upper.get_mut(right.slot()).left = left;
             }
-            self.upper.free(slot);
+            self.upper.vacate(slot);
             ctx.work(self.retarget_start(left.slot()));
         }
     }
@@ -1020,7 +1020,8 @@ impl PimModule for SkipModule {
             Task::SetLeafChain { leaf, chain } => {
                 ctx.work(1);
                 match self.try_node_mut(leaf) {
-                    Some(n) => n.chain = chain,
+                    // Exact-size `Vec`: boxing it does not reallocate.
+                    Some(n) => n.chain = chain.into_boxed_slice(),
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
                 }
             }
@@ -1204,6 +1205,35 @@ mod tests {
                 sentinel,
                 "module {m}: nothing linked above h_low"
             );
+        }
+    }
+
+    #[test]
+    fn churn_leaves_every_replicated_free_list_empty() {
+        use crate::config::Config;
+        use crate::list::PimSkipList;
+
+        let mut list = PimSkipList::new(Config::new(16, 4096, 44));
+        let pairs: Vec<(Key, u64)> = (0..2048).map(|i| (4 * i, 0)).collect();
+        list.bulk_load(&pairs);
+        // Each batch inserts 64 keys in the gaps and deletes the 64 the
+        // batch before inserted, so the size stays put and every tower that
+        // reached the replicas is unlinked again.
+        let fresh = |b: i64| -> Vec<(Key, u64)> {
+            (0..64)
+                .map(|i| (4 * ((b * 64 + i) % 2048) + 1 + b % 2, 0))
+                .collect()
+        };
+        for b in 0..200i64 {
+            list.batch_upsert(&fresh(b));
+            if b >= 1 {
+                let old: Vec<Key> = fresh(b - 1).iter().map(|&(k, _)| k).collect();
+                list.batch_delete(&old);
+            }
+        }
+        list.validate().unwrap();
+        for m in list.sys.modules() {
+            assert_eq!(m.upper.free_len(), 0, "module {:?}", m.id);
         }
     }
 }

@@ -273,7 +273,7 @@ impl PimSkipList {
                     Handle::NULL
                 };
                 if level == 0 {
-                    n.chain = e.tower[1..].to_vec();
+                    n.chain = e.tower[1..].into();
                 }
                 let node = Box::new(n);
                 let task = if h.is_replicated() {

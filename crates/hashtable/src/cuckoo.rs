@@ -17,11 +17,16 @@ pub const BUCKET: usize = 4;
 /// de-amortization requires).
 pub const MAX_KICKS: usize = 24;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     key: i64,
     value: u64,
 }
+
+// 16 B a slot: occupancy lives in the tables' bitmasks, not in an
+// `Option` tag that would pad each slot to 24 B. No key can mark a vacant
+// slot, since every `i64` (`i64::MIN` included) is a valid key.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// A fixed-capacity two-table bucketed cuckoo hash.
 #[derive(Debug, Clone)]
@@ -29,7 +34,10 @@ pub struct CuckooTable {
     seed0: u64,
     seed1: u64,
     buckets: usize,
-    slots: [Vec<Option<Entry>>; 2],
+    /// A slot's entry is meaningful only while its `occupied` bit is set.
+    slots: [Vec<Entry>; 2],
+    /// One bit per slot of the matching table, 64 slots a word.
+    occupied: [Vec<u64>; 2],
     len: usize,
     /// Work performed by the last operation, in probes/moves (for PIM-time
     /// accounting by the module that owns the table).
@@ -41,11 +49,14 @@ impl CuckooTable {
     /// of two, at least 2).
     pub fn with_buckets(buckets: usize, seed: u64) -> Self {
         let buckets = buckets.next_power_of_two().max(2);
+        let n = buckets * BUCKET;
+        let words = n.div_ceil(64);
         CuckooTable {
             seed0: hash2(seed, 0xC0, 1),
             seed1: hash2(seed, 0xC1, 2),
             buckets,
-            slots: [vec![None; buckets * BUCKET], vec![None; buckets * BUCKET]],
+            slots: [vec![Entry::default(); n], vec![Entry::default(); n]],
+            occupied: [vec![0; words], vec![0; words]],
             len: 0,
             last_op_work: 0,
         }
@@ -61,6 +72,29 @@ impl CuckooTable {
     fn range(&self, table: usize, key: i64) -> std::ops::Range<usize> {
         let b = self.bucket_of(table, key);
         b * BUCKET..(b + 1) * BUCKET
+    }
+
+    #[inline]
+    fn is_full(&self, table: usize, i: usize) -> bool {
+        self.occupied[table][i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[inline]
+    fn set_full(&mut self, table: usize, i: usize, full: bool) {
+        let bit = 1 << (i % 64);
+        let word = &mut self.occupied[table][i / 64];
+        if full {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// The slot of `key` in `table`, if it is stored there.
+    #[inline]
+    fn find(&self, table: usize, key: i64) -> Option<usize> {
+        self.range(table, key)
+            .find(|&i| self.is_full(table, i) && self.slots[table][i].key == key)
     }
 
     /// Number of stored entries.
@@ -86,29 +120,16 @@ impl CuckooTable {
     /// Look up `key`: O(1) worst case (two buckets).
     pub fn get(&mut self, key: i64) -> Option<u64> {
         self.last_op_work = 2;
-        for t in 0..2 {
-            for i in self.range(t, key) {
-                if let Some(e) = self.slots[t][i] {
-                    if e.key == key {
-                        return Some(e.value);
-                    }
-                }
-            }
-        }
-        None
+        (0..2).find_map(|t| self.find(t, key).map(|i| self.slots[t][i].value))
     }
 
     /// Update an existing key in place; returns whether it was present.
     pub fn update(&mut self, key: i64, value: u64) -> bool {
         self.last_op_work = 2;
         for t in 0..2 {
-            for i in self.range(t, key) {
-                if let Some(e) = &mut self.slots[t][i] {
-                    if e.key == key {
-                        e.value = value;
-                        return true;
-                    }
-                }
+            if let Some(i) = self.find(t, key) {
+                self.slots[t][i].value = value;
+                return true;
             }
         }
         false
@@ -118,14 +139,10 @@ impl CuckooTable {
     pub fn remove(&mut self, key: i64) -> Option<u64> {
         self.last_op_work = 2;
         for t in 0..2 {
-            for i in self.range(t, key) {
-                if let Some(e) = self.slots[t][i] {
-                    if e.key == key {
-                        self.slots[t][i] = None;
-                        self.len -= 1;
-                        return Some(e.value);
-                    }
-                }
+            if let Some(i) = self.find(t, key) {
+                self.set_full(t, i, false);
+                self.len -= 1;
+                return Some(self.slots[t][i].value);
             }
         }
         None
@@ -139,14 +156,9 @@ impl CuckooTable {
         self.last_op_work = 2;
         // Replace in place if present.
         for t in 0..2 {
-            for i in self.range(t, key) {
-                if let Some(e) = &mut self.slots[t][i] {
-                    if e.key == key {
-                        let old = e.value;
-                        e.value = value;
-                        return Ok(Some(old));
-                    }
-                }
+            if let Some(i) = self.find(t, key) {
+                let old = std::mem::replace(&mut self.slots[t][i].value, value);
+                return Ok(Some(old));
             }
         }
         // Try an empty slot in either bucket.
@@ -155,8 +167,9 @@ impl CuckooTable {
             self.last_op_work += 1;
             for t in 0..2 {
                 for i in self.range(t, cur.key) {
-                    if self.slots[t][i].is_none() {
-                        self.slots[t][i] = Some(cur);
+                    if !self.is_full(t, i) {
+                        self.slots[t][i] = cur;
+                        self.set_full(t, i, true);
                         self.len += 1;
                         return Ok(None);
                     }
@@ -168,9 +181,8 @@ impl CuckooTable {
             let vi = r.start
                 + (hash2(self.seed0 ^ self.seed1, cur.key as u64, self.last_op_work) as usize
                     % BUCKET);
-            let victim = self.slots[0][vi].take().expect("bucket was full");
-            self.slots[0][vi] = Some(cur);
-            cur = victim;
+            debug_assert!(self.is_full(0, vi), "bucket was full");
+            cur = std::mem::replace(&mut self.slots[0][vi], cur);
         }
         Err((cur.key, cur.value))
     }
@@ -179,11 +191,12 @@ impl CuckooTable {
     pub fn drain_all(&mut self) -> Vec<(i64, u64)> {
         let mut out = Vec::with_capacity(self.len);
         for t in 0..2 {
-            for slot in &mut self.slots[t] {
-                if let Some(e) = slot.take() {
+            for (i, e) in self.slots[t].iter().enumerate() {
+                if self.is_full(t, i) {
                     out.push((e.key, e.value));
                 }
             }
+            self.occupied[t].fill(0);
         }
         self.len = 0;
         out
