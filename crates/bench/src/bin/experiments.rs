@@ -19,7 +19,7 @@
 //! instrumented telemetry-enabled service session and writes
 //! `DIR/trace.json` / `DIR/rounds.jsonl` plus the telemetry artifacts
 //! `DIR/events.jsonl` / `DIR/metrics.prom` (all byte-identical at every
-//! `PIM_THREADS`; the CI determinism job diffs them).
+//! `PIM_THREADS`; the tier-1 `tests/tests/determinism.rs` compares them).
 //!
 //! `recovery [--quick]` persists one mixed op stream under several
 //! snapshot cadences and times `PimSkipList::recover_from_dir` on each

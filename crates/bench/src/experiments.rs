@@ -15,7 +15,7 @@ fn logp(p: u32) -> u64 {
 }
 
 /// One row of the Table 1 reproduction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// Operation name.
     pub op: &'static str,

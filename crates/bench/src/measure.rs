@@ -5,7 +5,7 @@ use pim_runtime::Metrics;
 use pim_workloads::PointGen;
 
 /// The model costs of one batch operation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchCosts {
     /// Batch size the costs were measured at.
     pub batch: usize,

@@ -13,8 +13,9 @@
 //! backpressure rejections.
 //!
 //! `--out DIR` additionally runs one instrumented session (probe + round
-//! trace) and writes `DIR/trace.json` / `DIR/rounds.jsonl`; the CI
-//! determinism job byte-compares these exports at `PIM_THREADS=1` vs `8`.
+//! trace + telemetry) and writes four files; see [`service_trace_export`].
+//! The tier-1 `tests/tests/determinism.rs` compares every sweep point
+//! (all but ops/sec) and the four files at 1 and 8 pool threads.
 
 use std::time::Instant;
 
@@ -43,7 +44,7 @@ pub fn to_op(a: ArrivalOp) -> Op {
 }
 
 /// One measured policy point of the sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServicePoint {
     /// Policy: dispatch threshold / batch cap.
     pub max_batch: usize,
@@ -145,19 +146,63 @@ pub fn service_schedule(n: usize, seed: u64, rate: f64, ticks: u64) -> Vec<Arriv
         .schedule(ticks)
 }
 
+/// The machine, arrival schedule and coalescing-policy grid of the SVC
+/// sweep.
+#[derive(Debug, Clone)]
+pub struct ServiceSweep {
+    /// Modules.
+    pub p: u32,
+    /// Resident keys.
+    pub n: usize,
+    /// Ticks of arrivals.
+    pub ticks: u64,
+    /// Mean arrivals per tick.
+    pub rate: f64,
+    /// The schedule every point replays.
+    pub schedule: Vec<ArrivalEvent>,
+    /// `(max_batch, max_linger)` of each point, in table order.
+    pub policies: Vec<(usize, u64)>,
+}
+
+impl ServiceSweep {
+    /// The sweep `experiments service` runs; `quick` shrinks sizes to CI
+    /// scale.
+    pub fn new(quick: bool, seed: u64) -> Self {
+        let (p, n, ticks) = if quick {
+            (16, 4_000, 24)
+        } else {
+            (32, 16_000, 48)
+        };
+        let lg = u64::from(pim_runtime::ceil_log2(u64::from(p)));
+        let small = (u64::from(p) * lg) as usize;
+        let large = (u64::from(p) * lg * lg) as usize;
+        let rate = large as f64; // ~one large batch arriving per tick
+        let policies = [small, large, 2 * large]
+            .into_iter()
+            .flat_map(|b| [1u64, 4, 16].map(|l| (b, l)))
+            .collect();
+        ServiceSweep {
+            p,
+            n,
+            ticks,
+            rate,
+            schedule: service_schedule(n, seed, rate, ticks),
+            policies,
+        }
+    }
+}
+
 /// SVC: run the policy sweep and print the table. `quick` shrinks sizes to
 /// CI scale.
 pub fn run_service(quick: bool, seed: u64) {
-    let (p, n, ticks) = if quick {
-        (16, 4_000, 24)
-    } else {
-        (32, 16_000, 48)
-    };
-    let lg = u64::from(pim_runtime::ceil_log2(u64::from(p)));
-    let small = (u64::from(p) * lg) as usize;
-    let large = (u64::from(p) * lg * lg) as usize;
-    let rate = large as f64; // ~one large batch arriving per tick
-    let schedule = service_schedule(n, seed, rate, ticks);
+    let ServiceSweep {
+        p,
+        n,
+        ticks,
+        rate,
+        schedule,
+        policies,
+    } = ServiceSweep::new(quick, seed);
 
     println!(
         "== Service layer: open-loop mixed stream (P = {p}, n = {n}, λ = {rate:.0}/tick, {} arrivals over {ticks} ticks) ==",
@@ -178,31 +223,29 @@ pub fn run_service(quick: bool, seed: u64) {
         "maxQ",
         "occ"
     );
-    for &max_batch in &[small, large, 2 * large] {
-        for &max_linger in &[1u64, 4, 16] {
-            let pt = run_service_point(p, n, seed, &schedule, max_batch, max_linger);
-            println!(
-                "{:>6} {:>7} {:>9} {:>7} {:>8} {:>8} {:>10.2} {:>12.0} {:>7}/{:>4}/{:>4}/{:>4} {:>10}/{:>4}/{:>4}/{:>4} {:>7} {:>7.1}",
-                pt.max_batch,
-                pt.max_linger,
-                pt.completed,
-                pt.rejected,
-                pt.batches,
-                pt.rounds,
-                pt.ops_per_round,
-                pt.ops_per_sec,
-                pt.latency_ticks[0],
-                pt.latency_ticks[1],
-                pt.latency_ticks[2],
-                pt.latency_ticks[3],
-                pt.latency_rounds[0],
-                pt.latency_rounds[1],
-                pt.latency_rounds[2],
-                pt.latency_rounds[3],
-                pt.max_queue_depth,
-                pt.mean_occupancy,
-            );
-        }
+    for (max_batch, max_linger) in policies {
+        let pt = run_service_point(p, n, seed, &schedule, max_batch, max_linger);
+        println!(
+            "{:>6} {:>7} {:>9} {:>7} {:>8} {:>8} {:>10.2} {:>12.0} {:>7}/{:>4}/{:>4}/{:>4} {:>10}/{:>4}/{:>4}/{:>4} {:>7} {:>7.1}",
+            pt.max_batch,
+            pt.max_linger,
+            pt.completed,
+            pt.rejected,
+            pt.batches,
+            pt.rounds,
+            pt.ops_per_round,
+            pt.ops_per_sec,
+            pt.latency_ticks[0],
+            pt.latency_ticks[1],
+            pt.latency_ticks[2],
+            pt.latency_ticks[3],
+            pt.latency_rounds[0],
+            pt.latency_rounds[1],
+            pt.latency_rounds[2],
+            pt.latency_rounds[3],
+            pt.max_queue_depth,
+            pt.mean_occupancy,
+        );
     }
     println!("(ops/round and both latency columns are deterministic; ops/sec is the wall clock)");
 }

@@ -296,7 +296,7 @@ pub(crate) fn config_fingerprint(cfg: &crate::config::Config) -> u64 {
     fp
 }
 
-/// Decode error shorthand for snapshot/manifest readers.
+/// Decode error shorthand for the segment and snapshot readers.
 pub(crate) fn corrupt(
     path: &std::path::Path,
     offset: u64,

@@ -10,8 +10,13 @@
 //!   call, which share rounds; only an invalid run or contention tracking
 //!   cuts a call into several spans);
 //! * `snapshot-<seq>.snap` — the full key/value contents at stream
-//!   position `seq`, written atomically;
-//! * `MANIFEST` — which snapshot is live and which segments exist.
+//!   position `seq`, written atomically.
+//!
+//! The directory listing ([`scan_dir`]) is the only index. Every file is
+//! checksummed and bound to the config fingerprint on its own, so its name
+//! is all that recovery and compaction need; compaction lists the
+//! directory, so a file a crash left behind is collected at the next
+//! snapshot.
 //!
 //! ## Recovery contract (two tiers)
 //!
@@ -41,7 +46,6 @@
 //! both checksums.
 
 pub(crate) mod codec;
-pub(crate) mod manifest;
 pub(crate) mod snapshot;
 pub(crate) mod wal;
 
@@ -52,7 +56,6 @@ use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::op::Op;
 
-use manifest::Manifest;
 use snapshot::snapshot_name;
 use wal::{segment_name, WalWriter};
 
@@ -124,9 +127,6 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// The recovered structure's next op stream index.
     pub next_seq: u64,
-    /// Whether a valid `MANIFEST` drove recovery (`false`: directory-scan
-    /// fallback).
-    pub used_manifest: bool,
 }
 
 /// Running I/O counters of the durability layer, for the telemetry
@@ -147,6 +147,43 @@ pub struct DurableStats {
     pub compacted_segments: u64,
 }
 
+/// The durable files of one directory, by name.
+#[derive(Debug, Default)]
+pub(crate) struct Listing {
+    /// `snapshot-*.snap` seqs, newest first.
+    pub snapshots: Vec<u64>,
+    /// `wal-*.log` start seqs, ascending.
+    pub segments: Vec<u64>,
+    /// `snapshot-*.snap.tmp` names: snapshot writes a crash cut short.
+    pub tmps: Vec<String>,
+}
+
+/// List every well-formed snapshot, segment and snapshot `.tmp` name in
+/// `dir`. (Contents are verified later, when the files are actually read.)
+pub(crate) fn scan_dir(dir: &Path) -> PimResult<Listing> {
+    let mut l = Listing::default();
+    let entries = std::fs::read_dir(dir).map_err(|e| PimError::io("dir_scan", dir, &e))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| PimError::io("dir_scan", dir, &e))?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if let Some(seq) = snapshot::parse_snapshot_name(&name) {
+            l.snapshots.push(seq);
+        } else if let Some(seq) = wal::parse_segment_name(&name) {
+            l.segments.push(seq);
+        } else if name
+            .strip_suffix(".tmp")
+            .and_then(snapshot::parse_snapshot_name)
+            .is_some()
+        {
+            l.tmps.push(name.into_owned());
+        }
+    }
+    l.snapshots.sort_unstable_by(|a, b| b.cmp(a));
+    l.segments.sort_unstable();
+    Ok(l)
+}
+
 /// Live durability state attached to a [`PimSkipList`].
 pub(crate) struct Durability {
     dir: PathBuf,
@@ -158,10 +195,6 @@ pub(crate) struct Durability {
     pub(crate) synced_seq: u64,
     unsynced_ops: u64,
     last_snapshot_seq: u64,
-    /// Retained snapshot seqs, newest first.
-    snapshots: Vec<u64>,
-    /// Live segment start seqs, ascending.
-    segments: Vec<u64>,
     writer: WalWriter,
     pub(crate) stats: DurableStats,
 }
@@ -172,11 +205,8 @@ impl Durability {
     fn open_fresh(dir: &Path, policy: DurabilityPolicy, cfg: &Config) -> PimResult<Self> {
         std::fs::create_dir_all(dir).map_err(|e| PimError::io("durable_open", dir, &e))?;
         let fp = codec::config_fingerprint(cfg);
-        let existing = manifest::scan_dir(dir)?;
-        if dir.join(manifest::MANIFEST_NAME).exists()
-            || !existing.snapshots.is_empty()
-            || !existing.segments.is_empty()
-        {
+        let existing = scan_dir(dir)?;
+        if !existing.snapshots.is_empty() || !existing.segments.is_empty() {
             return Err(PimError::InvalidArgument {
                 op: "enable_durability",
                 reason: format!(
@@ -185,8 +215,7 @@ impl Durability {
                 ),
             });
         }
-        let writer = WalWriter::create(dir, fp, 0)?;
-        let d = Durability {
+        Ok(Durability {
             dir: dir.to_path_buf(),
             policy,
             config_fp: fp,
@@ -194,24 +223,9 @@ impl Durability {
             synced_seq: 0,
             unsynced_ops: 0,
             last_snapshot_seq: 0,
-            snapshots: Vec::new(),
-            segments: vec![0],
-            writer,
+            writer: WalWriter::create(dir, fp, 0)?,
             stats: DurableStats::default(),
-        };
-        d.write_manifest()?;
-        Ok(d)
-    }
-
-    fn write_manifest(&self) -> PimResult<()> {
-        manifest::write_manifest(
-            &self.dir,
-            self.config_fp,
-            &Manifest {
-                snapshots: self.snapshots.clone(),
-                segments: self.segments.clone(),
-            },
-        )
+        })
     }
 
     /// Append one committed span and apply the fsync policy.
@@ -254,37 +268,43 @@ impl Durability {
     }
 
     /// Write a snapshot of `items` at the current stream position, rotate
-    /// to a fresh segment, update the manifest, and drop snapshots/segments
-    /// no retained snapshot needs. Crash-ordering: the manifest is
-    /// rewritten *before* any file is deleted, and the fresh segment is
-    /// created *before* the manifest names it — every intermediate state
-    /// recovers.
+    /// to a fresh segment, and delete what recovery no longer needs.
+    /// Crash-ordering: the snapshot is renamed into place before the fresh
+    /// segment is created, and both land before any file is deleted —
+    /// every intermediate state recovers.
     fn snapshot(&mut self, items: &[(Key, Value)]) -> PimResult<()> {
         self.sync()?;
         snapshot::write_snapshot(&self.dir, self.config_fp, self.seq, items)?;
         if self.writer.start_seq != self.seq {
             self.writer = WalWriter::create(&self.dir, self.config_fp, self.seq)?;
-            self.segments.push(self.seq);
-            self.segments.sort_unstable();
-        }
-        self.snapshots.insert(0, self.seq);
-        self.snapshots.dedup();
-        let keep = KEEP_SNAPSHOTS.min(self.snapshots.len());
-        let dropped_snaps = self.snapshots.split_off(keep);
-        let min_keep = *self.snapshots.last().expect("at least the new snapshot");
-        let (keep_segs, dropped_segs): (Vec<u64>, Vec<u64>) =
-            self.segments.iter().copied().partition(|&s| s >= min_keep);
-        self.segments = keep_segs;
-        self.write_manifest()?;
-        for s in dropped_snaps {
-            let _ = std::fs::remove_file(self.dir.join(snapshot_name(s)));
         }
         self.stats.snapshots += 1;
-        self.stats.compacted_segments += dropped_segs.len() as u64;
-        for s in dropped_segs {
-            let _ = std::fs::remove_file(self.dir.join(segment_name(s)));
-        }
         self.last_snapshot_seq = self.seq;
+        self.collect()
+    }
+
+    /// Delete every file recovery cannot need: snapshots past the newest
+    /// [`KEEP_SNAPSHOTS`], segments older than the oldest kept snapshot,
+    /// and stale snapshot `.tmp` files. The listing decides, not a record
+    /// of what was written, so a delete that a crash or an I/O error
+    /// skipped is retried at the next snapshot.
+    fn collect(&mut self) -> PimResult<()> {
+        let files = scan_dir(&self.dir)?;
+        let keep = KEEP_SNAPSHOTS.min(files.snapshots.len());
+        let Some(&oldest_kept) = files.snapshots[..keep].last() else {
+            return Ok(());
+        };
+        for &s in &files.snapshots[keep..] {
+            let _ = std::fs::remove_file(self.dir.join(snapshot_name(s)));
+        }
+        for &s in files.segments.iter().filter(|&&s| s < oldest_kept) {
+            if std::fs::remove_file(self.dir.join(segment_name(s))).is_ok() {
+                self.stats.compacted_segments += 1;
+            }
+        }
+        for name in &files.tmps {
+            let _ = std::fs::remove_file(self.dir.join(name));
+        }
         Ok(())
     }
 }
@@ -388,18 +408,11 @@ impl PimSkipList {
     ) -> PimResult<(PimSkipList, RecoveryReport)> {
         let dir = dir.as_ref();
         let fp = codec::config_fingerprint(&cfg);
-        let loaded = manifest::read_manifest(dir, fp)?;
-        let used_manifest = loaded.is_some();
-        let m = match loaded {
-            Some(m) => m,
-            None => manifest::scan_dir(dir)?,
-        };
-        let mut snaps = m.snapshots;
-        snaps.sort_unstable_by(|a, b| b.cmp(a));
-        snaps.dedup();
-        let mut segs = m.segments;
-        segs.sort_unstable();
-        segs.dedup();
+        let Listing {
+            snapshots: snaps,
+            segments: segs,
+            ..
+        } = scan_dir(dir)?;
         if snaps.is_empty() && segs.is_empty() {
             return Err(PimError::InvalidArgument {
                 op: "recover_from_dir",
@@ -515,15 +528,9 @@ impl PimSkipList {
 
         // Re-attach the durability layer at the recovered position. The
         // reopen physically truncates any torn tail.
-        let mut segments = segs;
         let writer = match last_seg {
             Some((s, valid_len)) => WalWriter::reopen(dir, s, valid_len)?,
-            None => {
-                let w = WalWriter::create(dir, fp, next_seq)?;
-                segments.push(next_seq);
-                segments.sort_unstable();
-                w
-            }
+            None => WalWriter::create(dir, fp, next_seq)?,
         };
         let d = Durability {
             dir: dir.to_path_buf(),
@@ -533,12 +540,9 @@ impl PimSkipList {
             synced_seq: next_seq,
             unsynced_ops: 0,
             last_snapshot_seq: base_seq,
-            snapshots: snaps,
-            segments,
             writer,
             stats: DurableStats::default(),
         };
-        d.write_manifest()?;
         let report = RecoveryReport {
             snapshot_seq: if base_items.is_empty() && base_seq == 0 {
                 None
@@ -549,7 +553,6 @@ impl PimSkipList {
             ops_replayed,
             truncated_bytes,
             next_seq,
-            used_manifest,
         };
         list.durable = Some(Box::new(d));
         Ok((list, report))
@@ -569,6 +572,7 @@ pub(crate) fn test_dir(name: &str) -> PathBuf {
 mod tests {
     use super::*;
     use crate::op::Op;
+    use std::collections::BTreeMap;
 
     fn cfg() -> Config {
         Config::new(4, 1 << 10, 42)
@@ -603,7 +607,6 @@ mod tests {
         assert_eq!(report.snapshot_seq, None, "tier-1 recovery path");
         assert_eq!(report.ops_replayed, 40);
         assert_eq!(report.truncated_bytes, 0);
-        assert!(report.used_manifest);
         // Bit-identity: metrics, contents, and future replies all match.
         assert_eq!(rec.metrics(), oracle.metrics());
         assert_eq!(rec.collect_items(), oracle.collect_items());
@@ -627,16 +630,9 @@ mod tests {
             live.execute(&ops(round * 8, 8));
         }
         drop(live);
-        let m = manifest::read_manifest(&dir, codec::config_fingerprint(&cfg()))
-            .unwrap()
-            .expect("manifest present");
-        assert_eq!(m.snapshots.len(), 2, "KEEP_SNAPSHOTS honoured");
-        let oldest = *m.snapshots.last().unwrap();
-        assert!(m.segments.iter().all(|&s| s >= oldest));
-        // Dropped segments are really gone from disk.
-        let files = manifest::scan_dir(&dir).unwrap();
-        assert_eq!(files.segments, m.segments);
-        assert_eq!(files.snapshots, m.snapshots);
+        let m = scan_dir(&dir).unwrap();
+        assert_eq!(m.snapshots, vec![48, 40], "KEEP_SNAPSHOTS honoured");
+        assert_eq!(m.segments, vec![40, 48], "older segments are gone");
 
         // Recovery lands on the newest snapshot and replays the suffix.
         let (rec, report) = PimSkipList::recover_from_dir(cfg(), &dir, policy).unwrap();
@@ -711,13 +707,19 @@ mod tests {
         live.enable_durability(&dir, DurabilityPolicy::default())
             .unwrap();
         live.execute(&ops(0, 5));
+        // Different p: refused before any replay, by the segment header
+        // and, once there is one, by the snapshot header.
+        let refused = |dir: &Path| {
+            let other = Config::new(8, 1 << 10, 42);
+            matches!(
+                PimSkipList::recover_from_dir(other, dir, DurabilityPolicy::default()),
+                Err(PimError::InvalidArgument { .. })
+            )
+        };
+        assert!(refused(&dir));
+        live.snapshot_now().unwrap();
         drop(live);
-        // Different p: refused before any replay.
-        let other = Config::new(8, 1 << 10, 42);
-        assert!(matches!(
-            PimSkipList::recover_from_dir(other, &dir, DurabilityPolicy::default()),
-            Err(PimError::InvalidArgument { .. })
-        ));
+        assert!(refused(&dir));
         // enable_durability on a dir with state: refused.
         let mut fresh = PimSkipList::new(cfg());
         assert!(matches!(
@@ -744,9 +746,7 @@ mod tests {
             live.execute(&ops(round * 10, 10));
         }
         drop(live);
-        let m = manifest::read_manifest(&dir, codec::config_fingerprint(&cfg()))
-            .unwrap()
-            .unwrap();
+        let m = scan_dir(&dir).unwrap();
         assert!(m.snapshots.len() >= 2);
         // Flip a byte in the newest snapshot.
         let newest = dir.join(snapshot_name(m.snapshots[0]));
@@ -793,5 +793,214 @@ mod tests {
         assert_eq!(grouped.durable_synced_seq(), Some(16));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+
+    #[test]
+    fn scan_finds_well_formed_names_only() {
+        let dir = test_dir("mod-scan");
+        for name in [
+            "snapshot-0000000000000010.snap",
+            "snapshot-0000000000000002.snap",
+            "wal-0000000000000002.log",
+            "wal-0000000000000010.log",
+            "snapshot-0000000000000099.snap.tmp",
+            "wal-2.log",
+            "MANIFEST",
+            "notes.txt",
+        ] {
+            std::fs::write(dir.join(name), b"x").unwrap();
+        }
+        let l = scan_dir(&dir).unwrap();
+        assert_eq!(l.snapshots, vec![0x10, 0x02]);
+        assert_eq!(l.segments, vec![0x02, 0x10]);
+        assert_eq!(l.tmps, vec!["snapshot-0000000000000099.snap.tmp"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file of `dir`, by name.
+    fn read_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_crash_state_of_a_rotation_recovers() {
+        // Snapshots at 8 and 16 are retained; the rotation at 24 writes
+        // snapshot 24 and segment 24, then deletes snapshot 8 and segment 8.
+        let dir = test_dir("mod-rotation");
+        let policy = DurabilityPolicy::default();
+        let mut live = PimSkipList::new(cfg());
+        let mut oracle = PimSkipList::new(cfg());
+        live.enable_durability(&dir, policy).unwrap();
+        let mut before = BTreeMap::new();
+        for round in 0..3 {
+            live.execute(&ops(round * 8, 8));
+            oracle.execute(&ops(round * 8, 8));
+            before = read_files(&dir);
+            live.snapshot_now().unwrap();
+        }
+        drop(live);
+        let after = read_files(&dir);
+        let (snap, seg) = (snapshot_name(24), segment_name(24));
+        let dropped = [snapshot_name(8), segment_name(8)];
+        assert_eq!(
+            after
+                .keys()
+                .filter(|n| !before.contains_key(*n))
+                .collect::<Vec<_>>(),
+            [&snap, &seg]
+        );
+        assert_eq!(
+            before
+                .keys()
+                .filter(|n| !after.contains_key(*n))
+                .collect::<Vec<_>>(),
+            [&dropped[0], &dropped[1]]
+        );
+
+        // The states the rotation's file operations pass through, in order:
+        // the snapshot's tmp write, its rename, the new segment, then every
+        // subset of the deletes (which holds each prefix in either order).
+        let mut states = vec![before.clone()];
+        let mut state = before;
+        let tmp = format!("{snap}.tmp");
+        state.insert(tmp.clone(), after[&snap].clone());
+        states.push(state.clone());
+        state.remove(&tmp);
+        state.insert(snap.clone(), after[&snap].clone());
+        states.push(state.clone());
+        state.insert(seg.clone(), after[&seg].clone());
+        states.push(state.clone());
+        for mask in 1..4 {
+            let mut s = state.clone();
+            for (i, name) in dropped.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    s.remove(name);
+                }
+            }
+            states.push(s);
+        }
+        assert_eq!(states.last(), Some(&after));
+
+        let want = oracle.collect_items();
+        for (i, files) in states.iter().enumerate() {
+            let d = test_dir(&format!("mod-rotation-{i}"));
+            for (name, bytes) in files {
+                std::fs::write(d.join(name), bytes).unwrap();
+            }
+            let (mut rec, report) = PimSkipList::recover_from_dir(cfg(), &d, policy)
+                .unwrap_or_else(|e| panic!("state {i}: {e}"));
+            assert_eq!(report.next_seq, 24, "state {i}");
+            assert_eq!(rec.collect_items(), want, "state {i}");
+            rec.validate().unwrap();
+            // The next snapshot collects whatever the crash left behind.
+            rec.snapshot_now().unwrap();
+            let l = scan_dir(&d).unwrap();
+            assert_eq!(l.snapshots, [24, 16], "state {i}");
+            assert_eq!(l.segments, [16, 24], "state {i}");
+            assert!(l.tmps.is_empty(), "state {i}");
+            std::fs::remove_dir_all(&d).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn files_a_crash_left_behind_go_at_the_next_snapshot() {
+        let dir = test_dir("mod-leftovers");
+        let policy = DurabilityPolicy::default().with_snapshot_every(8);
+        let mut live = PimSkipList::new(cfg());
+        let mut oracle = PimSkipList::new(cfg());
+        live.enable_durability(&dir, policy).unwrap();
+        let mut leftovers = Vec::new();
+        for round in 0..6 {
+            live.execute(&ops(round * 8, 8));
+            oracle.execute(&ops(round * 8, 8));
+            if round == 1 {
+                // At op 16, snapshot 8 and segment 8 are still retained.
+                for name in [snapshot_name(8), segment_name(8)] {
+                    let bytes = std::fs::read(dir.join(&name)).unwrap();
+                    leftovers.push((name, bytes));
+                }
+            }
+        }
+        drop(live);
+        // Put back what a crash before an old rotation's deletes, and one
+        // inside a snapshot write, would have left.
+        for (name, bytes) in &leftovers {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        std::fs::write(dir.join(format!("{}.tmp", snapshot_name(52))), b"torn").unwrap();
+
+        let (mut rec, report) = PimSkipList::recover_from_dir(cfg(), &dir, policy).unwrap();
+        assert_eq!(report.snapshot_seq, Some(48));
+        rec.execute(&ops(48, 8));
+        oracle.execute(&ops(48, 8));
+        let l = scan_dir(&dir).unwrap();
+        assert_eq!(l.snapshots, [56, 48]);
+        assert_eq!(l.segments, [48, 56]);
+        assert!(l.tmps.is_empty());
+        rec.validate().unwrap();
+        assert_eq!(rec.collect_items(), oracle.collect_items());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `MANIFEST` as earlier versions wrote it: magic, format version,
+    /// config fingerprint, the snapshot and segment lists, CRC-32.
+    fn old_manifest(fp: u64, snapshots: &[u64], segments: &[u64]) -> Vec<u8> {
+        let mut b = b"PIMMANI1".to_vec();
+        codec::put_u32(&mut b, 1);
+        codec::put_u64(&mut b, fp);
+        for list in [snapshots, segments] {
+            codec::put_u32(&mut b, list.len() as u32);
+            for &s in list {
+                codec::put_u64(&mut b, s);
+            }
+        }
+        let crc = pim_runtime::crc::crc32(&b);
+        codec::put_u32(&mut b, crc);
+        b
+    }
+
+    #[test]
+    fn a_stale_manifest_is_ignored() {
+        let dir = test_dir("mod-stale-manifest");
+        let policy = DurabilityPolicy::default().with_snapshot_every(8);
+        let mut live = PimSkipList::new(cfg());
+        let mut oracle = PimSkipList::new(cfg());
+        live.enable_durability(&dir, policy).unwrap();
+        for round in 0..3 {
+            live.execute(&ops(round * 8, 8));
+            oracle.execute(&ops(round * 8, 8));
+        }
+        drop(live);
+        // It names files long gone and none of the live ones; the second
+        // also carries another configuration's fingerprint.
+        let fp = codec::config_fingerprint(&cfg());
+        for manifest_fp in [fp, fp ^ 1] {
+            std::fs::write(
+                dir.join("MANIFEST"),
+                old_manifest(manifest_fp, &[8], &[0, 8]),
+            )
+            .unwrap();
+            let (rec, report) = PimSkipList::recover_from_dir(cfg(), &dir, policy).unwrap();
+            assert_eq!(report.snapshot_seq, Some(24));
+            assert_eq!(report.next_seq, 24);
+            rec.validate().unwrap();
+            assert_eq!(rec.collect_items(), oracle.collect_items());
+        }
+        // Nor does it make a directory look occupied.
+        let fresh = test_dir("mod-stale-manifest-fresh");
+        std::fs::write(fresh.join("MANIFEST"), old_manifest(fp, &[8], &[0, 8])).unwrap();
+        PimSkipList::new(cfg())
+            .enable_durability(&fresh, policy)
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&fresh).ok();
     }
 }

@@ -11,7 +11,8 @@
 //! with `crc` the CRC-32 of everything before it. The file is written to a
 //! `.tmp` sibling, fsynced, renamed into place, and the directory fsynced —
 //! so a snapshot either exists completely or not at all; a crash mid-write
-//! leaves only a `.tmp` that recovery ignores.
+//! leaves only a `.tmp` that recovery ignores and the next snapshot
+//! deletes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -31,10 +32,12 @@ pub(crate) fn snapshot_name(seq: u64) -> String {
     format!("snapshot-{seq:016x}.snap")
 }
 
-/// Parse a `snapshot-<hex>.snap` name back to its op sequence.
+/// Parse a snapshot name, exactly as [`snapshot_name`] writes it, back to
+/// its op sequence.
 pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("snapshot-")?.strip_suffix(".snap")?;
-    u64::from_str_radix(hex, 16).ok()
+    let seq = u64::from_str_radix(hex, 16).ok()?;
+    (snapshot_name(seq) == name).then_some(seq)
 }
 
 /// Write the snapshot for stream position `seq` atomically; returns its
@@ -141,6 +144,7 @@ mod tests {
     fn names_roundtrip() {
         assert_eq!(parse_snapshot_name(&snapshot_name(77)), Some(77));
         assert_eq!(parse_snapshot_name("snapshot-xyz.snap"), None);
+        assert_eq!(parse_snapshot_name("snapshot-4d.snap"), None);
         assert_eq!(parse_snapshot_name("wal-0.log"), None);
         // The tmp sibling never parses as a live snapshot.
         assert_eq!(

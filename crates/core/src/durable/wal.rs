@@ -10,9 +10,9 @@
 //! (header checksummed like a frame payload), followed by zero or more
 //! frames (see [`crate::durable::codec`]). Segments are named
 //! `wal-<start_seq:016x>.log`; `start_seq` is the stream index of the
-//! first op the segment may contain, which is also how the manifest names
+//! first op the segment may contain, which is also how recovery orders
 //! them. A new segment starts at every snapshot, so compaction is "delete
-//! every segment older than the live snapshot".
+//! every segment older than the oldest kept snapshot".
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -34,10 +34,12 @@ pub(crate) fn segment_name(start_seq: u64) -> String {
     format!("wal-{start_seq:016x}.log")
 }
 
-/// Parse a `wal-<hex>.log` name back to its start sequence.
+/// Parse a segment name, exactly as [`segment_name`] writes it, back to
+/// its start sequence.
 pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    u64::from_str_radix(hex, 16).ok()
+    let seq = u64::from_str_radix(hex, 16).ok()?;
+    (segment_name(seq) == name).then_some(seq)
 }
 
 fn encode_header(config_fp: u64, start_seq: u64) -> Vec<u8> {
@@ -269,6 +271,7 @@ mod tests {
         assert_eq!(segment_name(0), "wal-0000000000000000.log");
         assert_eq!(parse_segment_name(&segment_name(0xABC)), Some(0xABC));
         assert_eq!(parse_segment_name("wal-zz.log"), None);
+        assert_eq!(parse_segment_name("wal-abc.log"), None);
         assert_eq!(parse_segment_name("snapshot-0.snap"), None);
     }
 

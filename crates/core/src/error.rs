@@ -54,7 +54,7 @@ pub enum PimError {
         detail: String,
     },
     /// An operating-system IO failure in the durability layer (WAL append,
-    /// fsync, snapshot rename, manifest read). Carries enough context to
+    /// fsync, snapshot rename, directory scan). Carries enough context to
     /// name the exact file the kernel refused.
     Io {
         /// The durability operation that failed (`"wal_append"`,
@@ -67,7 +67,8 @@ pub enum PimError {
         detail: String,
     },
     /// On-disk state failed an integrity check during recovery: a frame,
-    /// snapshot, or manifest whose checksum does not match its contents.
+    /// segment header or snapshot whose checksum does not match its
+    /// contents.
     /// A *tail* corruption of the WAL is handled silently (recovery
     /// truncates to the last valid frame); this error is reserved for
     /// corruption that loses committed history — e.g. the live snapshot is

@@ -8,13 +8,13 @@
 //!
 //! * [`cuckoo::CuckooTable`] — a bucketed two-table cuckoo hash with a hard
 //!   displacement budget per insert;
-//! * [`deamortized::DeamortizedMap`] — the de-amortized wrapper: a bounded
-//!   stash plus incremental (per-operation) migration into the next table
-//!   generation, keeping *worst-case* per-operation work constant even
-//!   across growth.
+//! * [`deamortized::DeamortizedMap`] — the de-amortized wrapper: a stash
+//!   plus incremental (per-operation) migration into the next table
+//!   generation, so the work *charged* per operation stays constant across
+//!   growth (its module doc names the work that charge leaves out).
 //!
-//! The `last_op_work` counters let the owning module charge honest PIM-time
-//! for every table operation.
+//! The `last_op_work` counters are what the owning module charges as
+//! PIM time for every table operation.
 #![warn(missing_docs)]
 
 pub mod cuckoo;

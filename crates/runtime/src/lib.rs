@@ -54,7 +54,6 @@
 pub mod balls;
 pub mod buffers;
 pub mod crc;
-pub mod envcfg;
 pub mod export;
 pub mod fault;
 pub mod handle;
@@ -71,7 +70,6 @@ pub mod trace;
 
 pub use buffers::{BufferPool, RouteBuffer};
 pub use crc::{crc32, Crc32};
-pub use envcfg::EnvSettings;
 pub use export::{chrome_trace, rounds_jsonl, ExportBundle, Json};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord};
 pub use handle::{Arena, Handle, ModuleId};

@@ -3,7 +3,7 @@
 //! Everything CPU-side that *executes* in parallel (the per-round module
 //! sweep in [`crate::system::PimSystem`], the sorts and scans in
 //! `pim-primitives`) routes through this module. The design contract,
-//! which the CI determinism job enforces byte-for-byte:
+//! which the tier-1 `tests/tests/determinism.rs` enforces byte-for-byte:
 //!
 //! > **Thread count changes wall-clock time and nothing else.** Model
 //! > metrics, replies, traces and span stats are bit-identical for every
@@ -80,20 +80,24 @@ impl ExecConfig {
     }
 
     /// Read `PIM_THREADS` (falling back to the machine's available
-    /// parallelism, then to 1). `PIM_THREADS=0` also means "all cores".
+    /// parallelism, then to 1). `PIM_THREADS=0` and an unparseable value
+    /// also mean "all cores".
     pub fn from_env() -> Self {
-        Self::from_settings(&crate::envcfg::EnvSettings::from_env())
+        Self::from_lookup(|k| std::env::var(k).ok())
     }
 
-    /// Build from pre-parsed [`crate::envcfg::EnvSettings`] (absent/zero/
-    /// garbage thread counts fall back to the machine's available
-    /// parallelism, then to 1).
-    pub fn from_settings(settings: &crate::envcfg::EnvSettings) -> Self {
-        let threads = settings.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    /// [`ExecConfig::from_env`] through an injected lookup, so unit tests
+    /// never touch the process environment (it is global, and racy under a
+    /// parallel test harness).
+    pub fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Self {
+        let threads = var("PIM_THREADS")
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            });
         Self::with_threads(threads)
     }
 }
@@ -577,6 +581,39 @@ mod tests {
             par_threshold: 0,
             sort_threshold: 0,
         }
+    }
+
+    fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |k| {
+            pairs
+                .iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn absent_pim_threads_means_all_cores() {
+        let all = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(
+            ExecConfig::from_lookup(|_| None),
+            ExecConfig::with_threads(all)
+        );
+    }
+
+    #[test]
+    fn threads_zero_and_garbage_mean_all_cores() {
+        let all = ExecConfig::from_lookup(|_| None).threads;
+        for (value, threads) in [("8", 8), ("0", all), ("lots", all), (" 4 ", 4)] {
+            let cfg = ExecConfig::from_lookup(lookup(&[("PIM_THREADS", value)]));
+            assert_eq!(cfg.threads, threads, "PIM_THREADS={value:?}");
+        }
+    }
+
+    #[test]
+    fn only_pim_threads_is_read() {
+        let cfg = ExecConfig::from_lookup(lookup(&[("PIM_THREADS", "2"), ("PIM_OTHER", "8")]));
+        assert_eq!(cfg, ExecConfig::with_threads(2));
     }
 
     #[test]
