@@ -1,9 +1,11 @@
 //! Slotted node arenas — a PIM module's local memory.
 //!
-//! Each module owns two arenas: a *local* arena for the lower-part nodes
-//! hashed to it, and a *replicated* arena whose slot assignment is kept
-//! identical across all modules (the paper's "replicas are stored across
-//! all PIM modules at the same local memory address", §3.1).
+//! Each module owns two node arenas: a *local* arena for the lower-part
+//! nodes hashed to it, and a *replicated* arena whose slot assignment is
+//! kept identical across all modules (the paper's "replicas are stored
+//! across all PIM modules at the same local memory address", §3.1). Its
+//! leaf records ([`crate::node::LeafRecord`]) sit in a third arena of the
+//! same kind.
 //!
 //! Replication determinism: all replicated-arena allocations and frees are
 //! driven by CPU broadcasts that carry the slot explicitly
@@ -19,37 +21,48 @@ const SEGMENT: usize = 1024;
 
 /// A slotted arena with free-list reuse, stored in fixed segments of
 /// [`SEGMENT`] slots. A segment is allocated once at its full capacity and
-/// never moves, so growth never copies the nodes already placed and leaves
+/// never moves, so growth never copies the items already placed and leaves
 /// no freed block behind; only the slots up to the highest one placed are
 /// ever written.
-#[derive(Debug, Default)]
-pub struct Arena {
-    segments: Vec<Vec<Option<Node>>>,
+#[derive(Debug)]
+pub struct Arena<T = Node> {
+    segments: Vec<Vec<Option<T>>>,
     /// Materialized slots: every slot below this exists, vacant or not.
     slots: usize,
     free: Vec<u32>,
     live: usize,
 }
 
-impl Arena {
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Arena {
+            segments: Vec::new(),
+            slots: 0,
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> Arena<T> {
     /// An empty arena.
     pub fn new() -> Self {
         Arena::default()
     }
 
-    fn slot(&self, slot: u32) -> Option<&Option<Node>> {
+    fn slot(&self, slot: u32) -> Option<&Option<T>> {
         let i = slot as usize;
         self.segments.get(i / SEGMENT)?.get(i % SEGMENT)
     }
 
-    fn slot_mut(&mut self, slot: u32) -> Option<&mut Option<Node>> {
+    fn slot_mut(&mut self, slot: u32) -> Option<&mut Option<T>> {
         let i = slot as usize;
         self.segments.get_mut(i / SEGMENT)?.get_mut(i % SEGMENT)
     }
 
     /// The slot `slot`, materializing it (and every slot below it) vacant
     /// if it does not exist yet.
-    fn materialize(&mut self, slot: u32) -> &mut Option<Node> {
+    fn materialize(&mut self, slot: u32) -> &mut Option<T> {
         let want = slot as usize + 1;
         while self.slots < want {
             if self.slots.is_multiple_of(SEGMENT) {
@@ -66,8 +79,8 @@ impl Arena {
         self.slot_mut(slot).expect("materialized above")
     }
 
-    /// Allocate a slot for `node`, reusing freed slots first.
-    pub fn alloc(&mut self, node: Node) -> u32 {
+    /// Allocate a slot for `item`, reusing freed slots first.
+    pub fn alloc(&mut self, item: T) -> u32 {
         self.live += 1;
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -75,48 +88,55 @@ impl Arena {
         };
         let s = self.materialize(slot);
         debug_assert!(s.is_none());
-        *s = Some(node);
+        *s = Some(item);
         slot
     }
 
-    /// Place `node` at an externally chosen `slot` (replicated arenas; the
+    /// Place `item` at an externally chosen `slot` (replicated arenas; the
     /// slot comes from the CPU-side shadow allocator). The slot must be
     /// vacant.
-    pub fn insert_at(&mut self, slot: u32, node: Node) {
+    pub fn insert_at(&mut self, slot: u32, item: T) {
         let s = self.materialize(slot);
         assert!(
             s.is_none(),
             "replicated slot {slot} already occupied — replica divergence"
         );
-        *s = Some(node);
+        *s = Some(item);
         self.live += 1;
     }
 
-    /// Place `node` at `slot` unconditionally, replacing any occupant
-    /// (crash recovery: a wiped module re-materialises its sentinel towers
-    /// on restart, so installs must overwrite as well as insert).
-    pub fn install(&mut self, slot: u32, node: Node) {
-        if self.materialize(slot).replace(node).is_none() {
+    /// Place `item` at `slot` unconditionally, returning the occupant it
+    /// replaces (crash recovery: a wiped module re-materialises its
+    /// sentinel towers on restart, so installs must overwrite as well as
+    /// insert).
+    pub fn install(&mut self, slot: u32, item: T) -> Option<T> {
+        let old = self.materialize(slot).replace(item);
+        if old.is_none() {
             self.live += 1;
             self.free.retain(|&f| f != slot);
         }
+        old
     }
 
-    /// Empty a slot without queuing it for reuse (panics if already
-    /// vacant). Replicated arenas free this way: their slots are chosen by
-    /// the CPU-side [`ShadowAllocator`], so a module-side free list would
-    /// only grow.
-    pub fn vacate(&mut self, slot: u32) {
+    /// Empty a slot without queuing it for reuse, returning its occupant
+    /// (panics if already vacant). Replicated arenas free this way: their
+    /// slots are chosen by the CPU-side [`ShadowAllocator`], so a
+    /// module-side free list would only grow.
+    pub fn vacate(&mut self, slot: u32) -> T {
         let taken = self.slot_mut(slot).and_then(Option::take);
-        assert!(taken.is_some(), "double free of slot {slot}");
+        let Some(item) = taken else {
+            panic!("double free of slot {slot}");
+        };
         self.live -= 1;
+        item
     }
 
-    /// Free a slot for reuse by [`Arena::alloc`] (panics if already
-    /// vacant).
-    pub fn free(&mut self, slot: u32) {
-        self.vacate(slot);
+    /// Free a slot for reuse by [`Arena::alloc`], returning its occupant
+    /// (panics if already vacant).
+    pub fn free(&mut self, slot: u32) -> T {
+        let item = self.vacate(slot);
         self.free.push(slot);
+        item
     }
 
     /// Slots queued for reuse by [`Arena::alloc`].
@@ -125,14 +145,21 @@ impl Arena {
         self.free.len()
     }
 
+    /// Materialized slots, vacant or not: the high-water mark of the
+    /// arena's slot directory.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
     /// Shared-slot read.
-    pub fn get(&self, slot: u32) -> &Node {
+    pub fn get(&self, slot: u32) -> &T {
         self.get_opt(slot)
             .unwrap_or_else(|| panic!("dangling handle: slot {slot}"))
     }
 
     /// Shared-slot write access.
-    pub fn get_mut(&mut self, slot: u32) -> &mut Node {
+    pub fn get_mut(&mut self, slot: u32) -> &mut T {
         self.get_mut_opt(slot)
             .unwrap_or_else(|| panic!("dangling handle: slot {slot}"))
     }
@@ -140,21 +167,21 @@ impl Arena {
     /// Fault-tolerant read: `None` instead of panicking on a vacant slot
     /// (dangling handles are expected while a crashed module is being
     /// recovered; the module answers `Faulted` instead of aborting).
-    pub fn get_opt(&self, slot: u32) -> Option<&Node> {
+    pub fn get_opt(&self, slot: u32) -> Option<&T> {
         self.slot(slot)?.as_ref()
     }
 
     /// Fault-tolerant write access; see [`Arena::get_opt`].
-    pub fn get_mut_opt(&mut self, slot: u32) -> Option<&mut Node> {
+    pub fn get_mut_opt(&mut self, slot: u32) -> Option<&mut T> {
         self.slot_mut(slot)?.as_mut()
     }
 
-    /// Does `slot` currently hold a node?
+    /// Does `slot` currently hold an item?
     pub fn contains(&self, slot: u32) -> bool {
         self.get_opt(slot).is_some()
     }
 
-    /// Number of live nodes.
+    /// Number of live items.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -164,21 +191,23 @@ impl Arena {
         self.live == 0
     }
 
-    /// Iterate `(slot, node)` over live nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Node)> {
+    /// Iterate `(slot, item)` over live items.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.segments
             .iter()
             .flatten()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|n| (i as u32, n)))
     }
+}
 
-    /// Occupied local-memory words (live nodes + slot directory overhead).
-    /// The directory counts materialized slots, not segment capacity, so
-    /// the segmented layout moves no model word.
+impl Arena<Node> {
+    /// Occupied local-memory words (live nodes + slot directory overhead;
+    /// the leaves' chains are counted with their records). The directory
+    /// counts materialized slots, not segment capacity, so the segmented
+    /// layout moves no model word.
     pub fn words(&self) -> u64 {
-        let node_words: u64 = self.iter().map(|(_, n)| n.words()).sum();
-        node_words + self.slots as u64
+        Node::WORDS * self.live as u64 + self.slots as u64
     }
 }
 

@@ -9,8 +9,10 @@
 //! 2. every level's chain is a subsequence of the level below, towers are
 //!    vertically consistent (`up`/`down`, contiguous levels, same key);
 //! 3. the replicated arena is bit-identical across modules in all
-//!    *structural* fields (per-module fields — `next_leaf`, local list
-//!    links of the −∞ leaf — are exempt by design);
+//!    *structural* fields, a replicated leaf's chain included (the
+//!    per-module `local_ref` — an upper leaf's `next_leaf`, a leaf's record
+//!    index — is exempt by design, as is the −∞ leaf's `local_right`, kept
+//!    as `SkipModule::leaf_head`);
 //! 4. nodes live where the hash says: lower node `(key, level)` in module
 //!    `hash(key, level)`; levels `≥ h_low` replicated;
 //! 5. each module's local leaf list is exactly its owned leaves in
@@ -18,20 +20,24 @@
 //!    tail;
 //! 6. every `next_leaf` shortcut of every upper-leaf replica equals the
 //!    first local leaf with key `≥` the replica's key, and every local
-//!    leaf's own `next_leaf` — the inverse — names the rightmost upper leaf
-//!    whose shortcut it is (`NULL` when there is none);
+//!    leaf's inverse names the rightmost upper leaf whose shortcut it is
+//!    (`NULL` when there is none);
 //! 7. each module's index maps exactly its owned leaf keys to their
 //!    handles;
 //! 8. every leaf's recorded chain matches its actual tower;
 //! 9. every module's descent start, and the driver's shadow of it, is the
 //!    highest −∞ sentinel with a linked `right` (at least `h_low`);
 //! 10. no operation's staging outlives it: between operations no shared
-//!     memory is in use.
+//!     memory is in use;
+//! 11. every leaf but the −∞ one names a leaf record of its own in its
+//!     module's table, and the table holds no other record.
 
 use pim_runtime::Handle;
 
 use crate::config::{NEG_INF, POS_INF};
 use crate::list::PimSkipList;
+use crate::module::SkipModule;
+use crate::node::Node;
 
 macro_rules! ensure {
     ($cond:expr, $($msg:tt)*) => {
@@ -49,6 +55,7 @@ impl PimSkipList {
         self.check_replicas()?;
         self.check_start()?;
         self.check_placement()?;
+        self.check_records()?;
         if self.cfg.h_low > 0 {
             self.check_local_lists()?;
             self.check_next_leaf()?;
@@ -198,11 +205,12 @@ impl PimSkipList {
                 up = n.up;
             }
             if leaf.key != NEG_INF {
+                let chain = self.chain_of(cur);
                 ensure!(
-                    *leaf.chain == *chain_seen,
+                    *chain == *chain_seen,
                     "leaf {} chain record {:?} != actual tower {:?}",
                     leaf.key,
-                    leaf.chain,
+                    chain,
                     chain_seen
                 );
             }
@@ -215,7 +223,14 @@ impl PimSkipList {
     }
 
     fn check_replicas(&self) -> Result<(), String> {
-        let reference = &self.sys.module(0).upper;
+        let first = self.sys.module(0);
+        let reference = &first.upper;
+        // A replicated leaf (`h_low = 0`) keeps its chain in a record of
+        // each module.
+        fn chain<'a>(m: &'a SkipModule, n: &Node) -> Option<&'a [Handle]> {
+            let record = (n.level == 0).then(|| m.leaves.get_opt(n.local_ref));
+            record.flatten().map(|r| &*r.chain)
+        }
         for m in 1..self.p() {
             let module = self.sys.module(m);
             let mut count = 0usize;
@@ -233,7 +248,7 @@ impl PimSkipList {
                     && r.down == n.down
                     && r.right_key == n.right_key
                     && r.deleted == n.deleted
-                    && r.chain == n.chain;
+                    && chain(first, r) == chain(module, n);
                 ensure!(
                     structural_equal,
                     "replica divergence at slot {slot} between modules 0 and {m}"
@@ -290,7 +305,7 @@ impl PimSkipList {
                     );
                 }
                 // Tower placement.
-                for &h in &leaf.chain {
+                for &h in self.chain_of(cur) {
                     let n = self.inspect(h);
                     if n.level >= self.cfg.h_low {
                         ensure!(
@@ -330,19 +345,24 @@ impl PimSkipList {
                 .collect();
             owned.sort_unstable();
             // Walk the local list.
+            let module = self.sys.module(m);
             let mut walked = Vec::new();
             let mut prev = self.inf_leaf();
-            let mut cur = self.inspect_at(m, self.inf_leaf()).local_right;
+            let mut cur = module.local_right(prev);
             while cur.is_some() {
-                let n = self.inspect_at(m, cur);
+                let key = self.inspect_at(m, cur).key;
                 ensure!(
-                    n.local_left == prev,
-                    "module {m}: local_left mismatch at key {}",
-                    n.key
+                    walked.len() < owned.len(),
+                    "module {m}: local leaf list runs past its {} owned leaves at key {key}",
+                    owned.len()
                 );
-                walked.push((n.key, cur));
+                ensure!(
+                    module.local_left(cur) == prev,
+                    "module {m}: local_left mismatch at key {key}"
+                );
+                walked.push((key, cur));
                 prev = cur;
-                cur = n.local_right;
+                cur = module.local_right(cur);
             }
             ensure!(
                 walked == owned,
@@ -350,7 +370,7 @@ impl PimSkipList {
                 walked.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
                 owned.iter().map(|(k, _)| *k).collect::<Vec<_>>()
             );
-            let tail = self.sys.module(m).leaf_tail;
+            let tail = module.local_tail();
             let expect_tail = walked.last().map(|&(_, h)| h).unwrap_or(self.inf_leaf());
             ensure!(
                 tail == expect_tail,
@@ -383,10 +403,10 @@ impl PimSkipList {
                 let i = owned.partition_point(|&(k, _)| k < n.key);
                 let expect = owned.get(i).map_or(Handle::NULL, |&(_, h)| h);
                 ensure!(
-                    n.next_leaf == expect,
+                    module.shortcut(slot) == expect,
                     "module {m}: next_leaf of upper leaf {} (slot {slot}) is {:?}, expected {expect:?}",
                     n.key,
-                    n.next_leaf
+                    module.shortcut(slot)
                 );
                 if let Some(inv) = inverse.get_mut(i) {
                     if inv.is_none_or(|(k, _)| k < n.key) {
@@ -396,12 +416,40 @@ impl PimSkipList {
             }
             for (&(key, leaf), inv) in owned.iter().zip(&inverse) {
                 let expect = inv.map_or(Handle::NULL, |(_, h)| h);
-                let got = self.inspect_at(m, leaf).next_leaf;
+                let got = module.inverse(leaf);
                 ensure!(
                     got == expect,
                     "module {m}: inverse shortcut of leaf {key} is {got:?}, expected {expect:?}"
                 );
             }
+        }
+        Ok(())
+    }
+
+    fn check_records(&self) -> Result<(), String> {
+        for m in 0..self.p() {
+            let module = self.sys.module(m);
+            let leaves = module.lower.iter().chain(module.upper.iter());
+            let mut named = Vec::new();
+            for (slot, n) in leaves.filter(|(_, n)| n.level == 0 && n.key != NEG_INF) {
+                let record = module.leaves.get_opt(n.local_ref);
+                ensure!(
+                    record.is_some_and(|r| r.slot == slot),
+                    "module {m}: leaf {} names record {}, which is not its own",
+                    n.key,
+                    n.local_ref
+                );
+                named.push(n.local_ref);
+            }
+            named.sort_unstable();
+            let held: Vec<u32> = module.leaves.iter().map(|(r, _)| r).collect();
+            ensure!(
+                named == held,
+                "module {m}: {} leaves name leaf records {:?}, the table holds {:?}",
+                named.len(),
+                named,
+                held
+            );
         }
         Ok(())
     }
@@ -445,6 +493,7 @@ mod tests {
 
     use crate::config::{Config, POS_INF};
     use crate::list::PimSkipList;
+    use crate::node::{LeafRecord, NIL};
 
     fn build() -> PimSkipList {
         let mut list = PimSkipList::new(Config::new(4, 1 << 10, 31));
@@ -519,8 +568,8 @@ mod tests {
         let mut list = build();
         let leaf = some_leaf(&list);
         let m = leaf.module();
-        list.sys.module_mut(m).node_mut(leaf).local_right = leaf; // self-loop... would hang; use NULL instead
-        list.sys.module_mut(m).node_mut(leaf).local_right = Handle::NULL;
+        let r = list.sys.module(m).node(leaf).local_ref;
+        list.sys.module_mut(m).leaves.get_mut(r).local_right = NIL;
         let err = list.validate().unwrap_err();
         assert!(
             err.contains("local leaf list")
@@ -528,6 +577,62 @@ mod tests {
                 || err.contains("leaf_tail"),
             "got: {err}"
         );
+    }
+
+    #[test]
+    fn detects_local_left_mismatch() {
+        let mut list = build();
+        // The second leaf of module 0's list claims to come first.
+        let second = list
+            .sys
+            .module(0)
+            .leaves
+            .get(list.sys.module(0).leaf_head)
+            .local_right;
+        list.sys.module_mut(0).leaves.get_mut(second).local_left = NIL;
+        let err = list.validate().unwrap_err();
+        assert!(err.contains("local_left mismatch"), "got: {err}");
+    }
+
+    #[test]
+    fn detects_a_cleared_inverse() {
+        let mut list = build();
+        let (m, r) = (0..list.p())
+            .find_map(|m| {
+                let mut records = list.sys.module(m).leaves.iter();
+                records.find(|(_, r)| r.inverse != NIL).map(|(r, _)| (m, r))
+            })
+            .expect("some leaf is a shortcut's target");
+        list.sys.module_mut(m).leaves.get_mut(r).inverse = NIL;
+        let err = list.validate().unwrap_err();
+        assert!(err.contains("inverse shortcut"), "got: {err}");
+    }
+
+    #[test]
+    fn detects_a_stale_chain_record() {
+        let mut list = build();
+        let (m, r) = (0..list.p())
+            .find_map(|m| {
+                let mut records = list.sys.module(m).leaves.iter();
+                records
+                    .find(|(_, r)| !r.chain.is_empty())
+                    .map(|(r, _)| (m, r))
+            })
+            .expect("some leaf has a tower");
+        list.sys.module_mut(m).leaves.get_mut(r).chain = Box::default();
+        let err = list.validate().unwrap_err();
+        assert!(err.contains("chain record"), "got: {err}");
+    }
+
+    #[test]
+    fn detects_an_orphan_leaf_record() {
+        let mut list = build();
+        list.sys
+            .module_mut(1)
+            .leaves
+            .alloc(LeafRecord::new(0, Box::default()));
+        let err = list.validate().unwrap_err();
+        assert!(err.contains("leaf records"), "got: {err}");
     }
 
     #[test]

@@ -266,10 +266,15 @@ impl PimSkipList {
         }
     }
 
-    /// Inspect a replica as seen by a *specific* module (per-module fields
-    /// such as `next_leaf`).
+    /// Inspect a replica as seen by a *specific* module.
     pub(crate) fn inspect_at(&self, module: ModuleId, h: Handle) -> &Node {
         self.sys.module(module).node(h)
+    }
+
+    /// The tower chain recorded in the leaf `leaf` (not the −∞ leaf),
+    /// inspected like [`PimSkipList::inspect`].
+    pub(crate) fn chain_of(&self, leaf: Handle) -> &[Handle] {
+        &self.sys.module(leaf.resolver(0)).record(leaf).chain
     }
 
     /// Drain module contention counters and return the max count over

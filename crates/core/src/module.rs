@@ -14,10 +14,15 @@
 //!   by `(key, level)`;
 //! * the **local index** (de-amortized cuckoo map, §4.1) mapping keys of
 //!   locally-owned leaves to their handles;
-//! * the **local leaf list** (`local_left`/`local_right` + per-replica
-//!   `next_leaf` shortcuts), maintained on every leaf allocation/removal.
-//!   Each local leaf's own `next_leaf` is the shortcut's inverse: the
-//!   rightmost upper leaf whose shortcut names it (`NULL`: none). Upkeep
+//! * the **leaf records** ([`LeafRecord`]), one per local leaf, in an arena
+//!   of their own: the leaf's slot, its `local_left`/`local_right` links,
+//!   the inverse of the shortcuts below, and its tower chain;
+//! * the **local leaf list** (records linked through their
+//!   `local_left`/`local_right`, headed by [`SkipModule::leaf_head`], +
+//!   per-replica `next_leaf` shortcuts to records, held in the upper
+//!   leaves' [`Node::local_ref`]), maintained on every leaf
+//!   allocation/removal. Each local leaf's record holds the shortcut's
+//!   inverse: the rightmost upper leaf whose shortcut names it. Upkeep
 //!   never descends from the descent start: an insert starts at its key's
 //!   anchor, the level-`h_low` predecessor its search found (one descent
 //!   step), a remove walks left from the inverse, and a new upper leaf
@@ -37,7 +42,7 @@ use pim_hashtable::DeamortizedMap;
 
 use crate::arena::Arena;
 use crate::config::{Key, NEG_INF, POS_INF};
-use crate::node::Node;
+use crate::node::{LeafRecord, Node, NIL};
 use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, Walk, NO_OP};
 
 /// Per-fragment aggregation state of the reduction range functions.
@@ -95,6 +100,10 @@ pub struct SkipModule {
     pub upper: Arena,
     /// Local arena (lower-part nodes owned by this module).
     pub lower: Arena,
+    /// Leaf records: one per leaf this module holds besides the −∞ leaf,
+    /// named by the leaf's [`Node::local_ref`] (a lower-part leaf, or every
+    /// replicated leaf under `h_low = 0`).
+    pub(crate) leaves: Arena<LeafRecord>,
     /// Local key → leaf-handle index.
     pub index: DeamortizedMap,
     /// Level of the descent start: the highest −∞ sentinel whose `right`
@@ -104,8 +113,13 @@ pub struct SkipModule {
     start_level: u8,
     /// The −∞ leaf (replicated) heading this module's local leaf list.
     pub inf_leaf: Handle,
-    /// Tail of this module's local leaf list (the −∞ leaf when empty).
-    pub leaf_tail: Handle,
+    /// Record of the first leaf of this module's local leaf list — the −∞
+    /// leaf's `local_right`, the one per-module link of a replicated leaf
+    /// ([`NIL`] when empty).
+    pub(crate) leaf_head: u32,
+    /// Record of the last leaf of this module's local leaf list ([`NIL`]:
+    /// the −∞ leaf, when empty).
+    pub(crate) leaf_tail: u32,
     /// Lemma 4.2 instrumentation: per-node access counts of Search tasks
     /// since the last [`SkipModule::take_contention`].
     pub contention: HashMap<u64, u32>,
@@ -134,9 +148,11 @@ impl SkipModule {
             params,
             upper,
             lower: Arena::new(),
+            leaves: Arena::new(),
             index: DeamortizedMap::new(64, pim_runtime::hashfn::hash2(0x1d, 0, u64::from(id))),
             inf_leaf,
-            leaf_tail: inf_leaf,
+            leaf_head: NIL,
+            leaf_tail: NIL,
             contention: HashMap::new(),
         }
     }
@@ -239,6 +255,81 @@ impl SkipModule {
         }
     }
 
+    /// The record of `leaf`, a leaf other than the −∞ leaf.
+    pub(crate) fn record(&self, leaf: Handle) -> &LeafRecord {
+        self.leaves.get(self.node(leaf).local_ref)
+    }
+
+    /// The local leaf whose record is `record` (`NULL` for [`NIL`]).
+    fn leaf_of(&self, record: u32) -> Handle {
+        if record == NIL {
+            Handle::NULL
+        } else {
+            Handle::local(self.id, self.leaves.get(record).slot)
+        }
+    }
+
+    /// The leaf after `leaf` (a local leaf or the −∞ leaf) in this module's
+    /// local leaf list (`NULL`: none).
+    pub(crate) fn local_right(&self, leaf: Handle) -> Handle {
+        if leaf == self.inf_leaf {
+            self.leaf_of(self.leaf_head)
+        } else {
+            self.leaf_of(self.record(leaf).local_right)
+        }
+    }
+
+    /// The leaf before the local leaf `leaf` in this module's local leaf
+    /// list (the −∞ leaf heads it).
+    pub(crate) fn local_left(&self, leaf: Handle) -> Handle {
+        match self.record(leaf).local_left {
+            NIL => self.inf_leaf,
+            record => self.leaf_of(record),
+        }
+    }
+
+    /// The last leaf of this module's local leaf list (the −∞ leaf when it
+    /// is empty).
+    pub(crate) fn local_tail(&self) -> Handle {
+        match self.leaf_tail {
+            NIL => self.inf_leaf,
+            record => self.leaf_of(record),
+        }
+    }
+
+    /// The inverse shortcut of the local leaf `leaf`: the rightmost upper
+    /// leaf whose shortcut in this module is `leaf` (`NULL`: none).
+    pub(crate) fn inverse(&self, leaf: Handle) -> Handle {
+        match self.record(leaf).inverse {
+            NIL => Handle::NULL,
+            slot => Handle::replicated(slot),
+        }
+    }
+
+    /// This replica's `next_leaf` shortcut of the upper leaf at replicated
+    /// `slot`: the first local leaf with key `≥` its key (`NULL`: none).
+    pub(crate) fn shortcut(&self, slot: u32) -> Handle {
+        self.leaf_of(self.upper.get(slot).local_ref)
+    }
+
+    /// Give the leaf `leaf`, just placed, a record whose chain is `chain`
+    /// (the −∞ leaf and the other levels keep [`NIL`]).
+    fn attach_record(&mut self, leaf: Handle, chain: Box<[Handle]>) {
+        let n = self.node(leaf);
+        if n.level == 0 && n.key != NEG_INF {
+            let record = self.leaves.alloc(LeafRecord::new(leaf.slot(), chain));
+            self.node_mut(leaf).local_ref = record;
+        }
+    }
+
+    /// Free the record of a node leaving this module, if it is a leaf that
+    /// has one.
+    fn drop_record(&mut self, node: &Node) {
+        if node.level == 0 && node.local_ref != NIL {
+            self.leaves.free(node.local_ref);
+        }
+    }
+
     #[inline]
     fn touch(&mut self, h: Handle) {
         if self.params.track_contention {
@@ -287,39 +378,39 @@ impl SkipModule {
 
     /// First leaf of this module's local list with key `≥ k`, walking the
     /// list from the shortcut of `upper_leaf` (key `< k`). Returns
-    /// `(leaf_or_null, predecessor_in_local_list, work)`.
-    fn local_walk(&self, upper_leaf: Handle, k: Key) -> (Handle, Handle, u64) {
+    /// `(leaf, predecessor_in_local_list, work)` as records, [`NIL`] for
+    /// no leaf and for the −∞ leaf as the predecessor. The walk chases
+    /// records; each one's node is read only for its key.
+    fn local_walk(&self, upper_leaf: Handle, k: Key) -> (u32, u32, u64) {
         let mut work = 0u64;
-        let mut prev = Handle::NULL;
-        let mut cur = self.upper.get(upper_leaf.slot()).next_leaf;
-        while cur.is_some() {
+        let mut prev = None;
+        let mut cur = self.upper.get(upper_leaf.slot()).local_ref;
+        while cur != NIL {
             work += 1;
-            let n = self.node(cur);
-            if n.key >= k {
+            let r = self.leaves.get(cur);
+            if self.lower.get(r.slot).key >= k {
                 break;
             }
-            prev = cur;
-            cur = n.local_right;
+            prev = Some(cur);
+            cur = r.local_right;
         }
-        if prev.is_null() {
-            // No local leaf in (upper_leaf.key, k): the local predecessor
-            // is whatever precedes `cur` (or the tail when the walk
-            // exhausted the list).
-            prev = if cur.is_some() {
-                self.node(cur).local_left
-            } else {
-                self.leaf_tail
-            };
-        }
+        // No local leaf in (upper_leaf.key, k): the local predecessor is
+        // whatever precedes `cur` (or the tail when the walk exhausted the
+        // list).
+        let prev = prev.unwrap_or_else(|| match cur {
+            NIL => self.leaf_tail,
+            cur => self.leaves.get(cur).local_left,
+        });
         (cur, prev, work)
     }
 
     /// First leaf of this module's local list with key `≥ k`, via the
     /// upper-part `next_leaf` shortcut (§5.1 steps 1–3), descending from
     /// `from` (see [`Self::upper_descend_from`]). Returns
-    /// `(anchor, leaf_or_null, predecessor_in_local_list, work)`, the
-    /// anchor being the rightmost upper leaf with key `< k`.
-    fn local_successor(&self, from: Handle, k: Key) -> (Handle, Handle, Handle, u64) {
+    /// `(anchor, leaf, predecessor_in_local_list, work)` as
+    /// [`Self::local_walk`] does, the anchor being the rightmost upper leaf
+    /// with key `< k`.
+    fn local_successor(&self, from: Handle, k: Key) -> (Handle, u32, u32, u64) {
         let (anchor, descent) = self.upper_descend_from(from, k, self.params.h_low);
         let (succ, prev, walk) = self.local_walk(anchor, k);
         (anchor, succ, prev, descent + walk)
@@ -330,20 +421,22 @@ impl SkipModule {
     /// maintain the `next_leaf` shortcuts and their inverses (returns work
     /// done).
     fn local_leaf_insert(&mut self, leaf: Handle, from: Handle) -> u64 {
-        let k = self.node(leaf).key;
+        let (k, record) = {
+            let n = self.lower.get(leaf.slot());
+            (n.key, n.local_ref)
+        };
         let (anchor, succ, prev, mut work) = self.local_successor(from, k);
         // Splice between prev and succ.
-        self.node_mut(prev).local_right = leaf;
-        {
-            let n = self.node_mut(leaf);
-            n.local_left = prev;
-            n.local_right = succ;
+        match prev {
+            NIL => self.leaf_head = record,
+            prev => self.leaves.get_mut(prev).local_right = record,
         }
-        if succ.is_some() {
-            self.node_mut(succ).local_left = leaf;
-        } else {
-            self.leaf_tail = leaf;
+        match succ {
+            NIL => self.leaf_tail = record,
+            succ => self.leaves.get_mut(succ).local_left = record,
         }
+        let r = self.leaves.get_mut(record);
+        (r.local_left, r.local_right) = (prev, succ);
         // next_leaf fixups: upper leaves U with key ≤ k whose shortcut was
         // `succ` now shortcut to the new leaf. Walk left from the anchor,
         // the rightmost upper leaf with key < k: one with key == k cannot
@@ -352,10 +445,10 @@ impl SkipModule {
         loop {
             work += 1;
             let un = self.upper.get_mut(u.slot());
-            if un.next_leaf != succ {
+            if un.local_ref != succ {
                 break;
             }
-            un.next_leaf = leaf;
+            un.local_ref = record;
             let left = un.left;
             if left.is_null() {
                 break;
@@ -365,10 +458,13 @@ impl SkipModule {
         // A redirected run ends at the anchor, so the anchor is the new
         // leaf's inverse; `succ` keeps its own only if its run reached past
         // `k`.
-        if self.upper.get(anchor.slot()).next_leaf == leaf {
-            self.node_mut(leaf).next_leaf = anchor;
-            if succ.is_some() && self.node(succ).next_leaf == anchor {
-                self.node_mut(succ).next_leaf = Handle::NULL;
+        if self.upper.get(anchor.slot()).local_ref == record {
+            self.leaves.get_mut(record).inverse = anchor.slot();
+            if succ != NIL {
+                let s = self.leaves.get_mut(succ);
+                if s.inverse == anchor.slot() {
+                    s.inverse = NIL;
+                }
             }
         }
         work
@@ -378,35 +474,48 @@ impl SkipModule {
     /// `next_leaf` shortcuts and inverses; returns work done and the key of
     /// its local left leaf.
     fn local_leaf_remove(&mut self, leaf: Handle) -> (u64, Key) {
+        debug_assert!(!leaf.is_replicated(), "the −∞ head is never removed");
+        let record = self.lower.get(leaf.slot()).local_ref;
         let (prev, next, inverse) = {
-            let n = self.node(leaf);
-            (n.local_left, n.local_right, n.next_leaf)
+            let r = self.leaves.get(record);
+            (r.local_left, r.local_right, r.inverse)
         };
-        debug_assert!(prev.is_some(), "the −∞ head is never removed");
-        self.node_mut(prev).local_right = next;
-        if next.is_some() {
-            self.node_mut(next).local_left = prev;
-        } else {
-            self.leaf_tail = prev;
+        match prev {
+            NIL => self.leaf_head = next,
+            prev => self.leaves.get_mut(prev).local_right = next,
+        }
+        match next {
+            NIL => self.leaf_tail = prev,
+            next => self.leaves.get_mut(next).local_left = prev,
         }
         // Upper leaves shortcutting to this leaf — a run ending at its
         // inverse — now shortcut to `next`, which inherits the inverse if
         // it had none (its own run lies further right).
         let mut work = 0u64;
-        let mut u = inverse;
+        let mut u = match inverse {
+            NIL => Handle::NULL,
+            slot => Handle::replicated(slot),
+        };
         while u.is_some() {
             work += 1;
             let un = self.upper.get_mut(u.slot());
-            if un.next_leaf != leaf {
+            if un.local_ref != record {
                 break;
             }
-            un.next_leaf = next;
+            un.local_ref = next;
             u = un.left;
         }
-        if inverse.is_some() && next.is_some() && self.node(next).next_leaf.is_null() {
-            self.node_mut(next).next_leaf = inverse;
+        if inverse != NIL && next != NIL {
+            let n = self.leaves.get_mut(next);
+            if n.inverse == NIL {
+                n.inverse = inverse;
+            }
         }
-        (work, self.node(prev).key)
+        let left_key = match prev {
+            NIL => NEG_INF,
+            prev => self.lower.get(self.leaves.get(prev).slot).key,
+        };
+        (work, left_key)
     }
 
     /// Compute `next_leaf` of a new upper leaf replica in this module,
@@ -417,19 +526,20 @@ impl SkipModule {
     fn fix_next_leaf(&mut self, slot: u32, from: Handle) -> u64 {
         let k = self.upper.get(slot).key;
         let (succ, _prev, work) = self.local_walk(from, k);
-        self.upper.get_mut(slot).next_leaf = succ;
-        if succ.is_some() {
+        self.upper.get_mut(slot).local_ref = succ;
+        if succ != NIL {
             self.claim_inverse(succ, slot, k);
         }
         work + 1
     }
 
-    /// Make the upper leaf at `slot`, key `k`, the inverse of `leaf` (whose
-    /// shortcut it now is) if it lies right of the current inverse.
-    fn claim_inverse(&mut self, leaf: Handle, slot: u32, k: Key) {
-        let inverse = self.node(leaf).next_leaf;
-        if inverse.is_null() || self.upper.get(inverse.slot()).key < k {
-            self.node_mut(leaf).next_leaf = Handle::replicated(slot);
+    /// Make the upper leaf at `slot`, key `k`, the inverse of the leaf with
+    /// record `record` (whose shortcut it now is) if it lies right of the
+    /// current inverse.
+    fn claim_inverse(&mut self, record: u32, slot: u32, k: Key) {
+        let inverse = self.leaves.get(record).inverse;
+        if inverse == NIL || self.upper.get(inverse).key < k {
+            self.leaves.get_mut(record).inverse = slot;
         }
     }
 
@@ -655,16 +765,16 @@ impl SkipModule {
         let (_anchor, mut cur, _prev, work) = self.local_successor(Handle::NULL, lo);
         ctx.work(work);
         let mut agg = Agg::new();
-        while cur.is_some() {
+        while cur != NIL {
             ctx.work(1);
-            let (key, next) = {
-                let n = self.node(cur);
-                (n.key, n.local_right)
+            let (slot, next) = {
+                let r = self.leaves.get(cur);
+                (r.slot, r.local_right)
             };
-            if key > hi {
+            if self.lower.get(slot).key > hi {
                 break;
             }
-            self.apply_func(op, cur, func, &mut agg, ctx);
+            self.apply_func(op, Handle::local(self.id, slot), func, &mut agg, ctx);
             cur = next;
         }
         if !func.returns_items() {
@@ -701,7 +811,8 @@ impl SkipModule {
         };
         debug_assert!(!n.deleted, "double delete of key {key}");
         n.deleted = true;
-        let (chain, value) = (n.chain.clone(), n.value);
+        let (record, value) = (n.local_ref, n.value);
+        let chain = self.leaves.get(record).chain.clone();
         let mut upper_slots = Vec::new();
         let left_bound = if leaf.is_replicated() {
             // h_low = 0 ablation: the leaf itself is a replica — no local
@@ -713,7 +824,7 @@ impl SkipModule {
             ctx.work(work);
             local_left
         };
-        for h in &chain {
+        for h in &*chain {
             if h.is_replicated() {
                 upper_slots.push(h.slot());
             } else {
@@ -768,7 +879,10 @@ impl SkipModule {
                 ctx.reply(Reply::Faulted { op: NO_OP });
                 continue;
             };
-            let (left, right, right_key, target) = (n.left, n.right, n.right_key, n.next_leaf);
+            let (left, right, right_key) = (n.left, n.right, n.right_key);
+            // Only an upper leaf (level `h_low > 0`) holds a shortcut.
+            let upper_leaf = n.level == self.params.h_low && self.params.h_low > 0;
+            let target = if upper_leaf { n.local_ref } else { NIL };
             debug_assert!(left.is_replicated(), "upper node with non-replicated left");
             // Check both neighbours before mutating anything so a damaged
             // replica never applies half a splice.
@@ -780,16 +894,16 @@ impl SkipModule {
             }
             // An upper leaf that is its target's inverse hands that role to
             // `left` if `left` shortcuts to the same leaf, else drops it.
-            if target.is_some() {
+            if target != NIL {
                 ctx.work(1);
-                let heir = if self.upper.get(left.slot()).next_leaf == target {
-                    left
+                let heir = if self.upper.get(left.slot()).local_ref == target {
+                    left.slot()
                 } else {
-                    Handle::NULL
+                    NIL
                 };
-                if let Some(t) = self.try_node_mut(target) {
-                    if t.next_leaf == Handle::replicated(slot) {
-                        t.next_leaf = heir;
+                if let Some(t) = self.leaves.get_mut_opt(target) {
+                    if t.inverse == slot {
+                        t.inverse = heir;
                     }
                 }
             }
@@ -801,7 +915,8 @@ impl SkipModule {
             if right.is_some() {
                 self.upper.get_mut(right.slot()).left = left;
             }
-            self.upper.vacate(slot);
+            let gone = self.upper.vacate(slot);
+            self.drop_record(&gone);
             ctx.work(self.retarget_start(left.slot()));
         }
     }
@@ -840,6 +955,9 @@ impl SkipModule {
         (node.left, node.right, node.right_key, node.down) = (pred, right, p.right_key, down);
         (p.right, p.right_key) = (me, key);
         self.upper.insert_at(slot, node);
+        // h_low = 0 ablation: a replicated leaf keeps its chain in a record
+        // of every module.
+        self.attach_record(me, Box::default());
         if right.is_some() {
             self.upper.get_mut(right.slot()).left = me;
         }
@@ -869,27 +987,26 @@ impl SkipModule {
         let mut work = 1u64;
         self.index =
             DeamortizedMap::new(64, pim_runtime::hashfn::hash2(0x1d, 0, u64::from(self.id)));
-        let mut leaves: Vec<(Key, u32)> = self
+        let mut leaves: Vec<(Key, u32, u32)> = self
             .lower
             .iter()
             .filter(|(_, n)| n.level == 0 && !n.deleted)
-            .map(|(s, n)| (n.key, s))
+            .map(|(s, n)| (n.key, s, n.local_ref))
             .collect();
         leaves.sort_unstable();
         work += leaves.len() as u64;
-        let inf = self.inf_leaf;
-        self.node_mut(inf).local_right = Handle::NULL;
-        let mut prev = inf;
-        for &(k, s) in &leaves {
-            let h = Handle::local(self.id, s);
-            self.index.insert(k, h.to_bits());
+        self.leaf_head = NIL;
+        let mut prev = NIL;
+        for &(k, s, record) in &leaves {
+            self.index.insert(k, Handle::local(self.id, s).to_bits());
             work += 1 + self.index.last_op_work;
-            self.node_mut(prev).local_right = h;
-            let n = self.node_mut(h);
-            n.local_left = prev;
-            n.local_right = Handle::NULL;
-            n.next_leaf = Handle::NULL;
-            prev = h;
+            match prev {
+                NIL => self.leaf_head = record,
+                prev => self.leaves.get_mut(prev).local_right = record,
+            }
+            let r = self.leaves.get_mut(record);
+            (r.local_left, r.local_right, r.inverse) = (prev, NIL, NIL);
+            prev = record;
         }
         self.leaf_tail = prev;
         // Every replica at level h_low (the sentinel included) shortcuts to
@@ -903,14 +1020,11 @@ impl SkipModule {
             .map(|(s, n)| (s, n.key))
             .collect();
         for (slot, key) in uppers {
-            let i = leaves.partition_point(|&(k, _)| k < key);
-            let succ = leaves
-                .get(i)
-                .map(|&(_, s)| Handle::local(self.id, s))
-                .unwrap_or(Handle::NULL);
-            self.upper.get_mut(slot).next_leaf = succ;
+            let i = leaves.partition_point(|&(k, _, _)| k < key);
+            let succ = leaves.get(i).map_or(NIL, |&(_, _, record)| record);
+            self.upper.get_mut(slot).local_ref = succ;
             work += 1;
-            if succ.is_some() {
+            if succ != NIL {
                 self.claim_inverse(succ, slot, key);
             }
         }
@@ -985,6 +1099,7 @@ impl PimModule for SkipModule {
                 let slot = self.lower.alloc(Node::new(key, value, level));
                 let handle = Handle::local(self.id, slot);
                 if level == 0 {
+                    self.attach_record(handle, Box::default());
                     self.index.insert(key, handle.to_bits());
                     ctx.work(self.index.last_op_work);
                     ctx.work(self.local_leaf_insert(handle, from));
@@ -1019,9 +1134,10 @@ impl PimModule for SkipModule {
             }
             Task::SetLeafChain { leaf, chain } => {
                 ctx.work(1);
-                match self.try_node_mut(leaf) {
+                let record = self.try_node(leaf).map(|n| n.local_ref);
+                match record.and_then(|r| self.leaves.get_mut_opt(r)) {
                     // Exact-size `Vec`: boxing it does not reallocate.
-                    Some(n) => n.chain = chain.into_boxed_slice(),
+                    Some(r) => r.chain = chain.into_boxed_slice(),
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
                 }
             }
@@ -1063,7 +1179,8 @@ impl PimModule for SkipModule {
                 );
                 debug_assert_eq!(node.module(), self.id);
                 if self.lower.contains(node.slot()) {
-                    self.lower.free(node.slot());
+                    let gone = self.lower.free(node.slot());
+                    self.drop_record(&gone);
                 } else {
                     ctx.reply(Reply::Faulted { op: NO_OP });
                 }
@@ -1080,12 +1197,17 @@ impl PimModule for SkipModule {
             } => self.do_range_descend(op, at, lo, hi, func, ctx),
             Task::InstallUpper { slot, node } => {
                 ctx.work(1);
-                self.upper.install(slot, *node);
+                if let Some(old) = self.upper.install(slot, *node) {
+                    self.drop_record(&old);
+                }
                 ctx.work(self.retarget_start(slot));
             }
-            Task::InstallLower { slot, node } => {
+            Task::InstallLower { slot, node, chain } => {
                 ctx.work(1);
-                self.lower.install(slot, *node);
+                if let Some(old) = self.lower.install(slot, *node) {
+                    self.drop_record(&old);
+                }
+                self.attach_record(Handle::local(self.id, slot), chain);
             }
             Task::RecoverLocal => {
                 let w = self.rebuild_local_views();
@@ -1096,7 +1218,8 @@ impl PimModule for SkipModule {
     }
 
     fn local_words(&self) -> u64 {
-        self.upper.words() + self.lower.words() + self.index.words()
+        let chains: u64 = self.leaves.iter().map(|(_, r)| r.words()).sum();
+        self.upper.words() + self.lower.words() + chains + self.index.words()
     }
 
     fn on_crash(&mut self) {
@@ -1156,7 +1279,7 @@ mod tests {
             (Handle::replicated(20), Handle::replicated(98), 40);
         sys.broadcast(|_| Task::InstallUpper {
             slot: 22,
-            node: Box::new(torn.clone()),
+            node: Box::new(torn),
         });
         assert!(sys.run_to_quiescence().is_empty());
 
@@ -1234,6 +1357,48 @@ mod tests {
         list.validate().unwrap();
         for m in list.sys.modules() {
             assert_eq!(m.upper.free_len(), 0, "module {:?}", m.id);
+        }
+    }
+
+    #[test]
+    fn churn_keeps_leaf_records_dense() {
+        use crate::config::Config;
+        use crate::list::PimSkipList;
+
+        let local_leaves = |m: &SkipModule| m.lower.iter().filter(|(_, n)| n.is_leaf()).count();
+        let mut list = PimSkipList::new(Config::new(16, 4096, 46));
+        let pairs: Vec<(Key, u64)> = (0..2048).map(|i| (4 * i, 0)).collect();
+        list.bulk_load(&pairs);
+        // As in the test above: 64 fresh keys a batch, and the 64 the batch
+        // before inserted deleted again. A module's leaf count peaks right
+        // after an Upsert batch.
+        let fresh = |b: i64| -> Vec<(Key, u64)> {
+            (0..64)
+                .map(|i| (4 * ((b * 64 + i) % 2048) + 1 + b % 2, 0))
+                .collect()
+        };
+        let mut peak = vec![0usize; 16];
+        for b in 0..200i64 {
+            list.batch_upsert(&fresh(b));
+            for (m, peak) in list.sys.modules().zip(&mut peak) {
+                *peak = (*peak).max(local_leaves(m));
+            }
+            if b >= 1 {
+                let old: Vec<Key> = fresh(b - 1).iter().map(|&(k, _)| k).collect();
+                list.batch_delete(&old);
+            }
+        }
+        list.validate().unwrap();
+        for (m, &peak) in list.sys.modules().zip(&peak) {
+            assert_eq!(m.leaves.len(), local_leaves(m), "module {:?}", m.id);
+            // A freed record is reused, so the table never outgrows the
+            // most leaves the module held at once.
+            assert!(
+                m.leaves.slots() <= 2 * peak,
+                "module {:?}: {} record slots for at most {peak} leaves",
+                m.id,
+                m.leaves.slots()
+            );
         }
     }
 }

@@ -272,9 +272,6 @@ impl PimSkipList {
                 } else {
                     Handle::NULL
                 };
-                if level == 0 {
-                    n.chain = e.tower[1..].into();
-                }
                 let node = Box::new(n);
                 let task = if h.is_replicated() {
                     Task::InstallUpper {
@@ -282,9 +279,15 @@ impl PimSkipList {
                         node,
                     }
                 } else {
+                    let chain = if level == 0 {
+                        e.tower[1..].into()
+                    } else {
+                        Box::default()
+                    };
                     Task::InstallLower {
                         slot: h.slot(),
                         node,
+                        chain,
                     }
                 };
                 self.sys.send(module, task);

@@ -289,7 +289,10 @@ pub enum Task {
     InstallUpper {
         /// Replicated-arena slot to (re)populate.
         slot: u32,
-        /// Full node image (boxed: see the size pin below the enum).
+        /// Full node image (boxed: see the size pin below the enum). Its
+        /// per-module [`Node::local_ref`] is the receiver's to fill in.
+        /// Never a leaf with a chain: replicated leaves exist only under
+        /// `h_low = 0`, whose recovery rebuilds the whole machine.
         node: Box<Node>,
     },
     /// Recovery: install a lower-part node image at the exact local slot it
@@ -300,6 +303,8 @@ pub enum Task {
         slot: u32,
         /// Full node image (boxed, as in [`Task::InstallUpper`]).
         node: Box<Node>,
+        /// A leaf's tower chain, for its leaf record (empty otherwise).
+        chain: Box<[Handle]>,
     },
     /// Recovery finaliser: rebuild the module's derived local views (hash
     /// index, local leaf list, `next_leaf` shortcuts and their inverses)
