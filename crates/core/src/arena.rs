@@ -105,19 +105,6 @@ impl<T> Arena<T> {
         self.live += 1;
     }
 
-    /// Place `item` at `slot` unconditionally, returning the occupant it
-    /// replaces (crash recovery: a wiped module re-materialises its
-    /// sentinel towers on restart, so installs must overwrite as well as
-    /// insert).
-    pub fn install(&mut self, slot: u32, item: T) -> Option<T> {
-        let old = self.materialize(slot).replace(item);
-        if old.is_none() {
-            self.live += 1;
-            self.free.retain(|&f| f != slot);
-        }
-        old
-    }
-
     /// Empty a slot without queuing it for reuse, returning its occupant
     /// (panics if already vacant). Replicated arenas free this way: their
     /// slots are chosen by the CPU-side [`ShadowAllocator`], so a
@@ -165,8 +152,8 @@ impl<T> Arena<T> {
     }
 
     /// Fault-tolerant read: `None` instead of panicking on a vacant slot
-    /// (dangling handles are expected while a crashed module is being
-    /// recovered; the module answers `Faulted` instead of aborting).
+    /// (dangling handles are expected after a crash, until the machine is
+    /// restored; the module answers `Faulted` instead of aborting).
     pub fn get_opt(&self, slot: u32) -> Option<&T> {
         self.slot(slot)?.as_ref()
     }
@@ -413,24 +400,6 @@ mod tests {
         a.free(s);
         assert!(a.get_opt(s).is_none());
         assert!(a.get_mut_opt(s).is_none());
-    }
-
-    #[test]
-    fn install_overwrites_and_inserts() {
-        let mut a = Arena::new();
-        a.install(3, node(1));
-        assert_eq!(a.len(), 1);
-        a.install(3, node(2));
-        assert_eq!(a.len(), 1, "overwrite must not double-count");
-        assert_eq!(a.get(3).key, 2);
-        // Installing into a freed slot must remove it from the free list so
-        // a later alloc cannot clobber the installed node.
-        let s = a.alloc(node(9));
-        a.free(s);
-        a.install(s, node(10));
-        let s2 = a.alloc(node(11));
-        assert_ne!(s2, s);
-        assert_eq!(a.get(s).key, 10);
     }
 
     #[test]

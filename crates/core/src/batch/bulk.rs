@@ -65,45 +65,44 @@ impl PimSkipList {
             .unwrap_or_else(|e| panic!("bulk_load: {e}"))
     }
 
-    /// One fault-observable attempt of [`PimSkipList::bulk_load`]. Also the
-    /// workhorse of crash recovery: `restore_all` resets the machine and
-    /// replays the journal's contents through this path.
-    ///
-    /// All-or-nothing: the towers of finished chunks wait in host DRAM
-    /// (unmetered, like the journal they are headed for) and are committed
-    /// only once the last chunk is linked. A fault in any chunk therefore
-    /// leaves journal and `len` untouched, and the retry loop's
-    /// `restore_all` reverts to the state before the attempt.
+    /// One fault-observable attempt of [`PimSkipList::bulk_load`]: build,
+    /// then commit the pairs to the journal and the length. A fault in any
+    /// chunk commits nothing, and the retry loop's `restore_all` reverts to
+    /// the state before the attempt.
     pub(crate) fn bulk_load_attempt(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
-        debug_assert!(self.is_empty(), "bulk_load_attempt on non-empty structure");
-        if pairs.is_empty() {
-            return Ok(());
-        }
+        self.build(pairs.iter().copied())?;
+        self.journal = pairs.iter().copied().collect();
+        self.len = pairs.len() as u64;
+        Ok(())
+    }
+
+    /// Build the ascending `pairs` into the empty machine, chunk by chunk,
+    /// leaving the journal and `len` untouched. Also the workhorse of crash
+    /// recovery: `restore_all` resets the machine and builds the journal's
+    /// contents through this path.
+    pub(crate) fn build(&mut self, mut pairs: impl Iterator<Item = (Key, Value)>) -> PimResult<()> {
+        debug_assert!(self.is_empty(), "build on a non-empty structure");
+        let size = self.cfg.batch_large().max(1);
+        let mut chunk = Vec::new();
         // tails[level]: the last node linked at `level` so far.
         let mut tails: Vec<Handle> = Vec::new();
         let mut tops: Vec<u8> = Vec::new();
-        let mut chunk_towers = Towers::default();
-        let mut built = Towers::default();
-        for chunk in pairs.chunks(self.cfg.batch_large().max(1)) {
+        let mut towers = Towers::default();
+        loop {
+            chunk.clear();
+            chunk.extend(pairs.by_ref().take(size));
+            if chunk.is_empty() {
+                return Ok(());
+            }
             self.spanned("bulk_load", |s| {
                 let staged = chunk.len() as u64 * 2;
                 s.sys.shared_mem().alloc(staged);
-                let out = s.bulk_load_chunk(chunk, &mut tops, &mut chunk_towers, &mut tails);
+                let out = s.bulk_load_chunk(&chunk, &mut tops, &mut towers, &mut tails);
                 s.sys.sample_shared_mem();
                 s.sys.shared_mem().free(staged);
                 out
             })?;
-            built.append(&chunk_towers);
         }
-
-        // Commit: every pair is now part of the logical contents. Sized
-        // first, so the journal never rehashes with its old table live.
-        self.journal.reserve(pairs.len());
-        for (j, &(key, value)) in pairs.iter().enumerate() {
-            self.journal.record_insert(key, value, built.get(j));
-        }
-        self.len = pairs.len() as u64;
-        Ok(())
     }
 
     /// Build one chunk behind `tails` and advance them.

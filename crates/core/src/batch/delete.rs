@@ -216,7 +216,7 @@ impl PimSkipList {
         self.len -= marks.found.iter().filter(|&&f| f).count() as u64;
         for (&k, &f) in uniq.iter().zip(&marks.found) {
             if f {
-                self.journal.remove(k);
+                self.journal.remove(&k);
             }
         }
     }

@@ -118,8 +118,8 @@ impl PimSkipList {
         // Commit to the journal: these writes are now part of the logical
         // contents and any subsequent recovery must reproduce them.
         for &(k, v) in uniq {
-            if by_key[&k] {
-                self.journal.record_update(k, v);
+            if let (true, Some(value)) = (by_key[&k], self.journal.get_mut(&k)) {
+                *value = v;
             }
         }
         Ok(pairs.iter().map(|(k, _)| by_key[k]).collect())

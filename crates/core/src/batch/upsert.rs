@@ -95,17 +95,6 @@ impl Towers {
     fn get_mut(&mut self, j: usize) -> &mut [Handle] {
         &mut self.handles[self.offsets[j] as usize..self.offsets[j + 1] as usize]
     }
-
-    /// Append every tower of `other`, keeping their order.
-    pub(crate) fn append(&mut self, other: &Towers) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        let base = self.handles.len() as u32;
-        self.handles.extend_from_slice(&other.handles);
-        self.offsets
-            .extend(other.offsets.iter().skip(1).map(|&end| base + end));
-    }
 }
 
 impl PimSkipList {
@@ -168,8 +157,8 @@ impl PimSkipList {
         updated: Vec<bool>,
     ) -> Vec<UpsertOutcome> {
         for (&(k, v), &u) in uniq.iter().zip(&updated) {
-            if u {
-                self.journal.record_update(k, v);
+            if let (true, Some(value)) = (u, self.journal.get_mut(&k)) {
+                *value = v;
             }
         }
         let outcome_by_key: std::collections::HashMap<Key, UpsertOutcome> = uniq
@@ -618,12 +607,9 @@ async fn insert_towers(
     })
     .await?;
 
-    // Commit: the batch is structurally complete — journal each new tower
-    // so recovery can re-materialise it handle for handle.
+    // Commit: the batch is structurally complete — journal each new pair.
     lane.with(|s| {
-        for (j, &(key, value)) in inserts.iter().enumerate() {
-            s.journal.record_insert(key, value, towers.get(j));
-        }
+        s.journal.extend(inserts.iter().copied());
         s.len += inserts.len() as u64;
     });
     Ok(())

@@ -49,6 +49,7 @@ pub(crate) mod codec;
 pub(crate) mod snapshot;
 pub(crate) mod wal;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::config::{Config, Key, Value};
@@ -272,8 +273,9 @@ impl Durability {
     /// Crash-ordering: the snapshot is renamed into place before the fresh
     /// segment is created, and both land before any file is deleted —
     /// every intermediate state recovers.
-    fn snapshot(&mut self, items: &[(Key, Value)]) -> PimResult<()> {
+    fn snapshot(&mut self, items: &BTreeMap<Key, Value>) -> PimResult<()> {
         self.sync()?;
+        let items = items.iter().map(|(&k, &v)| (k, v));
         snapshot::write_snapshot(&self.dir, self.config_fp, self.seq, items)?;
         if self.writer.start_seq != self.seq {
             self.writer = WalWriter::create(&self.dir, self.config_fp, self.seq)?;
@@ -328,7 +330,7 @@ impl PimSkipList {
         }
         let mut d = Durability::open_fresh(dir.as_ref(), policy, &self.cfg)?;
         if !self.is_empty() {
-            d.snapshot(&self.journal.items_sorted())?;
+            d.snapshot(&self.journal)?;
         }
         self.durable = Some(Box::new(d));
         Ok(())
@@ -375,8 +377,7 @@ impl PimSkipList {
                 reason: "durability is not enabled".into(),
             });
         };
-        let items = self.journal.items_sorted();
-        d.snapshot(&items)
+        d.snapshot(&self.journal)
     }
 
     /// WAL hook called by [`PimSkipList::try_execute`] for each committed
@@ -387,8 +388,7 @@ impl PimSkipList {
         };
         d.append_span(span)?;
         if d.wants_snapshot() {
-            let items = self.journal.items_sorted();
-            d.snapshot(&items)?;
+            d.snapshot(&self.journal)?;
         }
         Ok(())
     }

@@ -46,7 +46,7 @@ pub(crate) fn write_snapshot(
     dir: &Path,
     config_fp: u64,
     seq: u64,
-    items: &[(crate::config::Key, crate::config::Value)],
+    items: impl ExactSizeIterator<Item = (crate::config::Key, crate::config::Value)>,
 ) -> PimResult<PathBuf> {
     let mut bytes = Vec::with_capacity(36 + items.len() * 16);
     bytes.extend_from_slice(SNAP_MAGIC);
@@ -54,7 +54,7 @@ pub(crate) fn write_snapshot(
     codec::put_u64(&mut bytes, config_fp);
     codec::put_u64(&mut bytes, seq);
     codec::put_u64(&mut bytes, items.len() as u64);
-    for &(k, v) in items {
+    for (k, v) in items {
         codec::put_i64(&mut bytes, k);
         codec::put_u64(&mut bytes, v);
     }
@@ -157,8 +157,8 @@ mod tests {
     fn roundtrip_empty_and_full() {
         let dir = test_dir("snap-roundtrip");
         let items = vec![(-5_i64, 50_u64), (0, 0), (9, 99)];
-        let p0 = write_snapshot(&dir, 3, 0, &[]).unwrap();
-        let p1 = write_snapshot(&dir, 3, 128, &items).unwrap();
+        let p0 = write_snapshot(&dir, 3, 0, [].into_iter()).unwrap();
+        let p1 = write_snapshot(&dir, 3, 128, items.iter().copied()).unwrap();
         assert_eq!(read_snapshot(&p0, 3).unwrap(), (0, vec![]));
         assert_eq!(read_snapshot(&p1, 3).unwrap(), (128, items));
         // No .tmp remnants after a clean write.
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn corruption_and_fingerprint_are_refused() {
         let dir = test_dir("snap-corrupt");
-        let p = write_snapshot(&dir, 3, 8, &[(1, 2), (3, 4)]).unwrap();
+        let p = write_snapshot(&dir, 3, 8, [(1, 2), (3, 4)].into_iter()).unwrap();
         assert!(matches!(
             read_snapshot(&p, 4),
             Err(PimError::InvalidArgument { .. })

@@ -39,7 +39,6 @@ pub mod config;
 pub mod durable;
 pub mod error;
 pub mod invariants;
-mod journal;
 pub mod list;
 pub mod module;
 pub mod node;

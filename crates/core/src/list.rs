@@ -7,12 +7,13 @@
 //! replicated arena flow through CPU broadcasts paired with the
 //! [`ShadowAllocator`], keeping every module's replica bit-identical.
 
+use std::collections::BTreeMap;
+
 use pim_runtime::hashfn;
 use pim_runtime::{FaultPlan, Handle, Metrics, ModuleId, PimSystem, Rng};
 
 use crate::arena::{ShadowAllocator, ShadowStart};
 use crate::config::{Config, Key, Value};
-use crate::journal::Journal;
 use crate::module::{ModuleParams, SkipModule};
 use crate::node::Node;
 use crate::tasks::Task;
@@ -37,9 +38,14 @@ pub struct PimSkipList {
     pub(crate) start: ShadowStart,
     pub(crate) rng: Rng,
     pub(crate) len: u64,
-    /// Host-DRAM journal of committed contents (recovery source of truth;
-    /// unmetered CPU bookkeeping, see [`crate::journal`]).
-    pub(crate) journal: Journal,
+    /// The journal: the committed contents, key → current value, in host
+    /// DRAM. A crash wipes a module's local memory cold, so this is the
+    /// source [`PimSkipList::restore_all`] rebuilds every module from.
+    /// Every attempt commits to it only after an undamaged pass, so it
+    /// never holds a partial batch. It is ordinary CPU bookkeeping outside
+    /// the model and deliberately *unmetered*: with no fault plan
+    /// installed, metrics stay bit-identical to a build without it.
+    pub(crate) journal: BTreeMap<Key, Value>,
     /// A whole-machine restore failed and left the machine half-built;
     /// the next fault-tolerant call restores it first.
     pub(crate) torn: bool,
@@ -101,7 +107,7 @@ impl PimSkipList {
             start,
             rng,
             len: 0,
-            journal: Journal::new(),
+            journal: BTreeMap::new(),
             torn: false,
             last_phase_contention: Vec::new(),
             scratch: crate::scratch::Scratch::default(),

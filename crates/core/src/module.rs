@@ -312,12 +312,12 @@ impl SkipModule {
         self.leaf_of(self.upper.get(slot).local_ref)
     }
 
-    /// Give the leaf `leaf`, just placed, a record whose chain is `chain`
-    /// (the −∞ leaf and the other levels keep [`NIL`]).
-    fn attach_record(&mut self, leaf: Handle, chain: Box<[Handle]>) {
+    /// Give the leaf `leaf`, just placed, a record (the −∞ leaf and the
+    /// other levels keep [`NIL`]).
+    fn attach_record(&mut self, leaf: Handle) {
         let n = self.node(leaf);
         if n.level == 0 && n.key != NEG_INF {
-            let record = self.leaves.alloc(LeafRecord::new(leaf.slot(), chain));
+            let record = self.leaves.alloc(LeafRecord::new(leaf.slot()));
             self.node_mut(leaf).local_ref = record;
         }
     }
@@ -957,7 +957,7 @@ impl SkipModule {
         self.upper.insert_at(slot, node);
         // h_low = 0 ablation: a replicated leaf keeps its chain in a record
         // of every module.
-        self.attach_record(me, Box::default());
+        self.attach_record(me);
         if right.is_some() {
             self.upper.get_mut(right.slot()).left = me;
         }
@@ -977,58 +977,6 @@ impl SkipModule {
             self.index.insert(key, me.to_bits());
             ctx.work(self.index.last_op_work);
         }
-    }
-
-    /// Rebuild the derived local views — hash index, local leaf list,
-    /// `next_leaf` shortcuts and their inverses — from the (re)installed
-    /// arenas; the recovery finaliser after a crash. Returns the local
-    /// work done.
-    fn rebuild_local_views(&mut self) -> u64 {
-        let mut work = 1u64;
-        self.index =
-            DeamortizedMap::new(64, pim_runtime::hashfn::hash2(0x1d, 0, u64::from(self.id)));
-        let mut leaves: Vec<(Key, u32, u32)> = self
-            .lower
-            .iter()
-            .filter(|(_, n)| n.level == 0 && !n.deleted)
-            .map(|(s, n)| (n.key, s, n.local_ref))
-            .collect();
-        leaves.sort_unstable();
-        work += leaves.len() as u64;
-        self.leaf_head = NIL;
-        let mut prev = NIL;
-        for &(k, s, record) in &leaves {
-            self.index.insert(k, Handle::local(self.id, s).to_bits());
-            work += 1 + self.index.last_op_work;
-            match prev {
-                NIL => self.leaf_head = record,
-                prev => self.leaves.get_mut(prev).local_right = record,
-            }
-            let r = self.leaves.get_mut(record);
-            (r.local_left, r.local_right, r.inverse) = (prev, NIL, NIL);
-            prev = record;
-        }
-        self.leaf_tail = prev;
-        // Every replica at level h_low (the sentinel included) shortcuts to
-        // the first local leaf with key ≥ its own key, and the rightmost
-        // such replica is that leaf's inverse.
-        let h_low = self.params.h_low;
-        let uppers: Vec<(u32, Key)> = self
-            .upper
-            .iter()
-            .filter(|(_, n)| n.level == h_low)
-            .map(|(s, n)| (s, n.key))
-            .collect();
-        for (slot, key) in uppers {
-            let i = leaves.partition_point(|&(k, _, _)| k < key);
-            let succ = leaves.get(i).map_or(NIL, |&(_, _, record)| record);
-            self.upper.get_mut(slot).local_ref = succ;
-            work += 1;
-            if succ != NIL {
-                self.claim_inverse(succ, slot, key);
-            }
-        }
-        work
     }
 }
 
@@ -1099,7 +1047,7 @@ impl PimModule for SkipModule {
                 let slot = self.lower.alloc(Node::new(key, value, level));
                 let handle = Handle::local(self.id, slot);
                 if level == 0 {
-                    self.attach_record(handle, Box::default());
+                    self.attach_record(handle);
                     self.index.insert(key, handle.to_bits());
                     ctx.work(self.index.last_op_work);
                     ctx.work(self.local_leaf_insert(handle, from));
@@ -1195,25 +1143,6 @@ impl PimModule for SkipModule {
                 hi,
                 func,
             } => self.do_range_descend(op, at, lo, hi, func, ctx),
-            Task::InstallUpper { slot, node } => {
-                ctx.work(1);
-                if let Some(old) = self.upper.install(slot, *node) {
-                    self.drop_record(&old);
-                }
-                ctx.work(self.retarget_start(slot));
-            }
-            Task::InstallLower { slot, node, chain } => {
-                ctx.work(1);
-                if let Some(old) = self.lower.install(slot, *node) {
-                    self.drop_record(&old);
-                }
-                self.attach_record(Handle::local(self.id, slot), chain);
-            }
-            Task::RecoverLocal => {
-                let w = self.rebuild_local_views();
-                ctx.work(w);
-                ctx.reply(Reply::Recovered { module: self.id });
-            }
         }
     }
 
@@ -1277,11 +1206,9 @@ mod tests {
         let mut torn = Node::new(30, 0, H_LOW);
         (torn.left, torn.right, torn.right_key) =
             (Handle::replicated(20), Handle::replicated(98), 40);
-        sys.broadcast(|_| Task::InstallUpper {
-            slot: 22,
-            node: Box::new(torn),
-        });
-        assert!(sys.run_to_quiescence().is_empty());
+        for m in 0..2 {
+            sys.module_mut(m).upper.insert_at(22, torn);
+        }
 
         let faulted = vec![Reply::Faulted { op: NO_OP }; 2];
         for (what, slot, level, pred, down) in [

@@ -143,15 +143,15 @@ pub struct LeafRecord {
 }
 
 impl LeafRecord {
-    /// The record of the leaf at `slot`, outside any list, with the tower
-    /// chain `chain`.
-    pub fn new(slot: u32, chain: Box<[Handle]>) -> Self {
+    /// The record of the leaf at `slot`, outside any list, with no chain
+    /// yet.
+    pub fn new(slot: u32) -> Self {
         LeafRecord {
             slot,
             local_left: NIL,
             local_right: NIL,
             inverse: NIL,
-            chain,
+            chain: Box::default(),
         }
     }
 
@@ -181,10 +181,10 @@ mod tests {
 
     #[test]
     fn words_count_chain() {
-        let r = LeafRecord::new(7, Box::default());
+        let mut r = LeafRecord::new(7);
         assert_eq!(r.words(), 0);
         assert_eq!((r.local_left, r.local_right, r.inverse), (NIL, NIL, NIL));
-        let r = LeafRecord::new(7, vec![Handle::local(0, 1), Handle::replicated(2)].into());
+        r.chain = vec![Handle::local(0, 1), Handle::replicated(2)].into();
         assert_eq!(r.words(), 2);
     }
 }

@@ -405,7 +405,9 @@ impl PimSkipList {
             let cut = out.len() - first;
             let mut undone = false;
             for &(_, key, value) in undo.iter().rev().filter(|u| u.0 >= cut) {
-                self.journal.record_update(key, value);
+                if let Some(journaled) = self.journal.get_mut(&key) {
+                    *journaled = value;
+                }
                 undone = true;
             }
             if undone {
@@ -445,7 +447,7 @@ impl PimSkipList {
                 if matches!(span[run.start].kind(), OpKind::Update | OpKind::Upsert) {
                     lane.with(|s| {
                         for (key, _) in span[run.clone()].iter().map(op_pair) {
-                            if let Some(value) = s.journal.value(key) {
+                            if let Some(&value) = s.journal.get(&key) {
                                 undo.push((run.start, key, value));
                             }
                         }

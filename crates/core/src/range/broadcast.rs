@@ -146,7 +146,7 @@ impl PimSkipList {
         // Commit mutations to the journal only now, on an undamaged pass.
         match func {
             RangeFunc::FetchAdd(d) | RangeFunc::AddInPlace(d) => {
-                self.journal.add_in_range(lo, hi, d);
+                self.journal_add(lo, hi, d);
             }
             _ => {}
         }

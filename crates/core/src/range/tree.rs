@@ -71,8 +71,8 @@ impl PimSkipList {
     /// Fault-tolerant batched range operation; see
     /// [`PimSkipList::batch_range`]. A thin shim over
     /// [`PimSkipList::try_execute`] (where validation and the retry
-    /// discipline live): read-only functions retry with per-module
-    /// recovery; mutating ones restore from the journal on any damaged
+    /// discipline live): read-only functions are restored only after
+    /// a crash; mutating ones restore from the journal on any damaged
     /// attempt so a partial pass is never applied twice.
     pub(crate) fn try_batch_range(
         &mut self,
@@ -245,8 +245,7 @@ async fn batch_range_attempt_inner(
         // coverage multiplicity folded in, matching the module-side adds).
         if let RangeFunc::FetchAdd(d) | RangeFunc::AddInPlace(d) = func {
             for sub in &subranges {
-                s.journal
-                    .add_in_range(sub.lo, sub.hi, d.wrapping_mul(u64::from(sub.multiplicity)));
+                s.journal_add(sub.lo, sub.hi, d.wrapping_mul(u64::from(sub.multiplicity)));
             }
         }
         Ok(())

@@ -1,4 +1,4 @@
-//! Driver-side crash recovery: retry wrappers, shard rebuild, full restore.
+//! Driver-side crash recovery: one retry loop, one whole-machine rebuild.
 //!
 //! The fault model (see [`pim_runtime::FaultPlan`]) lets the machine lose
 //! messages, stall modules, slow them down, or crash them cold. The driver
@@ -7,35 +7,34 @@
 //! 1. **Attempts** — every batch operation is written as a fault-observable
 //!    *attempt* (`get_attempt`, `upsert_attempt`, …) that detects loss via
 //!    completeness counting and [`crate::tasks::Reply::Faulted`] replies,
-//!    commits to the [`crate::journal::Journal`] only on full success, and
-//!    reports [`PimError::Incomplete`] otherwise. A module never applies
-//!    half a splice to a damaged replica: a `LinkUpper` or `UnlinkUpper`
-//!    splice whose slot or neighbours are not what the driver expects
-//!    answers `Faulted` instead.
+//!    commits to the journal ([`PimSkipList`]'s `journal` field) only on
+//!    full success, and reports [`PimError::Incomplete`] otherwise. A
+//!    module never applies half a splice to a damaged replica: a
+//!    `LinkUpper` or `UnlinkUpper` splice whose slot or neighbours are not
+//!    what the driver expects answers `Faulted` instead.
 //! 2. **One retry loop** — [`PimSkipList::retry`] re-issues the failed
-//!    attempts of every `try_*` entry point ([`crate::Config::max_retries`]),
-//!    repairing the machine between attempts: crashed modules get their
-//!    shard rebuilt ([`PimSkipList::recover_module`]); a possibly torn
-//!    machine is rebuilt wholesale ([`PimSkipList::restore_all`]).
+//!    attempts of every `try_*` entry point ([`crate::Config::max_retries`]).
+//!    Between attempts it repairs the machine one way: when a module
+//!    crashed, or an attempt that may tear the machine failed or saw damage,
+//!    [`PimSkipList::restore_all`] rebuilds every module from the journal.
 //! 3. **Plain wrappers** — the classic infallible API (`batch_get`, …)
 //!    simply unwraps the `try_*` result: on a fault-free machine no error
 //!    can occur, and the wrappers add *zero* metered cost, keeping
 //!    execution bit-identical to the pre-fault-layer simulator.
 //!
-//! Recovery accounting: rounds spent on re-installs and rebuilds are
-//! recorded in [`pim_runtime::Metrics::recovery_rounds`], re-issued batch
-//! slots in [`pim_runtime::Metrics::retries_issued`].
+//! Recovery accounting: rounds spent on rebuilds are recorded in
+//! [`pim_runtime::Metrics::recovery_rounds`], re-issued batch slots in
+//! [`pim_runtime::Metrics::retries_issued`].
 
-use pim_runtime::{Handle, Metrics, ModuleId};
+use pim_runtime::Metrics;
 
 use crate::arena::{ShadowAllocator, ShadowStart};
-use crate::config::{Key, Value, NEG_INF};
+use crate::config::{Key, Value};
 use crate::error::{PimError, PimResult};
 use crate::list::PimSkipList;
 use crate::module::SkipModule;
-use crate::node::Node;
 use crate::sched::Lane;
-use crate::tasks::{Reply as ModuleReply, Task};
+use crate::tasks::Reply as ModuleReply;
 
 /// Wait for the writes `lane` sent, and check them as
 /// [`PimSkipList::quiesce_writes`] does, as the phase `op`.
@@ -92,8 +91,9 @@ impl PimSkipList {
     /// The one retry loop of every fault-tolerant entry point. `attempt`
     /// returns its result and whether, had it failed or seen damage, it may
     /// have torn the machine (links half-spliced, index entries taken out,
-    /// values half-added): then the whole machine is restored from the
-    /// journal; otherwise crashed modules are rebuilt one by one. A failure
+    /// values half-added). The whole machine is restored from the journal
+    /// when a module crashed during the attempt (a cold module lost its
+    /// shard), or when a tearing attempt failed or saw damage. A failure
     /// with damage or a transient error is retried (see
     /// [`crate::Config::max_retries`]); a machine a failed restore left
     /// half-built is restored first.
@@ -111,11 +111,9 @@ impl PimSkipList {
             let before = self.sys.metrics();
             let (result, tears) = attempt(self);
             let damaged = self.damage_since(&before);
-            if tears && (damaged || result.is_err()) {
-                self.sys.drain_crashed();
+            let crashed = !self.sys.drain_crashed().is_empty();
+            if crashed || (tears && (damaged || result.is_err())) {
                 self.restore_all()?;
-            } else {
-                self.repair_crashed()?;
             }
             match result {
                 Ok(out) => return Ok(out),
@@ -126,20 +124,12 @@ impl PimSkipList {
         Err(PimError::RetriesExhausted { op, attempts })
     }
 
-    /// Rebuild every module that crashed since the last drain.
-    fn repair_crashed(&mut self) -> PimResult<()> {
-        let mut crashed = self.sys.drain_crashed();
-        crashed.sort_unstable();
-        crashed.dedup();
-        crashed.iter().try_for_each(|&m| self.recover_module(m))
-    }
-
     /// Fault-tolerant bulk construction; see [`PimSkipList::bulk_load`].
     /// Argument errors and exhausted retries come back as typed
     /// [`PimError`]s instead of panics.
     pub fn try_bulk_load(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
         // The journal holds the contents even while a torn machine holds none.
-        if self.journal.len() > 0 {
+        if !self.journal.is_empty() {
             return Err(PimError::InvalidArgument {
                 op: "bulk_load",
                 reason: "bulk_load requires an empty structure".into(),
@@ -166,164 +156,41 @@ impl PimSkipList {
         Ok(())
     }
 
-    /// Rebuild one crashed module's shard in place: re-install its
-    /// upper-part replicas (sentinel tower included) and its lower-part
-    /// nodes from the journal's tower records — handle for handle, so every
-    /// pointer held by healthy modules keeps resolving — then have the
-    /// module rebuild its derived views (hash index, local leaf list,
-    /// `next_leaf` shortcuts). Falls back to [`PimSkipList::restore_all`]
-    /// when the recovery traffic is itself hit by faults, or under the
-    /// `h_low = 0` ablation (where there is no per-module shard).
-    pub(crate) fn recover_module(&mut self, module: ModuleId) -> PimResult<()> {
-        if self.cfg.h_low == 0 {
-            return self.restore_all();
-        }
-        self.spanned("recover/module", |s| {
-            let before = s.sys.metrics();
-            let acknowledged = s.recover_module_attempt(module);
-            let rounds = s.sys.metrics().rounds - before.rounds;
-            s.sys.metrics_mut().recovery_rounds += rounds;
-            let crashed = s.sys.drain_crashed();
-            if acknowledged && crashed.is_empty() && !s.damage_since(&before) {
-                Ok(())
-            } else {
-                s.restore_all()
-            }
-        })
-    }
-
-    /// One shot of per-module recovery; returns whether the module
-    /// acknowledged with [`Reply::Recovered`]. All installs and the final
-    /// `RecoverLocal` ride in one inbox in order, so the rebuild of the
-    /// derived views always sees the complete image — unless a fault
-    /// removes part of it, which the caller detects via the metrics delta.
-    fn recover_module_attempt(&mut self, module: ModuleId) -> bool {
-        self.send_module_image(module);
-        self.sys.send(module, Task::RecoverLocal);
-        let replies = self.sys.run_to_quiescence();
-        replies
-            .iter()
-            .any(|r| matches!(r, ModuleReply::Recovered { module: m } if *m == module))
-    }
-
-    /// Reconstruct every node image the crashed module must hold, from the
-    /// journal alone, and send the installs. Per level, the live keys with
-    /// towers reaching that level form the level's list in key order; the
-    /// sentinel replica heads it. Replicas carry the insert-time value
-    /// (updates never rewrite replicas), leaves the current one.
-    fn send_module_image(&mut self, module: ModuleId) {
-        let entries = self.journal.entries_sorted();
-        let max_level = usize::from(self.cfg.max_level);
-        self.sys.metrics_mut().charge_cpu(
-            entries.len() as u64 + 1,
-            pim_runtime::ceil_log2(entries.len().max(1) as u64).into(),
-        );
-
-        for level in 0..=max_level {
-            let at_level: Vec<usize> = (0..entries.len())
-                .filter(|&i| entries[i].1.tower.len() > level)
-                .collect();
-
-            // Sentinel replica (slot = level by convention), wired to the
-            // level's first node.
-            let mut s = Node::new(NEG_INF, 0, level as u8);
-            if level < max_level {
-                s.up = Handle::replicated(level as u32 + 1);
-            }
-            if level > 0 {
-                s.down = Handle::replicated(level as u32 - 1);
-            }
-            if let Some(&first) = at_level.first() {
-                s.right = entries[first].1.tower[level];
-                s.right_key = entries[first].0;
-            }
-            self.sys.send(
-                module,
-                Task::InstallUpper {
-                    slot: level as u32,
-                    node: Box::new(s),
-                },
-            );
-
-            for (pos, &i) in at_level.iter().enumerate() {
-                let (key, e) = &entries[i];
-                let h = e.tower[level];
-                if !h.is_replicated() && h.module() != module {
-                    continue; // a healthy module's node — leave it be
-                }
-                let value = if level == 0 {
-                    e.value
-                } else {
-                    e.inserted_value
-                };
-                let mut n = Node::new(*key, value, level as u8);
-                n.left = if pos == 0 {
-                    Handle::replicated(level as u32)
-                } else {
-                    entries[at_level[pos - 1]].1.tower[level]
-                };
-                if let Some(&next) = at_level.get(pos + 1) {
-                    n.right = entries[next].1.tower[level];
-                    n.right_key = entries[next].0;
-                }
-                n.up = e.tower.get(level + 1).copied().unwrap_or(Handle::NULL);
-                n.down = if level > 0 {
-                    e.tower[level - 1]
-                } else {
-                    Handle::NULL
-                };
-                let node = Box::new(n);
-                let task = if h.is_replicated() {
-                    Task::InstallUpper {
-                        slot: h.slot(),
-                        node,
-                    }
-                } else {
-                    let chain = if level == 0 {
-                        e.tower[1..].into()
-                    } else {
-                        Box::default()
-                    };
-                    Task::InstallLower {
-                        slot: h.slot(),
-                        node,
-                        chain,
-                    }
-                };
-                self.sys.send(module, task);
-            }
-        }
-    }
-
     /// Rebuild the whole machine from the journal: cold-reset every module,
-    /// purge in-flight traffic, and bulk-load the journal's `(key, value)`
-    /// snapshot (which re-towers every key — handles change, and the
-    /// journal is re-written accordingly by the bulk-load attempt). Bounded
-    /// by [`crate::Config::max_retries`] against faults hitting the rebuild
+    /// purge in-flight traffic, and bulk-load the journal's pairs in key
+    /// order (which re-towers every key: handles change). Bounded by
+    /// [`crate::Config::max_retries`] against faults hitting the rebuild
     /// itself; a machine it leaves half-built stays torn until the next
     /// [`PimSkipList::retry`] restores it.
     pub(crate) fn restore_all(&mut self) -> PimResult<()> {
         self.torn = true;
         self.spanned("recover/restore", |s| {
-            let snapshot = s.journal.items_sorted();
+            // The build borrows the structure, so the journal steps out of
+            // it meanwhile; no build reads it.
+            let journal = std::mem::take(&mut s.journal);
             let max_retries = s.cfg.max_retries;
             for _ in 0..=max_retries {
                 let before = s.sys.metrics();
                 s.reset_machine();
-                s.sys.metrics_mut().retries_issued += snapshot.len() as u64;
-                let result = s.bulk_load_attempt(&snapshot);
+                s.sys.metrics_mut().retries_issued += journal.len() as u64;
+                let result = s.build(journal.iter().map(|(&k, &v)| (k, v)));
                 let rounds = s.sys.metrics().rounds - before.rounds;
                 s.sys.metrics_mut().recovery_rounds += rounds;
                 let crashed = s.sys.drain_crashed();
                 if result.is_ok() && crashed.is_empty() && !s.damage_since(&before) {
+                    s.len = journal.len() as u64;
                     s.torn = false;
-                    return Ok(());
+                    break;
                 }
             }
-            Err(PimError::RetriesExhausted {
-                op: "restore_all",
-                attempts: max_retries + 1,
-            })
+            s.journal = journal;
+            if s.torn {
+                return Err(PimError::RetriesExhausted {
+                    op: "restore_all",
+                    attempts: max_retries + 1,
+                });
+            }
+            Ok(())
         })
     }
 

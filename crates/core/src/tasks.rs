@@ -6,10 +6,9 @@
 //! driver). Tasks are executed by [`crate::module::SkipModule`]; replies
 //! land in CPU shared memory.
 
-use pim_runtime::{Handle, ModuleId};
+use pim_runtime::Handle;
 
 use crate::config::{Key, Value, NEG_INF, POS_INF};
-use crate::node::Node;
 
 /// Operation id used by [`Reply::Faulted`] when the failed task carried no
 /// batch-local id (pure write tasks such as `WriteRight` or `FreeNode`).
@@ -280,36 +279,6 @@ pub enum Task {
         /// Function to apply at leaves.
         func: RangeFunc,
     },
-
-    // ----- crash recovery (driver-side rebuild of a wiped module) -----
-    /// Recovery: install a complete upper-part node image at `slot`,
-    /// replacing whatever the slot holds (sent unicast to the module being
-    /// rebuilt; the image is computed CPU-side from the journal, so the
-    /// replica matches the healthy modules bit for bit).
-    InstallUpper {
-        /// Replicated-arena slot to (re)populate.
-        slot: u32,
-        /// Full node image (boxed: see the size pin below the enum). Its
-        /// per-module [`Node::local_ref`] is the receiver's to fill in.
-        /// Never a leaf with a chain: replicated leaves exist only under
-        /// `h_low = 0`, whose recovery rebuilds the whole machine.
-        node: Box<Node>,
-    },
-    /// Recovery: install a lower-part node image at the exact local slot it
-    /// occupied before the crash (handles held by other modules keep
-    /// resolving).
-    InstallLower {
-        /// Local-arena slot to (re)populate.
-        slot: u32,
-        /// Full node image (boxed, as in [`Task::InstallUpper`]).
-        node: Box<Node>,
-        /// A leaf's tower chain, for its leaf record (empty otherwise).
-        chain: Box<[Handle]>,
-    },
-    /// Recovery finaliser: rebuild the module's derived local views (hash
-    /// index, local leaf list, `next_leaf` shortcuts and their inverses)
-    /// from the installed nodes, then acknowledge with [`Reply::Recovered`].
-    RecoverLocal,
 }
 
 /// The replicated nodes a phase-0 walk marks (§4.2), at levels `h_low` up
@@ -362,8 +331,7 @@ impl Fingers {
 }
 
 // Every message of every round moves a `Task` through the engine's inboxes
-// and outboxes; only the recovery-only node images are large, so they are
-// boxed and the common case stays within 48 bytes.
+// and outboxes, so a variant that grows it past 48 bytes is a reviewed diff.
 const _: () = assert!(std::mem::size_of::<Task>() <= 48);
 
 /// Replies returned to CPU shared memory.
@@ -512,12 +480,6 @@ pub enum Reply {
     Faulted {
         /// The failed task's operation id, or [`NO_OP`] for pure writes.
         op: u32,
-    },
-    /// A [`Task::RecoverLocal`] completed: the module's derived views are
-    /// rebuilt and it is ready to serve traffic again.
-    Recovered {
-        /// The recovered module.
-        module: ModuleId,
     },
 }
 

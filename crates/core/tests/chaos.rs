@@ -117,9 +117,9 @@ fn crash_at_fixed_round_recovers_and_matches_oracle() {
         "recovered contents must equal the fault-free oracle"
     );
 
-    // A crash under a read takes the other repair path: `recover_module`
-    // re-installs one replica, whose start must come back with it — the
-    // retried Successor descends from it on the rebuilt module too.
+    // A crash under a read is repaired the same way: `restore_all` rebuilds
+    // every module from the journal, the wiped one's descent start with
+    // them, and the retried Successor descends from it.
     let crash_round = chaotic.metrics().rounds + 1;
     chaotic.set_fault_plan(FaultPlan::new().at(crash_round, 2, FaultKind::Crash));
     let queries: Vec<i64> = (0..64).map(|i| i * 19 - 3).collect();
@@ -135,7 +135,12 @@ fn crash_at_fixed_round_recovers_and_matches_oracle() {
         2,
         "the second crash struck"
     );
-    chaotic.validate().expect("valid after recover_module");
+    chaotic.validate().expect("valid after the read's restore");
+    assert_eq!(
+        chaotic.collect_items(),
+        oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+        "contents after the read's restore must equal the oracle"
+    );
 }
 
 #[test]
@@ -1367,9 +1372,9 @@ fn unrecoverable_schedule_surfaces_retries_exhausted() {
 
 #[test]
 fn a_failed_restore_is_finished_before_the_next_call() {
-    // Crash module 0 at every round: the Get fails, rebuilding module 0
-    // falls back to the whole-machine restore, and every attempt of that
-    // restore fails too, so the machine is left half-built. Once the
+    // Crash module 0 at every round: the Get fails, and every attempt of
+    // the whole-machine restore that follows fails too, so the machine is
+    // left half-built. Once the
     // faults stop, the next call must restore it from the journal first.
     let mut list = PimSkipList::new(Config::new(4, 1 << 8, 19).with_max_retries(1));
     let pairs: Vec<(i64, u64)> = (0..50).map(|i| (i, i as u64)).collect();

@@ -345,7 +345,7 @@ fn chaos_export_carries_fault_records_and_recovery_spans_balance() {
     let recovered: u64 = report
         .spans
         .iter()
-        .filter(|s| s.name == "recover/module" || s.name == "recover/restore")
+        .filter(|s| s.name == "recover/restore")
         .map(|s| s.stats.recovery_rounds)
         .sum();
     assert_eq!(

@@ -176,9 +176,9 @@ fn steady_state_allocations_stay_within_the_contract() {
         // Get / Update: O(1) per batch, whatever the batch size — pinned at
         // today's exact counts, so one lost `Scratch` lease (one more
         // allocation) fails. Searches: at most one allocation per two keys.
-        // Writes: reply, journal and tower records scale with the batch,
-        // never with batch × rounds; their counts move a few percent from
-        // cycle to cycle with the tower coins, hence the 1.1× below. A
+        // Writes: replies, journal map nodes and leaf chains scale with the
+        // batch, never with batch × rounds; their counts move a few percent
+        // from cycle to cycle with the tower coins, hence the 1.1× below. A
         // service dispatch of a Get + Update batch: O(1), pinned at today's
         // exact count like the two families it runs. The two runs share
         // their rounds as one co-scheduled span, which allocates its job

@@ -89,19 +89,22 @@ const N: usize = 1 << 14;
 /// replaces a sixteenth of the structure (4 × `batch_large` at `P = 16`).
 const CHURN: usize = N / 16;
 
-/// Heap bytes per key after `bulk_load`: the measured 542.2 (8.5 MiB at
-/// `n = 2^14`) plus 10 %. The 104-byte node that carried every leaf field
-/// read 692.0; the layout before the segmented arena, boxed leaf chains,
-/// 16-byte index slots and the dense journal read 891.5.
-const BYTES_PER_KEY: f64 = 596.0;
+/// Heap bytes per key after `bulk_load`: the measured 459.4 (7.2 MiB at
+/// `n = 2^14`) plus 10 %. The journal of 64-byte entries with tower
+/// handles and a hashed index read 542.2 before it became a key → value
+/// map; the 104-byte node that carried every leaf field read 692.0; the
+/// layout before the segmented arena, boxed leaf chains, 16-byte index
+/// slots and the dense journal read 891.5.
+const BYTES_PER_KEY: f64 = 506.0;
 
 /// `bulk_load`'s heap peak over the bytes it leaves live. The measured
-/// 1.066 is the build's staged towers, 584 kB; the 104-byte node read
-/// 1.052 on the same 590 kB over a larger structure. Journaling the pairs
-/// into an unreserved journal adds a rehash with the old table live (1.076
-/// over the 104-byte node), and the hashed journal before the dense one
-/// read 1.113.
-const PEAK_OVER_LIVE: f64 = 1.07;
+/// 1.035 is 262,144 bytes: the 16-byte pairs that collecting the journal
+/// map stages before it builds the map. Before the map, the build kept a
+/// second copy of every tower for the journal, 584 kB, and read 1.066
+/// (1.052 over the 104-byte node). An unreserved journal added a rehash with the old table live
+/// (1.076 over the 104-byte node), and the hashed journal before the
+/// dense one read 1.113.
+const PEAK_OVER_LIVE: f64 = 1.04;
 
 /// splitmix64: the churn's key stream, independent of the structure's
 /// coins.
