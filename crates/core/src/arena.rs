@@ -291,7 +291,7 @@ mod tests {
     use super::*;
 
     fn node(k: i64) -> Node {
-        Node::new(k, 0, 0)
+        Node::new(k, 0)
     }
 
     #[test]

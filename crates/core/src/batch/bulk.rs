@@ -69,9 +69,14 @@ impl PimSkipList {
     /// then commit the pairs to the journal and the length. A fault in any
     /// chunk commits nothing, and the retry loop's `restore_all` reverts to
     /// the state before the attempt.
+    ///
+    /// The journal's map is made before the build: `BTreeMap::from_iter`
+    /// stages a copy of every pair, and staged while the machine is still
+    /// empty, that copy does not add to the build's peak.
     pub(crate) fn bulk_load_attempt(&mut self, pairs: &[(Key, Value)]) -> PimResult<()> {
+        let journal = pairs.iter().copied().collect();
         self.build(pairs.iter().copied())?;
-        self.journal = pairs.iter().copied().collect();
+        self.journal = journal;
         self.len = pairs.len() as u64;
         Ok(())
     }

@@ -34,7 +34,7 @@
 
 use pim_runtime::Handle;
 
-use crate::config::{NEG_INF, POS_INF};
+use crate::config::{Value, NEG_INF, POS_INF};
 use crate::list::PimSkipList;
 use crate::module::SkipModule;
 use crate::node::Node;
@@ -224,11 +224,11 @@ impl PimSkipList {
     fn check_replicas(&self) -> Result<(), String> {
         let first = self.sys.module(0);
         let reference = &first.upper;
-        // A replicated leaf (`h_low = 0`) keeps its chain in a record of
-        // each module.
-        fn chain<'a>(m: &'a SkipModule, n: &Node) -> Option<&'a [Handle]> {
+        // A replicated leaf (`h_low = 0`) keeps its value and chain in a
+        // record of each module.
+        fn record<'a>(m: &'a SkipModule, n: &Node) -> Option<(Value, &'a [Handle])> {
             let record = (n.level == 0).then(|| m.leaves.get_opt(n.local_ref));
-            record.flatten().map(|r| &*r.chain)
+            record.flatten().map(|r| (r.value, &*r.chain))
         }
         for m in 1..self.p() {
             let module = self.sys.module(m);
@@ -239,7 +239,6 @@ impl PimSkipList {
                     return Err(format!("module {m} has extra replica at slot {slot}"));
                 };
                 let structural_equal = r.key == n.key
-                    && r.value == n.value
                     && r.level == n.level
                     && r.left == n.left
                     && r.right == n.right
@@ -247,7 +246,7 @@ impl PimSkipList {
                     && r.down == n.down
                     && r.right_key == n.right_key
                     && r.deleted == n.deleted
-                    && chain(first, r) == chain(module, n);
+                    && record(first, r) == record(module, n);
                 ensure!(
                     structural_equal,
                     "replica divergence at slot {slot} between modules 0 and {m}"
@@ -626,7 +625,7 @@ mod tests {
     #[test]
     fn detects_an_orphan_leaf_record() {
         let mut list = build();
-        list.sys.module_mut(1).leaves.alloc(LeafRecord::new(0));
+        list.sys.module_mut(1).leaves.alloc(LeafRecord::new(0, 0));
         let err = list.validate().unwrap_err();
         assert!(err.contains("leaf records"), "got: {err}");
     }

@@ -283,6 +283,12 @@ impl PimSkipList {
         &self.sys.module(leaf.resolver(0)).record(leaf).chain
     }
 
+    /// The value of the leaf `leaf` (not the −∞ leaf), inspected like
+    /// [`PimSkipList::inspect`].
+    pub(crate) fn value_of(&self, leaf: Handle) -> Value {
+        self.sys.module(leaf.resolver(0)).record(leaf).value
+    }
+
     /// Drain module contention counters and return the max count over
     /// replicas and over lower-part nodes, in that order. A replica's count
     /// is per module (a load, Lemma 2.2); only a lower-part node's count is
@@ -308,7 +314,7 @@ impl PimSkipList {
         let mut cur = self.inspect(self.inf_leaf()).right;
         while cur.is_some() {
             let n = self.inspect(cur);
-            out.push((n.key, n.value));
+            out.push((n.key, self.value_of(cur)));
             cur = n.right;
         }
         out

@@ -15,8 +15,9 @@
 //! * the **local index** (de-amortized cuckoo map, §4.1) mapping keys of
 //!   locally-owned leaves to their handles;
 //! * the **leaf records** ([`LeafRecord`]), one per local leaf, in an arena
-//!   of their own: the leaf's slot, its `local_left`/`local_right` links,
-//!   the inverse of the shortcuts below, and its tower chain;
+//!   of their own: the leaf's slot and value, its `local_left`/
+//!   `local_right` links, the inverse of the shortcuts below, and its tower
+//!   chain;
 //! * the **local leaf list** (records linked through their
 //!   `local_left`/`local_right`, headed by [`SkipModule::leaf_head`], +
 //!   per-replica `next_leaf` shortcuts to records, held in the upper
@@ -36,12 +37,13 @@
 
 use std::collections::HashMap;
 
+use pim_runtime::hashfn::hash2;
 use pim_runtime::{Handle, ModuleCtx, ModuleId, PimModule};
 
 use pim_hashtable::DeamortizedMap;
 
 use crate::arena::Arena;
-use crate::config::{Key, NEG_INF, POS_INF};
+use crate::config::{Key, Value, NEG_INF, POS_INF};
 use crate::node::{LeafRecord, Node, NIL};
 use crate::tasks::{Fingers, RangeFunc, Reply, SearchMode, Task, Walk, NO_OP};
 
@@ -85,8 +87,9 @@ pub struct ModuleParams {
     pub h_low: u8,
     /// Topmost level (the tower cap).
     pub max_level: u8,
-    /// Index hash seed (same derivation per module is fine: each module
-    /// indexes a disjoint key set).
+    /// The structure's secret seed: each module derives its index's hash
+    /// functions from it and its id (§2 assumes hash functions the
+    /// adversary does not know).
     pub seed: u64,
     /// Record per-node access counts during Search tasks (Lemma 4.2).
     pub track_contention: bool,
@@ -132,7 +135,7 @@ impl SkipModule {
         let mut upper = Arena::new();
         let max = params.max_level;
         for level in 0..=max {
-            let mut n = Node::new(crate::config::NEG_INF, 0, level);
+            let mut n = Node::new(crate::config::NEG_INF, level);
             if level < max {
                 n.up = Handle::replicated(u32::from(level) + 1);
             }
@@ -142,6 +145,7 @@ impl SkipModule {
             upper.insert_at(u32::from(level), n);
         }
         let inf_leaf = Handle::replicated(0);
+        let index = DeamortizedMap::new(64, hash2(params.seed, 0x1d, u64::from(id)));
         SkipModule {
             id,
             start_level: params.h_low,
@@ -149,7 +153,7 @@ impl SkipModule {
             upper,
             lower: Arena::new(),
             leaves: Arena::new(),
-            index: DeamortizedMap::new(64, pim_runtime::hashfn::hash2(0x1d, 0, u64::from(id))),
+            index,
             inf_leaf,
             leaf_head: NIL,
             leaf_tail: NIL,
@@ -260,6 +264,31 @@ impl SkipModule {
         self.leaves.get(self.node(leaf).local_ref)
     }
 
+    /// Write access to the record of `leaf`; see [`Self::record`].
+    fn record_mut(&mut self, leaf: Handle) -> &mut LeafRecord {
+        let record = self.node(leaf).local_ref;
+        self.leaves.get_mut(record)
+    }
+
+    /// The record index of `leaf`, or `None` when it is unresolvable,
+    /// dangling or not a leaf (an upper leaf's `local_ref` is a shortcut).
+    fn try_record_index(&self, leaf: Handle) -> Option<u32> {
+        let n = self.try_node(leaf)?;
+        n.is_leaf().then_some(n.local_ref)
+    }
+
+    /// Fault-tolerant record read: `None` when `leaf` is unresolvable,
+    /// dangling or not a leaf with a record (see [`Self::try_node`]).
+    fn try_record(&self, leaf: Handle) -> Option<&LeafRecord> {
+        self.leaves.get_opt(self.try_record_index(leaf)?)
+    }
+
+    /// Fault-tolerant record write access; see [`Self::try_record`].
+    fn try_record_mut(&mut self, leaf: Handle) -> Option<&mut LeafRecord> {
+        let record = self.try_record_index(leaf)?;
+        self.leaves.get_mut_opt(record)
+    }
+
     /// The local leaf whose record is `record` (`NULL` for [`NIL`]).
     fn leaf_of(&self, record: u32) -> Handle {
         if record == NIL {
@@ -312,12 +341,12 @@ impl SkipModule {
         self.leaf_of(self.upper.get(slot).local_ref)
     }
 
-    /// Give the leaf `leaf`, just placed, a record (the −∞ leaf and the
-    /// other levels keep [`NIL`]).
-    fn attach_record(&mut self, leaf: Handle) {
+    /// Give the leaf `leaf`, just placed, a record holding `value` (the −∞
+    /// leaf and the other levels keep [`NIL`]).
+    fn attach_record(&mut self, leaf: Handle, value: Value) {
         let n = self.node(leaf);
         if n.level == 0 && n.key != NEG_INF {
-            let record = self.leaves.alloc(LeafRecord::new(leaf.slot()));
+            let record = self.leaves.alloc(LeafRecord::new(leaf.slot(), value));
             self.node_mut(leaf).local_ref = record;
         }
     }
@@ -653,10 +682,7 @@ impl SkipModule {
         agg: &mut Agg,
         ctx: &mut ModuleCtx<'_, Task, Reply>,
     ) {
-        let (key, old) = {
-            let n = self.node(leaf);
-            (n.key, n.value)
-        };
+        let (key, old) = (self.node(leaf).key, self.record(leaf).value);
         match func {
             RangeFunc::Read => ctx.reply(Reply::RangeItem {
                 op,
@@ -668,7 +694,7 @@ impl SkipModule {
                 agg.absorb(old);
             }
             RangeFunc::FetchAdd(d) => {
-                self.node_mut(leaf).value = old.wrapping_add(d);
+                self.record_mut(leaf).value = old.wrapping_add(d);
                 ctx.reply(Reply::RangeItem {
                     op,
                     node: leaf,
@@ -677,7 +703,7 @@ impl SkipModule {
                 });
             }
             RangeFunc::AddInPlace(d) => {
-                self.node_mut(leaf).value = old.wrapping_add(d);
+                self.record_mut(leaf).value = old.wrapping_add(d);
             }
         }
     }
@@ -811,7 +837,7 @@ impl SkipModule {
         };
         debug_assert!(!n.deleted, "double delete of key {key}");
         n.deleted = true;
-        let (record, value) = (n.local_ref, n.value);
+        let record = n.local_ref;
         let chain = self.leaves.get(record).chain.clone();
         let mut upper_slots = Vec::new();
         let left_bound = if leaf.is_replicated() {
@@ -842,7 +868,6 @@ impl SkipModule {
             right: n.right,
             right_key: n.right_key,
             upper_slots,
-            value,
         });
     }
 
@@ -854,8 +879,7 @@ impl SkipModule {
         };
         debug_assert!(!n.deleted, "double mark");
         n.deleted = true;
-        let (level, key, left, right, right_key, value) =
-            (n.level, n.key, n.left, n.right, n.right_key, n.value);
+        let (level, key, left, right, right_key) = (n.level, n.key, n.left, n.right, n.right_key);
         ctx.reply(Reply::Marked {
             op,
             node,
@@ -866,7 +890,6 @@ impl SkipModule {
             right,
             right_key,
             upper_slots: Vec::new(),
-            value,
         });
     }
 
@@ -922,13 +945,14 @@ impl SkipModule {
     }
 
     /// Materialise the replica `node` at `slot` and splice it in after
-    /// `pred` (see [`Task::LinkUpper`]). Every handle is checked before
-    /// anything is written, so a damaged replica never applies half a
-    /// splice.
+    /// `pred` (see [`Task::LinkUpper`]); `value` is kept only if it is a
+    /// leaf. Every handle is checked before anything is written, so a
+    /// damaged replica never applies half a splice.
     fn do_link_upper(
         &mut self,
         slot: u32,
         mut node: Node,
+        value: Value,
         pred: Handle,
         down: Handle,
         ctx: &mut ModuleCtx<'_, Task, Reply>,
@@ -955,9 +979,9 @@ impl SkipModule {
         (node.left, node.right, node.right_key, node.down) = (pred, right, p.right_key, down);
         (p.right, p.right_key) = (me, key);
         self.upper.insert_at(slot, node);
-        // h_low = 0 ablation: a replicated leaf keeps its chain in a record
-        // of every module.
-        self.attach_record(me);
+        // h_low = 0 ablation: a replicated leaf keeps its value and chain in
+        // a record of every module.
+        self.attach_record(me, value);
         if right.is_some() {
             self.upper.get_mut(right.slot()).left = me;
         }
@@ -991,9 +1015,9 @@ impl PimModule for SkipModule {
                 ctx.work(1 + self.index.last_op_work);
                 match bits {
                     None => ctx.reply(Reply::GotValue { op, value: None }),
-                    Some(bits) => match self.try_node(Handle::from_bits(bits)) {
-                        Some(n) => {
-                            let value = Some(n.value);
+                    Some(bits) => match self.try_record(Handle::from_bits(bits)) {
+                        Some(r) => {
+                            let value = Some(r.value);
                             ctx.reply(Reply::GotValue { op, value });
                         }
                         None => ctx.reply(Reply::Faulted { op }),
@@ -1005,9 +1029,9 @@ impl PimModule for SkipModule {
                 ctx.work(1 + self.index.last_op_work);
                 match bits {
                     None => ctx.reply(Reply::Updated { op, found: false }),
-                    Some(bits) => match self.try_node_mut(Handle::from_bits(bits)) {
-                        Some(n) => {
-                            n.value = value;
+                    Some(bits) => match self.try_record_mut(Handle::from_bits(bits)) {
+                        Some(r) => {
+                            r.value = value;
                             ctx.reply(Reply::Updated { op, found: true });
                         }
                         None => ctx.reply(Reply::Faulted { op }),
@@ -1016,9 +1040,9 @@ impl PimModule for SkipModule {
             }
             Task::ReadNode { op, node } => {
                 ctx.work(1);
-                match self.try_node(node) {
-                    Some(n) => {
-                        let (key, value) = (n.key, n.value);
+                match self.try_record(node) {
+                    Some(r) => {
+                        let (key, value) = (self.node(node).key, r.value);
                         ctx.reply(Reply::NodeValue { op, key, value });
                     }
                     None => ctx.reply(Reply::Faulted { op }),
@@ -1044,10 +1068,10 @@ impl PimModule for SkipModule {
                     ctx.reply(Reply::Faulted { op });
                     return;
                 }
-                let slot = self.lower.alloc(Node::new(key, value, level));
+                let slot = self.lower.alloc(Node::new(key, level));
                 let handle = Handle::local(self.id, slot);
                 if level == 0 {
-                    self.attach_record(handle);
+                    self.attach_record(handle, value);
                     self.index.insert(key, handle.to_bits());
                     ctx.work(self.index.last_op_work);
                     ctx.work(self.local_leaf_insert(handle, from));
@@ -1065,7 +1089,7 @@ impl PimModule for SkipModule {
                 value,
                 pred,
                 down,
-            } => self.do_link_upper(slot, Node::new(key, value, level), pred, down, ctx),
+            } => self.do_link_upper(slot, Node::new(key, level), value, pred, down, ctx),
             Task::WireVertical { node, up, down } => {
                 ctx.work(1);
                 match self.try_node_mut(node) {
@@ -1082,8 +1106,7 @@ impl PimModule for SkipModule {
             }
             Task::SetLeafChain { leaf, chain } => {
                 ctx.work(1);
-                let record = self.try_node(leaf).map(|n| n.local_ref);
-                match record.and_then(|r| self.leaves.get_mut_opt(r)) {
+                match self.try_record_mut(leaf) {
                     // Exact-size `Vec`: boxing it does not reallocate.
                     Some(r) => r.chain = chain.into_boxed_slice(),
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
@@ -1111,8 +1134,8 @@ impl PimModule for SkipModule {
             }
             Task::WriteValue { node, value } => {
                 ctx.work(1);
-                match self.try_node_mut(node) {
-                    Some(n) => n.value = value,
+                match self.try_record_mut(node) {
+                    Some(r) => r.value = value,
                     None => ctx.reply(Reply::Faulted { op: NO_OP }),
                 }
             }
@@ -1166,15 +1189,32 @@ mod tests {
 
     const H_LOW: u8 = 2;
 
-    fn machine() -> PimSystem<SkipModule> {
-        let params = ModuleParams {
+    fn params(seed: u64) -> ModuleParams {
+        ModuleParams {
             p: 2,
             h_low: H_LOW,
             max_level: 8,
-            seed: 1,
+            seed,
             track_contention: false,
+        }
+    }
+
+    fn machine() -> PimSystem<SkipModule> {
+        PimSystem::new(2, |id| SkipModule::new(id, params(1)))
+    }
+
+    #[test]
+    fn the_index_hashes_with_the_structure_seed() {
+        // Where each key sits, in storage order.
+        let placement = |seed: u64| -> Vec<i64> {
+            let mut m = SkipModule::new(1, params(seed));
+            for k in 0..40 {
+                m.index.insert(k, 0);
+            }
+            m.index.iter().map(|(k, _)| k).collect()
         };
-        PimSystem::new(2, |id| SkipModule::new(id, params.clone()))
+        assert_eq!(placement(1), placement(1));
+        assert_ne!(placement(1), placement(2));
     }
 
     /// Broadcast one `LinkUpper` and run it; the replies.
@@ -1203,7 +1243,7 @@ mod tests {
         let sentinel = Handle::replicated(u32::from(H_LOW));
         assert!(link(&mut sys, 20, H_LOW, sentinel, Handle::NULL).is_empty());
         // A node whose right neighbour is gone.
-        let mut torn = Node::new(30, 0, H_LOW);
+        let mut torn = Node::new(30, H_LOW);
         (torn.left, torn.right, torn.right_key) =
             (Handle::replicated(20), Handle::replicated(98), 40);
         for m in 0..2 {

@@ -8,21 +8,22 @@
 //! [`Node`] holds what every level uses plus one module-local `u32`,
 //! [`Node::local_ref`], whose meaning depends on the node's role:
 //!
-//! | role                               | `local_ref`                       | leaf record                                         |
-//! |------------------------------------|-----------------------------------|-----------------------------------------------------|
-//! | lower-part leaf (level 0)          | its record                        | `slot`, `local_left`, `local_right`, inverse, chain |
-//! | lower-part tower node (`1..h_low`) | [`NIL`]                           | —                                                   |
-//! | upper-part leaf (level `h_low`)    | `next_leaf`: its target's record  | —                                                   |
-//! | upper-part tower node (`> h_low`)  | [`NIL`]                           | —                                                   |
-//! | the −∞ leaf (replicated slot 0)    | [`NIL`]                           | — (`local_right`: `SkipModule::leaf_head`)          |
+//! | role                               | `local_ref`                       | leaf record                                                  |
+//! |------------------------------------|-----------------------------------|--------------------------------------------------------------|
+//! | lower-part leaf (level 0)          | its record                        | `slot`, `value`, `local_left`, `local_right`, inverse, chain |
+//! | lower-part tower node (`1..h_low`) | [`NIL`]                           | —                                                            |
+//! | upper-part leaf (level `h_low`)    | `next_leaf`: its target's record  | —                                                            |
+//! | upper-part tower node (`> h_low`)  | [`NIL`]                           | —                                                            |
+//! | the −∞ leaf (replicated slot 0)    | [`NIL`]                           | — (`local_right`: `SkipModule::leaf_head`)                   |
 //!
-//! Every role uses the rest: `key`, `value`, `right_key`, `left`, `right`,
-//! `up`, `down`, `level` and `deleted`. A shortcut names a leaf of the
+//! Every role uses the rest: `key`, `right_key`, `left`, `right`, `up`,
+//! `down`, `level` and `deleted`. Only a leaf has a value, so the value
+//! lives in its record, not in the node. A shortcut names a leaf of the
 //! replica's own module, or nothing ([`NIL`]). The leaf records live in a
 //! per-module arena beside the node arenas (`SkipModule::leaves`). Under
 //! the `h_low = 0` ablation every leaf is a replica and there is no local
 //! leaf list; each module then keeps a record per replicated leaf that only
-//! its chain uses.
+//! its value and chain use.
 //!
 //! A record also holds what the paper does not have: the *inverse* of the
 //! shortcuts, the rightmost upper leaf whose shortcut in this module is the
@@ -43,7 +44,8 @@
 //!   search).
 //!
 //! The model words do not follow the host layout: a node is
-//! [`Node::WORDS`] words and a leaf adds its chain, wherever the fields sit.
+//! [`Node::WORDS`] words (its value word included) and a leaf adds its
+//! chain, wherever the fields sit.
 
 use pim_runtime::Handle;
 
@@ -56,17 +58,15 @@ pub const NIL: u32 = u32::MAX;
 // benchmark's `P = 64`, `n = 2^17` there are ~520k nodes and 131k leaf
 // records, so 8 B more per node is +4 MiB. An arena slot is an
 // `Option<Node>`, which the `deleted` flag's niche keeps at a node's size.
-const _: () = assert!(std::mem::size_of::<Node>() <= 64);
+const _: () = assert!(std::mem::size_of::<Node>() <= 56);
 const _: () = assert!(std::mem::size_of::<Option<Node>>() == std::mem::size_of::<Node>());
-const _: () = assert!(std::mem::size_of::<LeafRecord>() <= 32);
+const _: () = assert!(std::mem::size_of::<LeafRecord>() <= 40);
 
 /// One skip-list node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// The node's key (`NEG_INF` for sentinels).
     pub key: Key,
-    /// The stored value (meaningful at level 0).
-    pub value: Value,
     /// Cached key of `right` (`POS_INF` when `right` is null).
     pub right_key: Key,
     /// Left neighbour at this level.
@@ -96,10 +96,9 @@ impl Node {
     pub const WORDS: u64 = 12;
 
     /// A fresh unlinked node.
-    pub fn new(key: Key, value: Value, level: u8) -> Self {
+    pub fn new(key: Key, level: u8) -> Self {
         Node {
             key,
-            value,
             right_key: POS_INF,
             left: Handle::NULL,
             right: Handle::NULL,
@@ -117,16 +116,18 @@ impl Node {
     }
 }
 
-/// The per-module part of a leaf (see the module doc): its links in the
-/// module's local leaf list, the inverse of the upper leaves' shortcuts,
-/// and its tower chain. The local leaf list links records, not nodes, and
-/// each record names its leaf, so a walk along the list chases records and
-/// reads a leaf's node only for its key.
+/// The per-module part of a leaf (see the module doc): its value, its
+/// links in the module's local leaf list, the inverse of the upper leaves'
+/// shortcuts, and its tower chain. The local leaf list links records, not
+/// nodes, and each record names its leaf, so a walk along the list chases
+/// records and reads a leaf's node only for its key.
 #[derive(Debug)]
 pub struct LeafRecord {
     /// The leaf's slot in its arena: the local arena, or the replicated one
     /// under `h_low = 0`.
     pub slot: u32,
+    /// The stored value.
+    pub value: Value,
     /// Record of the previous leaf in the local leaf list ([`NIL`]: the −∞
     /// leaf heads the list before it).
     pub local_left: u32,
@@ -143,11 +144,12 @@ pub struct LeafRecord {
 }
 
 impl LeafRecord {
-    /// The record of the leaf at `slot`, outside any list, with no chain
-    /// yet.
-    pub fn new(slot: u32) -> Self {
+    /// The record of the leaf at `slot` holding `value`, outside any list,
+    /// with no chain yet.
+    pub fn new(slot: u32, value: Value) -> Self {
         LeafRecord {
             slot,
+            value,
             local_left: NIL,
             local_right: NIL,
             inverse: NIL,
@@ -156,7 +158,7 @@ impl LeafRecord {
     }
 
     /// Model words the record adds to its leaf's [`Node::WORDS`]: the
-    /// chain (the three links are counted with the node).
+    /// chain (the value and the three links are counted with the node).
     pub fn words(&self) -> u64 {
         self.chain.len() as u64
     }
@@ -168,7 +170,7 @@ mod tests {
 
     #[test]
     fn fresh_node_is_unlinked() {
-        let n = Node::new(5, 50, 2);
+        let n = Node::new(5, 2);
         assert_eq!(n.key, 5);
         assert_eq!(n.level, 2);
         assert!(n.left.is_null() && n.right.is_null());
@@ -181,8 +183,9 @@ mod tests {
 
     #[test]
     fn words_count_chain() {
-        let mut r = LeafRecord::new(7);
+        let mut r = LeafRecord::new(7, 70);
         assert_eq!(r.words(), 0);
+        assert_eq!(r.value, 70);
         assert_eq!((r.local_left, r.local_right, r.inverse), (NIL, NIL, NIL));
         r.chain = vec![Handle::local(0, 1), Handle::replicated(2)].into();
         assert_eq!(r.words(), 2);

@@ -145,7 +145,7 @@ pub enum Task {
         op: u32,
         /// Key of the new tower.
         key: Key,
-        /// Value (meaningful at level 0).
+        /// Value (kept in the leaf's record; unused above level 0).
         value: Value,
         /// Node level.
         level: u8,
@@ -182,7 +182,8 @@ pub enum Task {
         key: Key,
         /// Node level.
         level: u8,
-        /// Stored value (the insert-time value, as recovery images carry).
+        /// Value (kept in each module's record of a level-0 node, the
+        /// `h_low = 0` ablation; unused above level 0).
         value: Value,
         /// The node's left neighbour after linking: its level predecessor
         /// before the batch, or the previous new node at this level when
@@ -447,8 +448,6 @@ pub enum Reply {
         /// For leaves: replicated slots of the tower's upper nodes (empty
         /// otherwise) — batched by the CPU into one `UnlinkUpper`.
         upper_slots: Vec<u32>,
-        /// For leaves: the deleted value.
-        value: Value,
     },
     /// One `(key, value)` produced by a range function.
     RangeItem {

@@ -187,17 +187,21 @@ impl CuckooTable {
         Err((cur.key, cur.value))
     }
 
-    /// Iterate all stored pairs (rebuild support).
+    /// The stored pairs in slot order: the first table's slots, then the
+    /// second's. Where a key sits shows the table's hash functions.
+    pub fn iter(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
+        (0..2).flat_map(move |t| {
+            (self.slots[t].iter().enumerate())
+                .filter(move |&(i, _)| self.is_full(t, i))
+                .map(|(_, e)| (e.key, e.value))
+        })
+    }
+
+    /// Take out all stored pairs, in slot order (rebuild support).
     pub fn drain_all(&mut self) -> Vec<(i64, u64)> {
         let mut out = Vec::with_capacity(self.len);
-        for t in 0..2 {
-            for (i, e) in self.slots[t].iter().enumerate() {
-                if self.is_full(t, i) {
-                    out.push((e.key, e.value));
-                }
-            }
-            self.occupied[t].fill(0);
-        }
+        out.extend(self.iter());
+        self.occupied.iter_mut().for_each(|o| o.fill(0));
         self.len = 0;
         out
     }

@@ -14,24 +14,24 @@
 //!   number of entries per subsequent operation (incremental rebuild),
 //!   consulting both generations for lookups until migration completes.
 //!
+//! A rebuild doubles the slots, so the load falls from `GROW_AT` to half
+//! of it: a grown table is between 35 % and 70 % full.
+//!
 //! **What the charge leaves out.** `last_op_work` charges each operation
 //! its bucket probes, displacements and migration steps, and that charge
 //! is bounded by a constant (asserted in tests). The work actually done is
-//! not, in three places:
+//! not, in two places:
 //!
-//! * `start_rebuild` allocates a next table with **4×** the slots of the
-//!   old one: it asks for `capacity / 2` buckets, and a bucket holds
-//!   `2 × BUCKET` slots across the two tables. The load therefore falls
-//!   from `GROW_AT` to about 17.5 % at each rebuild.
-//! * It drains the **whole** old table into `pending` inside the one
-//!   insert that triggers the rebuild: an O(capacity) scan, uncharged.
+//! * `start_rebuild` drains the **whole** old table into `pending` inside
+//!   the one insert that triggers the rebuild: an O(capacity) scan,
+//!   uncharged.
 //! * While a rebuild is in flight, every operation first scans `pending`
 //!   (and the stash) **linearly**, charged as one unit.
 //!
 //! Charging any of these would move the model's PIM time, so they stay
 //! as they are and are stated here.
 
-use crate::cuckoo::CuckooTable;
+use crate::cuckoo::{CuckooTable, BUCKET};
 
 /// Migration steps performed piggybacked on each operation while a rebuild
 /// is in flight.
@@ -98,11 +98,12 @@ impl DeamortizedMap {
             .map(|&(_, v)| v)
     }
 
-    /// Begin an incremental rebuild into a bigger table.
+    /// Begin an incremental rebuild into a table of twice the slots (a
+    /// bucket holds `2 × BUCKET` slots across the two tables).
     fn start_rebuild(&mut self) {
         debug_assert!(self.next.is_none());
         self.generation += 1;
-        let bigger = (self.live.capacity() / 2).max(8);
+        let bigger = (self.live.capacity() / (2 * BUCKET)) * 2;
         self.next = Some(CuckooTable::with_buckets(
             bigger,
             self.seed ^ (self.generation << 32),
@@ -261,6 +262,15 @@ impl DeamortizedMap {
         out
     }
 
+    /// The stored pairs in storage order: the stash, the entries awaiting
+    /// migration, then the live and the next table slot by slot (see
+    /// [`CuckooTable::iter`]).
+    pub fn iter(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
+        (self.stash.iter().chain(&self.pending).copied())
+            .chain(self.live.iter())
+            .chain(self.next.iter().flat_map(CuckooTable::iter))
+    }
+
     /// Words of local memory held (for Theorem 3.1 accounting).
     pub fn words(&self) -> u64 {
         self.live.words()
@@ -349,6 +359,45 @@ mod tests {
             assert_eq!(m.remove(k), None, "double remove {k}");
         }
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn each_rebuild_doubles_the_slots() {
+        let mut m = DeamortizedMap::new(64, 8);
+        let mut capacity = m.live.capacity();
+        let mut rebuilds = 0;
+        for k in 0..1i64 << 16 {
+            m.insert(k, 0);
+            if m.live.capacity() != capacity {
+                assert_eq!(m.live.capacity(), 2 * capacity, "after {} keys", k + 1);
+                capacity = m.live.capacity();
+                rebuilds += 1;
+            }
+            if rebuilds > 0 && m.next.is_none() {
+                // A completed rebuild leaves the table at least half of
+                // `GROW_AT` full.
+                let load = m.len() as f64 / capacity as f64;
+                assert!(load >= 0.35, "load {load:.3} after {} keys", k + 1);
+            }
+        }
+        assert_eq!(rebuilds, 10);
+        assert_eq!(m.len(), 1 << 16);
+    }
+
+    #[test]
+    fn iter_yields_every_pair_once_mid_rebuild() {
+        let mut m = DeamortizedMap::new(4, 9);
+        let mut k = 0i64;
+        while k < 100 || m.next.is_none() {
+            m.insert(k, (k * 5) as u64);
+            k += 1;
+        }
+        let mut pairs: Vec<(i64, u64)> = m.iter().collect();
+        pairs.sort_unstable();
+        assert_eq!(
+            pairs,
+            (0..k).map(|k| (k, (k * 5) as u64)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -89,22 +89,25 @@ const N: usize = 1 << 14;
 /// replaces a sixteenth of the structure (4 × `batch_large` at `P = 16`).
 const CHURN: usize = N / 16;
 
-/// Heap bytes per key after `bulk_load`: the measured 459.4 (7.2 MiB at
-/// `n = 2^14`) plus 10 %. The journal of 64-byte entries with tower
-/// handles and a hashed index read 542.2 before it became a key → value
-/// map; the 104-byte node that carried every leaf field read 692.0; the
-/// layout before the segmented arena, boxed leaf chains, 16-byte index
-/// slots and the dense journal read 891.5.
-const BYTES_PER_KEY: f64 = 506.0;
+/// Heap bytes per key after `bulk_load`: the measured 437.5 (6.8 MiB at
+/// `n = 2^14`) plus 10 %. A 64-byte node that also held the leaf's value
+/// read 459.4 (the index here ends at 50 % load under both growth
+/// factors); the journal of 64-byte entries with tower handles and a
+/// hashed index read 542.2 before it became a key → value map; the
+/// 104-byte node that carried every leaf field read 692.0; the layout
+/// before the segmented arena, boxed leaf chains, 16-byte index slots and
+/// the dense journal read 891.5.
+const BYTES_PER_KEY: f64 = 482.0;
 
-/// `bulk_load`'s heap peak over the bytes it leaves live. The measured
-/// 1.035 is 262,144 bytes: the 16-byte pairs that collecting the journal
-/// map stages before it builds the map. Before the map, the build kept a
-/// second copy of every tower for the journal, 584 kB, and read 1.066
-/// (1.052 over the 104-byte node). An unreserved journal added a rehash with the old table live
-/// (1.076 over the 104-byte node), and the hashed journal before the
-/// dense one read 1.113.
-const PEAK_OVER_LIVE: f64 = 1.04;
+/// `bulk_load`'s heap peak over the bytes it leaves live: the measured
+/// 1.0072 (51,576 bytes of build buffers). While the journal map was
+/// collected after the build, the 262,144 bytes of 16-byte pairs it
+/// stages read 1.035. Before the map, the build kept a second copy of
+/// every tower for the journal, 584 kB, and read 1.066 (1.052 over the
+/// 104-byte node). An unreserved journal added a rehash with the old
+/// table live (1.076 over the 104-byte node), and the hashed journal
+/// before the dense one read 1.113.
+const PEAK_OVER_LIVE: f64 = 1.01;
 
 /// splitmix64: the churn's key stream, independent of the structure's
 /// coins.
