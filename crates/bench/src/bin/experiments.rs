@@ -8,18 +8,18 @@
 //!           service, recovery, all }
 //!
 //! `trace-export [--quick] [--out DIR]` runs an instrumented session and
-//! writes `DIR/trace.json` (Chrome trace-event, Perfetto-loadable) and
-//! `DIR/rounds.jsonl` (the `pim-trace` CLI's input); DIR defaults to
-//! `target/trace-export`.
+//! writes its JSONL trace (spans and rounds, the `pim-trace` CLI's input)
+//! to `DIR/trace.jsonl`; DIR defaults to `target/trace-export`.
 //!
 //! `service [--quick] [--out DIR]` sweeps the `pim-service` coalescing
 //! policy (max batch × max linger) over a deterministic open-loop mixed
 //! stream and prints sustained throughput (ops/round, ops/sec) and
 //! p50/p95/p99 request latency. With `--out DIR` it additionally runs one
 //! instrumented telemetry-enabled service session and writes
-//! `DIR/trace.json` / `DIR/rounds.jsonl` plus the telemetry artifacts
-//! `DIR/events.jsonl` / `DIR/metrics.prom` (all byte-identical at every
-//! `PIM_THREADS`; the tier-1 `tests/tests/determinism.rs` compares them).
+//! `DIR/trace.jsonl` (spans, rounds and request-lifecycle events) and
+//! `DIR/metrics.prom` (the Prometheus exposition), both byte-identical at
+//! every `PIM_THREADS`; the tier-1 `tests/tests/determinism.rs` compares
+//! them.
 //!
 //! `recovery [--quick]` persists one mixed op stream under several
 //! snapshot cadences and times `PimSkipList::recover_from_dir` on each

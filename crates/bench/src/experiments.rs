@@ -778,8 +778,8 @@ pub fn trace_export_session(
     (trace, report)
 }
 
-/// OBS: run [`trace_export_session`], write the Chrome trace and the JSONL
-/// round log into `out_dir`, and print the per-phase cost breakdown (the
+/// OBS: run [`trace_export_session`], write its JSONL trace to
+/// `out_dir/trace.jsonl`, and print the per-phase cost breakdown (the
 /// same §2.1 columns as Table 1, via [`BatchCosts::from_span_stats`]).
 pub fn trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::io::Result<()> {
     let (trace, report) = trace_export_session(p, n, seed);
@@ -787,12 +787,11 @@ pub fn trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::io::Resu
         p,
         trace: &trace,
         report: Some(&report),
+        events: None,
     };
     std::fs::create_dir_all(out_dir)?;
-    let trace_path = format!("{out_dir}/trace.json");
-    let rounds_path = format!("{out_dir}/rounds.jsonl");
-    std::fs::write(&trace_path, pim_runtime::chrome_trace(&bundle))?;
-    std::fs::write(&rounds_path, pim_runtime::rounds_jsonl(&bundle))?;
+    let trace_path = format!("{out_dir}/trace.jsonl");
+    std::fs::write(&trace_path, pim_runtime::rounds_jsonl(&bundle))?;
 
     println!("== Observability: per-phase cost breakdown (P = {p}, n = {n}) ==");
     println!(
@@ -815,7 +814,6 @@ pub fn trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::io::Resu
     }
     println!("(exclusive stats: nested phases own their share; load phase ran before the probe)");
     println!("wrote {trace_path}");
-    println!("wrote {rounds_path}");
     Ok(())
 }
 

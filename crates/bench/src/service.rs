@@ -252,10 +252,9 @@ pub fn run_service(quick: bool, seed: u64) {
 
 /// SVC-TRACE: one instrumented service session — probe + round trace +
 /// telemetry on, the mixed schedule through the service — exported as
-/// `DIR/trace.json` (Chrome trace-event), `DIR/rounds.jsonl`,
-/// `DIR/events.jsonl` (request-lifecycle telemetry) and `DIR/metrics.prom`
-/// (Prometheus text exposition). Every byte of all four files is
-/// thread-count invariant; the tier-1 `tests/tests/determinism.rs`
+/// `DIR/trace.jsonl` (spans, rounds and request-lifecycle events) and
+/// `DIR/metrics.prom` (Prometheus text exposition). Every byte of both
+/// files is thread-count invariant; the tier-1 `tests/tests/determinism.rs`
 /// compares them at 1 and 8 pool threads.
 pub fn service_trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::io::Result<()> {
     let (mut list, _keys) = build_loaded_list(p, n, seed);
@@ -288,17 +287,13 @@ pub fn service_trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::
         p,
         trace: &trace,
         report: Some(&report),
+        events: Some(&telemetry),
     };
     std::fs::create_dir_all(out_dir)?;
     std::fs::write(
-        format!("{out_dir}/trace.json"),
-        pim_runtime::chrome_trace(&bundle),
-    )?;
-    std::fs::write(
-        format!("{out_dir}/rounds.jsonl"),
+        format!("{out_dir}/trace.jsonl"),
         pim_runtime::rounds_jsonl(&bundle),
     )?;
-    std::fs::write(format!("{out_dir}/events.jsonl"), telemetry.events_jsonl())?;
     std::fs::write(
         format!("{out_dir}/metrics.prom"),
         snapshot.render_prometheus(),
@@ -323,9 +318,7 @@ pub fn service_trace_export(out_dir: &str, p: u32, n: usize, seed: u64) -> std::
             c.shared_mem_peak,
         );
     }
-    println!(
-        "wrote {out_dir}/trace.json, {out_dir}/rounds.jsonl, {out_dir}/events.jsonl and {out_dir}/metrics.prom"
-    );
+    println!("wrote {out_dir}/trace.jsonl and {out_dir}/metrics.prom");
     Ok(())
 }
 

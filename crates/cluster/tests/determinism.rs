@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use pim_cluster::{ClusterConfig, PimCluster};
 use pim_core::prelude::*;
 use pim_runtime::pool::{self, ExecConfig};
-use pim_runtime::Handle;
+use pim_runtime::{rounds_jsonl, ExportBundle, Handle, Trace};
 use pim_service::{PimService, RequestId, ServiceConfig};
 
 /// The pool configuration is process-global; serialise the tests in this
@@ -108,10 +108,12 @@ fn run(shards: u32, threads: usize) -> Run {
         .telemetry_snapshot()
         .expect("telemetry is lit")
         .render_prometheus();
-    let events = cluster
-        .telemetry_mut()
-        .expect("telemetry is lit")
-        .events_jsonl();
+    let events = rounds_jsonl(&ExportBundle {
+        p: 0,
+        trace: &Trace::default(),
+        report: None,
+        events: Some(cluster.telemetry_mut().expect("telemetry is lit")),
+    });
     Run {
         replies,
         prometheus,

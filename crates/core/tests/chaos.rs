@@ -308,6 +308,43 @@ fn crash_during_mutating_range_applies_add_exactly_once() {
     assert_eq!(list.metrics().module_crashes, 1);
 }
 
+#[test]
+fn one_crash_costs_about_one_rebuild() {
+    // `retry` repairs a crash with one `restore_all`: one rebuild of every
+    // module from the journal, so about the rounds of one `bulk_load` of
+    // the same contents on a fresh list.
+    for n in [1usize << 10, 1 << 12] {
+        let pairs: Vec<(i64, u64)> = (0..n as i64).map(|i| (i * 3, i as u64)).collect();
+        let cfg = Config::new(16, n as u64, 0xC4A5);
+        let mut fresh = PimSkipList::new(cfg.clone());
+        fresh.bulk_load(&pairs);
+        let build_rounds = fresh.metrics().rounds;
+
+        let mut list = PimSkipList::new(cfg);
+        list.bulk_load(&pairs);
+        let crash_round = list.metrics().rounds + 2;
+        list.set_fault_plan(FaultPlan::new().at(crash_round, 5, FaultKind::Crash));
+        let queries: Vec<i64> = (0..256).map(|i| i * 37 + 1).collect();
+        let got = list
+            .try_execute(&successors(&queries))
+            .expect("successors across the crash");
+        for (q, g) in queries.iter().zip(&got) {
+            assert_eq!(
+                entry_key(g),
+                Some((q + 2) / 3 * 3).filter(|&k| k < 3 * n as i64)
+            );
+        }
+        let m = list.metrics();
+        assert_eq!(m.module_crashes, 1, "n = {n}: the crash struck");
+        assert!(
+            m.recovery_rounds > 0 && 2 * m.recovery_rounds <= 3 * build_rounds,
+            "n = {n}: one crash cost {} recovery rounds, one bulk_load {build_rounds}",
+            m.recovery_rounds
+        );
+        assert_eq!(list.collect_items(), pairs);
+    }
+}
+
 /// A mixed [`Op`] stream with short runs of every family, so the unified
 /// entry point crosses many read/write epoch boundaries.
 fn mixed_stream() -> Vec<Op> {

@@ -26,7 +26,6 @@ struct RunArtifacts {
     range_counts: Vec<u64>,
     final_len: u64,
     metrics: pim_runtime::Metrics,
-    chrome_trace: String,
     rounds_jsonl: String,
     probe_table: String,
 }
@@ -74,6 +73,7 @@ fn run_workload(p: u32, seed: u64) -> RunArtifacts {
         p,
         trace: &trace,
         report: Some(&report),
+        events: None,
     };
     let probe_table: String = report
         .by_path()
@@ -86,7 +86,6 @@ fn run_workload(p: u32, seed: u64) -> RunArtifacts {
         range_counts,
         final_len: list.len(),
         metrics: list.metrics(),
-        chrome_trace: pim_runtime::chrome_trace(&bundle),
         rounds_jsonl: pim_runtime::rounds_jsonl(&bundle),
         probe_table,
     }
@@ -120,7 +119,6 @@ fn one_thread_and_eight_threads_are_bit_identical() {
         assert_eq!(wide.metrics, base.metrics, "P={p}");
         assert_eq!(wide.probe_table, base.probe_table, "P={p}");
         // …then the serialised artifacts byte for byte.
-        assert_eq!(wide.chrome_trace, base.chrome_trace, "P={p}");
         assert_eq!(wide.rounds_jsonl, base.rounds_jsonl, "P={p}");
         // Sanity: the workload actually produced traffic worth comparing.
         assert!(base.metrics.rounds > 0 && base.metrics.io_time > 0);

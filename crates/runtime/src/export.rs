@@ -1,19 +1,18 @@
-//! Trace export: Chrome trace-event JSON and a JSONL round log.
+//! Trace export: one JSONL trace of a run.
 //!
-//! Two machine-readable serialisations of a run, both fully deterministic
-//! (no wall-clock, no hashing order — the time axis is the round index,
-//! one round = 1 µs of trace time):
+//! [`rounds_jsonl`] writes one JSON object per line, fully deterministic
+//! (no wall-clock, no hashing order — rounds and service ticks are the
+//! only clocks):
 //!
-//! * [`chrome_trace`] — the Chrome trace-event format, loadable in
-//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Spans
-//!   become complete (`"ph":"X"`) slices with their exclusive §2.1 stats
-//!   in `args`; each round emits counter (`"ph":"C"`) tracks for `h`,
-//!   max work and per-module messages; injected faults become instant
-//!   (`"ph":"i"`) events on the faulted round.
-//! * [`rounds_jsonl`] — one JSON object per line: a header line carrying
-//!   `p`, `dropped_rounds`, the span table and per-module histogram
-//!   summaries, then one line per recorded round with per-module counts
-//!   and fault records. This is the format the `pim-trace` CLI consumes.
+//! * a `"type":"header"` line carrying `p`, the truncation counts
+//!   (`dropped_rounds`, `recorded_rounds`, `events`, `dropped_events`),
+//!   the span table and per-module histogram summaries;
+//! * one `"type":"round"` line per recorded round, with per-module
+//!   message counts and fault records;
+//! * one `"type":"event"` line per retained request-lifecycle event of
+//!   the bundle's [`Telemetry`], when it has one.
+//!
+//! This is the format the `pim-trace` CLI consumes.
 //!
 //! The workspace is dependency-free, so this module carries its own
 //! minimal JSON value, writer and parser ([`Json`]); the parser exists so
@@ -21,6 +20,7 @@
 
 use crate::fault::{FaultKind, FaultRecord};
 use crate::span::ProbeReport;
+use crate::telemetry::Telemetry;
 use crate::trace::Trace;
 
 // ---------------------------------------------------------------------------
@@ -318,7 +318,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 // ---------------------------------------------------------------------------
 
 /// Everything one export needs: the machine size, the (possibly
-/// ring-capped) per-round trace, and the optional span report.
+/// ring-capped) per-round trace, the optional span report and the
+/// optional (possibly ring-capped) request-lifecycle event log.
 #[derive(Debug, Clone, Copy)]
 pub struct ExportBundle<'a> {
     /// Number of PIM modules.
@@ -327,17 +328,8 @@ pub struct ExportBundle<'a> {
     pub trace: &'a Trace,
     /// The span/histogram report, when a probe was enabled.
     pub report: Option<&'a ProbeReport>,
-}
-
-fn fault_label(f: &FaultRecord) -> String {
-    let tag = match f.kind {
-        FaultKind::Crash => "crash",
-        FaultKind::Stall => "stall",
-        FaultKind::DropTask { .. } => "drop_task",
-        FaultKind::DropReply { .. } => "drop_reply",
-        FaultKind::Slow { .. } => "slow",
-    };
-    format!("{}(m{})", tag, f.module)
+    /// The telemetry whose events follow the rounds, when it was enabled.
+    pub events: Option<&'a Telemetry>,
 }
 
 fn fault_json(f: &FaultRecord) -> Json {
@@ -377,112 +369,6 @@ fn stats_fields(m: &crate::metrics::Metrics) -> Vec<(String, Json)> {
     ]
 }
 
-/// Serialise the bundle to Chrome trace-event JSON (Perfetto-loadable).
-///
-/// One round is one microsecond of trace time; zero-round spans render
-/// with `dur: 1` so they stay visible (their exact round extent is in
-/// `args`).
-pub fn chrome_trace(bundle: &ExportBundle<'_>) -> String {
-    let mut events: Vec<Json> = Vec::new();
-    events.push(Json::Obj(vec![
-        ("name".to_string(), str("process_name")),
-        ("ph".to_string(), str("M")),
-        ("pid".to_string(), num(0)),
-        ("tid".to_string(), num(0)),
-        (
-            "args".to_string(),
-            Json::Obj(vec![("name".to_string(), str("pim-machine"))]),
-        ),
-    ]));
-    events.push(Json::Obj(vec![
-        ("name".to_string(), str("thread_name")),
-        ("ph".to_string(), str("M")),
-        ("pid".to_string(), num(0)),
-        ("tid".to_string(), num(0)),
-        (
-            "args".to_string(),
-            Json::Obj(vec![("name".to_string(), str("spans"))]),
-        ),
-    ]));
-
-    if let Some(report) = bundle.report {
-        for s in &report.spans {
-            let dur = (s.end_round - s.start_round).max(1);
-            let mut args = stats_fields(&s.stats);
-            args.insert(0, ("path".to_string(), str(&report.path(s.id))));
-            events.push(Json::Obj(vec![
-                ("name".to_string(), str(s.name)),
-                ("cat".to_string(), str("span")),
-                ("ph".to_string(), str("X")),
-                ("pid".to_string(), num(0)),
-                ("tid".to_string(), num(0)),
-                ("ts".to_string(), num(s.start_round)),
-                ("dur".to_string(), num(dur)),
-                ("args".to_string(), Json::Obj(args)),
-            ]));
-        }
-    }
-
-    for r in &bundle.trace.rounds {
-        events.push(Json::Obj(vec![
-            ("name".to_string(), str("round")),
-            ("ph".to_string(), str("C")),
-            ("pid".to_string(), num(0)),
-            ("ts".to_string(), num(r.round)),
-            (
-                "args".to_string(),
-                Json::Obj(vec![
-                    ("h".to_string(), num(r.h)),
-                    ("max_work".to_string(), num(r.max_work)),
-                ]),
-            ),
-        ]));
-        if !r.per_module_messages.is_empty() {
-            let lanes = r
-                .per_module_messages
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| (format!("m{}", m), num(v)))
-                .collect();
-            events.push(Json::Obj(vec![
-                ("name".to_string(), str("module_messages")),
-                ("ph".to_string(), str("C")),
-                ("pid".to_string(), num(0)),
-                ("ts".to_string(), num(r.round)),
-                ("args".to_string(), Json::Obj(lanes)),
-            ]));
-        }
-        for f in &r.faults {
-            events.push(Json::Obj(vec![
-                ("name".to_string(), str(&fault_label(f))),
-                ("cat".to_string(), str("fault")),
-                ("ph".to_string(), str("i")),
-                ("pid".to_string(), num(0)),
-                ("tid".to_string(), num(0)),
-                ("ts".to_string(), num(r.round)),
-                ("s".to_string(), str("g")),
-                ("args".to_string(), fault_json(f)),
-            ]));
-        }
-    }
-
-    Json::Obj(vec![
-        ("traceEvents".to_string(), Json::Arr(events)),
-        ("displayTimeUnit".to_string(), str("ms")),
-        (
-            "otherData".to_string(),
-            Json::Obj(vec![
-                ("p".to_string(), num(u64::from(bundle.p))),
-                (
-                    "dropped_rounds".to_string(),
-                    num(bundle.trace.dropped_rounds()),
-                ),
-            ]),
-        ),
-    ])
-    .to_json()
-}
-
 fn histogram_json(h: &crate::histogram::Histogram) -> Json {
     Json::Obj(vec![
         ("count".to_string(), num(h.count())),
@@ -508,15 +394,16 @@ fn histogram_json(h: &crate::histogram::Histogram) -> Json {
     ])
 }
 
-/// Serialise the bundle to a JSONL round log.
+/// Serialise the bundle to the JSONL trace.
 ///
 /// Line 1 is a `"type":"header"` object (machine size, truncation, span
-/// table, per-module histogram summaries); every further line is a
-/// `"type":"round"` object. The `pim-trace` CLI consumes this format.
+/// table, per-module histogram summaries); the `"type":"round"` lines
+/// follow, then the `"type":"event"` lines. The `pim-trace` CLI consumes
+/// this format.
 pub fn rounds_jsonl(bundle: &ExportBundle<'_>) -> String {
     let mut header = vec![
         ("type".to_string(), str("header")),
-        ("version".to_string(), num(1)),
+        ("version".to_string(), num(2)),
         ("p".to_string(), num(u64::from(bundle.p))),
         (
             "dropped_rounds".to_string(),
@@ -525,6 +412,14 @@ pub fn rounds_jsonl(bundle: &ExportBundle<'_>) -> String {
         (
             "recorded_rounds".to_string(),
             num(bundle.trace.rounds.len() as u64),
+        ),
+        (
+            "events".to_string(),
+            num(bundle.events.map_or(0, |t| t.events().len() as u64)),
+        ),
+        (
+            "dropped_events".to_string(),
+            num(bundle.events.map_or(0, Telemetry::dropped_events)),
         ),
     ];
     if let Some(report) = bundle.report {
@@ -584,6 +479,17 @@ pub fn rounds_jsonl(bundle: &ExportBundle<'_>) -> String {
             ),
         ]);
         out.push_str(&line.to_json());
+        out.push('\n');
+    }
+    for e in bundle.events.iter().flat_map(|t| t.events()) {
+        let mut fields = vec![
+            ("type".to_string(), str("event")),
+            ("kind".to_string(), str(e.kind)),
+            ("tick".to_string(), num(e.tick)),
+            ("round".to_string(), num(e.round)),
+        ];
+        fields.extend(e.fields().map(|(k, v)| (k.to_string(), num(v))));
+        out.push_str(&Json::Obj(fields).to_json());
         out.push('\n');
     }
     out
@@ -655,30 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_json_with_events() {
-        let t = sample_trace();
-        let out = chrome_trace(&ExportBundle {
-            p: 2,
-            trace: &t,
-            report: None,
-        });
-        let v = parse(&out).unwrap();
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert!(events.len() >= 4); // 2 metadata + 2 round counters
-        assert!(out.contains("slow(m1)"));
-        assert_eq!(
-            v.get("otherData").unwrap().get("p").unwrap().as_u64(),
-            Some(2)
-        );
-    }
-
-    #[test]
     fn jsonl_header_then_rounds() {
         let t = sample_trace();
         let out = rounds_jsonl(&ExportBundle {
             p: 2,
             trace: &t,
             report: None,
+            events: None,
         });
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -693,14 +582,41 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_events_follow_the_rounds() {
+        let t = sample_trace();
+        let mut telemetry = Telemetry::new().with_max_events(2);
+        telemetry.emit("admit", 1, 0, &[("id", 4)]);
+        telemetry.emit("admit", 1, 0, &[("id", 5)]);
+        telemetry.emit("ack", 2, 1, &[("id", 4), ("latency_ticks", 1)]);
+        let out = rounds_jsonl(&ExportBundle {
+            p: 2,
+            trace: &t,
+            report: None,
+            events: Some(&telemetry),
+        });
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5);
+        assert!(lines[0].contains(r#""recorded_rounds":2,"events":2,"dropped_events":1}"#));
+        assert!(lines[2].starts_with(r#"{"type":"round","round":1,"#));
+        assert_eq!(
+            lines[3],
+            r#"{"type":"event","kind":"admit","tick":1,"round":0,"id":5}"#
+        );
+        assert_eq!(
+            lines[4],
+            r#"{"type":"event","kind":"ack","tick":2,"round":1,"id":4,"latency_ticks":1}"#
+        );
+    }
+
+    #[test]
     fn export_is_deterministic() {
         let t = sample_trace();
         let b = ExportBundle {
             p: 2,
             trace: &t,
             report: None,
+            events: None,
         };
-        assert_eq!(chrome_trace(&b), chrome_trace(&b));
         assert_eq!(rounds_jsonl(&b), rounds_jsonl(&b));
     }
 }

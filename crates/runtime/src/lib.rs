@@ -70,7 +70,7 @@ pub mod trace;
 
 pub use buffers::{BufferPool, RouteBuffer};
 pub use crc::{crc32, Crc32};
-pub use export::{chrome_trace, rounds_jsonl, ExportBundle, Json};
+pub use export::{rounds_jsonl, ExportBundle, Json};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord};
 pub use handle::{Arena, Handle, ModuleId};
 pub use histogram::{HistBucket, Histogram, ModuleLanes};

@@ -11,10 +11,10 @@
 //! * **Deterministic in the tick/round domain.** Nothing here reads a
 //!   wall clock or iterates a hash map: metric identity is an ordered
 //!   `(name, labels)` list, events are stamped with the service tick and
-//!   machine round, and every rendered artifact
-//!   ([`TelemetrySnapshot::render_prometheus`],
-//!   [`Telemetry::events_jsonl`]) is byte-identical across
-//!   `PIM_THREADS` settings.
+//!   machine round, and every rendered artifact (the Prometheus
+//!   exposition of [`TelemetrySnapshot::render_prometheus`] and the event
+//!   lines of the JSONL trace, [`crate::export::rounds_jsonl`]) is
+//!   byte-identical across `PIM_THREADS` settings.
 //! * **Zero overhead when dark.** The registry is owned behind an
 //!   `Option` by whoever publishes into it; a structure that never
 //!   enabled telemetry pays exactly one `is_some` branch per batch.
@@ -39,7 +39,6 @@
 
 use std::collections::VecDeque;
 
-use crate::export::{num, str as jstr, Json};
 use crate::histogram::Histogram;
 
 /// Handle to a registered monotonic counter.
@@ -456,38 +455,11 @@ impl Telemetry {
         self.dropped_events
     }
 
-    /// Render the event log as JSONL: a `"type":"telemetry-header"` line
-    /// stamping the schema version and truncation, then one
-    /// `"type":"event"` line per retained event. Deterministic byte for
-    /// byte (only tick/round clocks, insertion-ordered fields).
-    pub fn events_jsonl(&self) -> String {
-        let header = Json::Obj(vec![
-            ("type".to_string(), jstr("telemetry-header")),
-            ("version".to_string(), num(1)),
-            ("events".to_string(), num(self.events.len as u64)),
-            ("dropped_events".to_string(), num(self.dropped_events)),
-        ]);
-        let mut out = header.to_json();
-        out.push('\n');
-        for e in self.events() {
-            let mut fields = vec![
-                ("type".to_string(), jstr("event")),
-                ("kind".to_string(), jstr(e.kind)),
-                ("tick".to_string(), num(e.tick)),
-                ("round".to_string(), num(e.round)),
-            ];
-            fields.extend(e.fields().map(|(k, v)| (k.to_string(), num(v))));
-            out.push_str(&Json::Obj(fields).to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Freeze the registry into a render-ready snapshot (sorted by
     /// `(name, labels)` so the exposition is independent of registration
     /// order). The snapshot stamps the event-log truncation as its own
     /// metric pair (`pim_telemetry_events` / `pim_telemetry_dropped_events`)
-    /// so a Prometheus scrape is as truncation-honest as the JSONL log.
+    /// so a Prometheus scrape is as truncation-honest as the JSONL trace.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut counters = self.counters.clone();
         counters.push(Series {
@@ -672,6 +644,18 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::{rounds_jsonl, ExportBundle};
+    use crate::trace::Trace;
+
+    /// The JSONL trace of `t`'s events over a run with no recorded rounds.
+    fn events_trace(t: &Telemetry) -> String {
+        rounds_jsonl(&ExportBundle {
+            p: 0,
+            trace: &Trace::default(),
+            report: None,
+            events: Some(t),
+        })
+    }
 
     #[test]
     fn registration_is_idempotent_and_handles_are_stable() {
@@ -722,7 +706,7 @@ mod tests {
         let kept: Vec<Option<u64>> = t.events().map(|e| e.field("id")).collect();
         let want: Vec<Option<u64>> = (extra..cap as u64 + extra).map(Some).collect();
         assert_eq!(kept, want, "the last `cap` events, oldest first");
-        let log = t.events_jsonl();
+        let log = events_trace(&t);
         let lines: Vec<&str> = log.lines().collect();
         assert_eq!(lines.len(), 1 + cap);
         assert!(lines[0].contains("\"events\":5,\"dropped_events\":3"));
@@ -792,7 +776,7 @@ mod tests {
         assert_eq!(ack.field("id"), Some(7));
         assert_eq!(ack.field("latency_rounds"), Some(1 << 40));
         assert_eq!(ack.field("synced_seq"), None);
-        let log = t.events_jsonl();
+        let log = events_trace(&t);
         let lines: Vec<&str> = log.lines().collect();
         assert_eq!(
             lines[1],
@@ -964,10 +948,10 @@ mod tests {
             .collect()
     }
 
-    /// `events_jsonl` of a reference ring, rendered field by field.
+    /// The JSONL trace of a reference ring, rendered field by field.
     fn reference_jsonl(kept: &VecDeque<Plain>, dropped: u64) -> String {
         let mut out = format!(
-            "{{\"type\":\"telemetry-header\",\"version\":1,\"events\":{},\"dropped_events\":{dropped}}}\n",
+            "{{\"type\":\"header\",\"version\":2,\"p\":0,\"dropped_rounds\":0,\"recorded_rounds\":0,\"events\":{},\"dropped_events\":{dropped}}}\n",
             kept.len()
         );
         for (kind, tick, round, fields) in kept {
@@ -1024,7 +1008,7 @@ mod tests {
                 proptest::prop_assert_eq!(decoded(&t), Vec::from(kept.clone()));
                 proptest::prop_assert_eq!(t.dropped_events(), dropped);
                 proptest::prop_assert_eq!(
-                    t.events_jsonl(),
+                    events_trace(&t),
                     reference_jsonl(&kept, dropped)
                 );
                 let snap = t.snapshot();

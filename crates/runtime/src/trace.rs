@@ -116,10 +116,6 @@ impl Trace {
             self.ring_start = 0;
         }
     }
-    /// Rounds whose `h` is at least `threshold` (hot rounds).
-    pub fn hot_rounds(&self, threshold: u64) -> Vec<&RoundTrace> {
-        self.rounds.iter().filter(|r| r.h >= threshold).collect()
-    }
 
     /// The largest `h` observed.
     pub fn max_h(&self) -> u64 {
@@ -206,8 +202,6 @@ mod tests {
             ..Trace::default()
         };
         assert_eq!(t.max_h(), 9);
-        assert_eq!(t.hot_rounds(4).len(), 1);
-        assert_eq!(t.hot_rounds(3).len(), 2);
         let profile = t.h_profile();
         assert!(profile.contains("h=9"));
         assert_eq!(profile.lines().count(), 3);

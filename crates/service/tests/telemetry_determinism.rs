@@ -1,16 +1,18 @@
 //! Telemetry artifacts live in the tick/round domain, so the executor
-//! thread count must not move a single byte of them: the JSONL event log
-//! and the Prometheus snapshot rendered from the same service session are
-//! compared byte for byte across `PIM_THREADS` 1 and 8, in-process with
-//! forced forking (zero parallel thresholds). A second session caps the
-//! event log far below what it emits, so the ring wraps many times. Both
-//! sessions' logs are pinned by length and FNV-1a-64 digest: how the log
-//! stores its events must not move one byte of what it renders.
+//! thread count must not move a single byte of them: the event lines of
+//! the JSONL trace and the Prometheus snapshot rendered from the same
+//! service session are compared byte for byte across `PIM_THREADS` 1 and
+//! 8, in-process with forced forking (zero parallel thresholds). A second
+//! session caps the event log far below what it emits, so the ring wraps
+//! many times. Both sessions' event lines are pinned by length and
+//! FNV-1a-64 digest: how the log stores its events must not move one byte
+//! of what it renders.
 
 use std::sync::Mutex;
 
 use pim_core::{Config, Op, PimSkipList, RangeFunc};
 use pim_runtime::pool::{self, ExecConfig};
+use pim_runtime::{rounds_jsonl, ExportBundle, Trace};
 use pim_service::{PimService, ServiceConfig};
 
 /// The pool configuration is process-global; serialise the ladder steps.
@@ -41,15 +43,22 @@ fn op_at(i: u64) -> Op {
     }
 }
 
-/// `events.jsonl` of the uncapped and the 512-event session: length in
-/// bytes and FNV-1a-64 digest.
-const UNCAPPED_EVENTS: (usize, u64) = (168_655, 0xed1c_f2bd_0fa5_45fa);
-const CAPPED_EVENTS: (usize, u64) = (43_841, 0x152c_be50_760f_36f6);
+/// The event lines of the uncapped and the 512-event session's JSONL
+/// trace (every line after the header): length in bytes and FNV-1a-64
+/// digest.
+const UNCAPPED_EVENTS: (usize, u64) = (168_582, 0xf91c_5cc8_531d_075b);
+const CAPPED_EVENTS: (usize, u64) = (43_766, 0x880f_4b4c_15be_d25c);
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Length and digest of a trace's event lines.
+fn event_pin(trace: &str) -> (usize, u64) {
+    let events = &trace[trace.find('\n').expect("a header line") + 1..];
+    (events.len(), fnv1a64(events.as_bytes()))
 }
 
 /// One telemetry-lit service session: open-loop arrivals (0–3 per tick),
@@ -84,10 +93,13 @@ fn artifacts(seed: u64, max_events: Option<usize>) -> (String, String) {
         .telemetry_snapshot()
         .expect("telemetry was enabled")
         .render_prometheus();
-    let events = list
-        .take_telemetry()
-        .expect("telemetry was enabled")
-        .events_jsonl();
+    let telemetry = list.take_telemetry().expect("telemetry was enabled");
+    let events = rounds_jsonl(&ExportBundle {
+        p: 8,
+        trace: &Trace::default(),
+        report: None,
+        events: Some(&telemetry),
+    });
     (events, prom)
 }
 
@@ -117,8 +129,7 @@ fn telemetry_artifacts_are_byte_identical_across_thread_counts() {
     }
     assert!(prom_1.contains("pim_service_latency_ticks_bucket"));
     assert!(prom_1.contains("pim_ops_total{op=\"get\"}"));
-    let pinned = (events_1.len(), fnv1a64(events_1.as_bytes()));
-    assert_eq!(pinned, UNCAPPED_EVENTS);
+    assert_eq!(event_pin(&events_1), UNCAPPED_EVENTS);
 }
 
 #[test]
@@ -134,6 +145,5 @@ fn an_overflowing_event_ring_renders_the_same_bytes() {
         "the ring wrapped"
     );
     assert!(prom_1.contains("pim_telemetry_events 512"));
-    let pinned = (events_1.len(), fnv1a64(events_1.as_bytes()));
-    assert_eq!(pinned, CAPPED_EVENTS);
+    assert_eq!(event_pin(&events_1), CAPPED_EVENTS);
 }

@@ -1,12 +1,11 @@
 //! Reader and renderers behind the `pim-trace` binary.
 //!
-//! The input formats are produced by `pim_runtime::export`:
-//!
-//! * the JSONL round log (`rounds_jsonl`) — a `"type":"header"` line with
-//!   the span table and per-module histogram summaries, then one
-//!   `"type":"round"` line per recorded round;
-//! * the Chrome trace-event JSON (`chrome_trace`) — validated here too, so
-//!   CI can schema-check both artefacts with one tool.
+//! The input is the JSONL trace `pim_runtime::export::rounds_jsonl`
+//! writes: a `"type":"header"` line with the truncation counts, the span
+//! table and per-module histogram summaries, then one `"type":"round"`
+//! line per recorded round, then one `"type":"event"` line per retained
+//! request-lifecycle event. The Prometheus exposition is schema-checked
+//! here too, so CI validates both artefacts with one tool.
 //!
 //! Parsing reuses [`pim_runtime::export::parse`] — the exporter and this
 //! consumer share a single JSON implementation, so a schema drift breaks
@@ -96,6 +95,27 @@ pub struct RoundRow {
     pub faults: Vec<String>,
 }
 
+/// One request-lifecycle event.
+#[derive(Debug, Clone)]
+pub struct EventRow {
+    /// Event kind (`"admit"`, `"coalesce"`, `"execute"`, `"reply"`,
+    /// `"ack"`, `"fsync"`, …).
+    pub kind: String,
+    /// Service tick the event occurred on.
+    pub tick: u64,
+    /// Machine round counter at the event.
+    pub round: u64,
+    /// Extra integer fields (`id`, `latency_ticks`, …).
+    pub fields: Vec<(String, u64)>,
+}
+
+impl EventRow {
+    /// Look up one extra field by name.
+    pub fn field(&self, name: &str) -> Option<u64> {
+        self.fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
+}
+
 /// A parsed JSONL trace document.
 #[derive(Debug, Clone)]
 pub struct TraceDoc {
@@ -103,12 +123,16 @@ pub struct TraceDoc {
     pub p: u64,
     /// Rounds lost to the ring-buffer cap.
     pub dropped_rounds: u64,
+    /// Events lost to the event log's cap.
+    pub dropped_events: u64,
     /// Spans from the header (empty when the run had no probe).
     pub spans: Vec<SpanRow>,
     /// Per-module summaries from the header (empty without a probe).
     pub modules: Vec<ModuleRow>,
     /// The recorded rounds.
     pub rounds: Vec<RoundRow>,
+    /// The retained events, in emission order (empty without telemetry).
+    pub events: Vec<EventRow>,
 }
 
 fn req_u64(v: &Json, key: &str, what: &str) -> Result<u64, String> {
@@ -148,24 +172,33 @@ pub const STAT_LABELS: [&str; 10] = [
     "recovery_rounds",
 ];
 
-/// Warning text when the trace lost rounds to the capped ring buffer
-/// (`None` for a complete trace). A schema-valid trace can still be a
-/// *partial* record — analyses over it silently undercount — so
-/// `pim-trace validate` prints this, and treats it as a failure under
-/// `--strict`.
+/// Warning text when the trace lost rounds or events to a cap (`None`
+/// for a complete trace). A schema-valid trace can still be a *partial*
+/// record — analyses over it silently undercount — so `pim-trace
+/// validate` prints this, and treats it as a failure under `--strict`.
 pub fn completeness_warning(doc: &TraceDoc) -> Option<String> {
-    (doc.dropped_rounds > 0).then(|| {
-        format!(
-            "incomplete trace: {} round(s) evicted by the ring-buffer cap ({} recorded)",
+    let mut lost = Vec::new();
+    if doc.dropped_rounds > 0 {
+        lost.push(format!(
+            "{} round(s) evicted by the ring-buffer cap ({} recorded)",
             doc.dropped_rounds,
             doc.rounds.len()
-        )
-    })
+        ));
+    }
+    if doc.dropped_events > 0 {
+        lost.push(format!(
+            "{} event(s) dropped by the cap ({} recorded)",
+            doc.dropped_events,
+            doc.events.len()
+        ));
+    }
+    (!lost.is_empty()).then(|| format!("incomplete trace: {}", lost.join("; ")))
 }
 
-/// Parse a JSONL round log into a [`TraceDoc`]. Errors carry the line
-/// number (1-based) and what was wrong — this is also the schema check
-/// behind `pim-trace validate`.
+/// Parse a JSONL trace into a [`TraceDoc`]. Errors carry the line number
+/// (1-based) and what was wrong — this is also the schema check behind
+/// `pim-trace validate`. Each round line must agree with itself and the
+/// header: `p` lanes, `h` their maximum and `messages` their sum.
 pub fn parse_jsonl(input: &str) -> Result<TraceDoc, String> {
     let mut lines = input.lines().enumerate().filter(|(_, l)| !l.is_empty());
     let (_, first) = lines.next().ok_or("empty input")?;
@@ -174,12 +207,14 @@ pub fn parse_jsonl(input: &str) -> Result<TraceDoc, String> {
         return Err("line 1: expected a \"type\":\"header\" object".into());
     }
     let version = req_u64(&header, "version", "header")?;
-    if version != 1 {
+    if version != 2 {
         return Err(format!("header: unsupported version {version}"));
     }
     let p = req_u64(&header, "p", "header")?;
     let dropped_rounds = req_u64(&header, "dropped_rounds", "header")?;
     let recorded = req_u64(&header, "recorded_rounds", "header")?;
+    let retained = req_u64(&header, "events", "header")?;
+    let dropped_events = req_u64(&header, "dropped_events", "header")?;
 
     let mut spans = Vec::new();
     if let Some(arr) = header.get("spans").and_then(Json::as_array) {
@@ -227,39 +262,20 @@ pub fn parse_jsonl(input: &str) -> Result<TraceDoc, String> {
     }
 
     let mut rounds = Vec::new();
+    let mut events = Vec::new();
     for (lineno, line) in lines {
         let what = format!("line {}", lineno + 1);
         let v = parse(line).map_err(|e| format!("{what}: {e}"))?;
-        if v.get("type").and_then(Json::as_str) != Some("round") {
-            return Err(format!("{what}: expected a \"type\":\"round\" object"));
+        match v.get("type").and_then(Json::as_str) {
+            Some("round") if events.is_empty() => rounds.push(round_row(&v, p, &what)?),
+            Some("round") => return Err(format!("{what}: a round line after the events")),
+            Some("event") => events.push(event_row(&v, &what)?),
+            _ => {
+                return Err(format!(
+                    "{what}: expected a \"type\":\"round\" or \"type\":\"event\" object"
+                ))
+            }
         }
-        let per_module = v
-            .get("per_module")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{what}: missing array field \"per_module\""))?
-            .iter()
-            .map(|x| x.as_u64().ok_or_else(|| format!("{what}: bad lane value")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let faults = v
-            .get("faults")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{what}: missing array field \"faults\""))?
-            .iter()
-            .map(|f| {
-                let kind = req_str(f, "kind", &what)?;
-                let module = req_u64(f, "module", &what)?;
-                Ok(format!("{kind}(m{module})"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        rounds.push(RoundRow {
-            round: req_u64(&v, "round", &what)?,
-            h: req_u64(&v, "h", &what)?,
-            max_work: req_u64(&v, "max_work", &what)?,
-            messages: req_u64(&v, "messages", &what)?,
-            work: req_u64(&v, "work", &what)?,
-            per_module,
-            faults,
-        });
     }
     if rounds.len() as u64 != recorded {
         return Err(format!(
@@ -267,150 +283,96 @@ pub fn parse_jsonl(input: &str) -> Result<TraceDoc, String> {
             rounds.len()
         ));
     }
-    Ok(TraceDoc {
-        p,
-        dropped_rounds,
-        spans,
-        modules,
-        rounds,
-    })
-}
-
-/// Schema-check a Chrome trace-event export: one JSON object with a
-/// `traceEvents` array whose entries all carry `ph`, plus `otherData.p`
-/// and `otherData.dropped_rounds` (every exporter stamps its truncation).
-/// `Ok(Some(_))` is the incompleteness warning when rounds were dropped —
-/// same contract as [`completeness_warning`] for the JSONL log.
-pub fn validate_chrome(input: &str) -> Result<Option<String>, String> {
-    let v = parse(input)?;
-    let events = v
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("missing traceEvents array")?;
-    for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event #{i}: missing \"ph\""))?;
-        if !matches!(ph, "X" | "C" | "i" | "M") {
-            return Err(format!("event #{i}: unexpected phase {ph:?}"));
-        }
-        if ph == "X" && (e.get("ts").is_none() || e.get("dur").is_none()) {
-            return Err(format!("event #{i}: complete event without ts/dur"));
-        }
-    }
-    let other = v.get("otherData").ok_or("missing otherData")?;
-    other
-        .get("p")
-        .and_then(Json::as_u64)
-        .ok_or("missing otherData.p")?;
-    let dropped = other
-        .get("dropped_rounds")
-        .and_then(Json::as_u64)
-        .ok_or("missing otherData.dropped_rounds (exporters must stamp truncation)")?;
-    Ok((dropped > 0)
-        .then(|| format!("incomplete trace: {dropped} round(s) evicted by the ring-buffer cap")))
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry artefacts: the lifecycle event log and the Prometheus snapshot.
-// ---------------------------------------------------------------------------
-
-/// One lifecycle event from the telemetry JSONL log.
-#[derive(Debug, Clone)]
-pub struct EventRow {
-    /// Event kind (`"admit"`, `"coalesce"`, `"execute"`, `"reply"`,
-    /// `"ack"`, `"fsync"`, …).
-    pub kind: String,
-    /// Service tick the event occurred on.
-    pub tick: u64,
-    /// Machine round counter at the event.
-    pub round: u64,
-    /// Extra integer fields (`id`, `latency_ticks`, …).
-    pub fields: Vec<(String, u64)>,
-}
-
-impl EventRow {
-    /// Look up one extra field by name.
-    pub fn field(&self, name: &str) -> Option<u64> {
-        self.fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-}
-
-/// A parsed telemetry event log.
-#[derive(Debug, Clone)]
-pub struct EventsDoc {
-    /// Events lost to the exporter's cap.
-    pub dropped_events: u64,
-    /// The retained events, in emission order.
-    pub events: Vec<EventRow>,
-}
-
-/// Warning text when the event log is truncated (`None` when complete) —
-/// the telemetry counterpart of [`completeness_warning`].
-pub fn events_completeness_warning(doc: &EventsDoc) -> Option<String> {
-    (doc.dropped_events > 0).then(|| {
-        format!(
-            "incomplete event log: {} event(s) dropped by the cap ({} recorded)",
-            doc.dropped_events,
-            doc.events.len()
-        )
-    })
-}
-
-/// Parse a telemetry event JSONL log (`Telemetry::events_jsonl` output):
-/// a `"type":"telemetry-header"` line, then one `"type":"event"` line per
-/// event. This is also the schema check behind `pim-trace validate`.
-pub fn parse_events_jsonl(input: &str) -> Result<EventsDoc, String> {
-    let mut lines = input.lines().enumerate().filter(|(_, l)| !l.is_empty());
-    let (_, first) = lines.next().ok_or("empty input")?;
-    let header = parse(first).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("telemetry-header") {
-        return Err("line 1: expected a \"type\":\"telemetry-header\" object".into());
-    }
-    let version = req_u64(&header, "version", "header")?;
-    if version != 1 {
-        return Err(format!("header: unsupported version {version}"));
-    }
-    let expected = req_u64(&header, "events", "header")?;
-    let dropped_events = req_u64(&header, "dropped_events", "header")?;
-    let mut events = Vec::new();
-    for (lineno, line) in lines {
-        let what = format!("line {}", lineno + 1);
-        let v = parse(line).map_err(|e| format!("{what}: {e}"))?;
-        if v.get("type").and_then(Json::as_str) != Some("event") {
-            return Err(format!("{what}: expected a \"type\":\"event\" object"));
-        }
-        let obj = match &v {
-            Json::Obj(pairs) => pairs,
-            _ => return Err(format!("{what}: not an object")),
-        };
-        let mut fields = Vec::new();
-        for (k, val) in obj {
-            if matches!(k.as_str(), "type" | "kind" | "tick" | "round") {
-                continue;
-            }
-            let n = val
-                .as_u64()
-                .ok_or_else(|| format!("{what}: non-integer field {k:?}"))?;
-            fields.push((k.clone(), n));
-        }
-        events.push(EventRow {
-            kind: req_str(&v, "kind", &what)?,
-            tick: req_u64(&v, "tick", &what)?,
-            round: req_u64(&v, "round", &what)?,
-            fields,
-        });
-    }
-    if events.len() as u64 != expected {
+    if events.len() as u64 != retained {
         return Err(format!(
-            "header says events = {expected} but {} event lines follow",
+            "header says events = {retained} but {} event lines follow",
             events.len()
         ));
     }
-    Ok(EventsDoc {
+    Ok(TraceDoc {
+        p,
+        dropped_rounds,
         dropped_events,
+        spans,
+        modules,
+        rounds,
         events,
+    })
+}
+
+fn round_row(v: &Json, p: u64, what: &str) -> Result<RoundRow, String> {
+    let per_module = v
+        .get("per_module")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{what}: missing array field \"per_module\""))?
+        .iter()
+        .map(|x| x.as_u64().ok_or_else(|| format!("{what}: bad lane value")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let faults = v
+        .get("faults")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{what}: missing array field \"faults\""))?
+        .iter()
+        .map(|f| {
+            let kind = req_str(f, "kind", what)?;
+            let module = req_u64(f, "module", what)?;
+            Ok(format!("{kind}(m{module})"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let row = RoundRow {
+        round: req_u64(v, "round", what)?,
+        h: req_u64(v, "h", what)?,
+        max_work: req_u64(v, "max_work", what)?,
+        messages: req_u64(v, "messages", what)?,
+        work: req_u64(v, "work", what)?,
+        per_module,
+        faults,
+    };
+    if row.per_module.len() as u64 != p {
+        return Err(format!(
+            "{what}: {} per-module counts for p = {p}",
+            row.per_module.len()
+        ));
+    }
+    let max = row.per_module.iter().copied().max().unwrap_or(0);
+    if row.h != max {
+        return Err(format!(
+            "{what}: h = {} but the busiest module has {max}",
+            row.h
+        ));
+    }
+    let sum = row
+        .per_module
+        .iter()
+        .try_fold(0u64, |acc, &m| acc.checked_add(m));
+    if sum != Some(row.messages) {
+        return Err(format!(
+            "{what}: messages = {} is not the sum of the per-module counts",
+            row.messages
+        ));
+    }
+    Ok(row)
+}
+
+fn event_row(v: &Json, what: &str) -> Result<EventRow, String> {
+    let Json::Obj(pairs) = v else {
+        return Err(format!("{what}: not an object"));
+    };
+    let mut fields = Vec::new();
+    for (k, val) in pairs {
+        if matches!(k.as_str(), "type" | "kind" | "tick" | "round") {
+            continue;
+        }
+        let n = val
+            .as_u64()
+            .ok_or_else(|| format!("{what}: non-integer field {k:?}"))?;
+        fields.push((k.clone(), n));
+    }
+    Ok(EventRow {
+        kind: req_str(v, "kind", what)?,
+        tick: req_u64(v, "tick", what)?,
+        round: req_u64(v, "round", what)?,
+        fields,
     })
 }
 
@@ -590,19 +552,15 @@ pub fn render_hprofile(doc: &TraceDoc) -> String {
     if doc.rounds.is_empty() {
         return "no rounds recorded\n".to_string();
     }
-    // Bucket i holds h in [2^(i-1), 2^i); bucket 0 holds h = 0.
+    // Bucket b holds h in [2^(b-1), 2^b); bucket 0 holds h = 0.
     let mut counts = [0u64; 65];
-    let mut sums = [0u64; 65];
+    let mut sums = [0u128; 65];
     for r in &doc.rounds {
-        let b = if r.h == 0 {
-            0
-        } else {
-            64 - u64::leading_zeros(r.h) as usize + 1
-        };
+        let b = 64 - r.h.leading_zeros() as usize;
         counts[b] += 1;
-        sums[b] += r.h;
+        sums[b] += u128::from(r.h);
     }
-    let total_io: u64 = sums.iter().sum();
+    let total_io: u128 = sums.iter().sum();
     let max_count = counts.iter().copied().max().unwrap_or(1).max(1);
     let mut rows = Vec::new();
     for (b, (&c, &s)) in counts.iter().zip(&sums).enumerate() {
@@ -612,7 +570,7 @@ pub fn render_hprofile(doc: &TraceDoc) -> String {
         let label = if b == 0 {
             "0".to_string()
         } else {
-            format!("{}..{}", 1u64 << (b - 1), (1u64 << b) - 1)
+            format!("{}..{}", 1u64 << (b - 1), u64::MAX >> (64 - b))
         };
         let bar = "#".repeat(((c * 40).div_ceil(max_count)) as usize);
         let share = (s * 100).checked_div(total_io).unwrap_or(0);
@@ -727,12 +685,12 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// The `pim-trace top` dashboard over a telemetry event log: request
-/// counts, throughput, queue-depth sparkline, exact latency quantiles, and
-/// (when a round log is supplied) per-module heat, as of the last event.
-pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>) -> String {
+/// The `pim-trace top` dashboard over a trace's events: request counts,
+/// throughput, queue-depth sparkline, exact latency quantiles and, when
+/// the trace recorded rounds, per-module heat, as of the last event.
+pub fn render_top(doc: &TraceDoc) -> String {
     const SHADES: &[u8] = b" .:-=+*#%@";
-    const COLS: usize = 48;
+    const COLS: u64 = 48;
     let now = doc.events.iter().map(|e| e.tick).max().unwrap_or(0);
     let view = &doc.events;
 
@@ -761,25 +719,36 @@ pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>) -> String {
         .collect();
     lat.sort_unstable();
 
-    // Queue depth at each tick = admissions so far − dispatches so far.
-    let mut depth_at = vec![0i64; now as usize + 1];
-    for e in view {
-        let d = match e.kind.as_str() {
-            "admit" => 1,
-            "coalesce" => -1,
-            _ => continue,
-        };
-        depth_at[e.tick as usize] += d;
-    }
-    let mut depth = Vec::with_capacity(depth_at.len());
-    let mut acc = 0i64;
-    for d in depth_at {
+    // Queue depth = admissions so far − dispatches so far. It changes only
+    // at the ticks of those events; the sparkline shows the last COLS
+    // ticks, whatever the ticks' magnitude.
+    let mut steps: Vec<(u64, i64)> = view
+        .iter()
+        .filter_map(|e| match e.kind.as_str() {
+            "admit" => Some((e.tick, 1)),
+            "coalesce" => Some((e.tick, -1)),
+            _ => None,
+        })
+        .collect();
+    steps.sort_by_key(|&(tick, _)| tick);
+    let start = now.saturating_sub(COLS - 1);
+    let mut window = vec![0u64; (now - start) as usize + 1];
+    let (mut acc, mut peak) = (0i64, 0u64);
+    for (i, &(tick, d)) in steps.iter().enumerate() {
         acc += d;
-        depth.push(acc.max(0) as u64);
+        let next = steps.get(i + 1).map(|&(t, _)| t);
+        if next == Some(tick) {
+            continue;
+        }
+        // The depth holds from this tick until the next step.
+        let depth = acc.max(0) as u64;
+        peak = peak.max(depth);
+        let until = next.map_or(now, |t| t - 1);
+        for t in tick.max(start)..=until {
+            window[(t - start) as usize] = depth;
+        }
     }
-    let peak = depth.iter().copied().max().unwrap_or(0);
-    let current = depth.last().copied().unwrap_or(0);
-    let window = &depth[depth.len().saturating_sub(COLS)..];
+    let current = window.last().copied().unwrap_or(0);
     let spark: String = window
         .iter()
         .map(|&v| {
@@ -838,17 +807,17 @@ pub fn render_top(doc: &EventsDoc, rounds: Option<&TraceDoc>) -> String {
     out.push_str(&format!(
         "queue      |{spark}|  now {current}  peak {peak}\n"
     ));
-    if let Some(r) = rounds {
-        let mut sums = vec![0u64; r.p as usize];
-        for round in &r.rounds {
-            for (m, &v) in round.per_module.iter().enumerate().take(sums.len()) {
-                sums[m] += v;
+    if !doc.rounds.is_empty() {
+        let mut sums = vec![0u128; doc.p as usize];
+        for round in &doc.rounds {
+            for (m, &v) in round.per_module.iter().enumerate() {
+                sums[m] += u128::from(v);
             }
         }
         let hottest = sums.iter().copied().max().unwrap_or(0).max(1);
         out.push_str(&format!(
             "module heat (messages over {} recorded rounds)\n",
-            r.rounds.len()
+            doc.rounds.len()
         ));
         for (m, &s) in sums.iter().enumerate() {
             let bar = "#".repeat(((s * 32).div_ceil(hottest)) as usize);
@@ -864,7 +833,7 @@ mod tests {
 
     fn sample_jsonl() -> String {
         concat!(
-            r#"{"type":"header","version":1,"p":2,"dropped_rounds":0,"recorded_rounds":2,"#,
+            r#"{"type":"header","version":2,"p":2,"dropped_rounds":0,"recorded_rounds":2,"events":0,"dropped_events":0,"#,
             r#""spans":[{"id":0,"parent":null,"name":"run","path":"run","depth":0,"start_round":0,"end_round":2,"rounds":1,"io_time":1,"pim_time":1,"messages":1,"work":1,"cpu_work":0,"cpu_depth":0,"shared_mem_peak":4,"retries":0,"recovery_rounds":0},"#,
             r#"{"id":1,"parent":0,"name":"get","path":"run > get","depth":1,"start_round":0,"end_round":1,"rounds":1,"io_time":3,"pim_time":2,"messages":5,"work":4,"cpu_work":7,"cpu_depth":2,"shared_mem_peak":8,"retries":0,"recovery_rounds":0}],"#,
             r#""modules":[{"module":0,"messages":{"count":2,"sum":3,"max":2,"p50":1,"p95":2},"work":{"count":2,"sum":4,"max":3,"p50":1,"p95":3}},"#,
@@ -918,6 +887,42 @@ mod tests {
     }
 
     #[test]
+    fn a_round_line_must_agree_with_itself_and_the_header() {
+        let round = r#""h":2,"max_work":3,"messages":3,"work":4,"per_module":[2,1]"#;
+        for (bad, why) in [
+            (
+                r#""h":2,"max_work":3,"messages":2,"work":4,"per_module":[2]"#,
+                "counts",
+            ),
+            (
+                r#""h":9,"max_work":3,"messages":3,"work":4,"per_module":[2,1]"#,
+                "busiest",
+            ),
+            (
+                r#""h":2,"max_work":3,"messages":4,"work":4,"per_module":[2,1]"#,
+                "sum",
+            ),
+        ] {
+            let doc = sample_jsonl().replace(round, bad);
+            let err = parse_jsonl(&doc).unwrap_err();
+            assert!(err.starts_with("line 2: ") && err.contains(why), "{err}");
+        }
+        // `p = 4` with one lane, `h = 9` and one message.
+        let doc = sample_jsonl().replace("\"p\":2", "\"p\":4").replace(
+            round,
+            r#""h":9,"max_work":3,"messages":1,"work":4,"per_module":[1]"#,
+        );
+        assert!(parse_jsonl(&doc).is_err());
+        // Lanes whose sum overflows `u64` cannot match any `messages`.
+        let huge = format!(
+            r#""h":{m},"max_work":3,"messages":{m},"work":4,"per_module":[{m},1]"#,
+            m = u64::MAX
+        );
+        let err = parse_jsonl(&sample_jsonl().replace(round, &huge)).unwrap_err();
+        assert!(err.contains("sum"), "{err}");
+    }
+
+    #[test]
     fn phases_table_lists_each_path_once() {
         let doc = parse_jsonl(&sample_jsonl()).unwrap();
         let out = render_phases(&doc);
@@ -935,6 +940,37 @@ mod tests {
     }
 
     #[test]
+    fn hprofile_labels_each_bucket_by_its_own_range() {
+        let mut doc = parse_jsonl(&sample_jsonl()).unwrap();
+        let template = doc.rounds[0].clone();
+        doc.rounds = [0, 1, 2, 9, u64::MAX]
+            .into_iter()
+            .map(|h| RoundRow {
+                h,
+                ..template.clone()
+            })
+            .collect();
+        let out = render_hprofile(&doc);
+        let labels: Vec<&str> = out
+            .lines()
+            .skip(2)
+            .take_while(|l| !l.is_empty())
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "0",
+                "1..1",
+                "2..3",
+                "8..15",
+                "9223372036854775808..18446744073709551615"
+            ]
+        );
+        assert!(out.contains("io_time = 18446744073709551627"), "{out}");
+    }
+
+    #[test]
     fn heatmap_has_one_row_per_module() {
         let doc = parse_jsonl(&sample_jsonl()).unwrap();
         let out = render_heatmap(&doc);
@@ -943,56 +979,37 @@ mod tests {
         assert!(out.contains("imbalance"));
     }
 
-    #[test]
-    fn chrome_validation() {
-        let ok = r#"{"traceEvents":[{"ph":"M"}],"otherData":{"p":4,"dropped_rounds":0}}"#;
-        assert_eq!(validate_chrome(ok), Ok(None));
-        let lossy = r#"{"traceEvents":[{"ph":"M"}],"otherData":{"p":4,"dropped_rounds":3}}"#;
-        let warning = validate_chrome(lossy).unwrap().expect("lossy must warn");
-        assert!(warning.contains("3 round(s)"));
-        // An unstamped exporter is a schema error, not a silent pass.
-        let unstamped = r#"{"traceEvents":[{"ph":"M"}],"otherData":{"p":4}}"#;
-        assert!(validate_chrome(unstamped)
-            .unwrap_err()
-            .contains("dropped_rounds"));
-        assert!(validate_chrome(r#"{"traceEvents":[{"ph":"Q"}],"otherData":{"p":4}}"#).is_err());
-        assert!(validate_chrome(r#"{"traceEvents":[]}"#).is_err());
-        assert!(validate_chrome("not json").is_err());
-    }
-
+    /// [`sample_jsonl`] with six events after its rounds.
     fn sample_events() -> String {
-        concat!(
-            r#"{"type":"telemetry-header","version":1,"events":6,"dropped_events":0}"#,
-            "\n",
-            r#"{"type":"event","kind":"admit","tick":1,"round":0,"id":0}"#,
-            "\n",
-            r#"{"type":"event","kind":"admit","tick":1,"round":0,"id":1}"#,
-            "\n",
-            r#"{"type":"event","kind":"coalesce","tick":2,"round":0,"id":0,"batch":0,"pos":0}"#,
-            "\n",
-            r#"{"type":"event","kind":"coalesce","tick":2,"round":0,"id":1,"batch":0,"pos":1}"#,
-            "\n",
-            r#"{"type":"event","kind":"execute","tick":2,"round":9,"batch":0,"n":2,"rounds":9}"#,
-            "\n",
-            r#"{"type":"event","kind":"reply","tick":2,"round":9,"id":0,"latency_ticks":1,"latency_rounds":9}"#,
-            "\n",
-        )
-        .to_string()
+        sample_jsonl().replace("\"events\":0", "\"events\":6")
+            + concat!(
+                r#"{"type":"event","kind":"admit","tick":1,"round":0,"id":0}"#,
+                "\n",
+                r#"{"type":"event","kind":"admit","tick":1,"round":0,"id":1}"#,
+                "\n",
+                r#"{"type":"event","kind":"coalesce","tick":2,"round":0,"id":0,"batch":0,"pos":0}"#,
+                "\n",
+                r#"{"type":"event","kind":"coalesce","tick":2,"round":0,"id":1,"batch":0,"pos":1}"#,
+                "\n",
+                r#"{"type":"event","kind":"execute","tick":2,"round":9,"batch":0,"n":2,"rounds":9}"#,
+                "\n",
+                r#"{"type":"event","kind":"reply","tick":2,"round":9,"id":0,"latency_ticks":1,"latency_rounds":9}"#,
+                "\n",
+            )
     }
 
     #[test]
     fn parses_event_log() {
-        let doc = parse_events_jsonl(&sample_events()).unwrap();
+        let doc = parse_jsonl(&sample_events()).unwrap();
+        assert_eq!(doc.rounds.len(), 2);
         assert_eq!(doc.events.len(), 6);
         assert_eq!(doc.dropped_events, 0);
         assert_eq!(doc.events[0].kind, "admit");
         assert_eq!(doc.events[4].field("n"), Some(2));
-        assert_eq!(events_completeness_warning(&doc), None);
+        assert_eq!(completeness_warning(&doc), None);
         let lossy = sample_events().replace("\"dropped_events\":0", "\"dropped_events\":5");
-        let doc = parse_events_jsonl(&lossy).unwrap();
-        assert!(events_completeness_warning(&doc)
-            .unwrap()
-            .contains("5 event(s)"));
+        let doc = parse_jsonl(&lossy).unwrap();
+        assert!(completeness_warning(&doc).unwrap().contains("5 event(s)"));
     }
 
     #[test]
@@ -1005,9 +1022,14 @@ mod tests {
             big,
             &[("id", u64::MAX), ("latency_rounds", big)],
         );
-        let log = t.events_jsonl();
+        let log = pim_runtime::rounds_jsonl(&pim_runtime::ExportBundle {
+            p: 0,
+            trace: &pim_runtime::Trace::default(),
+            report: None,
+            events: Some(&t),
+        });
         assert!(log.contains(r#""id":18446744073709551615,"latency_rounds":9007199254740993"#));
-        let row = &parse_events_jsonl(&log).unwrap().events[0];
+        let row = &parse_jsonl(&log).unwrap().events[0];
         assert_eq!((row.tick, row.round), (u64::MAX, big));
         assert_eq!(row.field("id"), Some(u64::MAX));
         assert_eq!(row.field("latency_rounds"), Some(big));
@@ -1015,16 +1037,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_event_logs() {
-        assert!(parse_events_jsonl("").is_err());
         // Count mismatch with the header.
-        let short: String = sample_events()
-            .lines()
-            .take(3)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(parse_events_jsonl(&short).is_err());
-        // Round logs are not event logs.
-        assert!(parse_events_jsonl(&sample_jsonl()).is_err());
+        let log = sample_events();
+        let lines: Vec<&str> = log.lines().collect();
+        assert!(parse_jsonl(&lines[..lines.len() - 1].join("\n")).is_err());
+        // Rounds come before the events.
+        let mut swapped = lines.clone();
+        swapped.swap(2, 3);
+        let err = parse_jsonl(&swapped.join("\n")).unwrap_err();
+        assert!(err.contains("round line after the events"), "{err}");
+        // An event field must be an integer.
+        let bad = sample_events().replace("\"pos\":1", "\"pos\":\"x\"");
+        assert!(parse_jsonl(&bad).is_err());
     }
 
     #[test]
@@ -1052,18 +1076,39 @@ mod tests {
 
     #[test]
     fn top_renders_the_dashboard() {
-        let doc = parse_events_jsonl(&sample_events()).unwrap();
-        let out = render_top(&doc, None);
+        let doc = parse_jsonl(&sample_events()).unwrap();
+        let out = render_top(&doc);
         assert!(out.contains("admitted 2"));
         assert!(out.contains("completed 1"));
         assert!(out.contains("in-flight 1"));
         assert!(out.contains("batches 1"));
         assert!(out.contains("p50 1"));
         assert!(out.contains("machine rounds 9"));
-        // Module heat appears when a round log is supplied.
-        let rounds = parse_jsonl(&sample_jsonl()).unwrap();
-        let with_heat = render_top(&doc, Some(&rounds));
-        assert!(with_heat.contains("module heat"));
-        assert!(with_heat.contains("m1"));
+        assert!(out.contains("|  now 0  peak 2"));
+        // Module heat comes from the trace's rounds.
+        assert!(out.contains("module heat"));
+        assert!(out.contains("m1"));
+    }
+
+    #[test]
+    fn top_survives_the_largest_tick() {
+        let lines: Vec<String> = sample_events()
+            .replace("\"events\":6", "\"events\":1")
+            .lines()
+            .take(3)
+            .map(String::from)
+            .chain([format!(
+                r#"{{"type":"event","kind":"admit","tick":{},"round":0,"id":0}}"#,
+                u64::MAX
+            )])
+            .collect();
+        let doc = parse_jsonl(&lines.join("\n")).unwrap();
+        assert_eq!(completeness_warning(&doc), None);
+        let out = render_top(&doc);
+        assert!(out.contains(&format!("tick {}", u64::MAX)), "{out}");
+        assert!(
+            out.contains(&format!("|{}.|  now 1  peak 1", " ".repeat(47))),
+            "{out}"
+        );
     }
 }

@@ -4,12 +4,12 @@
 //! `experiments` run prints or writes, and compares the two:
 //!
 //! * `table1 --quick`: every Table 1 row at `P ∈ {8, 16, 32}`, `n = 4,000`;
-//! * `trace-export --quick`: the Chrome trace and the round log;
+//! * `trace-export --quick`: the JSONL trace;
 //! * `service --quick`: every field but ops/sec of the nine sweep points;
-//! * `service --quick --out DIR`: the Chrome trace, the round log, the
-//!   request-lifecycle event log and the Prometheus snapshot. The event
-//!   log is also pinned by length and FNV-1a-64 digest, so a change to how
-//!   the log stores events cannot move what it renders.
+//! * `service --quick --out DIR`: the JSONL trace (spans, rounds and
+//!   request-lifecycle events) and the Prometheus snapshot. The trace's
+//!   event lines are also pinned by length and FNV-1a-64 digest, so a
+//!   change to how the log stores events cannot move what it renders.
 //!
 //! The sort threshold is zero, and so is the parallel threshold, except in
 //! the sweep: there a region forks from [`SWEEP_PAR_THRESHOLD`] work units.
@@ -34,12 +34,12 @@ const TABLE1_N: usize = 4_000;
 const EXPORT_P: u32 = 16;
 const EXPORT_N: usize = 4_000;
 
-const SERVICE_FILES: [&str; 4] = ["trace.json", "rounds.jsonl", "events.jsonl", "metrics.prom"];
-const TRACE_FILES: [&str; 2] = ["trace.json", "rounds.jsonl"];
+const SERVICE_FILES: [&str; 2] = ["trace.jsonl", "metrics.prom"];
+const TRACE_FILES: [&str; 1] = ["trace.jsonl"];
 
-/// `events.jsonl` of the `P = 16`, `n = 4,000` session: its length in
-/// bytes and its FNV-1a-64 digest.
-const EVENTS_JSONL: (usize, u64) = (519_479, 0x5ed1_0c5b_395e_814f);
+/// The event lines of the `P = 16`, `n = 4,000` session's trace: their
+/// length in bytes and their FNV-1a-64 digest.
+const EVENT_LINES: (usize, u64) = (519_406, 0xf318_56a0_534a_46a8);
 
 /// The sweep's parallel threshold: the smallest batch it dispatches.
 /// (At zero, each of its ~50,000 rounds spawns seven threads: ~15 s of a
@@ -150,6 +150,11 @@ fn service_exports_are_byte_identical_across_thread_counts() {
     let (one, _) = export_at_1_and_8("service", &SERVICE_FILES, |out| {
         service_trace_export(out, EXPORT_P, EXPORT_N, SEED)
     });
-    let events = &one[2];
-    assert_eq!((events.len(), fnv1a64(events)), EVENTS_JSONL);
+    let events: Vec<u8> = one[0]
+        .split_inclusive(|&b| b == b'\n')
+        .filter(|line| line.starts_with(br#"{"type":"event""#))
+        .flatten()
+        .copied()
+        .collect();
+    assert_eq!((events.len(), fnv1a64(&events)), EVENT_LINES);
 }
